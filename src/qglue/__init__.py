@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import (DomainError, NumericalError, IllConditionedError,
-                     EscapeError, ManifestError)
+                     ManifestError)
 from .gauges import (GaugeConstants, derive_constants, CylField,
                      emden_fowler_forward, emden_fowler_inverse, kelvin,
                      kelvin_cyl, paneitz_cyl_apply, q_residual)

@@ -150,15 +150,11 @@ def cmd_jacobi(params, out):
     om = np.array([symplectic_pairing(
         op0, lambda t: basis.jet(0, "-", t)[:, 0],
         lambda t: basis.jet(0, "+", t)[:, 0], t) for t in ts])
-    d_eps = params.get("dEps", 1e-4)
-    hi = solve_orbit(orbit.constants, orbit.eps + d_eps)
-    lo = solve_orbit(orbit.constants, orbit.eps - d_eps)
-    dHdEps = (hi.hamiltonianValue - lo.hamiltonianValue) / (2 * d_eps)
     doc = {"command": "jacobi", "n": orbit.constants.n, "eps": orbit.eps,
            "dsdEps": basis.dsdEps, "dTdEps": basis.dTdEps,
            "crossValidationError": basis.crossValidationError,
            "generatorResiduals": residuals, "measuredRates": rates,
-           "pairingRatio": float(np.mean(om) / dHdEps),
+           "pairingRatio": float(np.mean(om) / basis.dHdEps),
            "pairingDrift": float(np.max(np.abs(om - om[0])))}
     return doc, {}
 

@@ -17,17 +17,19 @@ rows vanish on solutions with zero kernel content, so consistent compactly
 supported problems are reproduced exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import lu_factor, lu_solve, schur
 
 from .errors import DomainError, IllConditionedError, NumericalError
-from .fd import apply_derivative, derivative_matrix, jet_rows, stencil_size
-from .gauges import CylField
-from .jacobi import (ModeOperator, monodromy_data, generators, JacobiBasis,
-                     smooth_step, dominant_direction)
-from .gluing import ApproxSolution, defect, stable_power_remainder, \
-    weighted_norm
+from .fd import jet_rows, stencil_size
+from .gauges import (CylField, angular_basis, paneitz_mode_apply,
+                     paneitz_mode_matrix)
+from .delaunay import sample_contiguous
+from .jacobi import (CutoffSpec, ModeOperator, monodromy_data, generators,
+                     JacobiBasis, dominant_direction)
+from .gluing import ApproxSolution, defect, log_annulus_weight, \
+    stable_power_remainder, weighted_norm
 
 __all__ = [
     "DiscreteJacobi", "discretize", "BorderedSystem", "bordered_system",
@@ -49,8 +51,7 @@ def _coupling_tensor(background, degrees):
     basis = background.basis()
     vp1 = basis.reconstruct(background.coeff_matrix()) ** (consts.p - 1.0)
     # evaluate phi on the shared quadrature nodes for the requested degrees
-    from .gauges import AngularBasis
-    full = AngularBasis(consts.n, tuple(degrees), nquad=len(basis.nodes))
+    full = angular_basis(consts.n, tuple(degrees), len(basis.nodes))
     L1 = len(degrees)
     C = np.empty((L1, L1, len(background.t)))
     for a in range(L1):
@@ -60,24 +61,18 @@ def _coupling_tensor(background, degrees):
     return C
 
 
-def linear_apply(background, u, acc=8, boundary="biased"):
+def linear_apply(background, u, acc=8):
     """Linearization of the curvature operator about `background` applied to
     u: per-mode derivative parts minus K times the pointwise-potential
     coupling (quadrature projected)."""
     consts = background.constants
-    h = u.h
     degrees = u.degrees
     C = _coupling_tensor(background, degrees)
     coeff = u.coeff_matrix()
     out = {}
     for a, l in enumerate(degrees):
-        lam = consts.lam(l)
-        w = coeff[a]
-        d4 = apply_derivative(w, h, 4, acc=acc, boundary=boundary)
-        d2 = apply_derivative(w, h, 2, acc=acc, boundary=boundary)
-        lin = (d4 + lam ** 2 * w - (2 * lam + consts.c2) * d2
-               + (consts.n * (consts.n - 4) / 2.0 * lam + consts.c0) * w)
-        pot = np.zeros_like(w)
+        lin = paneitz_mode_apply(consts, consts.lam(l), coeff[a], u.h, acc=acc)
+        pot = np.zeros_like(coeff[a])
         for b in range(len(degrees)):
             pot += C[a, b] * coeff[b]
         out[l] = lin - consts.K * pot
@@ -96,7 +91,6 @@ class DiscreteJacobi:
     approx: ApproxSolution
     degrees: tuple
     acc: int
-    blocks: np.ndarray        # (L+1, L+1, N, N) coupling included on diagonal tiles
     matrix: np.ndarray        # assembled square matrix with clamp rows
     clamp_rows: tuple         # row indices replaced by boundary conditions
 
@@ -104,10 +98,13 @@ class DiscreteJacobi:
     def npoints(self):
         return len(self.approx.s)
 
-    def apply(self, u, boundary="biased"):
-        """Pure operator application (no clamp rows) to a field."""
-        background = self.approx.field
-        return linear_apply(background, u, acc=self.acc, boundary=boundary)
+
+def _clamp_rows(N, h, acc):
+    """(row, condition) pairs of one mode block that clamp w and w' at both
+    ends of the grid."""
+    jl = jet_rows(N, h, 0, max_deriv=1, acc=acc)
+    jr = jet_rows(N, h, N - 1, max_deriv=1, acc=acc)
+    return ((0, jl[0]), (1, jl[1]), (N - 2, jr[1]), (N - 1, jr[0]))
 
 
 def discretize(approx, degrees=None, acc=8):
@@ -121,41 +118,28 @@ def discretize(approx, degrees=None, acc=8):
         degrees = tuple(approx.field.degrees)
     degrees = tuple(sorted(set(int(d) for d in degrees)))
     consts = approx.config.constants
-    s = approx.s
-    N = len(s)
+    N = len(approx.s)
     h = approx.field.h
     if N < stencil_size(4, acc):
         raise DomainError("grid too coarse for the requested stencil order")
-    D4 = derivative_matrix(N, h, 4, acc=acc)
-    D2 = derivative_matrix(N, h, 2, acc=acc)
     C = _coupling_tensor(approx.field, degrees)
     L1 = len(degrees)
-    blocks = np.zeros((L1, L1, N, N))
-    for a, l in enumerate(degrees):
-        lam = consts.lam(l)
-        blocks[a, a] = (D4 - (2 * lam + consts.c2) * D2
-                        + np.eye(N) * (lam ** 2
-                                       + consts.n * (consts.n - 4) / 2.0 * lam
-                                       + consts.c0))
-        for b in range(L1):
-            blocks[a, b] -= consts.K * np.diag(C[a, b])
     matrix = np.zeros((L1 * N, L1 * N))
-    for a in range(L1):
-        for b in range(L1):
-            matrix[a * N:(a + 1) * N, b * N:(b + 1) * N] = blocks[a, b]
-    jl = jet_rows(N, h, 0, max_deriv=1, acc=acc)
-    jr = jet_rows(N, h, N - 1, max_deriv=1, acc=acc)
+    diag = np.arange(N)
     clamp = []
-    for a in range(L1):
+    for a, l in enumerate(degrees):
         base = a * N
-        for row, cond in ((base, jl[0]), (base + 1, jl[1]),
-                          (base + N - 2, jr[1]), (base + N - 1, jr[0])):
-            matrix[row, :] = 0.0
-            matrix[row, base:base + N] = cond
-            clamp.append(row)
+        block = slice(base, base + N)
+        matrix[block, block] = paneitz_mode_matrix(consts, consts.lam(l), N,
+                                                   h, acc=acc)
+        for b in range(L1):
+            matrix[base + diag, b * N + diag] -= consts.K * C[a, b]
+        for i, cond in _clamp_rows(N, h, acc):
+            matrix[base + i, :] = 0.0
+            matrix[base + i, block] = cond
+            clamp.append(base + i)
     return DiscreteJacobi(approx=approx, degrees=degrees, acc=acc,
-                          blocks=blocks, matrix=matrix,
-                          clamp_rows=tuple(clamp))
+                          matrix=matrix, clamp_rows=tuple(clamp))
 
 
 # ----------------------------------------------------------------------
@@ -178,12 +162,9 @@ def _invariant_subspace(M, k, thresh):
 @dataclass
 class _ModeBorder:
     l: int
-    lam: float
     cond_rows: np.ndarray      # jet-condition rows acting on v (k, N)
     Bcols: np.ndarray | None   # deficiency columns (N, 4), normalized
-    scales: np.ndarray | None
     gauge_v: np.ndarray | None  # (2, N) gauge rows acting on v
-    patterns: np.ndarray | None  # (2, 4) kernel amplitude patterns
     labels: tuple
 
 
@@ -210,7 +191,6 @@ class BorderedSystem:
 
     def factor(self):
         if self._lu is None:
-            from scipy.linalg import lu_factor
             Aeq = self.matrix / self.row_scale[:, None]
             self._cond = float(np.linalg.cond(Aeq))
             self._lu = lu_factor(Aeq)
@@ -221,25 +201,8 @@ def _window_solution(op, t0, t_nodes, jet0, tol=1e-13):
     """Sample the mode-ODE solution with initial jet `jet0` at t0 over the
     window nodes (any direction); windows are about a stencil wide, so both
     decaying and growing directions stay representable."""
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        return (y[1], y[2], y[3], op.A * y[2] - op.potential(t) * y[0])
-
-    nodes = np.asarray(t_nodes, dtype=float)
-    inward = nodes[np.argsort(np.abs(nodes - t0))]
-    order = np.argsort(inward) if inward[-1] > t0 else np.argsort(-inward)
-    te = inward[order]
-    h = np.min(np.abs(np.diff(te)))
-    sol = solve_ivp(rhs, (t0, te[-1]), jet0, method="DOP853", rtol=tol,
-                    atol=tol, t_eval=te, max_step=h / 2)
-    if not sol.success:
-        raise NumericalError("window sampling of a frame solution failed")
-    out = np.empty(len(nodes))
-    lookup = dict(zip(te, sol.y[0]))
-    for i, t in enumerate(nodes):
-        out[i] = lookup[t]
-    return out
+    return sample_contiguous(op.rhs, t0, jet0, t_nodes, tol, np.inf,
+                             "window sampling of a frame solution failed")[0]
 
 
 def _mode_border(approx, basis, l, acc, gauge_delta=1.5):
@@ -266,9 +229,8 @@ def _mode_border(approx, basis, l, acc, gauge_delta=1.5):
     N = len(s)
     h = approx.field.h
     T = orbit.period
-    lam = consts.lam(l)
     phase = (cfg.m + 0.5) * T
-    op = ModeOperator(orbit, lam)
+    op = ModeOperator(orbit, consts.lam(l))
     thresh = np.exp(T / 2.0)
 
     jl = jet_rows(N, h, 0, max_deriv=3, acc=acc)
@@ -277,7 +239,6 @@ def _mode_border(approx, basis, l, acc, gauge_delta=1.5):
     has_deficiency = l <= 1
     n_dec = 1 if has_deficiency else 2
 
-    from .fd import stencil_size
     win = stencil_size(3, acc)
     frames = {}
     for side, i_end, jet in (("L", 0, jl), ("R", N - 1, jr)):
@@ -321,13 +282,12 @@ def _mode_border(approx, basis, l, acc, gauge_delta=1.5):
     cond = cond / np.max(np.abs(cond), axis=1, keepdims=True)
 
     if not has_deficiency:
-        return _ModeBorder(l=l, lam=lam, cond_rows=cond, Bcols=None,
-                           scales=None, gauge_v=None, patterns=None,
+        return _ModeBorder(l=l, cond_rows=cond, Bcols=None, gauge_v=None,
                            labels=())
 
     # deficiency columns: cutoff global generator profiles at each end
-    chiL = _end_cutoff(s, "left", T)
-    chiR = _end_cutoff(s, "right", T)
+    chiL = CutoffSpec("left", T / 2, T / 2).samples(s)
+    chiR = CutoffSpec("right", T / 2, T / 2).samples(s)
     plus_prof = basis.jet(l, "+", s + phase)[0]
     minus_prof = basis.jet(l, "-", s + phase)[0]
     raw = [chiL * plus_prof, chiL * minus_prof,
@@ -351,30 +311,14 @@ def _mode_border(approx, basis, l, acc, gauge_delta=1.5):
 
     patP = pattern(plus_prof)
     patM = pattern(minus_prof)
-    patterns = np.stack([patP, patM], axis=0)
     # kernel fields in their canonical (v, alpha) split; gauge rows are the
     # weighted normal equations over kernel shifts, acting on v
-    log_w = gauge_delta * (_log_cosh_arr(cfg.m * T) - _log_cosh_arr(s))
+    log_w = log_annulus_weight(s, gauge_delta, cfg.m * T)
     w2 = np.exp(2.0 * (log_w - np.max(log_w)))
     Kv = np.stack([plus_prof - B @ patP, minus_prof - B @ patM], axis=0)
     gauge_v = Kv * w2[None, :]
-    return _ModeBorder(l=l, lam=lam, cond_rows=cond, Bcols=B, scales=scales,
-                       gauge_v=gauge_v, patterns=patterns, labels=labels)
-
-
-def _log_cosh_arr(x):
-    ax = np.abs(np.asarray(x, dtype=float))
-    return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
-
-
-def _end_cutoff(s, side, T):
-    """Cutoff equal to one on a half-period plateau at the given end, decaying
-    over another half period."""
-    if side == "left":
-        x = (s - (s[0] + 0.5 * T)) / (0.5 * T)
-    else:
-        x = ((s[-1] - 0.5 * T) - s) / (0.5 * T)
-    return smooth_step(x)
+    return _ModeBorder(l=l, cond_rows=cond, Bcols=B, gauge_v=gauge_v,
+                       labels=labels)
 
 
 def bordered_system(approx, degrees=None, acc=8, basis=None):
@@ -391,8 +335,6 @@ def bordered_system(approx, degrees=None, acc=8, basis=None):
     h = approx.field.h
     if basis is None:
         basis = generators(cfg.orbit, validate=False)
-    D4 = derivative_matrix(N, h, 4, acc=acc)
-    D2 = derivative_matrix(N, h, 2, acc=acc)
     C = _coupling_tensor(approx.field, degrees)
 
     borders = []
@@ -418,17 +360,15 @@ def bordered_system(approx, degrees=None, acc=8, basis=None):
         off += size
 
     row = 0
+    pick = slice(2, N - 2)
+    diag = np.arange(N - 4)
     for a, l in enumerate(degrees):
-        lam = consts.lam(l)
-        block = (D4 - (2 * lam + consts.c2) * D2
-                 + np.eye(N) * (lam ** 2 + consts.n * (consts.n - 4) / 2.0 * lam
-                                + consts.c0))
+        block = paneitz_mode_matrix(consts, consts.lam(l), N, h, acc=acc)
         interior = slice(row, row + N - 4)
         interior_slices.append(interior)
-        pick = slice(2, N - 2)
         A[interior, vcol(a)] = block[pick]
         for b in range(len(degrees)):
-            A[interior, vcol(b)] += (-consts.K * np.diag(C[a, b]))[pick]
+            A[row + diag, b * N + 2 + diag] += -consts.K * C[a, b][pick]
         # operator applied to the deficiency columns of every mode
         for b, bb in enumerate(borders):
             if bb.Bcols is None:
@@ -476,19 +416,12 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
     have = {m.l: m.samples for m in f.modes}
     zeros = np.zeros(N)
     rhs = np.zeros(sys.matrix.shape[0])
-    row = 0
     for a, l in enumerate(degrees):
-        fv = have.get(l, zeros)
-        rhs[row:row + N - 4] = fv[2:N - 2]
-        row += N - 4
-        row += len(sys.borders[a].cond_rows)
-        if sys.borders[a].gauge_v is not None:
-            row += 2
+        rhs[sys.interior_slices[a]] = have.get(l, zeros)[2:N - 2]
     lu, cond = sys.factor()
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedError("bordered system is numerically singular",
                                   cond)
-    from scipy.linalg import lu_solve
     Aeq = sys.matrix / sys.row_scale[:, None]
     beq = rhs / sys.row_scale
     x = lu_solve(lu, beq)
@@ -689,13 +622,11 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             dnow = _total_defect(approx, f0, u, acc)
             # re-discretize about the current iterate; only the field (the
             # linearization potential) and the config (boundary asymptotics)
-            # matter to the assembly, the tail bookkeeping rides along
-            shifted = ApproxSolution(
-                field=approx.field + u, config=approx.config,
-                cutoffRecord=approx.cutoffRecord, backbone=approx.backbone,
-                w1=approx.w1, w2=approx.w2, blend=approx.blend)
-            sys_k = bordered_system(shifted, degrees=degrees, acc=acc,
-                                    basis=sys0.basisJets)
+            # matter to the assembly, the tail bookkeeping rides along.  The
+            # first step starts from u = 0, the blend itself: sys0 serves.
+            sys_k = sys0 if k == 1 else bordered_system(
+                replace(approx, field=approx.field + u), degrees=degrees,
+                acc=acc, basis=sys0.basisJets)
             res = solve_right_inverse(sys_k, dnow * -1.0)
             u_next = u + res.u
         alpha = res.alpha
@@ -793,46 +724,29 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
     s = approx.s
     N = len(s)
     h = approx.field.h
-    T = cfg.period
-    neck = (cfg.m + 0.5) * T
+    scale = cfg.m * cfg.period
+    neck = (cfg.m + 0.5) * cfg.period
+    rho = np.exp(np.where(
+        np.abs(s) <= neck, log_annulus_weight(s, delta, scale),
+        log_annulus_weight(neck, delta, scale)
+        - delta_prime * (np.abs(s) - neck)))
+    inv_rho = 1.0 / rho
 
-    def log_cosh(x):
-        ax = np.abs(x)
-        return ax + np.log1p(np.exp(-2 * ax)) - np.log(2.0)
-
-    log_rho = np.where(
-        np.abs(s) <= neck,
-        delta * (log_cosh(cfg.m * T) - log_cosh(s)),
-        delta * (log_cosh(cfg.m * T) - log_cosh(neck))
-        - delta_prime * (np.abs(s) - neck))
-    rho = np.exp(log_rho)
-
-    D4 = derivative_matrix(N, h, 4, acc=acc)
-    D2 = derivative_matrix(N, h, 2, acc=acc)
     C = _coupling_tensor(background, degrees)
-    basis = generators(cfg.orbit, validate=False)
+    clamps = _clamp_rows(N, h, acc)
     per_mode = {}
     for a, l in enumerate(degrees):
-        lam = consts.lam(l)
-        block = (D4 - (2 * lam + consts.c2) * D2
-                 + np.eye(N) * (lam ** 2 + consts.n * (consts.n - 4) / 2.0 * lam
-                                + consts.c0)
-                 - consts.K * np.diag(C[a, a]))
-        jl = jet_rows(N, h, 0, max_deriv=1, acc=acc)
-        jr = jet_rows(N, h, N - 1, max_deriv=1, acc=acc)
-        A = block.copy()
-        A[0], A[1] = jl[0], jl[1]
-        A[N - 2], A[N - 1] = jr[1], jr[0]
-        from scipy.linalg import lu_factor, lu_solve
-        luA = lu_factor(A)
-        luAT = lu_factor(A.T)
-        inv_rho = 1.0 / rho
+        A = paneitz_mode_matrix(consts, consts.lam(l), N, h, acc=acc)
+        A[np.diag_indices(N)] -= consts.K * C[a, a]
+        for i, cond in clamps:
+            A[i] = cond
+        lu = lu_factor(A)
 
         def apply_inv(z):          # W^{-1} z with W = D_rho^{-1} A D_rho
-            return inv_rho * lu_solve(luA, rho * z)
+            return inv_rho * lu_solve(lu, rho * z)
 
         def apply_inv_t(z):
-            return rho * lu_solve(luAT, inv_rho * z)
+            return rho * lu_solve(lu, inv_rho * z, trans=1)
 
         rng = np.random.default_rng(42)
         z = rng.standard_normal(N)

@@ -20,8 +20,8 @@ from .gauges import GaugeConstants, derive_constants
 
 __all__ = [
     "OdeState", "ode_rhs", "hamiltonian", "integrate", "Trajectory",
-    "DelaunayOrbit", "solve_orbit", "FamilyParams", "eval_family",
-    "expansion_error", "ExpansionStudy",
+    "sample_contiguous", "DelaunayOrbit", "solve_orbit", "FamilyParams",
+    "eval_family", "expansion_error", "ExpansionStudy",
 ]
 
 DEFAULT_TOL = 1e-11
@@ -95,16 +95,6 @@ class Trajectory:
     def state(self, t):
         return OdeState.from_array(self._sol(np.array([t]))[:, 0])
 
-    def error_estimate(self, n_check=64):
-        """A posteriori accuracy estimate: relative drift of the conserved
-        energy over the computed span (up to the escape time)."""
-        hi = self.tEscape if self.tEscape is not None else self.tSpan[1]
-        ts = np.linspace(self.tSpan[0], hi, n_check)
-        H = np.array([hamiltonian(self.state(t), self.constants)
-                      for t in ts])
-        scale = max(abs(H[0]), 1e-300)
-        return float(np.max(np.abs(H - H[0])) / scale)
-
 
 def integrate(state0, t_span, consts, tol=DEFAULT_TOL,
               floor=1e-10, ceil=1e3, max_step=np.inf):
@@ -140,6 +130,32 @@ def integrate(state0, t_span, consts, tol=DEFAULT_TOL,
         escaped, t_esc = "up", float(sol.t_events[1][0])
     return Trajectory(tSpan=t_span, escaped=escaped, tEscape=t_esc,
                       constants=consts, _sol=sol.sol)
+
+
+def sample_contiguous(rhs, t0, y0, tgrid, tol, max_step, failure):
+    """States at every point of tgrid of the solution with y(t0) = y0, from
+    one contiguous DOP853 run below t0 and one above it.
+
+    Steps are capped at max_step and at half the smallest spacing of tgrid.
+    Returns a (len(y0), len(tgrid)) array; raises NumericalError(failure)
+    when a run fails."""
+    tgrid = np.asarray(tgrid, dtype=float)
+    if len(tgrid) > 1:
+        max_step = min(max_step, 0.5 * float(np.min(np.diff(np.sort(tgrid)))))
+    out = np.empty((len(y0), len(tgrid)))
+    out[:, tgrid == t0] = np.asarray(y0, dtype=float)[:, None]
+    for mask, direction in ((tgrid < t0, -1), (tgrid > t0, +1)):
+        if not mask.any():
+            continue
+        te = np.sort(tgrid[mask])[::direction]
+        sol = solve_ivp(rhs, (t0, float(te[-1])), y0, method="DOP853",
+                        rtol=tol, atol=tol, t_eval=te, max_step=max_step)
+        if not sol.success:
+            raise NumericalError(failure)
+        lookup = {t: sol.y[:, i] for i, t in enumerate(te)}
+        for j in np.where(mask)[0]:
+            out[:, j] = lookup[tgrid[j]]
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -213,39 +229,8 @@ class DelaunayOrbit:
         return np.stack([self._eval_any(t, k) for k in range(max_deriv + 1)])
 
     def sample_states(self, tgrid, tol=1e-13):
-        """Sample the full jet (v, v', v'', v''') by contiguous step-capped
-        integration over the requested window; see sample_exact."""
-        tgrid = np.asarray(tgrid, dtype=float)
-        if self.isConstant:
-            out = np.zeros((4, len(tgrid)))
-            out[0] = self.eps
-            return out
-        rhs = _rhs_arrays(self.constants)
-        cap = self.period / 512.0
-        if len(tgrid) > 1:
-            cap = min(cap, 0.5 * float(np.min(np.diff(np.sort(tgrid)))))
-        y0 = [self.eps, 0.0, self.vDdot0, 0.0]
-        out = np.empty((4, len(tgrid)))
-        for mask, direction in ((tgrid < 0, -1), (tgrid >= 0, +1)):
-            if not mask.any():
-                continue
-            te = np.sort(tgrid[mask])
-            if direction < 0:
-                te = te[::-1]
-            t_end = float(te[-1]) if te[-1] != 0.0 else direction * cap
-            sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
-                            rtol=tol, atol=tol, t_eval=te, max_step=cap)
-            if not sol.success:
-                raise NumericalError("orbit sampling failed")
-            lookup = {t: sol.y[:, i] for i, t in enumerate(te)}
-            idx = np.where(mask)[0]
-            for j in idx:
-                out[:, j] = lookup[tgrid[j]]
-        return out
-
-    def sample_exact(self, tgrid, tol=1e-13):
-        """Sample v by one contiguous step-capped integration over the
-        requested window.
+        """Sample the full jet (v, v', v'', v''') by one contiguous
+        step-capped integration from the minimum at t = 0.
 
         The reflected-periodic representation is ideal for evaluation but its
         reduction seams (periodicity defect at multiples of the period, the
@@ -255,33 +240,17 @@ class DelaunayOrbit:
         grade sampling needs."""
         tgrid = np.asarray(tgrid, dtype=float)
         if self.isConstant:
-            return np.full(len(tgrid), self.eps)
-        rhs = _rhs_arrays(self.constants)
-        cap = self.period / 512.0
-        if len(tgrid) > 1:
-            cap = min(cap, 0.5 * float(np.min(np.diff(np.sort(tgrid)))))
-        y0 = [self.eps, 0.0, self.vDdot0, 0.0]
-        out = np.empty(len(tgrid))
-        neg = tgrid < 0
-        if neg.any():
-            te = np.sort(tgrid[neg])[::-1]
-            sol = solve_ivp(rhs, (0.0, float(te[-1])), y0, method="DOP853",
-                            rtol=tol, atol=tol, t_eval=te, max_step=cap)
-            if not sol.success:
-                raise NumericalError("orbit sampling failed")
-            vals = dict(zip(te, sol.y[0]))
-            out[neg] = [vals[t] for t in tgrid[neg]]
-        pos = ~neg
-        if pos.any():
-            te = np.sort(tgrid[pos])
-            t_end = float(te[-1]) if te[-1] > 0 else cap
-            sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
-                            rtol=tol, atol=tol, t_eval=te, max_step=cap)
-            if not sol.success:
-                raise NumericalError("orbit sampling failed")
-            vals = dict(zip(te, sol.y[0]))
-            out[pos] = [vals[t] for t in tgrid[pos]]
-        return out
+            out = np.zeros((4, len(tgrid)))
+            out[0] = self.eps
+            return out
+        return sample_contiguous(
+            _rhs_arrays(self.constants), 0.0,
+            [self.eps, 0.0, self.vDdot0, 0.0], tgrid, tol,
+            self.period / 512.0, "orbit sampling failed")
+
+    def sample_exact(self, tgrid, tol=1e-13):
+        """Seam-free samples of v; see sample_states."""
+        return self.sample_states(tgrid, tol=tol)[0]
 
     # -- serialization ------------------------------------------------------
 
@@ -357,8 +326,8 @@ def _constant_orbit(consts, tol):
     linearization period 2 pi / omega0 from the constant-coefficient quartic
     mu^4 - c2 mu^2 + (c0 - K epsBar^(p-1))."""
     eb = consts.epsBar
-    q0 = consts.c0 - consts.K * eb ** (consts.p - 1)
-    musq = np.roots([1.0, -consts.c2, q0])
+    A, B = consts.mode_coefficients(0.0)
+    musq = np.roots([1.0, -A, B - consts.K * eb ** (consts.p - 1)])
     neg = musq[musq < 0]
     if neg.size != 1:
         raise NumericalError("unexpected linearization spectrum at epsBar")

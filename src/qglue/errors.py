@@ -4,6 +4,9 @@ DomainError maps to CLI exit code 2, NumericalError to exit code 3 and
 ManifestError to exit code 1.
 """
 
+__all__ = ["QGlueError", "DomainError", "NumericalError",
+           "IllConditionedError", "ManifestError"]
+
 
 class QGlueError(Exception):
     """Base class for all package errors."""
@@ -25,15 +28,6 @@ class IllConditionedError(NumericalError):
     def __init__(self, message, cond_estimate):
         super().__init__(f"{message} (condition estimate {cond_estimate:.3e})")
         self.cond_estimate = cond_estimate
-
-
-class EscapeError(NumericalError):
-    """Trajectory left the admissible strip; records time and direction."""
-
-    def __init__(self, message, escape_time, direction):
-        super().__init__(message)
-        self.escape_time = escape_time
-        self.direction = direction  # "down" or "up"
 
 
 class ManifestError(QGlueError, ValueError):

@@ -90,14 +90,9 @@ def stencil_at(i, npoints, deriv, acc):
     return nodes, w
 
 
-def apply_derivative(vals, h, deriv, acc=8, boundary="biased"):
-    """Differentiate uniformly spaced samples.
-
-    boundary:
-      "biased"   shifted same-order stencils near the ends,
-      "periodic" wraparound stencils; the grid is one period with the last
-                 sample one spacing before the first.
-    """
+def apply_derivative(vals, h, deriv, acc=8):
+    """Differentiate uniformly spaced samples; centered stencils in the
+    interior, shifted same-order stencils near the ends."""
     vals = np.asarray(vals, dtype=float)
     N = vals.shape[-1]
     npts = stencil_size(deriv, acc)
@@ -109,12 +104,6 @@ def apply_derivative(vals, h, deriv, acc=8, boundary="biased"):
     offs = np.arange(-half, half + 1)
     w = _unit_weights(tuple(offs), deriv)
     out = np.zeros_like(vals)
-    if boundary == "periodic":
-        for o, wk in zip(offs, w):
-            out += wk * np.roll(vals, -o, axis=-1)
-        return out * scale
-    if boundary != "biased":
-        raise ValueError(f"unknown boundary mode {boundary!r}")
     core = slice(half, N - half)
     seg = np.zeros_like(vals[..., core])
     for k, o in enumerate(offs):
@@ -127,7 +116,7 @@ def apply_derivative(vals, h, deriv, acc=8, boundary="biased"):
 
 
 def derivative_matrix(npoints, h, deriv, acc=8):
-    """Dense matrix form of apply_derivative with biased ends."""
+    """Dense matrix form of apply_derivative."""
     D = np.zeros((npoints, npoints))
     scale = h ** (-deriv)
     for i in range(npoints):

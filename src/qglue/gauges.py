@@ -18,11 +18,12 @@ import numpy as np
 from scipy.special import eval_gegenbauer, roots_gegenbauer
 
 from .errors import DomainError
-from .fd import apply_derivative
+from .fd import apply_derivative, derivative_matrix, stencil_size
 
 __all__ = [
     "GaugeConstants", "derive_constants", "CylField", "AngularBasis",
-    "emden_fowler_forward", "emden_fowler_inverse", "kelvin", "kelvin_cyl",
+    "angular_basis", "emden_fowler_forward", "emden_fowler_inverse", "kelvin",
+    "kelvin_cyl", "paneitz_mode_apply", "paneitz_mode_matrix",
     "paneitz_cyl_apply", "q_residual", "QResidual",
 ]
 
@@ -58,6 +59,13 @@ class GaugeConstants:
     def lam(self, l):
         """Angular eigenvalue of the degree-l zonal mode."""
         return float(l * (l + self.n - 2))
+
+    def mode_coefficients(self, lam):
+        """(A, B) of the mode-lam operator w'''' - A w'' + (lam^2 + B) w,
+        with A = 2 lam + c2 and B = (n(n-4)/2) lam + c0.  lam^2 is left out
+        of B because the apply form adds lam^2 w and B w as separate terms."""
+        return (2 * lam + self.c2,
+                self.n * (self.n - 4) / 2.0 * lam + self.c0)
 
 
 def derive_constants(n):
@@ -122,7 +130,8 @@ class AngularBasis:
 
 
 @lru_cache(maxsize=None)
-def _basis_cached(n, degrees, nquad):
+def angular_basis(n, degrees, nquad):
+    """The shared AngularBasis of (n, degrees, nquad)."""
     return AngularBasis(n, degrees, nquad)
 
 
@@ -198,7 +207,7 @@ class CylField:
         return np.stack([m.samples for m in self.modes], axis=0)
 
     def basis(self, nquad=None):
-        return _basis_cached(self.constants.n, tuple(self.degrees),
+        return angular_basis(self.constants.n, tuple(self.degrees),
                              nquad if nquad is not None else
                              max(16, 2 * max(self.degrees, default=0) + 12))
 
@@ -330,20 +339,29 @@ def kelvin_cyl(v):
 # the fourth-order operator and the residual
 
 
-def _mode_paneitz(consts, lam, w, h, acc, boundary):
-    d4 = apply_derivative(w, h, 4, acc=acc, boundary=boundary)
-    d2 = apply_derivative(w, h, 2, acc=acc, boundary=boundary)
-    return (d4 + lam ** 2 * w - 2 * lam * d2 - consts.c2 * d2
-            + (consts.n * (consts.n - 4) / 2.0) * lam * w + consts.c0 * w)
+def paneitz_mode_apply(consts, lam, w, h, acc):
+    """The cylindrical fourth-order conformal operator on one mode:
+    w -> w'''' + lam^2 w - (2 lam + c2) w'' + ((n(n-4)/2) lam + c0) w."""
+    A, B = consts.mode_coefficients(lam)
+    d4 = apply_derivative(w, h, 4, acc=acc)
+    d2 = apply_derivative(w, h, 2, acc=acc)
+    return d4 + lam ** 2 * w - A * d2 + B * w
 
 
-def paneitz_cyl_apply(v, acc=8, boundary="biased"):
-    """Apply the cylindrical fourth-order conformal operator mode by mode:
-    w -> w'''' + lam^2 w - 2 lam w'' - c2 w'' + (n(n-4)/2) lam w + c0 w."""
-    h = v.h
-    out = {m.l: _mode_paneitz(v.constants, m.lam, m.samples, h, acc, boundary)
-           for m in v.modes}
-    return v.like(out)
+def paneitz_mode_matrix(consts, lam, npoints, h, acc):
+    """Dense (npoints, npoints) matrix of paneitz_mode_apply."""
+    A, B = consts.mode_coefficients(lam)
+    M = derivative_matrix(npoints, h, 4, acc=acc)
+    M -= A * derivative_matrix(npoints, h, 2, acc=acc)
+    M[np.diag_indices(npoints)] += lam ** 2 + B
+    return M
+
+
+def paneitz_cyl_apply(v, acc=8):
+    """Apply the cylindrical fourth-order conformal operator mode by mode."""
+    return v.like({m.l: paneitz_mode_apply(v.constants, m.lam, m.samples,
+                                           v.h, acc=acc)
+                   for m in v.modes})
 
 
 @dataclass
@@ -355,20 +373,20 @@ class QResidual:
     trim: int
 
 
-def q_residual(v, acc=8, boundary="biased", trim=None):
+def q_residual(v, acc=8, trim=None):
     """Constant-curvature residual and pointwise curvature deviation.
 
     residual = P_cyl(v) - cN v^p re-projected to modes;
     qField   = (2/(n-4)) v^{-p} P_cyl(v) - qTarget, the deviation of the
                curvature of v^{4/(n-4)} g_cyl from its target value.
 
-    Sup norms are taken over the t-grid and the angular quadrature set; with
-    boundary="biased" the reported sups skip `trim` points at each end (the
-    one-sided-stencil zone, default one stencil width) while the returned
-    fields cover the full grid.
+    Sup norms are taken over the t-grid and the angular quadrature set; the
+    reported sups skip `trim` points at each end (the one-sided-stencil
+    zone, default one stencil width) while the returned fields cover the
+    full grid.
     """
     consts = v.constants
-    Pv = paneitz_cyl_apply(v, acc=acc, boundary=boundary)
+    Pv = paneitz_cyl_apply(v, acc=acc)
     basis = v.basis()
     vals = basis.reconstruct(v.coeff_matrix())
     if np.any(vals <= 0):
@@ -383,8 +401,7 @@ def q_residual(v, acc=8, boundary="biased", trim=None):
     residual = v.like(dict(zip(degrees, res_coeffs)))
     qfield = v.like(dict(zip(degrees, q_coeffs)))
     if trim is None:
-        from .fd import stencil_size
-        trim = stencil_size(4, acc) // 2 if boundary == "biased" else 0
+        trim = stencil_size(4, acc) // 2
     sl = slice(trim, len(v.t) - trim) if trim else slice(None)
     return QResidual(
         residual=residual,

@@ -21,16 +21,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fd import apply_derivative
-from .gauges import CylField
+from .fd import stencil_size
+from .gauges import CylField, paneitz_mode_apply
 from .delaunay import DelaunayOrbit, solve_orbit
 from .jacobi import smooth_step
 
 __all__ = [
     "EndData", "GluingConfig", "identify", "identify_raw", "cutoff_chi",
     "build_approximate", "ApproxSolution", "defect", "DefectResult",
-    "weighted_norm", "decay_study", "DecayStudy", "stable_power_remainder",
-    "power_increment",
+    "log_annulus_weight", "weighted_norm", "decay_study", "DecayStudy",
+    "stable_power_remainder",
 ]
 
 
@@ -142,15 +142,7 @@ def cutoff_chi(t, cfg):
 
 
 # ----------------------------------------------------------------------
-# stable evaluation of power increments
-
-
-def power_increment(base, x, p):
-    """(1+x)^p - 1 computed with full relative accuracy for any x > -1.
-
-    `base` multiplies the result (kept for callers that track scales)."""
-    x = np.asarray(x, dtype=float)
-    return base * np.expm1(p * np.log1p(x))
+# stable evaluation of power remainders
 
 
 def stable_power_remainder(x, p, series_cut=1e-3, terms=12):
@@ -269,15 +261,6 @@ def build_approximate(cfg, grid_per_period=64):
 # defect of the blend
 
 
-def _mode_linear_parts(consts, lam, w, h, acc):
-    """Derivative part of the mode operator (everything except the pointwise
-    potential): w'''' + lam^2 w - (2 lam + c2) w'' + (n(n-4)/2 lam + c0) w."""
-    d4 = apply_derivative(w, h, 4, acc=acc)
-    d2 = apply_derivative(w, h, 2, acc=acc)
-    return (d4 + lam ** 2 * w - (2 * lam + consts.c2) * d2
-            + (consts.n * (consts.n - 4) / 2.0 * lam + consts.c0) * w)
-
-
 @dataclass
 class DefectResult:
     psi: CylField            # curvature deviation field
@@ -318,9 +301,9 @@ def defect(approx, acc=8, delta=1.5):
         a = approx.w1.get(l, zeros)
         b = approx.w2.get(l, zeros)
         wl = approx.blend.get(l, zeros)
-        Lw = _mode_linear_parts(consts, lam, wl, h, acc)
-        La = _mode_linear_parts(consts, lam, a, h, acc)
-        Lb = _mode_linear_parts(consts, lam, b, h, acc)
+        Lw = paneitz_mode_apply(consts, lam, wl, h, acc=acc)
+        La = paneitz_mode_apply(consts, lam, a, h, acc=acc)
+        Lb = paneitz_mode_apply(consts, lam, b, h, acc=acc)
         commutator[l] = Lw - chi * La - (1.0 - chi) * Lb
 
     # pointwise nonlinear part: -cN vB^p [r(W/vB) - chi r(w1/vB) - (1-chi) r(w2/vB)]
@@ -356,7 +339,6 @@ def defect(approx, acc=8, delta=1.5):
     hi = cfg.end1.T0 + (cfg.m + 0.75) * cfg.period
     # the discrete operator widens support by one stencil half-width; pad the
     # band by that margin so the outside sup measures genuine leakage
-    from .fd import stencil_size
     margin = (stencil_size(4, acc) // 2) * h
     band = (t_depth >= lo - margin) & (t_depth <= hi + margin)
     outside = float(np.max(np.abs(psi_point[~band]))) if (~band).any() else 0.0
@@ -378,11 +360,16 @@ def _log_cosh(x):
     return ax + np.log1p(np.exp(-2.0 * ax)) - np.log(2.0)
 
 
+def log_annulus_weight(s, delta, scale):
+    """Log of the annulus weight (cosh(scale)/cosh(s))^delta, overflow-free."""
+    return delta * (_log_cosh(scale) - _log_cosh(s))
+
+
 def weighted_norm(fld, delta, scale):
     """Discrete analogue of the annulus norm: sup over the grid of
     (cosh(scale)/cosh(s))^delta |field| (function values only)."""
     vals = fld.point_values()
-    w = np.exp(delta * (_log_cosh(scale) - _log_cosh(fld.t)))
+    w = np.exp(log_annulus_weight(fld.t, delta, scale))
     return float(np.max(np.abs(vals) * w[:, None]))
 
 

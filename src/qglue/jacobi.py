@@ -3,7 +3,7 @@ generators from the deformation families, Floquet analysis, the conserved
 boundary pairing, and deficiency-space bases.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 from math import comb
 
@@ -14,7 +14,7 @@ from scipy.interpolate import BPoly
 from .errors import DomainError, NumericalError
 from .fd import apply_derivative
 from .gauges import CylField
-from .delaunay import DelaunayOrbit, solve_orbit
+from .delaunay import DelaunayOrbit, sample_contiguous, solve_orbit
 
 __all__ = [
     "ModeOperator", "mode_apply", "monodromy", "MonodromyData",
@@ -41,23 +41,28 @@ class ModeOperator:
     @property
     def A(self):
         """Coefficient of -w''."""
-        return 2.0 * self.lam + self.constants.c2
+        return self.constants.mode_coefficients(self.lam)[0]
 
     def potential(self, t):
         """Zeroth-order coefficient Q(t)."""
         c = self.constants
         v = self.orbit.eval(t, 0)
-        return (self.lam ** 2 + c.n * (c.n - 4) / 2.0 * self.lam + c.c0
+        return (self.lam ** 2 + c.mode_coefficients(self.lam)[1]
                 - c.K * v ** (c.p - 1))
 
+    def rhs(self, t, y):
+        """Right-hand side of the first-order mode system for one jet y of
+        derivatives 0..3."""
+        return (y[1], y[2], y[3], self.A * y[2] - self.potential(t) * y[0])
 
-def mode_apply(op, t, w, acc=8, boundary="biased"):
+
+def mode_apply(op, t, w, acc=8):
     """Apply the mode operator to samples w on the uniform grid t."""
     t = np.asarray(t, dtype=float)
     w = np.asarray(w, dtype=float)
     h = t[1] - t[0]
-    d4 = apply_derivative(w, h, 4, acc=acc, boundary=boundary)
-    d2 = apply_derivative(w, h, 2, acc=acc, boundary=boundary)
+    d4 = apply_derivative(w, h, 4, acc=acc)
+    d2 = apply_derivative(w, h, 2, acc=acc)
     return d4 - op.A * d2 + op.potential(t) * w
 
 
@@ -66,6 +71,7 @@ def mode_apply(op, t, w, acc=8, boundary="biased"):
 
 
 def _flow_rhs(op):
+    """ModeOperator.rhs for k jets at once, flattened from (4, k)."""
     A = op.A
 
     def rhs(t, Y):
@@ -170,9 +176,9 @@ class IndicialSpectrum:
 
 def _constant_mode_exponents(consts, lam):
     """Characteristic-quartic exponents about the equilibrium orbit."""
-    q0 = (lam ** 2 + consts.n * (consts.n - 4) / 2.0 * lam + consts.c0
-          - consts.K * consts.epsBar ** (consts.p - 1))
-    mu = np.roots([1.0, 0.0, -(2 * lam + consts.c2), 0.0, q0])
+    A, B = consts.mode_coefficients(lam)
+    q0 = lam ** 2 + B - consts.K * consts.epsBar ** (consts.p - 1)
+    mu = np.roots([1.0, 0.0, -A, 0.0, q0])
     exps = sorted(float(np.real(m)) for m in mu)
     freqs = sorted(float(abs(np.imag(m))) for m in mu)
     return exps, [False] * 4, freqs
@@ -270,14 +276,9 @@ class VariationalField:
         self.dTdEps = dT_deps
         c = orbit.constants
         half = orbit.period / 2.0
-
-        def rhs(t, y):
-            v = orbit.eval(t, 0)
-            pot = c.c0 - c.K * v ** (c.p - 1)
-            return (y[1], y[2], y[3], c.c2 * y[2] - pot * y[0])
-
         tg = np.linspace(0.0, half, nodes)
-        sol = solve_ivp(rhs, (0.0, half), [1.0, 0.0, ds_deps, 0.0],
+        sol = solve_ivp(ModeOperator(orbit, 0.0).rhs, (0.0, half),
+                        [1.0, 0.0, ds_deps, 0.0],
                         method="DOP853", rtol=tol, atol=tol, t_eval=tg,
                         max_step=half / (nodes - 1))
         if not sol.success:
@@ -299,7 +300,6 @@ class VariationalField:
         window; seam-free but only trustworthy while e^{gamma |t|} times the
         initial-data error stays small (about a half period of margin), which
         is all residual-grade checks need."""
-        tgrid = np.asarray(tgrid, dtype=float)
         c = self.orbit.constants
         orbit = self.orbit
 
@@ -310,26 +310,10 @@ class VariationalField:
                     c.c2 * y[2] - c.c0 * v + c.cN * v ** c.p,
                     y[5], y[6], y[7], c.c2 * y[6] - pot * y[4])
 
-        cap = orbit.period / 512.0
-        if len(tgrid) > 1:
-            cap = min(cap, 0.5 * float(np.min(np.diff(np.sort(tgrid)))))
         y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0, 1.0, 0.0, self.dsdEps, 0.0]
-        out = np.empty((4, len(tgrid)))
-        for mask, direction in ((tgrid < 0, -1), (tgrid >= 0, +1)):
-            if not mask.any():
-                continue
-            te = np.sort(tgrid[mask])
-            if direction < 0:
-                te = te[::-1]
-            t_end = float(te[-1]) if te[-1] != 0.0 else direction * cap
-            sol = solve_ivp(rhs, (0.0, t_end), y0, method="DOP853",
-                            rtol=tol, atol=tol, t_eval=te, max_step=cap)
-            if not sol.success:
-                raise NumericalError("variational sampling failed")
-            lookup = {t: sol.y[4:, i] for i, t in enumerate(te)}
-            for j in np.where(mask)[0]:
-                out[:, j] = lookup[tgrid[j]]
-        return out
+        return sample_contiguous(rhs, 0.0, y0, tgrid, tol,
+                                 orbit.period / 512.0,
+                                 "variational sampling failed")[4:]
 
     def jet(self, t, max_deriv=3):
         """Stacked derivatives 0..max_deriv (max 3) at t."""
@@ -342,13 +326,13 @@ class VariationalField:
         xr = np.where(refl, T - x, x)
         out = np.empty((max_deriv + 1, len(t)))
         vj = self.orbit.jet(xr, max_deriv=max_deriv + 1)
+        # periodic shift uses the derivative of vdot at the reduced point
+        vjx = self.orbit.jet(x, max_deriv=max_deriv + 1)
         for d in range(max_deriv + 1):
             base = self._interp[d](xr)
             sign = (-1.0) ** d
             reflected = sign * (base + Tp * vj[d + 1])
             val = np.where(refl, reflected, base)
-            # periodic shift uses the derivative of vdot at the reduced point
-            vjx = self.orbit.jet(x, max_deriv=max_deriv + 1)
             out[d] = val - k * Tp * vjx[d + 1]
         return out
 
@@ -395,12 +379,7 @@ class JacobiBasis:
     dsdEps: float
     dTdEps: float
     crossValidationError: float
-    growthTags: dict = field(default_factory=lambda: {
-        ("0", "+"): "bounded-periodic",
-        ("0", "-"): "linear",
-        ("l", "+"): "decaying e^{-t}",
-        ("l", "-"): "growing e^{+t}",
-    })
+    dHdEps: float     # centered difference; nan unless validated
 
     @property
     def slots(self):
@@ -458,14 +437,15 @@ def generators(orbit, d_eps=1e-4, validate=True):
     The necksize derivative is integrated from monodromy-derived initial data
     (variational route) and, when `validate` is set, cross-checked against
     centered differences of neighboring shooting orbits; the max discrepancy
-    over one period is recorded.
+    over one period is recorded, with the centered difference of the energy
+    along the family.
     """
     if orbit.isConstant:
         raise DomainError("generators need an interior orbit; the constant "
                           "orbit has a degenerate phase derivative")
     ds_deps, dT_deps = orbit_sensitivities(orbit)
     var = VariationalField(orbit, ds_deps, dT_deps)
-    cross = float("nan")
+    cross = dH = float("nan")
     if validate:
         consts = orbit.constants
         eps = orbit.eps
@@ -474,8 +454,9 @@ def generators(orbit, d_eps=1e-4, validate=True):
         ts = np.linspace(0.0, orbit.period, 60)
         fd = (hi.eval(ts, 0) - lo.eval(ts, 0)) / (2.0 * d_eps)
         cross = float(np.max(np.abs(var.jet(ts, 0)[0] - fd)))
+        dH = (hi.hamiltonianValue - lo.hamiltonianValue) / (2.0 * d_eps)
     return JacobiBasis(orbit=orbit, varField=var, dsdEps=ds_deps,
-                       dTdEps=dT_deps, crossValidationError=cross)
+                       dTdEps=dT_deps, crossValidationError=cross, dHdEps=dH)
 
 
 # ----------------------------------------------------------------------

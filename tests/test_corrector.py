@@ -359,3 +359,63 @@ class TestSpecExamples:
         assert out.finalDefect <= 1e-3 * out.initialDefect
         _, psi_sup = verify_correction(ap, out.correction)
         assert psi_sup < 1e-8
+
+
+class TestSharedOperator:
+    """linear_apply, discretize, bordered_system and nondegeneracy_diag reach
+    the mode operator through one apply form and one matrix form; they must
+    agree in every mode, not only in mode 0."""
+
+    DEGREES = (0, 1, 2)
+
+    @pytest.fixture(scope="class")
+    def multimode(self, orbit05):
+        cfg = make_config(orbit05, m=1,
+                          pert1=((0, 1e-3, 2.0), (1, 5e-4, 1.6)),
+                          pert2=((2, 4e-4, 1.8),))
+        return build_approximate(cfg, grid_per_period=32)
+
+    @pytest.fixture(scope="class")
+    def probe(self, multimode):
+        s = multimode.s
+        return CylField.from_modes(
+            multimode.config.constants, s,
+            {l: (l + 1) * bump_probe(s, center=0.8 * l - 0.8)
+             for l in self.DEGREES})
+
+    def test_apply_and_matrix_forms_agree(self, multimode, probe):
+        N = len(multimode.s)
+        x = probe.coeff_matrix().reshape(-1)
+        Lu = linear_apply(multimode.field, probe)
+        got_d = discretize(multimode, degrees=self.DEGREES).matrix @ x
+        sysm = bordered_system(multimode, degrees=self.DEGREES)
+        got_b = sysm.matrix[:, :len(self.DEGREES) * N] @ x
+        for a, l in enumerate(self.DEGREES):
+            expect = Lu.mode(l).samples[2:N - 2]
+            tol = 1e-12 * np.max(np.abs(expect))
+            assert np.max(np.abs(got_d[a * N + 2:(a + 1) * N - 2]
+                                 - expect)) <= tol
+            assert np.max(np.abs(got_b[sysm.interior_slices[a]]
+                                 - expect)) <= tol
+
+    def test_nondegeneracy_factors_discretize_tiles(self, multimode, probe,
+                                                    monkeypatch):
+        import qglue.corrector as corrector
+        factored = []
+        real = corrector.lu_factor
+
+        def capture(a, *args, **kwargs):
+            factored.append(np.array(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(corrector, "lu_factor", capture)
+        correction = probe * 1e-3
+        nondegeneracy_diag(multimode, correction, degrees=self.DEGREES)
+        shifted = dataclasses.replace(multimode,
+                                      field=multimode.field + correction)
+        D = discretize(shifted, degrees=self.DEGREES)
+        N = len(multimode.s)
+        assert len(factored) == len(self.DEGREES)
+        for a, tile in enumerate(factored):
+            assert np.array_equal(tile, D.matrix[a * N:(a + 1) * N,
+                                                 a * N:(a + 1) * N])
