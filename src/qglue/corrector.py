@@ -190,11 +190,54 @@ class BorderedSystem:
         return len(self.approx.s)
 
     def factor(self):
+        """LU factors of the row-equilibrated matrix and its 1-norm
+        condition estimate from the same factors, computed once.  The
+        equilibrated matrix lives in one Fortran-order buffer: it first
+        holds |A|/row_scale for the 1-norm, then A/row_scale, which is
+        factored in place."""
         if self._lu is None:
-            Aeq = self.matrix / self.row_scale[:, None]
-            self._cond = float(np.linalg.cond(Aeq))
-            self._lu = lu_factor(Aeq)
+            scale = self.row_scale[:, None]
+            buf = np.empty_like(self.matrix, order="F")
+            np.divide(np.abs(self.matrix, out=buf), scale, out=buf)
+            anorm = float(np.max(np.sum(buf, axis=0)))
+            np.divide(self.matrix, scale, out=buf)
+            self._lu = lu_factor(buf, overwrite_a=True)
+            cond = float("inf")
+            if np.all(np.diagonal(buf) != 0.0):
+                cond = anorm * _inv_norm1(self._lu)
+            self._cond = cond if np.isfinite(cond) else float("inf")
         return self._lu, self._cond
+
+
+def _inv_norm1(lu):
+    """Hager-Higham lower estimate of ||A^{-1}||_1 from the LU factors of A
+    in O(N^2): the iteration of LAPACK's dlacn2 (Higham 1988, Alg. 4.1)
+    behind gecon, written over lu_solve.  gecon itself sums with BLAS dasum,
+    whose rounding depends on the heap address of its work array, so its
+    estimate of one matrix can differ in the last digit from call to call
+    within a process."""
+    n = len(lu[1])
+    x = np.full(n, 1.0 / n)
+    est, sign = 0.0, None
+    for _ in range(5):
+        y = lu_solve(lu, x)
+        new_est = float(np.sum(np.abs(y)))
+        new_sign = np.where(y >= 0.0, 1.0, -1.0)
+        if new_est <= est or (sign is not None
+                              and np.array_equal(new_sign, sign)):
+            est = max(est, new_est)
+            break
+        est, sign = new_est, new_sign
+        z = lu_solve(lu, sign, trans=1)
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    # Higham's extra probe with alternating signs and growing magnitudes
+    alt = 1.0 + np.arange(n) / max(n - 1, 1)
+    alt[1::2] *= -1.0
+    return max(est, 2.0 * float(np.sum(np.abs(lu_solve(lu, alt)))) / (3 * n))
 
 
 def _window_solution(op, t0, t_nodes, jet0, tol=1e-13):
@@ -410,7 +453,13 @@ class RightInverseResult:
 def solve_right_inverse(sys, f, cond_limit=1e13):
     """Solve the bordered system for rhs field f; returns the correction with
     its deficiency amplitudes, the interior relative residual, and the
-    condition estimate of the equilibrated matrix."""
+    condition estimate.
+
+    The estimate is the 1-norm condition estimate (Hager-Higham, as in
+    LAPACK gecon) of the row-equilibrated bordered matrix, taken from its
+    LU factors; up to rounding it is a lower bound of the exact 1-norm
+    condition.  Above cond_limit (1e13) the solve raises
+    IllConditionedError."""
     degrees = sys.degrees
     N = sys.npoints
     have = {m.l: m.samples for m in f.modes}
@@ -422,17 +471,16 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedError("bordered system is numerically singular",
                                   cond)
-    Aeq = sys.matrix / sys.row_scale[:, None]
     beq = rhs / sys.row_scale
     x = lu_solve(lu, beq)
     # iterative refinement, kept only while it actually reduces the
     # residual: in working precision the correction bottoms out at the
     # residual-evaluation noise floor and can otherwise bounce
-    r = beq - Aeq @ x
+    r = beq - (sys.matrix @ x) / sys.row_scale
     best = float(np.linalg.norm(r))
     for _ in range(2):
         cand = x + lu_solve(lu, r)
-        r_cand = beq - Aeq @ cand
+        r_cand = beq - (sys.matrix @ cand) / sys.row_scale
         n_cand = float(np.linalg.norm(r_cand))
         if n_cand >= best:
             break
@@ -635,6 +683,18 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
         defect_now = _interior_sup(_total_defect(approx, f0, u, acc))
         ratio = corr / prev_corr if prev_corr not in (None, 0.0) else float("nan")
         rows.append((k, defect_now, corr, ratio))
+        # Stagnation: the step is negligible next to the iterate, or the
+        # defect stopped decreasing while the steps are still smaller than
+        # the first one.  The latter is the defect's rounding floor, where
+        # contraction ratios are noise; a diverging iteration has steps
+        # growing past the first and is caught below.
+        stagnated = (corr <= 1e-13 * max(_interior_sup(u), 1e-300)
+                     or (k >= 2 and defect_now >= rows[-2][1]
+                         and corr < rows[1][2]))
+        if k >= min_iter and (defect_now < tol or defect_now < floor
+                              or corr == 0.0 or stagnated):
+            converged = True
+            break
         if np.isfinite(ratio) and ratio >= 1.0:
             bad += 1
             if bad >= 3:
@@ -644,11 +704,6 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
         else:
             bad = 0
         prev_corr = corr
-        stagnated = corr <= 1e-13 * max(_interior_sup(u), 1e-300)
-        if k >= min_iter and (defect_now < tol or defect_now < floor
-                              or corr == 0.0 or stagnated):
-            converged = True
-            break
     return IterateResult(solution=approx.field + u, correction=u,
                          trace=IterationTrace(rows), initialDefect=d0,
                          finalDefect=defect_now, converged=converged,

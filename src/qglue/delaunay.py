@@ -237,7 +237,15 @@ class DelaunayOrbit:
         shooting-level derivative kink at the turning points) get amplified
         by high-order difference stencils; a contiguous trajectory has no
         seams and its integration error varies smoothly in t, which residual-
-        grade sampling needs."""
+        grade sampling needs.
+
+        The orbit's unstable directions amplify the integration error with
+        the distance from t = 0, so tgrid must stay within about 1.5
+        periods of it on either side: farther points raise NumericalError
+        ("orbit sampling failed").  At eps = 0.5, [0, 1.5T] and [-1.5T,
+        1.5T] succeed and [0, 2T] fails.  The samples drift from the
+        periodic orbit on the way, at eps = 0.5 by 9e-8 at one period and
+        6e-4 at 1.5 periods."""
         tgrid = np.asarray(tgrid, dtype=float)
         if self.isConstant:
             out = np.zeros((4, len(tgrid)))
@@ -249,7 +257,8 @@ class DelaunayOrbit:
             self.period / 512.0, "orbit sampling failed")
 
     def sample_exact(self, tgrid, tol=1e-13):
-        """Seam-free samples of v; see sample_states."""
+        """Seam-free samples of v; see sample_states, including its limit
+        of about 1.5 periods from t = 0."""
         return self.sample_states(tgrid, tol=tol)[0]
 
     # -- serialization ------------------------------------------------------

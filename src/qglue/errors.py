@@ -23,7 +23,11 @@ class NumericalError(QGlueError, RuntimeError):
 
 
 class IllConditionedError(NumericalError):
-    """Linear system too ill-conditioned to trust; carries the estimate."""
+    """Linear system too ill-conditioned to trust; carries the estimate.
+
+    For the bordered right inverse it is the 1-norm condition estimate
+    (Hager-Higham, as in LAPACK gecon) of the row-equilibrated bordered
+    matrix, and the error is raised when it exceeds cond_limit = 1e13."""
 
     def __init__(self, message, cond_estimate):
         super().__init__(f"{message} (condition estimate {cond_estimate:.3e})")

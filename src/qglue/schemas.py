@@ -243,7 +243,11 @@ SUMMARY_SCHEMAS = {
             "converged": {"type": "boolean"},
             "iterations": {"type": "integer"},
             "maxRatio": {"type": ["number", "null"]},
-            "cond": _num,
+            "cond": {"type": "number", "description":
+                     "1-norm condition estimate (Hager-Higham, as in "
+                     "LAPACK gecon) of the row-equilibrated bordered "
+                     "matrix about the blend; a solve above cond_limit = "
+                     "1e13 fails with exit code 3"},
             "alpha": {"type": "object"},
         },
     },
@@ -255,7 +259,10 @@ SUMMARY_SCHEMAS = {
             "m": {"type": "integer"}, "sigmaMin": _num, "delta": _num,
             "deltaPrime": _num, "perMode": {"type": "object"},
             "corrected": {"type": "boolean"}, "condEstimates":
-            {"type": "object"},
+            {"type": "object", "description":
+             "borderedSystem: 1-norm condition estimate (Hager-Higham, "
+             "as in LAPACK gecon) of the row-equilibrated bordered matrix "
+             "about the blend, compared against cond_limit = 1e13"},
         },
     },
 }

@@ -1,7 +1,24 @@
+import os
+
 import pytest
 
 from qglue import derive_constants, solve_orbit
 from qglue.gluing import EndData, GluingConfig, Perturbation, build_approximate
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    """Let the `python -m qglue.cli` subprocesses of the CLI tests import
+    this checkout's package when it is not installed; pyproject.toml puts
+    src on the path of the test process only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 @pytest.fixture(scope="session")

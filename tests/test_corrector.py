@@ -419,3 +419,96 @@ class TestSharedOperator:
         for a, tile in enumerate(factored):
             assert np.array_equal(tile, D.matrix[a * N:(a + 1) * N,
                                                  a * N:(a + 1) * N])
+
+
+class TestConditionEstimate:
+    """BorderedSystem.factor: LU of the row-equilibrated matrix in place and
+    a 1-norm condition estimate from the same factors."""
+
+    @pytest.fixture
+    def fresh_sys(self, reference_approx):
+        return bordered_system(reference_approx, degrees=(0,))
+
+    def test_factor_leaves_matrix_unchanged(self, fresh_sys):
+        before = fresh_sys.matrix.copy()
+        fresh_sys.factor()
+        assert np.array_equal(fresh_sys.matrix, before)
+
+    def test_estimate_within_one_norm_condition(self, fresh_sys):
+        _, cond = fresh_sys.factor()
+        Aeq = fresh_sys.matrix / fresh_sys.row_scale[:, None]
+        kappa1 = np.linalg.cond(Aeq, 1)
+        assert kappa1 / 3 <= cond <= kappa1 * (1 + 1e-10)
+
+    def test_estimate_agrees_with_lapack_gecon(self, fresh_sys):
+        from scipy.linalg.lapack import dgecon
+        (lu, _), cond = fresh_sys.factor()
+        Aeq = fresh_sys.matrix / fresh_sys.row_scale[:, None]
+        rcond, info = dgecon(lu, np.linalg.norm(Aeq, 1), norm="1")
+        assert info == 0
+        assert cond == pytest.approx(1.0 / rcond, rel=1e-8)
+
+    def test_estimate_repeats_bit_for_bit(self, fresh_sys):
+        # gecon's estimate of one matrix can move in the last digit with the
+        # heap address of its work array; the estimate here must not
+        conds = []
+        held = []
+        for k in range(20):
+            held.append(np.ones(97 * k + 5))
+            again = dataclasses.replace(fresh_sys, _lu=None, _cond=None)
+            conds.append(again.factor()[1])
+        assert len(set(conds)) == 1
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_system_reports_infinite_condition(
+            self, fresh_sys, reference_approx):
+        matrix = fresh_sys.matrix.copy()
+        matrix[fresh_sys.interior_slices[0].start + 10] = 0.0
+        scale = fresh_sys.row_scale.copy()
+        scale[fresh_sys.interior_slices[0].start + 10] = 1.0
+        singular = dataclasses.replace(fresh_sys, matrix=matrix,
+                                       row_scale=scale)
+        assert singular.factor()[1] == float("inf")
+        s = reference_approx.s
+        f = CylField.mode0(reference_approx.config.constants, s,
+                           bump_probe(s))
+        with pytest.raises(IllConditionedError) as exc:
+            solve_right_inverse(singular, f)
+        assert exc.value.cond_estimate == float("inf")
+
+    def test_refined_residual_on_reference_system(self, fresh_sys,
+                                                  reference_approx):
+        s = reference_approx.s
+        f = CylField.mode0(reference_approx.config.constants, s,
+                           bump_probe(s))
+        res = solve_right_inverse(fresh_sys, f)
+        assert res.relResidual < 1e-8
+        assert 1.0 <= res.cond <= 1e13
+
+
+class TestRoundingFloor:
+    """iterate with a tolerance below the defect's rounding floor (~1e-18):
+    the defect stops decreasing, which is stagnation, not divergence."""
+
+    @pytest.fixture(scope="class")
+    def two_mode(self, orbit_cache):
+        orbit = orbit_cache(0.6747)
+        cfg = make_config(orbit, m=2,
+                          pert1=((0, -1.777e-3, 2.31), (1, 1.828e-3, 1.72)),
+                          pert2=((0, 1.167e-3, 2.49), (1, 1.323e-3, 2.25)),
+                          T01=0.131, T02=0.157)
+        return build_approximate(cfg, grid_per_period=64)
+
+    @pytest.mark.parametrize("scheme", ["picard", "newton"])
+    def test_tolerance_below_floor_converges(self, two_mode, scheme):
+        out = iterate(two_mode, scheme=scheme, tol=1e-20, min_iter=2,
+                      degrees=(0, 1))
+        assert out.converged
+        assert len(out.trace.rows) - 1 < 25
+        assert out.finalDefect < 1e-16
+
+    def test_iteration_count_above_floor(self, two_mode):
+        out = iterate(two_mode, scheme="picard", tol=1e-15, min_iter=2,
+                      degrees=(0, 1))
+        assert out.converged
+        assert len(out.trace.rows) - 1 == 2

@@ -234,3 +234,15 @@ class TestOtherDimensions:
         exps = spec.exponents(1)
         assert exps[1] == pytest.approx(-1.0, abs=1e-6)
         assert exps[2] == pytest.approx(+1.0, abs=1e-6)
+
+
+class TestSampleWindow:
+    def test_one_and_a_half_periods_from_zero(self, orbit05):
+        T = orbit05.period
+        t = np.linspace(0.0, 1.5 * T, 97)
+        states = orbit05.sample_states(t)
+        assert states.shape == (4, len(t))
+        assert np.all(np.isfinite(states))
+        first = t <= T
+        assert np.max(np.abs(states[0, first]
+                             - orbit05.eval(t[first], 0))) < 1e-6
