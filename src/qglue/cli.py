@@ -205,9 +205,10 @@ def cmd_correct(params, out):
            "converged": result.converged,
            "iterations": len(result.trace.rows) - 1,
            "maxRatio": max(ratios) if ratios else None,
-           "cond": result.cond,
            "alpha": {f"{l}:{side}{sign}": val
                      for (l, side, sign), val in result.alpha.items()}}
+    if np.isfinite(result.cond):
+        doc["cond"] = result.cond
     return doc, {"corrected.json": result.solution.to_json(),
                  "trace.csv": ("k,defectSup,corrSup,ratio",
                                result.trace.rows)}

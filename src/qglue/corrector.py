@@ -27,7 +27,7 @@ from .gauges import (CylField, angular_basis, paneitz_mode_apply,
                      paneitz_mode_matrix)
 from .delaunay import sample_contiguous
 from .jacobi import (CutoffSpec, ModeOperator, monodromy_data, generators,
-                     JacobiBasis, dominant_direction)
+                     dominant_direction)
 from .gluing import ApproxSolution, defect, log_annulus_weight, \
     stable_power_remainder, weighted_norm
 
@@ -88,23 +88,8 @@ class DiscreteJacobi:
     """Per-mode banded matrices of the linearized operator on the grid, with
     boundary rows clamping w and w' at both ends."""
 
-    approx: ApproxSolution
-    degrees: tuple
-    acc: int
     matrix: np.ndarray        # assembled square matrix with clamp rows
     clamp_rows: tuple         # row indices replaced by boundary conditions
-
-    @property
-    def npoints(self):
-        return len(self.approx.s)
-
-
-def _clamp_rows(N, h, acc):
-    """(row, condition) pairs of one mode block that clamp w and w' at both
-    ends of the grid."""
-    jl = jet_rows(N, h, 0, max_deriv=1, acc=acc)
-    jr = jet_rows(N, h, N - 1, max_deriv=1, acc=acc)
-    return ((0, jl[0]), (1, jl[1]), (N - 2, jr[1]), (N - 1, jr[0]))
 
 
 def discretize(approx, degrees=None, acc=8):
@@ -126,6 +111,9 @@ def discretize(approx, degrees=None, acc=8):
     L1 = len(degrees)
     matrix = np.zeros((L1 * N, L1 * N))
     diag = np.arange(N)
+    jl = jet_rows(N, h, 0, max_deriv=1, acc=acc)
+    jr = jet_rows(N, h, N - 1, max_deriv=1, acc=acc)
+    clamps = ((0, jl[0]), (1, jl[1]), (N - 2, jr[1]), (N - 1, jr[0]))
     clamp = []
     for a, l in enumerate(degrees):
         base = a * N
@@ -134,12 +122,11 @@ def discretize(approx, degrees=None, acc=8):
                                                    h, acc=acc)
         for b in range(L1):
             matrix[base + diag, b * N + diag] -= consts.K * C[a, b]
-        for i, cond in _clamp_rows(N, h, acc):
+        for i, cond in clamps:
             matrix[base + i, :] = 0.0
             matrix[base + i, block] = cond
             clamp.append(base + i)
-    return DiscreteJacobi(approx=approx, degrees=degrees, acc=acc,
-                          matrix=matrix, clamp_rows=tuple(clamp))
+    return DiscreteJacobi(matrix=matrix, clamp_rows=tuple(clamp))
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +165,8 @@ class BorderedSystem:
     acc: int
     matrix: np.ndarray
     row_scale: np.ndarray
-    borders: list
-    n_alpha: int
+    borders: list             # per mode: _ModeBorder, orbit side only
     interior_slices: list     # per mode: (row range in the stacked system)
-    basisJets: JacobiBasis
     _lu: tuple = None
     _cond: float = None
 
@@ -248,8 +233,10 @@ def _window_solution(op, t0, t_nodes, jet0, tol=1e-13):
                              "window sampling of a frame solution failed")[0]
 
 
-def _mode_border(approx, basis, l, acc, gauge_delta=1.5):
-    """Jet-condition rows, deficiency columns and gauge rows of mode l.
+def _mode_border(approx, basis, l, acc):
+    """Jet-condition rows, deficiency columns and gauge rows of mode l: the
+    orbit side of the bordered system, which depends on the orbit, the
+    overlap and the grid but not on the background field.
 
     Frames are built from discrete jets: each frame direction is sampled as
     an actual solution over the end window and its jet extracted with the
@@ -356,7 +343,7 @@ def _mode_border(approx, basis, l, acc, gauge_delta=1.5):
     patM = pattern(minus_prof)
     # kernel fields in their canonical (v, alpha) split; gauge rows are the
     # weighted normal equations over kernel shifts, acting on v
-    log_w = log_annulus_weight(s, gauge_delta, cfg.m * T)
+    log_w = log_annulus_weight(s, 1.5, cfg.m * T)
     w2 = np.exp(2.0 * (log_w - np.max(log_w)))
     Kv = np.stack([plus_prof - B @ patP, minus_prof - B @ patM], axis=0)
     gauge_v = Kv * w2[None, :]
@@ -364,30 +351,32 @@ def _mode_border(approx, basis, l, acc, gauge_delta=1.5):
                        labels=labels)
 
 
-def bordered_system(approx, degrees=None, acc=8, basis=None):
-    """Assemble the bordered right-inverse system about the blend."""
+def bordered_system(approx, degrees=None, acc=8):
+    """Assemble the bordered right-inverse system about the blend: the
+    orbit-side border of every mode, then the background rows."""
     if degrees is None:
         degrees = tuple(approx.field.degrees)
     degrees = tuple(sorted(set(int(d) for d in degrees)))
-    cfg = approx.config
-    if cfg.orbit.isConstant:
+    if approx.config.orbit.isConstant:
         raise DomainError("the bordered closure needs an interior orbit")
-    consts = cfg.constants
+    basis = generators(approx.config.orbit, validate=False)
+    borders = [_mode_border(approx, basis, l, acc) for l in degrees]
+    return _background_system(approx, degrees, acc, borders)
+
+
+def _background_system(approx, degrees, acc, borders):
+    """The bordered system about approx.field with the given orbit-side
+    borders: interior rows of the linearization (mode operator and
+    potential coupling), the operator applied to the deficiency columns,
+    the border rows copied in, and the row scale."""
+    consts = approx.config.constants
     s = approx.s
     N = len(s)
     h = approx.field.h
-    if basis is None:
-        basis = generators(cfg.orbit, validate=False)
     C = _coupling_tensor(approx.field, degrees)
 
-    borders = []
-    sizes = []
-    for l in degrees:
-        b = _mode_border(approx, basis, l, acc)
-        borders.append(b)
-        sizes.append(4 if b.Bcols is not None else 0)
-    n_alpha = sum(sizes)
-    dim = len(degrees) * N + n_alpha
+    sizes = [4 if b.Bcols is not None else 0 for b in borders]
+    dim = len(degrees) * N + sum(sizes)
     A = np.zeros((dim, dim))
     interior_slices = []
 
@@ -395,9 +384,8 @@ def bordered_system(approx, degrees=None, acc=8, basis=None):
     def vcol(a):
         return slice(a * N, (a + 1) * N)
 
-    alpha_off = len(degrees) * N
     alpha_cols = []
-    off = alpha_off
+    off = len(degrees) * N
     for size in sizes:
         alpha_cols.append(slice(off, off + size))
         off += size
@@ -437,8 +425,7 @@ def bordered_system(approx, degrees=None, acc=8, basis=None):
     scale[scale == 0] = 1.0
     return BorderedSystem(approx=approx, degrees=degrees, acc=acc,
                           matrix=A, row_scale=scale, borders=borders,
-                          n_alpha=n_alpha, interior_slices=interior_slices,
-                          basisJets=basis)
+                          interior_slices=interior_slices)
 
 
 @dataclass
@@ -512,8 +499,7 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
                               relResidual=rel, cond=cond)
 
 
-def estimate_g_norm(approx, degrees=(0,), acc=8, n_probes=4, seed=1234,
-                    delta=1.5, sys=None):
+def estimate_g_norm(approx, degrees=(0,), acc=8, n_probes=4, delta=1.5):
     """Operator-norm estimate of the right inverse from seeded smooth probe
     data, both norms weighted with the annulus weight at rate delta.
 
@@ -522,13 +508,12 @@ def estimate_g_norm(approx, degrees=(0,), acc=8, n_probes=4, seed=1234,
     overlap lengths; the estimate is a lower bound on the true norm, which is
     what the stability-in-m comparison needs.
     """
-    if sys is None:
-        sys = bordered_system(approx, degrees=degrees, acc=acc)
+    sys = bordered_system(approx, degrees=degrees, acc=acc)
     s = approx.s
     cfg = approx.config
     T = cfg.period
     scale = cfg.m * cfg.period
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1234)
     anchors = [s[0] + 0.7 * T, s[0] + 1.5 * T, 0.0,
                s[-1] - 1.5 * T, s[-1] - 0.7 * T]
     best = 0.0
@@ -556,15 +541,14 @@ def estimate_g_norm(approx, degrees=(0,), acc=8, n_probes=4, seed=1234,
 # nonlinear pieces
 
 
-def remainder(approx, correction, background=None):
+def remainder(approx, correction):
     """Quadratic remainder of the curvature operator:
     R(v) = N(b + v) - N(b) - L_b(v) = -cN b^p r(v/b) with
     r(x) = (1+x)^p - 1 - p x, evaluated pointwise with the stable series and
     projected back to modes.  Derivative terms cancel exactly, so only the
     power remainder survives."""
-    cfg = approx.config
-    consts = cfg.constants
-    bg = background if background is not None else approx.field
+    consts = approx.config.constants
+    bg = approx.field
     basis = bg.basis()
     bvals = basis.reconstruct(bg.coeff_matrix())
     if np.any(bvals <= 0):
@@ -585,12 +569,6 @@ def remainder(approx, correction, background=None):
 @dataclass
 class IterationTrace:
     rows: list  # (k, defectSup, corrSup, ratio)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("k,defectSup,corrSup,ratio\n")
-            for k, d, c, r in self.rows:
-                fh.write(f"{k},{d!r},{c!r},{r!r}\n")
 
 
 @dataclass
@@ -627,16 +605,17 @@ def _interior_sup(fld, trim=2):
 
 
 def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
-            acc=8, floor=1e-30, min_iter=1):
+            acc=8, min_iter=1):
     """Drive the blend to a numerically constant-curvature field.
 
     picard: u_{k+1} = -G(f0 + R(u_k)) with the right inverse frozen at the
-    blend; newton: the linearization is re-discretized at each iterate.  The
+    blend; newton: only the background rows of the bordered system are
+    re-assembled at each iterate, the orbit-side border is built once.  The
     defect is the curvature residual relative to the modeled-exact end
     fields, evaluated in perturbation form throughout (see gluing.defect) and
-    measured on the interior collocation points.  min_iter forces extra
-    steps so contraction ratios are observable even when the first step
-    already reaches the floor.
+    measured on the interior collocation points; below 1e-30 it counts as
+    zero.  min_iter forces extra steps so contraction ratios are observable
+    even when the first step already reaches the floor.
     """
     if degrees is None:
         degrees = tuple(approx.field.degrees)
@@ -650,7 +629,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     u = _zero_like(approx.field, degrees)
     d0 = _interior_sup(f0)
     rows = [(0, d0, 0.0, float("nan"))]
-    if d0 <= max(floor, 0.0):
+    if d0 <= 1e-30:
         return IterateResult(solution=approx.field.copy(), correction=u,
                              trace=IterationTrace(rows), initialDefect=d0,
                              finalDefect=d0, converged=True, scheme=scheme,
@@ -668,13 +647,12 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             u_next = res.u
         else:
             dnow = _total_defect(approx, f0, u, acc)
-            # re-discretize about the current iterate; only the field (the
-            # linearization potential) and the config (boundary asymptotics)
-            # matter to the assembly, the tail bookkeeping rides along.  The
+            # re-assemble the background rows about the current iterate;
+            # the orbit-side border does not depend on the field.  The
             # first step starts from u = 0, the blend itself: sys0 serves.
-            sys_k = sys0 if k == 1 else bordered_system(
-                replace(approx, field=approx.field + u), degrees=degrees,
-                acc=acc, basis=sys0.basisJets)
+            sys_k = sys0 if k == 1 else _background_system(
+                replace(approx, field=approx.field + u), degrees, acc,
+                sys0.borders)
             res = solve_right_inverse(sys_k, dnow * -1.0)
             u_next = u + res.u
         alpha = res.alpha
@@ -691,7 +669,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
         stagnated = (corr <= 1e-13 * max(_interior_sup(u), 1e-300)
                      or (k >= 2 and defect_now >= rows[-2][1]
                          and corr < rows[1][2]))
-        if k >= min_iter and (defect_now < tol or defect_now < floor
+        if k >= min_iter and (defect_now < tol or defect_now < 1e-30
                               or corr == 0.0 or stagnated):
             converged = True
             break
@@ -753,8 +731,8 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
     midpoint of (1, delta).  No reference value exists; the number is a
     resolution-stable measurement.
 
-    Decay at the truncated ends is imposed in the clamped form (w = w' = 0),
-    the same closure the plain discretization uses.  The softer spectral
+    Decay at the truncated ends is imposed in the clamped form (w = w' = 0):
+    each mode factors its own tile of `discretize`.  The softer spectral
     closure (jets restricted to the strictly decaying directions) admits the
     one-end decaying solution, whose far-end violation e^{-gamma(2m+1)T}
     underflows: the smallest singular value would then measure truncation
@@ -773,12 +751,10 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
         degrees = tuple(approx.field.degrees)
     degrees = tuple(sorted(set(int(d) for d in degrees)))
     cfg = approx.config
-    consts = cfg.constants
-    background = approx.field if correction is None else \
-        approx.field + correction
+    background = approx if correction is None else replace(
+        approx, field=approx.field + correction)
     s = approx.s
     N = len(s)
-    h = approx.field.h
     scale = cfg.m * cfg.period
     neck = (cfg.m + 0.5) * cfg.period
     rho = np.exp(np.where(
@@ -787,15 +763,9 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
         - delta_prime * (np.abs(s) - neck)))
     inv_rho = 1.0 / rho
 
-    C = _coupling_tensor(background, degrees)
-    clamps = _clamp_rows(N, h, acc)
     per_mode = {}
-    for a, l in enumerate(degrees):
-        A = paneitz_mode_matrix(consts, consts.lam(l), N, h, acc=acc)
-        A[np.diag_indices(N)] -= consts.K * C[a, a]
-        for i, cond in clamps:
-            A[i] = cond
-        lu = lu_factor(A)
+    for l in degrees:
+        lu = lu_factor(discretize(background, degrees=(l,), acc=acc).matrix)
 
         def apply_inv(z):          # W^{-1} z with W = D_rho^{-1} A D_rho
             return inv_rho * lu_solve(lu, rho * z)

@@ -12,7 +12,6 @@ Conventions fixed here and used everywhere else:
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-import json
 
 import numpy as np
 from scipy.special import eval_gegenbauer, roots_gegenbauer
@@ -269,15 +268,6 @@ class CylField:
         modes = [Mode(m["l"], m["lambda"], np.array(m["samples"], dtype=float))
                  for m in doc["modes"]]
         return cls(consts, t, modes)
-
-    def dump(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 # ----------------------------------------------------------------------

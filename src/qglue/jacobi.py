@@ -4,7 +4,6 @@ boundary pairing, and deficiency-space bases.
 """
 
 from dataclasses import dataclass
-import json
 from math import comb
 
 import numpy as np
@@ -168,10 +167,6 @@ class IndicialSpectrum:
                 for e in self.perMode
             ],
         }
-
-    def dump(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True)
 
 
 def _constant_mode_exponents(consts, lam):

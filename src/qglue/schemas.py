@@ -247,7 +247,8 @@ SUMMARY_SCHEMAS = {
                      "1-norm condition estimate (Hager-Higham, as in "
                      "LAPACK gecon) of the row-equilibrated bordered "
                      "matrix about the blend; a solve above cond_limit = "
-                     "1e13 fails with exit code 3"},
+                     "1e13 fails with exit code 3.  Omitted when the ends "
+                     "are exact and no system is assembled"},
             "alpha": {"type": "object"},
         },
     },

@@ -127,6 +127,21 @@ class TestCommands:
         corrected = json.loads((out / "corrected.json").read_text())
         assert corrected["nT"] > 0
 
+    def test_correct_exact_ends_writes_strict_json(self, tmp_path):
+        # exact ends: iterate returns before assembling a bordered system,
+        # so there is no condition estimate to report
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        params = {"config": {"n": 5, "eps": 0.5, "m": 2},
+                  "gridPerPeriod": 32}
+        summary, out = run_manifest(tmp_path, "correct", params)
+        doc = json.loads((out / "summary.json").read_text(),
+                         parse_constant=reject)
+        assert doc["iterations"] == 0
+        assert doc["converged"]
+        assert "cond" not in doc
+
     def test_diagnose(self, tmp_path):
         params = {
             "config": {"n": 5, "eps": 0.5, "m": 2,

@@ -512,3 +512,74 @@ class TestRoundingFloor:
                       degrees=(0, 1))
         assert out.converged
         assert len(out.trace.rows) - 1 == 2
+
+
+class TestBorderSplit:
+    """bordered_system = orbit-side border (_mode_border per mode) plus the
+    background rows; Newton re-assembles only the latter."""
+
+    DEGREES = (0, 1)
+
+    @pytest.fixture(scope="class")
+    def two_mode(self, orbit05):
+        cfg = make_config(orbit05, m=1,
+                          pert1=((0, 1e-3, 2.0), (1, 5e-4, 1.6)))
+        return build_approximate(cfg, grid_per_period=32)
+
+    @pytest.fixture(scope="class")
+    def shift(self, two_mode):
+        s = two_mode.s
+        return CylField.from_modes(
+            two_mode.config.constants, s,
+            {l: 1e-3 * (l + 1) * bump_probe(s, center=0.8 * l - 0.4)
+             for l in self.DEGREES})
+
+    def test_newton_builds_each_mode_border_once(self, two_mode,
+                                                 monkeypatch):
+        import qglue.corrector as corrector
+        built = []
+        real = corrector._mode_border
+
+        def count(approx, basis, l, acc):
+            built.append(l)
+            return real(approx, basis, l, acc)
+
+        monkeypatch.setattr(corrector, "_mode_border", count)
+        out = iterate(two_mode, scheme="newton", degrees=self.DEGREES,
+                      min_iter=2)
+        assert len(out.trace.rows) - 1 >= 2
+        assert sorted(built) == list(self.DEGREES)
+
+    def test_background_rows_match_full_assembly(self, two_mode, shift):
+        from qglue.corrector import _background_system
+        sys0 = bordered_system(two_mode, degrees=self.DEGREES)
+        shifted = dataclasses.replace(two_mode, field=two_mode.field + shift)
+        got = _background_system(shifted, self.DEGREES, 8, sys0.borders)
+        full = bordered_system(shifted, degrees=self.DEGREES)
+        assert np.array_equal(got.matrix, full.matrix)
+        assert np.array_equal(got.row_scale, full.row_scale)
+
+    def test_deficiency_columns_match_linear_apply(self, two_mode):
+        sysm = bordered_system(two_mode, degrees=self.DEGREES)
+        s = two_mode.s
+        N = len(s)
+        col = len(self.DEGREES) * N
+        checked = 0
+        for bb in sysm.borders:
+            if bb.Bcols is None:
+                continue
+            for j in range(bb.Bcols.shape[1]):
+                u = CylField.from_modes(
+                    two_mode.config.constants, s,
+                    {l: bb.Bcols[:, j] if l == bb.l else np.zeros(N)
+                     for l in self.DEGREES})
+                Lu = linear_apply(two_mode.field, u)
+                expect = [Lu.mode(l).samples[2:N - 2] for l in self.DEGREES]
+                tol = 1e-12 * max(np.max(np.abs(e)) for e in expect)
+                for a in range(len(self.DEGREES)):
+                    got = sysm.matrix[sysm.interior_slices[a], col]
+                    assert np.max(np.abs(got - expect[a])) <= tol
+                col += 1
+                checked += 1
+        assert checked == 4 * len(self.DEGREES)
+        assert col == sysm.matrix.shape[1]
