@@ -52,6 +52,12 @@ def _orbit_residual(orbit, grid_per_period=128, acc=10):
     return res.supResidual
 
 
+def _shooting_mismatch(orbit):
+    """Largest odd derivative at the half turn, where symmetry makes it 0;
+    the constant orbit is not shot and has none."""
+    return float(max(orbit.diagnostics.get("halfTurnOddDerivs", [0.0])))
+
+
 def _orbit_summary(orbit, with_residual=True):
     doc = {
         "command": "orbit",
@@ -64,6 +70,7 @@ def _orbit_summary(orbit, with_residual=True):
         "periodicityDefect": float(orbit.diagnostics.get("periodicityDefect",
                                                          0.0)),
         "minDefect": float(orbit.diagnostics.get("minDefect", 0.0)),
+        "shootingMismatch": _shooting_mismatch(orbit),
     }
     if with_residual:
         doc["residualSup"] = _orbit_residual(orbit)
@@ -84,8 +91,7 @@ def cmd_constants(params, out):
 
 
 def cmd_orbit(params, out):
-    orbit = solve_orbit(params["n"], params["eps"],
-                        tol=params.get("tol", 1e-11))
+    orbit = solve_orbit(params["n"], params["eps"])
     doc = _orbit_summary(orbit)
     return doc, {"orbit.json": orbit.to_json()}
 
@@ -94,13 +100,14 @@ def cmd_sweep(params, out):
     rows = []
     H = []
     for eps in params["epsList"]:
-        orbit = solve_orbit(params["n"], eps, tol=params.get("tol", 1e-11))
+        orbit = solve_orbit(params["n"], eps)
         rows.append({
             "eps": orbit.eps, "period": orbit.period,
             "hamiltonian": orbit.hamiltonianValue,
             "residualSup": _orbit_residual(orbit),
             "periodicityDefect": float(
                 orbit.diagnostics.get("periodicityDefect", 0.0)),
+            "shootingMismatch": _shooting_mismatch(orbit),
         })
         H.append(orbit.hamiltonianValue)
     dH = np.diff(H)
@@ -117,8 +124,7 @@ def cmd_sweep(params, out):
 
 
 def cmd_indicial(params, out):
-    orbit = solve_orbit(params["n"], params["eps"],
-                        tol=params.get("tol", 1e-11))
+    orbit = solve_orbit(params["n"], params["eps"])
     spec = indicial_roots(orbit, params.get("modes", [0, 1, 2]))
     doc = {"command": "indicial", "n": spec.n, "eps": spec.eps,
            "modes": spec.to_json()["modes"]}
@@ -308,14 +314,12 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", required=True,
                    help="necksize; the literal 'epsbar' selects the maximum")
-    p.add_argument("--tol", type=float, default=1e-11)
     common(p)
 
     p = sub.add_parser("sweep", help="orbit family sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps-list", required=True,
                    help="comma-separated necksizes; 'epsbar' allowed")
-    p.add_argument("--tol", type=float, default=1e-11)
     common(p)
 
     p = sub.add_parser("indicial", help="Floquet exponents per mode")
@@ -371,14 +375,11 @@ def _manifest_from_args(args):
         params["n"] = args.n
     if cmd in ("orbit", "indicial", "jacobi"):
         params["eps"] = _resolve_eps(args.n, args.eps)
-    if cmd == "orbit":
-        params["tol"] = args.tol
     if cmd == "sweep":
         consts = derive_constants(args.n)
         params["epsList"] = [
             consts.epsBar if tok.strip().lower() == "epsbar"
             else float(tok) for tok in args.eps_list.split(",")]
-        params["tol"] = args.tol
     if cmd == "indicial":
         params["modes"] = _parse_modes(args.modes)
     if cmd == "jacobi":

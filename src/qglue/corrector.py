@@ -406,7 +406,11 @@ def _background_system(approx, degrees, acc, borders):
                 continue
             LB = np.zeros((N, 4))
             if bb.l == l:
-                LB += block @ bb.Bcols
+                # the stencil form linear_apply uses; block @ Bcols differs
+                # from it by rounding, up to 1e-16 sum|block||Bcols|
+                LB += np.stack([paneitz_mode_apply(consts, consts.lam(l), col,
+                                                   h, acc=acc)
+                                for col in bb.Bcols.T], axis=1)
             # potential coupling from the column's degree channel into mode a
             bidx = degrees.index(bb.l)
             LB += -consts.K * (C[a, bidx][:, None] * bb.Bcols)

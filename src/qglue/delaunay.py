@@ -1,10 +1,14 @@
 """The fourth-order necksize ODE: periodic orbits, conserved energy, and the
 translated/deformed solution family.
 
-Orbits are found by shooting in the second derivative at the minimum and are
-stored on a half period; evaluation extends by evenness and periodicity, so
-the stored object is exactly symmetric and exactly periodic while the raw
-shooting mismatch is kept as a diagnostic.
+An orbit solves the symmetric half-period boundary value problem
+v(0) = eps, v'(0) = v'''(0) = 0 at the minimum and v'(T/2) = v'''(T/2) = 0
+at the maximum.  Its unknowns s = v''(0) and T/2 are found by Newton
+shooting, started from a bisection bracket on the kind of the first turning
+point.  The orbit is stored on a half period as quintic Hermite
+interpolants; evaluation extends by evenness and periodicity, so the stored
+object is exactly symmetric and exactly periodic while the raw shooting
+mismatch is kept as a diagnostic.
 """
 
 from dataclasses import dataclass, field
@@ -13,18 +17,17 @@ import json
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
-from scipy.optimize import brentq
+import scipy.special as spec
+from scipy.special import comb
 
 from .errors import DomainError, NumericalError
 from .gauges import GaugeConstants, derive_constants
 
 __all__ = [
     "OdeState", "ode_rhs", "hamiltonian", "integrate", "Trajectory",
-    "sample_contiguous", "DelaunayOrbit", "solve_orbit", "FamilyParams",
-    "eval_family", "expansion_error", "ExpansionStudy",
+    "sample_contiguous", "quintic_hermite", "DelaunayOrbit", "solve_orbit",
+    "FamilyParams", "eval_family", "expansion_error", "ExpansionStudy",
 ]
-
-DEFAULT_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ class Trajectory:
         return OdeState.from_array(self._sol(np.array([t]))[:, 0])
 
 
-def integrate(state0, t_span, consts, tol=DEFAULT_TOL,
+def integrate(state0, t_span, consts, tol=1e-11,
               floor=1e-10, ceil=1e3, max_step=np.inf):
     """Adaptive high-order integration of the necksize ODE with dense output.
 
@@ -156,6 +159,33 @@ def sample_contiguous(rhs, t0, y0, tgrid, tol, max_step, failure):
         for j in np.where(mask)[0]:
             out[:, j] = lookup[tgrid[j]]
     return out
+
+
+def quintic_hermite(x, jets):
+    """Piecewise quintic in Bernstein form matching the samples (f, f', f'')
+    of `jets` at both ends of every interval of x.
+
+    The coefficients are bit-identical to BPoly.from_derivatives(x,
+    np.stack(jets, 1)): the same recurrence with the same scalars in the same
+    order, applied to all intervals at once instead of one by one."""
+    x = np.asarray(x, dtype=float)
+    ya = [np.asarray(f, dtype=float)[:-1] for f in jets]
+    yb = [np.asarray(f, dtype=float)[1:] for f in jets]
+    h = x[1:] - x[:-1]
+    na = nb = len(jets)
+    n = na + nb
+    c = np.empty((n, len(h)))
+    # walk left-to-right from the values at the left ends ...
+    for q in range(na):
+        c[q] = ya[q] / spec.poch(n - q, q) * h ** q
+        for j in range(q):
+            c[q] -= (-1) ** (j + q) * comb(q, j) * c[j]
+    # ... and right-to-left from those at the right ends
+    for q in range(nb):
+        c[-q - 1] = yb[q] / spec.poch(n - q, q) * (-1) ** q * h ** q
+        for j in range(q):
+            c[-q - 1] -= (-1) ** (j + 1) * comb(q, j + 1) * c[-q + j]
+    return BPoly(c, x)
 
 
 # ----------------------------------------------------------------------
@@ -286,20 +316,20 @@ class DelaunayOrbit:
             json.dump(self.to_json(), f, sort_keys=True)
 
     @classmethod
-    def from_json(cls, doc, tol=DEFAULT_TOL):
+    def from_json(cls, doc):
         """Rebuild an evaluable orbit; re-solves the half-period interpolant
         from the stored shooting data so evaluation quality matches a fresh
         solve."""
         consts = derive_constants(doc["n"])
         if doc["isConstant"]:
-            return _constant_orbit(consts, tol)
-        return _build_orbit(consts, doc["eps"], doc["vDdot0"],
-                            doc["period"], tol, diagnostics=doc.get("diagnostics", {}))
+            return _constant_orbit(consts)
+        return _build_orbit(consts, doc["eps"], doc["vDdot0"], doc["period"],
+                            diagnostics=doc.get("diagnostics", {}))
 
     @classmethod
-    def load(cls, path, tol=DEFAULT_TOL):
+    def load(cls, path):
         with open(path) as f:
-            return cls.from_json(json.load(f), tol=tol)
+            return cls.from_json(json.load(f))
 
 
 def _half_period_interp(consts, eps, s, T, nodes=1025, tol=1e-13):
@@ -325,12 +355,11 @@ def _half_period_interp(consts, eps, s, T, nodes=1025, tol=1e-13):
     v5 = (consts.c2 * v3 - consts.c0 * v1
           + consts.cN * consts.p * v ** (consts.p - 1) * v1)
     comps = [(v, v1, v2), (v1, v2, v3), (v2, v3, v4), (v3, v4, v5)]
-    interp = [BPoly.from_derivatives(tgrid, np.stack(jets, axis=1))
-              for jets in comps]
+    interp = [quintic_hermite(tgrid, jets) for jets in comps]
     return interp, sol.y[:, -1]
 
 
-def _constant_orbit(consts, tol):
+def _constant_orbit(consts):
     """The equilibrium orbit at the maximal necksize; its period is the
     linearization period 2 pi / omega0 from the constant-coefficient quartic
     mu^4 - c2 mu^2 + (c0 - K epsBar^(p-1))."""
@@ -350,7 +379,7 @@ def _constant_orbit(consts, tol):
 
 def _first_max(consts, eps, s, tmax=120.0, tol=1e-13):
     """Integrate until the first interior maximum (vdot = 0 crossing downward)
-    or an escape; returns (kind, t, state)."""
+    or an escape; returns (kind, t)."""
     rhs = _rhs_arrays(consts)
 
     def ev_max(t, y):
@@ -373,26 +402,63 @@ def _first_max(consts, eps, s, tmax=120.0, tol=1e-13):
 
     sol = solve_ivp(rhs, (0.0, tmax), [eps, 0.0, s, 0.0], method="DOP853",
                     rtol=tol, atol=tol, events=[ev_max, ev_low, ev_high])
-    if sol.t_events[0].size:
-        return "max", float(sol.t_events[0][0]), sol.y_events[0][0]
-    if sol.t_events[1].size:
-        return "down", float(sol.t_events[1][0]), None
-    if sol.t_events[2].size:
-        return "up", float(sol.t_events[2][0]), None
-    return "none", None, None
+    for kind, times in zip(("max", "down", "up"), sol.t_events):
+        if times.size:
+            return kind, float(times[0])
+    return "none", None
 
 
-def _escape_direction(consts, eps, s, tmax=150.0, tol=1e-12):
-    traj = integrate(OdeState(eps, 0.0, s, 0.0), (0.0, tmax), consts,
-                     tol=tol, floor=eps * (1 - 1e-7), ceil=1.6)
-    if traj.escaped == "down":
-        return -1
-    if traj.escaped == "up":
-        return +1
-    return 0
+def _joint_rhs(consts):
+    """The orbit (components 0..3) jointly with one solution of its
+    linearization (components 4..7)."""
+    c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
+
+    def rhs(t, y):
+        v = y[0]
+        pot = c0 - K * v ** (p - 1)
+        return (y[1], y[2], y[3], c2 * y[2] - c0 * v + cN * v ** p,
+                y[5], y[6], y[7], c2 * y[6] - pot * y[4])
+
+    return rhs
 
 
-def _build_orbit(consts, eps, s, T, tol, diagnostics=None):
+def _newton_shoot(consts, eps, s, tau):
+    """Newton's method on the half-period conditions v'(tau) = v'''(tau) = 0
+    for the orbit with v(0) = eps, v''(0) = s and v'(0) = v'''(0) = 0.
+
+    Each step integrates the orbit with its s-derivative w from 0 to tau;
+    the Jacobian of (v'(tau), v'''(tau)) in (s, tau) is
+    [[w'(tau), v''(tau)], [w'''(tau), v''''(tau)]].  Stops when the relative
+    step falls below 1e-15, or stops decreasing after falling below 1e-10
+    (the integration's rounding floor).  Returns (s, tau), or None when an
+    integration fails or the steps do not settle within 40 iterations."""
+    c = consts
+    rhs = _joint_rhs(c)
+    prev = np.inf
+    for _ in range(40):
+        sol = solve_ivp(rhs, (0.0, tau),
+                        [eps, 0.0, s, 0.0, 0.0, 0.0, 1.0, 0.0],
+                        method="DOP853", rtol=1e-13, atol=1e-13)
+        y = sol.y[:, -1]
+        if not sol.success or not np.all(np.isfinite(y)) or y[0] <= 0:
+            return None
+        v4 = c.c2 * y[2] - c.c0 * y[0] + c.cN * y[0] ** c.p
+        jac = np.array([[y[5], y[2]], [y[7], v4]])
+        try:
+            ds, dtau = np.linalg.solve(jac, [-y[1], -y[3]])
+        except np.linalg.LinAlgError:
+            return None
+        s, tau = s + ds, tau + dtau
+        if tau <= 0:  # collapsed onto the trivial root tau = 0
+            return None
+        step = max(abs(ds / s), abs(dtau / tau))
+        if step < 1e-15 or (prev < 1e-10 and step >= prev):
+            return s, tau
+        prev = step
+    return None
+
+
+def _build_orbit(consts, eps, s, T, diagnostics=None):
     interp, end_state = _half_period_interp(consts, eps, s, T)
     state0 = OdeState(eps, 0.0, s, 0.0)
     H = hamiltonian(state0, consts)
@@ -412,14 +478,19 @@ def _build_orbit(consts, eps, s, T, tol, diagnostics=None):
     return orbit
 
 
-def solve_orbit(n_or_consts, eps, tol=DEFAULT_TOL, s_bracket=(1e-6, 2.0)):
-    """Shooting solver for the periodic orbit with minimum eps.
+def solve_orbit(n_or_consts, eps):
+    """The periodic orbit with minimum eps, by Newton shooting on the half
+    period.
 
-    Bisection classifies trajectories by escape direction (too small a
-    curvature at the minimum escapes downward, too large upward), then the
-    root of the third derivative at the first interior maximum polishes the
-    shooting unknown to machine precision.  eps = epsBar returns the constant
-    orbit with the linearization period.
+    The unknowns are s = v''(0) and tau = T/2, the conditions
+    v'(tau) = v'''(tau) = 0; by the reflection symmetry of the equation
+    they close the orbit.  Bisection on the kind of _first_max (an interior
+    maximum below the orbit's s, an upward escape above it) brackets s to
+    relative width 1e-4, and Newton starts from the lower end and the time
+    of its first maximum.  tau = 0 solves the conditions for every s, so a
+    result counts only if tau stays within a factor 2 of that start;
+    otherwise the bracket is tightened 100-fold and Newton restarts.
+    eps = epsBar returns the constant orbit with the linearization period.
     """
     consts = (n_or_consts if isinstance(n_or_consts, GaugeConstants)
               else derive_constants(n_or_consts))
@@ -427,47 +498,25 @@ def solve_orbit(n_or_consts, eps, tol=DEFAULT_TOL, s_bracket=(1e-6, 2.0)):
         raise DomainError(
             f"necksize must lie in (0, {consts.epsBar:.6f}], got {eps}")
     if abs(eps - consts.epsBar) <= 1e-12 * consts.epsBar:
-        return _constant_orbit(consts, tol)
+        return _constant_orbit(consts)
 
-    lo, hi = s_bracket
-    if _escape_direction(consts, eps, lo) >= 0:
-        raise NumericalError("lower shooting bracket does not escape downward")
-    if _escape_direction(consts, eps, hi) <= 0:
-        raise NumericalError("upper shooting bracket does not escape upward")
-    for _ in range(45):
-        mid = 0.5 * (lo + hi)
-        d = _escape_direction(consts, eps, mid)
-        if d < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-9:
-            break
-
-    def g(s):
-        kind, _, ym = _first_max(consts, eps, s)
-        return ym[3] if kind == "max" else None
-
-    glo, ghi = g(lo), g(hi)
-    tries = 0
-    while (glo is None or ghi is None or glo * ghi > 0) and tries < 60:
-        w = max(hi - lo, 1e-12)
-        if glo is None or (ghi is not None and glo * ghi > 0):
-            lo -= w
-            glo = g(lo)
-        else:
-            hi += w
-            ghi = g(hi)
-        tries += 1
-    if glo is None or ghi is None or glo * ghi > 0:
-        raise NumericalError(
-            f"shooting bracket not found for eps={eps} "
-            f"(bisection window [{lo}, {hi}])")
-    s_star = brentq(g, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-    kind, t_max, _ = _first_max(consts, eps, s_star)
+    lo, hi = 1e-6, 2.0
+    kind, t_lo = _first_max(consts, eps, lo)
     if kind != "max":
-        raise NumericalError(f"polished shooting value escaped for eps={eps}")
-    return _build_orbit(consts, eps, s_star, 2.0 * t_max, tol)
+        raise NumericalError(f"shooting bracket not found for eps={eps}")
+    for width in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+        while hi - lo > width * hi:
+            mid = 0.5 * (lo + hi)
+            kind, t_mid = _first_max(consts, eps, mid)
+            if kind == "max":
+                lo, t_lo = mid, t_mid
+            else:
+                hi = mid
+        found = _newton_shoot(consts, eps, lo, t_lo)
+        if found is not None and 0.5 * t_lo <= found[1] <= 2.0 * t_lo:
+            s, tau = found
+            return _build_orbit(consts, eps, s, 2.0 * tau)
+    raise NumericalError(f"Newton shooting did not converge for eps={eps}")
 
 
 # ----------------------------------------------------------------------

@@ -109,10 +109,10 @@ class GluingConfig:
         return self.end2.T0 + (self.m + 0.5) * self.period
 
     @classmethod
-    def from_json(cls, doc, tol=1e-11):
+    def from_json(cls, doc):
         """Build from the manifest schema
         {n, eps, m, r0, end1: {...}, end2: {...}}."""
-        orbit = solve_orbit(int(doc["n"]), float(doc["eps"]), tol=tol)
+        orbit = solve_orbit(int(doc["n"]), float(doc["eps"]))
         def end(d):
             d = dict(d)
             d.setdefault("eps", doc["eps"])

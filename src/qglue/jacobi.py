@@ -8,12 +8,12 @@ from math import comb
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BPoly
 
 from .errors import DomainError, NumericalError
 from .fd import apply_derivative
 from .gauges import CylField
-from .delaunay import DelaunayOrbit, sample_contiguous, solve_orbit
+from .delaunay import (DelaunayOrbit, _joint_rhs, quintic_hermite,
+                       sample_contiguous, solve_orbit)
 
 __all__ = [
     "ModeOperator", "mode_apply", "monodromy", "MonodromyData",
@@ -287,27 +287,17 @@ class VariationalField:
         comps = [(w, w1, w2), (w1, w2, w3), (w2, w3, w4), (w3, w4, w5)]
         # per-component quintic Hermite keeps each derivative at sample-level
         # accuracy instead of amplifying integrator noise
-        self._interp = [BPoly.from_derivatives(tg, np.stack(j, axis=1))
-                        for j in comps]
+        self._interp = [quintic_hermite(tg, j) for j in comps]
 
     def sample_states(self, tgrid, tol=1e-13):
         """Contiguous joint (orbit + variational) integration over the
         window; seam-free but only trustworthy while e^{gamma |t|} times the
         initial-data error stays small (about a half period of margin), which
         is all residual-grade checks need."""
-        c = self.orbit.constants
         orbit = self.orbit
-
-        def rhs(t, y):
-            v = y[0]
-            pot = c.c0 - c.K * v ** (c.p - 1)
-            return (y[1], y[2], y[3],
-                    c.c2 * y[2] - c.c0 * v + c.cN * v ** c.p,
-                    y[5], y[6], y[7], c.c2 * y[6] - pot * y[4])
-
         y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0, 1.0, 0.0, self.dsdEps, 0.0]
-        return sample_contiguous(rhs, 0.0, y0, tgrid, tol,
-                                 orbit.period / 512.0,
+        return sample_contiguous(_joint_rhs(orbit.constants), 0.0, y0, tgrid,
+                                 tol, orbit.period / 512.0,
                                  "variational sampling failed")[4:]
 
     def jet(self, t, max_deriv=3):

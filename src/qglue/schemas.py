@@ -59,7 +59,6 @@ PARAMS_SCHEMAS = {
         "properties": {
             "n": {"type": "integer", "minimum": 5},
             "eps": {"type": "number", "exclusiveMinimum": 0},
-            "tol": {"type": "number", "exclusiveMinimum": 0},
         },
     },
     "sweep": {
@@ -69,7 +68,6 @@ PARAMS_SCHEMAS = {
             "n": {"type": "integer", "minimum": 5},
             "epsList": {"type": "array", "minItems": 1,
                         "items": {"type": "number", "exclusiveMinimum": 0}},
-            "tol": {"type": "number", "exclusiveMinimum": 0},
             "gridPerPeriod": _GRID,
         },
     },
@@ -80,7 +78,6 @@ PARAMS_SCHEMAS = {
             "n": {"type": "integer", "minimum": 5},
             "eps": {"type": "number", "exclusiveMinimum": 0},
             "modes": _MODES,
-            "tol": {"type": "number", "exclusiveMinimum": 0},
         },
     },
     "jacobi": {
@@ -165,8 +162,8 @@ SUMMARY_SCHEMAS = {
                        "eps": _num, "period": _num, "vDdot0": _num,
                        "hamiltonian": _num, "residualSup": _num,
                        "periodicityDefect": _num, "minDefect": _num,
-                       "hamiltonianDrift": _num, "isConstant":
-                       {"type": "boolean"}},
+                       "shootingMismatch": _num, "hamiltonianDrift": _num,
+                       "isConstant": {"type": "boolean"}},
     },
     "sweep": {
         "type": "object", "additionalProperties": False,
@@ -180,7 +177,8 @@ SUMMARY_SCHEMAS = {
                 "required": ["eps", "period", "hamiltonian", "residualSup"],
                 "properties": {"eps": _num, "period": _num,
                                "hamiltonian": _num, "residualSup": _num,
-                               "periodicityDefect": _num},
+                               "periodicityDefect": _num,
+                               "shootingMismatch": _num},
             }},
         },
     },

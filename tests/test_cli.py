@@ -7,6 +7,7 @@ import pytest
 
 from qglue.cli import execute, main
 from qglue.errors import ManifestError
+from qglue.gauges import derive_constants
 from qglue.schemas import validate_manifest, validate_summary
 
 
@@ -58,8 +59,27 @@ class TestCommands:
         validate_summary(summary)
         assert summary["residualSup"] < 1e-7
         assert summary["hamiltonianDrift"] < 1e-8
+        assert summary["shootingMismatch"] <= 1e-10
         doc = json.loads((out / "orbit.json").read_text())
         assert doc["eps"] == 0.5
+
+    def test_sweep_rows_carry_shooting_mismatch(self, tmp_path):
+        eps_bar = derive_constants(5).epsBar
+        summary, _ = run_manifest(tmp_path, "sweep",
+                                  {"n": 5, "epsList": [0.5, eps_bar]})
+        validate_summary(summary)
+        mismatch = [row["shootingMismatch"] for row in summary["rows"]]
+        assert 0.0 < mismatch[0] <= 1e-10
+        # the constant orbit at epsBar is not shot
+        assert mismatch[1] == 0.0
+
+    @pytest.mark.parametrize("command", ["orbit", "sweep", "indicial"])
+    def test_orbit_tolerance_key_rejected(self, command):
+        params = {"n": 5, "tol": 1e-11}
+        params.update({"epsList": [0.5]} if command == "sweep"
+                      else {"eps": 0.5})
+        with pytest.raises(ManifestError):
+            validate_manifest({"command": command, "params": params})
 
     def test_orbit_rerun_byte_identical(self, tmp_path):
         _, out1 = run_manifest(tmp_path / "a", "orbit", {"n": 5, "eps": 0.6})

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.interpolate import BPoly
 
 from qglue.delaunay import (OdeState, ode_rhs, hamiltonian, integrate,
                             DelaunayOrbit, solve_orbit, FamilyParams,
-                            eval_family, expansion_error)
+                            eval_family, expansion_error, quintic_hermite)
 from qglue.errors import DomainError
-from qglue.gauges import CylField, q_residual
+from qglue.gauges import CylField, derive_constants, q_residual
 
 
 @pytest.mark.parametrize("n_val", [5, 6, 7, 9, 12])
@@ -166,6 +167,46 @@ class TestSolveOrbit:
         for k in range(4):
             np.testing.assert_allclose(back.eval(ts, k), orbit05.eval(ts, k),
                                        rtol=0, atol=1e-10)
+
+
+class TestQuinticHermite:
+    @staticmethod
+    def assert_matches_scipy(x, jets):
+        ours = quintic_hermite(x, jets)
+        ref = BPoly.from_derivatives(x, np.stack(jets, axis=1))
+        assert np.array_equal(ours.c, ref.c)
+        assert np.array_equal(ours.x, ref.x)
+
+    def test_reference_half_period(self, orbit05):
+        x = np.linspace(0.0, orbit05.period / 2, 1025)
+        self.assert_matches_scipy(x, [orbit05.eval(x, k) for k in range(3)])
+
+    def test_random_nonuniform_grid(self):
+        rng = np.random.default_rng(20250601)
+        x = np.cumsum(rng.uniform(0.01, 1.0, 300))
+        jets = [rng.standard_normal(300) * 10.0 ** rng.uniform(-6, 6, 300)
+                for _ in range(3)]
+        self.assert_matches_scipy(x, jets)
+
+
+class TestOrbitFamily:
+    @pytest.mark.parametrize("n", [5, 6, 7, 9])
+    @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
+    def test_shooting_closes_the_orbit(self, orbit_cache, n, frac):
+        orb = orbit_cache(frac * derive_constants(n).epsBar, n=n)
+        assert max(orb.diagnostics["halfTurnOddDerivs"]) <= 1e-10
+        assert orb.diagnostics["minDefect"] < 1e-9
+        ts = np.linspace(0.0, orb.period, 129)
+        H = np.array([hamiltonian(orb.state(t), orb.constants) for t in ts])
+        assert np.max(np.abs(H - H[0])) / abs(H[0]) < 1e-8
+
+    def test_small_necksizes(self):
+        # toward eps -> 0, s/eps -> ((n-4)/2)^2 and the period grows like
+        # (4/(n-4)) log(1/eps)
+        orb = solve_orbit(5, 0.02)
+        assert abs(orb.vDdot0 / orb.eps - 0.25) < 1e-6
+        dT = solve_orbit(5, 0.05).period - solve_orbit(5, 0.1).period
+        assert dT == pytest.approx(4.0 * np.log(2.0), abs=0.02)
 
 
 class TestFamily:
