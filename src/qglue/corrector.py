@@ -26,8 +26,8 @@ from .fd import jet_rows, stencil_size
 from .gauges import (CylField, angular_basis, paneitz_mode_apply,
                      paneitz_mode_matrix)
 from .delaunay import sample_contiguous
-from .jacobi import (CutoffSpec, ModeOperator, monodromy_data, generators,
-                     dominant_direction)
+from .jacobi import (CutoffSpec, ModeOperator, _mode_flow_rhs,
+                     monodromy_data, generators, dominant_direction)
 from .gluing import ApproxSolution, defect, log_annulus_weight, \
     stable_power_remainder, weighted_norm
 
@@ -227,10 +227,12 @@ def _inv_norm1(lu):
 
 def _window_solution(op, t0, t_nodes, jet0, tol=1e-13):
     """Sample the mode-ODE solution with initial jet `jet0` at t0 over the
-    window nodes (any direction); windows are about a stencil wide, so both
-    decaying and growing directions stay representable."""
-    return sample_contiguous(op.rhs, t0, jet0, t_nodes, tol, np.inf,
-                             "window sampling of a frame solution failed")[0]
+    window nodes (any direction), integrated jointly with the orbit from its
+    jet at t0; windows are about a stencil wide, so both decaying and
+    growing directions stay representable."""
+    y0 = np.concatenate([op.orbit.jet(t0, max_deriv=3), jet0])
+    return sample_contiguous(_mode_flow_rhs(op), t0, y0, t_nodes, tol, np.inf,
+                             "window sampling of a frame solution failed")[4]
 
 
 def _mode_border(approx, basis, l, acc):

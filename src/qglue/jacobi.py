@@ -49,11 +49,6 @@ class ModeOperator:
         return (self.lam ** 2 + c.mode_coefficients(self.lam)[1]
                 - c.K * v ** (c.p - 1))
 
-    def rhs(self, t, y):
-        """Right-hand side of the first-order mode system for one jet y of
-        derivatives 0..3."""
-        return (y[1], y[2], y[3], self.A * y[2] - self.potential(t) * y[0])
-
 
 def mode_apply(op, t, w, acc=8):
     """Apply the mode operator to samples w on the uniform grid t."""
@@ -69,56 +64,78 @@ def mode_apply(op, t, w, acc=8):
 # Floquet analysis
 
 
-def _flow_rhs(op):
-    """ModeOperator.rhs for k jets at once, flattened from (4, k)."""
-    A = op.A
+def _mode_flow_rhs(op):
+    """Right-hand side of the orbit (components 0..3) jointly with k jets of
+    the mode system (components 4.., flattened from (4, k)).
 
-    def rhs(t, Y):
-        Y = Y.reshape(4, -1)
-        out = np.empty_like(Y)
-        out[0] = Y[1]
-        out[1] = Y[2]
-        out[2] = Y[3]
-        out[3] = A * Y[2] - op.potential(t) * Y[0]
-        return out.reshape(-1)
+    The potential lam^2 + B - K v^(p-1) is taken from the carried v, so the
+    flow makes no interpolant evaluations; callers start the orbit from
+    orbit.jet at the initial time."""
+    c = op.constants
+    c2, c0, cN, p, K = c.c2, c.c0, c.cN, c.p, c.K
+    A = op.A
+    base = op.lam ** 2 + c.mode_coefficients(op.lam)[1]
+
+    def rhs(t, y):
+        v = y[0]
+        Y = y[4:].reshape(4, -1)
+        out = np.empty_like(y)
+        out[:3] = y[1:4]
+        out[3] = c2 * y[2] - c0 * v + cN * v ** p
+        W = out[4:].reshape(4, -1)
+        W[:3] = Y[1:]
+        W[3] = A * Y[2] - (base - K * v ** (p - 1)) * Y[0]
+        return out
 
     return rhs
+
+
+def _pairing_matrix(A):
+    """Matrix Omega of symplectic_pairing: omega(a, b) = a^T Omega b for
+    jets a, b of a mode operator whose -w'' coefficient is A."""
+    return np.array([[0.0, -A, 0.0, 1.0],
+                     [A, 0.0, -1.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0],
+                     [-1.0, 0.0, 0.0, 0.0]])
 
 
 @dataclass
 class MonodromyData:
     matrix: np.ndarray          # forward flow over one period
-    backward: np.ndarray        # backward flow over one period (= inverse)
+    backward: np.ndarray        # Omega^{-1} M^T Omega, the inverse of matrix
     detFactored: float          # det from subinterval factors
     t0: float
     period: float
 
 
 def monodromy_data(op, t0=0.0, n_sub=24, tol=1e-12):
-    """Forward and backward one-period flows of the mode system, with the
+    """One-period flow of the mode system from t0, its inverse, and its
     determinant accumulated over subintervals (the direct determinant of the
-    assembled matrix is destroyed by the dynamic range of the multipliers)."""
+    assembled matrix is destroyed by the dynamic range of the multipliers).
+
+    Each of the n_sub subintervals integrates the identity flow jointly with
+    the orbit, restarted from orbit.jet at the subinterval's left edge (a
+    carried orbit would drift along its unstable directions over a period).
+    The flow preserves symplectic_pairing, M^T Omega M = Omega, so the
+    backward flow is Omega^{-1} M^T Omega and needs no second sweep."""
     T = op.orbit.period
-    rhs = _flow_rhs(op)
-
-    def sweep(direction):
-        M = np.eye(4)
-        det = 1.0
-        edges = t0 + direction * np.linspace(0.0, T, n_sub + 1)
-        for k in range(n_sub):
-            r = solve_ivp(rhs, (edges[k], edges[k + 1]),
-                          np.eye(4).reshape(-1), method="DOP853",
-                          rtol=tol, atol=tol)
-            if not r.success:
-                raise NumericalError("monodromy integration failed")
-            F = r.y[:, -1].reshape(4, 4)
-            M = F @ M
-            det *= np.linalg.det(F)
-        return M, det
-
-    Mf, detf = sweep(+1.0)
-    Mb, _ = sweep(-1.0)
-    return MonodromyData(matrix=Mf, backward=Mb, detFactored=detf,
+    rhs = _mode_flow_rhs(op)
+    edges = t0 + np.linspace(0.0, T, n_sub + 1)
+    orbit_jets = op.orbit.jet(edges, max_deriv=3)
+    M = np.eye(4)
+    det = 1.0
+    for k in range(n_sub):
+        y0 = np.concatenate([orbit_jets[:, k], np.eye(4).reshape(-1)])
+        r = solve_ivp(rhs, (edges[k], edges[k + 1]), y0, method="DOP853",
+                      rtol=tol, atol=tol)
+        if not r.success:
+            raise NumericalError("monodromy integration failed")
+        F = r.y[4:, -1].reshape(4, 4)
+        M = F @ M
+        det *= np.linalg.det(F)
+    Om = _pairing_matrix(op.A)
+    backward = np.linalg.solve(Om, M.T @ Om)
+    return MonodromyData(matrix=M, backward=backward, detFactored=det,
                          t0=t0, period=T)
 
 
@@ -147,7 +164,8 @@ def dominant_direction(M):
 class IndicialSpectrum:
     eps: float
     n: int
-    perMode: list  # entries: dict(l, lambda, exponents, jordanFlags, frequencies)
+    perMode: list  # entries: dict(l, lambda, exponents, jordanFlags,
+                   #                frequencies, detDefect)
 
     def exponents(self, l):
         for entry in self.perMode:
@@ -163,19 +181,21 @@ class IndicialSpectrum:
                 {"l": e["l"], "lambda": e["lambda"],
                  "exponents": [float(x) for x in e["exponents"]],
                  "jordanFlags": [bool(b) for b in e["jordanFlags"]],
-                 "frequencies": [float(x) for x in e["frequencies"]]}
+                 "frequencies": [float(x) for x in e["frequencies"]],
+                 "detDefect": e["detDefect"]}
                 for e in self.perMode
             ],
         }
 
 
 def _constant_mode_exponents(consts, lam):
-    """Characteristic-quartic exponents about the equilibrium orbit."""
+    """Characteristic-quartic exponents about the equilibrium orbit, with
+    each root's frequency at the position of its exponent."""
     A, B = consts.mode_coefficients(lam)
     q0 = lam ** 2 + B - consts.K * consts.epsBar ** (consts.p - 1)
-    mu = np.roots([1.0, 0.0, -A, 0.0, q0])
-    exps = sorted(float(np.real(m)) for m in mu)
-    freqs = sorted(float(abs(np.imag(m))) for m in mu)
+    mu = sorted(np.roots([1.0, 0.0, -A, 0.0, q0]), key=np.real)
+    exps = [float(np.real(m)) for m in mu]
+    freqs = [float(abs(np.imag(m))) for m in mu]
     return exps, [False] * 4, freqs
 
 
@@ -186,9 +206,13 @@ def indicial_roots(orbit, degrees=None, n_sub=24, tol=1e-12):
     and mirrored (the flow preserves the boundary pairing, so multipliers come
     in reciprocal pairs); multiplier clusters at |mu| = 1 are snapped to
     exponent 0 with a Jordan flag when the cluster is numerically defective.
+    Frequencies |arg mu| / T sit at the positions of their exponents; a
+    Jordan-flagged pair gets 0 (pi / T at multiplier -1), because rounding
+    of size d splits a Jordan block into a complex pair of angle sqrt(d).
+    detDefect is |detFactored - 1| of the one-period flow.
     For the constant orbit the exponents come from the characteristic quartic
     (the same values the monodromy path reproduces, with oscillation
-    frequencies resolvable there).
+    frequencies resolvable there) and detDefect is None.
     """
     consts = orbit.constants
     if degrees is None:
@@ -198,6 +222,7 @@ def indicial_roots(orbit, degrees=None, n_sub=24, tol=1e-12):
         lam = consts.lam(l)
         if orbit.isConstant:
             exps, flags, freqs = _constant_mode_exponents(consts, lam)
+            det_defect = None
         else:
             data = monodromy_data(ModeOperator(orbit, lam),
                                   n_sub=n_sub, tol=tol)
@@ -221,12 +246,17 @@ def indicial_roots(orbit, degrees=None, n_sub=24, tol=1e-12):
                 else:
                     gam.append(float(np.log(np.abs(mu)) / T))
                     flags_pos.append(False)
-                freqs_pos.append(float(abs(np.angle(mu)) / T))
+                if flags_pos[-1]:
+                    freqs_pos.append(0.0 if np.real(mu) > 0 else np.pi / T)
+                else:
+                    freqs_pos.append(float(abs(np.angle(mu)) / T))
             exps = sorted([-gam[0], -gam[1], gam[1], gam[0]])
             flags = [flags_pos[0], flags_pos[1], flags_pos[1], flags_pos[0]]
-            freqs = sorted([freqs_pos[0], freqs_pos[1]] * 2)
+            freqs = [freqs_pos[0], freqs_pos[1], freqs_pos[1], freqs_pos[0]]
+            det_defect = float(abs(data.detFactored - 1.0))
         entries.append({"l": l, "lambda": lam, "exponents": exps,
-                        "jordanFlags": flags, "frequencies": freqs})
+                        "jordanFlags": flags, "frequencies": freqs,
+                        "detDefect": det_defect})
     return IndicialSpectrum(eps=orbit.eps, n=consts.n, perMode=entries)
 
 
@@ -260,7 +290,10 @@ class VariationalField:
     """The necksize derivative of the orbit as a function of t, with full
     jets.
 
-    Integrated on half a period and extended by the family structure:
+    Integrated on half a period jointly with the orbit, from
+    (eps, 0, s, 0) and (1, 0, ds/deps, 0), with a step cap of one node
+    spacing so the nodes come from the integrator; extended by the family
+    structure:
       phi(t + kT) = phi(t) - k T' vdot(t)
       phi(t)      = phi(T-t) + T' vdot(T-t)   for t in [T/2, T].
     """
@@ -272,13 +305,14 @@ class VariationalField:
         c = orbit.constants
         half = orbit.period / 2.0
         tg = np.linspace(0.0, half, nodes)
-        sol = solve_ivp(ModeOperator(orbit, 0.0).rhs, (0.0, half),
-                        [1.0, 0.0, ds_deps, 0.0],
+        sol = solve_ivp(_joint_rhs(c), (0.0, half),
+                        [orbit.eps, 0.0, orbit.vDdot0, 0.0,
+                         1.0, 0.0, ds_deps, 0.0],
                         method="DOP853", rtol=tol, atol=tol, t_eval=tg,
                         max_step=half / (nodes - 1))
         if not sol.success:
             raise NumericalError("variational integration failed")
-        w, w1, w2, w3 = sol.y
+        w, w1, w2, w3 = sol.y[4:]
         vj = orbit.jet(tg, max_deriv=1)
         pot = c.c0 - c.K * vj[0] ** (c.p - 1)
         potdot = -c.K * (c.p - 1) * vj[0] ** (c.p - 2) * vj[1]

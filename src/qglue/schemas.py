@@ -194,7 +194,17 @@ SUMMARY_SCHEMAS = {
                                "exponents": _numarr,
                                "jordanFlags": {"type": "array",
                                                "items": {"type": "boolean"}},
-                               "frequencies": _numarr},
+                               "frequencies": _numarr,
+                               "detDefect": {
+                                   "type": ["number", "null"],
+                                   "description":
+                                   "|det M - 1| of the one-period flow M, "
+                                   "with det M accumulated over its 24 "
+                                   "subinterval factors; the flow preserves "
+                                   "the boundary pairing, so det M = 1.  "
+                                   "null for the constant orbit, whose "
+                                   "exponents come from the characteristic "
+                                   "quartic without integrating a flow"}},
             }},
         },
     },

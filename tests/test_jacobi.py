@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
+from qglue import derive_constants, solve_orbit
 from qglue.errors import DomainError
 from qglue.jacobi import (ModeOperator, mode_apply, monodromy, monodromy_data,
                           indicial_roots, generators, orbit_sensitivities,
                           symplectic_pairing, CutoffSpec, deficiency_basis,
-                          deficiency_gram, smooth_step)
+                          deficiency_gram, smooth_step, _pairing_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +162,79 @@ class TestMonodromy:
             assert data.detFactored == pytest.approx(1.0, abs=1e-8)
 
 
+def integrated_backward(op, t0, n_sub=24, tol=1e-12):
+    """One-period backward flow of the mode system from t0, integrated over
+    n_sub subintervals with the orbit's interpolant in the right-hand
+    side."""
+    def rhs(t, y):
+        Y = y.reshape(4, 4)
+        return np.concatenate(
+            [Y[1:], [op.A * Y[2] - op.potential(t) * Y[0]]]).reshape(-1)
+
+    edges = t0 - np.linspace(0.0, op.orbit.period, n_sub + 1)
+    M = np.eye(4)
+    for k in range(n_sub):
+        r = solve_ivp(rhs, (edges[k], edges[k + 1]), np.eye(4).reshape(-1),
+                      method="DOP853", rtol=tol, atol=tol)
+        assert r.success
+        M = r.y[:, -1].reshape(4, 4) @ M
+    return M
+
+
+def dominant_exponents(M, T):
+    """log|mu| / T of the two largest multipliers of M, largest first."""
+    return np.log(np.sort(np.abs(np.linalg.eigvals(M)))[::-1][:2]) / T
+
+
+class TestSymplecticInverse:
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("frac", [0.0, 0.7])
+    def test_backward_matches_integrated_sweep(self, orbit05, l, frac):
+        op = ModeOperator(orbit05, orbit05.constants.lam(l))
+        t0 = frac * orbit05.period
+        data = monodromy_data(op, t0=t0)
+        Mb = integrated_backward(op, t0)
+        scale = np.linalg.norm(data.matrix, 2)
+        assert np.linalg.norm(data.backward - Mb, 2) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_flow_preserves_pairing(self, orbit05, l):
+        op = ModeOperator(orbit05, orbit05.constants.lam(l))
+        M = monodromy_data(op, t0=0.7 * orbit05.period).matrix
+        Om = _pairing_matrix(op.A)
+        assert (np.linalg.norm(M.T @ Om @ M - Om, 2)
+                <= 1e-15 * np.linalg.norm(M, 2) ** 2)
+
+    def test_pairing_matrix_matches_symplectic_pairing(self, orbit05):
+        op = ModeOperator(orbit05, orbit05.constants.lam(2))
+        rng = np.random.default_rng(3)
+        a, b = rng.standard_normal((2, 4))
+        assert a @ _pairing_matrix(op.A) @ b == pytest.approx(
+            symplectic_pairing(op, a, b, 0.0), rel=1e-14)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(5, 9), frac=st.floats(0.3, 0.9))
+    def test_floquet_structure_across_family(self, n, frac):
+        # det M = 1, and the dominant multipliers of the forward flow are
+        # those of the independently integrated backward flow, i.e. the
+        # multipliers come in reciprocal pairs.  Mode 0's second pair is a
+        # Jordan block at 1, which rounding of size d splits by sqrt(d).
+        consts = derive_constants(n)
+        orbit = solve_orbit(consts, frac * consts.epsBar)
+        T = orbit.period
+        for l in (0, 1, 2):
+            op = ModeOperator(orbit, consts.lam(l))
+            data = monodromy_data(op)
+            assert abs(data.detFactored - 1.0) <= 1e-8
+            fw = dominant_exponents(data.matrix, T)
+            bw = dominant_exponents(integrated_backward(op, 0.0), T)
+            assert fw[0] == pytest.approx(bw[0], rel=1e-6)
+            if l == 0:
+                assert max(abs(fw[1]), abs(bw[1])) <= 1e-3
+            else:
+                assert fw[1] == pytest.approx(bw[1], rel=1e-5)
+
+
 class TestIndicialRoots:
     def test_constant_orbit_closed_forms(self, orbit_cache, consts5):
         orb = orbit_cache(consts5.epsBar)
@@ -196,6 +272,27 @@ class TestIndicialRoots:
         for entry in spec.perMode:
             e = np.array(entry["exponents"])
             np.testing.assert_allclose(np.sort(e), np.sort(-e), atol=1e-9)
+
+    def test_neutral_pair_has_zero_frequency(self, orbit05):
+        entry = indicial_roots(orbit05, [0]).perMode[0]
+        neutral = [f for x, f in zip(entry["exponents"], entry["frequencies"])
+                   if x == 0.0]
+        assert len(neutral) == 2 and neutral == [0.0, 0.0]
+
+    def test_frequencies_follow_exponents_at_constant_orbit(
+            self, orbit_cache, consts5):
+        # mode 0 at epsBar: real roots +-2.8376651, imaginary +-1.2459306 i
+        entry = indicial_roots(orbit_cache(consts5.epsBar), [0]).perMode[0]
+        np.testing.assert_allclose(entry["frequencies"],
+                                   [0.0, 1.2459306, 1.2459306, 0.0],
+                                   atol=1e-6)
+
+    def test_det_defect(self, orbit05, orbit_cache, consts5):
+        spec = indicial_roots(orbit05, [0, 1, 2])
+        for entry in spec.to_json()["modes"]:
+            assert 0.0 <= entry["detDefect"] <= 1e-8
+        const = indicial_roots(orbit_cache(consts5.epsBar), [0])
+        assert const.to_json()["modes"][0]["detDefect"] is None
 
     def test_jordan_flag_at_interior_orbit(self, orbit05):
         spec = indicial_roots(orbit05, [0])
