@@ -332,22 +332,38 @@ class DelaunayOrbit:
             return cls.from_json(json.load(f))
 
 
-def _half_period_interp(consts, eps, s, T, nodes=1025, tol=1e-13):
-    """Quintic Hermite interpolants of derivatives 0..3 on [0, T/2].
+HALF_PERIOD_NODES = 1025  # interpolation nodes on a half period
+STEP_NODES = 8            # node spacings per integrator step, at most
+
+
+def _half_period_nodes(rhs, y0, half, failure):
+    """The nodes of [0, half] and the states at them of the solution of
+    y' = rhs(t, y) with y(0) = y0.
+
+    One DOP853 run at tolerance 1e-13 with its step capped at STEP_NODES
+    node spacings; the node states come from its dense output, which
+    without the cap is far less accurate than the steps themselves.  Raises
+    NumericalError(failure) when the run fails."""
+    tgrid = np.linspace(0.0, half, HALF_PERIOD_NODES)
+    sol = solve_ivp(rhs, (0.0, half), y0, method="DOP853", rtol=1e-13,
+                    atol=1e-13, t_eval=tgrid,
+                    max_step=STEP_NODES * half / (HALF_PERIOD_NODES - 1))
+    if not sol.success or sol.y.shape[1] != HALF_PERIOD_NODES:
+        raise NumericalError(failure)
+    return tgrid, sol.y
+
+
+def _half_period_interp(consts, eps, s, T):
+    """Quintic Hermite interpolants of derivatives 0..3 on [0, T/2], built
+    on _half_period_nodes, and the integrated state at T/2.
 
     Each component gets its own interpolant built from its sampled value and
     the next two sampled (or ODE-supplied) derivatives, so every component
     keeps sample-level accuracy; differentiating a single value interpolant
     would amplify integrator noise by a power of the node spacing."""
-    half = T / 2.0
-    tgrid = np.linspace(0.0, half, nodes)
-    rhs = _rhs_arrays(consts)
-    sol = solve_ivp(rhs, (0.0, half), [eps, 0.0, s, 0.0], method="DOP853",
-                    rtol=tol, atol=tol, t_eval=tgrid,
-                    max_step=half / (nodes - 1))
-    if not sol.success or sol.y.shape[1] != nodes:
-        raise NumericalError("half-period integration failed")
-    v, v1, v2, v3 = (c.copy() for c in sol.y)
+    tgrid, y = _half_period_nodes(_rhs_arrays(consts), [eps, 0.0, s, 0.0],
+                                  T / 2.0, "half-period integration failed")
+    v, v1, v2, v3 = (c.copy() for c in y)
     # symmetry pins the odd derivatives at both ends of a half period
     v1[0] = v3[0] = 0.0
     v1[-1] = v3[-1] = 0.0
@@ -356,7 +372,7 @@ def _half_period_interp(consts, eps, s, T, nodes=1025, tol=1e-13):
           + consts.cN * consts.p * v ** (consts.p - 1) * v1)
     comps = [(v, v1, v2), (v1, v2, v3), (v2, v3, v4), (v3, v4, v5)]
     interp = [quintic_hermite(tgrid, jets) for jets in comps]
-    return interp, sol.y[:, -1]
+    return interp, y[:, -1]
 
 
 def _constant_orbit(consts):
@@ -377,9 +393,10 @@ def _constant_orbit(consts):
         diagnostics={"omega0": omega0}, nSamples=0, _interp=None)
 
 
-def _first_max(consts, eps, s, tmax=120.0, tol=1e-13):
+def _first_max(consts, eps, s, tmax=120.0, tol=1e-9):
     """Integrate until the first interior maximum (vdot = 0 crossing downward)
-    or an escape; returns (kind, t)."""
+    or an escape; returns (kind, t).  Only the kind steers the bisection and
+    Newton refines the time, so the tolerance is loose."""
     rhs = _rhs_arrays(consts)
 
     def ev_max(t, y):
@@ -422,13 +439,20 @@ def _joint_rhs(consts):
     return rhs
 
 
+def _shooting_jacobian(consts, v, w):
+    """Jacobian of the half-period conditions (v'(tau), v'''(tau)) in
+    (s, tau), [[w'(tau), v''(tau)], [w'''(tau), v''''(tau)]], from the jets
+    v of the orbit and w of its s-derivative at tau."""
+    v4 = consts.c2 * v[2] - consts.c0 * v[0] + consts.cN * v[0] ** consts.p
+    return np.array([[w[1], v[2]], [w[3], v4]])
+
+
 def _newton_shoot(consts, eps, s, tau):
     """Newton's method on the half-period conditions v'(tau) = v'''(tau) = 0
     for the orbit with v(0) = eps, v''(0) = s and v'(0) = v'''(0) = 0.
 
     Each step integrates the orbit with its s-derivative w from 0 to tau;
-    the Jacobian of (v'(tau), v'''(tau)) in (s, tau) is
-    [[w'(tau), v''(tau)], [w'''(tau), v''''(tau)]].  Stops when the relative
+    the Jacobian in (s, tau) is _shooting_jacobian.  Stops when the relative
     step falls below 1e-15, or stops decreasing after falling below 1e-10
     (the integration's rounding floor).  Returns (s, tau), or None when an
     integration fails or the steps do not settle within 40 iterations."""
@@ -442,10 +466,9 @@ def _newton_shoot(consts, eps, s, tau):
         y = sol.y[:, -1]
         if not sol.success or not np.all(np.isfinite(y)) or y[0] <= 0:
             return None
-        v4 = c.c2 * y[2] - c.c0 * y[0] + c.cN * y[0] ** c.p
-        jac = np.array([[y[5], y[2]], [y[7], v4]])
         try:
-            ds, dtau = np.linalg.solve(jac, [-y[1], -y[3]])
+            ds, dtau = np.linalg.solve(_shooting_jacobian(c, y[:4], y[4:]),
+                                       [-y[1], -y[3]])
         except np.linalg.LinAlgError:
             return None
         s, tau = s + ds, tau + dtau
@@ -469,7 +492,7 @@ def _build_orbit(consts, eps, s, T, diagnostics=None):
     orbit = DelaunayOrbit(
         constants=consts, eps=eps, period=T, vDdot0=s,
         hamiltonianValue=H, isConstant=False, diagnostics=diags,
-        nSamples=1025, _interp=interp)
+        nSamples=HALF_PERIOD_NODES, _interp=interp)
     # round-trip periodicity of the representation
     st_T = orbit.state(T).array()
     diags["periodicityDefect"] = float(np.max(np.abs(st_T - state0.array())))
@@ -485,11 +508,12 @@ def solve_orbit(n_or_consts, eps):
     The unknowns are s = v''(0) and tau = T/2, the conditions
     v'(tau) = v'''(tau) = 0; by the reflection symmetry of the equation
     they close the orbit.  Bisection on the kind of _first_max (an interior
-    maximum below the orbit's s, an upward escape above it) brackets s to
-    relative width 1e-4, and Newton starts from the lower end and the time
-    of its first maximum.  tau = 0 solves the conditions for every s, so a
-    result counts only if tau stays within a factor 2 of that start;
-    otherwise the bracket is tightened 100-fold and Newton restarts.
+    maximum below the orbit's s, an upward escape above it), classified by
+    integrations at tolerance 1e-9, brackets s to relative width 1e-4, and
+    Newton, whose integrations run at 1e-13, starts from the lower end and
+    the time of its first maximum.  tau = 0 solves the conditions for every
+    s, so a result counts only if tau stays within a factor 2 of that
+    start; otherwise the bracket is tightened 100-fold and Newton restarts.
     eps = epsBar returns the constant orbit with the linearization period.
     """
     consts = (n_or_consts if isinstance(n_or_consts, GaugeConstants)

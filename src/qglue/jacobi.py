@@ -12,13 +12,14 @@ from scipy.integrate import solve_ivp
 from .errors import DomainError, NumericalError
 from .fd import apply_derivative
 from .gauges import CylField
-from .delaunay import (DelaunayOrbit, _joint_rhs, quintic_hermite,
-                       sample_contiguous, solve_orbit)
+from .delaunay import (DelaunayOrbit, _half_period_nodes,
+                       _shooting_jacobian, quintic_hermite, sample_contiguous,
+                       solve_orbit)
 
 __all__ = [
     "ModeOperator", "mode_apply", "monodromy", "MonodromyData",
     "monodromy_data", "IndicialSpectrum", "indicial_roots",
-    "orbit_sensitivities", "VariationalField", "JacobiBasis", "generators",
+    "VariationalField", "JacobiBasis", "generators",
     "symplectic_pairing", "CutoffSpec", "DeficiencyField", "deficiency_basis",
     "deficiency_gram",
 ]
@@ -264,58 +265,39 @@ def indicial_roots(orbit, degrees=None, n_sub=24, tol=1e-12):
 # family sensitivities and the variational solution
 
 
-def orbit_sensitivities(orbit, n_sub=24, tol=1e-13):
-    """(ds/deps, dT/deps) of the shooting data along the orbit family.
-
-    Differentiating the periodicity of the family in the necksize gives
-    (M - I) zeta0 + T' F0 = 0 with zeta0 = (1, 0, ds/deps, 0) and F0 the
-    phase direction at the minimum; solved least-squares against the
-    one-period flow M, this pins both sensitivities to near machine accuracy
-    without extra orbit solves.
-    """
-    if orbit.isConstant:
-        raise DomainError("sensitivities undefined at the family endpoint")
-    consts = orbit.constants
-    M = monodromy_data(ModeOperator(orbit, 0.0), n_sub=n_sub, tol=tol).matrix
-    F0 = orbit.jet(0.0, max_deriv=4)[1:5]
-    A = np.stack([(M - np.eye(4))[:, 2], F0], axis=1)
-    rhsv = -(M - np.eye(4))[:, 0]
-    sol, *_ = np.linalg.lstsq(A, rhsv, rcond=None)
-    ds_deps = float(sol[0])
-    dT_deps = float(sol[1])
-    return ds_deps, dT_deps
-
-
 class VariationalField:
     """The necksize derivative of the orbit as a function of t, with full
-    jets.
+    jets, and the family sensitivities dsdEps = ds/deps, dTdEps = dT/deps.
 
-    Integrated on half a period jointly with the orbit, from
-    (eps, 0, s, 0) and (1, 0, ds/deps, 0), with a step cap of one node
-    spacing so the nodes come from the integrator; extended by the family
-    structure:
+    One pass over delaunay's half-period nodes integrates the orbit from
+    (eps, 0, s, 0) jointly with its eps-derivative w_eps from (1, 0, 0, 0)
+    and its s-derivative w_s from (0, 0, 1, 0).  At tau = T/2 the implicit
+    function theorem on the half-period conditions v'(tau) = v'''(tau) = 0
+    gives J (ds/deps, dtau/deps) = -(w_eps'(tau), w_eps'''(tau)), with J
+    the shooting Jacobian, and dT/deps = 2 dtau/deps.  The field's nodes
+    are w_eps + (ds/deps) w_s; it is extended by the family structure:
       phi(t + kT) = phi(t) - k T' vdot(t)
       phi(t)      = phi(T-t) + T' vdot(T-t)   for t in [T/2, T].
     """
 
-    def __init__(self, orbit, ds_deps, dT_deps, nodes=1025, tol=1e-13):
+    def __init__(self, orbit):
         self.orbit = orbit
-        self.dsdEps = ds_deps
-        self.dTdEps = dT_deps
         c = orbit.constants
-        half = orbit.period / 2.0
-        tg = np.linspace(0.0, half, nodes)
-        sol = solve_ivp(_joint_rhs(c), (0.0, half),
-                        [orbit.eps, 0.0, orbit.vDdot0, 0.0,
-                         1.0, 0.0, ds_deps, 0.0],
-                        method="DOP853", rtol=tol, atol=tol, t_eval=tg,
-                        max_step=half / (nodes - 1))
-        if not sol.success:
-            raise NumericalError("variational integration failed")
-        w, w1, w2, w3 = sol.y[4:]
-        vj = orbit.jet(tg, max_deriv=1)
-        pot = c.c0 - c.K * vj[0] ** (c.p - 1)
-        potdot = -c.K * (c.p - 1) * vj[0] ** (c.p - 2) * vj[1]
+        y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0,
+              1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+        tg, y = _half_period_nodes(_mode_flow_rhs(ModeOperator(orbit, 0.0)),
+                                   y0, orbit.period / 2.0,
+                                   "variational integration failed")
+        v = y[:4]
+        # jet rows are (4, 2): column 0 is w_eps, column 1 is w_s
+        w_eps, w_s = np.moveaxis(y[4:].reshape(4, 2, -1), 1, 0)
+        ds_deps, dtau_deps = np.linalg.solve(
+            _shooting_jacobian(c, v[:, -1], w_s[:, -1]), -w_eps[[1, 3], -1])
+        self.dsdEps = float(ds_deps)
+        self.dTdEps = 2.0 * float(dtau_deps)
+        w, w1, w2, w3 = w_eps + ds_deps * w_s
+        pot = c.c0 - c.K * v[0] ** (c.p - 1)
+        potdot = -c.K * (c.p - 1) * v[0] ** (c.p - 2) * v[1]
         w4 = c.c2 * w2 - pot * w
         w5 = c.c2 * w3 - pot * w1 - potdot * w
         comps = [(w, w1, w2), (w1, w2, w3), (w2, w3, w4), (w3, w4, w5)]
@@ -330,8 +312,8 @@ class VariationalField:
         is all residual-grade checks need."""
         orbit = self.orbit
         y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0, 1.0, 0.0, self.dsdEps, 0.0]
-        return sample_contiguous(_joint_rhs(orbit.constants), 0.0, y0, tgrid,
-                                 tol, orbit.period / 512.0,
+        return sample_contiguous(_mode_flow_rhs(ModeOperator(orbit, 0.0)),
+                                 0.0, y0, tgrid, tol, orbit.period / 512.0,
                                  "variational sampling failed")[4:]
 
     def jet(self, t, max_deriv=3):
@@ -453,17 +435,17 @@ class JacobiBasis:
 def generators(orbit, d_eps=1e-4, validate=True):
     """All generator solutions of the linearized equation about the orbit.
 
-    The necksize derivative is integrated from monodromy-derived initial data
-    (variational route) and, when `validate` is set, cross-checked against
-    centered differences of neighboring shooting orbits; the max discrepancy
-    over one period is recorded, with the centered difference of the energy
-    along the family.
+    The necksize derivative and the sensitivities dsdEps, dTdEps come from
+    one VariationalField pass (the shooting Jacobian and the implicit
+    function theorem, no monodromy).  When `validate` is set, the field is
+    cross-checked against centered differences of neighboring shooting
+    orbits; the max discrepancy over one period is recorded, with the
+    centered difference of the energy along the family.
     """
     if orbit.isConstant:
         raise DomainError("generators need an interior orbit; the constant "
                           "orbit has a degenerate phase derivative")
-    ds_deps, dT_deps = orbit_sensitivities(orbit)
-    var = VariationalField(orbit, ds_deps, dT_deps)
+    var = VariationalField(orbit)
     cross = dH = float("nan")
     if validate:
         consts = orbit.constants
@@ -474,8 +456,9 @@ def generators(orbit, d_eps=1e-4, validate=True):
         fd = (hi.eval(ts, 0) - lo.eval(ts, 0)) / (2.0 * d_eps)
         cross = float(np.max(np.abs(var.jet(ts, 0)[0] - fd)))
         dH = (hi.hamiltonianValue - lo.hamiltonianValue) / (2.0 * d_eps)
-    return JacobiBasis(orbit=orbit, varField=var, dsdEps=ds_deps,
-                       dTdEps=dT_deps, crossValidationError=cross, dHdEps=dH)
+    return JacobiBasis(orbit=orbit, varField=var, dsdEps=var.dsdEps,
+                       dTdEps=var.dTdEps, crossValidationError=cross,
+                       dHdEps=dH)
 
 
 # ----------------------------------------------------------------------

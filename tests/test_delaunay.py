@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
 from qglue.delaunay import (OdeState, ode_rhs, hamiltonian, integrate,
@@ -287,3 +288,51 @@ class TestSampleWindow:
         first = t <= T
         assert np.max(np.abs(states[0, first]
                              - orbit05.eval(t[first], 0))) < 1e-6
+
+
+def reference_jets(consts, y0, half, t):
+    """States at t in [0, half] of the orbit jointly with one solution of its
+    linearization (components 4..7), from a DOP853 run far tighter than the
+    half-period node pass: tolerance 2.3e-14 and step cap half / 8192."""
+    c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
+
+    def rhs(_, y):
+        v = y[0]
+        return [y[1], y[2], y[3], c2 * y[2] - c0 * v + cN * v ** p,
+                y[5], y[6], y[7], c2 * y[6] - (c0 - K * v ** (p - 1)) * y[4]]
+
+    sol = solve_ivp(rhs, (0.0, half), y0, method="DOP853", rtol=2.3e-14,
+                    atol=2.3e-14, t_eval=t, max_step=half / 8192)
+    assert sol.success
+    return sol.y
+
+
+def assert_jet_close(jet, ref):
+    for k, bound in ((0, 1e-11), (3, 1e-9)):
+        scale = np.max(np.abs(ref[k]))
+        assert np.max(np.abs(jet[k] - ref[k])) <= bound * scale, k
+
+
+class TestHalfPeriodNodes:
+    """The node pass caps its step so that its dense output, and with it
+    every interpolant built on the nodes, keeps integration accuracy."""
+
+    @pytest.mark.parametrize("frac", [None, 0.3])
+    def test_orbit_jets(self, orbit_cache, consts5, frac):
+        orb = orbit_cache(0.5 if frac is None else frac * consts5.epsBar)
+        half = orb.period / 2
+        t = np.linspace(0.0, half, 3001)
+        ref = reference_jets(orb.constants,
+                             [orb.eps, 0.0, orb.vDdot0, 0.0] + [0.0] * 4,
+                             half, t)
+        assert_jet_close(orb.jet(t), ref[:4])
+
+    def test_variational_field_jets(self, orbit05):
+        from qglue.jacobi import VariationalField
+        var = VariationalField(orbit05)
+        half = orbit05.period / 2
+        t = np.linspace(0.0, half, 3001)
+        ref = reference_jets(orbit05.constants,
+                             [orbit05.eps, 0.0, orbit05.vDdot0, 0.0,
+                              1.0, 0.0, var.dsdEps, 0.0], half, t)
+        assert_jet_close(var.jet(t), ref[4:])

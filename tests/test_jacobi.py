@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 from qglue import derive_constants, solve_orbit
 from qglue.errors import DomainError
 from qglue.jacobi import (ModeOperator, mode_apply, monodromy, monodromy_data,
-                          indicial_roots, generators, orbit_sensitivities,
+                          indicial_roots, generators,
                           symplectic_pairing, CutoffSpec, deficiency_basis,
                           deficiency_gram, smooth_step, _pairing_matrix)
 
@@ -122,11 +122,44 @@ class TestGenerators:
 
 
 def basis_ds(orbit):
-    return orbit_sensitivities(orbit)[0]
+    return generators(orbit, validate=False).dsdEps
 
 
 def basis_dT(orbit):
-    return orbit_sensitivities(orbit)[1]
+    return generators(orbit, validate=False).dTdEps
+
+
+def richardson_sensitivities(n, eps):
+    """(ds/deps, dT/deps) from centred differences of solve_orbit at
+    h = 2e-3 eps and h / 2, Richardson-extrapolated."""
+    def centred(h):
+        hi, lo = solve_orbit(n, eps + h), solve_orbit(n, eps - h)
+        return np.array([hi.vDdot0 - lo.vDdot0,
+                         hi.period - lo.period]) / (2 * h)
+
+    h = 2e-3 * eps
+    return (4 * centred(h / 2) - centred(h)) / 3
+
+
+class TestSensitivities:
+    # the implicit function theorem on the half-period conditions; the
+    # one-period monodromy route was off by up to 7e-7 at (5, 0.3 epsBar)
+    @pytest.mark.parametrize("n, frac", [(5, 0.3), (7, 0.1)])
+    def test_match_richardson_differences(self, orbit_cache, n, frac):
+        eps = frac * derive_constants(n).epsBar
+        basis = generators(orbit_cache(eps, n=n), validate=False)
+        ds, dT = richardson_sensitivities(n, eps)
+        assert basis.dsdEps == pytest.approx(ds, rel=1e-9, abs=0)
+        assert basis.dTdEps == pytest.approx(dT, rel=1e-9, abs=0)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(5, 9), frac=st.floats(0.1, 0.9))
+    def test_across_family(self, n, frac):
+        eps = frac * derive_constants(n).epsBar
+        basis = generators(solve_orbit(n, eps), validate=False)
+        ds, dT = richardson_sensitivities(n, eps)
+        assert basis.dsdEps == pytest.approx(ds, rel=1e-8, abs=0)
+        assert basis.dTdEps == pytest.approx(dT, rel=1e-8, abs=0)
 
 
 class TestMonodromy:
