@@ -7,9 +7,7 @@ from .errors import (DomainError, NumericalError, IllConditionedError,
 from .gauges import (GaugeConstants, derive_constants, CylField,
                      emden_fowler_forward, emden_fowler_inverse, kelvin,
                      kelvin_cyl, paneitz_cyl_apply, q_residual)
-from .delaunay import (OdeState, ode_rhs, hamiltonian, integrate,
-                       DelaunayOrbit, solve_orbit, FamilyParams, eval_family,
-                       expansion_error)
-from .jacobi import (ModeOperator, mode_apply, monodromy, indicial_roots,
-                     generators, symplectic_pairing, deficiency_basis,
-                     deficiency_gram)
+from .delaunay import (hamiltonian, DelaunayOrbit, solve_orbit, FamilyParams,
+                       eval_family, expansion_error)
+from .jacobi import (ModeOperator, mode_apply, indicial_roots, generators,
+                     symplectic_pairing)

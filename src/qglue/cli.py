@@ -37,18 +37,19 @@ def _write_csv(path, header, rows):
                               for x in row) + "\n")
 
 
-def _orbit_residual(orbit, grid_per_period=128, acc=10):
+def _orbit_residual(orbit):
     """Sup residual of the sampled orbit over one period, via exact
-    (step-capped) sampling and centered stencils with padding."""
+    (step-capped) sampling at 128 points per period and order-10 centered
+    stencils with padding."""
     consts = orbit.constants
     T = orbit.period
-    npts = grid_per_period
+    npts = 128
     h = T / npts
     pad = 8
     tg = (np.arange(-pad, npts + pad + 1)) * h
     vals = orbit.sample_exact(tg)
     fld = CylField.mode0(consts, tg, vals)
-    res = q_residual(fld, acc=acc, trim=pad)
+    res = q_residual(fld, acc=10, trim=pad)
     return res.supResidual
 
 
@@ -58,8 +59,10 @@ def _shooting_mismatch(orbit):
     return float(max(orbit.diagnostics.get("halfTurnOddDerivs", [0.0])))
 
 
-def _orbit_summary(orbit, with_residual=True):
-    doc = {
+def _orbit_summary(orbit):
+    ts = np.linspace(0.0, orbit.period, 129)
+    H = np.array([hamiltonian(orbit.jet(t), orbit.constants) for t in ts])
+    return {
         "command": "orbit",
         "n": orbit.constants.n,
         "eps": orbit.eps,
@@ -67,19 +70,12 @@ def _orbit_summary(orbit, with_residual=True):
         "vDdot0": orbit.vDdot0,
         "hamiltonian": orbit.hamiltonianValue,
         "isConstant": orbit.isConstant,
-        "periodicityDefect": float(orbit.diagnostics.get("periodicityDefect",
-                                                         0.0)),
         "minDefect": float(orbit.diagnostics.get("minDefect", 0.0)),
         "shootingMismatch": _shooting_mismatch(orbit),
+        "residualSup": _orbit_residual(orbit),
+        "hamiltonianDrift": float(np.max(np.abs(H - H[0]))
+                                  / max(abs(H[0]), 1e-300)),
     }
-    if with_residual:
-        doc["residualSup"] = _orbit_residual(orbit)
-        ts = np.linspace(0.0, orbit.period, 129)
-        H = np.array([hamiltonian(orbit.state(t), orbit.constants)
-                      for t in ts])
-        doc["hamiltonianDrift"] = float(np.max(np.abs(H - H[0]))
-                                        / max(abs(H[0]), 1e-300))
-    return doc
 
 
 def cmd_constants(params, out):
@@ -105,8 +101,6 @@ def cmd_sweep(params, out):
             "eps": orbit.eps, "period": orbit.period,
             "hamiltonian": orbit.hamiltonianValue,
             "residualSup": _orbit_residual(orbit),
-            "periodicityDefect": float(
-                orbit.diagnostics.get("periodicityDefect", 0.0)),
             "shootingMismatch": _shooting_mismatch(orbit),
         })
         H.append(orbit.hamiltonianValue)
@@ -144,13 +138,12 @@ def cmd_jacobi(params, out):
     residuals = {}
     rates = {}
     for tag, sign, deg in basis.fields():
-        slot = 0 if tag == "0" else 1
         op = ModeOperator(orbit, orbit.constants.lam(deg))
-        w = basis.profile(slot, sign, tg)
+        w = basis.profile(deg, sign, tg)
         r = mode_apply(op, tg, w)
         trim = 8
         residuals[tag + sign] = float(np.max(np.abs(r[trim:-trim])))
-        rates[tag + sign] = basis.measured_rate(slot, sign)
+        rates[tag + sign] = basis.measured_rate(deg, sign)
     op0 = ModeOperator(orbit, 0.0)
     ts = np.linspace(0.0, T, 33)
     om = np.array([symplectic_pairing(

@@ -28,11 +28,11 @@ from .gauges import (CylField, angular_basis, paneitz_mode_apply,
 from .delaunay import sample_contiguous
 from .jacobi import (CutoffSpec, ModeOperator, _mode_flow_rhs,
                      monodromy_data, generators, dominant_direction)
-from .gluing import ApproxSolution, defect, log_annulus_weight, \
-    stable_power_remainder, weighted_norm
+from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
+    log_annulus_weight, stable_power_remainder, weighted_norm
 
 __all__ = [
-    "DiscreteJacobi", "discretize", "BorderedSystem", "bordered_system",
+    "discretize", "BorderedSystem", "bordered_system",
     "solve_right_inverse", "RightInverseResult", "remainder", "iterate",
     "IterationTrace", "IterateResult", "estimate_g_norm",
     "nondegeneracy_diag", "NondegeneracyResult", "linear_apply",
@@ -61,7 +61,7 @@ def _coupling_tensor(background, degrees):
     return C
 
 
-def linear_apply(background, u, acc=8):
+def linear_apply(background, u):
     """Linearization of the curvature operator about `background` applied to
     u: per-mode derivative parts minus K times the pointwise-potential
     coupling (quadrature projected)."""
@@ -71,7 +71,8 @@ def linear_apply(background, u, acc=8):
     coeff = u.coeff_matrix()
     out = {}
     for a, l in enumerate(degrees):
-        lin = paneitz_mode_apply(consts, consts.lam(l), coeff[a], u.h, acc=acc)
+        lin = paneitz_mode_apply(consts, consts.lam(l), coeff[a], u.h,
+                                 acc=STENCIL_ORDER)
         pot = np.zeros_like(coeff[a])
         for b in range(len(degrees)):
             pot += C[a, b] * coeff[b]
@@ -83,17 +84,9 @@ def linear_apply(background, u, acc=8):
 # clamped discretization
 
 
-@dataclass
-class DiscreteJacobi:
-    """Per-mode banded matrices of the linearized operator on the grid, with
-    boundary rows clamping w and w' at both ends."""
-
-    matrix: np.ndarray        # assembled square matrix with clamp rows
-    clamp_rows: tuple         # row indices replaced by boundary conditions
-
-
-def discretize(approx, degrees=None, acc=8):
-    """Assemble the per-mode operator matrices about the blended solution.
+def discretize(approx, degrees=None):
+    """The square matrix of the linearized operator about the blended
+    solution on the grid, one banded block per mode.
 
     Derivative terms are mode-diagonal; the potential couples modes through
     the quadrature projection of v_m^{p-1}.  Rows {0, 1, N-2, N-1} of each
@@ -105,28 +98,26 @@ def discretize(approx, degrees=None, acc=8):
     consts = approx.config.constants
     N = len(approx.s)
     h = approx.field.h
-    if N < stencil_size(4, acc):
+    if N < stencil_size(4, STENCIL_ORDER):
         raise DomainError("grid too coarse for the requested stencil order")
     C = _coupling_tensor(approx.field, degrees)
     L1 = len(degrees)
     matrix = np.zeros((L1 * N, L1 * N))
     diag = np.arange(N)
-    jl = jet_rows(N, h, 0, max_deriv=1, acc=acc)
-    jr = jet_rows(N, h, N - 1, max_deriv=1, acc=acc)
+    jl = jet_rows(N, h, 0, max_deriv=1, acc=STENCIL_ORDER)
+    jr = jet_rows(N, h, N - 1, max_deriv=1, acc=STENCIL_ORDER)
     clamps = ((0, jl[0]), (1, jl[1]), (N - 2, jr[1]), (N - 1, jr[0]))
-    clamp = []
     for a, l in enumerate(degrees):
         base = a * N
         block = slice(base, base + N)
         matrix[block, block] = paneitz_mode_matrix(consts, consts.lam(l), N,
-                                                   h, acc=acc)
+                                                   h, acc=STENCIL_ORDER)
         for b in range(L1):
             matrix[base + diag, b * N + diag] -= consts.K * C[a, b]
         for i, cond in clamps:
             matrix[base + i, :] = 0.0
             matrix[base + i, block] = cond
-            clamp.append(base + i)
-    return DiscreteJacobi(matrix=matrix, clamp_rows=tuple(clamp))
+    return matrix
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +153,6 @@ class BorderedSystem:
 
     approx: ApproxSolution
     degrees: tuple
-    acc: int
     matrix: np.ndarray
     row_scale: np.ndarray
     borders: list             # per mode: _ModeBorder, orbit side only
@@ -225,17 +215,17 @@ def _inv_norm1(lu):
     return max(est, 2.0 * float(np.sum(np.abs(lu_solve(lu, alt)))) / (3 * n))
 
 
-def _window_solution(op, t0, t_nodes, jet0, tol=1e-13):
+def _window_solution(op, t0, t_nodes, jet0):
     """Sample the mode-ODE solution with initial jet `jet0` at t0 over the
     window nodes (any direction), integrated jointly with the orbit from its
     jet at t0; windows are about a stencil wide, so both decaying and
     growing directions stay representable."""
     y0 = np.concatenate([op.orbit.jet(t0, max_deriv=3), jet0])
-    return sample_contiguous(_mode_flow_rhs(op), t0, y0, t_nodes, tol, np.inf,
+    return sample_contiguous(_mode_flow_rhs(op), t0, y0, t_nodes, np.inf,
                              "window sampling of a frame solution failed")[4]
 
 
-def _mode_border(approx, basis, l, acc):
+def _mode_border(approx, basis, l):
     """Jet-condition rows, deficiency columns and gauge rows of mode l: the
     orbit side of the bordered system, which depends on the orbit, the
     overlap and the grid but not on the background field.
@@ -244,7 +234,7 @@ def _mode_border(approx, basis, l, acc):
     an actual solution over the end window and its jet extracted with the
     same one-sided stencils the condition rows use, so the rows annihilate
     sampled solutions exactly.  (With analytic jets the extraction truncation
-    of the steep directions, (gamma h)^acc, lets the solve hide an amplified
+    of the steep directions, (gamma h)^8, lets the solve hide an amplified
     spurious boundary layer of that relative size.)
 
     Gauge rows fix the bounded-null-space freedom by minimizing the
@@ -265,13 +255,13 @@ def _mode_border(approx, basis, l, acc):
     op = ModeOperator(orbit, consts.lam(l))
     thresh = np.exp(T / 2.0)
 
-    jl = jet_rows(N, h, 0, max_deriv=3, acc=acc)
-    jr = jet_rows(N, h, N - 1, max_deriv=3, acc=acc)
+    jl = jet_rows(N, h, 0, max_deriv=3, acc=STENCIL_ORDER)
+    jr = jet_rows(N, h, N - 1, max_deriv=3, acc=STENCIL_ORDER)
 
     has_deficiency = l <= 1
     n_dec = 1 if has_deficiency else 2
 
-    win = stencil_size(3, acc)
+    win = stencil_size(3, STENCIL_ORDER)
     frames = {}
     for side, i_end, jet in (("L", 0, jl), ("R", N - 1, jr)):
         end_s = s[i_end]
@@ -353,7 +343,7 @@ def _mode_border(approx, basis, l, acc):
                        labels=labels)
 
 
-def bordered_system(approx, degrees=None, acc=8):
+def bordered_system(approx, degrees=None):
     """Assemble the bordered right-inverse system about the blend: the
     orbit-side border of every mode, then the background rows."""
     if degrees is None:
@@ -362,11 +352,11 @@ def bordered_system(approx, degrees=None, acc=8):
     if approx.config.orbit.isConstant:
         raise DomainError("the bordered closure needs an interior orbit")
     basis = generators(approx.config.orbit, validate=False)
-    borders = [_mode_border(approx, basis, l, acc) for l in degrees]
-    return _background_system(approx, degrees, acc, borders)
+    borders = [_mode_border(approx, basis, l) for l in degrees]
+    return _background_system(approx, degrees, borders)
 
 
-def _background_system(approx, degrees, acc, borders):
+def _background_system(approx, degrees, borders):
     """The bordered system about approx.field with the given orbit-side
     borders: interior rows of the linearization (mode operator and
     potential coupling), the operator applied to the deficiency columns,
@@ -396,7 +386,8 @@ def _background_system(approx, degrees, acc, borders):
     pick = slice(2, N - 2)
     diag = np.arange(N - 4)
     for a, l in enumerate(degrees):
-        block = paneitz_mode_matrix(consts, consts.lam(l), N, h, acc=acc)
+        block = paneitz_mode_matrix(consts, consts.lam(l), N, h,
+                                    acc=STENCIL_ORDER)
         interior = slice(row, row + N - 4)
         interior_slices.append(interior)
         A[interior, vcol(a)] = block[pick]
@@ -411,7 +402,7 @@ def _background_system(approx, degrees, acc, borders):
                 # the stencil form linear_apply uses; block @ Bcols differs
                 # from it by rounding, up to 1e-16 sum|block||Bcols|
                 LB += np.stack([paneitz_mode_apply(consts, consts.lam(l), col,
-                                                   h, acc=acc)
+                                                   h, acc=STENCIL_ORDER)
                                 for col in bb.Bcols.T], axis=1)
             # potential coupling from the column's degree channel into mode a
             bidx = degrees.index(bb.l)
@@ -429,7 +420,7 @@ def _background_system(approx, degrees, acc, borders):
 
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0] = 1.0
-    return BorderedSystem(approx=approx, degrees=degrees, acc=acc,
+    return BorderedSystem(approx=approx, degrees=degrees,
                           matrix=A, row_scale=scale, borders=borders,
                           interior_slices=interior_slices)
 
@@ -493,7 +484,7 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
     vfield = CylField.from_modes(f.constants, f.t, vparts)
     ufield = CylField.from_modes(f.constants, f.t, uparts)
     # interior residual of the reconstructed solution
-    Lu = linear_apply(sys.approx.field, ufield, acc=sys.acc)
+    Lu = linear_apply(sys.approx.field, ufield)
     sup_f = max(np.max(np.abs(fv)) for fv in
                 ([have.get(l, zeros) for l in degrees]))
     num = 0.0
@@ -505,16 +496,17 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
                               relResidual=rel, cond=cond)
 
 
-def estimate_g_norm(approx, degrees=(0,), acc=8, n_probes=4, delta=1.5):
+def estimate_g_norm(approx, degrees=(0,), delta=1.5):
     """Operator-norm estimate of the right inverse from seeded smooth probe
     data, both norms weighted with the annulus weight at rate delta.
 
     Probe bumps sit at fixed distances from the domain ends (plus one at the
     neck middle) so the probe family is geometrically comparable across
-    overlap lengths; the estimate is a lower bound on the true norm, which is
-    what the stability-in-m comparison needs.
+    overlap lengths; three seeded draws of phase and frequency each.  The
+    estimate is a lower bound on the true norm, which is what the
+    stability-in-m comparison needs.
     """
-    sys = bordered_system(approx, degrees=degrees, acc=acc)
+    sys = bordered_system(approx, degrees=degrees)
     s = approx.s
     cfg = approx.config
     T = cfg.period
@@ -527,7 +519,7 @@ def estimate_g_norm(approx, degrees=(0,), acc=8, n_probes=4, delta=1.5):
     # the anchor: each bump then sees the same local problem at every m
     # (the backbone phase at a fixed end offset, and at s = 0, is
     # m-independent), so ratios are comparable across overlap lengths
-    for _ in range(n_probes):
+    for _ in range(3):
         phase = rng.uniform(0.0, 2 * np.pi)
         freq = rng.uniform(0.5, 1.2)
         for a in anchors:
@@ -595,10 +587,10 @@ def _zero_like(fld, degrees):
                                {l: np.zeros_like(fld.t) for l in degrees})
 
 
-def _total_defect(approx, f0, u, acc):
+def _total_defect(approx, f0, u):
     """N(v_m + u) - blended end defects = f0 + L_m(u) + R_m(u), each piece at
     perturbation scale."""
-    Lu = linear_apply(approx.field, u, acc=acc)
+    Lu = linear_apply(approx.field, u)
     Ru = remainder(approx, u)
     return f0 + Lu + Ru
 
@@ -611,7 +603,7 @@ def _interior_sup(fld, trim=2):
 
 
 def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
-            acc=8, min_iter=1):
+            min_iter=1):
     """Drive the blend to a numerically constant-curvature field.
 
     picard: u_{k+1} = -G(f0 + R(u_k)) with the right inverse frozen at the
@@ -628,7 +620,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     degrees = tuple(sorted(set(int(d) for d in degrees)))
     if scheme not in ("picard", "newton"):
         raise DomainError(f"unknown scheme {scheme!r}")
-    f0 = defect(approx, acc=acc).residual
+    f0 = defect(approx).residual
     missing = [l for l in degrees if l not in f0.degrees]
     if missing:
         f0 = f0 + _zero_like(approx.field, missing)
@@ -640,7 +632,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
                              trace=IterationTrace(rows), initialDefect=d0,
                              finalDefect=d0, converged=True, scheme=scheme,
                              alpha={}, cond=float("nan"))
-    sys0 = bordered_system(approx, degrees=degrees, acc=acc)
+    sys0 = bordered_system(approx, degrees=degrees)
     alpha = {}
     prev_corr = None
     bad = 0
@@ -652,19 +644,18 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             res = solve_right_inverse(sys0, rhs * -1.0)
             u_next = res.u
         else:
-            dnow = _total_defect(approx, f0, u, acc)
+            dnow = _total_defect(approx, f0, u)
             # re-assemble the background rows about the current iterate;
             # the orbit-side border does not depend on the field.  The
             # first step starts from u = 0, the blend itself: sys0 serves.
             sys_k = sys0 if k == 1 else _background_system(
-                replace(approx, field=approx.field + u), degrees, acc,
-                sys0.borders)
+                replace(approx, field=approx.field + u), degrees, sys0.borders)
             res = solve_right_inverse(sys_k, dnow * -1.0)
             u_next = u + res.u
         alpha = res.alpha
         corr = _interior_sup(u_next - u)
         u = u_next
-        defect_now = _interior_sup(_total_defect(approx, f0, u, acc))
+        defect_now = _interior_sup(_total_defect(approx, f0, u))
         ratio = corr / prev_corr if prev_corr not in (None, 0.0) else float("nan")
         rows.append((k, defect_now, corr, ratio))
         # Stagnation: the step is negligible next to the iterate, or the
@@ -695,15 +686,15 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
                          cond=sys0.factor()[1])
 
 
-def verify_correction(approx, correction, acc=8):
+def verify_correction(approx, correction):
     """Independent curvature residual of the corrected field, relative to the
     modeled-exact end fields (recomputed from scratch in perturbation form).
     Returns (residual sup, deviation-units sup)."""
-    f0 = defect(approx, acc=acc).residual
+    f0 = defect(approx).residual
     missing = [l for l in correction.degrees if l not in f0.degrees]
     if missing:
         f0 = f0 + _zero_like(approx.field, missing)
-    total = _total_defect(approx, f0, correction, acc)
+    total = _total_defect(approx, f0, correction)
     consts = approx.config.constants
     tv = total.point_values()
     vm = (approx.field + correction).point_values()
@@ -727,7 +718,7 @@ class NondegeneracyResult:
 
 
 def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
-                       degrees=None, acc=8):
+                       degrees=None):
     """Smallest singular value of the weighted linearized operator of the
     corrected solution restricted to decaying boundary conditions.
 
@@ -771,7 +762,7 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
 
     per_mode = {}
     for l in degrees:
-        lu = lu_factor(discretize(background, degrees=(l,), acc=acc).matrix)
+        lu = lu_factor(discretize(background, degrees=(l,)))
 
         def apply_inv(z):          # W^{-1} z with W = D_rho^{-1} A D_rho
             return inv_rho * lu_solve(lu, rho * z)

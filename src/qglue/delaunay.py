@@ -12,7 +12,6 @@ mismatch is kept as a diagnostic.
 """
 
 from dataclasses import dataclass, field
-import json
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -24,50 +23,24 @@ from .errors import DomainError, NumericalError
 from .gauges import GaugeConstants, derive_constants
 
 __all__ = [
-    "OdeState", "ode_rhs", "hamiltonian", "integrate", "Trajectory",
-    "sample_contiguous", "quintic_hermite", "DelaunayOrbit", "solve_orbit",
+    "hamiltonian", "sample_contiguous", "quintic_hermite", "DelaunayOrbit",
+    "solve_orbit",
     "FamilyParams", "eval_family", "expansion_error", "ExpansionStudy",
 ]
 
 
-@dataclass(frozen=True)
-class OdeState:
-    v: float
-    vDot: float
-    vDdot: float
-    vDddot: float
-
-    def array(self):
-        return np.array([self.v, self.vDot, self.vDdot, self.vDddot])
-
-    @classmethod
-    def from_array(cls, y):
-        return cls(*map(float, y))
-
-
-def ode_rhs(state, consts):
-    """Right-hand side of the first-order system for
-    v'''' = c2 v'' - c0 v + cN v^p.  Requires v > 0."""
-    if state.v <= 0:
-        raise DomainError(f"v must be positive, got {state.v}")
-    return OdeState(
-        state.vDot, state.vDdot, state.vDddot,
-        consts.c2 * state.vDdot - consts.c0 * state.v
-        + consts.cN * state.v ** consts.p)
-
-
-def hamiltonian(state, consts):
-    """Conserved energy
-    H = -v' v''' + v''^2/2 + (c2/2) v'^2 - (c0/2) v^2 + cH v^(2n/(n-4)).
+def hamiltonian(jet, consts):
+    """Conserved energy of the jet (v, v', v'', v''') at one point:
+    H = -v' v''' + v''^2/2 + (c2/2) v'^2 - (c0/2) v^2 + cH |v|^(2n/(n-4)).
 
     d/dt H = -v'(v'''' - c2 v'' + c0 v - cN v^p) vanishes along solutions
     because cH * (2n/(n-4)) = cN; checked symbolically in the test suite.
+    One point per call, in scalar arithmetic: NumPy's array power rounds
+    differently from scalar power in a few percent of elements.
     """
-    v, v1, v2, v3 = state.v, state.vDot, state.vDdot, state.vDddot
-    pot = consts.cH * v ** consts.qExp if v > 0 else (
-        0.0 if v == 0 else consts.cH * abs(v) ** consts.qExp)
+    v, v1, v2, v3 = jet
     return (-v1 * v3 + 0.5 * v2 ** 2 + 0.5 * consts.c2 * v1 ** 2
-            - 0.5 * consts.c0 * v ** 2 + pot)
+            - 0.5 * consts.c0 * v ** 2 + consts.cH * abs(v) ** consts.qExp)
 
 
 def _rhs_arrays(consts):
@@ -80,64 +53,9 @@ def _rhs_arrays(consts):
     return rhs
 
 
-@dataclass
-class Trajectory:
-    """Result of an adaptive integration with dense output."""
-
-    tSpan: tuple
-    escaped: str | None
-    tEscape: float | None
-    constants: GaugeConstants
-    _sol: object
-
-    def __call__(self, t, deriv=0):
-        vals = self._sol(np.atleast_1d(np.asarray(t, dtype=float)))
-        out = vals[deriv]
-        return out if np.ndim(t) else float(out[0])
-
-    def state(self, t):
-        return OdeState.from_array(self._sol(np.array([t]))[:, 0])
-
-
-def integrate(state0, t_span, consts, tol=1e-11,
-              floor=1e-10, ceil=1e3, max_step=np.inf):
-    """Adaptive high-order integration of the necksize ODE with dense output.
-
-    Escape (v crossing `floor` downward or `ceil` upward) terminates the run;
-    the returned Trajectory records the escape time and direction instead of
-    raising, so shooting loops can classify.
-    """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    rhs = _rhs_arrays(consts)
-
-    def ev_low(t, y):
-        return y[0] - floor
-
-    ev_low.terminal = True
-    ev_low.direction = -1
-
-    def ev_high(t, y):
-        return y[0] - ceil
-
-    ev_high.terminal = True
-    ev_high.direction = 1
-
-    sol = solve_ivp(rhs, t_span, state0.array(), method="DOP853",
-                    rtol=tol, atol=tol, dense_output=True,
-                    events=[ev_low, ev_high], max_step=max_step)
-    escaped, t_esc = None, None
-    if sol.t_events[0].size:
-        escaped, t_esc = "down", float(sol.t_events[0][0])
-    elif sol.t_events[1].size:
-        escaped, t_esc = "up", float(sol.t_events[1][0])
-    return Trajectory(tSpan=t_span, escaped=escaped, tEscape=t_esc,
-                      constants=consts, _sol=sol.sol)
-
-
-def sample_contiguous(rhs, t0, y0, tgrid, tol, max_step, failure):
+def sample_contiguous(rhs, t0, y0, tgrid, max_step, failure):
     """States at every point of tgrid of the solution with y(t0) = y0, from
-    one contiguous DOP853 run below t0 and one above it.
+    one contiguous DOP853 run at tolerance 1e-13 below t0 and one above it.
 
     Steps are capped at max_step and at half the smallest spacing of tgrid.
     Returns a (len(y0), len(tgrid)) array; raises NumericalError(failure)
@@ -152,7 +70,8 @@ def sample_contiguous(rhs, t0, y0, tgrid, tol, max_step, failure):
             continue
         te = np.sort(tgrid[mask])[::direction]
         sol = solve_ivp(rhs, (t0, float(te[-1])), y0, method="DOP853",
-                        rtol=tol, atol=tol, t_eval=te, max_step=max_step)
+                        rtol=1e-13, atol=1e-13, t_eval=te,
+                        max_step=max_step)
         if not sol.success:
             raise NumericalError(failure)
         lookup = {t: sol.y[:, i] for i, t in enumerate(te)}
@@ -250,24 +169,19 @@ class DelaunayOrbit:
             vals = sign * vals
         return float(vals) if scalar else vals
 
-    def state(self, t):
-        return OdeState(self.eval(t, 0), self.eval(t, 1),
-                        self.eval(t, 2), self.eval(t, 3))
-
     def jet(self, t, max_deriv=3):
         """Stacked derivatives 0..max_deriv at t (max_deriv <= 5)."""
         return np.stack([self._eval_any(t, k) for k in range(max_deriv + 1)])
 
-    def sample_states(self, tgrid, tol=1e-13):
+    def sample_states(self, tgrid):
         """Sample the full jet (v, v', v'', v''') by one contiguous
         step-capped integration from the minimum at t = 0.
 
         The reflected-periodic representation is ideal for evaluation but its
-        reduction seams (periodicity defect at multiples of the period, the
-        shooting-level derivative kink at the turning points) get amplified
-        by high-order difference stencils; a contiguous trajectory has no
-        seams and its integration error varies smoothly in t, which residual-
-        grade sampling needs.
+        reduction seams (the shooting-level derivative kink at the turning
+        points) get amplified by high-order difference stencils; a contiguous
+        trajectory has no seams and its integration error varies smoothly in
+        t, which residual-grade sampling needs.
 
         The orbit's unstable directions amplify the integration error with
         the distance from t = 0, so tgrid must stay within about 1.5
@@ -283,13 +197,13 @@ class DelaunayOrbit:
             return out
         return sample_contiguous(
             _rhs_arrays(self.constants), 0.0,
-            [self.eps, 0.0, self.vDdot0, 0.0], tgrid, tol,
-            self.period / 512.0, "orbit sampling failed")
+            [self.eps, 0.0, self.vDdot0, 0.0], tgrid, self.period / 512.0,
+            "orbit sampling failed")
 
-    def sample_exact(self, tgrid, tol=1e-13):
+    def sample_exact(self, tgrid):
         """Seam-free samples of v; see sample_states, including its limit
         of about 1.5 periods from t = 0."""
-        return self.sample_states(tgrid, tol=tol)[0]
+        return self.sample_states(tgrid)[0]
 
     # -- serialization ------------------------------------------------------
 
@@ -310,26 +224,6 @@ class DelaunayOrbit:
             "vDddot": [float(x) for x in self.eval(ts, 3)],
             "diagnostics": self.diagnostics,
         }
-
-    def dump(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_json(), f, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, doc):
-        """Rebuild an evaluable orbit; re-solves the half-period interpolant
-        from the stored shooting data so evaluation quality matches a fresh
-        solve."""
-        consts = derive_constants(doc["n"])
-        if doc["isConstant"]:
-            return _constant_orbit(consts)
-        return _build_orbit(consts, doc["eps"], doc["vDdot0"], doc["period"],
-                            diagnostics=doc.get("diagnostics", {}))
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_json(json.load(f))
 
 
 HALF_PERIOD_NODES = 1025  # interpolation nodes on a half period
@@ -386,17 +280,17 @@ def _constant_orbit(consts):
     if neg.size != 1:
         raise NumericalError("unexpected linearization spectrum at epsBar")
     omega0 = float(np.sqrt(-neg[0]))
-    state = OdeState(eb, 0.0, 0.0, 0.0)
     return DelaunayOrbit(
         constants=consts, eps=eb, period=2 * np.pi / omega0, vDdot0=0.0,
-        hamiltonianValue=hamiltonian(state, consts), isConstant=True,
+        hamiltonianValue=hamiltonian((eb, 0.0, 0.0, 0.0), consts),
+        isConstant=True,
         diagnostics={"omega0": omega0}, nSamples=0, _interp=None)
 
 
-def _first_max(consts, eps, s, tmax=120.0, tol=1e-9):
+def _first_max(consts, eps, s):
     """Integrate until the first interior maximum (vdot = 0 crossing downward)
-    or an escape; returns (kind, t).  Only the kind steers the bisection and
-    Newton refines the time, so the tolerance is loose."""
+    or an escape, up to t = 120; returns (kind, t).  Only the kind steers the
+    bisection and Newton refines the time, so the tolerance 1e-9 is loose."""
     rhs = _rhs_arrays(consts)
 
     def ev_max(t, y):
@@ -417,8 +311,8 @@ def _first_max(consts, eps, s, tmax=120.0, tol=1e-9):
     ev_high.terminal = True
     ev_high.direction = 1
 
-    sol = solve_ivp(rhs, (0.0, tmax), [eps, 0.0, s, 0.0], method="DOP853",
-                    rtol=tol, atol=tol, events=[ev_max, ev_low, ev_high])
+    sol = solve_ivp(rhs, (0.0, 120.0), [eps, 0.0, s, 0.0], method="DOP853",
+                    rtol=1e-9, atol=1e-9, events=[ev_max, ev_low, ev_high])
     for kind, times in zip(("max", "down", "up"), sol.t_events):
         if times.size:
             return kind, float(times[0])
@@ -481,24 +375,20 @@ def _newton_shoot(consts, eps, s, tau):
     return None
 
 
-def _build_orbit(consts, eps, s, T, diagnostics=None):
+def _build_orbit(consts, eps, s, T):
     interp, end_state = _half_period_interp(consts, eps, s, T)
-    state0 = OdeState(eps, 0.0, s, 0.0)
-    H = hamiltonian(state0, consts)
-    diags = dict(diagnostics or {})
-    # symmetry mismatch at the turning point: size of the odd derivatives
-    diags.setdefault("halfTurnOddDerivs",
-                     [float(abs(end_state[1])), float(abs(end_state[3]))])
-    orbit = DelaunayOrbit(
-        constants=consts, eps=eps, period=T, vDdot0=s,
-        hamiltonianValue=H, isConstant=False, diagnostics=diags,
-        nSamples=HALF_PERIOD_NODES, _interp=interp)
-    # round-trip periodicity of the representation
-    st_T = orbit.state(T).array()
-    diags["periodicityDefect"] = float(np.max(np.abs(st_T - state0.array())))
     vmin = float(np.min(interp[0](np.linspace(0, T / 2, 4097))))
-    diags["minDefect"] = float(abs(vmin - eps))
-    return orbit
+    diags = {
+        # symmetry mismatch at the turning point: size of the odd derivatives
+        "halfTurnOddDerivs": [float(abs(end_state[1])),
+                              float(abs(end_state[3]))],
+        "minDefect": float(abs(vmin - eps)),
+    }
+    return DelaunayOrbit(
+        constants=consts, eps=eps, period=T, vDdot0=s,
+        hamiltonianValue=hamiltonian((eps, 0.0, s, 0.0), consts),
+        isConstant=False, diagnostics=diags, nSamples=HALF_PERIOD_NODES,
+        _interp=interp)
 
 
 def solve_orbit(n_or_consts, eps):

@@ -97,17 +97,15 @@ class AngularBasis:
     phi_l(1) = 1; projection uses the sphere measure factor (1-c^2)^{(n-3)/2}.
     """
 
-    def __init__(self, n, degrees, nquad=None):
+    def __init__(self, n, degrees, nquad):
         self.n = n
         self.degrees = tuple(int(l) for l in degrees)
-        L = max(self.degrees) if self.degrees else 0
-        nq = nquad if nquad is not None else max(16, 2 * L + 12)
         alpha = (n - 2) / 2.0
         # roots_gegenbauer uses weight (1-c^2)^(alpha - 1/2) = (1-c^2)^((n-3)/2)
-        nodes, weights = roots_gegenbauer(nq, alpha)
+        nodes, weights = roots_gegenbauer(nquad, alpha)
         self.nodes = nodes
         self.weights = weights
-        self.phi = np.empty((len(self.degrees), nq))
+        self.phi = np.empty((len(self.degrees), nquad))
         self.norm2 = np.empty(len(self.degrees))
         for k, l in enumerate(self.degrees):
             vals = eval_gegenbauer(l, alpha, nodes)
@@ -205,14 +203,15 @@ class CylField:
     def coeff_matrix(self):
         return np.stack([m.samples for m in self.modes], axis=0)
 
-    def basis(self, nquad=None):
+    def basis(self):
+        """The angular basis of the field's degrees on max(16, 2L + 12)
+        quadrature nodes, L the largest degree."""
         return angular_basis(self.constants.n, tuple(self.degrees),
-                             nquad if nquad is not None else
                              max(16, 2 * max(self.degrees, default=0) + 12))
 
-    def point_values(self, nquad=None):
+    def point_values(self):
         """(nt, nquad) samples of the field on the angular quadrature set."""
-        return self.basis(nquad).reconstruct(self.coeff_matrix())
+        return self.basis().reconstruct(self.coeff_matrix())
 
     def like(self, samples_by_degree):
         return CylField.from_modes(self.constants, self.t, samples_by_degree)
@@ -260,14 +259,6 @@ class CylField:
                 for m in self.modes
             ],
         }
-
-    @classmethod
-    def from_json(cls, doc):
-        consts = derive_constants(doc["n"])
-        t = np.linspace(doc["tMin"], doc["tMax"], doc["nT"])
-        modes = [Mode(m["l"], m["lambda"], np.array(m["samples"], dtype=float))
-                 for m in doc["modes"]]
-        return cls(consts, t, modes)
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,10 @@ __all__ = [
     "stable_power_remainder",
 ]
 
+# accuracy order of every finite-difference stencil of the blend and the
+# correction (defect, linearization, bordered system, diagnostic)
+STENCIL_ORDER = 8
+
 
 @dataclass(frozen=True)
 class Perturbation:
@@ -80,7 +84,6 @@ class GluingConfig:
     end2: EndData
     m: int
     orbit: DelaunayOrbit
-    r0: float = 1.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -89,8 +92,6 @@ class GluingConfig:
         e2 = self.end2.eps if self.end2.eps is not None else self.orbit.eps
         if abs(e1 - self.orbit.eps) > 1e-12 or abs(e2 - self.orbit.eps) > 1e-12:
             raise DomainError("end necksizes must match the shared orbit")
-        if self.r0 <= 0:
-            raise DomainError("r0 must be positive")
 
     @property
     def period(self):
@@ -111,15 +112,14 @@ class GluingConfig:
     @classmethod
     def from_json(cls, doc):
         """Build from the manifest schema
-        {n, eps, m, r0, end1: {...}, end2: {...}}."""
+        {n, eps, m, end1: {...}, end2: {...}}."""
         orbit = solve_orbit(int(doc["n"]), float(doc["eps"]))
         def end(d):
             d = dict(d)
             d.setdefault("eps", doc["eps"])
             return EndData.from_json(d)
         return cls(end1=end(doc.get("end1", {})), end2=end(doc.get("end2", {})),
-                   m=int(doc["m"]), orbit=orbit,
-                   r0=float(doc.get("r0", 1.0)))
+                   m=int(doc["m"]), orbit=orbit)
 
 
 def identify_raw(t, T01, T02, m, period):
@@ -145,18 +145,18 @@ def cutoff_chi(t, cfg):
 # stable evaluation of power remainders
 
 
-def stable_power_remainder(x, p, series_cut=1e-3, terms=12):
+def stable_power_remainder(x, p):
     """r(x) = (1+x)^p - 1 - p x with relative accuracy preserved for tiny x.
 
-    For |x| below the cut the binomial series starting at the quadratic term
-    is used; otherwise the direct expm1 form (which loses at most a few
+    For |x| < 1e-3 the binomial series from the quadratic term through
+    x^12 is used; otherwise the direct expm1 form (which loses at most a few
     digits near the cut)."""
+    terms = 12
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    small = np.abs(x) < series_cut
+    small = np.abs(x) < 1e-3
     xs = x[small]
     acc = np.zeros_like(xs)
-    coef = 1.0
     # sum_{k>=2} C(p, k) x^k via Horner from the highest retained term
     coeffs = []
     c = 1.0
@@ -200,16 +200,6 @@ class ApproxSolution:
     @property
     def degrees(self):
         return sorted(set(self.w1) | set(self.w2) | {0})
-
-    def end_fields(self):
-        """The two end fields on the shared grid (v_i = backbone + tail)."""
-        v1 = {l: (self.backbone + w if l == 0 else w.copy())
-              for l, w in self.w1.items()}
-        v2 = {l: (self.backbone + w if l == 0 else w.copy())
-              for l, w in self.w2.items()}
-        for d in (v1, v2):
-            d.setdefault(0, self.backbone.copy())
-        return v1, v2
 
 
 def build_approximate(cfg, grid_per_period=64):
@@ -273,7 +263,7 @@ class DefectResult:
     delta: float
 
 
-def defect(approx, acc=8, delta=1.5):
+def defect(approx, delta=1.5):
     """Curvature defect of the blend relative to its end fields.
 
     The end fields model exact solutions (their tails stand in for the decay
@@ -301,9 +291,9 @@ def defect(approx, acc=8, delta=1.5):
         a = approx.w1.get(l, zeros)
         b = approx.w2.get(l, zeros)
         wl = approx.blend.get(l, zeros)
-        Lw = paneitz_mode_apply(consts, lam, wl, h, acc=acc)
-        La = paneitz_mode_apply(consts, lam, a, h, acc=acc)
-        Lb = paneitz_mode_apply(consts, lam, b, h, acc=acc)
+        Lw = paneitz_mode_apply(consts, lam, wl, h, acc=STENCIL_ORDER)
+        La = paneitz_mode_apply(consts, lam, a, h, acc=STENCIL_ORDER)
+        Lb = paneitz_mode_apply(consts, lam, b, h, acc=STENCIL_ORDER)
         commutator[l] = Lw - chi * La - (1.0 - chi) * Lb
 
     # pointwise nonlinear part: -cN vB^p [r(W/vB) - chi r(w1/vB) - (1-chi) r(w2/vB)]
@@ -339,7 +329,7 @@ def defect(approx, acc=8, delta=1.5):
     hi = cfg.end1.T0 + (cfg.m + 0.75) * cfg.period
     # the discrete operator widens support by one stencil half-width; pad the
     # band by that margin so the outside sup measures genuine leakage
-    margin = (stencil_size(4, acc) // 2) * h
+    margin = (stencil_size(4, STENCIL_ORDER) // 2) * h
     band = (t_depth >= lo - margin) & (t_depth <= hi + margin)
     outside = float(np.max(np.abs(psi_point[~band]))) if (~band).any() else 0.0
     wnorm = weighted_norm(psi, delta, scale=cfg.m * cfg.period)
@@ -388,15 +378,16 @@ class DecayStudy:
                 zip(self.mList, self.supPsi, self.weightedPsi)]
 
 
-def decay_study(cfg, m_list, grid_per_period=64, acc=8, delta=1.5,
-                floor=1e-280):
+def decay_study(cfg, m_list, grid_per_period=64, delta=1.5):
     """Fit the exponential decay of the blend defect in the overlap length.
 
     Builds the approximate solution for each m in m_list, measures the defect
     sup norm and fits log sup against m T; returns the fitted rate betaHat
     (the negated slope per unit m T) and the max log-residual of the fit.
-    Compatible exact ends report exact=True instead of a fit.
+    Compatible exact ends (every sup at or below 1e-280) report exact=True
+    instead of a fit.
     """
+    floor = 1e-280
     m_list = sorted(int(m) for m in m_list)
     if len(m_list) < 3:
         raise DomainError("need at least three overlap lengths for a fit")
@@ -404,7 +395,7 @@ def decay_study(cfg, m_list, grid_per_period=64, acc=8, delta=1.5,
     for m in m_list:
         c = replace(cfg, m=m)
         approx = build_approximate(c, grid_per_period=grid_per_period)
-        d = defect(approx, acc=acc, delta=delta)
+        d = defect(approx, delta=delta)
         sups.append(d.supPsi)
         weighteds.append(d.weightedPsi)
     if all(sv <= floor for sv in sups):

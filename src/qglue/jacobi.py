@@ -1,6 +1,7 @@
-"""Linearization about a periodic orbit: per-mode operators, solution
-generators from the deformation families, Floquet analysis, the conserved
-boundary pairing, and deficiency-space bases.
+"""Linearization about a periodic orbit: per-mode operators, the generator
+solutions of degrees 0 and 1 from the deformation families, Floquet
+analysis, the conserved boundary pairing, and the smooth end cutoffs of the
+deficiency fields.
 """
 
 from dataclasses import dataclass
@@ -11,17 +12,14 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 from .fd import apply_derivative
-from .gauges import CylField
 from .delaunay import (DelaunayOrbit, _half_period_nodes,
                        _shooting_jacobian, quintic_hermite, sample_contiguous,
                        solve_orbit)
 
 __all__ = [
-    "ModeOperator", "mode_apply", "monodromy", "MonodromyData",
-    "monodromy_data", "IndicialSpectrum", "indicial_roots",
-    "VariationalField", "JacobiBasis", "generators",
-    "symplectic_pairing", "CutoffSpec", "DeficiencyField", "deficiency_basis",
-    "deficiency_gram",
+    "ModeOperator", "mode_apply", "MonodromyData", "monodromy_data",
+    "IndicialSpectrum", "indicial_roots", "VariationalField", "JacobiBasis",
+    "generators", "symplectic_pairing", "CutoffSpec",
 ]
 
 
@@ -109,26 +107,30 @@ class MonodromyData:
     period: float
 
 
-def monodromy_data(op, t0=0.0, n_sub=24, tol=1e-12):
+MONODROMY_SUBINTERVALS = 24
+
+
+def monodromy_data(op, t0=0.0):
     """One-period flow of the mode system from t0, its inverse, and its
     determinant accumulated over subintervals (the direct determinant of the
     assembled matrix is destroyed by the dynamic range of the multipliers).
 
-    Each of the n_sub subintervals integrates the identity flow jointly with
-    the orbit, restarted from orbit.jet at the subinterval's left edge (a
-    carried orbit would drift along its unstable directions over a period).
+    Each of the MONODROMY_SUBINTERVALS subintervals integrates the identity
+    flow jointly with the orbit at tolerance 1e-12, restarted from orbit.jet
+    at the subinterval's left edge (a carried orbit would drift along its
+    unstable directions over a period).
     The flow preserves symplectic_pairing, M^T Omega M = Omega, so the
     backward flow is Omega^{-1} M^T Omega and needs no second sweep."""
     T = op.orbit.period
     rhs = _mode_flow_rhs(op)
-    edges = t0 + np.linspace(0.0, T, n_sub + 1)
+    edges = t0 + np.linspace(0.0, T, MONODROMY_SUBINTERVALS + 1)
     orbit_jets = op.orbit.jet(edges, max_deriv=3)
     M = np.eye(4)
     det = 1.0
-    for k in range(n_sub):
+    for k in range(MONODROMY_SUBINTERVALS):
         y0 = np.concatenate([orbit_jets[:, k], np.eye(4).reshape(-1)])
         r = solve_ivp(rhs, (edges[k], edges[k + 1]), y0, method="DOP853",
-                      rtol=tol, atol=tol)
+                      rtol=1e-12, atol=1e-12)
         if not r.success:
             raise NumericalError("monodromy integration failed")
         F = r.y[4:, -1].reshape(4, 4)
@@ -138,12 +140,6 @@ def monodromy_data(op, t0=0.0, n_sub=24, tol=1e-12):
     backward = np.linalg.solve(Om, M.T @ Om)
     return MonodromyData(matrix=M, backward=backward, detFactored=det,
                          t0=t0, period=T)
-
-
-def monodromy(op, t0=0.0, n_sub=24, tol=1e-12):
-    """One-period flow matrix of the mode system (columns are flows of the
-    canonical jet basis)."""
-    return monodromy_data(op, t0=t0, n_sub=n_sub, tol=tol).matrix
 
 
 def dominant_direction(M):
@@ -200,7 +196,7 @@ def _constant_mode_exponents(consts, lam):
     return exps, [False] * 4, freqs
 
 
-def indicial_roots(orbit, degrees=None, n_sub=24, tol=1e-12):
+def indicial_roots(orbit, degrees=None):
     """Per-mode Floquet exponents (exponential growth rates).
 
     Exponents are extracted from the two multipliers outside the unit circle
@@ -225,8 +221,7 @@ def indicial_roots(orbit, degrees=None, n_sub=24, tol=1e-12):
             exps, flags, freqs = _constant_mode_exponents(consts, lam)
             det_defect = None
         else:
-            data = monodromy_data(ModeOperator(orbit, lam),
-                                  n_sub=n_sub, tol=tol)
+            data = monodromy_data(ModeOperator(orbit, lam))
             M, T = data.matrix, data.period
             ev = np.linalg.eigvals(M)
             order = np.argsort(-np.abs(ev))
@@ -305,7 +300,7 @@ class VariationalField:
         # accuracy instead of amplifying integrator noise
         self._interp = [quintic_hermite(tg, j) for j in comps]
 
-    def sample_states(self, tgrid, tol=1e-13):
+    def sample_states(self, tgrid):
         """Contiguous joint (orbit + variational) integration over the
         window; seam-free but only trustworthy while e^{gamma |t|} times the
         initial-data error stays small (about a half period of margin), which
@@ -313,7 +308,7 @@ class VariationalField:
         orbit = self.orbit
         y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0, 1.0, 0.0, self.dsdEps, 0.0]
         return sample_contiguous(_mode_flow_rhs(ModeOperator(orbit, 0.0)),
-                                 0.0, y0, tgrid, tol, orbit.period / 512.0,
+                                 0.0, y0, tgrid, orbit.period / 512.0,
                                  "variational sampling failed")[4:]
 
     def jet(self, t, max_deriv=3):
@@ -336,10 +331,6 @@ class VariationalField:
             val = np.where(refl, reflected, base)
             out[d] = val - k * Tp * vjx[d + 1]
         return out
-
-    def __call__(self, t, deriv=0):
-        res = self.jet(t, max_deriv=max(1, deriv))[deriv]
-        return float(res[0]) if np.ndim(t) == 0 else res
 
 
 # ----------------------------------------------------------------------
@@ -367,13 +358,13 @@ def _exp_profile_jet(orbit, t, sign, max_deriv=3):
 
 @dataclass
 class JacobiBasis:
-    """Generator solutions of the linearized equation, one slot per deficiency
-    index l = 0..n (slots 1..n share the degree-1 profile pair).
+    """Generator solutions of the linearized equation, a +/- pair per degree
+    l = 0, 1 (the n translations of degree 1 share one profile pair).
 
-    Each slot carries a +/- pair: slot 0 holds the phase derivative (bounded,
-    periodic) and the necksize derivative (linear growth); slots 1..n hold
-    the translation profiles e^{-t}((n-4)/2 v - vdot) (decaying) and
-    e^{+t}((4-n)/2 v - vdot) (growing)."""
+    Degree 0 holds the phase derivative (bounded, periodic) and the necksize
+    derivative (linear growth); degree 1 holds the translation profiles
+    e^{-t}((n-4)/2 v - vdot) (decaying) and e^{+t}((4-n)/2 v - vdot)
+    (growing)."""
 
     orbit: DelaunayOrbit
     varField: VariationalField | None
@@ -382,49 +373,41 @@ class JacobiBasis:
     crossValidationError: float
     dHdEps: float     # centered difference; nan unless validated
 
-    @property
-    def slots(self):
-        return list(range(self.orbit.constants.n + 1))
-
-    def degree(self, slot):
-        return 0 if slot == 0 else 1
-
-    def jet(self, slot, sign, t, max_deriv=3):
-        """Jets of the generator in the given slot; slots >= 1 all return the
-        degree-1 profile."""
-        if slot == 0:
+    def jet(self, l, sign, t, max_deriv=3):
+        """Jets of the degree-l generator (l = 0 or 1) with the given sign."""
+        if l == 0:
             if sign == "+":
                 t = np.atleast_1d(np.asarray(t, dtype=float))
                 return self.orbit.jet(t, max_deriv=max_deriv + 1)[1:max_deriv + 2]
             return self.varField.jet(t, max_deriv=max_deriv)
         return _exp_profile_jet(self.orbit, t, sign, max_deriv=max_deriv)
 
-    def profile(self, slot, sign, t, deriv=0):
-        res = self.jet(slot, sign, t, max_deriv=max(deriv, 0))[deriv]
+    def profile(self, l, sign, t):
+        res = self.jet(l, sign, t, max_deriv=0)[0]
         return float(res[0]) if np.ndim(t) == 0 else res
 
     def fields(self):
         """The distinct (tag, degree) profile pairs."""
         return [("0", "+", 0), ("0", "-", 0), ("l", "+", 1), ("l", "-", 1)]
 
-    def measured_rate(self, slot, sign, t0=0.5, periods=3):
+    def measured_rate(self, l, sign, t0=0.5, periods=3):
         """Growth rate from the exact per-period ratio |w(t0 + KT)/w(t0)|."""
         T = self.orbit.period
-        w0 = self.profile(slot, sign, t0)
-        wK = self.profile(slot, sign, t0 + periods * T)
+        w0 = self.profile(l, sign, t0)
+        wK = self.profile(l, sign, t0 + periods * T)
         return float(np.log(abs(wK / w0)) / (periods * T))
 
-    def sample_profile(self, slot, sign, tgrid, tol=1e-13):
+    def sample_profile(self, l, sign, tgrid):
         """Seam-free generator samples for residual-grade checks, from
         contiguous integrations (the periodic/reflected evaluation in jet()
         is globally accurate but carries derivative kinks of the size of the
         shooting defect at the reduction seams, which high-order difference
         stencils amplify)."""
         tgrid = np.asarray(tgrid, dtype=float)
-        if slot == 0 and sign == "-":
-            return self.varField.sample_states(tgrid, tol=tol)[0]
-        states = self.orbit.sample_states(tgrid, tol=tol)
-        if slot == 0:
+        if l == 0 and sign == "-":
+            return self.varField.sample_states(tgrid)[0]
+        states = self.orbit.sample_states(tgrid)
+        if l == 0:
             return states[1]
         c = self.orbit.constants
         sigma = 1.0 if sign == "+" else -1.0
@@ -481,7 +464,7 @@ def symplectic_pairing(op, vjet, wjet, t):
 
 
 # ----------------------------------------------------------------------
-# deficiency spaces
+# end cutoffs of the deficiency fields
 
 
 def smooth_step(x):
@@ -518,51 +501,3 @@ class CutoffSpec:
         else:
             raise DomainError(f"unknown side {self.side!r}")
         return smooth_step(x)
-
-
-@dataclass
-class DeficiencyField:
-    l: int             # deficiency index 0..n
-    sign: str          # "+" or "-"
-    degree: int        # zonal degree of the angular factor (0 or 1)
-    field: CylField
-    cutoff: np.ndarray
-
-
-def deficiency_basis(basis, cutoff, t, phase=0.0):
-    """Cutoff generator fields chi v^{l,+/-} phi_l for l = 0..n near one end.
-
-    `basis` is a JacobiBasis; `phase` shifts the orbit argument (the field is
-    evaluated at t + phase).  Returns 2(n+1) fields; slots 1..n share the
-    degree-1 profile but carry distinct angular indices.
-    """
-    t = np.asarray(t, dtype=float)
-    chi = cutoff.samples(t)
-    consts = basis.orbit.constants
-    out = []
-    for slot in basis.slots:
-        deg = basis.degree(slot)
-        for sign in ("+", "-"):
-            prof = basis.profile(slot, sign, t + phase)
-            fld = CylField.from_modes(consts, t, {deg: chi * prof})
-            out.append(DeficiencyField(l=slot, sign=sign, degree=deg,
-                                       field=fld, cutoff=chi))
-    return out
-
-
-def deficiency_gram(fields):
-    """Gram matrix of deficiency fields in the cylinder L2 inner product,
-    using exact orthogonality between distinct angular indices."""
-    k = len(fields)
-    G = np.zeros((k, k))
-    for i in range(k):
-        fi = fields[i]
-        si = fi.field.mode(fi.degree).samples
-        h = fi.field.h
-        for j in range(i, k):
-            fj = fields[j]
-            if fi.l != fj.l and not (fi.l == 0 and fj.l == 0):
-                continue  # distinct angular indices are orthogonal
-            sj = fj.field.mode(fj.degree).samples
-            G[i, j] = G[j, i] = float(np.sum(si * sj) * h)
-    return G

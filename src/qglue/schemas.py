@@ -37,7 +37,6 @@ GLUING_CONFIG = {
         "n": {"type": "integer", "minimum": 5},
         "eps": {"type": "number", "exclusiveMinimum": 0},
         "m": {"type": "integer", "minimum": 1},
-        "r0": {"type": "number", "exclusiveMinimum": 0},
         "end1": _END,
         "end2": _END,
     },
@@ -68,7 +67,6 @@ PARAMS_SCHEMAS = {
             "n": {"type": "integer", "minimum": 5},
             "epsList": {"type": "array", "minItems": 1,
                         "items": {"type": "number", "exclusiveMinimum": 0}},
-            "gridPerPeriod": _GRID,
         },
     },
     "indicial": {
@@ -161,7 +159,7 @@ SUMMARY_SCHEMAS = {
         "properties": {"command": _str, "n": {"type": "integer"},
                        "eps": _num, "period": _num, "vDdot0": _num,
                        "hamiltonian": _num, "residualSup": _num,
-                       "periodicityDefect": _num, "minDefect": _num,
+                       "minDefect": _num,
                        "shootingMismatch": _num, "hamiltonianDrift": _num,
                        "isConstant": {"type": "boolean"}},
     },
@@ -177,7 +175,6 @@ SUMMARY_SCHEMAS = {
                 "required": ["eps", "period", "hamiltonian", "residualSup"],
                 "properties": {"eps": _num, "period": _num,
                                "hamiltonian": _num, "residualSup": _num,
-                               "periodicityDefect": _num,
                                "shootingMismatch": _num},
             }},
         },

@@ -5,10 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from qglue.cli import execute, main
+from qglue.cli import HANDLERS, execute, main
 from qglue.errors import ManifestError
 from qglue.gauges import derive_constants
-from qglue.schemas import validate_manifest, validate_summary
+from qglue.schemas import (GLUING_CONFIG, PARAMS_SCHEMAS, validate_manifest,
+                           validate_summary)
 
 
 def run_manifest(tmp_path, command, params, seed=0):
@@ -39,6 +40,21 @@ class TestManifestValidation:
                                       "end1": {"perturbation": [
                                           {"l": 0, "A": 1e-3, "beta": 0.5}]}}}})
         assert "beta" in str(exc.value)
+
+    @pytest.mark.parametrize("command, params", [
+        ("sweep", {"n": 5, "epsList": [0.5], "gridPerPeriod": 64}),
+        ("glue", {"config": {"n": 5, "eps": 0.5, "m": 2, "r0": 1.0}}),
+    ])
+    def test_unread_keys_rejected(self, tmp_path, command, params):
+        # sweep.gridPerPeriod and the config's r0 set nothing, so no
+        # manifest may carry them
+        manifest = {"command": command, "params": params,
+                    "out": str(tmp_path / "x")}
+        with pytest.raises(ManifestError):
+            execute(manifest)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["run", str(path)]) == 1
 
     def test_domain_error_not_schema_error(self, tmp_path):
         # schema-valid but mathematically out of range: domain error, exit 2
@@ -231,3 +247,61 @@ def test_overlap_override_flag(tmp_path):
         capture_output=True, text=True)
     assert r.returncode == 0
     assert json.loads(r.stdout)["m"] == 3
+
+
+class RecordingParams(dict):
+    """A params dict that records every key looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+SMALL_CONFIG = {"n": 5, "eps": 0.5, "m": 1,
+                "end1": {"perturbation": [{"l": 0, "A": 1e-3, "beta": 2.0}]},
+                "end2": {}}
+
+# every params key of every command, on small inputs
+EVERY_KEY = {
+    "constants": {"n": 5},
+    "orbit": {"n": 5, "eps": 0.5},
+    "sweep": {"n": 5, "epsList": [0.5]},
+    "indicial": {"n": 5, "eps": 0.5, "modes": [0]},
+    "jacobi": {"n": 5, "eps": 0.5, "dEps": 1e-4, "gridPerPeriod": 32},
+    "glue": {"config": SMALL_CONFIG, "gridPerPeriod": 32, "delta": 1.5,
+             "mList": [1, 2, 3]},
+    "correct": {"config": SMALL_CONFIG, "gridPerPeriod": 32,
+                "scheme": "picard", "tol": 1e-9, "maxIter": 25,
+                "minIter": 1, "modes": [0]},
+    "diagnose": {"config": SMALL_CONFIG, "gridPerPeriod": 32, "delta": 1.5,
+                 "deltaPrime": 1.25, "modes": [0], "applyCorrection": True},
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARAMS_SCHEMAS))
+def test_every_manifest_key_is_read(tmp_path, command):
+    # a key the schema accepts but the command never reads is a setting
+    # that silently does nothing; the handler runs directly, because schema
+    # validation itself looks up every key
+    keys = set(PARAMS_SCHEMAS[command]["properties"])
+    assert set(EVERY_KEY[command]) == keys
+    validate_manifest({"command": command, "params": EVERY_KEY[command]})
+    params = RecordingParams(EVERY_KEY[command])
+    if "config" in keys:
+        params["config"] = RecordingParams(params["config"])
+    HANDLERS[command](params, str(tmp_path))
+    assert params.read == keys
+    if "config" in keys:
+        assert params["config"].read == set(GLUING_CONFIG["properties"])

@@ -62,7 +62,7 @@ class TestEndData:
                          orbit=orbit05)
 
     def test_config_from_json(self, orbit05):
-        doc = {"n": 5, "eps": 0.5, "m": 2, "r0": 1.0,
+        doc = {"n": 5, "eps": 0.5, "m": 2,
                "end1": {"T0": 0.0,
                         "perturbation": [{"l": 0, "A": 1e-3, "beta": 2.0}]},
                "end2": {}}
@@ -84,11 +84,10 @@ class TestBuild:
     def test_plateau_equality_is_bitwise(self, reference_approx):
         ap = reference_approx
         chi = ap.cutoffRecord
-        v1, _ = ap.end_fields()
+        v1 = ap.backbone + ap.w1[0]  # the end-1 field in mode 0
         on = chi == 1.0
         assert on.sum() > 10
-        np.testing.assert_array_equal(ap.field.mode(0).samples[on],
-                                      v1[0][on])
+        np.testing.assert_array_equal(ap.field.mode(0).samples[on], v1[on])
         off = chi == 0.0
         v2 = ap.backbone  # end 2 unperturbed here
         np.testing.assert_array_equal(ap.field.mode(0).samples[off],
