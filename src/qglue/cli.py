@@ -33,8 +33,8 @@ def _write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(x) if isinstance(x, float) else str(x)
-                              for x in row) + "\n")
+            fh.write(",".join(repr(float(x)) if isinstance(x, float)
+                              else str(x) for x in row) + "\n")
 
 
 def _orbit_residual(orbit):
@@ -158,12 +158,8 @@ def cmd_jacobi(params, out):
     return doc, {}
 
 
-def _config_from_params(params):
-    return GluingConfig.from_json(params["config"])
-
-
 def cmd_glue(params, out):
-    cfg = _config_from_params(params)
+    cfg = GluingConfig.from_json(params["config"])
     gpp = params.get("gridPerPeriod", 64)
     delta = params.get("delta", 1.5)
     approx = build_approximate(cfg, grid_per_period=gpp)
@@ -185,7 +181,7 @@ def cmd_glue(params, out):
 
 
 def cmd_correct(params, out):
-    cfg = _config_from_params(params)
+    cfg = GluingConfig.from_json(params["config"])
     gpp = params.get("gridPerPeriod", 64)
     approx = build_approximate(cfg, grid_per_period=gpp)
     result = iterate(approx,
@@ -214,7 +210,7 @@ def cmd_correct(params, out):
 
 
 def cmd_diagnose(params, out):
-    cfg = _config_from_params(params)
+    cfg = GluingConfig.from_json(params["config"])
     gpp = params.get("gridPerPeriod", 64)
     approx = build_approximate(cfg, grid_per_period=gpp)
     degrees = tuple(params.get("modes", [0]))

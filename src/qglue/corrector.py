@@ -2,14 +2,17 @@
 inverse with deficiency amplitudes, the correction iteration, and the
 injectivity diagnostic of the corrected solution.
 
-Boundary closure of the right inverse (per mode, per end): the interior
-unknown may only carry asymptotics that decay into the domain faster than
-the weight rate.  This is expressed as jet conditions in a frame whose
-directions are the fast invariant subspaces of the one-period flow and the
-generator pair, all realized as discrete jets (window solutions sampled by
-integration and differentiated with the same one-sided stencils as the
-condition rows, so sampled solutions are annihilated exactly).  Slow and
-neutral directions are carried by amplitudes of cutoff generator fields
+One operator matrix serves both closures: its boundary rows {0, 1, N-2, N-1}
+per mode take clamp rows (discretize) or the mode's border rows (the
+bordered right inverse).  Boundary closure of the right inverse (per mode,
+per end): the interior unknown may only carry asymptotics that decay into
+the domain faster than the weight rate 1.5.  This is expressed as jet
+conditions in a frame of the multiplier > e^{1.5 T} subspaces of the
+one-period flow and its inverse (one sorted Schur form each) and, in modes
+0 and 1, the generator pair, all realized as discrete jets (window solutions
+sampled by integration and differentiated with the same one-sided stencils
+as the condition rows, so sampled solutions are annihilated exactly).  Slow
+and neutral directions are carried by amplitudes of cutoff generator fields
 anchored at each end; two gauge rows per deficiency-carrying mode make the
 system square and kill the bounded null space by minimizing the
 annulus-weighted size of the decaying part over kernel shifts.  The gauge
@@ -27,7 +30,7 @@ from .gauges import (CylField, angular_basis, paneitz_mode_apply,
                      paneitz_mode_matrix)
 from .delaunay import sample_contiguous
 from .jacobi import (CutoffSpec, ModeOperator, _mode_flow_rhs,
-                     monodromy_data, generators, dominant_direction)
+                     monodromy_data, generators)
 from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
     log_annulus_weight, stable_power_remainder, weighted_norm
 
@@ -81,7 +84,26 @@ def linear_apply(background, u):
 
 
 # ----------------------------------------------------------------------
-# clamped discretization
+# operator matrix and its clamped closure
+
+
+def _operator_matrix(field, degrees, extra=0):
+    """Dense matrix of linear_apply about `field`, one mode-operator block
+    per mode minus K times the coupling on the block diagonals, padded by
+    `extra` zero rows and columns."""
+    consts = field.constants
+    N = len(field.t)
+    C = _coupling_tensor(field, degrees)
+    L1 = len(degrees)
+    matrix = np.zeros((L1 * N + extra, L1 * N + extra))
+    diag = np.arange(N)
+    for a, l in enumerate(degrees):
+        block = slice(a * N, (a + 1) * N)
+        matrix[block, block] = paneitz_mode_matrix(consts, consts.lam(l), N,
+                                                   field.h, acc=STENCIL_ORDER)
+        for b in range(L1):
+            matrix[a * N + diag, b * N + diag] -= consts.K * C[a, b]
+    return matrix
 
 
 def discretize(approx, degrees=None):
@@ -95,28 +117,18 @@ def discretize(approx, degrees=None):
     if degrees is None:
         degrees = tuple(approx.field.degrees)
     degrees = tuple(sorted(set(int(d) for d in degrees)))
-    consts = approx.config.constants
     N = len(approx.s)
     h = approx.field.h
     if N < stencil_size(4, STENCIL_ORDER):
         raise DomainError("grid too coarse for the requested stencil order")
-    C = _coupling_tensor(approx.field, degrees)
-    L1 = len(degrees)
-    matrix = np.zeros((L1 * N, L1 * N))
-    diag = np.arange(N)
+    matrix = _operator_matrix(approx.field, degrees)
     jl = jet_rows(N, h, 0, max_deriv=1, acc=STENCIL_ORDER)
     jr = jet_rows(N, h, N - 1, max_deriv=1, acc=STENCIL_ORDER)
-    clamps = ((0, jl[0]), (1, jl[1]), (N - 2, jr[1]), (N - 1, jr[0]))
-    for a, l in enumerate(degrees):
-        base = a * N
-        block = slice(base, base + N)
-        matrix[block, block] = paneitz_mode_matrix(consts, consts.lam(l), N,
-                                                   h, acc=STENCIL_ORDER)
-        for b in range(L1):
-            matrix[base + diag, b * N + diag] -= consts.K * C[a, b]
-        for i, cond in clamps:
-            matrix[base + i, :] = 0.0
-            matrix[base + i, block] = cond
+    clamps = np.stack([jl[0], jl[1], jr[1], jr[0]])
+    for a in range(len(degrees)):
+        boundary = a * N + np.array([0, 1, N - 2, N - 1])
+        matrix[boundary] = 0.0
+        matrix[boundary, a * N:(a + 1) * N] = clamps
     return matrix
 
 
@@ -130,39 +142,38 @@ def _invariant_subspace(M, k, thresh):
     def big(re, im):
         return np.hypot(re, im) > thresh
 
-    T, Z, sdim = schur(M, output="real", sort=big)
+    _, Z, sdim = schur(M, output="real", sort=big)
     if sdim != k:
         raise NumericalError(
             f"expected {k} multipliers beyond {thresh:.3e}, found {sdim}")
     return Z[:, :k]
 
 
+# (side, sign) of the four deficiency columns of a mode, in column order
+_DEFICIENCY_LABELS = (("L", "+"), ("L", "-"), ("R", "+"), ("R", "-"))
+
+
 @dataclass
 class _ModeBorder:
     l: int
-    cond_rows: np.ndarray      # jet-condition rows acting on v (k, N)
+    rows: np.ndarray           # jet-condition rows, then gauge rows, on v
     Bcols: np.ndarray | None   # deficiency columns (N, 4), normalized
-    gauge_v: np.ndarray | None  # (2, N) gauge rows acting on v
-    labels: tuple
 
 
 @dataclass
 class BorderedSystem:
-    """Square linear system [interior rows; jet rows; gauge rows] in the
-    unknowns (grid values per mode, deficiency amplitudes per mode)."""
+    """Square linear system in the unknowns (grid values per mode,
+    deficiency amplitudes per mode): the operator matrix whose boundary rows
+    {0, 1, N-2, N-1} of each mode hold that mode's first four border rows,
+    with the remaining border rows appended below."""
 
     approx: ApproxSolution
     degrees: tuple
     matrix: np.ndarray
     row_scale: np.ndarray
     borders: list             # per mode: _ModeBorder, orbit side only
-    interior_slices: list     # per mode: (row range in the stacked system)
     _lu: tuple = None
     _cond: float = None
-
-    @property
-    def npoints(self):
-        return len(self.approx.s)
 
     def factor(self):
         """LU factors of the row-equilibrated matrix and its 1-norm
@@ -253,7 +264,8 @@ def _mode_border(approx, basis, l):
     T = orbit.period
     phase = (cfg.m + 0.5) * T
     op = ModeOperator(orbit, consts.lam(l))
-    thresh = np.exp(T / 2.0)
+    # fast directions: multipliers beyond the weight rate e^{1.5 T}
+    thresh = np.exp(1.5 * T)
 
     jl = jet_rows(N, h, 0, max_deriv=3, acc=STENCIL_ORDER)
     jr = jet_rows(N, h, N - 1, max_deriv=3, acc=STENCIL_ORDER)
@@ -268,44 +280,29 @@ def _mode_border(approx, basis, l):
         t0 = end_s + phase
         win_nodes = (s[:win] if side == "L" else s[N - win:]) + phase
         data = monodromy_data(op, t0=t0)
+        # fast directions from both one-period flows; the slow and neutral
+        # ones of modes 0 and 1 from the analytic generators
+        dec = _invariant_subspace(data.backward, n_dec, thresh)
+        grow = _invariant_subspace(data.matrix, n_dec, thresh)
+        samples = [_window_solution(op, t0, win_nodes, d) for d in dec.T]
         if has_deficiency:
-            # slow directions from the analytic generators, fast ones from
-            # the simple dominant eigenvectors of the two one-period flows
-            dirs = [dominant_direction(data.backward),
-                    None, None,
-                    dominant_direction(data.matrix)]
-            samples = []
-            for k, d in enumerate(dirs):
-                if d is None:
-                    sign = "+" if k == 1 else "-"
-                    samples.append(basis.jet(l, sign, win_nodes)[0])
-                else:
-                    samples.append(_window_solution(op, t0, win_nodes, d))
-        else:
-            dec = _invariant_subspace(data.backward, n_dec, thresh)
-            grow = _invariant_subspace(data.matrix, n_dec, thresh)
-            samples = [
-                _window_solution(op, t0, win_nodes, dec[:, 0]),
-                _window_solution(op, t0, win_nodes, dec[:, 1]),
-                _window_solution(op, t0, win_nodes, grow[:, 0]),
-                _window_solution(op, t0, win_nodes, grow[:, 1]),
-            ]
+            samples += [basis.jet(l, sign, win_nodes)[0] for sign in "+-"]
+        samples += [_window_solution(op, t0, win_nodes, g) for g in grow.T]
         # discrete jets: extract with the same stencils the rows will use
         jet_win = jet[:, :win] if side == "L" else jet[:, N - win:]
         S = np.stack([jet_win @ w for w in samples], axis=1)
         col_scale = np.max(np.abs(S), axis=0)
         S = S / col_scale
-        frames[side] = (S, np.linalg.inv(S), jet, col_scale)
+        frames[side] = (np.linalg.inv(S), jet, col_scale)
 
     # conditions: kill all non-(strictly decaying) jet components of v
-    rowsL = frames["L"][1][n_dec:, :] @ frames["L"][2]
-    rowsR = frames["R"][1][n_dec:, :] @ frames["R"][2]
+    rowsL = frames["L"][0][n_dec:, :] @ frames["L"][1]
+    rowsR = frames["R"][0][n_dec:, :] @ frames["R"][1]
     cond = np.concatenate([rowsL, rowsR], axis=0)
     cond = cond / np.max(np.abs(cond), axis=1, keepdims=True)
 
     if not has_deficiency:
-        return _ModeBorder(l=l, cond_rows=cond, Bcols=None, gauge_v=None,
-                           labels=())
+        return _ModeBorder(l=l, rows=cond, Bcols=None)
 
     # deficiency columns: cutoff global generator profiles at each end
     chiL = CutoffSpec("left", T / 2, T / 2).samples(s)
@@ -316,7 +313,6 @@ def _mode_border(approx, basis, l):
            chiR * plus_prof, chiR * minus_prof]
     scales = np.array([max(np.max(np.abs(c)), 1e-300) for c in raw])
     B = np.stack([c / sc for c, sc in zip(raw, scales)], axis=1)
-    labels = (("L", "+"), ("L", "-"), ("R", "+"), ("R", "-"))
 
     def pattern(samples):
         # discrete-jet coordinates of a kernel field's end asymptotics,
@@ -324,7 +320,7 @@ def _mode_border(approx, basis, l):
         out = np.zeros(4)
         for k, (side, sl) in ((0, ("L", slice(0, win))),
                               (2, ("R", slice(N - win, N)))):
-            _, Sinv, jet, col_scale = frames[side]
+            Sinv, jet, col_scale = frames[side]
             jet_win = jet[:, sl]
             coords = Sinv @ (jet_win @ samples[sl])
             out[k] = coords[1] / col_scale[1] * scales[k]
@@ -338,9 +334,8 @@ def _mode_border(approx, basis, l):
     log_w = log_annulus_weight(s, 1.5, cfg.m * T)
     w2 = np.exp(2.0 * (log_w - np.max(log_w)))
     Kv = np.stack([plus_prof - B @ patP, minus_prof - B @ patM], axis=0)
-    gauge_v = Kv * w2[None, :]
-    return _ModeBorder(l=l, cond_rows=cond, Bcols=B, gauge_v=gauge_v,
-                       labels=labels)
+    return _ModeBorder(l=l, rows=np.concatenate([cond, Kv * w2[None, :]]),
+                       Bcols=B)
 
 
 def bordered_system(approx, degrees=None):
@@ -358,77 +353,48 @@ def bordered_system(approx, degrees=None):
 
 def _background_system(approx, degrees, borders):
     """The bordered system about approx.field with the given orbit-side
-    borders: interior rows of the linearization (mode operator and
-    potential coupling), the operator applied to the deficiency columns,
-    the border rows copied in, and the row scale."""
+    borders: the operator matrix padded by the deficiency amplitudes, the
+    operator applied to the deficiency columns, then each mode's border rows
+    in place of its boundary rows, and the row scale."""
     consts = approx.config.constants
-    s = approx.s
-    N = len(s)
+    N = len(approx.s)
     h = approx.field.h
+    extra = sum(4 for b in borders if b.Bcols is not None)
+    A = _operator_matrix(approx.field, degrees, extra)
     C = _coupling_tensor(approx.field, degrees)
 
-    sizes = [4 if b.Bcols is not None else 0 for b in borders]
-    dim = len(degrees) * N + sum(sizes)
-    A = np.zeros((dim, dim))
-    interior_slices = []
+    # operator applied to the deficiency columns, in the stencil form
+    # linear_apply uses (the matrix product differs from it by rounding);
+    # written before the border rows, which overwrite their boundary rows
+    col = len(degrees) * N
+    for b, bb in enumerate(borders):
+        if bb.Bcols is None:
+            continue
+        for w in bb.Bcols.T:
+            A[b * N:(b + 1) * N, col] = paneitz_mode_apply(
+                consts, consts.lam(bb.l), w, h, acc=STENCIL_ORDER)
+            for a in range(len(degrees)):
+                A[a * N:(a + 1) * N, col] -= consts.K * (C[a, b] * w)
+            col += 1
 
-    # column layout: [v blocks][alpha blocks]
-    def vcol(a):
-        return slice(a * N, (a + 1) * N)
-
-    alpha_cols = []
-    off = len(degrees) * N
-    for size in sizes:
-        alpha_cols.append(slice(off, off + size))
-        off += size
-
-    row = 0
-    pick = slice(2, N - 2)
-    diag = np.arange(N - 4)
-    for a, l in enumerate(degrees):
-        block = paneitz_mode_matrix(consts, consts.lam(l), N, h,
-                                    acc=STENCIL_ORDER)
-        interior = slice(row, row + N - 4)
-        interior_slices.append(interior)
-        A[interior, vcol(a)] = block[pick]
-        for b in range(len(degrees)):
-            A[row + diag, b * N + 2 + diag] += -consts.K * C[a, b][pick]
-        # operator applied to the deficiency columns of every mode
-        for b, bb in enumerate(borders):
-            if bb.Bcols is None:
-                continue
-            LB = np.zeros((N, 4))
-            if bb.l == l:
-                # the stencil form linear_apply uses; block @ Bcols differs
-                # from it by rounding, up to 1e-16 sum|block||Bcols|
-                LB += np.stack([paneitz_mode_apply(consts, consts.lam(l), col,
-                                                   h, acc=STENCIL_ORDER)
-                                for col in bb.Bcols.T], axis=1)
-            # potential coupling from the column's degree channel into mode a
-            bidx = degrees.index(bb.l)
-            LB += -consts.K * (C[a, bidx][:, None] * bb.Bcols)
-            A[interior, alpha_cols[b]] += LB[pick]
-        row += N - 4
-        nc = len(borders[a].cond_rows)
-        A[row:row + nc, vcol(a)] = borders[a].cond_rows
-        row += nc
-        if borders[a].gauge_v is not None:
-            A[row:row + 2, vcol(a)] = borders[a].gauge_v
-            row += 2
-    if row != dim:
-        raise NumericalError(f"bordered assembly mismatch: {row} != {dim}")
+    row = len(degrees) * N
+    for a, bb in enumerate(borders):
+        boundary = a * N + np.array([0, 1, N - 2, N - 1])
+        A[boundary] = 0.0
+        A[boundary, a * N:(a + 1) * N] = bb.rows[:4]
+        rest = len(bb.rows) - 4
+        A[row:row + rest, a * N:(a + 1) * N] = bb.rows[4:]
+        row += rest
 
     scale = np.max(np.abs(A), axis=1)
     scale[scale == 0] = 1.0
     return BorderedSystem(approx=approx, degrees=degrees,
-                          matrix=A, row_scale=scale, borders=borders,
-                          interior_slices=interior_slices)
+                          matrix=A, row_scale=scale, borders=borders)
 
 
 @dataclass
 class RightInverseResult:
     u: CylField                  # v + sum alpha * basis field
-    v: CylField                  # strictly decaying part
     alpha: dict                  # (l, side, sign) -> amplitude (normalized cols)
     relResidual: float
     cond: float
@@ -445,12 +411,12 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
     condition.  Above cond_limit (1e13) the solve raises
     IllConditionedError."""
     degrees = sys.degrees
-    N = sys.npoints
+    N = len(sys.approx.s)
     have = {m.l: m.samples for m in f.modes}
     zeros = np.zeros(N)
     rhs = np.zeros(sys.matrix.shape[0])
     for a, l in enumerate(degrees):
-        rhs[sys.interior_slices[a]] = have.get(l, zeros)[2:N - 2]
+        rhs[a * N + 2:(a + 1) * N - 2] = have.get(l, zeros)[2:N - 2]
     lu, cond = sys.factor()
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedError("bordered system is numerically singular",
@@ -469,8 +435,7 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
         if n_cand >= best:
             break
         x, r, best = cand, r_cand, n_cand
-    vparts = {l: x[a * N:(a + 1) * N] for a, l in enumerate(degrees)}
-    uparts = {l: vol.copy() for l, vol in vparts.items()}
+    uparts = {l: x[a * N:(a + 1) * N].copy() for a, l in enumerate(degrees)}
     alpha = {}
     off = len(degrees) * N
     for a, b in enumerate(sys.borders):
@@ -479,9 +444,8 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
         al = x[off:off + 4]
         off += 4
         uparts[b.l] = uparts[b.l] + b.Bcols @ al
-        for k, (side, sign) in enumerate(b.labels):
+        for k, (side, sign) in enumerate(_DEFICIENCY_LABELS):
             alpha[(b.l, side, sign)] = float(al[k])
-    vfield = CylField.from_modes(f.constants, f.t, vparts)
     ufield = CylField.from_modes(f.constants, f.t, uparts)
     # interior residual of the reconstructed solution
     Lu = linear_apply(sys.approx.field, ufield)
@@ -492,7 +456,7 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
         r = Lu.mode(l).samples[2:N - 2] - have.get(l, zeros)[2:N - 2]
         num = max(num, float(np.max(np.abs(r))))
     rel = num / sup_f if sup_f > 0 else num
-    return RightInverseResult(u=ufield, v=vfield, alpha=alpha,
+    return RightInverseResult(u=ufield, alpha=alpha,
                               relResidual=rel, cond=cond)
 
 

@@ -351,7 +351,6 @@ class QResidual:
     qField: CylField
     supResidual: float
     supQ: float
-    trim: int
 
 
 def q_residual(v, acc=8, trim=None):
@@ -389,5 +388,4 @@ def q_residual(v, acc=8, trim=None):
         qField=qfield,
         supResidual=float(np.max(np.abs(res_vals[sl]))),
         supQ=float(np.max(np.abs(q_vals[sl]))),
-        trim=trim,
     )

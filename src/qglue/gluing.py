@@ -1,6 +1,6 @@
-"""End-to-end approximate solutions on a truncated cylinder: identification of
-the two end coordinates, the cutoff blend, the curvature defect of the blend,
-weighted norms, and decay studies in the overlap length.
+"""End-to-end approximate solutions on a truncated cylinder: the cutoff blend
+of the two ends, the curvature defect of the blend, weighted norms, and decay
+studies in the overlap length.
 
 The computational domain is the extended annulus in the centered coordinate
 s in [-T01-(m+1/2)T, T02+(m+1/2)T]; the end-1 depth coordinate is
@@ -17,7 +17,7 @@ relative size, far below the absolute floor of differencing two full
 curvature evaluations.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError, NumericalError
@@ -27,7 +27,7 @@ from .delaunay import DelaunayOrbit, solve_orbit
 from .jacobi import smooth_step
 
 __all__ = [
-    "EndData", "GluingConfig", "identify", "identify_raw", "cutoff_chi",
+    "EndData", "GluingConfig", "cutoff_chi",
     "build_approximate", "ApproxSolution", "defect", "DefectResult",
     "log_annulus_weight", "weighted_norm", "decay_study", "DecayStudy",
     "stable_power_remainder",
@@ -47,13 +47,11 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class EndData:
-    """Asymptotic data of one glued end: necksize, phase, translation
-    parameter and the decaying tail  w0(t, theta) = sum A e^{-beta t} phi_l
-    in that end's depth coordinate."""
+    """Asymptotic data of one glued end: phase and the decaying tail
+    w0(t, theta) = sum A e^{-beta t} phi_l in that end's depth coordinate.
+    Both ends share the config's necksize and carry no translation."""
 
-    eps: float
     T0: float = 0.0
-    a: tuple = ()
     perturbation: tuple = ()
 
     def __post_init__(self):
@@ -61,17 +59,11 @@ class EndData:
             if pert.beta <= 1.0:
                 raise DomainError(
                     f"perturbation rates must exceed 1, got {pert.beta}")
-        if any(abs(x) > 0 for x in self.a):
-            raise DomainError(
-                "nonzero end translations are normalized away upstream; "
-                "only a = 0 end data is accepted")
 
     @classmethod
     def from_json(cls, doc):
         return cls(
-            eps=doc["eps"] if "eps" in doc else None,
             T0=float(doc.get("T0", 0.0)),
-            a=tuple(doc.get("a", ())),
             perturbation=tuple(Perturbation(int(p["l"]), float(p["A"]),
                                             float(p["beta"]))
                                for p in doc.get("perturbation", ())),
@@ -88,10 +80,6 @@ class GluingConfig:
     def __post_init__(self):
         if self.m < 1:
             raise DomainError("overlap index m must be >= 1")
-        e1 = self.end1.eps if self.end1.eps is not None else self.orbit.eps
-        e2 = self.end2.eps if self.end2.eps is not None else self.orbit.eps
-        if abs(e1 - self.orbit.eps) > 1e-12 or abs(e2 - self.orbit.eps) > 1e-12:
-            raise DomainError("end necksizes must match the shared orbit")
 
     @property
     def period(self):
@@ -114,22 +102,9 @@ class GluingConfig:
         """Build from the manifest schema
         {n, eps, m, end1: {...}, end2: {...}}."""
         orbit = solve_orbit(int(doc["n"]), float(doc["eps"]))
-        def end(d):
-            d = dict(d)
-            d.setdefault("eps", doc["eps"])
-            return EndData.from_json(d)
-        return cls(end1=end(doc.get("end1", {})), end2=end(doc.get("end2", {})),
+        return cls(end1=EndData.from_json(doc.get("end1", {})),
+                   end2=EndData.from_json(doc.get("end2", {})),
                    m=int(doc["m"]), orbit=orbit)
-
-
-def identify_raw(t, T01, T02, m, period):
-    """The annulus identification in end-1 coordinates:
-    tau = T01 + T02 + (2m+1) T - t."""
-    return T01 + T02 + (2 * m + 1) * period - np.asarray(t, dtype=float)
-
-
-def identify(t, cfg):
-    return identify_raw(t, cfg.end1.T0, cfg.end2.T0, cfg.m, cfg.period)
 
 
 def cutoff_chi(t, cfg):
@@ -259,7 +234,6 @@ class DefectResult:
     weightedPsi: float
     supResidual: float
     supOutsideBand: float
-    bandMask: np.ndarray
     delta: float
 
 
@@ -268,7 +242,8 @@ def defect(approx, delta=1.5):
 
     The end fields model exact solutions (their tails stand in for the decay
     of true summand solutions), so the defect is
-        r = N(v_m) - chi N(v_1) - (1-chi) N(v_2 o identify),
+        r = N(v_m) - chi N(v_1) - (1-chi) N(v_2),
+    each end field in its own depth coordinate,
     with the backbone contribution cancelled analytically: only cutoff
     commutators on the tails and the blended-power remainder survive, both of
     which vanish identically on the plateaus and carry full relative accuracy
@@ -338,7 +313,7 @@ def defect(approx, delta=1.5):
         supPsi=float(np.max(np.abs(psi_point))),
         weightedPsi=wnorm,
         supResidual=float(np.max(np.abs(res_point))),
-        supOutsideBand=outside, bandMask=band, delta=delta)
+        supOutsideBand=outside, delta=delta)
 
 
 # ----------------------------------------------------------------------

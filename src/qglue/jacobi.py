@@ -103,7 +103,6 @@ class MonodromyData:
     matrix: np.ndarray          # forward flow over one period
     backward: np.ndarray        # Omega^{-1} M^T Omega, the inverse of matrix
     detFactored: float          # det from subinterval factors
-    t0: float
     period: float
 
 
@@ -139,22 +138,7 @@ def monodromy_data(op, t0=0.0):
     Om = _pairing_matrix(op.A)
     backward = np.linalg.solve(Om, M.T @ Om)
     return MonodromyData(matrix=M, backward=backward, detFactored=det,
-                         t0=t0, period=T)
-
-
-def dominant_direction(M):
-    """Unit eigenvector of the largest-multiplier eigenvalue, sign-normalized
-    so the largest component is positive."""
-    ev, V = np.linalg.eig(M)
-    i = int(np.argmax(np.abs(ev)))
-    vec = np.real(V[:, i])
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
-        raise NumericalError("degenerate dominant eigenvector")
-    vec = vec / nrm
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    return vec
+                         period=T)
 
 
 @dataclass

@@ -3,6 +3,7 @@ execution, unknown keys rejected) and the summary documents each subcommand
 emits."""
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from .errors import ManifestError
 
@@ -10,9 +11,7 @@ _END = {
     "type": "object",
     "additionalProperties": False,
     "properties": {
-        "eps": {"type": "number", "exclusiveMinimum": 0},
         "T0": {"type": "number", "minimum": 0},
-        "a": {"type": "array", "items": {"type": "number"}},
         "perturbation": {
             "type": "array",
             "items": {
@@ -274,11 +273,26 @@ SUMMARY_SCHEMAS = {
 }
 
 
+# the schemas are constant, so each validator is built once, without
+# re-checking its schema on every call; a test checks every schema
+_VALIDATOR = jsonschema.Draft202012Validator
+_MANIFEST_VALIDATOR = _VALIDATOR(MANIFEST_SCHEMA)
+_PARAMS_VALIDATORS = {k: _VALIDATOR(v) for k, v in PARAMS_SCHEMAS.items()}
+_SUMMARY_VALIDATORS = {k: _VALIDATOR(v) for k, v in SUMMARY_SCHEMAS.items()}
+
+
+def _check(validator, doc):
+    """Raise the error jsonschema.validate would raise for doc."""
+    error = best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise error
+
+
 def validate_manifest(doc):
     """Validate a run manifest; raises ManifestError with a JSON pointer."""
     try:
-        jsonschema.validate(doc, MANIFEST_SCHEMA)
-        jsonschema.validate(doc["params"], PARAMS_SCHEMAS[doc["command"]])
+        _check(_MANIFEST_VALIDATOR, doc)
+        _check(_PARAMS_VALIDATORS[doc["command"]], doc["params"])
     except jsonschema.ValidationError as exc:
         pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
         raise ManifestError(f"manifest invalid at {pointer}: {exc.message}")
@@ -289,5 +303,5 @@ def validate_summary(doc):
     command = doc.get("command")
     if command not in SUMMARY_SCHEMAS:
         raise ManifestError(f"no summary schema for command {command!r}")
-    jsonschema.validate(doc, SUMMARY_SCHEMAS[command])
+    _check(_SUMMARY_VALIDATORS[command], doc)
     return doc

@@ -50,12 +50,9 @@ def sweep_orbits(orbit_cache, consts5):
 
 
 def make_config(orbit, m=2, pert1=(), pert2=(), T01=0.0, T02=0.0):
-    eps = orbit.eps
     return GluingConfig(
-        EndData(eps=eps, T0=T01,
-                perturbation=tuple(Perturbation(*p) for p in pert1)),
-        EndData(eps=eps, T0=T02,
-                perturbation=tuple(Perturbation(*p) for p in pert2)),
+        EndData(T0=T01, perturbation=tuple(Perturbation(*p) for p in pert1)),
+        EndData(T0=T02, perturbation=tuple(Perturbation(*p) for p in pert2)),
         m=m, orbit=orbit)
 
 

@@ -1,14 +1,17 @@
+import csv
 import json
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
 
 from qglue.cli import HANDLERS, execute, main
 from qglue.errors import ManifestError
 from qglue.gauges import derive_constants
-from qglue.schemas import (GLUING_CONFIG, PARAMS_SCHEMAS, validate_manifest,
+from qglue.schemas import (GLUING_CONFIG, MANIFEST_SCHEMA, PARAMS_SCHEMAS,
+                           SUMMARY_SCHEMAS, validate_manifest,
                            validate_summary)
 
 
@@ -44,10 +47,14 @@ class TestManifestValidation:
     @pytest.mark.parametrize("command, params", [
         ("sweep", {"n": 5, "epsList": [0.5], "gridPerPeriod": 64}),
         ("glue", {"config": {"n": 5, "eps": 0.5, "m": 2, "r0": 1.0}}),
+        ("glue", {"config": {"n": 5, "eps": 0.5, "m": 2,
+                             "end1": {"eps": 0.5}}}),
+        ("glue", {"config": {"n": 5, "eps": 0.5, "m": 2,
+                             "end1": {"a": [0.0]}}}),
     ])
     def test_unread_keys_rejected(self, tmp_path, command, params):
-        # sweep.gridPerPeriod and the config's r0 set nothing, so no
-        # manifest may carry them
+        # sweep.gridPerPeriod, the config's r0 and the per-end eps and a
+        # set nothing, so no manifest may carry them
         manifest = {"command": command, "params": params,
                     "out": str(tmp_path / "x")}
         with pytest.raises(ManifestError):
@@ -88,6 +95,19 @@ class TestCommands:
         assert 0.0 < mismatch[0] <= 1e-10
         # the constant orbit at epsBar is not shot
         assert mismatch[1] == 0.0
+
+    def test_sweep_csv_cells_are_numbers(self, tmp_path):
+        eps_bar = derive_constants(5).epsBar
+        _, out = run_manifest(tmp_path, "sweep",
+                              {"n": 5, "epsList": [0.5, eps_bar]})
+        with open(out / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert list(row) == ["eps", "period", "hamiltonian",
+                                 "residualSup"]
+            for cell in row.values():
+                float(cell)
 
     @pytest.mark.parametrize("command", ["orbit", "sweep", "indicial"])
     def test_orbit_tolerance_key_rejected(self, command):
@@ -305,3 +325,12 @@ def test_every_manifest_key_is_read(tmp_path, command):
     assert params.read == keys
     if "config" in keys:
         assert params["config"].read == set(GLUING_CONFIG["properties"])
+
+
+def test_published_schemas_are_valid():
+    # the validators are built once, without checking their schemas, so
+    # every published schema is checked against its metaschema here
+    schemas = [MANIFEST_SCHEMA, *PARAMS_SCHEMAS.values(),
+               *SUMMARY_SCHEMAS.values()]
+    for schema in schemas:
+        jsonschema.Draft202012Validator.check_schema(schema)
