@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .errors import (DomainError, NumericalError, IllConditionedError,
                      ManifestError)
-from .gauges import (GaugeConstants, derive_constants, CylField,
-                     emden_fowler_forward, emden_fowler_inverse, kelvin,
-                     kelvin_cyl, paneitz_cyl_apply, q_residual)
+from .gauges import GaugeConstants, derive_constants, CylField, q_residual
 from .delaunay import (hamiltonian, DelaunayOrbit, solve_orbit, FamilyParams,
-                       eval_family, expansion_error)
+                       expansion_error)
 from .jacobi import (ModeOperator, mode_apply, indicial_roots, generators,
                      symplectic_pairing)

@@ -28,9 +28,8 @@ from .errors import DomainError, IllConditionedError, NumericalError
 from .fd import jet_rows, stencil_size
 from .gauges import (CylField, angular_basis, paneitz_mode_apply,
                      paneitz_mode_matrix)
-from .delaunay import sample_contiguous
-from .jacobi import (CutoffSpec, ModeOperator, _mode_flow_rhs,
-                     monodromy_data, generators)
+from .delaunay import _mode_flow_rhs, sample_contiguous
+from .jacobi import ModeOperator, generators, monodromy_data, smooth_step
 from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
     log_annulus_weight, stable_power_remainder, weighted_norm
 
@@ -232,7 +231,8 @@ def _window_solution(op, t0, t_nodes, jet0):
     jet at t0; windows are about a stencil wide, so both decaying and
     growing directions stay representable."""
     y0 = np.concatenate([op.orbit.jet(t0, max_deriv=3), jet0])
-    return sample_contiguous(_mode_flow_rhs(op), t0, y0, t_nodes, np.inf,
+    return sample_contiguous(_mode_flow_rhs(op.constants, op.lam, 1), t0, y0,
+                             t_nodes, np.inf,
                              "window sampling of a frame solution failed")[4]
 
 
@@ -305,8 +305,8 @@ def _mode_border(approx, basis, l):
         return _ModeBorder(l=l, rows=cond, Bcols=None)
 
     # deficiency columns: cutoff global generator profiles at each end
-    chiL = CutoffSpec("left", T / 2, T / 2).samples(s)
-    chiR = CutoffSpec("right", T / 2, T / 2).samples(s)
+    chiL = smooth_step((s - (s[0] + T / 2)) / (T / 2))
+    chiR = smooth_step(((s[-1] - T / 2) - s) / (T / 2))
     plus_prof = basis.jet(l, "+", s + phase)[0]
     minus_prof = basis.jet(l, "-", s + phase)[0]
     raw = [chiL * plus_prof, chiL * minus_prof,
@@ -542,7 +542,7 @@ class IterateResult:
     finalDefect: float
     converged: bool
     scheme: str
-    alpha: dict
+    alpha: dict                  # amplitudes of the whole correction
     cond: float = float("nan")
 
 
@@ -607,19 +607,24 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             rhs = f0 + remainder(approx, u)
             res = solve_right_inverse(sys0, rhs * -1.0)
             u_next = res.u
+            alpha = res.alpha
         else:
-            dnow = _total_defect(approx, f0, u)
+            if k == 1:  # later steps reuse the defect of the previous one
+                total = _total_defect(approx, f0, u)
             # re-assemble the background rows about the current iterate;
             # the orbit-side border does not depend on the field.  The
             # first step starts from u = 0, the blend itself: sys0 serves.
             sys_k = sys0 if k == 1 else _background_system(
                 replace(approx, field=approx.field + u), degrees, sys0.borders)
-            res = solve_right_inverse(sys_k, dnow * -1.0)
+            res = solve_right_inverse(sys_k, total * -1.0)
             u_next = u + res.u
-        alpha = res.alpha
+            # the correction sums the increments, and alpha their amplitudes
+            alpha = {key: alpha.get(key, 0.0) + a
+                     for key, a in res.alpha.items()}
         corr = _interior_sup(u_next - u)
         u = u_next
-        defect_now = _interior_sup(_total_defect(approx, f0, u))
+        total = _total_defect(approx, f0, u)
+        defect_now = _interior_sup(total)
         ratio = corr / prev_corr if prev_corr not in (None, 0.0) else float("nan")
         rows.append((k, defect_now, corr, ratio))
         # Stagnation: the step is negligible next to the iterate, or the

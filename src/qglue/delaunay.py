@@ -25,7 +25,7 @@ from .gauges import GaugeConstants, derive_constants
 __all__ = [
     "hamiltonian", "sample_contiguous", "quintic_hermite", "DelaunayOrbit",
     "solve_orbit",
-    "FamilyParams", "eval_family", "expansion_error", "ExpansionStudy",
+    "FamilyParams", "expansion_error", "ExpansionStudy",
 ]
 
 
@@ -43,12 +43,36 @@ def hamiltonian(jet, consts):
             - 0.5 * consts.c0 * v ** 2 + consts.cH * abs(v) ** consts.qExp)
 
 
-def _rhs_arrays(consts):
+def _ode_jet45(consts, v, v1, v2, v3):
+    """(v'''', v''''') of a solution of the necksize ODE from its jet
+    (v, v', v'', v''')."""
     c2, c0, cN, p = consts.c2, consts.c0, consts.cN, consts.p
+    return (c2 * v2 - c0 * v + cN * v ** p,
+            c2 * v3 - c0 * v1 + cN * p * v ** (p - 1) * v1)
+
+
+def _mode_flow_rhs(consts, lam, k):
+    """Right-hand side of the orbit (components 0..3) jointly with k jets of
+    its mode-lam linearization (components 4.., flattened from (4, k)).
+
+    The potential lam^2 + B - K v^(p-1) is taken from the carried v, so the
+    flow makes no interpolant evaluations; callers start the orbit from
+    orbit.jet at the initial time."""
+    c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
+    A, B = consts.mode_coefficients(lam)
+    base = lam ** 2 + B
+    # one gather shifts every jet by one derivative order; the equations
+    # then overwrite the fourth-derivative rows 3 and w4
+    idx = np.r_[1, 2, 3, 3, 4 + k:4 + 4 * k, 4:4 + k]
+    w2, w4 = slice(4 + k, 4 + 2 * k), slice(4 + 3 * k, 4 + 4 * k)
 
     def rhs(t, y):
         v = y[0]
-        return (y[1], y[2], y[3], c2 * y[2] - c0 * v + cN * v ** p)
+        out = y[idx]
+        out[3] = c2 * y[2] - c0 * v + cN * v ** p
+        if k:  # arithmetic on the empty rows would triple the orbit's cost
+            out[w4] = A * out[w2] + (K * v ** (p - 1) - base) * out[w4]
+        return out
 
     return rhs
 
@@ -115,9 +139,9 @@ def quintic_hermite(x, jets):
 class DelaunayOrbit:
     """One periodic orbit, stored on [0, T/2] and extended by symmetry.
 
-    eval(t, k) returns the k-th t-derivative (k <= 3 for callers; 4 and 5 are
-    derived from the ODE internally).  The representation is even about t = 0
-    and T/2 and exactly T-periodic.
+    eval(t, k) returns the k-th t-derivative (k <= 3); jet extends it to
+    orders 4 and 5 by the ODE.  The representation is even about t = 0 and
+    T/2 and exactly T-periodic.
     """
 
     constants: GaugeConstants
@@ -144,25 +168,10 @@ class DelaunayOrbit:
     def eval(self, t, deriv=0):
         if deriv < 0 or deriv > 3:
             raise DomainError("derivative order must be 0..3")
-        return self._eval_any(t, deriv)
-
-    def _eval_any(self, t, deriv):
         scalar = np.ndim(t) == 0
         if self.isConstant:
             out = np.full(np.shape(np.atleast_1d(t)), self.eps if deriv == 0 else 0.0)
             return float(out[0]) if scalar else out
-        if deriv >= 4:
-            c = self.constants
-            v = self._eval_any(t, 0)
-            if deriv == 4:
-                v2 = self._eval_any(t, 2)
-                return c.c2 * v2 - c.c0 * v + c.cN * v ** c.p
-            if deriv == 5:
-                v1 = self._eval_any(t, 1)
-                v3 = self._eval_any(t, 3)
-                return (c.c2 * v3 - c.c0 * v1
-                        + c.cN * c.p * v ** (c.p - 1) * v1)
-            raise DomainError("derivative order must be 0..5")
         y, sign = self._reduce(t)
         vals = self._interp[deriv](y)
         if deriv % 2 == 1:
@@ -170,8 +179,15 @@ class DelaunayOrbit:
         return float(vals) if scalar else vals
 
     def jet(self, t, max_deriv=3):
-        """Stacked derivatives 0..max_deriv at t (max_deriv <= 5)."""
-        return np.stack([self._eval_any(t, k) for k in range(max_deriv + 1)])
+        """Stacked derivatives 0..max_deriv at t (max_deriv <= 5); orders 4
+        and 5 come from the ODE applied to orders 0..3."""
+        rows = [self.eval(t, k) for k in range(min(max_deriv, 3) + 1)]
+        if max_deriv >= 4:
+            # the constant orbit's higher derivatives are exact zeros
+            high = ((rows[1], rows[1]) if self.isConstant
+                    else _ode_jet45(self.constants, *rows))
+            rows += high[:max_deriv - 3]
+        return np.stack(rows)
 
     def sample_states(self, tgrid):
         """Sample the full jet (v, v', v'', v''') by one contiguous
@@ -196,7 +212,7 @@ class DelaunayOrbit:
             out[0] = self.eps
             return out
         return sample_contiguous(
-            _rhs_arrays(self.constants), 0.0,
+            _mode_flow_rhs(self.constants, 0.0, 0), 0.0,
             [self.eps, 0.0, self.vDdot0, 0.0], tgrid, self.period / 512.0,
             "orbit sampling failed")
 
@@ -255,15 +271,14 @@ def _half_period_interp(consts, eps, s, T):
     the next two sampled (or ODE-supplied) derivatives, so every component
     keeps sample-level accuracy; differentiating a single value interpolant
     would amplify integrator noise by a power of the node spacing."""
-    tgrid, y = _half_period_nodes(_rhs_arrays(consts), [eps, 0.0, s, 0.0],
-                                  T / 2.0, "half-period integration failed")
+    tgrid, y = _half_period_nodes(_mode_flow_rhs(consts, 0.0, 0),
+                                  [eps, 0.0, s, 0.0], T / 2.0,
+                                  "half-period integration failed")
     v, v1, v2, v3 = (c.copy() for c in y)
     # symmetry pins the odd derivatives at both ends of a half period
     v1[0] = v3[0] = 0.0
     v1[-1] = v3[-1] = 0.0
-    v4 = consts.c2 * v2 - consts.c0 * v + consts.cN * v ** consts.p
-    v5 = (consts.c2 * v3 - consts.c0 * v1
-          + consts.cN * consts.p * v ** (consts.p - 1) * v1)
+    v4, v5 = _ode_jet45(consts, v, v1, v2, v3)
     comps = [(v, v1, v2), (v1, v2, v3), (v2, v3, v4), (v3, v4, v5)]
     interp = [quintic_hermite(tgrid, jets) for jets in comps]
     return interp, y[:, -1]
@@ -291,7 +306,7 @@ def _first_max(consts, eps, s):
     """Integrate until the first interior maximum (vdot = 0 crossing downward)
     or an escape, up to t = 120; returns (kind, t).  Only the kind steers the
     bisection and Newton refines the time, so the tolerance 1e-9 is loose."""
-    rhs = _rhs_arrays(consts)
+    rhs = _mode_flow_rhs(consts, 0.0, 0)
 
     def ev_max(t, y):
         return y[1]
@@ -321,7 +336,8 @@ def _first_max(consts, eps, s):
 
 def _joint_rhs(consts):
     """The orbit (components 0..3) jointly with one solution of its
-    linearization (components 4..7)."""
+    linearization (components 4..7): _mode_flow_rhs(consts, 0.0, 1) written
+    out, because at one jet its gather made solve_orbit 8% slower."""
     c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
 
     def rhs(t, y):
@@ -337,7 +353,7 @@ def _shooting_jacobian(consts, v, w):
     """Jacobian of the half-period conditions (v'(tau), v'''(tau)) in
     (s, tau), [[w'(tau), v''(tau)], [w'''(tau), v''''(tau)]], from the jets
     v of the orbit and w of its s-derivative at tau."""
-    v4 = consts.c2 * v[2] - consts.c0 * v[0] + consts.cN * v[0] ** consts.p
+    v4 = _ode_jet45(consts, *v)[0]
     return np.array([[w[1], v[2]], [w[3], v4]])
 
 
@@ -451,25 +467,6 @@ class FamilyParams:
         if len(self.a):
             a[:len(self.a)] = self.a
         return a
-
-
-def eval_family(params, orbit, x):
-    """Deformed solution in the Euclidean gauge:
-    u(x) = |x|^{(4-n)/2} |x/|x| - |x| a|^{(4-n)/2}
-           v_eps(-log|x| + log|x/|x| - |x| a| + T)."""
-    n = orbit.constants.n
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x)
-    if r == 0:
-        raise DomainError("evaluation at the singular point x = 0")
-    a = params.a_vec(n)[:len(x)]
-    w = x / r - r * a
-    rho = np.linalg.norm(w)
-    if rho < 1e-14:
-        raise DomainError("evaluation at the second singular point a/|a|^2")
-    t_arg = -np.log(r) + np.log(rho) + params.T
-    return float(r ** ((4 - n) / 2.0) * rho ** ((4 - n) / 2.0)
-                 * orbit.eval(t_arg, 0))
 
 
 @dataclass

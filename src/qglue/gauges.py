@@ -1,4 +1,4 @@
-"""Dimension constants, gauge transforms, the cylindrical fourth-order
+"""Dimension constants, cylinder fields, the cylindrical fourth-order
 conformal operator and the constant-curvature residual.
 
 Conventions fixed here and used everywhere else:
@@ -21,9 +21,8 @@ from .fd import apply_derivative, derivative_matrix, stencil_size
 
 __all__ = [
     "GaugeConstants", "derive_constants", "CylField", "AngularBasis",
-    "angular_basis", "emden_fowler_forward", "emden_fowler_inverse", "kelvin",
-    "kelvin_cyl", "paneitz_mode_apply", "paneitz_mode_matrix",
-    "paneitz_cyl_apply", "q_residual", "QResidual",
+    "angular_basis", "paneitz_mode_apply", "paneitz_mode_matrix",
+    "q_residual", "QResidual",
 ]
 
 
@@ -262,61 +261,6 @@ class CylField:
 
 
 # ----------------------------------------------------------------------
-# gauge transforms
-
-
-def emden_fowler_forward(profiles, t, constants, r0=1.0):
-    """Log-radial transform of Euclidean-gauge mode profiles to the cylinder.
-
-    profiles: {degree: callable r -> samples}; the cylinder field is
-    v_l(t) = r^{(n-4)/2} u_l(r) at r = r0 e^{-t}, so the scale-invariant
-    radial profile |x|^{(4-n)/2} maps to the constant 1 for any r0.
-    """
-    if r0 <= 0:
-        raise DomainError("r0 must be positive")
-    t = np.asarray(t, dtype=float)
-    r = r0 * np.exp(-t)
-    n = constants.n
-    out = {}
-    for l, u in sorted(profiles.items()):
-        ur = np.asarray(u(r), dtype=float)
-        out[l] = r ** ((n - 4) / 2.0) * ur
-    fld = CylField.from_modes(constants, t, out)
-    if np.any(fld.point_values() <= 0):
-        raise DomainError("conformal factor must be positive")
-    return fld
-
-
-def emden_fowler_inverse(v, r0=1.0):
-    """Inverse transform; returns (radii, {degree: samples}) with
-    u_l(r) = r^{(4-n)/2} v_l(-log(r/r0)).  Radii descend along the t grid."""
-    if r0 <= 0:
-        raise DomainError("r0 must be positive")
-    n = v.constants.n
-    r = r0 * np.exp(-v.t)
-    return r, {m.l: r ** ((4 - n) / 2.0) * m.samples for m in v.modes}
-
-
-def kelvin(radii, profiles, constants):
-    """Inversion through the unit sphere on radial mode samples:
-    K(u)_l(r) = r^{4-n} u_l(1/r); output samples live at radii 1/r."""
-    r = np.asarray(radii, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("Kelvin transform undefined at the origin")
-    n = constants.n
-    new_r = 1.0 / r
-    return new_r, {l: new_r ** (4 - n) * np.asarray(s, dtype=float)
-                   for l, s in profiles.items()}
-
-
-def kelvin_cyl(v):
-    """Kelvin transform in the cylindrical gauge: t -> -t (r0 = 1)."""
-    t_new = -v.t[::-1]
-    return CylField.from_modes(v.constants, t_new,
-                               {m.l: m.samples[::-1].copy() for m in v.modes})
-
-
-# ----------------------------------------------------------------------
 # the fourth-order operator and the residual
 
 
@@ -336,13 +280,6 @@ def paneitz_mode_matrix(consts, lam, npoints, h, acc):
     M -= A * derivative_matrix(npoints, h, 2, acc=acc)
     M[np.diag_indices(npoints)] += lam ** 2 + B
     return M
-
-
-def paneitz_cyl_apply(v, acc=8):
-    """Apply the cylindrical fourth-order conformal operator mode by mode."""
-    return v.like({m.l: paneitz_mode_apply(v.constants, m.lam, m.samples,
-                                           v.h, acc=acc)
-                   for m in v.modes})
 
 
 @dataclass
@@ -366,13 +303,14 @@ def q_residual(v, acc=8, trim=None):
     full grid.
     """
     consts = v.constants
-    Pv = paneitz_cyl_apply(v, acc=acc)
     basis = v.basis()
     vals = basis.reconstruct(v.coeff_matrix())
     if np.any(vals <= 0):
         raise DomainError("conformal factor must be positive on the "
                           "angular quadrature set")
-    Pvals = basis.reconstruct(Pv.coeff_matrix())
+    Pvals = basis.reconstruct(np.stack(
+        [paneitz_mode_apply(consts, m.lam, m.samples, v.h, acc=acc)
+         for m in v.modes]))
     res_vals = Pvals - consts.cN * vals ** consts.p
     q_vals = (2.0 / (consts.n - 4)) * vals ** (-consts.p) * Pvals - consts.qTarget
     res_coeffs = basis.project(res_vals)

@@ -107,12 +107,15 @@ class GluingConfig:
                    m=int(doc["m"]), orbit=orbit)
 
 
+def _blend_band(cfg):
+    """End-1 depths T01 + (m+1/4) T, T01 + (m+3/4) T of the blend band."""
+    return [cfg.end1.T0 + (cfg.m + f) * cfg.period for f in (0.25, 0.75)]
+
+
 def cutoff_chi(t, cfg):
-    """Blend cutoff in end-1 coordinates: 1 for t <= T01 + (m+1/4) T, 0 for
-    t >= T01 + (m+3/4) T, a mollifier smoothstep between (value 1/2 at the
-    transition midpoint by antisymmetry)."""
-    lo = cfg.end1.T0 + (cfg.m + 0.25) * cfg.period
-    hi = cfg.end1.T0 + (cfg.m + 0.75) * cfg.period
+    """Blend cutoff in end-1 coordinates: 1 below the blend band, 0 above
+    it, a mollifier smoothstep across it, 1/2 at its midpoint."""
+    lo, hi = _blend_band(cfg)
     return smooth_step((np.asarray(t, dtype=float) - lo) / (hi - lo))
 
 
@@ -300,8 +303,7 @@ def defect(approx, delta=1.5):
     psi = approx.field.like(dict(zip(degrees, psi_modes)))
 
     t_depth = s - cfg.sMin
-    lo = cfg.end1.T0 + (cfg.m + 0.25) * cfg.period
-    hi = cfg.end1.T0 + (cfg.m + 0.75) * cfg.period
+    lo, hi = _blend_band(cfg)
     # the discrete operator widens support by one stencil half-width; pad the
     # band by that margin so the outside sup measures genuine leakage
     margin = (stencil_size(4, STENCIL_ORDER) // 2) * h

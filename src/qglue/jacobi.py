@@ -1,7 +1,7 @@
 """Linearization about a periodic orbit: per-mode operators, the generator
 solutions of degrees 0 and 1 from the deformation families, Floquet
-analysis, the conserved boundary pairing, and the smooth end cutoffs of the
-deficiency fields.
+analysis of the flows of delaunay._mode_flow_rhs, the conserved boundary
+pairing, and the smooth step that every cutoff is built from.
 """
 
 from dataclasses import dataclass
@@ -12,14 +12,14 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 from .fd import apply_derivative
-from .delaunay import (DelaunayOrbit, _half_period_nodes,
+from .delaunay import (DelaunayOrbit, _half_period_nodes, _mode_flow_rhs,
                        _shooting_jacobian, quintic_hermite, sample_contiguous,
                        solve_orbit)
 
 __all__ = [
     "ModeOperator", "mode_apply", "MonodromyData", "monodromy_data",
     "IndicialSpectrum", "indicial_roots", "VariationalField", "JacobiBasis",
-    "generators", "symplectic_pairing", "CutoffSpec",
+    "generators", "symplectic_pairing",
 ]
 
 
@@ -63,32 +63,6 @@ def mode_apply(op, t, w, acc=8):
 # Floquet analysis
 
 
-def _mode_flow_rhs(op):
-    """Right-hand side of the orbit (components 0..3) jointly with k jets of
-    the mode system (components 4.., flattened from (4, k)).
-
-    The potential lam^2 + B - K v^(p-1) is taken from the carried v, so the
-    flow makes no interpolant evaluations; callers start the orbit from
-    orbit.jet at the initial time."""
-    c = op.constants
-    c2, c0, cN, p, K = c.c2, c.c0, c.cN, c.p, c.K
-    A = op.A
-    base = op.lam ** 2 + c.mode_coefficients(op.lam)[1]
-
-    def rhs(t, y):
-        v = y[0]
-        Y = y[4:].reshape(4, -1)
-        out = np.empty_like(y)
-        out[:3] = y[1:4]
-        out[3] = c2 * y[2] - c0 * v + cN * v ** p
-        W = out[4:].reshape(4, -1)
-        W[:3] = Y[1:]
-        W[3] = A * Y[2] - (base - K * v ** (p - 1)) * Y[0]
-        return out
-
-    return rhs
-
-
 def _pairing_matrix(A):
     """Matrix Omega of symplectic_pairing: omega(a, b) = a^T Omega b for
     jets a, b of a mode operator whose -w'' coefficient is A."""
@@ -121,7 +95,7 @@ def monodromy_data(op, t0=0.0):
     The flow preserves symplectic_pairing, M^T Omega M = Omega, so the
     backward flow is Omega^{-1} M^T Omega and needs no second sweep."""
     T = op.orbit.period
-    rhs = _mode_flow_rhs(op)
+    rhs = _mode_flow_rhs(op.constants, op.lam, 4)
     edges = t0 + np.linspace(0.0, T, MONODROMY_SUBINTERVALS + 1)
     orbit_jets = op.orbit.jet(edges, max_deriv=3)
     M = np.eye(4)
@@ -264,7 +238,7 @@ class VariationalField:
         c = orbit.constants
         y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0,
               1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-        tg, y = _half_period_nodes(_mode_flow_rhs(ModeOperator(orbit, 0.0)),
+        tg, y = _half_period_nodes(_mode_flow_rhs(c, 0.0, 2),
                                    y0, orbit.period / 2.0,
                                    "variational integration failed")
         v = y[:4]
@@ -291,7 +265,7 @@ class VariationalField:
         is all residual-grade checks need."""
         orbit = self.orbit
         y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0, 1.0, 0.0, self.dsdEps, 0.0]
-        return sample_contiguous(_mode_flow_rhs(ModeOperator(orbit, 0.0)),
+        return sample_contiguous(_mode_flow_rhs(orbit.constants, 0.0, 1),
                                  0.0, y0, tgrid, orbit.period / 512.0,
                                  "variational sampling failed")[4:]
 
@@ -448,7 +422,7 @@ def symplectic_pairing(op, vjet, wjet, t):
 
 
 # ----------------------------------------------------------------------
-# end cutoffs of the deficiency fields
+# the smooth step of the cutoffs
 
 
 def smooth_step(x):
@@ -465,23 +439,3 @@ def smooth_step(x):
     fx = f(1.0 - x)
     gx = f(x)
     return fx / (fx + gx)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """One-end cutoff on a given grid: 1 on [end, plateau edge], smooth decay
-    to 0 across `width`, 0 beyond."""
-
-    side: str           # "left" or "right"
-    plateau: float      # distance from the grid end over which chi = 1
-    width: float        # transition width
-
-    def samples(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.side == "left":
-            x = (t - (t[0] + self.plateau)) / self.width
-        elif self.side == "right":
-            x = ((t[-1] - self.plateau) - t) / self.width
-        else:
-            raise DomainError(f"unknown side {self.side!r}")
-        return smooth_step(x)

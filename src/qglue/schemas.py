@@ -253,7 +253,10 @@ SUMMARY_SCHEMAS = {
                      "matrix about the blend; a solve above cond_limit = "
                      "1e13 fails with exit code 3.  Omitted when the ends "
                      "are exact and no system is assembled"},
-            "alpha": {"type": "object"},
+            "alpha": {"type": "object", "description":
+                      "deficiency amplitudes of the whole correction, keyed "
+                      "'l:' plus end (L, R) and generator sign (+, -); "
+                      "newton sums those of its increments"},
         },
     },
     "diagnose": {

@@ -246,6 +246,20 @@ class TestIterate:
             np.log10(defects[2])
         assert (d1 - d2) > 0.5 * (d0 - d1) or defects[2] < 1e-18
 
+    def test_newton_and_picard_report_the_same_amplitudes(self, orbit05):
+        # Newton's alpha sums its increments' amplitudes, so both schemes
+        # report the amplitudes of the whole correction
+        cfg = make_config(orbit05, m=2, pert1=((0, 1e-3, 2.0), (1, 1e-3, 2.0)),
+                          pert2=((0, -1e-3, 1.8),), T01=0.2, T02=0.1)
+        ap = build_approximate(cfg, grid_per_period=64)
+        pic, new = (iterate(ap, scheme=scheme, tol=1e-15, min_iter=2,
+                            degrees=(0, 1)) for scheme in ("picard", "newton"))
+        assert pic.alpha.keys() == new.alpha.keys()
+        biggest = max(abs(a) for a in pic.alpha.values())
+        assert biggest > 0.0
+        assert max(abs(pic.alpha[key] - new.alpha[key])
+                   for key in pic.alpha) <= 1e-8 * biggest
+
     def test_invalid_scheme(self, reference_approx):
         with pytest.raises(DomainError):
             iterate(reference_approx, scheme="broyden")

@@ -6,8 +6,8 @@ import sympy as sp
 from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
-from qglue.delaunay import (_rhs_arrays, hamiltonian, sample_contiguous,
-                            solve_orbit, FamilyParams, eval_family,
+from qglue.delaunay import (_joint_rhs, _mode_flow_rhs, hamiltonian,
+                            sample_contiguous, solve_orbit, FamilyParams,
                             expansion_error, quintic_hermite)
 from qglue.errors import DomainError
 from qglue.gauges import CylField, derive_constants, q_residual
@@ -42,7 +42,7 @@ def spherical_state(consts, t_val):
 
 def rhs_at(consts, y):
     """The necksize ODE's first-order right-hand side at the state y."""
-    return np.array(_rhs_arrays(consts)(0.0, np.asarray(y, dtype=float)))
+    return _mode_flow_rhs(consts, 0.0, 0)(0.0, np.asarray(y, dtype=float))
 
 
 class TestRhsAndEnergy:
@@ -73,11 +73,72 @@ class TestRhsAndEnergy:
         assert got == pytest.approx(-0.4366, abs=5e-4)
 
 
+def reshaped_flow(consts, lam, k):
+    """The orbit jointly with k jets of its mode-lam linearization, written
+    with the jets reshaped to (4, k): the reference form of the flow."""
+    c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
+    A, B = consts.mode_coefficients(lam)
+    base = lam ** 2 + B
+
+    def rhs(t, y):
+        v = y[0]
+        Y = y[4:].reshape(4, -1)
+        out = np.empty_like(y)
+        out[:3] = y[1:4]
+        out[3] = c2 * y[2] - c0 * v + cN * v ** p
+        W = out[4:].reshape(4, -1)
+        W[:3] = Y[1:]
+        W[3] = A * Y[2] - (base - K * v ** (p - 1)) * Y[0]
+        return out
+
+    return rhs
+
+
+class TestModeFlow:
+    """One right-hand side serves the orbit, its Jacobi fields and every
+    mode flow; it must match the reshaped form bit for bit."""
+
+    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    def test_matches_reshaped_flow(self, n, l, k):
+        consts = derive_constants(n)
+        lam = consts.lam(l)
+        got = _mode_flow_rhs(consts, lam, k)
+        ref = reshaped_flow(consts, lam, k)
+        rng = np.random.default_rng(100 * n + 10 * l + k)
+        for _ in range(300):
+            y = rng.standard_normal(4 + 4 * k)
+            y[0] = rng.uniform(0.05, 1.5)
+            assert got(0.0, y).tobytes() == ref(0.0, y).tobytes()
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_one_jet_of_mode_zero_is_the_newton_flow(self, n):
+        consts = derive_constants(n)
+        got, ref = _mode_flow_rhs(consts, 0.0, 1), _joint_rhs(consts)
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            y = rng.standard_normal(8)
+            y[0] = rng.uniform(0.05, 1.5)
+            assert got(0.0, y).tobytes() == np.array(ref(0.0, y)).tobytes()
+
+    def test_jet_extends_by_the_ode(self, orbit05, consts5, orbit_cache):
+        c = consts5
+        t = np.linspace(-3.0, 9.0, 97)
+        v, v1, v2, v3, v4, v5 = orbit05.jet(t, 5)
+        assert np.array_equal(orbit05.jet(t, 3), [v, v1, v2, v3])
+        assert np.array_equal(v4, c.c2 * v2 - c.c0 * v + c.cN * v ** c.p)
+        assert np.array_equal(v5, c.c2 * v3 - c.c0 * v1
+                              + c.cN * c.p * v ** (c.p - 1) * v1)
+        const = orbit_cache(c.epsBar).jet(t, 5)
+        assert np.all(const[0] == c.epsBar) and np.all(const[1:] == 0.0)
+
+
 def integrate(consts, y0, ts):
     """States of the necksize ODE from y(0) = y0 at the points ts >= 0, by
     the contiguous sampling the orbit and window samples use."""
-    return sample_contiguous(_rhs_arrays(consts), 0.0, y0, ts, np.inf,
-                             "integration failed")
+    return sample_contiguous(_mode_flow_rhs(consts, 0.0, 0), 0.0, y0, ts,
+                             np.inf, "integration failed")
 
 
 class TestIntegrate:
@@ -201,34 +262,6 @@ class TestOrbitFamily:
 
 
 class TestFamily:
-    def test_base_member(self, orbit05):
-        n = orbit05.constants.n
-        params = FamilyParams(eps=orbit05.eps)
-        for x in ([0.3, 0.0, 0.0, 0.0, 0.0], [0.0, 1.7, 0.0, 0.0, 0.0]):
-            x = np.asarray(x)
-            r = np.linalg.norm(x)
-            expect = r ** ((4 - n) / 2.0) * orbit05.eval(-np.log(r), 0)
-            assert eval_family(params, orbit05, x) == pytest.approx(
-                expect, rel=1e-12)
-
-    def test_scaling_law(self, orbit05):
-        n = orbit05.constants.n
-        R = 1.9
-        x = np.array([0.21, -0.4, 0.1, 0.0, 0.05])
-        lhs = R ** ((n - 4) / 2.0) * eval_family(
-            FamilyParams(eps=orbit05.eps), orbit05, R * x)
-        rhs = eval_family(FamilyParams(eps=orbit05.eps, T=-np.log(R)),
-                          orbit05, x)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_singular_points(self, orbit05):
-        with pytest.raises(DomainError):
-            eval_family(FamilyParams(eps=0.5), orbit05, np.zeros(5))
-        a = (0.5, 0, 0, 0, 0)
-        x = np.array([1 / 0.5, 0, 0, 0, 0])  # a / |a|^2
-        with pytest.raises(DomainError):
-            eval_family(FamilyParams(eps=0.5, a=a), orbit05, x)
-
     def test_expansion_zero_translation(self, orbit05):
         st = expansion_error(FamilyParams(eps=0.5, a=()), orbit05, (2, 8))
         assert st.maxDeviation == 0.0

@@ -3,12 +3,11 @@ import json
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from qglue import derive_constants
 from qglue.errors import DomainError
-from qglue.gauges import (CylField, emden_fowler_forward, emden_fowler_inverse,
-                          kelvin, kelvin_cyl, paneitz_cyl_apply, q_residual)
+from qglue.gauges import CylField, paneitz_mode_apply, q_residual
 
 
 def symbolic_constants(n_val):
@@ -87,85 +86,6 @@ class TestCylField:
             CylField(consts5, t, [Mode(1, 3.0, np.zeros(5))])
 
 
-class TestEmdenFowler:
-    def test_scale_invariant_profile_maps_to_one(self, consts5):
-        t = np.linspace(-2.0, 3.0, 41)
-        for r0 in (1.0, 0.7):
-            fld = emden_fowler_forward(
-                {0: lambda r: r ** ((4 - consts5.n) / 2.0)}, t, consts5,
-                r0=r0)
-            np.testing.assert_allclose(fld.mode(0).samples, 1.0, rtol=1e-13)
-
-    def test_round_trip(self, consts5):
-        t = np.linspace(-1.0, 2.0, 33)
-        fld = emden_fowler_forward(
-            {0: lambda r: 1.0 / (1 + r ** 2), 1: lambda r: np.exp(-r)},
-            t, consts5)
-        radii, profs = emden_fowler_inverse(fld)
-        np.testing.assert_allclose(radii, np.exp(-t), rtol=1e-14)
-        np.testing.assert_allclose(profs[0], 1.0 / (1 + radii ** 2),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(profs[1], np.exp(-radii), rtol=1e-12)
-
-    def test_orbit_profile_maps_to_orbit(self, orbit05):
-        # the Euclidean-gauge family member returns the cylinder orbit
-        consts = orbit05.constants
-        t = np.linspace(0.0, orbit05.period, 65)
-
-        def u_eps(r):
-            return r ** ((4 - consts.n) / 2.0) * orbit05.eval(-np.log(r), 0)
-
-        fld = emden_fowler_forward({0: u_eps}, t, consts)
-        np.testing.assert_allclose(fld.mode(0).samples, orbit05.eval(t, 0),
-                                   rtol=1e-11)
-
-    def test_constant_maps_to_scale_profile(self, consts5):
-        t = np.linspace(-1.0, 1.0, 11)
-        fld = CylField.mode0(consts5, t, np.ones(11))
-        radii, profs = emden_fowler_inverse(fld)
-        np.testing.assert_allclose(
-            profs[0], radii ** ((4 - consts5.n) / 2.0), rtol=1e-13)
-
-
-class TestKelvin:
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=12, deadline=None)
-    def test_involution(self, seed):
-        consts5 = derive_constants(5)
-        rng = np.random.default_rng(seed)
-        radii = np.exp(rng.uniform(-2, 2, size=17))
-        profs = {0: rng.standard_normal(17), 1: rng.standard_normal(17)}
-        r2, p2 = kelvin(*kelvin(radii, profs, consts5), consts5)
-        np.testing.assert_allclose(r2, radii, rtol=1e-12)
-        for l in profs:
-            np.testing.assert_allclose(p2[l], profs[l], rtol=1e-12)
-
-    def test_spherical_profile_fixed_point(self, consts5):
-        # ((1+|x|^2)/2)^((4-n)/2) is Kelvin-invariant
-        n = consts5.n
-        radii = np.exp(np.linspace(-2, 2, 21))
-        u = ((1 + radii ** 2) / 2.0) ** ((4 - n) / 2.0)
-        r2, p2 = kelvin(radii, {0: u}, consts5)
-        u_at_r2 = ((1 + r2 ** 2) / 2.0) ** ((4 - n) / 2.0)
-        np.testing.assert_allclose(p2[0], u_at_r2, rtol=1e-12)
-
-    def test_cylindrical_gauge_is_time_reversal(self, consts5):
-        t = np.linspace(-1.5, 1.5, 31)
-        w = np.sin(2 * t) + 0.1 * t
-        fld = CylField.mode0(consts5, t, w)
-        k = kelvin_cyl(fld)
-        np.testing.assert_allclose(k.t, -t[::-1], rtol=0, atol=1e-15)
-        np.testing.assert_allclose(k.mode(0).samples, w[::-1], rtol=0)
-        # derived: pushing the Euclidean Kelvin transform through the
-        # log-radial change of variables flips t when r0 = 1; the output
-        # radii are 1/r, i.e. the -t grid, so sample j of the transformed
-        # cylinder field sits at -t_j and must equal w(t_j)
-        radii, profs = emden_fowler_inverse(fld)
-        kr, kp = kelvin(radii, profs, consts5)
-        back = kp[0] * kr ** ((consts5.n - 4) / 2.0)
-        np.testing.assert_allclose(back, w, rtol=1e-12, atol=1e-14)
-
-
 def characteristic_quartic(consts, lam, mu):
     """Action of the mode operator on e^{mu t}, by symbolic differentiation."""
     t, m = sp.symbols("t m")
@@ -181,8 +101,8 @@ def characteristic_quartic(consts, lam, mu):
 class TestPaneitz:
     def test_constant_field(self, consts5):
         t = np.linspace(-2, 2, 41)
-        fld = CylField.mode0(consts5, t, np.full(41, consts5.epsBar))
-        out = paneitz_cyl_apply(fld).mode(0).samples
+        out = paneitz_mode_apply(consts5, 0.0, np.full(41, consts5.epsBar),
+                                 t[1] - t[0], acc=8)
         expect = consts5.c0 * consts5.epsBar
         # biased end stencils carry dot-product rounding at the 1e-9 level;
         # interior centered stencils sit well below
@@ -197,18 +117,15 @@ class TestPaneitz:
         half = 8
         t = h * np.arange(-16, 17)
         w = np.exp(mu * t)
-        fld = CylField.from_modes(consts5, t, {l: w})
-        out = paneitz_cyl_apply(fld, acc=12).mode(l).samples
+        out = paneitz_mode_apply(consts5, lam, w, h, acc=12)
         expect = characteristic_quartic(consts5, lam, mu) * w
         sl = slice(half, len(t) - half)
         rel = np.max(np.abs(out[sl] - expect[sl]) / np.abs(expect[sl]))
         assert rel < 1e-10
 
     def test_grid_too_coarse(self, consts5):
-        t = np.linspace(0, 1, 6)
-        fld = CylField.mode0(consts5, t, np.ones(6))
         with pytest.raises(ValueError):
-            paneitz_cyl_apply(fld, acc=8)
+            paneitz_mode_apply(consts5, 0.0, np.ones(6), 0.2, acc=8)
 
 
 class TestQResidual:
