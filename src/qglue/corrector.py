@@ -226,14 +226,17 @@ def _inv_norm1(lu):
 
 
 def _window_solution(op, t0, t_nodes, jet0):
-    """Sample the mode-ODE solution with initial jet `jet0` at t0 over the
-    window nodes (any direction), integrated jointly with the orbit from its
-    jet at t0; windows are about a stencil wide, so both decaying and
-    growing directions stay representable."""
-    y0 = np.concatenate([op.orbit.jet(t0, max_deriv=3), jet0])
-    return sample_contiguous(_mode_flow_rhs(op.constants, op.lam, 1), t0, y0,
+    """Sample the mode-ODE solutions with the initial jets `jet0` (4, k) at
+    t0 over the window nodes (any direction), as one flow of the orbit from
+    its jet at t0 with k jets; returns (k, len(t_nodes)).  Windows are about
+    a stencil wide, so both decaying and growing directions stay
+    representable."""
+    y0 = np.concatenate([op.orbit.jet(t0, max_deriv=3), jet0.reshape(-1)])
+    k = jet0.shape[1]
+    return sample_contiguous(_mode_flow_rhs(op.constants, op.lam, k), t0, y0,
                              t_nodes, np.inf,
-                             "window sampling of a frame solution failed")[4]
+                             "window sampling of a frame solution failed"
+                             )[4:4 + k]
 
 
 def _mode_border(approx, basis, l):
@@ -284,10 +287,12 @@ def _mode_border(approx, basis, l):
         # ones of modes 0 and 1 from the analytic generators
         dec = _invariant_subspace(data.backward, n_dec, thresh)
         grow = _invariant_subspace(data.matrix, n_dec, thresh)
-        samples = [_window_solution(op, t0, win_nodes, d) for d in dec.T]
+        sol = list(_window_solution(op, t0, win_nodes,
+                                    np.concatenate([dec, grow], axis=1)))
+        samples = sol[:n_dec]
         if has_deficiency:
             samples += [basis.jet(l, sign, win_nodes)[0] for sign in "+-"]
-        samples += [_window_solution(op, t0, win_nodes, g) for g in grow.T]
+        samples += sol[n_dec:]
         # discrete jets: extract with the same stencils the rows will use
         jet_win = jet[:, :win] if side == "L" else jet[:, N - win:]
         S = np.stack([jet_win @ w for w in samples], axis=1)

@@ -57,7 +57,8 @@ def _mode_flow_rhs(consts, lam, k):
 
     The potential lam^2 + B - K v^(p-1) is taken from the carried v, so the
     flow makes no interpolant evaluations; callers start the orbit from
-    orbit.jet at the initial time."""
+    orbit.jet at the initial time.  y may also be a (4 + 4k, batch) array of
+    independent states, one per column, with the result of the same shape."""
     c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
     A, B = consts.mode_coefficients(lam)
     base = lam ** 2 + B

@@ -81,6 +81,10 @@ class MonodromyData:
 
 
 MONODROMY_SUBINTERVALS = 24
+# rtol = atol of the batched run, just above solve_ivp's floor of 100 eps:
+# its error norm is an RMS over all subintervals' components, so one
+# component may carry about sqrt(MONODROMY_SUBINTERVALS) times the average
+MONODROMY_TOL = 3e-14
 
 
 def monodromy_data(op, t0=0.0):
@@ -88,27 +92,31 @@ def monodromy_data(op, t0=0.0):
     determinant accumulated over subintervals (the direct determinant of the
     assembled matrix is destroyed by the dynamic range of the multipliers).
 
-    Each of the MONODROMY_SUBINTERVALS subintervals integrates the identity
-    flow jointly with the orbit at tolerance 1e-12, restarted from orbit.jet
-    at the subinterval's left edge (a carried orbit would drift along its
-    unstable directions over a period).
+    The flow is autonomous, so the MONODROMY_SUBINTERVALS subintervals all
+    start at local time 0 and run together over their common length as one
+    batched DOP853 run at tolerance MONODROMY_TOL: each column of the
+    (20, MONODROMY_SUBINTERVALS) state is the identity flow jointly with the
+    orbit, restarted from orbit.jet at its subinterval's left edge (a
+    carried orbit would drift along its unstable directions over a period).
     The flow preserves symplectic_pairing, M^T Omega M = Omega, so the
     backward flow is Omega^{-1} M^T Omega and needs no second sweep."""
     T = op.orbit.period
-    rhs = _mode_flow_rhs(op.constants, op.lam, 4)
-    edges = t0 + np.linspace(0.0, T, MONODROMY_SUBINTERVALS + 1)
-    orbit_jets = op.orbit.jet(edges, max_deriv=3)
+    n_sub = MONODROMY_SUBINTERVALS
+    flow = _mode_flow_rhs(op.constants, op.lam, 4)
+    edges = t0 + np.linspace(0.0, T, n_sub + 1)
+    y0 = np.empty((20, n_sub))
+    y0[:4] = op.orbit.jet(edges[:-1], max_deriv=3)
+    y0[4:] = np.eye(4).reshape(-1, 1)
+    r = solve_ivp(lambda t, y: flow(t, y.reshape(20, n_sub)).reshape(-1),
+                  (0.0, T / n_sub), y0.reshape(-1), method="DOP853",
+                  rtol=MONODROMY_TOL, atol=MONODROMY_TOL)
+    if not r.success:
+        raise NumericalError("monodromy integration failed")
+    factors = r.y[4 * n_sub:, -1].reshape(4, 4, n_sub).transpose(2, 0, 1)
     M = np.eye(4)
-    det = 1.0
-    for k in range(MONODROMY_SUBINTERVALS):
-        y0 = np.concatenate([orbit_jets[:, k], np.eye(4).reshape(-1)])
-        r = solve_ivp(rhs, (edges[k], edges[k + 1]), y0, method="DOP853",
-                      rtol=1e-12, atol=1e-12)
-        if not r.success:
-            raise NumericalError("monodromy integration failed")
-        F = r.y[4:, -1].reshape(4, 4)
+    for F in factors:
         M = F @ M
-        det *= np.linalg.det(F)
+    det = np.prod(np.linalg.det(factors))
     Om = _pairing_matrix(op.A)
     backward = np.linalg.solve(Om, M.T @ Om)
     return MonodromyData(matrix=M, backward=backward, detFactored=det,

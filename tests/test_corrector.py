@@ -602,3 +602,28 @@ class TestBorderSplit:
                 checked += 1
         assert checked == 4 * len(self.DEGREES)
         assert col == sysm.matrix.shape[1]
+
+
+class TestWindowSolution:
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_multi_jet_matches_one_jet_runs(self, reference_approx, orbit05,
+                                            l):
+        # one flow with k jets against k one-jet flows, on the left end's
+        # forward window and the right end's backward window
+        from qglue.corrector import _window_solution
+        from qglue.fd import stencil_size
+        from qglue.gluing import STENCIL_ORDER
+        s = reference_approx.s
+        phase = (reference_approx.config.m + 0.5) * orbit05.period
+        op = ModeOperator(orbit05, orbit05.constants.lam(l))
+        win = stencil_size(3, STENCIL_ORDER)
+        jets = np.random.default_rng(l).standard_normal((4, 4))
+        for t0, nodes in ((s[0], s[:win]), (s[-1], s[-win:])):
+            block = _window_solution(op, t0 + phase, nodes + phase, jets)
+            assert block.shape == (4, win)
+            for j in range(4):
+                one = _window_solution(op, t0 + phase, nodes + phase,
+                                       jets[:, [j]])
+                assert one.shape == (1, win)
+                assert (np.max(np.abs(block[j] - one[0]))
+                        <= 1e-12 * np.max(np.abs(one[0])))

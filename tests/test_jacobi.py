@@ -167,6 +167,22 @@ class TestMonodromy:
         data = monodromy_data(ModeOperator(orb, orb.constants.lam(l)))
         assert data.detFactored == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("frac", [0.0, 0.7])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_matches_tight_reference(self, orbit_cache, n, l, frac):
+        # the batched subintervals against 96 separate runs near
+        # solve_ivp's tolerance floor; at 1e-12 the batch read 4e-13 to 3e-12
+        eps = 0.5 * derive_constants(n).epsBar
+        orb = orbit_cache(eps, n=n)
+        op = ModeOperator(orb, orb.constants.lam(l))
+        t0 = frac * orb.period
+        data = monodromy_data(op, t0=t0)
+        M_ref = integrated_flow(op, t0, +1, n_sub=96, tol=3e-14)
+        assert (np.linalg.norm(data.matrix - M_ref, 2)
+                <= 2e-13 * np.linalg.norm(M_ref, 2))
+        assert abs(data.detFactored - 1.0) <= 1e-13
+
     def test_phase_direction_is_fixed(self, orbit05):
         # multiplier-one eigenvector proportional to the vdot jet at t0;
         # measured in the backward-error scale |M| |jet| (the flow matrix
@@ -192,16 +208,16 @@ class TestMonodromy:
             assert data.detFactored == pytest.approx(1.0, abs=1e-8)
 
 
-def integrated_backward(op, t0, n_sub=24, tol=1e-12):
-    """One-period backward flow of the mode system from t0, integrated over
-    n_sub subintervals with the orbit's interpolant in the right-hand
-    side."""
+def integrated_flow(op, t0, direction, n_sub=24, tol=1e-12):
+    """One-period flow of the mode system from t0, forward (direction +1)
+    or backward (-1), integrated over n_sub subintervals, one solve_ivp
+    each, with the orbit's interpolant in the right-hand side."""
     def rhs(t, y):
         Y = y.reshape(4, 4)
         return np.concatenate(
             [Y[1:], [op.A * Y[2] - op.potential(t) * Y[0]]]).reshape(-1)
 
-    edges = t0 - np.linspace(0.0, op.orbit.period, n_sub + 1)
+    edges = t0 + direction * np.linspace(0.0, op.orbit.period, n_sub + 1)
     M = np.eye(4)
     for k in range(n_sub):
         r = solve_ivp(rhs, (edges[k], edges[k + 1]), np.eye(4).reshape(-1),
@@ -223,7 +239,9 @@ class TestSymplecticInverse:
         op = ModeOperator(orbit05, orbit05.constants.lam(l))
         t0 = frac * orbit05.period
         data = monodromy_data(op, t0=t0)
-        Mb = integrated_backward(op, t0)
+        # the reference runs near solve_ivp's tolerance floor, so its own
+        # error sits well below the bound
+        Mb = integrated_flow(op, t0, -1, tol=3e-14)
         scale = np.linalg.norm(data.matrix, 2)
         assert np.linalg.norm(data.backward - Mb, 2) <= 1e-12 * scale
 
@@ -257,7 +275,7 @@ class TestSymplecticInverse:
             data = monodromy_data(op)
             assert abs(data.detFactored - 1.0) <= 1e-8
             fw = dominant_exponents(data.matrix, T)
-            bw = dominant_exponents(integrated_backward(op, 0.0), T)
+            bw = dominant_exponents(integrated_flow(op, 0.0, -1), T)
             assert fw[0] == pytest.approx(bw[0], rel=1e-6)
             if l == 0:
                 assert max(abs(fw[1]), abs(bw[1])) <= 1e-3
@@ -294,6 +312,14 @@ class TestIndicialRoots:
     def test_translation_exponents_every_necksize(self, orbit_cache, eps):
         spec = indicial_roots(orbit_cache(eps), [1])
         exps = spec.exponents(1)
+        assert exps[1] == pytest.approx(-1.0, abs=1e-6)
+        assert exps[2] == pytest.approx(+1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("frac", [0.4, 0.6, 0.9])
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_translation_exponents_across_family(self, orbit_cache, n, frac):
+        eps = frac * derive_constants(n).epsBar
+        exps = indicial_roots(orbit_cache(eps, n=n), [1]).exponents(1)
         assert exps[1] == pytest.approx(-1.0, abs=1e-6)
         assert exps[2] == pytest.approx(+1.0, abs=1e-6)
 
