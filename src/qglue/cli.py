@@ -78,7 +78,7 @@ def _orbit_summary(orbit):
     }
 
 
-def cmd_constants(params, out):
+def cmd_constants(params):
     c = derive_constants(params["n"])
     doc = {"command": "constants", "n": c.n, "c2": c.c2, "c0": c.c0,
            "cN": c.cN, "p": c.p, "qTarget": c.qTarget, "epsBar": c.epsBar,
@@ -86,13 +86,13 @@ def cmd_constants(params, out):
     return doc, {}
 
 
-def cmd_orbit(params, out):
+def cmd_orbit(params):
     orbit = solve_orbit(params["n"], params["eps"])
     doc = _orbit_summary(orbit)
     return doc, {"orbit.json": orbit.to_json()}
 
 
-def cmd_sweep(params, out):
+def cmd_sweep(params):
     rows = []
     H = []
     for eps in params["epsList"]:
@@ -117,7 +117,7 @@ def cmd_sweep(params, out):
                                csv_rows)}
 
 
-def cmd_indicial(params, out):
+def cmd_indicial(params):
     orbit = solve_orbit(params["n"], params["eps"])
     spec = indicial_roots(orbit, params.get("modes", [0, 1, 2]))
     doc = {"command": "indicial", "n": spec.n, "eps": spec.eps,
@@ -129,7 +129,7 @@ def cmd_indicial(params, out):
                  "spectrum.csv": ("l,lambda,exponents", csv_rows)}
 
 
-def cmd_jacobi(params, out):
+def cmd_jacobi(params):
     orbit = solve_orbit(params["n"], params["eps"])
     basis = generators(orbit, d_eps=params.get("dEps", 1e-4))
     T = orbit.period
@@ -158,7 +158,7 @@ def cmd_jacobi(params, out):
     return doc, {}
 
 
-def cmd_glue(params, out):
+def cmd_glue(params):
     cfg = GluingConfig.from_json(params["config"])
     gpp = params.get("gridPerPeriod", 64)
     delta = params.get("delta", 1.5)
@@ -180,7 +180,7 @@ def cmd_glue(params, out):
     return doc, artifacts
 
 
-def cmd_correct(params, out):
+def cmd_correct(params):
     cfg = GluingConfig.from_json(params["config"])
     gpp = params.get("gridPerPeriod", 64)
     approx = build_approximate(cfg, grid_per_period=gpp)
@@ -209,7 +209,7 @@ def cmd_correct(params, out):
                                result.trace.rows)}
 
 
-def cmd_diagnose(params, out):
+def cmd_diagnose(params):
     cfg = GluingConfig.from_json(params["config"])
     gpp = params.get("gridPerPeriod", 64)
     approx = build_approximate(cfg, grid_per_period=gpp)
@@ -251,8 +251,7 @@ def execute(manifest):
     validate_manifest(manifest)
     out = manifest.get("out", "qglue_out")
     np.random.seed(manifest.get("seed", 0) % (2 ** 32))
-    summary, artifacts = HANDLERS[manifest["command"]](manifest["params"],
-                                                       out)
+    summary, artifacts = HANDLERS[manifest["command"]](manifest["params"])
     validate_summary(summary)
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "summary.json"), summary)

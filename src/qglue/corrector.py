@@ -51,7 +51,7 @@ def _coupling_tensor(background, degrees):
     Jacobian of the projected nonlinearity under quadrature."""
     consts = background.constants
     basis = background.basis()
-    vp1 = basis.reconstruct(background.coeff_matrix()) ** (consts.p - 1.0)
+    vp1 = basis.reconstruct(background.coeffs) ** (consts.p - 1.0)
     # evaluate phi on the shared quadrature nodes for the requested degrees
     full = angular_basis(consts.n, tuple(degrees), len(basis.nodes))
     L1 = len(degrees)
@@ -70,20 +70,27 @@ def linear_apply(background, u):
     consts = background.constants
     degrees = u.degrees
     C = _coupling_tensor(background, degrees)
-    coeff = u.coeff_matrix()
-    out = {}
+    coeff = u.coeffs
+    out = np.empty_like(coeff)
     for a, l in enumerate(degrees):
         lin = paneitz_mode_apply(consts, consts.lam(l), coeff[a], u.h,
                                  acc=STENCIL_ORDER)
         pot = np.zeros_like(coeff[a])
         for b in range(len(degrees)):
             pot += C[a, b] * coeff[b]
-        out[l] = lin - consts.K * pot
-    return u.like(out)
+        out[a] = lin - consts.K * pot
+    return replace(u, coeffs=out)
 
 
 # ----------------------------------------------------------------------
 # operator matrix and its clamped closure
+
+
+def _degrees(approx, degrees):
+    """The requested degrees as a sorted tuple, by default the blend's."""
+    if degrees is None:
+        return approx.field.degrees
+    return tuple(sorted(set(int(d) for d in degrees)))
 
 
 def _operator_matrix(field, degrees, extra=0):
@@ -113,9 +120,7 @@ def discretize(approx, degrees=None):
     the quadrature projection of v_m^{p-1}.  Rows {0, 1, N-2, N-1} of each
     mode block are replaced by clamp conditions on (w, w') at the two ends.
     """
-    if degrees is None:
-        degrees = tuple(approx.field.degrees)
-    degrees = tuple(sorted(set(int(d) for d in degrees)))
+    degrees = _degrees(approx, degrees)
     N = len(approx.s)
     h = approx.field.h
     if N < stencil_size(4, STENCIL_ORDER):
@@ -346,9 +351,7 @@ def _mode_border(approx, basis, l):
 def bordered_system(approx, degrees=None):
     """Assemble the bordered right-inverse system about the blend: the
     orbit-side border of every mode, then the background rows."""
-    if degrees is None:
-        degrees = tuple(approx.field.degrees)
-    degrees = tuple(sorted(set(int(d) for d in degrees)))
+    degrees = _degrees(approx, degrees)
     if approx.config.orbit.isConstant:
         raise DomainError("the bordered closure needs an interior orbit")
     basis = generators(approx.config.orbit, validate=False)
@@ -416,12 +419,10 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
     condition.  Above cond_limit (1e13) the solve raises
     IllConditionedError."""
     degrees = sys.degrees
-    N = len(sys.approx.s)
-    have = {m.l: m.samples for m in f.modes}
-    zeros = np.zeros(N)
+    L, N = len(degrees), len(sys.approx.s)
+    frows = f.rows(degrees)
     rhs = np.zeros(sys.matrix.shape[0])
-    for a, l in enumerate(degrees):
-        rhs[a * N + 2:(a + 1) * N - 2] = have.get(l, zeros)[2:N - 2]
+    rhs[:L * N].reshape(L, N)[:, 2:N - 2] = frows[:, 2:N - 2]
     lu, cond = sys.factor()
     if not np.isfinite(cond) or cond > cond_limit:
         raise IllConditionedError("bordered system is numerically singular",
@@ -440,34 +441,30 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
         if n_cand >= best:
             break
         x, r, best = cand, r_cand, n_cand
-    uparts = {l: x[a * N:(a + 1) * N].copy() for a, l in enumerate(degrees)}
+    uparts = x[:L * N].reshape(L, N).copy()
     alpha = {}
-    off = len(degrees) * N
+    off = L * N
     for a, b in enumerate(sys.borders):
         if b.Bcols is None:
             continue
         al = x[off:off + 4]
         off += 4
-        uparts[b.l] = uparts[b.l] + b.Bcols @ al
+        uparts[a] += b.Bcols @ al
         for k, (side, sign) in enumerate(_DEFICIENCY_LABELS):
             alpha[(b.l, side, sign)] = float(al[k])
-    ufield = CylField.from_modes(f.constants, f.t, uparts)
+    ufield = CylField(f.constants, f.t, degrees, uparts)
     # interior residual of the reconstructed solution
     Lu = linear_apply(sys.approx.field, ufield)
-    sup_f = max(np.max(np.abs(fv)) for fv in
-                ([have.get(l, zeros) for l in degrees]))
-    num = 0.0
-    for l in degrees:
-        r = Lu.mode(l).samples[2:N - 2] - have.get(l, zeros)[2:N - 2]
-        num = max(num, float(np.max(np.abs(r))))
+    sup_f = float(np.max(np.abs(frows)))
+    num = float(np.max(np.abs(Lu.coeffs[:, 2:N - 2] - frows[:, 2:N - 2])))
     rel = num / sup_f if sup_f > 0 else num
     return RightInverseResult(u=ufield, alpha=alpha,
                               relResidual=rel, cond=cond)
 
 
-def estimate_g_norm(approx, degrees=(0,), delta=1.5):
+def estimate_g_norm(approx, degrees=(0,)):
     """Operator-norm estimate of the right inverse from seeded smooth probe
-    data, both norms weighted with the annulus weight at rate delta.
+    data, both norms weighted with the annulus weight at rate 1.5.
 
     Probe bumps sit at fixed distances from the domain ends (plus one at the
     neck middle) so the probe family is geometrically comparable across
@@ -497,8 +494,8 @@ def estimate_g_norm(approx, degrees=(0,), delta=1.5):
             f = CylField.from_modes(cfg.constants, s,
                                     {l: prof for l in sys.degrees})
             res = solve_right_inverse(sys, f)
-            nf = weighted_norm(f, delta, scale)
-            nu = weighted_norm(res.u, delta, scale) + sum(
+            nf = weighted_norm(f, 1.5, scale)
+            nu = weighted_norm(res.u, 1.5, scale) + sum(
                 abs(v) for v in res.alpha.values())
             best = max(best, nu / nf)
     return best
@@ -513,24 +510,22 @@ def remainder(approx, correction):
     R(v) = N(b + v) - N(b) - L_b(v) = -cN b^p r(v/b) with
     r(x) = (1+x)^p - 1 - p x, evaluated pointwise with the stable series and
     projected back to modes.  Derivative terms cancel exactly, so only the
-    power remainder survives."""
+    power remainder survives.  It acts on the union of the blend's and the
+    correction's degrees, so the nonlinearity's products of correction modes
+    the blend lacks are kept."""
     consts = approx.config.constants
-    bg = approx.field
+    bg = approx.field.padded(correction.degrees)
     basis = bg.basis()
-    bvals = basis.reconstruct(bg.coeff_matrix())
+    bvals = basis.reconstruct(bg.coeffs)
     if np.any(bvals <= 0):
         raise DomainError("background must be positive")
-    have = {m.l: m.samples for m in correction.modes}
-    zeros = np.zeros_like(bg.t)
-    cvals = basis.reconstruct(np.stack(
-        [have.get(l, zeros) for l in bg.degrees], axis=0))
+    cvals = basis.reconstruct(correction.rows(bg.degrees))
     tot = bvals + cvals
     if np.any(tot <= 0):
         raise DomainError("corrected conformal factor is not positive")
     rvals = -consts.cN * bvals ** consts.p * stable_power_remainder(
         cvals / bvals, consts.p)
-    coeffs = basis.project(rvals)
-    return bg.like(dict(zip(bg.degrees, coeffs)))
+    return replace(bg, coeffs=basis.project(rvals))
 
 
 @dataclass
@@ -551,11 +546,6 @@ class IterateResult:
     cond: float = float("nan")
 
 
-def _zero_like(fld, degrees):
-    return CylField.from_modes(fld.constants, fld.t,
-                               {l: np.zeros_like(fld.t) for l in degrees})
-
-
 def _total_defect(approx, f0, u):
     """N(v_m + u) - blended end defects = f0 + L_m(u) + R_m(u), each piece at
     perturbation scale."""
@@ -564,11 +554,11 @@ def _total_defect(approx, f0, u):
     return f0 + Lu + Ru
 
 
-def _interior_sup(fld, trim=2):
+def _interior_sup(fld):
     """Sup norm over the interior collocation points (the discrete equation
-    is not imposed on the trimmed boundary slots)."""
+    is not imposed on the two boundary slots at each end)."""
     vals = fld.point_values()
-    return float(np.max(np.abs(vals[trim:len(fld.t) - trim])))
+    return float(np.max(np.abs(vals[2:len(fld.t) - 2])))
 
 
 def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
@@ -581,19 +571,18 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     defect is the curvature residual relative to the modeled-exact end
     fields, evaluated in perturbation form throughout (see gluing.defect) and
     measured on the interior collocation points; below 1e-30 it counts as
-    zero.  min_iter forces extra steps so contraction ratios are observable
-    even when the first step already reaches the floor.
+    zero.  The correction carries the requested degrees (default the
+    blend's), and the defect is padded with zero modes to them; the defect
+    and the remainder keep every blend degree as well.  min_iter forces
+    extra steps so contraction ratios are observable even when the first
+    step already reaches the floor.
     """
-    if degrees is None:
-        degrees = tuple(approx.field.degrees)
-    degrees = tuple(sorted(set(int(d) for d in degrees)))
+    degrees = _degrees(approx, degrees)
     if scheme not in ("picard", "newton"):
         raise DomainError(f"unknown scheme {scheme!r}")
-    f0 = defect(approx).residual
-    missing = [l for l in degrees if l not in f0.degrees]
-    if missing:
-        f0 = f0 + _zero_like(approx.field, missing)
-    u = _zero_like(approx.field, degrees)
+    f0 = defect(approx).residual.padded(degrees)
+    u = CylField(f0.constants, f0.t, degrees,
+                 np.zeros((len(degrees), len(f0.t))))
     d0 = _interior_sup(f0)
     rows = [(0, d0, 0.0, float("nan"))]
     if d0 <= 1e-30:
@@ -662,12 +651,10 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
 
 def verify_correction(approx, correction):
     """Independent curvature residual of the corrected field, relative to the
-    modeled-exact end fields (recomputed from scratch in perturbation form).
-    Returns (residual sup, deviation-units sup)."""
-    f0 = defect(approx).residual
-    missing = [l for l in correction.degrees if l not in f0.degrees]
-    if missing:
-        f0 = f0 + _zero_like(approx.field, missing)
+    modeled-exact end fields (recomputed from scratch in perturbation form),
+    over the union of the blend's and the correction's degrees.  Returns
+    (residual sup, deviation-units sup)."""
+    f0 = defect(approx).residual.padded(correction.degrees)
     total = _total_defect(approx, f0, correction)
     consts = approx.config.constants
     tv = total.point_values()
@@ -718,9 +705,7 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
         raise DomainError("the weight rate must exceed 1")
     if delta_prime is None:
         delta_prime = 0.5 * (1.0 + delta)
-    if degrees is None:
-        degrees = tuple(approx.field.degrees)
-    degrees = tuple(sorted(set(int(d) for d in degrees)))
+    degrees = _degrees(approx, degrees)
     cfg = approx.config
     background = approx if correction is None else replace(
         approx, field=approx.field + correction)

@@ -456,11 +456,9 @@ def solve_orbit(n_or_consts, eps):
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Necksize, phase T (dilation parameter R = e^{-T}) and the translation
-    a of the point at infinity."""
+    """Necksize and the translation a of the point at infinity."""
 
     eps: float
-    T: float = 0.0
     a: tuple = ()
 
     def a_vec(self, n):
@@ -477,31 +475,29 @@ class ExpansionStudy:
     perT: np.ndarray
 
 
-def expansion_error(params, orbit, t_range, n_t=40, cos_values=None):
+def expansion_error(params, orbit, t_range, n_t=40):
     """Deviation of the translated family from its first-order expansion:
     max over t and directions of
-    |v_{eps,T,a}(t,theta) - v_{eps,T}(t)
-       - e^{-t} <theta, a> ((n-4)/2 v_{eps,T}(t) - v'_{eps,T}(t))|.
+    |v_{eps,a}(t,theta) - v_eps(t)
+       - e^{-t} <theta, a> ((n-4)/2 v_eps(t) - v'_eps(t))|.
 
     Fields depend on theta only through c = <theta, a/|a|>, so directions are
-    sampled as cosine values.
+    sampled as 9 cosine values from -1 to 1.
     """
     n = orbit.constants.n
     a = params.a_vec(n)
     amag = float(np.linalg.norm(a))
     ts = np.linspace(t_range[0], t_range[1], n_t)
-    if cos_values is None:
-        cos_values = np.linspace(-1.0, 1.0, 9)
-    v0 = orbit.eval(ts + params.T, 0)
-    v1 = orbit.eval(ts + params.T, 1)
+    v0 = orbit.eval(ts, 0)
+    v1 = orbit.eval(ts, 1)
     per_t = np.zeros(n_t)
     if amag == 0.0:
         return ExpansionStudy(0.0, ts, per_t)
-    for c in cos_values:
+    for c in np.linspace(-1.0, 1.0, 9):
         rho = np.sqrt(1.0 - 2.0 * np.exp(-ts) * c * amag
                       + np.exp(-2.0 * ts) * amag ** 2)
         full = rho ** ((4 - n) / 2.0) * orbit.eval(
-            ts + params.T + np.log(rho), 0)
+            ts + np.log(rho), 0)
         first = v0 + np.exp(-ts) * c * amag * ((n - 4) / 2.0 * v0 - v1)
         per_t = np.maximum(per_t, np.abs(full - first))
     return ExpansionStudy(float(per_t.max()), ts, per_t)

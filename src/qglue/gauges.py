@@ -5,12 +5,13 @@ Conventions fixed here and used everywhere else:
 
 * cylindrical coordinate t = -log(dist/r0), so t grows toward the puncture;
 * angular Laplacian sign Delta_theta phi = -lambda phi with lambda = l(l+n-2);
-* a field on the cylinder is stored per angular mode: v(t, theta) =
-  sum_l w_l(t) phi_l(theta) with phi_l the degree-l zonal polynomial
-  normalized by phi_l(1) = 1 (so phi_0 == 1 and phi_1 = <theta, e>).
+* a field on the cylinder is stored as one (degrees x points) array of
+  angular-mode coefficients: v(t, theta) = sum_l w_l(t) phi_l(theta) with
+  phi_l the degree-l zonal polynomial normalized by phi_l(1) = 1 (so
+  phi_0 == 1 and phi_1 = <theta, e>).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -136,20 +137,15 @@ def angular_basis(n, degrees, nquad):
 
 
 @dataclass
-class Mode:
-    l: int
-    lam: float
-    samples: np.ndarray
-
-
-@dataclass
 class CylField:
     """Function on a truncated cylinder stored as zonal-mode coefficients on a
-    uniform t-grid."""
+    uniform t-grid: row k of `coeffs` samples the degree-`degrees[k]` mode,
+    and the degrees strictly increase."""
 
     constants: GaugeConstants
     t: np.ndarray
-    modes: list = field(default_factory=list)
+    degrees: tuple
+    coeffs: np.ndarray
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -158,26 +154,22 @@ class CylField:
         dt = np.diff(self.t)
         if not np.allclose(dt, dt[0], rtol=1e-12, atol=1e-12 * abs(dt[0])):
             raise DomainError("t grid must be uniform")
-        prev = -1.0
-        for m in self.modes:
-            m.samples = np.asarray(m.samples, dtype=float)
-            if m.samples.shape != self.t.shape:
-                raise DomainError("mode sample length must match the t grid")
-            expected = self.constants.lam(m.l)
-            if abs(m.lam - expected) > 1e-10 * max(1.0, expected):
-                raise DomainError(
-                    f"mode {m.l}: eigenvalue {m.lam} != l(l+n-2) = {expected}")
-            if m.lam < prev - 1e-14:
-                raise DomainError("mode eigenvalues must be nondecreasing")
-            prev = m.lam
+        self.degrees = tuple(int(l) for l in self.degrees)
+        if any(b <= a for a, b in zip(self.degrees, self.degrees[1:])):
+            raise DomainError("mode degrees must be strictly increasing")
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=float)
+        if self.coeffs.shape != (len(self.degrees), len(self.t)):
+            raise DomainError("need one coefficient row per degree, each "
+                              "as long as the t grid")
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def from_modes(cls, constants, t, samples_by_degree):
-        modes = [Mode(l, constants.lam(l), np.asarray(s, dtype=float))
-                 for l, s in sorted(samples_by_degree.items())]
-        return cls(constants, np.asarray(t, dtype=float), modes)
+        degrees = sorted(samples_by_degree)
+        rows = [samples_by_degree[l] for l in degrees]
+        return cls(constants, t, degrees,
+                   np.stack(rows) if rows else np.empty((0, len(t))))
 
     @classmethod
     def mode0(cls, constants, t, samples):
@@ -189,34 +181,40 @@ class CylField:
     def h(self):
         return float(self.t[1] - self.t[0])
 
-    @property
-    def degrees(self):
-        return [m.l for m in self.modes]
-
     def mode(self, l):
-        for m in self.modes:
-            if m.l == l:
-                return m
-        raise KeyError(f"no mode of degree {l}")
+        if l not in self.degrees:
+            raise KeyError(f"no mode of degree {l}")
+        return self.coeffs[self.degrees.index(l)]
 
-    def coeff_matrix(self):
-        return np.stack([m.samples for m in self.modes], axis=0)
+    def rows(self, degrees):
+        """(len(degrees), nt) rows of the given degrees, zero where the field
+        has no mode of that degree."""
+        out = np.zeros((len(degrees), len(self.t)))
+        for k, l in enumerate(degrees):
+            if l in self.degrees:
+                out[k] = self.mode(l)
+        return out
+
+    def padded(self, degrees):
+        """The field over its own degrees and `degrees`, zero in the added
+        modes; the field itself when it already has every one."""
+        both = sorted(set(self.degrees) | set(degrees))
+        if len(both) == len(self.degrees):
+            return self
+        return replace(self, degrees=both, coeffs=self.rows(both))
 
     def basis(self):
         """The angular basis of the field's degrees on max(16, 2L + 12)
         quadrature nodes, L the largest degree."""
-        return angular_basis(self.constants.n, tuple(self.degrees),
+        return angular_basis(self.constants.n, self.degrees,
                              max(16, 2 * max(self.degrees, default=0) + 12))
 
     def point_values(self):
         """(nt, nquad) samples of the field on the angular quadrature set."""
-        return self.basis().reconstruct(self.coeff_matrix())
-
-    def like(self, samples_by_degree):
-        return CylField.from_modes(self.constants, self.t, samples_by_degree)
+        return self.basis().reconstruct(self.coeffs)
 
     def copy(self):
-        return self.like({m.l: m.samples.copy() for m in self.modes})
+        return replace(self, coeffs=self.coeffs.copy())
 
     def sup_norm(self):
         """Pointwise sup over the t grid and the angular quadrature set."""
@@ -231,16 +229,16 @@ class CylField:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = {m.l: m.samples.copy() for m in self.modes}
-        for m in other.modes:
-            out[m.l] = out.get(m.l, 0.0) + m.samples
+        out = dict(zip(self.degrees, self.coeffs))
+        for l, c in zip(other.degrees, other.coeffs):
+            out[l] = out.get(l, 0.0) + c
         return CylField.from_modes(self.constants, self.t, out)
 
     def __sub__(self, other):
         return self + (other * -1.0)
 
     def __mul__(self, scalar):
-        return self.like({m.l: m.samples * float(scalar) for m in self.modes})
+        return replace(self, coeffs=self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
@@ -253,9 +251,9 @@ class CylField:
             "tMax": float(self.t[-1]),
             "nT": int(len(self.t)),
             "modes": [
-                {"l": int(m.l), "lambda": float(m.lam),
-                 "samples": [float(x) for x in m.samples]}
-                for m in self.modes
+                {"l": l, "lambda": self.constants.lam(l),
+                 "samples": [float(x) for x in row]}
+                for l, row in zip(self.degrees, self.coeffs)
             ],
         }
 
@@ -304,20 +302,17 @@ def q_residual(v, acc=8, trim=None):
     """
     consts = v.constants
     basis = v.basis()
-    vals = basis.reconstruct(v.coeff_matrix())
+    vals = basis.reconstruct(v.coeffs)
     if np.any(vals <= 0):
         raise DomainError("conformal factor must be positive on the "
                           "angular quadrature set")
     Pvals = basis.reconstruct(np.stack(
-        [paneitz_mode_apply(consts, m.lam, m.samples, v.h, acc=acc)
-         for m in v.modes]))
+        [paneitz_mode_apply(consts, consts.lam(l), w, v.h, acc=acc)
+         for l, w in zip(v.degrees, v.coeffs)]))
     res_vals = Pvals - consts.cN * vals ** consts.p
     q_vals = (2.0 / (consts.n - 4)) * vals ** (-consts.p) * Pvals - consts.qTarget
-    res_coeffs = basis.project(res_vals)
-    q_coeffs = basis.project(q_vals)
-    degrees = v.degrees
-    residual = v.like(dict(zip(degrees, res_coeffs)))
-    qfield = v.like(dict(zip(degrees, q_coeffs)))
+    residual = replace(v, coeffs=basis.project(res_vals))
+    qfield = replace(v, coeffs=basis.project(q_vals))
     if trim is None:
         trim = stencil_size(4, acc) // 2
     sl = slice(trim, len(v.t) - trim) if trim else slice(None)

@@ -159,25 +159,21 @@ class ApproxSolution:
     """Cutoff blend of the two end fields over the extended annulus.
 
     `field` is the blended conformal factor; the backbone and the mode-wise
-    perturbation pieces are kept so defect evaluation can cancel the backbone
-    analytically.
+    perturbation pieces, all over the blend's degrees, are kept so defect
+    evaluation can cancel the backbone analytically.
     """
 
     field: CylField
     config: GluingConfig
     cutoffRecord: np.ndarray
     backbone: np.ndarray                  # v_eps(s + (m+1/2)T) on the grid
-    w1: dict                              # end-1 tail, per degree
-    w2: dict                              # end-2 tail (in s), per degree
-    blend: dict                           # chi w1 + (1-chi) w2, per degree
+    w1: CylField                          # end-1 tail
+    w2: CylField                          # end-2 tail (in s)
+    blend: CylField                       # chi w1 + (1-chi) w2
 
     @property
     def s(self):
         return self.field.t
-
-    @property
-    def degrees(self):
-        return sorted(set(self.w1) | set(self.w2) | {0})
 
 
 def build_approximate(cfg, grid_per_period=64):
@@ -201,28 +197,18 @@ def build_approximate(cfg, grid_per_period=64):
         for pert in end.perturbation:
             prof = pert.A * np.exp(-pert.beta * depth)
             out[pert.l] = out.get(pert.l, 0.0) + prof
-        return out
+        return CylField.from_modes(cfg.constants, s, out)
 
     w1 = tails(cfg.end1, t_depth)
     w2 = tails(cfg.end2, tau_depth)
-    degrees = sorted(set(w1) | set(w2) | {0})
-    zeros = np.zeros_like(s)
-    blend = {}
-    modes = {}
-    for l in degrees:
-        a = w1.get(l, zeros)
-        b = w2.get(l, zeros)
-        wl = chi * a + (1.0 - chi) * b
-        blend[l] = wl
-        modes[l] = backbone + wl if l == 0 else wl
-    fld = CylField.from_modes(cfg.constants, s, modes)
+    degrees = set(w1.degrees) | set(w2.degrees) | {0}
+    w1, w2 = w1.padded(degrees), w2.padded(degrees)
+    blend = replace(w1, coeffs=chi * w1.coeffs + (1.0 - chi) * w2.coeffs)
+    fld = blend + CylField.mode0(cfg.constants, s, backbone)
     if np.any(fld.point_values() <= 0):
         raise DomainError("blended conformal factor is not positive")
     return ApproxSolution(field=fld, config=cfg, cutoffRecord=chi,
-                          backbone=backbone, w1={l: np.asarray(w, float)
-                                                 for l, w in w1.items()},
-                          w2={l: np.asarray(w, float) for l, w in w2.items()},
-                          blend=blend)
+                          backbone=backbone, w1=w1, w2=w2, blend=blend)
 
 
 # ----------------------------------------------------------------------
@@ -259,30 +245,19 @@ def defect(approx, delta=1.5):
     h = approx.field.h
     chi = approx.cutoffRecord
     vB = approx.backbone
-    degrees = approx.degrees
-    zeros = np.zeros_like(s)
+    pieces = (approx.blend, approx.w1, approx.w2)
 
     # linear cutoff commutators, mode by mode
-    commutator = {}
-    for l in degrees:
-        lam = consts.lam(l)
-        a = approx.w1.get(l, zeros)
-        b = approx.w2.get(l, zeros)
-        wl = approx.blend.get(l, zeros)
-        Lw = paneitz_mode_apply(consts, lam, wl, h, acc=STENCIL_ORDER)
-        La = paneitz_mode_apply(consts, lam, a, h, acc=STENCIL_ORDER)
-        Lb = paneitz_mode_apply(consts, lam, b, h, acc=STENCIL_ORDER)
-        commutator[l] = Lw - chi * La - (1.0 - chi) * Lb
+    commutator = np.empty_like(approx.blend.coeffs)
+    for k, l in enumerate(approx.field.degrees):
+        Lw, La, Lb = (paneitz_mode_apply(consts, consts.lam(l), w.coeffs[k],
+                                         h, acc=STENCIL_ORDER)
+                      for w in pieces)
+        commutator[k] = Lw - chi * La - (1.0 - chi) * Lb
 
     # pointwise nonlinear part: -cN vB^p [r(W/vB) - chi r(w1/vB) - (1-chi) r(w2/vB)]
     basis = approx.field.basis()
-    def point(dct):
-        mat = np.stack([dct.get(l, zeros) for l in degrees], axis=0)
-        return basis.reconstruct(mat)
-
-    Wp = point(approx.blend)
-    w1p = point(approx.w1)
-    w2p = point(approx.w2)
+    Wp, w1p, w2p = (basis.reconstruct(w.coeffs) for w in pieces)
     vBcol = vB[:, None]
     rW = stable_power_remainder(Wp / vBcol, consts.p)
     r1 = stable_power_remainder(w1p / vBcol, consts.p)
@@ -291,16 +266,14 @@ def defect(approx, delta=1.5):
     nonlinear = -consts.cN * vBcol ** consts.p * (rW - chic * r1
                                                   - (1.0 - chic) * r2)
 
-    res_point = point(commutator) + nonlinear
-    vm_point = basis.reconstruct(approx.field.coeff_matrix())
+    res_point = basis.reconstruct(commutator) + nonlinear
+    vm_point = approx.field.point_values()
     if np.any(vm_point <= 0):
         raise DomainError("blended conformal factor is not positive")
     psi_point = (2.0 / (consts.n - 4)) * vm_point ** (-consts.p) * res_point
 
-    res_modes = basis.project(res_point)
-    psi_modes = basis.project(psi_point)
-    residual = approx.field.like(dict(zip(degrees, res_modes)))
-    psi = approx.field.like(dict(zip(degrees, psi_modes)))
+    residual = replace(approx.field, coeffs=basis.project(res_point))
+    psi = replace(approx.field, coeffs=basis.project(psi_point))
 
     t_depth = s - cfg.sMin
     lo, hi = _blend_band(cfg)

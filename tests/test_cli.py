@@ -311,7 +311,7 @@ EVERY_KEY = {
 
 
 @pytest.mark.parametrize("command", sorted(PARAMS_SCHEMAS))
-def test_every_manifest_key_is_read(tmp_path, command):
+def test_every_manifest_key_is_read(command):
     # a key the schema accepts but the command never reads is a setting
     # that silently does nothing; the handler runs directly, because schema
     # validation itself looks up every key
@@ -321,7 +321,7 @@ def test_every_manifest_key_is_read(tmp_path, command):
     params = RecordingParams(EVERY_KEY[command])
     if "config" in keys:
         params["config"] = RecordingParams(params["config"])
-    HANDLERS[command](params, str(tmp_path))
+    HANDLERS[command](params)
     assert params.read == keys
     if "config" in keys:
         assert params["config"].read == set(GLUING_CONFIG["properties"])

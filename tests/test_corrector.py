@@ -58,12 +58,12 @@ class TestDiscretize:
         L = linear_apply(exact_approx.field, CylField.mode0(
             exact_approx.config.constants, s, probe))
         interior = slice(4, len(s) - 4)
-        rel = (np.max(np.abs(got[interior] - L.mode(0).samples[interior]))
-               / np.max(np.abs(L.mode(0).samples)))
+        rel = (np.max(np.abs(got[interior] - L.mode(0)[interior]))
+               / np.max(np.abs(L.mode(0))))
         assert rel < 1e-12
         # and linear_apply itself agrees with the orbit mode operator
         op_vals = mode_apply(ModeOperator(orbit05, 0.0), t_arg, probe)
-        rel2 = (np.max(np.abs(op_vals[interior] - L.mode(0).samples[interior]))
+        rel2 = (np.max(np.abs(op_vals[interior] - L.mode(0)[interior]))
                 / np.max(np.abs(op_vals)))
         assert rel2 < 1e-8
 
@@ -111,7 +111,7 @@ class TestRightInverse:
         pf = CylField.mode0(reference_approx.config.constants, s, probe)
         f = linear_apply(reference_approx.field, pf)
         res = solve_right_inverse(ref_sys, f)
-        rec = res.u.mode(0).samples
+        rec = res.u.mode(0)
         rel = np.max(np.abs(rec - probe)) / np.max(np.abs(probe))
         assert rel < 1e-7
         assert all(abs(a) < 1e-7 for a in res.alpha.values())
@@ -211,6 +211,23 @@ class TestRemainder:
                            -np.ones(len(s)))
         with pytest.raises(DomainError):
             remainder(reference_approx, v)
+
+    def test_keeps_modes_the_blend_lacks(self, reference_approx):
+        # the blend has mode 0 only; u also carries mode 2, so the remainder
+        # must equal the one about the blend padded with a zero mode 2
+        s = reference_approx.s
+        consts = reference_approx.config.constants
+        prof = 0.05 * np.exp(-0.1 * s ** 2)
+        u = CylField.from_modes(consts, s, {0: prof, 2: prof * np.cos(s)})
+        zero2 = CylField.from_modes(consts, s, {2: np.zeros(len(s))})
+        padded = dataclasses.replace(reference_approx,
+                                     field=reference_approx.field + zero2)
+        got = remainder(reference_approx, u)
+        want = remainder(padded, u)
+        assert tuple(got.degrees) == tuple(want.degrees) == (0, 2)
+        assert np.max(np.abs(want.mode(2))) > 1e-5
+        for l in (0, 2):
+            np.testing.assert_array_equal(got.mode(l), want.mode(l))
 
 
 class TestIterate:
@@ -403,13 +420,13 @@ class TestSharedOperator:
 
     def test_apply_and_matrix_forms_agree(self, multimode, probe):
         N = len(multimode.s)
-        x = probe.coeff_matrix().reshape(-1)
+        x = probe.coeffs.reshape(-1)
         Lu = linear_apply(multimode.field, probe)
         got_d = discretize(multimode, degrees=self.DEGREES) @ x
         sysm = bordered_system(multimode, degrees=self.DEGREES)
         got_b = sysm.matrix[:, :len(self.DEGREES) * N] @ x
         for a, l in enumerate(self.DEGREES):
-            expect = Lu.mode(l).samples[2:N - 2]
+            expect = Lu.mode(l)[2:N - 2]
             tol = 1e-12 * np.max(np.abs(expect))
             assert np.max(np.abs(got_d[a * N + 2:(a + 1) * N - 2]
                                  - expect)) <= tol
@@ -593,7 +610,7 @@ class TestBorderSplit:
                     {l: bb.Bcols[:, j] if l == bb.l else np.zeros(N)
                      for l in self.DEGREES})
                 Lu = linear_apply(two_mode.field, u)
-                expect = [Lu.mode(l).samples[2:N - 2] for l in self.DEGREES]
+                expect = [Lu.mode(l)[2:N - 2] for l in self.DEGREES]
                 tol = 1e-12 * max(np.max(np.abs(e)) for e in expect)
                 for a in range(len(self.DEGREES)):
                     got = sysm.matrix[a * N + 2:(a + 1) * N - 2, col]

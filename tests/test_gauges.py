@@ -72,18 +72,39 @@ class TestCylField:
         assert doc["modes"][0]["l"] == 0
         assert doc["modes"][1]["lambda"] == consts5.lam(1)
         for l in (0, 1):
-            assert doc["modes"][l]["samples"] == list(fld.mode(l).samples)
+            assert doc["modes"][l]["samples"] == list(fld.mode(l))
 
     def test_grid_must_be_uniform(self, consts5):
         with pytest.raises(DomainError):
             CylField.from_modes(consts5, np.array([0.0, 1.0, 3.0]),
                                 {0: np.zeros(3)})
 
-    def test_eigenvalue_checked(self, consts5):
-        from qglue.gauges import Mode
+    def test_layout_checked(self, consts5):
         t = np.linspace(0, 1, 5)
-        with pytest.raises(DomainError):
-            CylField(consts5, t, [Mode(1, 3.0, np.zeros(5))])
+        for degrees in ((1, 0), (1, 1)):
+            with pytest.raises(DomainError):
+                CylField(consts5, t, degrees, np.zeros((2, 5)))
+        for shape in ((2, 4), (1, 5), (10,)):
+            with pytest.raises(DomainError):
+                CylField(consts5, t, (0, 2), np.zeros(shape))
+
+    def test_rows_and_padding(self, consts5):
+        t = np.linspace(-1.0, 2.0, 31)
+        fld = CylField.from_modes(consts5, t, {0: np.sin(t), 2: np.cos(t)})
+        rows = fld.rows((1, 2, 0))
+        np.testing.assert_array_equal(rows[0], 0.0)
+        np.testing.assert_array_equal(rows[1], np.cos(t))
+        np.testing.assert_array_equal(rows[2], np.sin(t))
+        assert fld.padded((2, 0)) is fld
+        wide = fld.padded((3, 1))
+        assert wide.degrees == (0, 1, 2, 3)
+        for l in (1, 3):
+            np.testing.assert_array_equal(wide.mode(l), 0.0)
+        for l in (0, 2):
+            np.testing.assert_array_equal(wide.mode(l), fld.mode(l))
+        empty = CylField.from_modes(consts5, t, {})
+        assert empty.coeffs.shape == (0, 31)
+        assert empty.padded((0,)).degrees == (0,)
 
 
 def characteristic_quartic(consts, lam, mu):
@@ -168,5 +189,5 @@ class TestQResidual:
         fld = CylField.mode0(consts5, t, np.ones(65))
         res = q_residual(fld)
         expect = 2.0 / (consts5.n - 4) * consts5.c0 - consts5.qTarget
-        mid = res.qField.mode(0).samples[32]
+        mid = res.qField.mode(0)[32]
         assert mid == pytest.approx(expect, rel=1e-10)

@@ -46,7 +46,7 @@ class TestBuild:
     def test_compatible_ends_reduce_to_orbit(self, orbit05):
         cfg = make_config(orbit05, m=2)
         ap = build_approximate(cfg, grid_per_period=48)
-        np.testing.assert_array_equal(ap.field.mode(0).samples, ap.backbone)
+        np.testing.assert_array_equal(ap.field.mode(0), ap.backbone)
         d = defect(ap)
         assert d.supPsi == 0.0
         assert d.supOutsideBand == 0.0
@@ -54,20 +54,20 @@ class TestBuild:
     def test_plateau_equality_is_bitwise(self, reference_approx):
         ap = reference_approx
         chi = ap.cutoffRecord
-        v1 = ap.backbone + ap.w1[0]  # the end-1 field in mode 0
+        v1 = ap.backbone + ap.w1.mode(0)  # the end-1 field in mode 0
         on = chi == 1.0
         assert on.sum() > 10
-        np.testing.assert_array_equal(ap.field.mode(0).samples[on], v1[on])
+        np.testing.assert_array_equal(ap.field.mode(0)[on], v1[on])
         off = chi == 0.0
         v2 = ap.backbone  # end 2 unperturbed here
-        np.testing.assert_array_equal(ap.field.mode(0).samples[off],
+        np.testing.assert_array_equal(ap.field.mode(0)[off],
                                       v2[off])
 
     def test_deviation_bounded_by_injected_tail(self, orbit05):
         A, beta = 1e-3, 2.0
         cfg = make_config(orbit05, m=2, pert1=((0, A, beta),))
         ap = build_approximate(cfg, grid_per_period=48)
-        dev = np.abs(ap.field.mode(0).samples - ap.backbone)
+        dev = np.abs(ap.field.mode(0) - ap.backbone)
         t_depth = ap.s - cfg.sMin
         bound = A * np.exp(-beta * t_depth)
         # the subtraction (backbone + w) - backbone rounds at machine level
@@ -92,7 +92,7 @@ class TestBuild:
         cfg = make_config(orbit05, m=1, pert1=((1, 1e-3, 2.0),),
                           pert2=((2, 5e-4, 1.5),))
         ap = build_approximate(cfg, grid_per_period=32)
-        assert ap.field.degrees == [0, 1, 2]
+        assert ap.field.degrees == (0, 1, 2)
         d = defect(ap)
         assert d.supPsi > 0
         assert d.supOutsideBand < 1e-10 * max(d.supPsi, 1.0)
