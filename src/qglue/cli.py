@@ -131,8 +131,17 @@ def cmd_indicial(params):
 
 def cmd_jacobi(params):
     orbit = solve_orbit(params["n"], params["eps"])
-    basis = generators(orbit, d_eps=params.get("dEps", 1e-4))
+    basis = generators(orbit)
+    # cross-check of the necksize field against centred differences of
+    # neighbouring orbits, and the energy's derivative along the family
+    d_eps = params.get("dEps", 1e-4)
+    hi = solve_orbit(orbit.constants, orbit.eps + d_eps)
+    lo = solve_orbit(orbit.constants, orbit.eps - d_eps)
     T = orbit.period
+    ts = np.linspace(0.0, T, 60)
+    fd = (hi.eval(ts, 0) - lo.eval(ts, 0)) / (2.0 * d_eps)
+    cross = float(np.max(np.abs(basis.profile(0, "-", ts) - fd)))
+    dH = (hi.hamiltonianValue - lo.hamiltonianValue) / (2.0 * d_eps)
     gpp = params.get("gridPerPeriod", 64)
     tg = np.linspace(-T, 2 * T, 3 * gpp + 1)
     residuals = {}
@@ -151,9 +160,9 @@ def cmd_jacobi(params):
         lambda t: basis.jet(0, "+", t)[:, 0], t) for t in ts])
     doc = {"command": "jacobi", "n": orbit.constants.n, "eps": orbit.eps,
            "dsdEps": basis.dsdEps, "dTdEps": basis.dTdEps,
-           "crossValidationError": basis.crossValidationError,
+           "crossValidationError": cross,
            "generatorResiduals": residuals, "measuredRates": rates,
-           "pairingRatio": float(np.mean(om) / basis.dHdEps),
+           "pairingRatio": float(np.mean(om) / dH),
            "pairingDrift": float(np.max(np.abs(om - om[0])))}
     return doc, {}
 
@@ -278,10 +287,17 @@ def _parse_modes(text):
     if ".." in text:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
+    return _int_list(text)
+
+
+def _int_list(text):
     return [int(x) for x in text.split(",")]
 
 
 def build_parser():
+    """The command line.  Each option's dest is its manifest key, and an
+    option left out is left out of the manifest, so every default lives in
+    the command's handler; only --out and --seed have their own."""
     ap = argparse.ArgumentParser(
         prog="qglue",
         description="constant-curvature gluing on punctured spheres: "
@@ -289,110 +305,91 @@ def build_parser():
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", default="qglue_out")
+    def command(name, **kwargs):
+        return sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                              **kwargs)
+
+    def common(p):
+        p.add_argument("--out", default="qglue_out")
         p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("constants", help="dimension-dependent coefficients")
+    p = command("constants", help="dimension-dependent coefficients")
     p.add_argument("--n", type=int, required=True)
     common(p)
 
-    p = sub.add_parser("orbit", help="solve one periodic orbit")
+    p = command("orbit", help="solve one periodic orbit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", required=True,
                    help="necksize; the literal 'epsbar' selects the maximum")
     common(p)
 
-    p = sub.add_parser("sweep", help="orbit family sweep")
+    p = command("sweep", help="orbit family sweep")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps-list", required=True,
+    p.add_argument("--eps-list", dest="epsList", required=True,
+                   type=lambda text: text.split(","),
                    help="comma-separated necksizes; 'epsbar' allowed")
     common(p)
 
-    p = sub.add_parser("indicial", help="Floquet exponents per mode")
+    p = command("indicial", help="Floquet exponents per mode")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", required=True)
-    p.add_argument("--modes", default="0..2")
+    p.add_argument("--modes", type=_parse_modes)
     common(p)
 
-    p = sub.add_parser("jacobi", help="generator fields and pairing checks")
+    p = command("jacobi", help="generator fields and pairing checks")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", required=True)
-    p.add_argument("--deps", type=float, default=1e-4)
+    p.add_argument("--deps", dest="dEps", type=float)
     common(p)
 
     for name, extra in (("glue", ("delta", "m-list")),
                         ("correct", ("scheme", "tol", "modes")),
                         ("diagnose", ("delta", "delta-prime", "modes"))):
-        p = sub.add_parser(name)
+        p = command(name)
         p.add_argument("--config", required=True,
                        help="gluing configuration JSON file")
-        p.add_argument("--m", type=int, default=None,
+        p.add_argument("--m", type=int,
                        help="override the config's overlap length")
-        p.add_argument("--grid-per-period", type=int, default=64)
+        p.add_argument("--grid-per-period", dest="gridPerPeriod", type=int)
         if "delta" in extra:
-            p.add_argument("--delta", type=float, default=1.5)
+            p.add_argument("--delta", type=float)
         if "delta-prime" in extra:
-            p.add_argument("--delta-prime", type=float, default=None)
+            p.add_argument("--delta-prime", dest="deltaPrime", type=float)
         if "m-list" in extra:
-            p.add_argument("--m-list", default=None,
+            p.add_argument("--m-list", dest="mList", type=_int_list,
                            help="overlap sweep for the decay study, e.g. "
                                 "1,2,3,4,5")
         if "scheme" in extra:
-            p.add_argument("--scheme", choices=["picard", "newton"],
-                           default="picard")
+            p.add_argument("--scheme", choices=["picard", "newton"])
         if "tol" in extra:
-            p.add_argument("--tol", type=float, default=1e-9)
+            p.add_argument("--tol", type=float)
         if "modes" in extra:
-            p.add_argument("--modes", default="0")
+            p.add_argument("--modes", type=_parse_modes)
         common(p)
 
-    p = sub.add_parser("run", help="execute a run manifest")
+    p = command("run", help="execute a run manifest")
     p.add_argument("manifest")
     return ap
 
 
 def _manifest_from_args(args):
-    cmd = args.command
+    params = dict(vars(args))
+    cmd = params.pop("command")
     if cmd == "run":
         with open(args.manifest) as fh:
             return json.load(fh)
-    params = {}
-    if cmd in ("constants", "orbit", "sweep", "indicial", "jacobi"):
-        params["n"] = args.n
-    if cmd in ("orbit", "indicial", "jacobi"):
-        params["eps"] = _resolve_eps(args.n, args.eps)
-    if cmd == "sweep":
-        consts = derive_constants(args.n)
-        params["epsList"] = [
-            consts.epsBar if tok.strip().lower() == "epsbar"
-            else float(tok) for tok in args.eps_list.split(",")]
-    if cmd == "indicial":
-        params["modes"] = _parse_modes(args.modes)
-    if cmd == "jacobi":
-        params["dEps"] = args.deps
-    if cmd in ("glue", "correct", "diagnose"):
-        with open(args.config) as fh:
+    out, seed = params.pop("out"), params.pop("seed")
+    if "eps" in params:
+        params["eps"] = _resolve_eps(params["n"], params["eps"])
+    if "epsList" in params:
+        params["epsList"] = [_resolve_eps(params["n"], tok)
+                             for tok in params["epsList"]]
+    if "config" in params:
+        with open(params["config"]) as fh:
             params["config"] = json.load(fh)
-        if args.m is not None:
-            params["config"]["m"] = args.m
-        params["gridPerPeriod"] = args.grid_per_period
-    if cmd == "glue":
-        params["delta"] = args.delta
-        if args.m_list:
-            params["mList"] = [int(x) for x in args.m_list.split(",")]
-    if cmd == "correct":
-        params["scheme"] = args.scheme
-        params["tol"] = args.tol
-        params["modes"] = _parse_modes(args.modes)
-    if cmd == "diagnose":
-        params["delta"] = args.delta
-        if args.delta_prime is not None:
-            params["deltaPrime"] = args.delta_prime
-        params["modes"] = _parse_modes(args.modes)
-    return {"command": cmd, "params": params, "out": args.out,
-            "seed": args.seed}
+        if "m" in params:
+            params["config"]["m"] = params.pop("m")
+    return {"command": cmd, "params": params, "out": out, "seed": seed}
 
 
 def main(argv=None):

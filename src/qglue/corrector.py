@@ -28,7 +28,7 @@ from .errors import DomainError, IllConditionedError, NumericalError
 from .fd import jet_rows, stencil_size
 from .gauges import (CylField, angular_basis, paneitz_mode_apply,
                      paneitz_mode_matrix)
-from .delaunay import _mode_flow_rhs, sample_contiguous
+from .delaunay import sample_flow
 from .jacobi import ModeOperator, generators, monodromy_data, smooth_step
 from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
     log_annulus_weight, stable_power_remainder, weighted_norm
@@ -230,20 +230,6 @@ def _inv_norm1(lu):
     return max(est, 2.0 * float(np.sum(np.abs(lu_solve(lu, alt)))) / (3 * n))
 
 
-def _window_solution(op, t0, t_nodes, jet0):
-    """Sample the mode-ODE solutions with the initial jets `jet0` (4, k) at
-    t0 over the window nodes (any direction), as one flow of the orbit from
-    its jet at t0 with k jets; returns (k, len(t_nodes)).  Windows are about
-    a stencil wide, so both decaying and growing directions stay
-    representable."""
-    y0 = np.concatenate([op.orbit.jet(t0, max_deriv=3), jet0.reshape(-1)])
-    k = jet0.shape[1]
-    return sample_contiguous(_mode_flow_rhs(op.constants, op.lam, k), t0, y0,
-                             t_nodes, np.inf,
-                             "window sampling of a frame solution failed"
-                             )[4:4 + k]
-
-
 def _mode_border(approx, basis, l):
     """Jet-condition rows, deficiency columns and gauge rows of mode l: the
     orbit side of the bordered system, which depends on the orbit, the
@@ -292,8 +278,11 @@ def _mode_border(approx, basis, l):
         # ones of modes 0 and 1 from the analytic generators
         dec = _invariant_subspace(data.backward, n_dec, thresh)
         grow = _invariant_subspace(data.matrix, n_dec, thresh)
-        sol = list(_window_solution(op, t0, win_nodes,
-                                    np.concatenate([dec, grow], axis=1)))
+        # a window is a stencil wide: growing directions stay representable
+        sol = list(sample_flow(
+            orbit, op.lam, t0, np.concatenate([dec, grow], axis=1), win_nodes,
+            0.5 * float(np.min(np.diff(np.sort(win_nodes)))),
+            "window sampling of a frame solution failed")[4:4 + 2 * n_dec])
         samples = sol[:n_dec]
         if has_deficiency:
             samples += [basis.jet(l, sign, win_nodes)[0] for sign in "+-"]
@@ -354,7 +343,7 @@ def bordered_system(approx, degrees=None):
     degrees = _degrees(approx, degrees)
     if approx.config.orbit.isConstant:
         raise DomainError("the bordered closure needs an interior orbit")
-    basis = generators(approx.config.orbit, validate=False)
+    basis = generators(approx.config.orbit)
     borders = [_mode_border(approx, basis, l) for l in degrees]
     return _background_system(approx, degrees, borders)
 
@@ -417,8 +406,14 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
     LAPACK gecon) of the row-equilibrated bordered matrix, taken from its
     LU factors; up to rounding it is a lower bound of the exact 1-norm
     condition.  Above cond_limit (1e13) the solve raises
-    IllConditionedError."""
+    IllConditionedError, and f with a nonzero mode outside sys.degrees,
+    which the solve cannot reach, raises DomainError."""
     degrees = sys.degrees
+    outside = [l for l, row in zip(f.degrees, f.coeffs)
+               if l not in degrees and np.any(row)]
+    if outside:
+        raise DomainError(f"right-hand side has modes {outside} outside "
+                          f"the system's degrees {degrees}")
     L, N = len(degrees), len(sys.approx.s)
     frows = f.rows(degrees)
     rhs = np.zeros(sys.matrix.shape[0])
@@ -572,12 +567,16 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     fields, evaluated in perturbation form throughout (see gluing.defect) and
     measured on the interior collocation points; below 1e-30 it counts as
     zero.  The correction carries the requested degrees (default the
-    blend's), and the defect is padded with zero modes to them; the defect
-    and the remainder keep every blend degree as well.  min_iter forces
-    extra steps so contraction ratios are observable even when the first
-    step already reaches the floor.
+    blend's), padded into the defect as zero modes; leaving out a blend
+    degree raises DomainError, as no step would touch its defect.  min_iter
+    forces extra steps so contraction ratios are observable even when the
+    first step already reaches the floor.
     """
     degrees = _degrees(approx, degrees)
+    missing = sorted(set(approx.field.degrees) - set(degrees))
+    if missing:
+        raise DomainError(f"the correction must carry every blend degree; "
+                          f"{missing} missing from {degrees}")
     if scheme not in ("picard", "newton"):
         raise DomainError(f"unknown scheme {scheme!r}")
     f0 = defect(approx).residual.padded(degrees)

@@ -8,7 +8,8 @@ shooting, started from a bisection bracket on the kind of the first turning
 point.  The orbit is stored on a half period as quintic Hermite
 interpolants; evaluation extends by evenness and periodicity, so the stored
 object is exactly symmetric and exactly periodic while the raw shooting
-mismatch is kept as a diagnostic.
+mismatch is kept as a diagnostic.  sample_flow, started from orbit.jet, is
+the one sampler of the orbit and of solutions of its linearizations.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ from .errors import DomainError, NumericalError
 from .gauges import GaugeConstants, derive_constants
 
 __all__ = [
-    "hamiltonian", "sample_contiguous", "quintic_hermite", "DelaunayOrbit",
-    "solve_orbit",
+    "hamiltonian", "sample_contiguous", "sample_flow", "quintic_hermite",
+    "jet_interpolants", "half_period_grid", "DelaunayOrbit", "solve_orbit",
     "FamilyParams", "expansion_error", "ExpansionStudy",
 ]
 
@@ -80,29 +81,39 @@ def _mode_flow_rhs(consts, lam, k):
 
 def sample_contiguous(rhs, t0, y0, tgrid, max_step, failure):
     """States at every point of tgrid of the solution with y(t0) = y0, from
-    one contiguous DOP853 run at tolerance 1e-13 below t0 and one above it.
+    one contiguous DOP853 run at tolerance 1e-13 below t0 and one above it,
+    with steps capped at max_step.
 
-    Steps are capped at max_step and at half the smallest spacing of tgrid.
     Returns a (len(y0), len(tgrid)) array; raises NumericalError(failure)
     when a run fails."""
     tgrid = np.asarray(tgrid, dtype=float)
-    if len(tgrid) > 1:
-        max_step = min(max_step, 0.5 * float(np.min(np.diff(np.sort(tgrid)))))
     out = np.empty((len(y0), len(tgrid)))
     out[:, tgrid == t0] = np.asarray(y0, dtype=float)[:, None]
     for mask, direction in ((tgrid < t0, -1), (tgrid > t0, +1)):
         if not mask.any():
             continue
-        te = np.sort(tgrid[mask])[::direction]
+        cols = np.where(mask)[0]
+        cols = cols[np.argsort(tgrid[cols], kind="stable")][::direction]
+        te = tgrid[cols]
         sol = solve_ivp(rhs, (t0, float(te[-1])), y0, method="DOP853",
                         rtol=1e-13, atol=1e-13, t_eval=te,
                         max_step=max_step)
         if not sol.success:
             raise NumericalError(failure)
-        lookup = {t: sol.y[:, i] for i, t in enumerate(te)}
-        for j in np.where(mask)[0]:
-            out[:, j] = lookup[tgrid[j]]
+        out[:, cols] = sol.y
     return out
+
+
+def sample_flow(orbit, lam, t0, jets, tgrid, max_step, failure):
+    """States at tgrid of the orbit and of the k solutions of its mode-lam
+    linearization whose jets at t0 are the columns of `jets` (4, k), by
+    sample_contiguous from orbit.jet(t0): the (4 + 4k, len(tgrid)) state of
+    _mode_flow_rhs, whose row 4 + d k + j is derivative d of solution j.
+    Unstable directions amplify the error with the distance from t0."""
+    jets = np.asarray(jets, dtype=float)
+    rhs = _mode_flow_rhs(orbit.constants, lam, jets.shape[1])
+    y0 = np.concatenate([orbit.jet(t0), jets.reshape(-1)])
+    return sample_contiguous(rhs, t0, y0, tgrid, max_step, failure)
 
 
 def quintic_hermite(x, jets):
@@ -130,6 +141,13 @@ def quintic_hermite(x, jets):
         for j in range(q):
             c[-q - 1] -= (-1) ** (j + 1) * comb(q, j + 1) * c[-q + j]
     return BPoly(c, x)
+
+
+def jet_interpolants(x, jets):
+    """Interpolants of derivatives 0..3 from node jets of orders 0..5, one
+    quintic Hermite each from orders d..d+2: differentiating one value
+    interpolant would amplify integrator noise by powers of the spacing."""
+    return [quintic_hermite(x, jets[d:d + 3]) for d in range(4)]
 
 
 # ----------------------------------------------------------------------
@@ -191,8 +209,8 @@ class DelaunayOrbit:
         return np.stack(rows)
 
     def sample_states(self, tgrid):
-        """Sample the full jet (v, v', v'', v''') by one contiguous
-        step-capped integration from the minimum at t = 0.
+        """Sample the full jet (v, v', v'', v''') by sample_flow from the
+        minimum at t = 0, with steps capped at T/512.
 
         The reflected-periodic representation is ideal for evaluation but its
         reduction seams (the shooting-level derivative kink at the turning
@@ -212,10 +230,8 @@ class DelaunayOrbit:
             out = np.zeros((4, len(tgrid)))
             out[0] = self.eps
             return out
-        return sample_contiguous(
-            _mode_flow_rhs(self.constants, 0.0, 0), 0.0,
-            [self.eps, 0.0, self.vDdot0, 0.0], tgrid, self.period / 512.0,
-            "orbit sampling failed")
+        return sample_flow(self, 0.0, 0.0, np.empty((4, 0)), tgrid,
+                           self.period / 512.0, "orbit sampling failed")
 
     def sample_exact(self, tgrid):
         """Seam-free samples of v; see sample_states, including its limit
@@ -247,41 +263,27 @@ HALF_PERIOD_NODES = 1025  # interpolation nodes on a half period
 STEP_NODES = 8            # node spacings per integrator step, at most
 
 
-def _half_period_nodes(rhs, y0, half, failure):
-    """The nodes of [0, half] and the states at them of the solution of
-    y' = rhs(t, y) with y(0) = y0.
-
-    One DOP853 run at tolerance 1e-13 with its step capped at STEP_NODES
-    node spacings; the node states come from its dense output, which
-    without the cap is far less accurate than the steps themselves.  Raises
-    NumericalError(failure) when the run fails."""
-    tgrid = np.linspace(0.0, half, HALF_PERIOD_NODES)
-    sol = solve_ivp(rhs, (0.0, half), y0, method="DOP853", rtol=1e-13,
-                    atol=1e-13, t_eval=tgrid,
-                    max_step=STEP_NODES * half / (HALF_PERIOD_NODES - 1))
-    if not sol.success or sol.y.shape[1] != HALF_PERIOD_NODES:
-        raise NumericalError(failure)
-    return tgrid, sol.y
+def half_period_grid(half):
+    """The nodes of [0, half] and their sampling's step cap of STEP_NODES
+    spacings: without it the dense output at the nodes is far less
+    accurate than the steps themselves."""
+    return (np.linspace(0.0, half, HALF_PERIOD_NODES),
+            STEP_NODES * half / (HALF_PERIOD_NODES - 1))
 
 
 def _half_period_interp(consts, eps, s, T):
-    """Quintic Hermite interpolants of derivatives 0..3 on [0, T/2], built
-    on _half_period_nodes, and the integrated state at T/2.
-
-    Each component gets its own interpolant built from its sampled value and
-    the next two sampled (or ODE-supplied) derivatives, so every component
-    keeps sample-level accuracy; differentiating a single value interpolant
-    would amplify integrator noise by a power of the node spacing."""
-    tgrid, y = _half_period_nodes(_mode_flow_rhs(consts, 0.0, 0),
-                                  [eps, 0.0, s, 0.0], T / 2.0,
-                                  "half-period integration failed")
+    """jet_interpolants on half_period_grid(T/2) of the orbit with v(0) =
+    eps and v''(0) = s, and its state at T/2."""
+    tgrid, max_step = half_period_grid(T / 2.0)
+    y = sample_contiguous(_mode_flow_rhs(consts, 0.0, 0), 0.0,
+                          [eps, 0.0, s, 0.0], tgrid, max_step,
+                          "half-period integration failed")
     v, v1, v2, v3 = (c.copy() for c in y)
     # symmetry pins the odd derivatives at both ends of a half period
     v1[0] = v3[0] = 0.0
     v1[-1] = v3[-1] = 0.0
-    v4, v5 = _ode_jet45(consts, v, v1, v2, v3)
-    comps = [(v, v1, v2), (v1, v2, v3), (v2, v3, v4), (v3, v4, v5)]
-    interp = [quintic_hermite(tgrid, jets) for jets in comps]
+    interp = jet_interpolants(tgrid, [v, v1, v2, v3,
+                                      *_ode_jet45(consts, v, v1, v2, v3)])
     return interp, y[:, -1]
 
 

@@ -1,7 +1,9 @@
 """Linearization about a periodic orbit: per-mode operators, the generator
 solutions of degrees 0 and 1 from the deformation families, Floquet
 analysis of the flows of delaunay._mode_flow_rhs, the conserved boundary
-pairing, and the smooth step that every cutoff is built from.
+pairing, and the smooth step that every cutoff is built from.  JacobiBasis
+holds every generator; its necksize field is sampled by
+delaunay.sample_flow and stored like the orbit, as jet interpolants.
 """
 
 from dataclasses import dataclass
@@ -12,13 +14,12 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 from .fd import apply_derivative
-from .delaunay import (DelaunayOrbit, _half_period_nodes, _mode_flow_rhs,
-                       _shooting_jacobian, quintic_hermite, sample_contiguous,
-                       solve_orbit)
+from .delaunay import (DelaunayOrbit, _mode_flow_rhs, _shooting_jacobian,
+                       half_period_grid, jet_interpolants, sample_flow)
 
 __all__ = [
     "ModeOperator", "mode_apply", "MonodromyData", "monodromy_data",
-    "IndicialSpectrum", "indicial_roots", "VariationalField", "JacobiBasis",
+    "IndicialSpectrum", "indicial_roots", "JacobiBasis",
     "generators", "symplectic_pairing",
 ]
 
@@ -223,83 +224,6 @@ def indicial_roots(orbit, degrees=None):
 
 
 # ----------------------------------------------------------------------
-# family sensitivities and the variational solution
-
-
-class VariationalField:
-    """The necksize derivative of the orbit as a function of t, with full
-    jets, and the family sensitivities dsdEps = ds/deps, dTdEps = dT/deps.
-
-    One pass over delaunay's half-period nodes integrates the orbit from
-    (eps, 0, s, 0) jointly with its eps-derivative w_eps from (1, 0, 0, 0)
-    and its s-derivative w_s from (0, 0, 1, 0).  At tau = T/2 the implicit
-    function theorem on the half-period conditions v'(tau) = v'''(tau) = 0
-    gives J (ds/deps, dtau/deps) = -(w_eps'(tau), w_eps'''(tau)), with J
-    the shooting Jacobian, and dT/deps = 2 dtau/deps.  The field's nodes
-    are w_eps + (ds/deps) w_s; it is extended by the family structure:
-      phi(t + kT) = phi(t) - k T' vdot(t)
-      phi(t)      = phi(T-t) + T' vdot(T-t)   for t in [T/2, T].
-    """
-
-    def __init__(self, orbit):
-        self.orbit = orbit
-        c = orbit.constants
-        y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0,
-              1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
-        tg, y = _half_period_nodes(_mode_flow_rhs(c, 0.0, 2),
-                                   y0, orbit.period / 2.0,
-                                   "variational integration failed")
-        v = y[:4]
-        # jet rows are (4, 2): column 0 is w_eps, column 1 is w_s
-        w_eps, w_s = np.moveaxis(y[4:].reshape(4, 2, -1), 1, 0)
-        ds_deps, dtau_deps = np.linalg.solve(
-            _shooting_jacobian(c, v[:, -1], w_s[:, -1]), -w_eps[[1, 3], -1])
-        self.dsdEps = float(ds_deps)
-        self.dTdEps = 2.0 * float(dtau_deps)
-        w, w1, w2, w3 = w_eps + ds_deps * w_s
-        pot = c.c0 - c.K * v[0] ** (c.p - 1)
-        potdot = -c.K * (c.p - 1) * v[0] ** (c.p - 2) * v[1]
-        w4 = c.c2 * w2 - pot * w
-        w5 = c.c2 * w3 - pot * w1 - potdot * w
-        comps = [(w, w1, w2), (w1, w2, w3), (w2, w3, w4), (w3, w4, w5)]
-        # per-component quintic Hermite keeps each derivative at sample-level
-        # accuracy instead of amplifying integrator noise
-        self._interp = [quintic_hermite(tg, j) for j in comps]
-
-    def sample_states(self, tgrid):
-        """Contiguous joint (orbit + variational) integration over the
-        window; seam-free but only trustworthy while e^{gamma |t|} times the
-        initial-data error stays small (about a half period of margin), which
-        is all residual-grade checks need."""
-        orbit = self.orbit
-        y0 = [orbit.eps, 0.0, orbit.vDdot0, 0.0, 1.0, 0.0, self.dsdEps, 0.0]
-        return sample_contiguous(_mode_flow_rhs(orbit.constants, 0.0, 1),
-                                 0.0, y0, tgrid, orbit.period / 512.0,
-                                 "variational sampling failed")[4:]
-
-    def jet(self, t, max_deriv=3):
-        """Stacked derivatives 0..max_deriv (max 3) at t."""
-        T = self.orbit.period
-        Tp = self.dTdEps
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.floor(t / T)
-        x = t - k * T
-        refl = x > T / 2
-        xr = np.where(refl, T - x, x)
-        out = np.empty((max_deriv + 1, len(t)))
-        vj = self.orbit.jet(xr, max_deriv=max_deriv + 1)
-        # periodic shift uses the derivative of vdot at the reduced point
-        vjx = self.orbit.jet(x, max_deriv=max_deriv + 1)
-        for d in range(max_deriv + 1):
-            base = self._interp[d](xr)
-            sign = (-1.0) ** d
-            reflected = sign * (base + Tp * vj[d + 1])
-            val = np.where(refl, reflected, base)
-            out[d] = val - k * Tp * vjx[d + 1]
-        return out
-
-
-# ----------------------------------------------------------------------
 # generator fields
 
 
@@ -328,16 +252,39 @@ class JacobiBasis:
     l = 0, 1 (the n translations of degree 1 share one profile pair).
 
     Degree 0 holds the phase derivative (bounded, periodic) and the necksize
-    derivative (linear growth); degree 1 holds the translation profiles
+    derivative (linear growth, stored on [0, T/2] like the orbit; see
+    generators); degree 1 holds the translation profiles
     e^{-t}((n-4)/2 v - vdot) (decaying) and e^{+t}((4-n)/2 v - vdot)
     (growing)."""
 
     orbit: DelaunayOrbit
-    varField: VariationalField | None
     dsdEps: float
     dTdEps: float
-    crossValidationError: float
-    dHdEps: float     # centered difference; nan unless validated
+    _interp: list  # the necksize field's derivatives 0..3 on [0, T/2]
+
+    def _necksize_jet(self, t, max_deriv):
+        """Derivatives 0..max_deriv (max 3) of the necksize field at t,
+        extended from [0, T/2] by the family structure:
+          phi(t + kT) = phi(t) - k T' vdot(t)
+          phi(t)      = phi(T-t) + T' vdot(T-t)   for t in [T/2, T]."""
+        T = self.orbit.period
+        Tp = self.dTdEps
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        k = np.floor(t / T)
+        x = t - k * T
+        refl = x > T / 2
+        xr = np.where(refl, T - x, x)
+        out = np.empty((max_deriv + 1, len(t)))
+        vj = self.orbit.jet(xr, max_deriv=max_deriv + 1)
+        # periodic shift uses the derivative of vdot at the reduced point
+        vjx = self.orbit.jet(x, max_deriv=max_deriv + 1)
+        for d in range(max_deriv + 1):
+            base = self._interp[d](xr)
+            sign = (-1.0) ** d
+            reflected = sign * (base + Tp * vj[d + 1])
+            val = np.where(refl, reflected, base)
+            out[d] = val - k * Tp * vjx[d + 1]
+        return out
 
     def jet(self, l, sign, t, max_deriv=3):
         """Jets of the degree-l generator (l = 0 or 1) with the given sign."""
@@ -345,7 +292,7 @@ class JacobiBasis:
             if sign == "+":
                 t = np.atleast_1d(np.asarray(t, dtype=float))
                 return self.orbit.jet(t, max_deriv=max_deriv + 1)[1:max_deriv + 2]
-            return self.varField.jet(t, max_deriv=max_deriv)
+            return self._necksize_jet(t, max_deriv)
         return _exp_profile_jet(self.orbit, t, sign, max_deriv=max_deriv)
 
     def profile(self, l, sign, t):
@@ -364,14 +311,18 @@ class JacobiBasis:
         return float(np.log(abs(wK / w0)) / (periods * T))
 
     def sample_profile(self, l, sign, tgrid):
-        """Seam-free generator samples for residual-grade checks, from
-        contiguous integrations (the periodic/reflected evaluation in jet()
+        """Seam-free generator samples for residual-grade checks, by
+        sample_flow from t = 0 (the periodic/reflected evaluation in jet()
         is globally accurate but carries derivative kinks of the size of the
         shooting defect at the reduction seams, which high-order difference
-        stencils amplify)."""
+        stencils amplify).  The necksize field's window needs about a half
+        period of margin against the growth of its initial-data error."""
         tgrid = np.asarray(tgrid, dtype=float)
         if l == 0 and sign == "-":
-            return self.varField.sample_states(tgrid)[0]
+            return sample_flow(self.orbit, 0.0, 0.0,
+                               [[1.0], [0.0], [self.dsdEps], [0.0]], tgrid,
+                               self.orbit.period / 512.0,
+                               "variational sampling failed")[4]
         states = self.orbit.sample_states(tgrid)
         if l == 0:
             return states[1]
@@ -381,33 +332,36 @@ class JacobiBasis:
         return np.exp(-sigma * tgrid) * (a * states[0] - states[1])
 
 
-def generators(orbit, d_eps=1e-4, validate=True):
+def generators(orbit):
     """All generator solutions of the linearized equation about the orbit.
 
-    The necksize derivative and the sensitivities dsdEps, dTdEps come from
-    one VariationalField pass (the shooting Jacobian and the implicit
-    function theorem, no monodromy).  When `validate` is set, the field is
-    cross-checked against centered differences of neighboring shooting
-    orbits; the max discrepancy over one period is recorded, with the
-    centered difference of the energy along the family.
+    One sample_flow pass over the orbit's half-period nodes integrates the
+    orbit jointly with its eps-derivative w_eps from (1, 0, 0, 0) and its
+    s-derivative w_s from (0, 0, 1, 0).  At tau = T/2 the implicit function
+    theorem on the half-period conditions v'(tau) = v'''(tau) = 0 gives
+    J (ds/deps, dtau/deps) = -(w_eps'(tau), w_eps'''(tau)), with J the
+    shooting Jacobian, and dT/deps = 2 dtau/deps; no monodromy is needed.
+    The necksize field's nodes are w_eps + (ds/deps) w_s.
     """
     if orbit.isConstant:
         raise DomainError("generators need an interior orbit; the constant "
                           "orbit has a degenerate phase derivative")
-    var = VariationalField(orbit)
-    cross = dH = float("nan")
-    if validate:
-        consts = orbit.constants
-        eps = orbit.eps
-        hi = solve_orbit(consts, eps + d_eps)
-        lo = solve_orbit(consts, eps - d_eps)
-        ts = np.linspace(0.0, orbit.period, 60)
-        fd = (hi.eval(ts, 0) - lo.eval(ts, 0)) / (2.0 * d_eps)
-        cross = float(np.max(np.abs(var.jet(ts, 0)[0] - fd)))
-        dH = (hi.hamiltonianValue - lo.hamiltonianValue) / (2.0 * d_eps)
-    return JacobiBasis(orbit=orbit, varField=var, dsdEps=var.dsdEps,
-                       dTdEps=var.dTdEps, crossValidationError=cross,
-                       dHdEps=dH)
+    c = orbit.constants
+    tg, max_step = half_period_grid(orbit.period / 2.0)
+    y = sample_flow(orbit, 0.0, 0.0, np.eye(4)[:, [0, 2]], tg, max_step,
+                    "variational integration failed")
+    v = y[:4]
+    # jet rows are (4, 2): column 0 is w_eps, column 1 is w_s
+    w_eps, w_s = np.moveaxis(y[4:].reshape(4, 2, -1), 1, 0)
+    ds_deps, dtau_deps = np.linalg.solve(
+        _shooting_jacobian(c, v[:, -1], w_s[:, -1]), -w_eps[[1, 3], -1])
+    w, w1, w2, w3 = w_eps + ds_deps * w_s
+    pot = c.c0 - c.K * v[0] ** (c.p - 1)
+    potdot = -c.K * (c.p - 1) * v[0] ** (c.p - 2) * v[1]
+    w4 = c.c2 * w2 - pot * w
+    w5 = c.c2 * w3 - pot * w1 - potdot * w
+    return JacobiBasis(orbit, float(ds_deps), 2.0 * float(dtau_deps),
+                       jet_interpolants(tg, [w, w1, w2, w3, w4, w5]))
 
 
 # ----------------------------------------------------------------------

@@ -210,7 +210,10 @@ SUMMARY_SCHEMAS = {
                      "measuredRates"],
         "properties": {
             "command": _str, "n": {"type": "integer"}, "eps": _num,
-            "dsdEps": _num, "dTdEps": _num, "crossValidationError": _num,
+            "dsdEps": _num, "dTdEps": _num,
+            "crossValidationError": {"type": "number", "description":
+                "sup over one period of the necksize field minus the "
+                "centred difference of the orbits at eps +- dEps"},
             "generatorResiduals": {"type": "object"},
             "measuredRates": {"type": "object"},
             "pairingRatio": _num, "pairingDrift": _num,

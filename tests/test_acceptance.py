@@ -34,7 +34,7 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def basis05(orbit05):
-    return generators(orbit05, d_eps=1e-4)
+    return generators(orbit05)
 
 
 def orbit_residual_sup(orbit, grid_per_period=128, acc=10, pad=8):

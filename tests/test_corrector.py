@@ -307,7 +307,7 @@ class TestNondegeneracy:
         from qglue.jacobi import generators, ModeOperator, monodromy_data
         from qglue.corrector import _mode_border, _invariant_subspace
         from scipy.integrate import solve_ivp
-        basis = generators(orbit05, validate=False)
+        basis = generators(orbit05)
         ap = reference_approx
         s = ap.s
         N = len(s)
@@ -522,6 +522,36 @@ class TestConditionEstimate:
         assert 1.0 <= res.cond <= 1e13
 
 
+class TestDegreeCoverage:
+    """A correction over fewer degrees than the blend carries leaves the
+    missing modes' defect untouched, which the iteration would report as
+    its floor; both entry points refuse it."""
+
+    @pytest.fixture(scope="class")
+    def two_mode_blend(self, orbit05):
+        cfg = make_config(orbit05, m=2,
+                          pert1=((0, 1e-3, 2.0), (1, 1e-3, 2.0)))
+        return build_approximate(cfg, grid_per_period=64)
+
+    def test_iterate_requires_every_blend_degree(self, two_mode_blend):
+        with pytest.raises(DomainError):
+            iterate(two_mode_blend, degrees=(0,), tol=1e-20, min_iter=2)
+
+    def test_solve_rejects_modes_outside_the_system(self, ref_sys,
+                                                    reference_approx):
+        s = reference_approx.s
+        prof = bump_probe(s)
+        consts = reference_approx.config.constants
+        f = CylField.from_modes(consts, s, {0: prof, 1: prof})
+        with pytest.raises(DomainError):
+            solve_right_inverse(ref_sys, f)
+        # zero rows outside the system's degrees carry nothing to drop
+        res = solve_right_inverse(
+            ref_sys, CylField.from_modes(consts, s, {0: prof, 1: 0 * prof}))
+        assert res.u.degrees == (0,)
+        assert res.relResidual < 1e-8
+
+
 class TestRoundingFloor:
     """iterate with a tolerance below the defect's rounding floor (~1e-18):
     the defect stops decreasing, which is stagnation, not divergence."""
@@ -626,21 +656,25 @@ class TestWindowSolution:
     def test_multi_jet_matches_one_jet_runs(self, reference_approx, orbit05,
                                             l):
         # one flow with k jets against k one-jet flows, on the left end's
-        # forward window and the right end's backward window
-        from qglue.corrector import _window_solution
+        # forward window and the right end's backward window, sampled as
+        # the border windows are
+        from qglue.delaunay import sample_flow
         from qglue.fd import stencil_size
         from qglue.gluing import STENCIL_ORDER
         s = reference_approx.s
         phase = (reference_approx.config.m + 0.5) * orbit05.period
-        op = ModeOperator(orbit05, orbit05.constants.lam(l))
+        lam = orbit05.constants.lam(l)
         win = stencil_size(3, STENCIL_ORDER)
         jets = np.random.default_rng(l).standard_normal((4, 4))
         for t0, nodes in ((s[0], s[:win]), (s[-1], s[-win:])):
-            block = _window_solution(op, t0 + phase, nodes + phase, jets)
+            t0, nodes = t0 + phase, nodes + phase
+            cap = 0.5 * float(np.min(np.diff(np.sort(nodes))))
+            block = sample_flow(orbit05, lam, t0, jets, nodes, cap,
+                                "window sampling failed")[4:8]
             assert block.shape == (4, win)
             for j in range(4):
-                one = _window_solution(op, t0 + phase, nodes + phase,
-                                       jets[:, [j]])
+                one = sample_flow(orbit05, lam, t0, jets[:, [j]], nodes, cap,
+                                  "window sampling failed")[4:5]
                 assert one.shape == (1, win)
                 assert (np.max(np.abs(block[j] - one[0]))
                         <= 1e-12 * np.max(np.abs(one[0])))

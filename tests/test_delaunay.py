@@ -136,9 +136,11 @@ class TestModeFlow:
 
 def integrate(consts, y0, ts):
     """States of the necksize ODE from y(0) = y0 at the points ts >= 0, by
-    the contiguous sampling the orbit and window samples use."""
+    the contiguous sampling the orbit and window samples use, with steps
+    capped at half the smallest spacing of ts."""
     return sample_contiguous(_mode_flow_rhs(consts, 0.0, 0), 0.0, y0, ts,
-                             np.inf, "integration failed")
+                             0.5 * float(np.min(np.diff(np.sort(ts)))),
+                             "integration failed")
 
 
 class TestIntegrate:
@@ -312,6 +314,24 @@ class TestSampleWindow:
                              - orbit05.eval(t[first], 0))) < 1e-6
 
 
+class TestSharedSampler:
+    """sample_flow starts every flow from orbit.jet; at t = 0 that is the
+    shooting state (eps, 0, s, 0) bit for bit, so the orbit's samples are
+    those of a direct run from the shooting state."""
+
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
+    def test_start_is_the_shooting_state(self, orbit_cache, n, frac):
+        orb = orbit_cache(frac * derive_constants(n).epsBar, n=n)
+        y0 = np.array([orb.eps, 0.0, orb.vDdot0, 0.0])
+        assert orb.jet(0.0).tobytes() == y0.tobytes()
+        t = np.linspace(-0.5 * orb.period, orb.period, 97)
+        direct = sample_contiguous(_mode_flow_rhs(orb.constants, 0.0, 0),
+                                   0.0, y0, t, orb.period / 512.0,
+                                   "direct sampling failed")
+        assert orb.sample_states(t).tobytes() == direct.tobytes()
+
+
 def reference_jets(consts, y0, half, t):
     """States at t in [0, half] of the orbit jointly with one solution of its
     linearization (components 4..7), from a DOP853 run far tighter than the
@@ -350,11 +370,11 @@ class TestHalfPeriodNodes:
         assert_jet_close(orb.jet(t), ref[:4])
 
     def test_variational_field_jets(self, orbit05):
-        from qglue.jacobi import VariationalField
-        var = VariationalField(orbit05)
+        from qglue.jacobi import generators
+        basis = generators(orbit05)
         half = orbit05.period / 2
         t = np.linspace(0.0, half, 3001)
         ref = reference_jets(orbit05.constants,
                              [orbit05.eps, 0.0, orbit05.vDdot0, 0.0,
-                              1.0, 0.0, var.dsdEps, 0.0], half, t)
-        assert_jet_close(var.jet(t), ref[4:])
+                              1.0, 0.0, basis.dsdEps, 0.0], half, t)
+        assert_jet_close(basis.jet(0, "-", t), ref[4:])

@@ -1,7 +1,10 @@
 """Exported names resolve: every name in a qglue module's __all__ exists,
-and every name the package re-exports is exported by its home module."""
+and every name the package re-exports is exported by its home module.  No
+module imports a name it never uses."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -26,3 +29,21 @@ def test_package_reexports_are_exported_by_their_module():
     assert reexports
     for name, home in reexports:
         assert name in importlib.import_module(home).__all__, (name, home)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_every_import(name):
+    # MODULES leaves out the package __init__, whose imports are its
+    # re-exports; a name a module lists in __all__ counts as used
+    mod = importlib.import_module(name)
+    tree = ast.parse(pathlib.Path(mod.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {a.asname or a.name for a in node.names}
+    # an attribute chain such as np.linalg.solve is rooted in a Name
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported - used - set(getattr(mod, "__all__", ()))
+    assert not unused, sorted(unused)
