@@ -37,13 +37,16 @@ def _write_csv(path, header, rows):
                               else str(x) for x in row) + "\n")
 
 
+RESIDUAL_SPACING = 6.7591 / 128  # T/128 of the n = 5, eps = 0.5 orbit
+
+
 def _orbit_residual(orbit):
-    """Sup residual of the sampled orbit over one period, via exact
-    (step-capped) sampling at 128 points per period and order-10 centered
-    stencils with padding."""
+    """Sup residual of the orbit over one period, from order-10 centred
+    stencils with padding at max(128, ceil(T / RESIDUAL_SPACING)) points
+    per period, so that long periods keep the stencils' spacing."""
     consts = orbit.constants
     T = orbit.period
-    npts = 128
+    npts = max(128, int(np.ceil(T / RESIDUAL_SPACING)))
     h = T / npts
     pad = 8
     tg = (np.arange(-pad, npts + pad + 1)) * h
@@ -53,10 +56,10 @@ def _orbit_residual(orbit):
     return res.supResidual
 
 
-def _shooting_mismatch(orbit):
-    """Largest odd derivative at the half turn, where symmetry makes it 0;
-    the constant orbit is not shot and has none."""
-    return float(max(orbit.diagnostics.get("halfTurnOddDerivs", [0.0])))
+def _series_figures(orbit):
+    """seriesResidual and seriesTail; 0 for the constant orbit."""
+    return {key: float(orbit.diagnostics.get(key, 0.0))
+            for key in ("seriesResidual", "seriesTail")}
 
 
 def _orbit_summary(orbit):
@@ -71,7 +74,7 @@ def _orbit_summary(orbit):
         "hamiltonian": orbit.hamiltonianValue,
         "isConstant": orbit.isConstant,
         "minDefect": float(orbit.diagnostics.get("minDefect", 0.0)),
-        "shootingMismatch": _shooting_mismatch(orbit),
+        **_series_figures(orbit),
         "residualSup": _orbit_residual(orbit),
         "hamiltonianDrift": float(np.max(np.abs(H - H[0]))
                                   / max(abs(H[0]), 1e-300)),
@@ -101,7 +104,7 @@ def cmd_sweep(params):
             "eps": orbit.eps, "period": orbit.period,
             "hamiltonian": orbit.hamiltonianValue,
             "residualSup": _orbit_residual(orbit),
-            "shootingMismatch": _shooting_mismatch(orbit),
+            **_series_figures(orbit),
         })
         H.append(orbit.hamiltonianValue)
     dH = np.diff(H)
@@ -129,19 +132,31 @@ def cmd_indicial(params):
                  "spectrum.csv": ("l,lambda,exponents", csv_rows)}
 
 
+def _family_difference(orbit, d, ts):
+    """d/deps of (v on ts, the energy) along the family, from the orbits at
+    eps +- d by centred differences, or, where eps + d passes epsBar, from
+    those at eps - d and eps - 2 d by the second-order one-sided formula
+    (3 f(eps) - 4 f(eps - d) + f(eps - 2 d)) / (2 d)."""
+    consts, eps = orbit.constants, orbit.eps
+    if eps + d <= consts.epsBar:
+        terms = [(1.0, solve_orbit(consts, eps + d)),
+                 (-1.0, solve_orbit(consts, eps - d))]
+    else:
+        terms = [(3.0, orbit), (-4.0, solve_orbit(consts, eps - d)),
+                 (1.0, solve_orbit(consts, eps - 2.0 * d))]
+    return (sum(w * o.eval(ts, 0) for w, o in terms) / (2.0 * d),
+            sum(w * o.hamiltonianValue for w, o in terms) / (2.0 * d))
+
+
 def cmd_jacobi(params):
     orbit = solve_orbit(params["n"], params["eps"])
     basis = generators(orbit)
-    # cross-check of the necksize field against centred differences of
+    # cross-check of the necksize field against differences of
     # neighbouring orbits, and the energy's derivative along the family
-    d_eps = params.get("dEps", 1e-4)
-    hi = solve_orbit(orbit.constants, orbit.eps + d_eps)
-    lo = solve_orbit(orbit.constants, orbit.eps - d_eps)
     T = orbit.period
     ts = np.linspace(0.0, T, 60)
-    fd = (hi.eval(ts, 0) - lo.eval(ts, 0)) / (2.0 * d_eps)
+    fd, dH = _family_difference(orbit, params.get("dEps", 1e-4), ts)
     cross = float(np.max(np.abs(basis.profile(0, "-", ts) - fd)))
-    dH = (hi.hamiltonianValue - lo.hamiltonianValue) / (2.0 * d_eps)
     gpp = params.get("gridPerPeriod", 64)
     tg = np.linspace(-T, 2 * T, 3 * gpp + 1)
     residuals = {}
@@ -274,13 +289,21 @@ def execute(manifest):
     return summary, artifacts
 
 
+def _necksize(token):
+    """A float, or the literal 'epsbar' kept until n is known."""
+    if token.strip().lower() == "epsbar":
+        return "epsbar"
+    try:
+        return float(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"necksize must be a number or 'epsbar', got {token!r}") from None
+
+
 def _resolve_eps(n, token):
-    """Necksize from a CLI token; 'epsbar' resolves to the family maximum
-    (its printed rounding exceeds the exact value, so a literal is cleaner
-    than typing digits)."""
-    if isinstance(token, str) and token.strip().lower() == "epsbar":
-        return derive_constants(n).epsBar
-    return float(token)
+    """Necksize of a _necksize token; 'epsbar' is the family maximum (its
+    printed rounding exceeds the exact value, so a literal is cleaner)."""
+    return derive_constants(n).epsBar if token == "epsbar" else token
 
 
 def _parse_modes(text):
@@ -319,26 +342,27 @@ def build_parser():
 
     p = command("orbit", help="solve one periodic orbit")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", required=True,
+    p.add_argument("--eps", required=True, type=_necksize,
                    help="necksize; the literal 'epsbar' selects the maximum")
     common(p)
 
     p = command("sweep", help="orbit family sweep")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps-list", dest="epsList", required=True,
-                   type=lambda text: text.split(","),
+                   type=lambda text: [_necksize(tok)
+                                      for tok in text.split(",")],
                    help="comma-separated necksizes; 'epsbar' allowed")
     common(p)
 
     p = command("indicial", help="Floquet exponents per mode")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", required=True, type=_necksize)
     p.add_argument("--modes", type=_parse_modes)
     common(p)
 
     p = command("jacobi", help="generator fields and pairing checks")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps", required=True)
+    p.add_argument("--eps", required=True, type=_necksize)
     p.add_argument("--deps", dest="dEps", type=float)
     common(p)
 

@@ -1,32 +1,28 @@
 """The fourth-order necksize ODE: periodic orbits, conserved energy, and the
 translated/deformed solution family.
 
-An orbit solves the symmetric half-period boundary value problem
-v(0) = eps, v'(0) = v'''(0) = 0 at the minimum and v'(T/2) = v'''(T/2) = 0
-at the maximum.  Its unknowns s = v''(0) and T/2 are found by Newton
-shooting, started from a bisection bracket on the kind of the first turning
-point.  The orbit is stored on a half period as quintic Hermite
-interpolants; evaluation extends by evenness and periodicity, so the stored
-object is exactly symmetric and exactly periodic while the raw shooting
-mismatch is kept as a diagnostic.  sample_flow, started from orbit.jet, is
-the one sampler of the orbit and of solutions of its linearizations.
+An orbit is stored as the cosine series
+v(t) = eps + sum_{k=1..N} a_k (cos(k omega t) - 1), even about its minimum
+v(0) = eps and exactly periodic with T = 2 pi / omega, so evaluation has no
+seams and no window limit.  (a_1..a_N, omega) solve the ODE collocated at
+N + 1 points of a half period (Boyd, Chebyshev and Fourier Spectral
+Methods, 2nd ed., chs. 2-4), by Newton's method continued in log eps from
+the linearization at epsBar.  sample_flow, started from orbit.jet, samples
+solutions of the orbit's linearizations.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BPoly
-import scipy.special as spec
-from scipy.special import comb
 
 from .errors import DomainError, NumericalError
 from .gauges import GaugeConstants, derive_constants
 
 __all__ = [
-    "hamiltonian", "sample_contiguous", "sample_flow", "quintic_hermite",
-    "jet_interpolants", "half_period_grid", "DelaunayOrbit", "solve_orbit",
-    "FamilyParams", "expansion_error", "ExpansionStudy",
+    "hamiltonian", "sample_contiguous", "sample_flow", "DelaunayOrbit",
+    "solve_orbit", "FamilyParams", "expansion_error", "ExpansionStudy",
 ]
 
 
@@ -44,20 +40,12 @@ def hamiltonian(jet, consts):
             - 0.5 * consts.c0 * v ** 2 + consts.cH * abs(v) ** consts.qExp)
 
 
-def _ode_jet45(consts, v, v1, v2, v3):
-    """(v'''', v''''') of a solution of the necksize ODE from its jet
-    (v, v', v'', v''')."""
-    c2, c0, cN, p = consts.c2, consts.c0, consts.cN, consts.p
-    return (c2 * v2 - c0 * v + cN * v ** p,
-            c2 * v3 - c0 * v1 + cN * p * v ** (p - 1) * v1)
-
-
 def _mode_flow_rhs(consts, lam, k):
     """Right-hand side of the orbit (components 0..3) jointly with k jets of
     its mode-lam linearization (components 4.., flattened from (4, k)).
 
     The potential lam^2 + B - K v^(p-1) is taken from the carried v, so the
-    flow makes no interpolant evaluations; callers start the orbit from
+    flow makes no series evaluations; callers start the orbit from
     orbit.jet at the initial time.  y may also be a (4 + 4k, batch) array of
     independent states, one per column, with the result of the same shape."""
     c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
@@ -72,8 +60,7 @@ def _mode_flow_rhs(consts, lam, k):
         v = y[0]
         out = y[idx]
         out[3] = c2 * y[2] - c0 * v + cN * v ** p
-        if k:  # arithmetic on the empty rows would triple the orbit's cost
-            out[w4] = A * out[w2] + (K * v ** (p - 1) - base) * out[w4]
+        out[w4] = A * out[w2] + (K * v ** (p - 1) - base) * out[w4]
         return out
 
     return rhs
@@ -116,127 +103,77 @@ def sample_flow(orbit, lam, t0, jets, tgrid, max_step, failure):
     return sample_contiguous(rhs, t0, y0, tgrid, max_step, failure)
 
 
-def quintic_hermite(x, jets):
-    """Piecewise quintic in Bernstein form matching the samples (f, f', f'')
-    of `jets` at both ends of every interval of x.
-
-    The coefficients are bit-identical to BPoly.from_derivatives(x,
-    np.stack(jets, 1)): the same recurrence with the same scalars in the same
-    order, applied to all intervals at once instead of one by one."""
-    x = np.asarray(x, dtype=float)
-    ya = [np.asarray(f, dtype=float)[:-1] for f in jets]
-    yb = [np.asarray(f, dtype=float)[1:] for f in jets]
-    h = x[1:] - x[:-1]
-    na = nb = len(jets)
-    n = na + nb
-    c = np.empty((n, len(h)))
-    # walk left-to-right from the values at the left ends ...
-    for q in range(na):
-        c[q] = ya[q] / spec.poch(n - q, q) * h ** q
-        for j in range(q):
-            c[q] -= (-1) ** (j + q) * comb(q, j) * c[j]
-    # ... and right-to-left from those at the right ends
-    for q in range(nb):
-        c[-q - 1] = yb[q] / spec.poch(n - q, q) * (-1) ** q * h ** q
-        for j in range(q):
-            c[-q - 1] -= (-1) ** (j + 1) * comb(q, j + 1) * c[-q + j]
-    return BPoly(c, x)
-
-
-def jet_interpolants(x, jets):
-    """Interpolants of derivatives 0..3 from node jets of orders 0..5, one
-    quintic Hermite each from orders d..d+2: differentiating one value
-    interpolant would amplify integrator noise by powers of the spacing."""
-    return [quintic_hermite(x, jets[d:d + 3]) for d in range(4)]
-
-
 # ----------------------------------------------------------------------
 # the periodic orbit family
 
 
+def _series_jet(at_zero, a, omega, t, max_deriv):
+    """Derivatives 0..max_deriv at the points of the 1-d array t, one row
+    each, of the series at_zero + sum_k a_k (cos(k omega t) - 1), k = 1..N.
+    At t = 0 the value row is at_zero and the odd rows are +0.0 exactly."""
+    k = np.arange(1, len(a) + 1)
+    theta = np.outer(np.mod(omega * t, 2.0 * np.pi), k)
+    trig = (np.cos(theta), np.sin(theta) if max_deriv else None)
+    rows = [at_zero + (trig[0] - 1.0) @ a]
+    for d in range(1, max_deriv + 1):
+        # cos^(d) is -sin, -cos, sin, cos for d = 1, 2, 3, 0 mod 4; adding
+        # 0.0 turns the -0.0 of a vanishing row into +0.0
+        sign = 1.0 if d % 4 in (0, 3) else -1.0
+        rows.append(sign * (trig[d % 2] @ (a * (k * omega) ** d)) + 0.0)
+    return np.stack(rows)
+
+
 @dataclass
 class DelaunayOrbit:
-    """One periodic orbit, stored on [0, T/2] and extended by symmetry.
-
-    eval(t, k) returns the k-th t-derivative (k <= 3); jet extends it to
-    orders 4 and 5 by the ODE.  The representation is even about t = 0 and
-    T/2 and exactly T-periodic.
-    """
+    """One periodic orbit as the cosine series
+    v(t) = eps + sum_{k=1..N} a_k (cos(k omega t) - 1) of period
+    T = 2 pi / omega.  eval(t, k) returns the k-th t-derivative (k <= 3),
+    jet any number of them.  The constant orbit at epsBar has N = 0."""
 
     constants: GaugeConstants
     eps: float
-    period: float
-    vDdot0: float
-    hamiltonianValue: float
-    isConstant: bool = False
+    omega: float
+    coeffs: np.ndarray  # a_1..a_N
     diagnostics: dict = field(default_factory=dict)
-    nSamples: int = 0
-    _interp: list = None  # BPoly for derivatives 0..3 on [0, T/2]
+
+    @property
+    def period(self):
+        return 2.0 * np.pi / self.omega
+
+    @property
+    def isConstant(self):
+        return self.coeffs.size == 0
+
+    @property
+    def vDdot0(self):
+        return self.eval(0.0, 2)
+
+    @property
+    def hamiltonianValue(self):
+        return hamiltonian((self.eps, 0.0, self.vDdot0, 0.0), self.constants)
 
     # -- evaluation -------------------------------------------------------
-
-    def _reduce(self, t):
-        """Map t to (y in [0, T/2], parity sign for odd derivatives)."""
-        T = self.period
-        x = np.mod(np.asarray(t, dtype=float), T)
-        refl = x > T / 2
-        y = np.where(refl, T - x, x)
-        sign = np.where(refl, -1.0, 1.0)
-        return y, sign
 
     def eval(self, t, deriv=0):
         if deriv < 0 or deriv > 3:
             raise DomainError("derivative order must be 0..3")
-        scalar = np.ndim(t) == 0
-        if self.isConstant:
-            out = np.full(np.shape(np.atleast_1d(t)), self.eps if deriv == 0 else 0.0)
-            return float(out[0]) if scalar else out
-        y, sign = self._reduce(t)
-        vals = self._interp[deriv](y)
-        if deriv % 2 == 1:
-            vals = sign * vals
-        return float(vals) if scalar else vals
+        out = self.jet(t, deriv)[deriv]
+        return float(out) if np.ndim(t) == 0 else out
 
     def jet(self, t, max_deriv=3):
-        """Stacked derivatives 0..max_deriv at t (max_deriv <= 5); orders 4
-        and 5 come from the ODE applied to orders 0..3."""
-        rows = [self.eval(t, k) for k in range(min(max_deriv, 3) + 1)]
-        if max_deriv >= 4:
-            # the constant orbit's higher derivatives are exact zeros
-            high = ((rows[1], rows[1]) if self.isConstant
-                    else _ode_jet45(self.constants, *rows))
-            rows += high[:max_deriv - 3]
-        return np.stack(rows)
+        """Stacked derivatives 0..max_deriv at t."""
+        rows = _series_jet(self.eps, self.coeffs, self.omega,
+                           np.atleast_1d(np.asarray(t, dtype=float)),
+                           max_deriv)
+        return rows[:, 0] if np.ndim(t) == 0 else rows
 
     def sample_states(self, tgrid):
-        """Sample the full jet (v, v', v'', v''') by sample_flow from the
-        minimum at t = 0, with steps capped at T/512.
-
-        The reflected-periodic representation is ideal for evaluation but its
-        reduction seams (the shooting-level derivative kink at the turning
-        points) get amplified by high-order difference stencils; a contiguous
-        trajectory has no seams and its integration error varies smoothly in
-        t, which residual-grade sampling needs.
-
-        The orbit's unstable directions amplify the integration error with
-        the distance from t = 0, so tgrid must stay within about 1.5
-        periods of it on either side: farther points raise NumericalError
-        ("orbit sampling failed").  At eps = 0.5, [0, 1.5T] and [-1.5T,
-        1.5T] succeed and [0, 2T] fails.  The samples drift from the
-        periodic orbit on the way, at eps = 0.5 by 9e-8 at one period and
-        6e-4 at 1.5 periods."""
-        tgrid = np.asarray(tgrid, dtype=float)
-        if self.isConstant:
-            out = np.zeros((4, len(tgrid)))
-            out[0] = self.eps
-            return out
-        return sample_flow(self, 0.0, 0.0, np.empty((4, 0)), tgrid,
-                           self.period / 512.0, "orbit sampling failed")
+        """The (4, len(tgrid)) jets (v, v', v'', v''') on any window."""
+        return self.jet(np.asarray(tgrid, dtype=float))
 
     def sample_exact(self, tgrid):
-        """Seam-free samples of v; see sample_states, including its limit
-        of about 1.5 periods from t = 0."""
-        return self.sample_states(tgrid)[0]
+        """v at every point of tgrid."""
+        return self.eval(np.asarray(tgrid, dtype=float), 0)
 
     # -- serialization ------------------------------------------------------
 
@@ -249,7 +186,7 @@ class DelaunayOrbit:
             "vDdot0": self.vDdot0,
             "hamiltonian": self.hamiltonianValue,
             "isConstant": self.isConstant,
-            "nSamples": self.nSamples,
+            "nSamples": self.coeffs.size + 1,  # a_0..a_N
             "t": [float(x) for x in ts],
             "v": [float(x) for x in self.eval(ts, 0)],
             "vDot": [float(x) for x in self.eval(ts, 1)],
@@ -259,197 +196,166 @@ class DelaunayOrbit:
         }
 
 
-HALF_PERIOD_NODES = 1025  # interpolation nodes on a half period
-STEP_NODES = 8            # node spacings per integrator step, at most
+SERIES_START = 64    # cosines of the first series; doubled while unresolved
+SERIES_MAX = 1024
+SERIES_TAIL = 1e-16  # |a_N| / max |a_k| at which the doubling stops
+CONTINUE_MISS = 0.05  # largest relative predictor miss of a continuation step
 
 
-def half_period_grid(half):
-    """The nodes of [0, half] and their sampling's step cap of STEP_NODES
-    spacings: without it the dense output at the nodes is far less
-    accurate than the steps themselves."""
-    return (np.linspace(0.0, half, HALF_PERIOD_NODES),
-            STEP_NODES * half / (HALF_PERIOD_NODES - 1))
+@lru_cache(maxsize=None)
+def _cosines(N):
+    """cos(pi j k / N) for j = 0..N (rows) and k = 1..N (columns), with
+    j k reduced mod 2 N so that every argument is exact."""
+    out = np.cos(np.pi * (np.outer(np.arange(N + 1), np.arange(1, N + 1))
+                          % (2 * N)) / N)
+    out.flags.writeable = False
+    return out
 
 
-def _half_period_interp(consts, eps, s, T):
-    """jet_interpolants on half_period_grid(T/2) of the orbit with v(0) =
-    eps and v''(0) = s, and its state at T/2."""
-    tgrid, max_step = half_period_grid(T / 2.0)
-    y = sample_contiguous(_mode_flow_rhs(consts, 0.0, 0), 0.0,
-                          [eps, 0.0, s, 0.0], tgrid, max_step,
-                          "half-period integration failed")
-    v, v1, v2, v3 = (c.copy() for c in y)
-    # symmetry pins the odd derivatives at both ends of a half period
-    v1[0] = v3[0] = 0.0
-    v1[-1] = v3[-1] = 0.0
-    interp = jet_interpolants(tgrid, [v, v1, v2, v3,
-                                      *_ode_jet45(consts, v, v1, v2, v3)])
-    return interp, y[:, -1]
+def _collocation(consts, eps, a, omega):
+    """The ODE v'''' - c2 v'' + c0 v - cN v^p of the series (eps, a, omega)
+    at the nodes t_j = j pi / (N omega), j = 0..N, where cos(k omega t_j) =
+    cos(pi j k / N) does not depend on omega: the residual, its Jacobian in
+    (a_1..a_N, omega), shared by Newton and the necksize field, and its
+    eps-derivative."""
+    c2, c0, cN, p = consts.c2, consts.c0, consts.cN, consts.p
+    C = _cosines(len(a))
+    kw2 = (np.arange(1, len(a) + 1) * omega) ** 2
+    # symbol of d^4 - c2 d^2 + c0 on cos(k omega t), and its omega-derivative
+    L = kw2 * (kw2 + c2) + c0
+    dL = (4.0 * kw2 + 2.0 * c2) * kw2 / omega
+    v = eps + (C - 1.0) @ a
+    vp = v ** (p - 1)
+    res = c0 * eps + C @ (L * a) - c0 * np.sum(a) - cN * vp * v
+    pot = cN * p * vp
+    jac = np.empty((len(a) + 1, len(a) + 1))
+    jac[:, :-1] = C * L - c0 - pot[:, None] * (C - 1.0)
+    jac[:, -1] = C @ (dL * a)
+    return res, jac, c0 - pot
 
 
-def _constant_orbit(consts):
-    """The equilibrium orbit at the maximal necksize; its period is the
-    linearization period 2 pi / omega0 from the constant-coefficient quartic
-    mu^4 - c2 mu^2 + (c0 - K epsBar^(p-1))."""
-    eb = consts.epsBar
-    A, B = consts.mode_coefficients(0.0)
-    musq = np.roots([1.0, -A, B - consts.K * eb ** (consts.p - 1)])
-    neg = musq[musq < 0]
-    if neg.size != 1:
-        raise NumericalError("unexpected linearization spectrum at epsBar")
-    omega0 = float(np.sqrt(-neg[0]))
-    return DelaunayOrbit(
-        constants=consts, eps=eb, period=2 * np.pi / omega0, vDdot0=0.0,
-        hamiltonianValue=hamiltonian((eb, 0.0, 0.0, 0.0), consts),
-        isConstant=True,
-        diagnostics={"omega0": omega0}, nSamples=0, _interp=None)
+def _relative(dx, x, eps):
+    """Change dx of x = (a, omega) as the order of the change of v over a
+    period, max(|da_k|, |d omega / omega| max |a_k|), relative to
+    max(eps, max |a_k|).  (Near epsBar omega itself is only determined to
+    rounding over the amplitude max |a_k|.)"""
+    amp = np.max(np.abs(x[:-1]))
+    return (max(np.max(np.abs(dx[:-1])), abs(dx[-1] / x[-1]) * amp)
+            / max(eps, amp))
 
 
-def _first_max(consts, eps, s):
-    """Integrate until the first interior maximum (vdot = 0 crossing downward)
-    or an escape, up to t = 120; returns (kind, t).  Only the kind steers the
-    bisection and Newton refines the time, so the tolerance 1e-9 is loose."""
-    rhs = _mode_flow_rhs(consts, 0.0, 0)
-
-    def ev_max(t, y):
-        return y[1]
-
-    ev_max.terminal = True
-    ev_max.direction = -1
-
-    def ev_low(t, y):
-        return y[0] - eps * (1 - 1e-9)
-
-    ev_low.terminal = True
-    ev_low.direction = -1
-
-    def ev_high(t, y):
-        return y[0] - 1.6
-
-    ev_high.terminal = True
-    ev_high.direction = 1
-
-    sol = solve_ivp(rhs, (0.0, 120.0), [eps, 0.0, s, 0.0], method="DOP853",
-                    rtol=1e-9, atol=1e-9, events=[ev_max, ev_low, ev_high])
-    for kind, times in zip(("max", "down", "up"), sol.t_events):
-        if times.size:
-            return kind, float(times[0])
-    return "none", None
-
-
-def _joint_rhs(consts):
-    """The orbit (components 0..3) jointly with one solution of its
-    linearization (components 4..7): _mode_flow_rhs(consts, 0.0, 1) written
-    out, because at one jet its gather made solve_orbit 8% slower."""
-    c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
-
-    def rhs(t, y):
-        v = y[0]
-        pot = c0 - K * v ** (p - 1)
-        return (y[1], y[2], y[3], c2 * y[2] - c0 * v + cN * v ** p,
-                y[5], y[6], y[7], c2 * y[6] - pot * y[4])
-
-    return rhs
-
-
-def _shooting_jacobian(consts, v, w):
-    """Jacobian of the half-period conditions (v'(tau), v'''(tau)) in
-    (s, tau), [[w'(tau), v''(tau)], [w'''(tau), v''''(tau)]], from the jets
-    v of the orbit and w of its s-derivative at tau."""
-    v4 = _ode_jet45(consts, *v)[0]
-    return np.array([[w[1], v[2]], [w[3], v4]])
-
-
-def _newton_shoot(consts, eps, s, tau):
-    """Newton's method on the half-period conditions v'(tau) = v'''(tau) = 0
-    for the orbit with v(0) = eps, v''(0) = s and v'(0) = v'''(0) = 0.
-
-    Each step integrates the orbit with its s-derivative w from 0 to tau;
-    the Jacobian in (s, tau) is _shooting_jacobian.  Stops when the relative
-    step falls below 1e-15, or stops decreasing after falling below 1e-10
-    (the integration's rounding floor).  Returns (s, tau), or None when an
-    integration fails or the steps do not settle within 40 iterations."""
-    c = consts
-    rhs = _joint_rhs(c)
+def _newton(consts, eps, x):
+    """Newton's method on the collocation equations from x = (a, omega),
+    until the _relative step falls below 1e-15 or stops decreasing below
+    1e-10 (the rounding floor); None if a step is not finite or 40 do not
+    settle."""
     prev = np.inf
     for _ in range(40):
-        sol = solve_ivp(rhs, (0.0, tau),
-                        [eps, 0.0, s, 0.0, 0.0, 0.0, 1.0, 0.0],
-                        method="DOP853", rtol=1e-13, atol=1e-13)
-        y = sol.y[:, -1]
-        if not sol.success or not np.all(np.isfinite(y)) or y[0] <= 0:
+        # a diverging iterate may reach v <= 0 (v^p is nan) or overflow
+        with np.errstate(invalid="ignore", over="ignore"):
+            res, jac, _ = _collocation(consts, eps, x[:-1], x[-1])
+            dx = np.linalg.solve(jac, -res)
+        if not np.all(np.isfinite(dx)):
             return None
-        try:
-            ds, dtau = np.linalg.solve(_shooting_jacobian(c, y[:4], y[4:]),
-                                       [-y[1], -y[3]])
-        except np.linalg.LinAlgError:
-            return None
-        s, tau = s + ds, tau + dtau
-        if tau <= 0:  # collapsed onto the trivial root tau = 0
-            return None
-        step = max(abs(ds / s), abs(dtau / tau))
+        x = x + dx
+        step = _relative(dx, x, eps)
         if step < 1e-15 or (prev < 1e-10 and step >= prev):
-            return s, tau
+            return x
         prev = step
     return None
 
 
-def _build_orbit(consts, eps, s, T):
-    interp, end_state = _half_period_interp(consts, eps, s, T)
-    vmin = float(np.min(interp[0](np.linspace(0, T / 2, 4097))))
-    diags = {
-        # symmetry mismatch at the turning point: size of the odd derivatives
-        "halfTurnOddDerivs": [float(abs(end_state[1])),
-                              float(abs(end_state[3]))],
-        "minDefect": float(abs(vmin - eps)),
-    }
-    return DelaunayOrbit(
-        constants=consts, eps=eps, period=T, vDdot0=s,
-        hamiltonianValue=hamiltonian((eps, 0.0, s, 0.0), consts),
-        isConstant=False, diagnostics=diags, nSamples=HALF_PERIOD_NODES,
-        _interp=interp)
+def _omega0(consts):
+    """Linearization frequency at epsBar, from the constant-coefficient
+    quartic mu^4 - c2 mu^2 + (c0 - K epsBar^(p-1))."""
+    A, B = consts.mode_coefficients(0.0)
+    musq = np.roots([1.0, -A, B - consts.K * consts.epsBar ** (consts.p - 1)])
+    neg = musq[musq < 0]
+    if neg.size != 1:
+        raise NumericalError("unexpected linearization spectrum at epsBar")
+    return float(np.sqrt(-neg[0]))
+
+
+def _continue(consts, eps, N):
+    """(a, omega) of the N-cosine series with minimum eps, by Newton's
+    method continued in u = log eps from the constant orbit (a = 0, omega0)
+    along its tangent a_1 = eps - epsBar, then along secants.  A step counts
+    if Newton moves its predictor by at most CONTINUE_MISS (_relative); a
+    longer one may land on the orbit traversed twice (omega halved).  The
+    step in u starts at -0.01, quarters on failure and doubles after a miss
+    below CONTINUE_MISS / 5."""
+    u, u_end = np.log(consts.epsBar), np.log(eps)
+    x = np.zeros(N + 1)
+    x[-1] = _omega0(consts)
+    slope = np.zeros(N + 1)
+    slope[0] = consts.epsBar
+    h = -0.01
+    while u > u_end:
+        last = h <= u_end - u
+        if last:
+            h = u_end - u
+        pred = x + h * slope
+        e = eps if last else np.exp(u + h)
+        new = _newton(consts, e, pred)
+        miss = np.inf if new is None else _relative(new - pred, new, e)
+        if miss > CONTINUE_MISS:
+            h /= 4.0
+            if abs(h) < 1e-8:
+                raise NumericalError(
+                    f"orbit continuation stalled at eps={np.exp(u):.6g}")
+            continue
+        slope = (new - x) / h
+        x = new
+        u = u_end if last else u + h
+        if miss < CONTINUE_MISS / 5.0:
+            h *= 2.0
+    return x
+
+
+def _tail(eps, a):
+    """|a_N| / max |a_k| over k = 0..N, with a_0 = eps - sum a_k."""
+    return float(abs(a[-1]) / max(abs(eps - np.sum(a)), np.max(np.abs(a))))
+
+
+def _diagnostics(consts, eps, a, omega):
+    """seriesResidual, the ODE residual at the midpoints between the
+    collocation nodes relative to max |v''''| there; seriesTail; and
+    minDefect, |min v - eps| over nodes and midpoints."""
+    t = np.pi * np.arange(2 * len(a) + 1) / (2 * len(a) * omega)
+    v, _, v2, _, v4 = _series_jet(eps, a, omega, t, 4)
+    res = v4 - consts.c2 * v2 + consts.c0 * v - consts.cN * v ** consts.p
+    return {"seriesResidual": float(np.max(np.abs(res[1::2]))
+                                    / np.max(np.abs(v4[1::2]))),
+            "seriesTail": _tail(eps, a),
+            "minDefect": float(abs(np.min(v) - eps))}
 
 
 def solve_orbit(n_or_consts, eps):
-    """The periodic orbit with minimum eps, by Newton shooting on the half
-    period.
-
-    The unknowns are s = v''(0) and tau = T/2, the conditions
-    v'(tau) = v'''(tau) = 0; by the reflection symmetry of the equation
-    they close the orbit.  Bisection on the kind of _first_max (an interior
-    maximum below the orbit's s, an upward escape above it), classified by
-    integrations at tolerance 1e-9, brackets s to relative width 1e-4, and
-    Newton, whose integrations run at 1e-13, starts from the lower end and
-    the time of its first maximum.  tau = 0 solves the conditions for every
-    s, so a result counts only if tau stays within a factor 2 of that
-    start; otherwise the bracket is tightened 100-fold and Newton restarts.
-    eps = epsBar returns the constant orbit with the linearization period.
-    """
+    """The periodic orbit with minimum eps, as a cosine series: _continue
+    solves it with SERIES_START cosines, and while its tail exceeds
+    SERIES_TAIL it is padded to twice as many and solved again.  eps =
+    epsBar returns the constant orbit, of the linearization period."""
     consts = (n_or_consts if isinstance(n_or_consts, GaugeConstants)
               else derive_constants(n_or_consts))
     if not (0 < eps <= consts.epsBar * (1 + 1e-12)):
         raise DomainError(
             f"necksize must lie in (0, {consts.epsBar:.6f}], got {eps}")
     if abs(eps - consts.epsBar) <= 1e-12 * consts.epsBar:
-        return _constant_orbit(consts)
-
-    lo, hi = 1e-6, 2.0
-    kind, t_lo = _first_max(consts, eps, lo)
-    if kind != "max":
-        raise NumericalError(f"shooting bracket not found for eps={eps}")
-    for width in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
-        while hi - lo > width * hi:
-            mid = 0.5 * (lo + hi)
-            kind, t_mid = _first_max(consts, eps, mid)
-            if kind == "max":
-                lo, t_lo = mid, t_mid
-            else:
-                hi = mid
-        found = _newton_shoot(consts, eps, lo, t_lo)
-        if found is not None and 0.5 * t_lo <= found[1] <= 2.0 * t_lo:
-            s, tau = found
-            return _build_orbit(consts, eps, s, 2.0 * tau)
-    raise NumericalError(f"Newton shooting did not converge for eps={eps}")
+        omega0 = _omega0(consts)
+        return DelaunayOrbit(consts, consts.epsBar, omega0, np.zeros(0),
+                             {"omega0": omega0})
+    N = SERIES_START
+    x = _continue(consts, eps, N)
+    while _tail(eps, x[:-1]) > SERIES_TAIL:
+        x = (_newton(consts, eps, np.concatenate([x[:-1], np.zeros(N),
+                                                  x[-1:]]))
+             if 2 * N <= SERIES_MAX else None)
+        if x is None:
+            raise NumericalError(f"orbit series did not resolve for eps={eps}")
+        N *= 2
+    a, omega = x[:-1], float(x[-1])
+    return DelaunayOrbit(consts, eps, omega, a,
+                         _diagnostics(consts, eps, a, omega))
 
 
 # ----------------------------------------------------------------------

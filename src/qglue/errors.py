@@ -19,7 +19,7 @@ class DomainError(QGlueError, ValueError):
 
 class NumericalError(QGlueError, RuntimeError):
     """A numerical procedure failed: trajectory escape before the requested
-    time, shooting bracket not found, divergent iteration, degenerate fit."""
+    time, orbit continuation stalled, divergent iteration, degenerate fit."""
 
 
 class IllConditionedError(NumericalError):

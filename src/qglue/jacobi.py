@@ -2,8 +2,8 @@
 solutions of degrees 0 and 1 from the deformation families, Floquet
 analysis of the flows of delaunay._mode_flow_rhs, the conserved boundary
 pairing, and the smooth step that every cutoff is built from.  JacobiBasis
-holds every generator; its necksize field is sampled by
-delaunay.sample_flow and stored like the orbit, as jet interpolants.
+holds every generator; its necksize field is the eps-derivative of the
+orbit's cosine series, in closed form.
 """
 
 from dataclasses import dataclass
@@ -14,8 +14,8 @@ from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 from .fd import apply_derivative
-from .delaunay import (DelaunayOrbit, _mode_flow_rhs, _shooting_jacobian,
-                       half_period_grid, jet_interpolants, sample_flow)
+from .delaunay import (DelaunayOrbit, _collocation, _mode_flow_rhs,
+                       _series_jet)
 
 __all__ = [
     "ModeOperator", "mode_apply", "MonodromyData", "monodromy_data",
@@ -251,39 +251,35 @@ class JacobiBasis:
     """Generator solutions of the linearized equation, a +/- pair per degree
     l = 0, 1 (the n translations of degree 1 share one profile pair).
 
-    Degree 0 holds the phase derivative (bounded, periodic) and the necksize
-    derivative (linear growth, stored on [0, T/2] like the orbit; see
+    Degree 0 holds the phase derivative vdot (bounded, periodic) and the
+    necksize derivative d v_eps / d eps at fixed t (linear growth; see
     generators); degree 1 holds the translation profiles
     e^{-t}((n-4)/2 v - vdot) (decaying) and e^{+t}((4-n)/2 v - vdot)
     (growing)."""
 
     orbit: DelaunayOrbit
-    dsdEps: float
-    dTdEps: float
-    _interp: list  # the necksize field's derivatives 0..3 on [0, T/2]
+    dCoeffs: np.ndarray  # d a_k / d eps of the orbit's series
+    dOmega: float        # d omega / d eps
+
+    @property
+    def dsdEps(self):
+        return float(self._necksize_jet(0.0, 2)[2, 0])
+
+    @property
+    def dTdEps(self):
+        return -self.orbit.period * self.dOmega / self.orbit.omega
 
     def _necksize_jet(self, t, max_deriv):
-        """Derivatives 0..max_deriv (max 3) of the necksize field at t,
-        extended from [0, T/2] by the family structure:
-          phi(t + kT) = phi(t) - k T' vdot(t)
-          phi(t)      = phi(T-t) + T' vdot(T-t)   for t in [T/2, T]."""
-        T = self.orbit.period
-        Tp = self.dTdEps
+        """Derivatives 0..max_deriv at t of the eps-derivative of the series
+        eps + sum a_k (cos(k omega t) - 1):
+          1 + sum a_k' (cos(k omega t) - 1) + (omega' / omega) t vdot(t)."""
+        o = self.orbit
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        k = np.floor(t / T)
-        x = t - k * T
-        refl = x > T / 2
-        xr = np.where(refl, T - x, x)
-        out = np.empty((max_deriv + 1, len(t)))
-        vj = self.orbit.jet(xr, max_deriv=max_deriv + 1)
-        # periodic shift uses the derivative of vdot at the reduced point
-        vjx = self.orbit.jet(x, max_deriv=max_deriv + 1)
+        vj = o.jet(t, max_deriv=max_deriv + 1)
+        out = _series_jet(1.0, self.dCoeffs, o.omega, t, max_deriv)
+        r = self.dOmega / o.omega
         for d in range(max_deriv + 1):
-            base = self._interp[d](xr)
-            sign = (-1.0) ** d
-            reflected = sign * (base + Tp * vj[d + 1])
-            val = np.where(refl, reflected, base)
-            out[d] = val - k * Tp * vjx[d + 1]
+            out[d] += r * (t * vj[d + 1] + d * vj[d])
         return out
 
     def jet(self, l, sign, t, max_deriv=3):
@@ -310,58 +306,20 @@ class JacobiBasis:
         wK = self.profile(l, sign, t0 + periods * T)
         return float(np.log(abs(wK / w0)) / (periods * T))
 
-    def sample_profile(self, l, sign, tgrid):
-        """Seam-free generator samples for residual-grade checks, by
-        sample_flow from t = 0 (the periodic/reflected evaluation in jet()
-        is globally accurate but carries derivative kinks of the size of the
-        shooting defect at the reduction seams, which high-order difference
-        stencils amplify).  The necksize field's window needs about a half
-        period of margin against the growth of its initial-data error."""
-        tgrid = np.asarray(tgrid, dtype=float)
-        if l == 0 and sign == "-":
-            return sample_flow(self.orbit, 0.0, 0.0,
-                               [[1.0], [0.0], [self.dsdEps], [0.0]], tgrid,
-                               self.orbit.period / 512.0,
-                               "variational sampling failed")[4]
-        states = self.orbit.sample_states(tgrid)
-        if l == 0:
-            return states[1]
-        c = self.orbit.constants
-        sigma = 1.0 if sign == "+" else -1.0
-        a = sigma * (c.n - 4) / 2.0
-        return np.exp(-sigma * tgrid) * (a * states[0] - states[1])
-
 
 def generators(orbit):
     """All generator solutions of the linearized equation about the orbit.
-
-    One sample_flow pass over the orbit's half-period nodes integrates the
-    orbit jointly with its eps-derivative w_eps from (1, 0, 0, 0) and its
-    s-derivative w_s from (0, 0, 1, 0).  At tau = T/2 the implicit function
-    theorem on the half-period conditions v'(tau) = v'''(tau) = 0 gives
-    J (ds/deps, dtau/deps) = -(w_eps'(tau), w_eps'''(tau)), with J the
-    shooting Jacobian, and dT/deps = 2 dtau/deps; no monodromy is needed.
-    The necksize field's nodes are w_eps + (ds/deps) w_s.
-    """
+    The orbit's series solves the collocation equations G(a, omega, eps) =
+    0, so J (a', omega') = -dG/deps with J their Jacobian (the implicit
+    function theorem): one back-solve, after which the necksize field and
+    ds/deps, dT/deps are closed-form."""
     if orbit.isConstant:
         raise DomainError("generators need an interior orbit; the constant "
                           "orbit has a degenerate phase derivative")
-    c = orbit.constants
-    tg, max_step = half_period_grid(orbit.period / 2.0)
-    y = sample_flow(orbit, 0.0, 0.0, np.eye(4)[:, [0, 2]], tg, max_step,
-                    "variational integration failed")
-    v = y[:4]
-    # jet rows are (4, 2): column 0 is w_eps, column 1 is w_s
-    w_eps, w_s = np.moveaxis(y[4:].reshape(4, 2, -1), 1, 0)
-    ds_deps, dtau_deps = np.linalg.solve(
-        _shooting_jacobian(c, v[:, -1], w_s[:, -1]), -w_eps[[1, 3], -1])
-    w, w1, w2, w3 = w_eps + ds_deps * w_s
-    pot = c.c0 - c.K * v[0] ** (c.p - 1)
-    potdot = -c.K * (c.p - 1) * v[0] ** (c.p - 2) * v[1]
-    w4 = c.c2 * w2 - pot * w
-    w5 = c.c2 * w3 - pot * w1 - potdot * w
-    return JacobiBasis(orbit, float(ds_deps), 2.0 * float(dtau_deps),
-                       jet_interpolants(tg, [w, w1, w2, w3, w4, w5]))
+    _, jac, res_eps = _collocation(orbit.constants, orbit.eps, orbit.coeffs,
+                                   orbit.omega)
+    x = np.linalg.solve(jac, -res_eps)
+    return JacobiBasis(orbit, x[:-1], float(x[-1]))
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,16 @@ MANIFEST_SCHEMA = {
 _num = {"type": "number"}
 _str = {"type": "string"}
 _numarr = {"type": "array", "items": {"type": "number"}}
+_SERIES_RESIDUAL = {
+    "type": "number",
+    "description": "ODE residual of the orbit's cosine series at the "
+                   "midpoints between its collocation nodes, relative to "
+                   "max |v''''| there; 0 for the constant orbit"}
+_SERIES_TAIL = {
+    "type": "number",
+    "description": "|a_N| / max |a_k| of the orbit's cosine series, its "
+                   "last coefficient against its largest; 0 for the "
+                   "constant orbit"}
 
 SUMMARY_SCHEMAS = {
     "constants": {
@@ -159,7 +169,8 @@ SUMMARY_SCHEMAS = {
                        "eps": _num, "period": _num, "vDdot0": _num,
                        "hamiltonian": _num, "residualSup": _num,
                        "minDefect": _num,
-                       "shootingMismatch": _num, "hamiltonianDrift": _num,
+                       "seriesResidual": _SERIES_RESIDUAL,
+                       "seriesTail": _SERIES_TAIL, "hamiltonianDrift": _num,
                        "isConstant": {"type": "boolean"}},
     },
     "sweep": {
@@ -174,7 +185,8 @@ SUMMARY_SCHEMAS = {
                 "required": ["eps", "period", "hamiltonian", "residualSup"],
                 "properties": {"eps": _num, "period": _num,
                                "hamiltonian": _num, "residualSup": _num,
-                               "shootingMismatch": _num},
+                               "seriesResidual": _SERIES_RESIDUAL,
+                               "seriesTail": _SERIES_TAIL},
             }},
         },
     },

@@ -82,7 +82,8 @@ class TestCommands:
         validate_summary(summary)
         assert summary["residualSup"] < 1e-7
         assert summary["hamiltonianDrift"] < 1e-8
-        assert summary["shootingMismatch"] <= 1e-10
+        assert 0.0 < summary["seriesResidual"] <= 1e-10
+        assert summary["seriesTail"] <= 1e-16
         doc = json.loads((out / "orbit.json").read_text())
         assert doc["eps"] == 0.5
 
@@ -91,10 +92,11 @@ class TestCommands:
         summary, _ = run_manifest(tmp_path, "sweep",
                                   {"n": 5, "epsList": [0.5, eps_bar]})
         validate_summary(summary)
-        mismatch = [row["shootingMismatch"] for row in summary["rows"]]
-        assert 0.0 < mismatch[0] <= 1e-10
-        # the constant orbit at epsBar is not shot
-        assert mismatch[1] == 0.0
+        residual = [row["seriesResidual"] for row in summary["rows"]]
+        assert 0.0 < residual[0] <= 1e-10
+        # the constant orbit at epsBar is not collocated
+        assert residual[1] == 0.0
+        assert summary["rows"][1]["seriesTail"] == 0.0
 
     def test_sweep_csv_cells_are_numbers(self, tmp_path):
         eps_bar = derive_constants(5).epsBar
@@ -251,6 +253,39 @@ class TestCliProcess:
                             str(mf)], capture_output=True, text=True)
         assert r.returncode == 1
         assert "manifest" in r.stderr
+
+
+    @pytest.mark.parametrize("eps", ["0.05", "0.02"])
+    def test_small_necksize_orbit(self, tmp_path, eps):
+        # the residual grid keeps its spacing on the long periods of small
+        # necksizes
+        out = tmp_path / "o"
+        assert main(["orbit", "--n", "5", "--eps", eps,
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["residualSup"] < 1e-7
+
+    @pytest.mark.parametrize("flag, value", [("--eps", "abc"),
+                                             ("--eps-list", "0.5,abc")])
+    def test_malformed_necksize_is_a_usage_error(self, tmp_path, flag,
+                                                 value):
+        command = "sweep" if flag == "--eps-list" else "orbit"
+        r = subprocess.run(
+            [sys.executable, "-m", "qglue.cli", command, "--n", "5", flag,
+             value, "--out", str(tmp_path / "bad")],
+            capture_output=True, text=True)
+        assert r.returncode == 2
+        assert "usage:" in r.stderr and "'abc'" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_jacobi_next_to_eps_bar(self, tmp_path):
+        # eps + dEps passes epsBar = 0.835784, so the cross-check takes the
+        # one-sided difference
+        out = tmp_path / "j"
+        assert main(["jacobi", "--n", "5", "--eps", "0.8357",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["crossValidationError"] < 1e-4
 
 
 def test_overlap_override_flag(tmp_path):

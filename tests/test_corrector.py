@@ -361,8 +361,8 @@ class TestSpecExamples:
         phase = (exact_approx.config.m + 0.5) * orbit05.period
         w = orbit05.eval(s + phase, 1)
         got = D[:N, :N] @ w
-        # (limited by the interpolant's reduction seams under the stencil
-        # amplification; tiny against the operator scale |w|/h^4 ~ 6e2)
+        # (limited by the stencils' truncation and rounding; tiny against
+        # the operator scale |w|/h^4 ~ 6e2)
         assert np.max(np.abs(got[4:N - 4])) < 1e-3
 
     def test_defect_response_stable_in_overlap(self, reference_config):

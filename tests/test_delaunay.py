@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 import sympy as sp
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BPoly
 
-from qglue.delaunay import (_joint_rhs, _mode_flow_rhs, hamiltonian,
-                            sample_contiguous, solve_orbit, FamilyParams,
-                            expansion_error, quintic_hermite)
+from qglue.delaunay import (_mode_flow_rhs, hamiltonian, sample_contiguous,
+                            solve_orbit, FamilyParams, expansion_error)
 from qglue.errors import DomainError
 from qglue.gauges import CylField, derive_constants, q_residual
 
@@ -112,24 +110,18 @@ class TestModeFlow:
             y[0] = rng.uniform(0.05, 1.5)
             assert got(0.0, y).tobytes() == ref(0.0, y).tobytes()
 
-    @pytest.mark.parametrize("n", [5, 9])
-    def test_one_jet_of_mode_zero_is_the_newton_flow(self, n):
-        consts = derive_constants(n)
-        got, ref = _mode_flow_rhs(consts, 0.0, 1), _joint_rhs(consts)
-        rng = np.random.default_rng(n)
-        for _ in range(300):
-            y = rng.standard_normal(8)
-            y[0] = rng.uniform(0.05, 1.5)
-            assert got(0.0, y).tobytes() == np.array(ref(0.0, y)).tobytes()
-
     def test_jet_extends_by_the_ode(self, orbit05, consts5, orbit_cache):
+        # orders 4 and 5 are the series' own derivatives; off the
+        # collocation nodes they match the ODE applied to orders 0..3 up to
+        # the series' residual
         c = consts5
         t = np.linspace(-3.0, 9.0, 97)
         v, v1, v2, v3, v4, v5 = orbit05.jet(t, 5)
         assert np.array_equal(orbit05.jet(t, 3), [v, v1, v2, v3])
-        assert np.array_equal(v4, c.c2 * v2 - c.c0 * v + c.cN * v ** c.p)
-        assert np.array_equal(v5, c.c2 * v3 - c.c0 * v1
-                              + c.cN * c.p * v ** (c.p - 1) * v1)
+        ode4 = c.c2 * v2 - c.c0 * v + c.cN * v ** c.p
+        ode5 = c.c2 * v3 - c.c0 * v1 + c.cN * c.p * v ** (c.p - 1) * v1
+        assert np.max(np.abs(v4 - ode4)) <= 1e-12 * np.max(np.abs(v4))
+        assert np.max(np.abs(v5 - ode5)) <= 1e-12 * np.max(np.abs(v5))
         const = orbit_cache(c.epsBar).jet(t, 5)
         assert np.all(const[0] == c.epsBar) and np.all(const[1:] == 0.0)
 
@@ -223,36 +215,25 @@ class TestSolveOrbit:
                 "t", "v", "vDot", "vDdot", "vDddot"} <= set(doc)
 
 
-class TestQuinticHermite:
-    @staticmethod
-    def assert_matches_scipy(x, jets):
-        ours = quintic_hermite(x, jets)
-        ref = BPoly.from_derivatives(x, np.stack(jets, axis=1))
-        assert np.array_equal(ours.c, ref.c)
-        assert np.array_equal(ours.x, ref.x)
-
-    def test_reference_half_period(self, orbit05):
-        x = np.linspace(0.0, orbit05.period / 2, 1025)
-        self.assert_matches_scipy(x, [orbit05.eval(x, k) for k in range(3)])
-
-    def test_random_nonuniform_grid(self):
-        rng = np.random.default_rng(20250601)
-        x = np.cumsum(rng.uniform(0.01, 1.0, 300))
-        jets = [rng.standard_normal(300) * 10.0 ** rng.uniform(-6, 6, 300)
-                for _ in range(3)]
-        self.assert_matches_scipy(x, jets)
+def assert_closed(orb):
+    """The series solves the ODE between its nodes, has its minimum at
+    t = 0, and conserves the energy over a period."""
+    assert 0.0 < orb.diagnostics["seriesResidual"] <= 1e-10
+    assert orb.diagnostics["minDefect"] < 1e-9
+    ts = np.linspace(0.0, orb.period, 129)
+    H = np.array([hamiltonian(orb.jet(t), orb.constants) for t in ts])
+    assert np.max(np.abs(H - H[0])) / abs(H[0]) < 1e-8
 
 
 class TestOrbitFamily:
     @pytest.mark.parametrize("n", [5, 6, 7, 9])
-    @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("frac", [0.1, 0.3, 0.6, 0.9])
     def test_shooting_closes_the_orbit(self, orbit_cache, n, frac):
-        orb = orbit_cache(frac * derive_constants(n).epsBar, n=n)
-        assert max(orb.diagnostics["halfTurnOddDerivs"]) <= 1e-10
-        assert orb.diagnostics["minDefect"] < 1e-9
-        ts = np.linspace(0.0, orb.period, 129)
-        H = np.array([hamiltonian(orb.jet(t), orb.constants) for t in ts])
-        assert np.max(np.abs(H - H[0])) / abs(H[0]) < 1e-8
+        assert_closed(orbit_cache(frac * derive_constants(n).epsBar, n=n))
+
+    @pytest.mark.parametrize("eps", [0.05, 0.02])
+    def test_small_necksize_closes_the_orbit(self, orbit_cache, eps):
+        assert_closed(orbit_cache(eps))
 
     def test_small_necksizes(self):
         # toward eps -> 0, s/eps -> ((n-4)/2)^2 and the period grows like
@@ -303,21 +284,26 @@ class TestOtherDimensions:
 
 
 class TestSampleWindow:
-    def test_one_and_a_half_periods_from_zero(self, orbit05):
-        T = orbit05.period
-        t = np.linspace(0.0, 1.5 * T, 97)
-        states = orbit05.sample_states(t)
+    @pytest.mark.parametrize("eps", [0.5, 0.02])
+    def test_three_periods_either_side(self, orbit_cache, eps):
+        # the series samples any window; over [-3T, 3T] the samples are the
+        # jets, even about t = 0 and T-periodic
+        orb = orbit_cache(eps)
+        T = orb.period
+        t = np.linspace(-3.0 * T, 3.0 * T, 193)
+        states = orb.sample_states(t)
         assert states.shape == (4, len(t))
-        assert np.all(np.isfinite(states))
-        first = t <= T
-        assert np.max(np.abs(states[0, first]
-                             - orbit05.eval(t[first], 0))) < 1e-6
+        assert np.array_equal(states, orb.jet(t))
+        assert np.array_equal(orb.sample_exact(t), states[0])
+        scale = np.max(np.abs(states[0]))
+        assert np.max(np.abs(states[0] - states[0][::-1])) <= 1e-13 * scale
+        assert (np.max(np.abs(states[0, 32:] - states[0, :-32]))
+                <= 1e-13 * scale)
 
 
 class TestSharedSampler:
     """sample_flow starts every flow from orbit.jet; at t = 0 that is the
-    shooting state (eps, 0, s, 0) bit for bit, so the orbit's samples are
-    those of a direct run from the shooting state."""
+    minimum's state (eps, 0, s, 0) bit for bit."""
 
     @pytest.mark.parametrize("n", [5, 6, 9])
     @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])
@@ -325,17 +311,12 @@ class TestSharedSampler:
         orb = orbit_cache(frac * derive_constants(n).epsBar, n=n)
         y0 = np.array([orb.eps, 0.0, orb.vDdot0, 0.0])
         assert orb.jet(0.0).tobytes() == y0.tobytes()
-        t = np.linspace(-0.5 * orb.period, orb.period, 97)
-        direct = sample_contiguous(_mode_flow_rhs(orb.constants, 0.0, 0),
-                                   0.0, y0, t, orb.period / 512.0,
-                                   "direct sampling failed")
-        assert orb.sample_states(t).tobytes() == direct.tobytes()
 
 
 def reference_jets(consts, y0, half, t):
     """States at t in [0, half] of the orbit jointly with one solution of its
-    linearization (components 4..7), from a DOP853 run far tighter than the
-    half-period node pass: tolerance 2.3e-14 and step cap half / 8192."""
+    linearization (components 4..7), from a tight DOP853 run: tolerance
+    2.3e-14 and step cap half / 8192."""
     c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
 
     def rhs(_, y):
@@ -356,8 +337,8 @@ def assert_jet_close(jet, ref):
 
 
 class TestHalfPeriodNodes:
-    """The node pass caps its step so that its dense output, and with it
-    every interpolant built on the nodes, keeps integration accuracy."""
+    """The jets of the orbit's series and of its necksize field on a half
+    period, against a tight integration from their states at t = 0."""
 
     @pytest.mark.parametrize("frac", [None, 0.3])
     def test_orbit_jets(self, orbit_cache, consts5, frac):

@@ -44,7 +44,7 @@ class TestModeApply:
         T = orbit05.period
         h = T / 128
         t = h * np.arange(-8, 128 + 9)
-        w = basis05.sample_profile(0, "+", t)
+        w = basis05.profile(0, "+", t)
         r = mode_apply(op, t, w, acc=10)
         assert np.max(np.abs(r[8:-8])) < 1e-6
 
@@ -55,7 +55,7 @@ class TestModeApply:
         h = T / 128
         t = h * np.arange(-8, 128 + 9)
         for sign in ("+", "-"):
-            w = basis05.sample_profile(1, sign, t)
+            w = basis05.profile(1, sign, t)
             r = mode_apply(op, t, w, acc=10)
             scale = max(1.0, np.max(np.abs(w[8:-8])))
             assert np.max(np.abs(r[8:-8])) / scale < 1e-6
@@ -64,17 +64,14 @@ class TestModeApply:
 class TestGenerators:
     def test_all_slots_solve_linearized_equation(self, orbit05, basis05):
         # degrees 0 and 1 (the n translations share the degree-1 pair), each
-        # carrying its +/- pair; the necksize field is checked on a half
-        # period, the contamination-free window of its contiguous sampling
+        # carrying its +/- pair, over a full period
         T = orbit05.period
         h = T / 128
-        full = h * np.arange(-8, 128 + 9)
-        halfw = h * np.arange(-8, 64 + 9)
+        t = h * np.arange(-8, 128 + 9)
         for l in (0, 1):
             op = ModeOperator(orbit05, orbit05.constants.lam(l))
             for sign in ("+", "-"):
-                t = halfw if (l == 0 and sign == "-") else full
-                w = basis05.sample_profile(l, sign, t)
+                w = basis05.profile(l, sign, t)
                 r = mode_apply(op, t, w, acc=10)
                 scale = max(1.0, np.max(np.abs(w[8:-8])))
                 assert np.max(np.abs(r[8:-8])) / scale < 1e-6, (l, sign)
@@ -141,7 +138,7 @@ def richardson_sensitivities(n, eps):
 
 
 class TestSensitivities:
-    # the implicit function theorem on the half-period conditions; the
+    # the implicit function theorem on the collocation equations; the
     # one-period monodromy route was off by up to 7e-7 at (5, 0.3 epsBar)
     @pytest.mark.parametrize("n, frac", [(5, 0.3), (7, 0.1)])
     def test_match_richardson_differences(self, orbit_cache, n, frac):
@@ -213,7 +210,7 @@ class TestMonodromy:
 def integrated_flow(op, t0, direction, n_sub=24, tol=1e-12):
     """One-period flow of the mode system from t0, forward (direction +1)
     or backward (-1), integrated over n_sub subintervals, one solve_ivp
-    each, with the orbit's interpolant in the right-hand side."""
+    each, with the orbit's series in the right-hand side."""
     def rhs(t, y):
         Y = y.reshape(4, 4)
         return np.concatenate(
