@@ -8,17 +8,18 @@ seams and no window limit.  (a_1..a_N, omega) solve the ODE collocated at
 N + 1 points of a half period (Boyd, Chebyshev and Fourier Spectral
 Methods, 2nd ed., chs. 2-4), by Newton's method continued in log eps from
 the linearization at epsBar.  sample_flow, started from orbit.jet, samples
-solutions of the orbit's linearizations.
+solutions of the orbit's linearizations by the dense output of the in-tree
+DOP853 of qglue.ode.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericalError
 from .gauges import GaugeConstants, derive_constants
+from .ode import dop853
 
 __all__ = [
     "hamiltonian", "sample_contiguous", "sample_flow", "DelaunayOrbit",
@@ -68,8 +69,9 @@ def _mode_flow_rhs(consts, lam, k):
 
 def sample_contiguous(rhs, t0, y0, tgrid, max_step, failure):
     """States at every point of tgrid of the solution with y(t0) = y0, from
-    one contiguous DOP853 run at tolerance 1e-13 below t0 and one above it,
-    with steps capped at max_step.
+    one contiguous ode.dop853 run at tolerance 1e-13 below t0 and one above
+    it, with steps capped at max_step; each sample is the run's dense
+    output of order 7.
 
     Returns a (len(y0), len(tgrid)) array; raises NumericalError(failure)
     when a run fails."""
@@ -82,12 +84,8 @@ def sample_contiguous(rhs, t0, y0, tgrid, max_step, failure):
         cols = np.where(mask)[0]
         cols = cols[np.argsort(tgrid[cols], kind="stable")][::direction]
         te = tgrid[cols]
-        sol = solve_ivp(rhs, (t0, float(te[-1])), y0, method="DOP853",
-                        rtol=1e-13, atol=1e-13, t_eval=te,
-                        max_step=max_step)
-        if not sol.success:
-            raise NumericalError(failure)
-        out[:, cols] = sol.y
+        out[:, cols] = dop853(rhs, t0, y0, float(te[-1]), 1e-13, max_step,
+                              te, failure)[1]
     return out
 
 

@@ -13,9 +13,9 @@ Conventions fixed here and used everywhere else:
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import gamma, pi, sqrt
 
 import numpy as np
-from scipy.special import eval_gegenbauer, roots_gegenbauer
 
 from .errors import DomainError
 from .fd import apply_derivative, derivative_matrix, stencil_size
@@ -89,6 +89,42 @@ def derive_constants(n):
 # angular machinery: zonal modes on S^{n-1}
 
 
+def _zonal(L, alpha, c):
+    """Rows phi_l = C_l^alpha / C_l^alpha(1), l = 0..L, at the points c, by
+    the three-term recurrence written for d_l = phi_l - phi_{l-1}, which
+    rounds less near c = 1: (l + 2 alpha) d_{l+1} = 2 (l + alpha) (c - 1)
+    phi_l + l d_l."""
+    phi = np.empty((L + 1, len(c)))
+    phi[0] = 1.0
+    if L:
+        phi[1] = c
+    d = c - 1.0
+    for l in range(1, L):
+        d = (2 * (l + alpha) / (l + 2 * alpha)) * (c - 1) * phi[l] \
+            + (l / (l + 2 * alpha)) * d
+        phi[l + 1] = d + phi[l]
+    return phi
+
+
+def _gauss_gegenbauer(N, alpha):
+    """The N-point Gauss rule for the weight (1 - c^2)^(alpha - 1/2) on
+    [-1, 1]: the eigenvalues of the Jacobi matrix (Golub & Welsch 1969),
+    each polished by one Newton step with (1 - c^2) phi_N' = N (phi_{N-1} -
+    c phi_N), and the weights 1 / (phi_{N-1} phi_N'), phi_N' taken before
+    the step as SciPy's roots_gegenbauer does, made symmetric and scaled to
+    the weight's mass sqrt(pi) Gamma(alpha + 1/2) / Gamma(alpha + 1)."""
+    k = np.arange(1, N)
+    off = np.sqrt(k * (k + 2 * alpha - 1)
+                  / (4 * (k + alpha) * (k + alpha - 1)))
+    c = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    phi = _zonal(N, alpha, c)
+    slope = N * (phi[N - 1] - c * phi[N]) / (1 - c ** 2)
+    c = c - phi[N] / slope
+    w = 1.0 / (_zonal(N - 1, alpha, c)[N - 1] * slope)
+    c, w = (c - c[::-1]) / 2, (w + w[::-1]) / 2
+    return c, w * (sqrt(pi) * gamma(alpha + 0.5) / gamma(alpha + 1) / w.sum())
+
+
 class AngularBasis:
     """Zonal harmonics of degree 0..L on S^{n-1} sampled at Gauss-Gegenbauer
     quadrature nodes in c = cos(polar angle).
@@ -101,17 +137,11 @@ class AngularBasis:
         self.n = n
         self.degrees = tuple(int(l) for l in degrees)
         alpha = (n - 2) / 2.0
-        # roots_gegenbauer uses weight (1-c^2)^(alpha - 1/2) = (1-c^2)^((n-3)/2)
-        nodes, weights = roots_gegenbauer(nquad, alpha)
-        self.nodes = nodes
-        self.weights = weights
-        self.phi = np.empty((len(self.degrees), nquad))
-        self.norm2 = np.empty(len(self.degrees))
-        for k, l in enumerate(self.degrees):
-            vals = eval_gegenbauer(l, alpha, nodes)
-            at_one = eval_gegenbauer(l, alpha, 1.0)
-            self.phi[k] = vals / at_one
-            self.norm2[k] = np.sum(weights * self.phi[k] ** 2)
+        # the Gauss weight (1-c^2)^(alpha - 1/2) is (1-c^2)^((n-3)/2)
+        self.nodes, self.weights = _gauss_gegenbauer(nquad, alpha)
+        self.phi = _zonal(max(self.degrees, default=0), alpha,
+                          self.nodes)[list(self.degrees)]
+        self.norm2 = np.sum(self.weights * self.phi ** 2, axis=1)
 
     def reconstruct(self, coeffs):
         """Point values on the quadrature nodes from mode coefficients.

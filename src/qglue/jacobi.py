@@ -1,21 +1,22 @@
 """Linearization about a periodic orbit: per-mode operators, the generator
 solutions of degrees 0 and 1 from the deformation families, Floquet
-analysis of the flows of delaunay._mode_flow_rhs, the conserved boundary
-pairing, and the smooth step that every cutoff is built from.  JacobiBasis
-holds every generator; its necksize field is the eps-derivative of the
-orbit's cosine series, in closed form.
+analysis of the flows of delaunay._mode_flow_rhs, integrated by the
+in-tree DOP853 of qglue.ode, the conserved boundary pairing, and the smooth
+step that every cutoff is built from.  JacobiBasis holds every generator;
+its necksize field is the eps-derivative of the orbit's cosine series, in
+closed form.
 """
 
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .fd import apply_derivative
 from .delaunay import (DelaunayOrbit, _collocation, _mode_flow_rhs,
                        _series_jet)
+from .ode import dop853
 
 __all__ = [
     "ModeOperator", "mode_apply", "MonodromyData", "monodromy_data",
@@ -82,9 +83,11 @@ class MonodromyData:
 
 
 MONODROMY_SUBINTERVALS = 24
-# rtol = atol of the batched run, just above solve_ivp's floor of 100 eps:
-# its error norm is an RMS over all subintervals' components, so one
-# component may carry about sqrt(MONODROMY_SUBINTERVALS) times the average
+# rtol = atol of the batched run.  Its error norm is an RMS over all
+# subintervals' components, so one component may carry about
+# sqrt(MONODROMY_SUBINTERVALS) times the average.  3e-14 stays just above
+# 100 eps, the usual floor of DOP853 tolerances: below it the rounding of
+# the stage sums, not the truncation, drives the error estimate
 MONODROMY_TOL = 3e-14
 
 
@@ -95,10 +98,11 @@ def monodromy_data(op, t0=0.0):
 
     The flow is autonomous, so the MONODROMY_SUBINTERVALS subintervals all
     start at local time 0 and run together over their common length as one
-    batched DOP853 run at tolerance MONODROMY_TOL: each column of the
-    (20, MONODROMY_SUBINTERVALS) state is the identity flow jointly with the
-    orbit, restarted from orbit.jet at its subinterval's left edge (a
-    carried orbit would drift along its unstable directions over a period).
+    batched ode.dop853 run at tolerance MONODROMY_TOL, of which only the end
+    state is kept: each column of the (20, MONODROMY_SUBINTERVALS) state is
+    the identity flow jointly with the orbit, restarted from orbit.jet at
+    its subinterval's left edge (a carried orbit would drift along its
+    unstable directions over a period).
     The flow preserves symplectic_pairing, M^T Omega M = Omega, so the
     backward flow is Omega^{-1} M^T Omega and needs no second sweep."""
     T = op.orbit.period
@@ -108,12 +112,10 @@ def monodromy_data(op, t0=0.0):
     y0 = np.empty((20, n_sub))
     y0[:4] = op.orbit.jet(edges[:-1], max_deriv=3)
     y0[4:] = np.eye(4).reshape(-1, 1)
-    r = solve_ivp(lambda t, y: flow(t, y.reshape(20, n_sub)).reshape(-1),
-                  (0.0, T / n_sub), y0.reshape(-1), method="DOP853",
-                  rtol=MONODROMY_TOL, atol=MONODROMY_TOL)
-    if not r.success:
-        raise NumericalError("monodromy integration failed")
-    factors = r.y[4 * n_sub:, -1].reshape(4, 4, n_sub).transpose(2, 0, 1)
+    end, _ = dop853(lambda t, y: flow(t, y.reshape(20, n_sub)).reshape(-1),
+                    0.0, y0.reshape(-1), T / n_sub, MONODROMY_TOL, np.inf, (),
+                    "monodromy integration failed")
+    factors = end[4 * n_sub:].reshape(4, 4, n_sub).transpose(2, 0, 1)
     M = np.eye(4)
     for F in factors:
         M = F @ M

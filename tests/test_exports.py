@@ -1,11 +1,14 @@
 """Exported names resolve: every name in a qglue module's __all__ exists,
 and every name the package re-exports is exported by its home module.  No
-module imports a name it never uses."""
+module imports a name it never uses, and the command line imports no heavy
+SciPy subpackage."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +50,16 @@ def test_module_uses_every_import(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - set(getattr(mod, "__all__", ()))
     assert not unused, sorted(unused)
+
+
+def test_cli_import_leaves_out_heavy_scipy():
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg; a
+    # fresh interpreter shows what `import qglue.cli` alone loads
+    heavy = ["scipy.integrate", "scipy.special", "scipy.optimize",
+             "scipy.interpolate"]
+    src = pathlib.Path(qglue.__file__).parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import qglue.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

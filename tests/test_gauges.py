@@ -1,13 +1,16 @@
 import json
+from math import factorial, gamma, pi
 
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
+from scipy.special import eval_gegenbauer, roots_gegenbauer
 
 from qglue import derive_constants
 from qglue.errors import DomainError
-from qglue.gauges import CylField, paneitz_mode_apply, q_residual
+from qglue.gauges import (AngularBasis, CylField, paneitz_mode_apply,
+                          q_residual)
 
 
 def symbolic_constants(n_val):
@@ -59,6 +62,41 @@ class TestConstants:
             derive_constants(4)
         with pytest.raises(DomainError):
             derive_constants(5.5)
+
+
+class TestAngularBasis:
+    """The in-tree Gauss-Gegenbauer rule and zonal polynomials against
+    scipy.special as the reference."""
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    @pytest.mark.parametrize("nquad", [16, 24, 32])
+    def test_rule_and_modes_match_scipy(self, n, nquad):
+        alpha = (n - 2) / 2.0
+        basis = AngularBasis(n, range(13), nquad)
+        nodes, weights = roots_gegenbauer(nquad, alpha)
+        np.testing.assert_allclose(basis.nodes, nodes, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(basis.weights, weights, rtol=1e-14,
+                                   atol=0)
+        ref = np.array([eval_gegenbauer(l, alpha, nodes)
+                        / eval_gegenbauer(l, alpha, 1.0) for l in range(13)])
+        np.testing.assert_allclose(basis.phi, ref, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    @pytest.mark.parametrize("nquad", [16, 24, 32])
+    def test_rule_is_exact_on_the_gram_matrix(self, n, nquad):
+        # ||phi_l||^2 = h_l / C_l(1)^2 in the Gegenbauer weight, with
+        # h_l = pi 2^(1 - 2a) Gamma(l + 2a) / (l! (l + a) Gamma(a)^2) and
+        # C_l(1) = Gamma(l + 2a) / (l! Gamma(2a))
+        a = (n - 2) / 2.0
+        basis = AngularBasis(n, range(5), nquad)
+        gram = (basis.phi * basis.weights) @ basis.phi.T
+        exact = np.diag([pi * 2 ** (1 - 2 * a) * factorial(l)
+                         * gamma(2 * a) ** 2
+                         / ((l + a) * gamma(a) ** 2 * gamma(l + 2 * a))
+                         for l in range(5)])
+        np.testing.assert_allclose(gram, exact, rtol=0,
+                                   atol=1e-15 * exact.max())
+        np.testing.assert_allclose(basis.norm2, np.diag(exact), rtol=1e-14)
 
 
 class TestCylField:
