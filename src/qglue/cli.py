@@ -108,12 +108,13 @@ def cmd_sweep(params):
         })
         H.append(orbit.hamiltonianValue)
     dH = np.diff(H)
-    monotone = bool(np.all(dH > 0) or np.all(dH < 0))
-    direction = "increasing" if len(dH) and np.all(dH > 0) else (
-        "decreasing" if len(dH) and np.all(dH < 0) else "non-monotone")
     doc = {"command": "sweep", "n": params["n"], "rows": rows,
-           "hamiltonianMonotone": monotone,
-           "hamiltonianDirection": direction}
+           "hamiltonianMonotone": True}
+    if len(dH):  # one necksize has no direction
+        direction = ("increasing" if np.all(dH > 0) else
+                     "decreasing" if np.all(dH < 0) else "non-monotone")
+        doc.update(hamiltonianMonotone=direction != "non-monotone",
+                   hamiltonianDirection=direction)
     csv_rows = [(r["eps"], r["period"], r["hamiltonian"], r["residualSup"])
                 for r in rows]
     return doc, {"sweep.csv": ("eps,period,hamiltonian,residualSup",
@@ -168,11 +169,9 @@ def cmd_jacobi(params):
         trim = 8
         residuals[tag + sign] = float(np.max(np.abs(r[trim:-trim])))
         rates[tag + sign] = basis.measured_rate(deg, sign)
-    op0 = ModeOperator(orbit, 0.0)
     ts = np.linspace(0.0, T, 33)
-    om = np.array([symplectic_pairing(
-        op0, lambda t: basis.jet(0, "-", t)[:, 0],
-        lambda t: basis.jet(0, "+", t)[:, 0], t) for t in ts])
+    om = symplectic_pairing(ModeOperator(orbit, 0.0), basis.jet(0, "-", ts),
+                            basis.jet(0, "+", ts))
     doc = {"command": "jacobi", "n": orbit.constants.n, "eps": orbit.eps,
            "dsdEps": basis.dsdEps, "dTdEps": basis.dTdEps,
            "crossValidationError": cross,

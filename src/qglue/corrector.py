@@ -2,10 +2,10 @@
 inverse with deficiency amplitudes, the correction iteration, and the
 injectivity diagnostic of the corrected solution.
 
-One operator matrix serves both closures: its boundary rows {0, 1, N-2, N-1}
-per mode take clamp rows (discretize) or the mode's border rows (the
-bordered right inverse).  Boundary closure of the right inverse (per mode,
-per end): the interior unknown may only carry asymptotics that decay into
+One assembly serves both closures: the boundary rows {0, 1, N-2, N-1} per
+mode take clamp rows (discretize) or the mode's border rows (the bordered
+right inverse).  Boundary closure of the right inverse (per mode, per end):
+the interior unknown may only carry asymptotics that decay into
 the domain faster than the weight rate 1.5.  This is expressed as jet
 conditions in a frame of the multiplier > e^{1.5 T} subspaces of the
 one-period flow and its inverse (one sorted Schur form each) and, in modes
@@ -43,7 +43,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# pointwise potential with angular coupling
+# the linearized operator, with the angular coupling of its potential
 
 
 def _coupling_tensor(background, degrees):
@@ -63,77 +63,25 @@ def _coupling_tensor(background, degrees):
     return C
 
 
+def _apply_coupled(consts, degrees, C, coeff, h):
+    """linear_apply's coefficients for the (degrees, points) array coeff
+    about a background of coupling tensor C; zero rows skip the stencil."""
+    out = np.empty_like(coeff)
+    for a, l in enumerate(degrees):
+        lin = 0.0 if not coeff[a].any() else paneitz_mode_apply(
+            consts, consts.lam(l), coeff[a], h, acc=STENCIL_ORDER)
+        pot = sum(C[a, b] * coeff[b] for b in range(len(degrees)))
+        out[a] = lin - consts.K * pot
+    return out
+
+
 def linear_apply(background, u):
     """Linearization of the curvature operator about `background` applied to
     u: per-mode derivative parts minus K times the pointwise-potential
     coupling (quadrature projected)."""
-    consts = background.constants
-    degrees = u.degrees
-    C = _coupling_tensor(background, degrees)
-    coeff = u.coeffs
-    out = np.empty_like(coeff)
-    for a, l in enumerate(degrees):
-        lin = paneitz_mode_apply(consts, consts.lam(l), coeff[a], u.h,
-                                 acc=STENCIL_ORDER)
-        pot = np.zeros_like(coeff[a])
-        for b in range(len(degrees)):
-            pot += C[a, b] * coeff[b]
-        out[a] = lin - consts.K * pot
-    return replace(u, coeffs=out)
-
-
-# ----------------------------------------------------------------------
-# operator matrix and its clamped closure
-
-
-def _degrees(approx, degrees):
-    """The requested degrees as a sorted tuple, by default the blend's."""
-    if degrees is None:
-        return approx.field.degrees
-    return tuple(sorted(set(int(d) for d in degrees)))
-
-
-def _operator_matrix(field, degrees, extra=0):
-    """Dense matrix of linear_apply about `field`, one mode-operator block
-    per mode minus K times the coupling on the block diagonals, padded by
-    `extra` zero rows and columns."""
-    consts = field.constants
-    N = len(field.t)
-    C = _coupling_tensor(field, degrees)
-    L1 = len(degrees)
-    matrix = np.zeros((L1 * N + extra, L1 * N + extra))
-    diag = np.arange(N)
-    for a, l in enumerate(degrees):
-        block = slice(a * N, (a + 1) * N)
-        matrix[block, block] = paneitz_mode_matrix(consts, consts.lam(l), N,
-                                                   field.h, acc=STENCIL_ORDER)
-        for b in range(L1):
-            matrix[a * N + diag, b * N + diag] -= consts.K * C[a, b]
-    return matrix
-
-
-def discretize(approx, degrees=None):
-    """The square matrix of the linearized operator about the blended
-    solution on the grid, one banded block per mode.
-
-    Derivative terms are mode-diagonal; the potential couples modes through
-    the quadrature projection of v_m^{p-1}.  Rows {0, 1, N-2, N-1} of each
-    mode block are replaced by clamp conditions on (w, w') at the two ends.
-    """
-    degrees = _degrees(approx, degrees)
-    N = len(approx.s)
-    h = approx.field.h
-    if N < stencil_size(4, STENCIL_ORDER):
-        raise DomainError("grid too coarse for the requested stencil order")
-    matrix = _operator_matrix(approx.field, degrees)
-    jl = jet_rows(N, h, 0, max_deriv=1, acc=STENCIL_ORDER)
-    jr = jet_rows(N, h, N - 1, max_deriv=1, acc=STENCIL_ORDER)
-    clamps = np.stack([jl[0], jl[1], jr[1], jr[0]])
-    for a in range(len(degrees)):
-        boundary = a * N + np.array([0, 1, N - 2, N - 1])
-        matrix[boundary] = 0.0
-        matrix[boundary, a * N:(a + 1) * N] = clamps
-    return matrix
+    C = _coupling_tensor(background, u.degrees)
+    return replace(u, coeffs=_apply_coupled(background.constants, u.degrees,
+                                            C, u.coeffs, u.h))
 
 
 # ----------------------------------------------------------------------
@@ -261,8 +209,8 @@ def _mode_border(approx, basis, l):
     # fast directions: multipliers beyond the weight rate e^{1.5 T}
     thresh = np.exp(1.5 * T)
 
-    jl = jet_rows(N, h, 0, max_deriv=3, acc=STENCIL_ORDER)
-    jr = jet_rows(N, h, N - 1, max_deriv=3, acc=STENCIL_ORDER)
+    jl = jet_rows(N, h, 0, 3, STENCIL_ORDER)
+    jr = jet_rows(N, h, N - 1, 3, STENCIL_ORDER)
 
     has_deficiency = l <= 1
     n_dec = 1 if has_deficiency else 2
@@ -337,6 +285,13 @@ def _mode_border(approx, basis, l):
                        Bcols=B)
 
 
+def _degrees(approx, degrees):
+    """The requested degrees as a sorted tuple, by default the blend's."""
+    if degrees is None:
+        return approx.field.degrees
+    return tuple(sorted(set(int(d) for d in degrees)))
+
+
 def bordered_system(approx, degrees=None):
     """Assemble the bordered right-inverse system about the blend: the
     orbit-side border of every mode, then the background rows."""
@@ -349,32 +304,34 @@ def bordered_system(approx, degrees=None):
 
 
 def _background_system(approx, degrees, borders):
-    """The bordered system about approx.field with the given orbit-side
-    borders: the operator matrix padded by the deficiency amplitudes, the
-    operator applied to the deficiency columns, then each mode's border rows
-    in place of its boundary rows, and the row scale."""
-    consts = approx.config.constants
-    N = len(approx.s)
-    h = approx.field.h
-    extra = sum(4 for b in borders if b.Bcols is not None)
-    A = _operator_matrix(approx.field, degrees, extra)
-    C = _coupling_tensor(approx.field, degrees)
+    """The bordered system about approx.field with the given borders: the
+    matrix of linear_apply padded by the deficiency amplitudes, the operator
+    applied to the deficiency columns, then each mode's border rows in place
+    of its boundary rows, and the row scale."""
+    field = approx.field
+    consts = field.constants
+    N, h, L1 = len(field.t), field.h, len(degrees)
+    C = _coupling_tensor(field, degrees)
+    defic = [(b, w) for b, bb in enumerate(borders) if bb.Bcols is not None
+             for w in bb.Bcols.T]
+    A = np.zeros((L1 * N + len(defic), L1 * N + len(defic)))
+    diag = np.arange(N)
+    for a, l in enumerate(degrees):
+        block = slice(a * N, (a + 1) * N)
+        A[block, block] = paneitz_mode_matrix(consts, consts.lam(l), N, h,
+                                              acc=STENCIL_ORDER)
+        for b in range(L1):
+            A[a * N + diag, b * N + diag] -= consts.K * C[a, b]
 
-    # operator applied to the deficiency columns, in the stencil form
-    # linear_apply uses (the matrix product differs from it by rounding);
-    # written before the border rows, which overwrite their boundary rows
-    col = len(degrees) * N
-    for b, bb in enumerate(borders):
-        if bb.Bcols is None:
-            continue
-        for w in bb.Bcols.T:
-            A[b * N:(b + 1) * N, col] = paneitz_mode_apply(
-                consts, consts.lam(bb.l), w, h, acc=STENCIL_ORDER)
-            for a in range(len(degrees)):
-                A[a * N:(a + 1) * N, col] -= consts.K * (C[a, b] * w)
-            col += 1
+    # the operator applied to each deficiency column by the stencil form of
+    # linear_apply (the matrix product differs from it by rounding); written
+    # before the border rows, which overwrite their boundary rows
+    for col, (b, w) in enumerate(defic, start=L1 * N):
+        u = np.zeros((L1, N))
+        u[b] = w
+        A[:L1 * N, col] = _apply_coupled(consts, degrees, C, u, h).reshape(-1)
 
-    row = len(degrees) * N
+    row = L1 * N
     for a, bb in enumerate(borders):
         boundary = a * N + np.array([0, 1, N - 2, N - 1])
         A[boundary] = 0.0
@@ -389,6 +346,27 @@ def _background_system(approx, degrees, borders):
                           matrix=A, row_scale=scale, borders=borders)
 
 
+def discretize(approx, degrees):
+    """The square matrix of the linearized operator about the blended
+    solution on the grid, one banded block per mode.
+
+    Derivative terms are mode-diagonal; the potential couples modes through
+    the quadrature projection of v_m^{p-1}.  Rows {0, 1, N-2, N-1} of each
+    mode block are replaced by clamp conditions on (w, w') at the two ends,
+    as clamp borders of the bordered system's assembly.
+    """
+    degrees = _degrees(approx, degrees)
+    N = len(approx.s)
+    h = approx.field.h
+    if N < stencil_size(4, STENCIL_ORDER):
+        raise DomainError("grid too coarse for the requested stencil order")
+    jl = jet_rows(N, h, 0, 1, STENCIL_ORDER)
+    jr = jet_rows(N, h, N - 1, 1, STENCIL_ORDER)
+    clamps = np.stack([jl[0], jl[1], jr[1], jr[0]])
+    borders = [_ModeBorder(l, clamps, None) for l in degrees]
+    return _background_system(approx, degrees, borders).matrix
+
+
 @dataclass
 class RightInverseResult:
     u: CylField                  # v + sum alpha * basis field
@@ -397,7 +375,10 @@ class RightInverseResult:
     cond: float
 
 
-def solve_right_inverse(sys, f, cond_limit=1e13):
+COND_LIMIT = 1e13  # largest condition estimate a solve accepts
+
+
+def solve_right_inverse(sys, f):
     """Solve the bordered system for rhs field f; returns the correction with
     its deficiency amplitudes, the interior relative residual, and the
     condition estimate.
@@ -405,7 +386,7 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
     The estimate is the 1-norm condition estimate (Hager-Higham, as in
     LAPACK gecon) of the row-equilibrated bordered matrix, taken from its
     LU factors; up to rounding it is a lower bound of the exact 1-norm
-    condition.  Above cond_limit (1e13) the solve raises
+    condition.  Above COND_LIMIT (1e13) the solve raises
     IllConditionedError, and f with a nonzero mode outside sys.degrees,
     which the solve cannot reach, raises DomainError."""
     degrees = sys.degrees
@@ -419,7 +400,7 @@ def solve_right_inverse(sys, f, cond_limit=1e13):
     rhs = np.zeros(sys.matrix.shape[0])
     rhs[:L * N].reshape(L, N)[:, 2:N - 2] = frows[:, 2:N - 2]
     lu, cond = sys.factor()
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedError("bordered system is numerically singular",
                                   cond)
     beq = rhs / sys.row_scale
@@ -538,7 +519,7 @@ class IterateResult:
     converged: bool
     scheme: str
     alpha: dict                  # amplitudes of the whole correction
-    cond: float = float("nan")
+    cond: float
 
 
 def _total_defect(approx, f0, u):

@@ -12,7 +12,7 @@ solutions of the orbit's linearizations by the dense output of the in-tree
 DOP853 of qglue.ode.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -132,7 +132,7 @@ class DelaunayOrbit:
     eps: float
     omega: float
     coeffs: np.ndarray  # a_1..a_N
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     @property
     def period(self):
@@ -263,11 +263,17 @@ def _newton(consts, eps, x):
     return None
 
 
+def _epsbar_symbol(consts, lam):
+    """Roots mu^2 of mu^4 - A mu^2 + (lam^2 + B - K epsBar^(p-1)), the
+    symbol of the mode-lam linearization about the constant orbit."""
+    A, B = consts.mode_coefficients(lam)
+    return np.roots([1.0, -A, lam ** 2 + B
+                     - consts.K * consts.epsBar ** (consts.p - 1)])
+
+
 def _omega0(consts):
-    """Linearization frequency at epsBar, from the constant-coefficient
-    quartic mu^4 - c2 mu^2 + (c0 - K epsBar^(p-1))."""
-    A, B = consts.mode_coefficients(0.0)
-    musq = np.roots([1.0, -A, B - consts.K * consts.epsBar ** (consts.p - 1)])
+    """Linearization frequency at epsBar: sqrt(-mu^2), mode 0's mu^2 < 0."""
+    musq = _epsbar_symbol(consts, 0.0)
     neg = musq[musq < 0]
     if neg.size != 1:
         raise NumericalError("unexpected linearization spectrum at epsBar")

@@ -27,7 +27,7 @@ class IllConditionedError(NumericalError):
 
     For the bordered right inverse it is the 1-norm condition estimate
     (Hager-Higham, as in LAPACK gecon) of the row-equilibrated bordered
-    matrix, and the error is raised when it exceeds cond_limit = 1e13."""
+    matrix, raised above corrector.COND_LIMIT = 1e13."""
 
     def __init__(self, message, cond_estimate):
         super().__init__(f"{message} (condition estimate {cond_estimate:.3e})")

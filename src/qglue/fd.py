@@ -90,7 +90,7 @@ def stencil_at(i, npoints, deriv, acc):
     return nodes, w
 
 
-def apply_derivative(vals, h, deriv, acc=8):
+def apply_derivative(vals, h, deriv, acc):
     """Differentiate uniformly spaced samples; centered stencils in the
     interior, shifted same-order stencils near the ends."""
     vals = np.asarray(vals, dtype=float)
@@ -115,7 +115,7 @@ def apply_derivative(vals, h, deriv, acc=8):
     return out * scale
 
 
-def derivative_matrix(npoints, h, deriv, acc=8):
+def derivative_matrix(npoints, h, deriv, acc):
     """Dense matrix form of apply_derivative."""
     D = np.zeros((npoints, npoints))
     scale = h ** (-deriv)
@@ -125,19 +125,13 @@ def derivative_matrix(npoints, h, deriv, acc=8):
     return D
 
 
-def jet_rows(npoints, h, i, max_deriv=3, acc=8):
+def jet_rows(npoints, h, i, max_deriv, acc):
     """Rows extracting (f, f', ..., f^(max_deriv)) at grid index i.
 
-    Returns a (max_deriv+1, npoints) matrix built from a single one-sided
-    (or centered, if it fits) node set of order `acc`.
+    Returns a (max_deriv+1, npoints) matrix with h-scaled weights on the one
+    node set stencil_at picks for derivative max_deriv at order `acc`.
     """
-    npts = stencil_size(max_deriv, acc)
-    if i < npts // 2:
-        nodes = np.arange(0, npts)
-    elif i >= npoints - npts // 2:
-        nodes = np.arange(npoints - npts, npoints)
-    else:
-        nodes = np.arange(i - npts // 2, i + npts // 2 + 1)
+    nodes = stencil_at(i, npoints, max_deriv, acc)[0]
     w = fd_weights(0.0, (nodes - i) * h, max_deriv)
     rows = np.zeros((max_deriv + 1, npoints))
     for k in range(max_deriv + 1):

@@ -13,9 +13,9 @@ from math import comb
 import numpy as np
 
 from .errors import DomainError
-from .fd import apply_derivative
-from .delaunay import (DelaunayOrbit, _collocation, _mode_flow_rhs,
-                       _series_jet)
+from .gauges import paneitz_mode_apply
+from .delaunay import (DelaunayOrbit, _collocation, _epsbar_symbol,
+                       _mode_flow_rhs, _series_jet)
 from .ode import dop853
 
 __all__ = [
@@ -43,22 +43,15 @@ class ModeOperator:
         """Coefficient of -w''."""
         return self.constants.mode_coefficients(self.lam)[0]
 
-    def potential(self, t):
-        """Zeroth-order coefficient Q(t)."""
-        c = self.constants
-        v = self.orbit.eval(t, 0)
-        return (self.lam ** 2 + c.mode_coefficients(self.lam)[1]
-                - c.K * v ** (c.p - 1))
-
 
 def mode_apply(op, t, w, acc=8):
-    """Apply the mode operator to samples w on the uniform grid t."""
+    """Apply the mode operator to samples w on the uniform grid t: the
+    cylindrical operator of gauges.paneitz_mode_apply minus K v^{p-1} w."""
     t = np.asarray(t, dtype=float)
     w = np.asarray(w, dtype=float)
-    h = t[1] - t[0]
-    d4 = apply_derivative(w, h, 4, acc=acc)
-    d2 = apply_derivative(w, h, 2, acc=acc)
-    return d4 - op.A * d2 + op.potential(t) * w
+    c = op.constants
+    return (paneitz_mode_apply(c, op.lam, w, t[1] - t[0], acc)
+            - c.K * op.orbit.eval(t, 0) ** (c.p - 1) * w)
 
 
 # ----------------------------------------------------------------------
@@ -155,17 +148,16 @@ class IndicialSpectrum:
 
 
 def _constant_mode_exponents(consts, lam):
-    """Characteristic-quartic exponents about the equilibrium orbit, with
-    each root's frequency at the position of its exponent."""
-    A, B = consts.mode_coefficients(lam)
-    q0 = lam ** 2 + B - consts.K * consts.epsBar ** (consts.p - 1)
-    mu = sorted(np.roots([1.0, 0.0, -A, 0.0, q0]), key=np.real)
-    exps = [float(np.real(m)) for m in mu]
+    """Exponents +-mu of the roots mu^2 of delaunay._epsbar_symbol, each
+    frequency at its exponent's position; + 0.0 turns -0.0 into 0.0."""
+    root = np.sqrt(_epsbar_symbol(consts, lam).astype(complex))
+    mu = sorted(np.concatenate([-root, root]), key=np.real)
+    exps = [float(np.real(m)) + 0.0 for m in mu]
     freqs = [float(abs(np.imag(m))) for m in mu]
     return exps, [False] * 4, freqs
 
 
-def indicial_roots(orbit, degrees=None):
+def indicial_roots(orbit, degrees):
     """Per-mode Floquet exponents (exponential growth rates).
 
     Exponents are extracted from the two multipliers outside the unit circle
@@ -177,12 +169,10 @@ def indicial_roots(orbit, degrees=None):
     of size d splits a Jordan block into a complex pair of angle sqrt(d).
     detDefect is |detFactored - 1| of the one-period flow.
     For the constant orbit the exponents come from the characteristic quartic
-    (the same values the monodromy path reproduces, with oscillation
-    frequencies resolvable there) and detDefect is None.
+    as a quadratic in mu^2 (the values the monodromy path reproduces, with
+    oscillation frequencies resolvable there) and detDefect is None.
     """
     consts = orbit.constants
-    if degrees is None:
-        degrees = range(5)
     entries = []
     for l in sorted(set(int(d) for d in degrees)):
         lam = consts.lam(l)
@@ -229,7 +219,7 @@ def indicial_roots(orbit, degrees=None):
 # generator fields
 
 
-def _exp_profile_jet(orbit, t, sign, max_deriv=3):
+def _exp_profile_jet(orbit, t, sign, max_deriv):
     """Jets of e^{-sigma t} ((n-4)/2 sigma v - vdot) with sigma = +1 for the
     decaying translation field and sigma = -1 for the growing one."""
     c = orbit.constants
@@ -246,6 +236,10 @@ def _exp_profile_jet(orbit, t, sign, max_deriv=3):
             acc += comb(k, j) * (-sigma) ** (k - j) * q[j]
         out[k] = e * acc
     return out
+
+
+RATE_T0 = 0.5      # start and length in periods of measured_rate's ratio
+RATE_PERIODS = 3
 
 
 @dataclass
@@ -301,12 +295,13 @@ class JacobiBasis:
         """The distinct (tag, degree) profile pairs."""
         return [("0", "+", 0), ("0", "-", 0), ("l", "+", 1), ("l", "-", 1)]
 
-    def measured_rate(self, l, sign, t0=0.5, periods=3):
-        """Growth rate from the exact per-period ratio |w(t0 + KT)/w(t0)|."""
+    def measured_rate(self, l, sign):
+        """Growth rate from the exact ratio |w(t0 + K T) / w(t0)| with
+        t0 = RATE_T0 and K = RATE_PERIODS."""
         T = self.orbit.period
-        w0 = self.profile(l, sign, t0)
-        wK = self.profile(l, sign, t0 + periods * T)
-        return float(np.log(abs(wK / w0)) / (periods * T))
+        w0 = self.profile(l, sign, RATE_T0)
+        wK = self.profile(l, sign, RATE_T0 + RATE_PERIODS * T)
+        return float(np.log(abs(wK / w0)) / (RATE_PERIODS * T))
 
 
 def generators(orbit):
@@ -328,19 +323,17 @@ def generators(orbit):
 # conserved boundary pairing
 
 
-def symplectic_pairing(op, vjet, wjet, t):
-    """Bilinear concomitant of the mode operator at cross-section t:
-    omega(v, w) = v w''' - w v''' - v' w'' + w' v'' - A (v w' - w v'),
-    obtained by integrating v L w - w L v by parts in t once; constant in t
-    when v and w both solve the mode equation.
-
-    vjet/wjet: callables t -> array of derivatives 0..3, or such arrays.
-    """
-    a = vjet(t) if callable(vjet) else np.asarray(vjet)
-    b = wjet(t) if callable(wjet) else np.asarray(wjet)
-    A = op.A
-    return float(a[0] * b[3] - b[0] * a[3] - a[1] * b[2] + b[1] * a[2]
-                 - A * (a[0] * b[1] - b[0] * a[1]))
+def symplectic_pairing(op, a, b):
+    """Bilinear concomitant a^T Omega b of the mode operator (Omega of
+    _pairing_matrix) per column of the (4, k) or (4,) jet arrays a, b, from
+    integrating v L w - w L v by parts in t once; constant in t when v and w
+    solve the mode equation.  Summed elementwise over Omega's upper
+    triangle, so omega(b, a) = -omega(a, b) exactly and a batch of columns
+    rounds as each column alone."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    Om = _pairing_matrix(op.A)
+    return sum(Om[i, j] * (a[i] * b[j] - a[j] * b[i])
+               for i in range(4) for j in range(i + 1, 4))
 
 
 # ----------------------------------------------------------------------

@@ -179,7 +179,9 @@ SUMMARY_SCHEMAS = {
         "properties": {
             "command": _str, "n": {"type": "integer"},
             "hamiltonianMonotone": {"type": "boolean"},
-            "hamiltonianDirection": _str,
+            "hamiltonianDirection": {"type": "string", "description":
+                "increasing, decreasing or non-monotone along epsList; "
+                "omitted with fewer than two necksizes"},
             "rows": {"type": "array", "items": {
                 "type": "object", "additionalProperties": False,
                 "required": ["eps", "period", "hamiltonian", "residualSup"],
@@ -265,7 +267,7 @@ SUMMARY_SCHEMAS = {
             "cond": {"type": "number", "description":
                      "1-norm condition estimate (Hager-Higham, as in "
                      "LAPACK gecon) of the row-equilibrated bordered "
-                     "matrix about the blend; a solve above cond_limit = "
+                     "matrix about the blend; a solve above COND_LIMIT = "
                      "1e13 fails with exit code 3.  Omitted when the ends "
                      "are exact and no system is assembled"},
             "alpha": {"type": "object", "description":
@@ -285,7 +287,7 @@ SUMMARY_SCHEMAS = {
             {"type": "object", "description":
              "borderedSystem: 1-norm condition estimate (Hager-Higham, "
              "as in LAPACK gecon) of the row-equilibrated bordered matrix "
-             "about the blend, compared against cond_limit = 1e13"},
+             "about the blend, compared against COND_LIMIT = 1e13"},
         },
     },
 }

@@ -49,6 +49,14 @@ def sweep_orbits(orbit_cache, consts5):
     return [orbit_cache(e) for e in (0.3, 0.5, 0.7, consts5.epsBar)]
 
 
+def mode_potential(op, t):
+    """Zeroth-order coefficient lam^2 + B - K v^{p-1}(t) of the mode
+    operator op, for reference right-hand sides of its flow."""
+    c = op.constants
+    return (op.lam ** 2 + c.mode_coefficients(op.lam)[1]
+            - c.K * op.orbit.eval(t, 0) ** (c.p - 1))
+
+
 def make_config(orbit, m=2, pert1=(), pert2=(), T01=0.0, T02=0.0):
     return GluingConfig(
         EndData(T0=T01, perturbation=tuple(Perturbation(*p) for p in pert1)),

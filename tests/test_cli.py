@@ -98,6 +98,14 @@ class TestCommands:
         assert residual[1] == 0.0
         assert summary["rows"][1]["seriesTail"] == 0.0
 
+    def test_sweep_of_one_necksize_has_no_direction(self):
+        # one necksize is trivially monotone and has no direction; both
+        # keys come from one test
+        summary, _ = HANDLERS["sweep"]({"n": 5, "epsList": [0.5]})
+        validate_summary(summary)
+        assert summary["hamiltonianMonotone"] is True
+        assert "hamiltonianDirection" not in summary
+
     def test_sweep_csv_cells_are_numbers(self, tmp_path):
         eps_bar = derive_constants(5).epsBar
         _, out = run_manifest(tmp_path, "sweep",

@@ -10,7 +10,7 @@ from qglue.jacobi import ModeOperator, mode_apply, smooth_step
 from qglue.corrector import (discretize, linear_apply, bordered_system,
                              solve_right_inverse, estimate_g_norm, remainder,
                              iterate, verify_correction, nondegeneracy_diag)
-from conftest import make_config
+from conftest import make_config, mode_potential
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +160,15 @@ class TestRightInverse:
         vals = np.array(vals)
         assert (vals.max() - vals.min()) / vals.min() < 0.25
 
-    def test_ill_conditioning_reported(self, ref_sys, reference_approx):
+    def test_ill_conditioning_reported(self, ref_sys, reference_approx,
+                                       monkeypatch):
+        import qglue.corrector as corrector
         s = reference_approx.s
         f = CylField.mode0(reference_approx.config.constants, s,
                            np.ones(len(s)))
+        monkeypatch.setattr(corrector, "COND_LIMIT", 1.0)
         with pytest.raises(IllConditionedError) as exc:
-            solve_right_inverse(ref_sys, f, cond_limit=1.0)
+            solve_right_inverse(ref_sys, f)
         assert exc.value.cond_estimate > 1.0
 
 
@@ -336,7 +339,7 @@ class TestNondegeneracy:
 
         def rhs(t, y):
             return (y[1], y[2], y[3],
-                    op.A * y[2] - op.potential(t + phase) * y[0])
+                    op.A * y[2] - mode_potential(op, t + phase) * y[0])
 
         sol = solve_ivp(rhs, (t_hi, s[0]), d, method="DOP853", rtol=1e-12,
                         atol=1e-14, t_eval=s[:k + 1][::-1], max_step=h / 2)
@@ -626,6 +629,8 @@ class TestBorderSplit:
         assert np.array_equal(got.row_scale, full.row_scale)
 
     def test_deficiency_columns_match_linear_apply(self, two_mode):
+        # both come from one apply kernel, so the interior rows agree bit
+        # for bit
         sysm = bordered_system(two_mode, degrees=self.DEGREES)
         s = two_mode.s
         N = len(s)
@@ -640,11 +645,9 @@ class TestBorderSplit:
                     {l: bb.Bcols[:, j] if l == bb.l else np.zeros(N)
                      for l in self.DEGREES})
                 Lu = linear_apply(two_mode.field, u)
-                expect = [Lu.mode(l)[2:N - 2] for l in self.DEGREES]
-                tol = 1e-12 * max(np.max(np.abs(e)) for e in expect)
-                for a in range(len(self.DEGREES)):
+                for a, l in enumerate(self.DEGREES):
                     got = sysm.matrix[a * N + 2:(a + 1) * N - 2, col]
-                    assert np.max(np.abs(got - expect[a])) <= tol
+                    assert np.array_equal(got, Lu.mode(l)[2:N - 2])
                 col += 1
                 checked += 1
         assert checked == 4 * len(self.DEGREES)

@@ -6,9 +6,11 @@ from scipy.integrate import solve_ivp
 from qglue import derive_constants, solve_orbit
 from qglue.cli import HANDLERS
 from qglue.errors import DomainError
+import qglue.jacobi as jacobi
 from qglue.jacobi import (ModeOperator, mode_apply, monodromy_data,
                           indicial_roots, generators, symplectic_pairing,
                           smooth_step, _pairing_matrix)
+from conftest import mode_potential
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +84,8 @@ class TestGenerators:
         b = basis05.profile(0, "+", t + orbit05.period)
         assert np.max(np.abs(a - b)) < 1e-7
 
-    def test_necksize_field_grows_linearly(self, orbit05, basis05):
+    def test_necksize_field_grows_linearly(self, orbit05, basis05,
+                                           monkeypatch):
         # one-period increments are -dT/deps * vdot: linear growth, rate ~ 0
         T = orbit05.period
         t = np.linspace(0.2, 0.2 + T, 30)
@@ -92,7 +95,9 @@ class TestGenerators:
         np.testing.assert_allclose(
             inc1, -basis05.dTdEps * orbit05.eval(t, 1), rtol=0, atol=1e-7)
         # small against the unit rates of the translation pair
-        assert abs(basis05.measured_rate(0, "-", t0=1.0, periods=4)) < 0.1
+        monkeypatch.setattr(jacobi, "RATE_T0", 1.0)
+        monkeypatch.setattr(jacobi, "RATE_PERIODS", 4)
+        assert abs(basis05.measured_rate(0, "-")) < 0.1
 
     def test_translation_rates(self, basis05):
         assert basis05.measured_rate(1, "+") == pytest.approx(-1.0, abs=0.01)
@@ -214,7 +219,7 @@ def integrated_flow(op, t0, direction, n_sub=24, tol=1e-12):
     def rhs(t, y):
         Y = y.reshape(4, 4)
         return np.concatenate(
-            [Y[1:], [op.A * Y[2] - op.potential(t) * Y[0]]]).reshape(-1)
+            [Y[1:], [op.A * Y[2] - mode_potential(op, t) * Y[0]]]).reshape(-1)
 
     edges = t0 + direction * np.linspace(0.0, op.orbit.period, n_sub + 1)
     M = np.eye(4)
@@ -251,13 +256,6 @@ class TestSymplecticInverse:
         Om = _pairing_matrix(op.A)
         assert (np.linalg.norm(M.T @ Om @ M - Om, 2)
                 <= 1e-15 * np.linalg.norm(M, 2) ** 2)
-
-    def test_pairing_matrix_matches_symplectic_pairing(self, orbit05):
-        op = ModeOperator(orbit05, orbit05.constants.lam(2))
-        rng = np.random.default_rng(3)
-        a, b = rng.standard_normal((2, 4))
-        assert a @ _pairing_matrix(op.A) @ b == pytest.approx(
-            symplectic_pairing(op, a, b, 0.0), rel=1e-14)
 
     @settings(max_examples=8, deadline=None)
     @given(n=st.integers(5, 9), frac=st.floats(0.3, 0.9))
@@ -322,6 +320,20 @@ class TestIndicialRoots:
         assert exps[1] == pytest.approx(-1.0, abs=1e-6)
         assert exps[2] == pytest.approx(+1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_constant_orbit_pairs_exact(self, orbit_cache, n):
+        # the epsBar exponents are +-sqrt of the quadratic's roots mu^2:
+        # exact pairs, an exact 0.0 for the oscillatory pair of mode 0,
+        # and the np.roots quartic as the independent reference
+        consts = derive_constants(n)
+        spec = indicial_roots(orbit_cache(consts.epsBar, n=n), range(5))
+        for entry in spec.perMode:
+            e = entry["exponents"]
+            assert e[0] == -e[3] and e[1] == -e[2]
+            mu = np.sort(np.real(quartic_roots(consts, entry["lambda"])))
+            np.testing.assert_allclose(e, mu, rtol=0, atol=1e-12)
+        assert spec.exponents(0)[1:3] == [0.0, 0.0]
+
     def test_spectrum_symmetry(self, orbit05):
         spec = indicial_roots(orbit05, [0, 1, 2, 3, 4])
         for entry in spec.perMode:
@@ -367,24 +379,36 @@ class TestIndicialRoots:
 class TestPairing:
     def test_antisymmetry(self, orbit05, basis05):
         op = ModeOperator(orbit05, 0.0)
-        jet = lambda t: basis05.jet(0, "+", t)[:, 0]
-        assert symplectic_pairing(op, jet, jet, 0.7) == 0.0
+        jet = basis05.jet(0, "+", 0.7)[:, 0]
+        assert symplectic_pairing(op, jet, jet) == 0.0
+
+    def test_columns_match_single_jets(self, orbit05):
+        # a^T Omega b per column, exactly antisymmetric, and a batch of
+        # columns gives each column's own value
+        op = ModeOperator(orbit05, orbit05.constants.lam(2))
+        a, b = np.random.default_rng(3).standard_normal((2, 4, 7))
+        om = symplectic_pairing(op, a, b)
+        assert om.shape == (7,)
+        for k in range(7):
+            assert om[k] == symplectic_pairing(op, a[:, k], b[:, k])
+            assert om[k] == pytest.approx(
+                a[:, k] @ _pairing_matrix(op.A) @ b[:, k], rel=1e-14)
+        assert np.array_equal(symplectic_pairing(op, b, a), -om)
+        assert np.all(symplectic_pairing(op, a, a) == 0.0)
 
     def test_kernel_pair_conserved(self, orbit05, basis05):
         op = ModeOperator(orbit05, 0.0)
-        a = lambda t: basis05.jet(0, "-", t)[:, 0]
-        b = lambda t: basis05.jet(0, "+", t)[:, 0]
-        vals = np.array([symplectic_pairing(op, a, b, t)
-                         for t in np.linspace(0, orbit05.period, 41)])
+        ts = np.linspace(0, orbit05.period, 41)
+        vals = symplectic_pairing(op, basis05.jet(0, "-", ts),
+                                  basis05.jet(0, "+", ts))
         assert np.max(np.abs(vals - vals[0])) < 1e-7
 
     def test_translation_pair_conserved(self, orbit05, basis05):
         lam = float(orbit05.constants.n - 1)
         op = ModeOperator(orbit05, lam)
-        a = lambda t: basis05.jet(1, "+", t)[:, 0]
-        b = lambda t: basis05.jet(1, "-", t)[:, 0]
-        vals = np.array([symplectic_pairing(op, a, b, t)
-                         for t in np.linspace(0, orbit05.period, 41)])
+        ts = np.linspace(0, orbit05.period, 41)
+        vals = symplectic_pairing(op, basis05.jet(1, "+", ts),
+                                  basis05.jet(1, "-", ts))
         assert np.max(np.abs(vals - vals[0])) < 1e-7
 
     def test_pairing_equals_energy_derivative(self, orbit05, basis05,
@@ -395,9 +419,8 @@ class TestPairing:
         lo = orbit_cache(orbit05.eps - d)
         dH = (hi.hamiltonianValue - lo.hamiltonianValue) / (2 * d)
         op = ModeOperator(orbit05, 0.0)
-        om = symplectic_pairing(
-            op, lambda t: basis05.jet(0, "-", t)[:, 0],
-            lambda t: basis05.jet(0, "+", t)[:, 0], 1.3)
+        om = symplectic_pairing(op, basis05.jet(0, "-", 1.3)[:, 0],
+                                basis05.jet(0, "+", 1.3)[:, 0])
         ratio = om / dH
         assert ratio == pytest.approx(1.0, abs=0.02)
 
