@@ -162,13 +162,16 @@ def cmd_jacobi(params):
     tg = np.linspace(-T, 2 * T, 3 * gpp + 1)
     residuals = {}
     rates = {}
+    trim = slice(8, -8)
     for tag, sign, deg in basis.fields():
         op = ModeOperator(orbit, orbit.constants.lam(deg))
         w = basis.profile(deg, sign, tg)
         r = mode_apply(op, tg, w)
-        trim = 8
-        residuals[tag + sign] = float(np.max(np.abs(r[trim:-trim])))
-        rates[tag + sign] = basis.measured_rate(deg, sign)
+        residuals[tag + sign] = float(np.max(np.abs(r[trim]))
+                                      / np.max(np.abs(w[trim])))
+        # the necksize field grows linearly: it has no exponential rate
+        if (tag, sign) != ("0", "-"):
+            rates[tag + sign] = basis.measured_rate(deg, sign)
     ts = np.linspace(0.0, T, 33)
     om = symplectic_pairing(ModeOperator(orbit, 0.0), basis.jet(0, "-", ts),
                             basis.jet(0, "+", ts))

@@ -4,9 +4,16 @@ injectivity diagnostic of the corrected solution.
 
 One assembly serves both closures: the boundary rows {0, 1, N-2, N-1} per
 mode take clamp rows (discretize) or the mode's border rows (the bordered
-right inverse).  Boundary closure of the right inverse (per mode, per end):
-the interior unknown may only carry asymptotics that decay into
-the domain faster than the weight rate 1.5.  This is expressed as jet
+right inverse).  The operator is stored once, as a BandedOperator: the grid
+values are interleaved point-major, so the stencils and the pointwise mode
+coupling form one band, factored by LAPACK's banded LU; the bordered right
+inverse keeps two condition rows per end in the band and puts its other
+border rows and its deficiency columns in a dense border, eliminated through
+one small Schur complement.
+
+Boundary closure of the right inverse (per mode, per end): the interior
+unknown may only carry asymptotics that decay into the domain faster than
+the weight rate 1.5.  This is expressed as jet
 conditions in a frame of the multiplier > e^{1.5 T} subspaces of the
 one-period flow and its inverse (one sorted Schur form each) and, in modes
 0 and 1, the generator pair, all realized as discrete jets (window solutions
@@ -23,18 +30,20 @@ supported problems are reproduced exactly.
 from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, schur
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError, IllConditionedError, NumericalError
 from .fd import jet_rows, stencil_size
 from .gauges import (CylField, angular_basis, paneitz_mode_apply,
-                     paneitz_mode_matrix)
+                     paneitz_mode_band)
 from .delaunay import sample_flow
 from .jacobi import ModeOperator, generators, monodromy_data, smooth_step
 from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
     log_annulus_weight, stable_power_remainder, weighted_norm
 
 __all__ = [
-    "discretize", "BorderedSystem", "bordered_system",
+    "discretize", "BandedOperator", "BandLU", "BorderedSystem",
+    "bordered_system",
     "solve_right_inverse", "RightInverseResult", "remainder", "iterate",
     "IterationTrace", "IterateResult", "estimate_g_norm",
     "nondegeneracy_diag", "NondegeneracyResult", "linear_apply",
@@ -85,6 +94,150 @@ def linear_apply(background, u):
 
 
 # ----------------------------------------------------------------------
+# the operator store: a point-major band with a dense border
+
+
+def _point_major(x, nmodes):
+    """Rows of x from mode-major (a N + i) to point-major (i nmodes + a)."""
+    return x.reshape(nmodes, -1, *x.shape[1:]).swapaxes(0, 1).reshape(x.shape)
+
+
+def _mode_major(x, nmodes):
+    """Rows of x from point-major back to mode-major."""
+    return x.reshape(-1, nmodes, *x.shape[1:]).swapaxes(0, 1).reshape(x.shape)
+
+
+@dataclass
+class BandedOperator:
+    """A square matrix over `nmodes` modes on one grid of N points: a band
+    core in point-major order, where unknown i nmodes + a is mode a at point
+    i, so that the pointwise coupling of the modes sits inside the band;
+    plus a dense border of k columns on the right and k rows below, with a
+    zero k x k corner.  Vectors and toarray() use the public layout: mode
+    a's grid values at a N + i, then the k border unknowns."""
+
+    nmodes: int
+    kl: int                  # sub-diagonals of the core
+    ku: int                  # super-diagonals of the core
+    band: np.ndarray         # (nmodes N, kl + ku + 1): A[p, p - kl + q]
+    cols: np.ndarray         # (nmodes N, k) border columns, point-major
+    rows: np.ndarray         # (k, nmodes N) border rows, point-major
+
+    @property
+    def shape(self):
+        n = len(self.band) + len(self.rows)
+        return (n, n)
+
+    def _core_matvec(self, x):
+        n = len(self.band)
+        pad = np.zeros((n + self.kl + self.ku,) + x.shape[1:])
+        pad[self.kl:self.kl + n] = x
+        band = self.band.reshape(self.band.shape + (1,) * (x.ndim - 1))
+        y = np.zeros(x.shape)
+        for q in range(band.shape[1]):
+            y += band[:, q] * pad[q:q + n]
+        return y
+
+    def matvec(self, x):
+        """The matrix times x (a vector or columns), in the public layout."""
+        nc = len(self.band)
+        xc = _point_major(x[:nc], self.nmodes)
+        top = self._core_matvec(xc) + self.cols @ x[nc:]
+        return np.concatenate([_mode_major(top, self.nmodes), self.rows @ xc])
+
+    def row_max(self):
+        """Largest |entry| of each row, in the public layout."""
+        core = np.max(np.abs(np.hstack([self.band, self.cols])), axis=1)
+        return np.concatenate([_mode_major(core, self.nmodes),
+                               np.max(np.abs(self.rows), axis=1)])
+
+    def toarray(self):
+        """The dense matrix in the public layout."""
+        return self.matvec(np.eye(self.shape[0]))
+
+
+class BandLU:
+    """LU factors of a BandedOperator whose rows are divided by row_scale:
+    LAPACK's banded LU (dgbtrf) of the core A, and block elimination of
+    the border rows R and columns C through the k x k Schur complement
+    S = -R A^{-1} C (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991).  `norm1` is the exact 1-norm of
+    the scaled matrix; `singular` flags an exactly singular core or
+    complement.  solve() takes and returns the public layout."""
+
+    def __init__(self, op, row_scale):
+        kl, ku, nc = op.kl, op.ku, len(op.band)
+        self.nmodes, self.kl, self.ku, self.n = op.nmodes, kl, ku, op.shape[0]
+        scale = _point_major(row_scale[:nc], op.nmodes)[:, None]
+        band, self.cols = op.band / scale, op.cols / scale
+        self.rows = op.rows / row_scale[nc:, None]
+        # LAPACK band storage, ab[kl + ku + p - c, c] = A[p, c], with kl
+        # spare rows for the fill-in of pivoting
+        ab = np.zeros((2 * kl + ku + 1, nc), order="F")
+        for q in range(kl + ku + 1):
+            lo, hi = max(0, kl - q), min(nc, nc + kl - q)
+            ab[2 * kl + ku - q, lo - kl + q:hi - kl + q] = band[lo:hi, q]
+        self.norm1 = float(max(
+            np.max(np.sum(np.abs(ab), axis=0)
+                   + np.sum(np.abs(self.rows), axis=0)),
+            np.max(np.sum(np.abs(self.cols), axis=0), initial=0.0)))
+        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        self.singular = info > 0
+        if self.singular or not len(self.rows):
+            return
+        self.colsolve = self._core(self.cols, 0)        # A^{-1} C
+        self.rowsolve = self._core(self.rows.T, 1)      # A^{-T} R^T
+        self.schur = lu_factor(-(self.rows @ self.colsolve))
+        self.singular = not np.all(np.diagonal(self.schur[0]) != 0.0)
+
+    def _core(self, b, trans):
+        return dgbtrs(self.lu, self.kl, self.ku, b, self.piv, trans=trans)[0]
+
+    def solve(self, b, trans=0):
+        """x with A x = b (trans=0) or A^T x = b (trans=1), for a vector
+        or the columns of b."""
+        nc = self.lu.shape[1]
+        y = self._core(_point_major(b[:nc], self.nmodes), trans)
+        amp = b[nc:]
+        if len(amp):
+            inner, back = ((self.rows, self.colsolve) if trans == 0
+                           else (self.cols.T, self.rowsolve))
+            amp = lu_solve(self.schur, amp - inner @ y, trans=trans)
+            y = y - back @ amp
+        return np.concatenate([_mode_major(y, self.nmodes), amp])
+
+
+def _inv_norm1(lu):
+    """Hager-Higham lower estimate of ||A^{-1}||_1 from the factors of A:
+    the iteration of LAPACK's dlacn2 (Higham 1988, Alg. 4.1) behind gecon,
+    written over BandLU.solve and its transpose.  gecon itself sums with BLAS
+    dasum, whose rounding depends on the heap address of its work array, so
+    its estimate of one matrix can differ in the last digit from call to
+    call within a process."""
+    n = lu.n
+    x = np.full(n, 1.0 / n)
+    est, sign = 0.0, None
+    for _ in range(5):
+        y = lu.solve(x)
+        new_est = float(np.sum(np.abs(y)))
+        new_sign = np.where(y >= 0.0, 1.0, -1.0)
+        if new_est <= est or (sign is not None
+                              and np.array_equal(new_sign, sign)):
+            est = max(est, new_est)
+            break
+        est, sign = new_est, new_sign
+        z = lu.solve(sign, trans=1)
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= z @ x:
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    # Higham's extra probe with alternating signs and growing magnitudes
+    alt = 1.0 + np.arange(n) / max(n - 1, 1)
+    alt[1::2] *= -1.0
+    return max(est, 2.0 * float(np.sum(np.abs(lu.solve(alt)))) / (3 * n))
+
+
+# ----------------------------------------------------------------------
 # bordered system
 
 
@@ -115,67 +268,29 @@ class _ModeBorder:
 @dataclass
 class BorderedSystem:
     """Square linear system in the unknowns (grid values per mode,
-    deficiency amplitudes per mode): the operator matrix whose boundary rows
-    {0, 1, N-2, N-1} of each mode hold that mode's first four border rows,
-    with the remaining border rows appended below."""
+    deficiency amplitudes per mode), stored as a BandedOperator: each mode's
+    band slots {0, 1, N-2, N-1} hold two condition rows per end, and its
+    other border rows (with the deficiency columns) form the dense border."""
 
     approx: ApproxSolution
     degrees: tuple
-    matrix: np.ndarray
+    matrix: BandedOperator
     row_scale: np.ndarray
     borders: list             # per mode: _ModeBorder, orbit side only
-    _lu: tuple = None
+    _lu: BandLU = None
     _cond: float = None
 
     def factor(self):
-        """LU factors of the row-equilibrated matrix and its 1-norm
-        condition estimate from the same factors, computed once.  The
-        equilibrated matrix lives in one Fortran-order buffer: it first
-        holds |A|/row_scale for the 1-norm, then A/row_scale, which is
-        factored in place."""
+        """Factors of the row-equilibrated matrix and its 1-norm condition
+        estimate from the same factors, computed once; a singular core or
+        Schur complement reads cond = inf."""
         if self._lu is None:
-            scale = self.row_scale[:, None]
-            buf = np.empty_like(self.matrix, order="F")
-            np.divide(np.abs(self.matrix, out=buf), scale, out=buf)
-            anorm = float(np.max(np.sum(buf, axis=0)))
-            np.divide(self.matrix, scale, out=buf)
-            self._lu = lu_factor(buf, overwrite_a=True)
+            self._lu = BandLU(self.matrix, self.row_scale)
             cond = float("inf")
-            if np.all(np.diagonal(buf) != 0.0):
-                cond = anorm * _inv_norm1(self._lu)
+            if not self._lu.singular:
+                cond = self._lu.norm1 * _inv_norm1(self._lu)
             self._cond = cond if np.isfinite(cond) else float("inf")
         return self._lu, self._cond
-
-
-def _inv_norm1(lu):
-    """Hager-Higham lower estimate of ||A^{-1}||_1 from the LU factors of A
-    in O(N^2): the iteration of LAPACK's dlacn2 (Higham 1988, Alg. 4.1)
-    behind gecon, written over lu_solve.  gecon itself sums with BLAS dasum,
-    whose rounding depends on the heap address of its work array, so its
-    estimate of one matrix can differ in the last digit from call to call
-    within a process."""
-    n = len(lu[1])
-    x = np.full(n, 1.0 / n)
-    est, sign = 0.0, None
-    for _ in range(5):
-        y = lu_solve(lu, x)
-        new_est = float(np.sum(np.abs(y)))
-        new_sign = np.where(y >= 0.0, 1.0, -1.0)
-        if new_est <= est or (sign is not None
-                              and np.array_equal(new_sign, sign)):
-            est = max(est, new_est)
-            break
-        est, sign = new_est, new_sign
-        z = lu_solve(lu, sign, trans=1)
-        j = int(np.argmax(np.abs(z)))
-        if abs(z[j]) <= z @ x:
-            break
-        x = np.zeros(n)
-        x[j] = 1.0
-    # Higham's extra probe with alternating signs and growing magnitudes
-    alt = 1.0 + np.arange(n) / max(n - 1, 1)
-    alt[1::2] *= -1.0
-    return max(est, 2.0 * float(np.sum(np.abs(lu_solve(lu, alt)))) / (3 * n))
 
 
 def _mode_border(approx, basis, l):
@@ -303,57 +418,87 @@ def bordered_system(approx, degrees=None):
     return _background_system(approx, degrees, borders)
 
 
+def _split_rows(border):
+    """(slot rows, border rows) of a mode border.  The four slot rows fill
+    the mode's band slots {0, 1, N-2, N-1}, two condition rows per end; the
+    others join the dense border.  A mode with deficiency columns has three
+    condition rows per end: the band keeps each end's first and last, and
+    the middle ones join the two gauge rows."""
+    if border.Bcols is None:
+        return border.rows, border.rows[4:]
+    return border.rows[[0, 2, 3, 5]], border.rows[[1, 4, 6, 7]]
+
+
 def _background_system(approx, degrees, borders):
     """The bordered system about approx.field with the given borders: the
-    matrix of linear_apply padded by the deficiency amplitudes, the operator
-    applied to the deficiency columns, then each mode's border rows in place
-    of its boundary rows, and the row scale."""
+    operator of linear_apply in the band, each mode's slot rows in place of
+    its boundary rows, and the dense border of the deficiency columns (the
+    operator applied to them) and the remaining border rows; with the row
+    scale."""
     field = approx.field
     consts = field.constants
     N, h, L1 = len(field.t), field.h, len(degrees)
     C = _coupling_tensor(field, degrees)
-    defic = [(b, w) for b, bb in enumerate(borders) if bb.Bcols is not None
-             for w in bb.Bcols.T]
-    A = np.zeros((L1 * N + len(defic), L1 * N + len(defic)))
-    diag = np.arange(N)
-    for a, l in enumerate(degrees):
-        block = slice(a * N, (a + 1) * N)
-        A[block, block] = paneitz_mode_matrix(consts, consts.lam(l), N, h,
-                                              acc=STENCIL_ORDER)
+    slots = np.array([0, 1, N - 2, N - 1])
+    split = [_split_rows(bb) for bb in borders]
+    # the band reaches as far as the shifted end stencils or a slot row
+    dist = np.abs(np.arange(N)[None, :] - slots[:, None])
+    reach = max([stencil_size(4, STENCIL_ORDER) - 1]
+                + [int(np.max(dist[srows != 0.0])) for srows, _ in split])
+    bands = np.empty((L1, N, 2 * reach + 1))
+    for a, (l, (srows, _)) in enumerate(zip(degrees, split)):
+        bands[a] = paneitz_mode_band(consts, consts.lam(l), N, h,
+                                     STENCIL_ORDER, reach)
+        bands[a, slots] = 0.0
+        for i, row in zip(slots, srows):
+            lo, hi = max(0, i - reach), min(N, i + reach + 1)
+            bands[a, i, lo - i + reach:hi - i + reach] = row[lo:hi]
+    # point-major: point offset o of mode a is diagonal o L1, the coupling
+    # of modes a and b at one point is diagonal b - a
+    used = np.flatnonzero(np.any(bands != 0.0, axis=(0, 1)))
+    kl = max((reach - used[0]) * L1, L1 - 1)
+    ku = max((used[-1] - reach) * L1, L1 - 1)
+    core = np.zeros((N, L1, kl + ku + 1))
+    diags = kl + (used - reach) * L1
+    for a in range(L1):
+        core[:, a, diags] = bands[a][:, used]
         for b in range(L1):
-            A[a * N + diag, b * N + diag] -= consts.K * C[a, b]
+            core[2:N - 2, a, kl + b - a] -= consts.K * C[a, b, 2:N - 2]
 
     # the operator applied to each deficiency column by the stencil form of
-    # linear_apply (the matrix product differs from it by rounding); written
-    # before the border rows, which overwrite their boundary rows
-    for col, (b, w) in enumerate(defic, start=L1 * N):
+    # linear_apply (the band product differs from it by rounding), on the
+    # interior rows
+    defic = [(a, w) for a, bb in enumerate(borders) if bb.Bcols is not None
+             for w in bb.Bcols.T]
+    cols = np.zeros((N, L1, len(defic)))
+    for j, (a, w) in enumerate(defic):
         u = np.zeros((L1, N))
-        u[b] = w
-        A[:L1 * N, col] = _apply_coupled(consts, degrees, C, u, h).reshape(-1)
+        u[a] = w
+        Lu = _apply_coupled(consts, degrees, C, u, h)
+        cols[2:N - 2, :, j] = Lu[:, 2:N - 2].T
+    extra = [(a, r) for a, (_, rest) in enumerate(split) for r in rest]
+    rows = np.zeros((len(extra), N, L1))
+    for k, (a, r) in enumerate(extra):
+        rows[k, :, a] = r
 
-    row = L1 * N
-    for a, bb in enumerate(borders):
-        boundary = a * N + np.array([0, 1, N - 2, N - 1])
-        A[boundary] = 0.0
-        A[boundary, a * N:(a + 1) * N] = bb.rows[:4]
-        rest = len(bb.rows) - 4
-        A[row:row + rest, a * N:(a + 1) * N] = bb.rows[4:]
-        row += rest
-
-    scale = np.max(np.abs(A), axis=1)
+    op = BandedOperator(nmodes=L1, kl=kl, ku=ku,
+                        band=core.reshape(N * L1, -1),
+                        cols=cols.reshape(N * L1, -1),
+                        rows=rows.reshape(len(extra), N * L1))
+    scale = op.row_max()
     scale[scale == 0] = 1.0
     return BorderedSystem(approx=approx, degrees=degrees,
-                          matrix=A, row_scale=scale, borders=borders)
+                          matrix=op, row_scale=scale, borders=borders)
 
 
 def discretize(approx, degrees):
-    """The square matrix of the linearized operator about the blended
-    solution on the grid, one banded block per mode.
+    """The linearized operator about the blended solution on the grid, as a
+    BandedOperator without border.
 
     Derivative terms are mode-diagonal; the potential couples modes through
     the quadrature projection of v_m^{p-1}.  Rows {0, 1, N-2, N-1} of each
-    mode block are replaced by clamp conditions on (w, w') at the two ends,
-    as clamp borders of the bordered system's assembly.
+    mode are replaced by clamp conditions on (w, w') at the two ends, as
+    clamp borders of the bordered system's assembly.
     """
     degrees = _degrees(approx, degrees)
     N = len(approx.s)
@@ -376,6 +521,24 @@ class RightInverseResult:
 
 
 COND_LIMIT = 1e13  # largest condition estimate a solve accepts
+
+
+def _refined_solve(solve, matvec, b):
+    """solve(b) and up to two steps of iterative refinement, each kept only
+    while it reduces the residual b - matvec(x): in working precision the
+    correction bottoms out at the residual-evaluation noise floor and can
+    otherwise bounce."""
+    x = solve(b)
+    r = b - matvec(x)
+    best = float(np.linalg.norm(r))
+    for _ in range(2):
+        cand = x + solve(r)
+        r_cand = b - matvec(cand)
+        n_cand = float(np.linalg.norm(r_cand))
+        if n_cand >= best:
+            break
+        x, r, best = cand, r_cand, n_cand
+    return x
 
 
 def solve_right_inverse(sys, f):
@@ -403,20 +566,9 @@ def solve_right_inverse(sys, f):
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedError("bordered system is numerically singular",
                                   cond)
-    beq = rhs / sys.row_scale
-    x = lu_solve(lu, beq)
-    # iterative refinement, kept only while it actually reduces the
-    # residual: in working precision the correction bottoms out at the
-    # residual-evaluation noise floor and can otherwise bounce
-    r = beq - (sys.matrix @ x) / sys.row_scale
-    best = float(np.linalg.norm(r))
-    for _ in range(2):
-        cand = x + lu_solve(lu, r)
-        r_cand = beq - (sys.matrix @ cand) / sys.row_scale
-        n_cand = float(np.linalg.norm(r_cand))
-        if n_cand >= best:
-            break
-        x, r, best = cand, r_cand, n_cand
+    x = _refined_solve(lu.solve,
+                       lambda y: sys.matrix.matvec(y) / sys.row_scale,
+                       rhs / sys.row_scale)
     uparts = x[:L * N].reshape(L, N).copy()
     alpha = {}
     off = L * N
@@ -670,16 +822,18 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
     resolution-stable measurement.
 
     Decay at the truncated ends is imposed in the clamped form (w = w' = 0):
-    each mode factors its own tile of `discretize`.  The softer spectral
-    closure (jets restricted to the strictly decaying directions) admits the
-    one-end decaying solution, whose far-end violation e^{-gamma(2m+1)T}
-    underflows: the smallest singular value would then measure truncation
-    noise of that near-kernel mode instead of an injectivity modulus.
+    each mode factors its own tile of `discretize`, a band of half-width 8
+    at the stencil order 8, with LAPACK's banded LU (BandLU).  The softer
+    spectral closure (jets restricted to the strictly decaying directions)
+    admits the one-end decaying solution, whose far-end violation
+    e^{-gamma(2m+1)T} underflows: the smallest singular value would then
+    measure truncation noise of that near-kernel mode instead of an
+    injectivity modulus.
 
     The conjugated matrix is strongly graded (the weight spans e^{delta m T}),
     so its smallest singular value is computed as 1/|W^{-1}| via backward-
-    stable LU solves and inverse power iteration; a direct SVD bottoms out at
-    eps times the largest singular value and reports grading noise.
+    stable banded LU solves and inverse power iteration; a direct SVD bottoms
+    out at eps times the largest singular value and reports grading noise.
     """
     if delta <= 1:
         raise DomainError("the weight rate must exceed 1")
@@ -701,13 +855,13 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
 
     per_mode = {}
     for l in degrees:
-        lu = lu_factor(discretize(background, degrees=(l,)))
+        lu = BandLU(discretize(background, degrees=(l,)), np.ones(N))
 
         def apply_inv(z):          # W^{-1} z with W = D_rho^{-1} A D_rho
-            return inv_rho * lu_solve(lu, rho * z)
+            return inv_rho * lu.solve(rho * z)
 
         def apply_inv_t(z):
-            return rho * lu_solve(lu, inv_rho * z, trans=1)
+            return rho * lu.solve(inv_rho * z, trans=1)
 
         rng = np.random.default_rng(42)
         z = rng.standard_normal(N)

@@ -115,14 +115,20 @@ def apply_derivative(vals, h, deriv, acc):
     return out * scale
 
 
-def derivative_matrix(npoints, h, deriv, acc):
-    """Dense matrix form of apply_derivative."""
-    D = np.zeros((npoints, npoints))
-    scale = h ** (-deriv)
-    for i in range(npoints):
+def derivative_band(npoints, deriv, acc, reach):
+    """apply_derivative's unit-spacing weights as an (npoints, 2 reach + 1)
+    band: row i holds the weights on points i - reach .. i + reach.  The
+    interior rows share one centred weight vector; only the end rows go
+    through stencil_at, so reach must be at least the stencil size minus
+    one.  Scale by h**(-deriv) for spacing h."""
+    half = stencil_size(deriv, acc) // 2
+    band = np.zeros((npoints, 2 * reach + 1))
+    band[half:npoints - half, reach - half:reach + half + 1] = _unit_weights(
+        tuple(range(-half, half + 1)), deriv)
+    for i in list(range(half)) + list(range(npoints - half, npoints)):
         nodes, w = stencil_at(i, npoints, deriv, acc)
-        D[i, nodes] = w * scale
-    return D
+        band[i, nodes - i + reach] = w
+    return band
 
 
 def jet_rows(npoints, h, i, max_deriv, acc):

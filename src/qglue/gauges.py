@@ -18,11 +18,11 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from .errors import DomainError
-from .fd import apply_derivative, derivative_matrix, stencil_size
+from .fd import apply_derivative, derivative_band, stencil_size
 
 __all__ = [
     "GaugeConstants", "derive_constants", "CylField", "AngularBasis",
-    "angular_basis", "paneitz_mode_apply", "paneitz_mode_matrix",
+    "angular_basis", "paneitz_mode_apply", "paneitz_mode_band",
     "q_residual", "QResidual",
 ]
 
@@ -301,13 +301,14 @@ def paneitz_mode_apply(consts, lam, w, h, acc):
     return d4 + lam ** 2 * w - A * d2 + B * w
 
 
-def paneitz_mode_matrix(consts, lam, npoints, h, acc):
-    """Dense (npoints, npoints) matrix of paneitz_mode_apply."""
+def paneitz_mode_band(consts, lam, npoints, h, acc, reach):
+    """paneitz_mode_apply as an (npoints, 2 reach + 1) band: row i holds the
+    weights on points i - reach .. i + reach (fd.derivative_band)."""
     A, B = consts.mode_coefficients(lam)
-    M = derivative_matrix(npoints, h, 4, acc=acc)
-    M -= A * derivative_matrix(npoints, h, 2, acc=acc)
-    M[np.diag_indices(npoints)] += lam ** 2 + B
-    return M
+    band = derivative_band(npoints, 4, acc, reach) * h ** -4.0
+    band -= (A * h ** -2.0) * derivative_band(npoints, 2, acc, reach)
+    band[:, reach] += lam ** 2 + B
+    return band
 
 
 @dataclass

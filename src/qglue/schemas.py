@@ -228,8 +228,14 @@ SUMMARY_SCHEMAS = {
             "crossValidationError": {"type": "number", "description":
                 "sup over one period of the necksize field minus the "
                 "centred difference of the orbits at eps +- dEps"},
-            "generatorResiduals": {"type": "object"},
-            "measuredRates": {"type": "object"},
+            "generatorResiduals": {"type": "object", "description":
+                "per generator field, sup of its mode-equation residual "
+                "over [-T, 2T] without 8 points at each end, relative to "
+                "the field's sup over the same points"},
+            "measuredRates": {"type": "object", "description":
+                "growth rate log|w(t0 + K T) / w(t0)| / (K T) of each "
+                "exponential field (0+, l+, l-); the necksize field 0- "
+                "grows linearly and has none"},
             "pairingRatio": _num, "pairingDrift": _num,
         },
     },

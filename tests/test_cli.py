@@ -98,6 +98,19 @@ class TestCommands:
         assert residual[1] == 0.0
         assert summary["rows"][1]["seriesTail"] == 0.0
 
+    @pytest.mark.parametrize("n, eps", [(6, 0.4393), (9, 0.3070)])
+    def test_jacobi_residuals_relative_and_rates_exponential(self, tmp_path,
+                                                             n, eps):
+        # residuals relative to each field's size: the growing fields reach
+        # |w| ~ 1e3 over [-T, 2T], where absolute residuals read 3.5e-3
+        summary, _ = run_manifest(tmp_path, "jacobi", {"n": n, "eps": eps})
+        validate_summary(summary)
+        residuals = summary["generatorResiduals"]
+        assert sorted(residuals) == ["0+", "0-", "l+", "l-"]
+        assert all(0.0 < r <= 1e-4 for r in residuals.values())
+        # the linearly growing necksize field has no exponential rate
+        assert sorted(summary["measuredRates"]) == ["0+", "l+", "l-"]
+
     def test_sweep_of_one_necksize_has_no_direction(self):
         # one necksize is trivially monotone and has no direction; both
         # keys come from one test

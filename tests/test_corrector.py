@@ -43,9 +43,26 @@ def gauge_orthogonalize(sys, prof):
     return prof + c[0] * z1 + c[1] * z2
 
 
+class DenseLU:
+    """Test-local dense oracle with BandLU's interface: the LU of the
+    reconstructed, row-equilibrated matrix."""
+
+    def __init__(self, op, row_scale):
+        from scipy.linalg import lu_factor
+        self.matrix = op.toarray() / row_scale[:, None]
+        self.n = len(self.matrix)
+        self.norm1 = np.linalg.norm(self.matrix, 1)
+        self.singular = False
+        self.lu = lu_factor(self.matrix)
+
+    def solve(self, b, trans=0):
+        from scipy.linalg import lu_solve
+        return lu_solve(self.lu, b, trans=trans)
+
+
 class TestDiscretize:
     def test_interior_rows_match_mode_apply(self, exact_approx, orbit05):
-        D = discretize(exact_approx, degrees=(0,))
+        D = discretize(exact_approx, degrees=(0,)).toarray()
         s = exact_approx.s
         probe = bump_probe(s)
         # the blend equals the orbit here, so the matrix action must agree
@@ -68,7 +85,7 @@ class TestDiscretize:
         assert rel2 < 1e-8
 
     def test_clamp_rows_present(self, exact_approx):
-        D = discretize(exact_approx, degrees=(0,))
+        D = discretize(exact_approx, degrees=(0,)).toarray()
         s = exact_approx.s
         N = len(s)
         # rows 0, 1, N-2 and N-1 clamp w and w' at the ends
@@ -82,7 +99,7 @@ class TestDiscretize:
     def test_constant_background_matches_quartic(self, orbit_cache, consts5):
         orb = orbit_cache(consts5.epsBar)
         ap = build_approximate(make_config(orb, m=1), grid_per_period=48)
-        D = discretize(ap, degrees=(0,))
+        D = discretize(ap, degrees=(0,)).toarray()
         s = ap.s
         mu = 0.8
         w = np.exp(mu * (s - s[0]))
@@ -95,7 +112,7 @@ class TestDiscretize:
         assert rel < 1e-5
 
     def test_symmetric_config_gives_symmetric_matrix(self, exact_approx):
-        D = discretize(exact_approx, degrees=(0,))
+        D = discretize(exact_approx, degrees=(0,)).toarray()
         N = len(exact_approx.s)
         A = D[:N, :N]
         interior = A[2:N - 2, :]
@@ -358,7 +375,7 @@ class TestSpecExamples:
         # the blend equals the orbit, so the sampled phase derivative is a
         # solution of the linearized equation and the interior rows see it
         # at discretization-error level
-        D = discretize(exact_approx, degrees=(0,))
+        D = discretize(exact_approx, degrees=(0,)).toarray()
         s = exact_approx.s
         N = len(s)
         phase = (exact_approx.config.m + 0.5) * orbit05.period
@@ -425,9 +442,9 @@ class TestSharedOperator:
         N = len(multimode.s)
         x = probe.coeffs.reshape(-1)
         Lu = linear_apply(multimode.field, probe)
-        got_d = discretize(multimode, degrees=self.DEGREES) @ x
+        got_d = discretize(multimode, degrees=self.DEGREES).matvec(x)
         sysm = bordered_system(multimode, degrees=self.DEGREES)
-        got_b = sysm.matrix[:, :len(self.DEGREES) * N] @ x
+        got_b = sysm.matrix.toarray()[:, :len(self.DEGREES) * N] @ x
         for a, l in enumerate(self.DEGREES):
             expect = Lu.mode(l)[2:N - 2]
             tol = 1e-12 * np.max(np.abs(expect))
@@ -440,23 +457,34 @@ class TestSharedOperator:
                                                     monkeypatch):
         import qglue.corrector as corrector
         factored = []
-        real = corrector.lu_factor
+        real = corrector.dgbtrf
 
-        def capture(a, *args, **kwargs):
-            factored.append(np.array(a))
-            return real(a, *args, **kwargs)
+        def capture(ab, kl, ku, **kwargs):
+            factored.append((kl, ku))
+            return real(ab, kl, ku, **kwargs)
 
-        monkeypatch.setattr(corrector, "lu_factor", capture)
+        tiles = []
+
+        class Capture(corrector.BandLU):
+            def __init__(self, op, row_scale):
+                tiles.append(op)
+                super().__init__(op, row_scale)
+
+        monkeypatch.setattr(corrector, "dgbtrf", capture)
+        monkeypatch.setattr(corrector, "BandLU", Capture)
         correction = probe * 1e-3
         nondegeneracy_diag(multimode, correction, degrees=self.DEGREES)
         shifted = dataclasses.replace(multimode,
                                       field=multimode.field + correction)
-        D = discretize(shifted, degrees=self.DEGREES)
+        D = discretize(shifted, degrees=self.DEGREES).toarray()
         N = len(multimode.s)
-        assert len(factored) == len(self.DEGREES)
-        for a, tile in enumerate(factored):
-            assert np.array_equal(tile, D[a * N:(a + 1) * N,
-                                                 a * N:(a + 1) * N])
+        # one banded LU per mode, of that mode's clamped tile
+        assert factored == [(8, 8)] * len(self.DEGREES)
+        assert len(tiles) == len(self.DEGREES)
+        for a, tile in enumerate(tiles):
+            assert tile.shape == (N, N)
+            assert np.array_equal(tile.toarray(), D[a * N:(a + 1) * N,
+                                                    a * N:(a + 1) * N])
 
 
 class TestConditionEstimate:
@@ -468,23 +496,29 @@ class TestConditionEstimate:
         return bordered_system(reference_approx, degrees=(0,))
 
     def test_factor_leaves_matrix_unchanged(self, fresh_sys):
-        before = fresh_sys.matrix.copy()
+        before = fresh_sys.matrix.toarray()
         fresh_sys.factor()
-        assert np.array_equal(fresh_sys.matrix, before)
+        assert np.array_equal(fresh_sys.matrix.toarray(), before)
 
     def test_estimate_within_one_norm_condition(self, fresh_sys):
         _, cond = fresh_sys.factor()
-        Aeq = fresh_sys.matrix / fresh_sys.row_scale[:, None]
+        Aeq = fresh_sys.matrix.toarray() / fresh_sys.row_scale[:, None]
         kappa1 = np.linalg.cond(Aeq, 1)
         assert kappa1 / 3 <= cond <= kappa1 * (1 + 1e-10)
 
     def test_estimate_agrees_with_lapack_gecon(self, fresh_sys):
+        # the estimator is gecon's iteration: over the dense LU of the
+        # reconstructed matrix both read the same number, and the banded
+        # factors' estimate differs from it by rounding times kappa
         from scipy.linalg.lapack import dgecon
-        (lu, _), cond = fresh_sys.factor()
-        Aeq = fresh_sys.matrix / fresh_sys.row_scale[:, None]
-        rcond, info = dgecon(lu, np.linalg.norm(Aeq, 1), norm="1")
+        from qglue.corrector import _inv_norm1
+        oracle = DenseLU(fresh_sys.matrix, fresh_sys.row_scale)
+        rcond, info = dgecon(oracle.lu[0], oracle.norm1, norm="1")
         assert info == 0
-        assert cond == pytest.approx(1.0 / rcond, rel=1e-8)
+        assert oracle.norm1 * _inv_norm1(oracle) == pytest.approx(
+            1.0 / rcond, rel=1e-8)
+        _, cond = fresh_sys.factor()
+        assert abs(cond * rcond - 1.0) <= np.finfo(float).eps / rcond
 
     def test_estimate_repeats_bit_for_bit(self, fresh_sys):
         # gecon's estimate of one matrix can move in the last digit with the
@@ -500,13 +534,17 @@ class TestConditionEstimate:
     @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_reports_infinite_condition(
             self, fresh_sys, reference_approx):
-        # zero an interior row of mode 0
-        matrix = fresh_sys.matrix.copy()
-        matrix[12] = 0.0
+        # zero an interior row of mode 0 (point-major row 12 is point 12)
+        band = fresh_sys.matrix.band.copy()
+        cols = fresh_sys.matrix.cols.copy()
+        band[12] = cols[12] = 0.0
         scale = fresh_sys.row_scale.copy()
         scale[12] = 1.0
-        singular = dataclasses.replace(fresh_sys, matrix=matrix,
-                                       row_scale=scale)
+        singular = dataclasses.replace(
+            fresh_sys, matrix=dataclasses.replace(fresh_sys.matrix, band=band,
+                                                  cols=cols),
+            row_scale=scale)
+        assert not singular.matrix.toarray()[12].any()
         assert singular.factor()[1] == float("inf")
         s = reference_approx.s
         f = CylField.mode0(reference_approx.config.constants, s,
@@ -625,7 +663,7 @@ class TestBorderSplit:
         shifted = dataclasses.replace(two_mode, field=two_mode.field + shift)
         got = _background_system(shifted, self.DEGREES, sys0.borders)
         full = bordered_system(shifted, degrees=self.DEGREES)
-        assert np.array_equal(got.matrix, full.matrix)
+        assert np.array_equal(got.matrix.toarray(), full.matrix.toarray())
         assert np.array_equal(got.row_scale, full.row_scale)
 
     def test_deficiency_columns_match_linear_apply(self, two_mode):
@@ -634,6 +672,7 @@ class TestBorderSplit:
         sysm = bordered_system(two_mode, degrees=self.DEGREES)
         s = two_mode.s
         N = len(s)
+        dense = sysm.matrix.toarray()
         col = len(self.DEGREES) * N
         checked = 0
         for bb in sysm.borders:
@@ -646,12 +685,12 @@ class TestBorderSplit:
                      for l in self.DEGREES})
                 Lu = linear_apply(two_mode.field, u)
                 for a, l in enumerate(self.DEGREES):
-                    got = sysm.matrix[a * N + 2:(a + 1) * N - 2, col]
+                    got = dense[a * N + 2:(a + 1) * N - 2, col]
                     assert np.array_equal(got, Lu.mode(l)[2:N - 2])
                 col += 1
                 checked += 1
         assert checked == 4 * len(self.DEGREES)
-        assert col == sysm.matrix.shape[1]
+        assert col == sysm.matrix.shape[1] == dense.shape[1]
 
 
 class TestWindowSolution:
@@ -681,3 +720,58 @@ class TestWindowSolution:
                 assert one.shape == (1, win)
                 assert (np.max(np.abs(block[j] - one[0]))
                         <= 1e-12 * np.max(np.abs(one[0])))
+
+
+class TestDenseOracle:
+    """The banded factors (band LU plus Schur-complement border) against a
+    dense LU of the reconstructed matrix: refined residual, condition
+    estimate and the diagnostic's per-mode values."""
+
+    @pytest.fixture(scope="class")
+    def blends(self, orbit05):
+        cfgs = {m: make_config(orbit05, m=m,
+                               pert1=((0, 1e-3, 2.0), (1, 5e-4, 1.6)),
+                               pert2=((2, 4e-4, 1.8),)) for m in (1, 2, 3, 4)}
+        return {m: build_approximate(cfg, grid_per_period=32)
+                for m, cfg in cfgs.items()}
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degrees", [(0, 1), (0, 2), (0, 1, 2)])
+    def test_banded_matches_dense(self, blends, degrees, m, monkeypatch):
+        import qglue.corrector as corrector
+        approx = blends[m]
+        sysm = bordered_system(approx, degrees=degrees)
+        lu, cond = sysm.factor()
+        oracle = DenseLU(sysm.matrix, sysm.row_scale)
+        Aeq = oracle.matrix
+        n, N = len(Aeq), len(approx.s)
+        # refined residuals on one seeded interior right-hand side
+        rng = np.random.default_rng(m)
+        b = np.zeros(n)
+        b[:len(degrees) * N].reshape(len(degrees), N)[:, 2:N - 2] = (
+            rng.standard_normal((len(degrees), N - 4))
+            * np.exp(-0.3 * np.abs(approx.s[2:N - 2])))
+        b /= sysm.row_scale
+        x_band = corrector._refined_solve(
+            lu.solve, lambda y: sysm.matrix.matvec(y) / sysm.row_scale, b)
+        x_dense = corrector._refined_solve(oracle.solve, lambda y: Aeq @ y, b)
+        assert (np.linalg.norm(Aeq @ x_band - b)
+                <= 10.0 * np.linalg.norm(Aeq @ x_dense - b))
+        # each estimate within the bracket of the 1-norm condition its own
+        # factors give; the two factorizations agree to rounding times kappa
+        inv_band = lu.solve(np.eye(n))
+        kappa_band = oracle.norm1 * np.linalg.norm(inv_band, 1)
+        kappa1 = np.linalg.cond(Aeq, 1)
+        assert kappa_band / 3 <= cond <= kappa_band * (1 + 1e-10)
+        assert kappa1 / 3 <= cond
+        assert abs(cond / kappa1 - 1.0) <= np.finfo(float).eps * kappa1
+        monkeypatch.setattr(corrector, "BandLU", DenseLU)
+        dense_sys = dataclasses.replace(sysm, _lu=None, _cond=None)
+        dense_cond = dense_sys.factor()[1]
+        assert kappa1 / 3 <= dense_cond <= kappa1 * (1 + 1e-10)
+        # the diagnostic's inverse power iteration over either factors
+        dense_modes = nondegeneracy_diag(approx, degrees=degrees).perMode
+        monkeypatch.undo()
+        band_modes = nondegeneracy_diag(approx, degrees=degrees).perMode
+        for l in degrees:
+            assert band_modes[l] == pytest.approx(dense_modes[l], rel=1e-8)

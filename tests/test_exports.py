@@ -53,10 +53,11 @@ def test_module_uses_every_import(name):
 
 
 def test_cli_import_leaves_out_heavy_scipy():
-    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg; a
-    # fresh interpreter shows what `import qglue.cli` alone loads
+    # scipy.integrate pulls in scipy.optimize and scipy.sparse.linalg, and
+    # the bordered solve needs no sparse LU; a fresh interpreter shows what
+    # `import qglue.cli` alone loads
     heavy = ["scipy.integrate", "scipy.special", "scipy.optimize",
-             "scipy.interpolate"]
+             "scipy.interpolate", "scipy.sparse"]
     src = pathlib.Path(qglue.__file__).parents[1]
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import qglue.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])")
