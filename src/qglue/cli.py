@@ -230,6 +230,7 @@ def cmd_correct(params):
                      for (l, side, sign), val in result.alpha.items()}}
     if np.isfinite(result.cond):
         doc["cond"] = result.cond
+        doc["solveResidual"] = result.solveResidual
     return doc, {"corrected.json": result.solution.to_json(),
                  "trace.csv": ("k,defectSup,corrSup,ratio",
                                result.trace.rows)}

@@ -4,12 +4,13 @@ injectivity diagnostic of the corrected solution.
 
 One assembly serves both closures: the boundary rows {0, 1, N-2, N-1} per
 mode take clamp rows (discretize) or the mode's border rows (the bordered
-right inverse).  The operator is stored once, as a BandedOperator: the grid
-values are interleaved point-major, so the stencils and the pointwise mode
-coupling form one band, factored by LAPACK's banded LU; the bordered right
-inverse keeps two condition rows per end in the band and puts its other
-border rows and its deficiency columns in a dense border, eliminated through
-one small Schur complement.
+right inverse).  The operator is stored once, as a BandedOperator.  Its
+grid values, like those of every vector, are interleaved point-major, so
+the bands of gauges.paneitz_mode_band and the pointwise mode coupling form
+one band, applied by fd.band_apply and factored by LAPACK's banded LU; the
+bordered right inverse keeps two condition rows per end in the band and
+puts its other border rows and its deficiency columns in a dense border,
+eliminated through one small Schur complement.
 
 Boundary closure of the right inverse (per mode, per end): the interior
 unknown may only carry asymptotics that decay into the domain faster than
@@ -33,7 +34,7 @@ from scipy.linalg import lu_factor, lu_solve, schur
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError, IllConditionedError, NumericalError
-from .fd import jet_rows, stencil_size
+from .fd import band_apply, jet_rows, stencil_size
 from .gauges import (CylField, angular_basis, paneitz_mode_apply,
                      paneitz_mode_band)
 from .delaunay import sample_flow
@@ -97,62 +98,40 @@ def linear_apply(background, u):
 # the operator store: a point-major band with a dense border
 
 
-def _point_major(x, nmodes):
-    """Rows of x from mode-major (a N + i) to point-major (i nmodes + a)."""
-    return x.reshape(nmodes, -1, *x.shape[1:]).swapaxes(0, 1).reshape(x.shape)
-
-
-def _mode_major(x, nmodes):
-    """Rows of x from point-major back to mode-major."""
-    return x.reshape(-1, nmodes, *x.shape[1:]).swapaxes(0, 1).reshape(x.shape)
-
-
 @dataclass
 class BandedOperator:
-    """A square matrix over `nmodes` modes on one grid of N points: a band
-    core in point-major order, where unknown i nmodes + a is mode a at point
-    i, so that the pointwise coupling of the modes sits inside the band;
-    plus a dense border of k columns on the right and k rows below, with a
-    zero k x k corner.  Vectors and toarray() use the public layout: mode
-    a's grid values at a N + i, then the k border unknowns."""
+    """A square matrix over L modes on one grid of N points, in point-major
+    order: unknown i L + a is mode a at point i, so that the stencils and
+    the pointwise coupling of the modes form one band core, stored in the
+    layout of fd.band_apply; plus a dense border of k columns on the right
+    and k rows below, with a zero k x k corner.  Vectors and toarray() use
+    the same order, the k border unknowns last."""
 
-    nmodes: int
     kl: int                  # sub-diagonals of the core
     ku: int                  # super-diagonals of the core
-    band: np.ndarray         # (nmodes N, kl + ku + 1): A[p, p - kl + q]
-    cols: np.ndarray         # (nmodes N, k) border columns, point-major
-    rows: np.ndarray         # (k, nmodes N) border rows, point-major
+    band: np.ndarray         # (L N, kl + ku + 1): A[p, p - kl + q]
+    cols: np.ndarray         # (L N, k) border columns
+    rows: np.ndarray         # (k, L N) border rows
 
     @property
     def shape(self):
         n = len(self.band) + len(self.rows)
         return (n, n)
 
-    def _core_matvec(self, x):
-        n = len(self.band)
-        pad = np.zeros((n + self.kl + self.ku,) + x.shape[1:])
-        pad[self.kl:self.kl + n] = x
-        band = self.band.reshape(self.band.shape + (1,) * (x.ndim - 1))
-        y = np.zeros(x.shape)
-        for q in range(band.shape[1]):
-            y += band[:, q] * pad[q:q + n]
-        return y
-
     def matvec(self, x):
-        """The matrix times x (a vector or columns), in the public layout."""
+        """The matrix times x (a vector or columns)."""
         nc = len(self.band)
-        xc = _point_major(x[:nc], self.nmodes)
-        top = self._core_matvec(xc) + self.cols @ x[nc:]
-        return np.concatenate([_mode_major(top, self.nmodes), self.rows @ xc])
+        top = band_apply(self.band, x[:nc], self.kl) + self.cols @ x[nc:]
+        return np.concatenate([top, self.rows @ x[:nc]])
 
     def row_max(self):
-        """Largest |entry| of each row, in the public layout."""
-        core = np.max(np.abs(np.hstack([self.band, self.cols])), axis=1)
-        return np.concatenate([_mode_major(core, self.nmodes),
-                               np.max(np.abs(self.rows), axis=1)])
+        """Largest |entry| of each row."""
+        return np.concatenate([
+            np.max(np.abs(np.hstack([self.band, self.cols])), axis=1),
+            np.max(np.abs(self.rows), axis=1)])
 
     def toarray(self):
-        """The dense matrix in the public layout."""
+        """The dense matrix."""
         return self.matvec(np.eye(self.shape[0]))
 
 
@@ -160,16 +139,16 @@ class BandLU:
     """LU factors of a BandedOperator whose rows are divided by row_scale:
     LAPACK's banded LU (dgbtrf) of the core A, and block elimination of
     the border rows R and columns C through the k x k Schur complement
-    S = -R A^{-1} C (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991).  `norm1` is the exact 1-norm of
-    the scaled matrix; `singular` flags an exactly singular core or
-    complement.  solve() takes and returns the public layout."""
+    S = -R A^{-1} C (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991).
+    `norm1` is the exact 1-norm of the scaled matrix; `singular` flags an
+    exactly singular core or complement.  solve() uses the operator's order."""
 
     def __init__(self, op, row_scale):
         kl, ku, nc = op.kl, op.ku, len(op.band)
-        self.nmodes, self.kl, self.ku, self.n = op.nmodes, kl, ku, op.shape[0]
-        scale = _point_major(row_scale[:nc], op.nmodes)[:, None]
-        band, self.cols = op.band / scale, op.cols / scale
-        self.rows = op.rows / row_scale[nc:, None]
+        self.kl, self.ku, self.n = kl, ku, op.shape[0]
+        scale = row_scale[:, None]
+        band, self.cols = op.band / scale[:nc], op.cols / scale[:nc]
+        self.rows = op.rows / scale[nc:]
         # LAPACK band storage, ab[kl + ku + p - c, c] = A[p, c], with kl
         # spare rows for the fill-in of pivoting
         ab = np.zeros((2 * kl + ku + 1, nc), order="F")
@@ -196,14 +175,14 @@ class BandLU:
         """x with A x = b (trans=0) or A^T x = b (trans=1), for a vector
         or the columns of b."""
         nc = self.lu.shape[1]
-        y = self._core(_point_major(b[:nc], self.nmodes), trans)
+        y = self._core(b[:nc], trans)
         amp = b[nc:]
         if len(amp):
             inner, back = ((self.rows, self.colsolve) if trans == 0
                            else (self.cols.T, self.rowsolve))
             amp = lu_solve(self.schur, amp - inner @ y, trans=trans)
             y = y - back @ amp
-        return np.concatenate([_mode_major(y, self.nmodes), amp])
+        return np.concatenate([y, amp])
 
 
 def _inv_norm1(lu):
@@ -267,7 +246,7 @@ class _ModeBorder:
 
 @dataclass
 class BorderedSystem:
-    """Square linear system in the unknowns (grid values per mode,
+    """Square linear system in the unknowns (grid values point-major, then
     deficiency amplitudes per mode), stored as a BandedOperator: each mode's
     band slots {0, 1, N-2, N-1} hold two condition rows per end, and its
     other border rows (with the deficiency columns) form the dense border."""
@@ -465,9 +444,10 @@ def _background_system(approx, degrees, borders):
         for b in range(L1):
             core[2:N - 2, a, kl + b - a] -= consts.K * C[a, b, 2:N - 2]
 
-    # the operator applied to each deficiency column by the stencil form of
-    # linear_apply (the band product differs from it by rounding), on the
-    # interior rows
+    # the operator applied to each deficiency column by linear_apply's own
+    # kernel, on the interior rows: the interleaved core sums the same
+    # terms in another order, so its product would differ from linear_apply
+    # by rounding, and the solve's residual is measured with linear_apply
     defic = [(a, w) for a, bb in enumerate(borders) if bb.Bcols is not None
              for w in bb.Bcols.T]
     cols = np.zeros((N, L1, len(defic)))
@@ -481,7 +461,7 @@ def _background_system(approx, degrees, borders):
     for k, (a, r) in enumerate(extra):
         rows[k, :, a] = r
 
-    op = BandedOperator(nmodes=L1, kl=kl, ku=ku,
+    op = BandedOperator(kl=kl, ku=ku,
                         band=core.reshape(N * L1, -1),
                         cols=cols.reshape(N * L1, -1),
                         rows=rows.reshape(len(extra), N * L1))
@@ -561,7 +541,7 @@ def solve_right_inverse(sys, f):
     L, N = len(degrees), len(sys.approx.s)
     frows = f.rows(degrees)
     rhs = np.zeros(sys.matrix.shape[0])
-    rhs[:L * N].reshape(L, N)[:, 2:N - 2] = frows[:, 2:N - 2]
+    rhs[:L * N].reshape(N, L)[2:N - 2] = frows[:, 2:N - 2].T
     lu, cond = sys.factor()
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedError("bordered system is numerically singular",
@@ -569,17 +549,15 @@ def solve_right_inverse(sys, f):
     x = _refined_solve(lu.solve,
                        lambda y: sys.matrix.matvec(y) / sys.row_scale,
                        rhs / sys.row_scale)
-    uparts = x[:L * N].reshape(L, N).copy()
+    uparts = x[:L * N].reshape(N, L).T.copy()
     alpha = {}
-    off = L * N
+    amps = iter(x[L * N:].reshape(-1, 4))
     for a, b in enumerate(sys.borders):
-        if b.Bcols is None:
-            continue
-        al = x[off:off + 4]
-        off += 4
-        uparts[a] += b.Bcols @ al
-        for k, (side, sign) in enumerate(_DEFICIENCY_LABELS):
-            alpha[(b.l, side, sign)] = float(al[k])
+        if b.Bcols is not None:
+            al = next(amps)
+            uparts[a] += b.Bcols @ al
+            alpha.update(((b.l, side, sign), float(v))
+                         for (side, sign), v in zip(_DEFICIENCY_LABELS, al))
     ufield = CylField(f.constants, f.t, degrees, uparts)
     # interior residual of the reconstructed solution
     Lu = linear_apply(sys.approx.field, ufield)
@@ -672,6 +650,7 @@ class IterateResult:
     scheme: str
     alpha: dict                  # amplitudes of the whole correction
     cond: float
+    solveResidual: float         # largest relResidual of the run's solves
 
 
 def _total_defect(approx, f0, u):
@@ -721,9 +700,11 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
         return IterateResult(solution=approx.field.copy(), correction=u,
                              trace=IterationTrace(rows), initialDefect=d0,
                              finalDefect=d0, converged=True, scheme=scheme,
-                             alpha={}, cond=float("nan"))
+                             alpha={}, cond=float("nan"),
+                             solveResidual=float("nan"))
     sys0 = bordered_system(approx, degrees=degrees)
     alpha = {}
+    solve_res = 0.0
     prev_corr = None
     bad = 0
     defect_now = d0
@@ -747,6 +728,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             # the correction sums the increments, and alpha their amplitudes
             alpha = {key: alpha.get(key, 0.0) + a
                      for key, a in res.alpha.items()}
+        solve_res = max(solve_res, res.relResidual)
         corr = _interior_sup(u_next - u)
         u = u_next
         total = _total_defect(approx, f0, u)
@@ -778,7 +760,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
                          trace=IterationTrace(rows), initialDefect=d0,
                          finalDefect=defect_now, converged=converged,
                          scheme=scheme, alpha=alpha,
-                         cond=sys0.factor()[1])
+                         cond=sys0.factor()[1], solveResidual=solve_res)
 
 
 def verify_correction(approx, correction):

@@ -1,10 +1,12 @@
 """High-order finite differences on uniform grids.
 
-Stencil weights come from Fornberg's recurrence, so any derivative order and
-accuracy are available, centered in the interior and biased (same order) near
-the ends of a non-periodic grid.  Fourth-order operators need the full jet up
-to w'''', which is why everything here is parameterized by the derivative
-order rather than hard-coded.
+Stencil weights come from Fornberg's recurrence (Math. Comp. 51, 1988), so
+any derivative order and accuracy are available, centered in the interior
+and biased (same order) near the ends of a non-periodic grid.  Fourth-order
+operators need the full jet up to w'''', which is why everything here is
+parameterized by the derivative order rather than hard-coded.  An operator
+exists in one form, as band rows in LAPACK's layout (derivative_band), and
+band_apply is the one product with a band.
 """
 
 from functools import lru_cache
@@ -78,57 +80,53 @@ def stencil_at(i, npoints, deriv, acc):
         raise ValueError(
             f"grid with {npoints} points too coarse for derivative {deriv} "
             f"at accuracy {acc} ({npts} stencil points needed)")
-    half = npts // 2
-    if i - half < 0:
-        lo = 0
-    elif i + half >= npoints:
-        lo = npoints - npts
-    else:
-        lo = i - half
+    lo = min(max(i - npts // 2, 0), npoints - npts)
     nodes = np.arange(lo, lo + npts)
-    w = _unit_weights(tuple(nodes - i), deriv)
-    return nodes, w
+    return nodes, _unit_weights(tuple(nodes - i), deriv)
 
 
-def apply_derivative(vals, h, deriv, acc):
-    """Differentiate uniformly spaced samples; centered stencils in the
-    interior, shifted same-order stencils near the ends."""
-    vals = np.asarray(vals, dtype=float)
-    N = vals.shape[-1]
+@lru_cache(maxsize=None)
+def _end_rows(deriv, acc, reach):
+    """Band rows of the stencil_size // 2 points at each end, the first
+    ones then the last ones.  Their shifted stencils do not depend on the
+    number of points, so the smallest grid gives them."""
     npts = stencil_size(deriv, acc)
     half = npts // 2
-    if npts > N:
-        raise ValueError(
-            f"{N} samples too few for derivative {deriv} at accuracy {acc}")
-    scale = h ** (-deriv)
-    offs = np.arange(-half, half + 1)
-    w = _unit_weights(tuple(offs), deriv)
-    out = np.zeros_like(vals)
-    core = slice(half, N - half)
-    seg = np.zeros_like(vals[..., core])
-    for k, o in enumerate(offs):
-        seg += w[k] * vals[..., half + o:N - half + o]
-    out[..., core] = seg
-    for i in list(range(half)) + list(range(N - half, N)):
-        nodes, wi = stencil_at(i, N, deriv, acc)
-        out[..., i] = vals[..., nodes] @ wi
-    return out * scale
+    rows = np.zeros((2 * half, 2 * reach + 1))
+    for k, i in enumerate([*range(half), *range(npts - half, npts)]):
+        nodes, w = stencil_at(i, npts, deriv, acc)
+        rows[k, nodes - i + reach] = w
+    rows.flags.writeable = False
+    return rows
 
 
 def derivative_band(npoints, deriv, acc, reach):
-    """apply_derivative's unit-spacing weights as an (npoints, 2 reach + 1)
-    band: row i holds the weights on points i - reach .. i + reach.  The
-    interior rows share one centred weight vector; only the end rows go
-    through stencil_at, so reach must be at least the stencil size minus
-    one.  Scale by h**(-deriv) for spacing h."""
-    half = stencil_size(deriv, acc) // 2
+    """stencil_at's unit-spacing weights of derivative `deriv` as an
+    (npoints, 2 reach + 1) band: row i holds row i's weights on points
+    i - reach .. i + reach, so reach must be at least the stencil size
+    minus one.  The interior rows copy the first centred row; the end rows
+    come from _end_rows.  Scale by h**(-deriv) for spacing h."""
+    ends = _end_rows(deriv, acc, reach)
+    half = len(ends) // 2
     band = np.zeros((npoints, 2 * reach + 1))
-    band[half:npoints - half, reach - half:reach + half + 1] = _unit_weights(
-        tuple(range(-half, half + 1)), deriv)
-    for i in list(range(half)) + list(range(npoints - half, npoints)):
-        nodes, w = stencil_at(i, npoints, deriv, acc)
-        band[i, nodes - i + reach] = w
+    band[half:npoints - half, reach - half:reach + half + 1] = stencil_at(
+        half, npoints, deriv, acc)[1]
+    band[:half], band[npoints - half:] = ends[:half], ends[half:]
     return band
+
+
+def band_apply(band, x, kl):
+    """A x for the (n, kl + ku + 1) band of a square A, A[p, p - kl + q] =
+    band[p, q], and x a vector or (n, k) columns; band entries that fall
+    outside A multiply zeros."""
+    n, width = band.shape
+    pad = np.zeros((n + width - 1,) + x.shape[1:])
+    pad[kl:kl + n] = x
+    band = band.reshape(band.shape + (1,) * (x.ndim - 1))
+    y = np.zeros(x.shape)
+    for q in range(width):
+        y += band[:, q] * pad[q:q + n]
+    return y
 
 
 def jet_rows(npoints, h, i, max_deriv, acc):
@@ -138,11 +136,7 @@ def jet_rows(npoints, h, i, max_deriv, acc):
     node set stencil_at picks for derivative max_deriv at order `acc`.
     """
     nodes = stencil_at(i, npoints, max_deriv, acc)[0]
-    w = fd_weights(0.0, (nodes - i) * h, max_deriv)
     rows = np.zeros((max_deriv + 1, npoints))
     for k in range(max_deriv + 1):
-        wk = w[k]
-        if k >= 1:
-            wk = wk - wk.sum() / len(wk)
-        rows[k, nodes] = wk
+        rows[k, nodes] = _unit_weights(tuple(nodes - i), k) * h ** -k
     return rows

@@ -18,7 +18,7 @@ from math import gamma, pi, sqrt
 import numpy as np
 
 from .errors import DomainError
-from .fd import apply_derivative, derivative_band, stencil_size
+from .fd import band_apply, derivative_band, stencil_size
 
 __all__ = [
     "GaugeConstants", "derive_constants", "CylField", "AngularBasis",
@@ -61,8 +61,8 @@ class GaugeConstants:
 
     def mode_coefficients(self, lam):
         """(A, B) of the mode-lam operator w'''' - A w'' + (lam^2 + B) w,
-        with A = 2 lam + c2 and B = (n(n-4)/2) lam + c0.  lam^2 is left out
-        of B because the apply form adds lam^2 w and B w as separate terms."""
+        with A = 2 lam + c2 and B = (n(n-4)/2) lam + c0; callers add
+        lam^2 + B."""
         return (2 * lam + self.c2,
                 self.n * (self.n - 4) / 2.0 * lam + self.c0)
 
@@ -293,16 +293,17 @@ class CylField:
 
 
 def paneitz_mode_apply(consts, lam, w, h, acc):
-    """The cylindrical fourth-order conformal operator on one mode:
-    w -> w'''' + lam^2 w - (2 lam + c2) w'' + ((n(n-4)/2) lam + c0) w."""
-    A, B = consts.mode_coefficients(lam)
-    d4 = apply_derivative(w, h, 4, acc=acc)
-    d2 = apply_derivative(w, h, 2, acc=acc)
-    return d4 + lam ** 2 * w - A * d2 + B * w
+    """The cylindrical fourth-order conformal operator on one mode,
+    w -> w'''' + lam^2 w - (2 lam + c2) w'' + ((n(n-4)/2) lam + c0) w, on
+    samples w of spacing h (or on (points, k) columns of them): the product
+    with paneitz_mode_band at the reach of the shifted end stencils."""
+    reach = stencil_size(4, acc) - 1
+    return band_apply(paneitz_mode_band(consts, lam, len(w), h, acc, reach),
+                      w, reach)
 
 
 def paneitz_mode_band(consts, lam, npoints, h, acc, reach):
-    """paneitz_mode_apply as an (npoints, 2 reach + 1) band: row i holds the
+    """The mode operator as an (npoints, 2 reach + 1) band: row i holds the
     weights on points i - reach .. i + reach (fd.derivative_band)."""
     A, B = consts.mode_coefficients(lam)
     band = derivative_band(npoints, 4, acc, reach) * h ** -4.0

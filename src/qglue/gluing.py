@@ -250,9 +250,9 @@ def defect(approx, delta=1.5):
     # linear cutoff commutators, mode by mode
     commutator = np.empty_like(approx.blend.coeffs)
     for k, l in enumerate(approx.field.degrees):
-        Lw, La, Lb = (paneitz_mode_apply(consts, consts.lam(l), w.coeffs[k],
-                                         h, acc=STENCIL_ORDER)
-                      for w in pieces)
+        Lw, La, Lb = paneitz_mode_apply(
+            consts, consts.lam(l), np.stack([w.coeffs[k] for w in pieces], 1),
+            h, acc=STENCIL_ORDER).T
         commutator[k] = Lw - chi * La - (1.0 - chi) * Lb
 
     # pointwise nonlinear part: -cN vB^p [r(W/vB) - chi r(w1/vB) - (1-chi) r(w2/vB)]

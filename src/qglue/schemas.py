@@ -276,6 +276,10 @@ SUMMARY_SCHEMAS = {
                      "matrix about the blend; a solve above COND_LIMIT = "
                      "1e13 fails with exit code 3.  Omitted when the ends "
                      "are exact and no system is assembled"},
+            "solveResidual": {"type": "number", "description":
+                              "largest relResidual, max|L u - f| / max|f| "
+                              "on the interior, of the run's bordered "
+                              "solves; gates no exit code, omitted with cond"},
             "alpha": {"type": "object", "description":
                       "deficiency amplitudes of the whole correction, keyed "
                       "'l:' plus end (L, R) and generator sign (+, -); "

@@ -200,6 +200,7 @@ class TestCommands:
         validate_summary(summary)
         assert summary["finalDefect"] < 1e-9
         assert summary["converged"]
+        assert 0.0 <= summary["solveResidual"] < 1e-6
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert lines[0] == "k,defectSup,corrSup,ratio"
         assert float(lines[-1].split(",")[1]) < 1e-9
@@ -220,6 +221,7 @@ class TestCommands:
         assert doc["iterations"] == 0
         assert doc["converged"]
         assert "cond" not in doc
+        assert "solveResidual" not in doc
 
     def test_diagnose(self, tmp_path):
         params = {
