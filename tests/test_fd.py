@@ -28,11 +28,6 @@ def test_band_rows_are_stencil_at(deriv, acc, extra):
         assert np.array_equal(band, expect)
 
 
-def test_band_too_coarse_grid():
-    with pytest.raises(ValueError):
-        derivative_band(stencil_size(4, 8) - 1, 4, 8, 20)
-
-
 @pytest.mark.parametrize("shape", [(), (3,)])
 def test_band_apply_is_the_dense_product(shape):
     n, kl, ku = 30, 3, 5
