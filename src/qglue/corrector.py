@@ -18,8 +18,9 @@ the weight rate 1.5.  This is expressed as jet
 conditions in a frame of the multiplier > e^{1.5 T} subspaces of the
 one-period flow and its inverse (one sorted Schur form each) and, in modes
 0 and 1, the generator pair, all realized as discrete jets (window solutions
-sampled by integration and differentiated with the same one-sided stencils
-as the condition rows, so sampled solutions are annihilated exactly).  Slow
+from the dense output of the monodromy run that starts at the window's
+first node, differentiated with the same one-sided stencils as the
+condition rows, so sampled solutions are annihilated exactly).  Slow
 and neutral directions are carried by amplitudes of cutoff generator fields
 anchored at each end; two gauge rows per deficiency-carrying mode make the
 system square and kill the bounded null space by minimizing the
@@ -37,7 +38,6 @@ from .errors import DomainError, IllConditionedError, NumericalError
 from .fd import band_apply, jet_rows, stencil_size
 from .gauges import (CylField, angular_basis, paneitz_mode_apply,
                      paneitz_mode_band)
-from .delaunay import sample_flow
 from .jacobi import ModeOperator, generators, monodromy_data, smooth_step
 from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
     log_annulus_weight, stable_power_remainder, weighted_norm
@@ -278,7 +278,8 @@ def _mode_border(approx, basis, l):
     overlap and the grid but not on the background field.
 
     Frames are built from discrete jets: each frame direction is sampled as
-    an actual solution over the end window and its jet extracted with the
+    an actual solution over the end window, by the monodromy run that
+    starts at the window's first node, and its jet extracted with the
     same one-sided stencils the condition rows use, so the rows annihilate
     sampled solutions exactly.  (With analytic jets the extraction truncation
     of the steep directions, (gamma h)^8, lets the solve hide an amplified
@@ -311,26 +312,24 @@ def _mode_border(approx, basis, l):
 
     win = stencil_size(3, STENCIL_ORDER)
     frames = {}
-    for side, i_end, jet in (("L", 0, jl), ("R", N - 1, jr)):
-        end_s = s[i_end]
-        t0 = end_s + phase
-        win_nodes = (s[:win] if side == "L" else s[N - win:]) + phase
-        data = monodromy_data(op, t0=t0)
+    for side, i0, jet in (("L", 0, jl), ("R", N - win, jr)):
+        nodes = s[i0:i0 + win]
+        # each end's run starts at its window's first node
+        data = monodromy_data(op, t0=nodes[0] + phase,
+                              offsets=nodes - nodes[0])
         # fast directions from both one-period flows; the slow and neutral
         # ones of modes 0 and 1 from the analytic generators
         dec = _invariant_subspace(data.backward, n_dec, thresh)
         grow = _invariant_subspace(data.matrix, n_dec, thresh)
         # a window is a stencil wide: growing directions stay representable
-        sol = list(sample_flow(
-            orbit, op.lam, t0, np.concatenate([dec, grow], axis=1), win_nodes,
-            0.5 * float(np.min(np.diff(np.sort(win_nodes)))),
-            "window sampling of a frame solution failed")[4:4 + 2 * n_dec])
+        sol = list((data.window[:, 0, :]
+                    @ np.concatenate([dec, grow], axis=1)).T)
         samples = sol[:n_dec]
         if has_deficiency:
-            samples += [basis.jet(l, sign, win_nodes)[0] for sign in "+-"]
+            samples += [basis.jet(l, sign, nodes + phase)[0] for sign in "+-"]
         samples += sol[n_dec:]
         # discrete jets: extract with the same stencils the rows will use
-        jet_win = jet[:, :win] if side == "L" else jet[:, N - win:]
+        jet_win = jet[:, i0:i0 + win]
         S = np.stack([jet_win @ w for w in samples], axis=1)
         col_scale = np.max(np.abs(S), axis=0)
         S = S / col_scale

@@ -7,9 +7,9 @@ v(0) = eps and exactly periodic with T = 2 pi / omega, so evaluation has no
 seams and no window limit.  (a_1..a_N, omega) solve the ODE collocated at
 N + 1 points of a half period (Boyd, Chebyshev and Fourier Spectral
 Methods, 2nd ed., chs. 2-4), by Newton's method continued in log eps from
-the linearization at epsBar.  sample_flow, started from orbit.jet, samples
-solutions of the orbit's linearizations by the dense output of the in-tree
-DOP853 of qglue.ode.
+the linearization at epsBar.  _mode_flow_rhs is the one flow of the orbit
+jointly with jets of its mode linearizations; jacobi.monodromy_data
+integrates it, started from orbit.jet.
 """
 
 from dataclasses import dataclass
@@ -19,11 +19,10 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .gauges import GaugeConstants, derive_constants
-from .ode import dop853
 
 __all__ = [
-    "hamiltonian", "sample_contiguous", "sample_flow", "DelaunayOrbit",
-    "solve_orbit", "FamilyParams", "expansion_error", "ExpansionStudy",
+    "hamiltonian", "DelaunayOrbit", "solve_orbit", "FamilyParams",
+    "expansion_error", "ExpansionStudy",
 ]
 
 
@@ -65,40 +64,6 @@ def _mode_flow_rhs(consts, lam, k):
         return out
 
     return rhs
-
-
-def sample_contiguous(rhs, t0, y0, tgrid, max_step, failure):
-    """States at every point of tgrid of the solution with y(t0) = y0, from
-    one contiguous ode.dop853 run at tolerance 1e-13 below t0 and one above
-    it, with steps capped at max_step; each sample is the run's dense
-    output of order 7.
-
-    Returns a (len(y0), len(tgrid)) array; raises NumericalError(failure)
-    when a run fails."""
-    tgrid = np.asarray(tgrid, dtype=float)
-    out = np.empty((len(y0), len(tgrid)))
-    out[:, tgrid == t0] = np.asarray(y0, dtype=float)[:, None]
-    for mask, direction in ((tgrid < t0, -1), (tgrid > t0, +1)):
-        if not mask.any():
-            continue
-        cols = np.where(mask)[0]
-        cols = cols[np.argsort(tgrid[cols], kind="stable")][::direction]
-        te = tgrid[cols]
-        out[:, cols] = dop853(rhs, t0, y0, float(te[-1]), 1e-13, max_step,
-                              te, failure)[1]
-    return out
-
-
-def sample_flow(orbit, lam, t0, jets, tgrid, max_step, failure):
-    """States at tgrid of the orbit and of the k solutions of its mode-lam
-    linearization whose jets at t0 are the columns of `jets` (4, k), by
-    sample_contiguous from orbit.jet(t0): the (4 + 4k, len(tgrid)) state of
-    _mode_flow_rhs, whose row 4 + d k + j is derivative d of solution j.
-    Unstable directions amplify the error with the distance from t0."""
-    jets = np.asarray(jets, dtype=float)
-    rhs = _mode_flow_rhs(orbit.constants, lam, jets.shape[1])
-    y0 = np.concatenate([orbit.jet(t0), jets.reshape(-1)])
-    return sample_contiguous(rhs, t0, y0, tgrid, max_step, failure)
 
 
 # ----------------------------------------------------------------------

@@ -331,7 +331,8 @@ class DecayStudy:
 def decay_study(cfg, m_list, grid_per_period=64, delta=1.5):
     """Fit the exponential decay of the blend defect in the overlap length.
 
-    Builds the approximate solution for each m in m_list, measures the defect
+    Builds the approximate solution for each m in m_list (at least three,
+    none repeated, so no length is weighted twice), measures the defect
     sup norm and fits log sup against m T; returns the fitted rate betaHat
     (the negated slope per unit m T) and the max log-residual of the fit.
     Compatible exact ends (every sup at or below 1e-280) report exact=True
@@ -339,8 +340,9 @@ def decay_study(cfg, m_list, grid_per_period=64, delta=1.5):
     """
     floor = 1e-280
     m_list = sorted(int(m) for m in m_list)
-    if len(m_list) < 3:
-        raise DomainError("need at least three overlap lengths for a fit")
+    if len(m_list) < 3 or len(set(m_list)) < len(m_list):
+        raise DomainError("need at least three overlap lengths for a fit, "
+                          "none repeated")
     sups, weighteds = [], []
     for m in m_list:
         c = replace(cfg, m=m)

@@ -1,10 +1,11 @@
 """Linearization about a periodic orbit: per-mode operators, the generator
 solutions of degrees 0 and 1 from the deformation families, Floquet
-analysis of the flows of delaunay._mode_flow_rhs, integrated by the
-in-tree DOP853 of qglue.ode, the conserved boundary pairing, and the smooth
-step that every cutoff is built from.  JacobiBasis holds every generator;
-its necksize field is the eps-derivative of the orbit's cosine series, in
-closed form.
+analysis of the flows of delaunay._mode_flow_rhs (one batched run of the
+in-tree DOP853 of qglue.ode per mode and start, whose dense output also
+gives the flow on a window after the start), the conserved boundary
+pairing, and the smooth step that every cutoff is built from.  JacobiBasis
+holds every generator; its necksize field is the eps-derivative of the
+orbit's cosine series, in closed form.
 """
 
 from dataclasses import dataclass
@@ -73,50 +74,55 @@ class MonodromyData:
     backward: np.ndarray        # Omega^{-1} M^T Omega, the inverse of matrix
     detFactored: float          # det from subinterval factors
     period: float
+    window: np.ndarray          # (k, 4, 4) flows from t0 to t0 + offsets
 
 
 MONODROMY_SUBINTERVALS = 24
-# rtol = atol of the batched run.  Its error norm is an RMS over all
-# subintervals' components, so one component may carry about
-# sqrt(MONODROMY_SUBINTERVALS) times the average.  3e-14 stays just above
-# 100 eps, the usual floor of DOP853 tolerances: below it the rounding of
-# the stage sums, not the truncation, drives the error estimate
-MONODROMY_TOL = 3e-14
 
 
-def monodromy_data(op, t0=0.0):
-    """One-period flow of the mode system from t0, its inverse, and its
+def monodromy_data(op, t0=0.0, offsets=()):
+    """One-period flow of the mode system from t0, its inverse, its
     determinant accumulated over subintervals (the direct determinant of the
-    assembled matrix is destroyed by the dynamic range of the multipliers).
+    assembled matrix is destroyed by the dynamic range of the multipliers),
+    and the flows Phi(t0 + offset; t0) for each of the offsets in [0, T).
 
     The flow is autonomous, so the MONODROMY_SUBINTERVALS subintervals all
     start at local time 0 and run together over their common length as one
-    batched ode.dop853 run at tolerance MONODROMY_TOL, of which only the end
-    state is kept: each column of the (20, MONODROMY_SUBINTERVALS) state is
-    the identity flow jointly with the orbit, restarted from orbit.jet at
-    its subinterval's left edge (a carried orbit would drift along its
-    unstable directions over a period).
+    batched ode.dop853 run: each column of the (20, MONODROMY_SUBINTERVALS)
+    state is the identity flow jointly with the orbit, restarted from
+    orbit.jet at its subinterval's left edge (a carried orbit would drift
+    along its unstable directions over a period).  An offset's flow is the
+    run's dense output at the offset's local time in its subinterval times
+    the product of the earlier subintervals' factors; sampling changes no
+    step, so matrix, backward and detFactored do not depend on the offsets.
     The flow preserves symplectic_pairing, M^T Omega M = Omega, so the
     backward flow is Omega^{-1} M^T Omega and needs no second sweep."""
     T = op.orbit.period
     n_sub = MONODROMY_SUBINTERVALS
     flow = _mode_flow_rhs(op.constants, op.lam, 4)
     edges = t0 + np.linspace(0.0, T, n_sub + 1)
+    sub, local = np.divmod(np.asarray(offsets, dtype=float), T / n_sub)
+    sub = sub.astype(int)
+    times, at = np.unique(local, return_inverse=True)
     y0 = np.empty((20, n_sub))
     y0[:4] = op.orbit.jet(edges[:-1], max_deriv=3)
     y0[4:] = np.eye(4).reshape(-1, 1)
-    end, _ = dop853(lambda t, y: flow(t, y.reshape(20, n_sub)).reshape(-1),
-                    0.0, y0.reshape(-1), T / n_sub, MONODROMY_TOL, np.inf, (),
-                    "monodromy integration failed")
+    end, dense = dop853(
+        lambda t, y: flow(t, y.reshape(20, n_sub)).reshape(-1),
+        y0.reshape(-1), T / n_sub, times)
     factors = end[4 * n_sub:].reshape(4, 4, n_sub).transpose(2, 0, 1)
-    M = np.eye(4)
+    # partial[j]: the flow over the first j subintervals
+    partial = [np.eye(4)]
     for F in factors:
-        M = F @ M
+        partial.append(F @ partial[-1])
+    M = partial[-1]
+    inside = dense[4 * n_sub:].reshape(4, 4, n_sub, len(times))
+    window = inside[:, :, sub, at].transpose(2, 0, 1) @ np.array(partial)[sub]
     det = np.prod(np.linalg.det(factors))
     Om = _pairing_matrix(op.A)
     backward = np.linalg.solve(Om, M.T @ Om)
     return MonodromyData(matrix=M, backward=backward, detFactored=det,
-                         period=T)
+                         period=T, window=window)
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """DOP853, the explicit Runge-Kutta pair of order 8(5,3) with dense output
 of order 7 (Hairer, Norsett & Wanner, Solving Ordinary Differential
-Equations I, 2nd ed., secs. II.4-6), with the step control of SciPy's
-solve_ivp(method="DOP853") operation for operation, so a run gives the same
-numbers as that routine.  The tableau is SciPy's (integrate/_ivp/
-dop853_coefficients.py, Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy
-Developers; BSD 3-Clause licence, LICENSES/SciPy-BSD-3-Clause.txt in the
-source tree), written with the shortest decimals of the same doubles.
+Equations I, 2nd ed., secs. II.4-6), forward from t = 0 at the one
+tolerance TOL, with the step control of SciPy's solve_ivp(method="DOP853")
+operation for operation, so a run gives the same numbers as that routine
+at rtol = atol = TOL.  Its one caller is jacobi.monodromy_data.  The
+tableau is SciPy's (integrate/_ivp/dop853_coefficients.py, Copyright (c)
+2001-2002 Enthought, Inc. 2003, SciPy Developers; BSD 3-Clause licence,
+LICENSES/SciPy-BSD-3-Clause.txt in the source tree), written with the
+shortest decimals of the same doubles.
 """
 
 import numpy as np
@@ -93,55 +95,56 @@ SAFETY = 0.9       # of the asymptotically optimal step
 MIN_FACTOR = 0.2   # largest decrease of a step
 MAX_FACTOR = 10    # largest increase of a step
 EXPONENT = -1 / 8  # the error estimate is of order h^8
+# rtol = atol.  The error norm is an RMS over all components, so in a
+# batched run of k independent states one component may carry about
+# sqrt(k) times the average.  3e-14 stays just above 100 eps, the usual
+# floor of DOP853 tolerances: below it the rounding of the stage sums, not
+# the truncation, drives the error estimate
+TOL = 3e-14
 
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, t_end, direction, tol, max_step):
+def _initial_step(fun, y0, f0, t_end):
     """First step size from one explicit Euler probe (sec. II.4)."""
-    interval = abs(t_end - t0)
-    scale = tol + np.abs(y0) * tol
+    scale = TOL + np.abs(y0) * TOL
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_end)
+    f1 = fun(h0, y0 + h0 * f0)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval, max_step)
+    return min(100 * h0, h1, t_end)
 
 
-def dop853(fun, t0, y0, t_end, tol, max_step, t_eval, failure):
-    """Integrate y' = fun(t, y) from y(t0) = y0 to t_end != t0 at rtol =
-    atol = tol, in steps no longer than max_step.
+def dop853(fun, y0, t_end, t_eval):
+    """Integrate y' = fun(t, y) from y(0) = y0 to t_end > 0 at tolerance
+    TOL.
 
     Returns (y(t_end), Y): column i of the (len(y0), len(t_eval)) array Y
-    is the dense output at t_eval[i], where t_eval runs monotonically from
-    t0 toward t_end inside [t0, t_end].  Raises NumericalError(failure)
-    when the step falls below ten ulps of t or is not a number (the
-    right-hand side turned nan)."""
+    is the dense output at t_eval[i], where t_eval ascends inside
+    [0, t_end].  Raises NumericalError when the step falls below ten ulps
+    of t or is not a number (the right-hand side turned nan)."""
     y = np.asarray(y0, dtype=float)
-    direction = np.sign(t_end - t0)
-    # searchsorted needs ascending points; `done` bounds the sampled ones
-    ts = np.asarray(t_eval, dtype=float)[::int(direction)]
-    done = 0 if direction > 0 else len(ts)
+    ts = np.asarray(t_eval, dtype=float)
+    done = 0  # the points of ts sampled so far
     K = np.empty((16, y.size))  # one stage per row
-    t, f = t0, fun(t0, y)
-    h_abs = _initial_step(fun, t0, y, f, t_end, direction, tol, max_step)
+    t, f = 0.0, fun(0.0, y)
+    h_abs = _initial_step(fun, y, f, t_end)
     samples = []
-    while direction * (t - t_end) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+    while t < t_end:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if not h_abs >= min_step:  # a nan step fails too
-                raise NumericalError(failure)
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0:
-                t_new = t_end
+                raise NumericalError("ODE step fell below ten ulps of t "
+                                     "or turned nan")
+            t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = f
@@ -151,7 +154,7 @@ def dop853(fun, t0, y0, t_end, tol, max_step, t_eval, failure):
             f_new = K[12] = fun(t + h, y_new)
             # the order-5 error estimate damped by the order-3 one, as an
             # RMS over the components
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            scale = TOL + np.maximum(np.abs(y), np.abs(y_new)) * TOL
             e5 = np.linalg.norm(np.dot(K[:13].T, _E5) / scale) ** 2
             e3 = np.linalg.norm(np.dot(K[:13].T, _E3) / scale) ** 2
             err = (0.0 if e5 == 0 and e3 == 0
@@ -165,9 +168,8 @@ def dop853(fun, t0, y0, t_end, tol, max_step, t_eval, failure):
             rejected = True
         t_old, y_old, f_old = t, y, f
         t, y, f = t_new, y_new, f_new
-        new = np.searchsorted(ts, t, side="right" if direction > 0 else "left")
-        step_ts = ts[done:new] if direction > 0 else ts[new:done][::-1]
-        if not step_ts.size:
+        new = np.searchsorted(ts, t, side="right")
+        if new == done:
             continue
         # the dense output: three extra stages, then the interpolant of
         # degree 7 in the step's fraction x, evaluated nested
@@ -180,7 +182,7 @@ def dop853(fun, t0, y0, t_end, tol, max_step, t_eval, failure):
         F[1] = h * f_old - dy
         F[2] = 2 * dy - h * (f + f_old)
         F[3:] = h * np.dot(_D, K)
-        x = ((step_ts - t_old) / h)[:, None]
+        x = ((ts[done:new] - t_old) / h)[:, None]
         out = np.zeros((len(x), y.size))
         for i, row in enumerate(F[::-1]):
             out += row

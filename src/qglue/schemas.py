@@ -267,19 +267,25 @@ SUMMARY_SCHEMAS = {
             "m": {"type": "integer"}, "scheme": _str,
             "initialDefect": _num, "finalDefect": _num,
             "residualSup": _num, "psiSup": _num,
-            "converged": {"type": "boolean"},
+            "converged": {"type": "boolean", "description":
+                          "the defect fell below tol or 1e-30, or the "
+                          "steps stagnated at the rounding floor.  An "
+                          "initial defect at or below 1e-30 is converged "
+                          "with iterations 0: no system is assembled"},
             "iterations": {"type": "integer"},
             "maxRatio": {"type": ["number", "null"]},
             "cond": {"type": "number", "description":
                      "1-norm condition estimate (Hager-Higham, as in "
                      "LAPACK gecon) of the row-equilibrated bordered "
                      "matrix about the blend; a solve above COND_LIMIT = "
-                     "1e13 fails with exit code 3.  Omitted when the ends "
-                     "are exact and no system is assembled"},
+                     "1e13 fails with exit code 3.  Omitted when no "
+                     "system is assembled: the initial defect is at or "
+                     "below 1e-30, as with exact ends"},
             "solveResidual": {"type": "number", "description":
                               "largest relResidual, max|L u - f| / max|f| "
                               "on the interior, of the run's bordered "
-                              "solves; gates no exit code, omitted with cond"},
+                              "solves; gates no exit code.  Omitted with "
+                              "cond, when no solve runs"},
             "alpha": {"type": "object", "description":
                       "deficiency amplitudes of the whole correction, keyed "
                       "'l:' plus end (L, R) and generator sign (+, -); "
@@ -297,7 +303,9 @@ SUMMARY_SCHEMAS = {
             {"type": "object", "description":
              "borderedSystem: 1-norm condition estimate (Hager-Higham, "
              "as in LAPACK gecon) of the row-equilibrated bordered matrix "
-             "about the blend, compared against COND_LIMIT = 1e13"},
+             "about the blend, compared against COND_LIMIT = 1e13.  Empty "
+             "when no system is assembled: no correction is applied, or "
+             "the initial defect is at or below 1e-30"},
         },
     },
 }

@@ -15,6 +15,13 @@ from qglue.schemas import (GLUING_CONFIG, MANIFEST_SCHEMA, PARAMS_SCHEMAS,
                            validate_summary)
 
 
+# the README's reference config
+README_CONFIG = {"n": 5, "eps": 0.5, "m": 2,
+                 "end1": {"T0": 0.0, "perturbation": [
+                     {"l": 0, "A": 1e-3, "beta": 2.0}]},
+                 "end2": {}}
+
+
 def run_manifest(tmp_path, command, params, seed=0):
     out = tmp_path / command
     summary, _ = execute({"command": command, "params": params,
@@ -185,6 +192,31 @@ class TestCommands:
         lines = (out / "study.csv").read_text().strip().splitlines()
         assert lines[0] == "m,supPsi,weightedPsi,fitBeta"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("m_list", ["2,2,2", "2,2,3"])
+    def test_glue_study_rejects_repeated_lengths(self, tmp_path, m_list):
+        # a fit needs three distinct overlap lengths: exit 2
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(README_CONFIG))
+        assert main(["glue", "--config", str(path), "--m-list", m_list,
+                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_floor_level_defect_converges_without_a_system(self, tmp_path):
+        # at m = 6 the README config's initial defect is below iterate's
+        # 1e-30 floor: converged after 0 iterations, with no system
+        # assembled, so no cond, solveResidual or condition estimate
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(README_CONFIG))
+        args = ["--config", str(path), "--m", "6", "--modes", "0,1,2"]
+        assert main(["correct", *args, "--out", str(tmp_path / "c")]) == 0
+        doc = json.loads((tmp_path / "c" / "summary.json").read_text())
+        validate_summary(doc)
+        assert doc["initialDefect"] <= 1e-30
+        assert doc["iterations"] == 0 and doc["converged"] is True
+        assert "cond" not in doc and "solveResidual" not in doc
+        assert main(["diagnose", *args, "--out", str(tmp_path / "d")]) == 0
+        doc = json.loads((tmp_path / "d" / "summary.json").read_text())
+        assert doc["corrected"] is True and doc["condEstimates"] == {}
 
     def test_correct_emits_trace(self, tmp_path):
         params = {

@@ -712,33 +712,62 @@ class TestBorderSplit:
         assert col == sysm.matrix.shape[1] == dense.shape[1]
 
 
+def tight_flow(op, t0, nodes):
+    """Phi(t; t0) at the ascending nodes after t0, (len(nodes), 4, 4), by
+    solve_ivp on the mode equation with the orbit's series potential, at
+    tolerance 2.3e-14 with steps capped at 1/64 of the node spacing."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(t, y):
+        Y = y.reshape(4, 4)
+        out = np.empty_like(Y)
+        out[:3] = Y[1:]
+        out[3] = op.A * Y[2] - mode_potential(op, t) * Y[0]
+        return out.reshape(-1)
+
+    h = nodes[1] - nodes[0]
+    sol = solve_ivp(rhs, (t0, nodes[-1]), np.eye(4).reshape(-1),
+                    method="DOP853", rtol=2.3e-14, atol=1e-18, t_eval=nodes,
+                    max_step=h / 64)
+    assert sol.success
+    return sol.y.T.reshape(-1, 4, 4)
+
+
 class TestWindowSolution:
+    # the smallest errors, over l = 0..2 and both ends, of a separate
+    # per-end DOP853 run from the end point at tolerance 1e-13, steps
+    # capped at half the node spacing, against the same reference
+    BOUND = {16: 1.6e-13, 64: 1.2e-13}
+
     @pytest.mark.parametrize("l", [0, 1, 2])
-    def test_multi_jet_matches_one_jet_runs(self, reference_approx, orbit05,
-                                            l):
-        # one flow with k jets against k one-jet flows, on the left end's
-        # forward window and the right end's backward window, sampled as
-        # the border windows are
-        from qglue.delaunay import sample_flow
+    def test_window_matches_tight_reference(self, orbit05, l):
+        # each border window's flows from the monodromy run that starts at
+        # its first node, at the coarsest grid (the window spans 10/16 of a
+        # period) and a fine one; the offsets sample the run without
+        # changing it
         from qglue.fd import stencil_size
         from qglue.gluing import STENCIL_ORDER
-        s = reference_approx.s
-        phase = (reference_approx.config.m + 0.5) * orbit05.period
-        lam = orbit05.constants.lam(l)
+        from qglue.jacobi import monodromy_data
+        cfg = make_config(orbit05, m=2, pert1=((0, 1e-3, 2.0),))
+        op = ModeOperator(orbit05, orbit05.constants.lam(l))
+        phase = (cfg.m + 0.5) * orbit05.period
         win = stencil_size(3, STENCIL_ORDER)
-        jets = np.random.default_rng(l).standard_normal((4, 4))
-        for t0, nodes in ((s[0], s[:win]), (s[-1], s[-win:])):
-            t0, nodes = t0 + phase, nodes + phase
-            cap = 0.5 * float(np.min(np.diff(np.sort(nodes))))
-            block = sample_flow(orbit05, lam, t0, jets, nodes, cap,
-                                "window sampling failed")[4:8]
-            assert block.shape == (4, win)
-            for j in range(4):
-                one = sample_flow(orbit05, lam, t0, jets[:, [j]], nodes, cap,
-                                  "window sampling failed")[4:5]
-                assert one.shape == (1, win)
-                assert (np.max(np.abs(block[j] - one[0]))
-                        <= 1e-12 * np.max(np.abs(one[0])))
+        for gpp, bound in self.BOUND.items():
+            s = build_approximate(cfg, grid_per_period=gpp).s
+            for nodes in (s[:win] + phase, s[-win:] + phase):
+                t0 = nodes[0]
+                data = monodromy_data(op, t0=t0, offsets=nodes - t0)
+                bare = monodromy_data(op, t0=t0)
+                for name in ("matrix", "backward", "detFactored"):
+                    assert (np.asarray(getattr(data, name)).tobytes()
+                            == np.asarray(getattr(bare, name)).tobytes())
+                assert data.window.shape == (win, 4, 4)
+                assert bare.window.shape == (0, 4, 4)
+                assert np.array_equal(data.window[0], np.eye(4))
+                ref = tight_flow(op, t0, nodes)
+                err = max(np.max(np.abs(w - r)) / np.max(np.abs(r))
+                          for w, r in zip(data.window, ref))
+                assert err <= bound, (gpp, err)
 
 
 class TestDenseOracle:

@@ -5,10 +5,11 @@ import pytest
 import sympy as sp
 from scipy.integrate import solve_ivp
 
-from qglue.delaunay import (_mode_flow_rhs, hamiltonian, sample_contiguous,
-                            solve_orbit, FamilyParams, expansion_error)
+from qglue.delaunay import (_mode_flow_rhs, hamiltonian, solve_orbit,
+                            FamilyParams, expansion_error)
 from qglue.errors import DomainError
 from qglue.gauges import CylField, derive_constants, q_residual
+from qglue.ode import dop853
 
 
 @pytest.mark.parametrize("n_val", [5, 6, 7, 9, 12])
@@ -127,12 +128,10 @@ class TestModeFlow:
 
 
 def integrate(consts, y0, ts):
-    """States of the necksize ODE from y(0) = y0 at the points ts >= 0, by
-    the contiguous sampling the orbit and window samples use, with steps
-    capped at half the smallest spacing of ts."""
-    return sample_contiguous(_mode_flow_rhs(consts, 0.0, 0), 0.0, y0, ts,
-                             0.5 * float(np.min(np.diff(np.sort(ts)))),
-                             "integration failed")
+    """States of the necksize ODE from y(0) = y0 at the ascending points
+    ts >= 0, by the dense output of the in-tree DOP853 that integrates the
+    mode flows."""
+    return dop853(_mode_flow_rhs(consts, 0.0, 0), y0, ts[-1], ts)[1]
 
 
 class TestIntegrate:
@@ -302,8 +301,8 @@ class TestSampleWindow:
 
 
 class TestSharedSampler:
-    """sample_flow starts every flow from orbit.jet; at t = 0 that is the
-    minimum's state (eps, 0, s, 0) bit for bit."""
+    """monodromy_data starts every subinterval's flow from orbit.jet; at
+    t = 0 that is the minimum's state (eps, 0, s, 0) bit for bit."""
 
     @pytest.mark.parametrize("n", [5, 6, 9])
     @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])

@@ -190,5 +190,7 @@ class TestDecayStudy:
         assert st.exact and st.betaHat is None
 
     def test_too_few_points_rejected(self, reference_config):
-        with pytest.raises(DomainError):
-            decay_study(reference_config, [1, 2], grid_per_period=32)
+        # repeated lengths count once, and none may be weighted twice
+        for m_list in ([1, 2], [2, 2, 2], [2, 2, 3], [1, 2, 3, 3]):
+            with pytest.raises(DomainError):
+                decay_study(reference_config, m_list, grid_per_period=32)
