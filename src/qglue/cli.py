@@ -1,8 +1,9 @@
 """Batch front end: subcommands wiring the numerical modules, JSON/CSV
 emission, and manifest-driven runs.
 
-Exit codes: 0 success, 1 manifest/schema violation, 2 domain error,
-3 numerical failure (escape, divergence, ill-conditioning).
+Exit codes: 0 success, 1 manifest/schema violation or a config/manifest
+file that cannot be read as JSON, 2 domain error, 3 numerical failure
+(escape, divergence, ill-conditioning).
 """
 
 import argparse
@@ -137,9 +138,15 @@ def _family_difference(orbit, d, ts):
     """d/deps of (v on ts, the energy) along the family, from the orbits at
     eps +- d by centred differences, or, where eps + d passes epsBar, from
     those at eps - d and eps - 2 d by the second-order one-sided formula
-    (3 f(eps) - 4 f(eps - d) + f(eps - 2 d)) / (2 d)."""
+    (3 f(eps) - 4 f(eps - d) + f(eps - 2 d)) / (2 d).  A d that is not
+    finite or takes the stencil out of (0, epsBar] is a DomainError."""
     consts, eps = orbit.constants, orbit.eps
-    if eps + d <= consts.epsBar:
+    centred = eps + d <= consts.epsBar
+    if not (np.isfinite(d) and eps - (1.0 if centred else 2.0) * d > 0.0):
+        raise DomainError(
+            f"dEps must be finite and keep the difference stencil about "
+            f"eps = {eps!r} inside (0, {consts.epsBar:.6f}], got {d!r}")
+    if centred:
         terms = [(1.0, solve_orbit(consts, eps + d)),
                  (-1.0, solve_orbit(consts, eps - d))]
     else:
@@ -399,12 +406,21 @@ def build_parser():
     return ap
 
 
+def _load_json(path):
+    """The JSON document in the file at path; ManifestError naming the file
+    if it cannot be read or is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"cannot load {path!r}: {exc}") from None
+
+
 def _manifest_from_args(args):
     params = dict(vars(args))
     cmd = params.pop("command")
     if cmd == "run":
-        with open(args.manifest) as fh:
-            return json.load(fh)
+        return _load_json(args.manifest)
     out, seed = params.pop("out"), params.pop("seed")
     if "eps" in params:
         params["eps"] = _resolve_eps(params["n"], params["eps"])
@@ -412,10 +428,11 @@ def _manifest_from_args(args):
         params["epsList"] = [_resolve_eps(params["n"], tok)
                              for tok in params["epsList"]]
     if "config" in params:
-        with open(params["config"]) as fh:
-            params["config"] = json.load(fh)
+        config = params["config"] = _load_json(params["config"])
         if "m" in params:
-            params["config"]["m"] = params.pop("m")
+            m = params.pop("m")
+            if isinstance(config, dict):  # else the schema rejects it
+                config["m"] = m
     return {"command": cmd, "params": params, "out": out, "seed": seed}
 
 

@@ -27,12 +27,15 @@ system square and kill the bounded null space by minimizing the
 annulus-weighted size of the decaying part over kernel shifts.  The gauge
 rows vanish on solutions with zero kernel content, so consistent compactly
 supported problems are reproduced exactly.
+
+SciPy is imported where it is used, by BandLU (LAPACK's dgbtrf/dgbtrs and
+the Schur complement's lu_factor/lu_solve) and by _invariant_subspace
+(schur): a command that factors nothing, such as orbit, sweep, indicial,
+jacobi or glue, starts and runs without loading it.
 """
 
 from dataclasses import dataclass, replace
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, schur
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError, IllConditionedError, NumericalError
 from .fd import band_apply, jet_rows, stencil_size
@@ -144,6 +147,8 @@ class BandLU:
     exactly singular core or complement.  solve() uses the operator's order."""
 
     def __init__(self, op, row_scale):
+        from scipy.linalg import lu_factor
+        from scipy.linalg.lapack import dgbtrf
         kl, ku, nc = op.kl, op.ku, len(op.band)
         self.kl, self.ku, self.n = kl, ku, op.shape[0]
         scale = row_scale[:, None]
@@ -169,11 +174,13 @@ class BandLU:
         self.singular = not np.all(np.diagonal(self.schur[0]) != 0.0)
 
     def _core(self, b, trans):
+        from scipy.linalg.lapack import dgbtrs
         return dgbtrs(self.lu, self.kl, self.ku, b, self.piv, trans=trans)[0]
 
     def solve(self, b, trans=0):
         """x with A x = b (trans=0) or A^T x = b (trans=1), for a vector
         or the columns of b."""
+        from scipy.linalg import lu_solve
         nc = self.lu.shape[1]
         y = self._core(b[:nc], trans)
         amp = b[nc:]
@@ -223,6 +230,8 @@ def _inv_norm1(lu):
 def _invariant_subspace(M, k, thresh):
     """Orthonormal basis of the invariant subspace of the k multipliers with
     |mu| > thresh, via a sorted real Schur form."""
+    from scipy.linalg import schur
+
     def big(re, im):
         return np.hypot(re, im) > thresh
 

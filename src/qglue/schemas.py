@@ -1,9 +1,16 @@
 """Published JSON schemas: run manifests (validated strictly before
 execution, unknown keys rejected) and the summary documents each subcommand
-emits."""
+emits, with the checker that enforces them.
 
-import jsonschema
-from jsonschema.exceptions import best_match
+The schemas are JSON Schema (Draft 2020-12) written with nine keywords:
+type, properties, required, additionalProperties (false only), items,
+minItems, minimum, exclusiveMinimum and enum; description is an
+annotation.  The checker here implements exactly those, with jsonschema's
+type semantics and error messages, and rejects any other keyword when the
+module is imported.  The tests hold it to jsonschema as an oracle.
+"""
+
+from numbers import Number
 
 from .errors import ManifestError
 
@@ -311,35 +318,117 @@ SUMMARY_SCHEMAS = {
 }
 
 
-# the schemas are constant, so each validator is built once, without
-# re-checking its schema on every call; a test checks every schema
-_VALIDATOR = jsonschema.Draft202012Validator
-_MANIFEST_VALIDATOR = _VALIDATOR(MANIFEST_SCHEMA)
-_PARAMS_VALIDATORS = {k: _VALIDATOR(v) for k, v in PARAMS_SCHEMAS.items()}
-_SUMMARY_VALIDATORS = {k: _VALIDATOR(v) for k, v in SUMMARY_SCHEMAS.items()}
+class SummaryError(ValueError):
+    """A command emitted a summary its schema rejects: a program fault, so
+    deliberately not a QGlueError with an exit code of its own."""
 
 
-def _check(validator, doc):
-    """Raise the error jsonschema.validate would raise for doc."""
-    error = best_match(validator.iter_errors(doc))
-    if error is not None:
-        raise error
+# JSON type name -> test, as jsonschema's Draft 2020-12 type checker: bool
+# is no number, a float with an integral value is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, Number) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_KEYWORDS = {"type", "properties", "required", "additionalProperties",
+             "items", "minItems", "minimum", "exclusiveMinimum", "enum",
+             "description"}
+
+
+def _names(types):
+    return [types] if isinstance(types, str) else types
+
+
+def iter_errors(schema, doc, path=()):
+    """(path, message) of every violation of schema by doc, in the order
+    and with the wording of jsonschema's iter_errors.  A keyword tests only
+    the type it applies to, so NaN passes minimum and exclusiveMinimum."""
+    is_number, is_object = _TYPES["number"](doc), isinstance(doc, dict)
+    for key, arg in schema.items():
+        if key == "type" and not any(_TYPES[t](doc) for t in _names(arg)):
+            names = ", ".join(repr(t) for t in _names(arg))
+            yield path, f"{doc!r} is not of type {names}"
+        elif key == "enum" and not any(
+                e == doc and isinstance(e, bool) == isinstance(doc, bool)
+                for e in arg):
+            yield path, f"{doc!r} is not one of {arg!r}"
+        elif key == "minimum" and is_number and doc < arg:
+            yield path, f"{doc!r} is less than the minimum of {arg!r}"
+        elif key == "exclusiveMinimum" and is_number and doc <= arg:
+            yield path, (f"{doc!r} is less than or equal to the minimum "
+                         f"of {arg!r}")
+        elif key == "minItems" and isinstance(doc, list) and len(doc) < arg:
+            short = "should be non-empty" if arg == 1 else "is too short"
+            yield path, f"{doc!r} {short}"
+        elif key == "items" and isinstance(doc, list):
+            for index, item in enumerate(doc):
+                yield from iter_errors(arg, item, path + (index,))
+        elif key == "required" and is_object:
+            for name in arg:
+                if name not in doc:
+                    yield path, f"{name!r} is a required property"
+        elif key == "additionalProperties" and is_object:
+            extras = sorted(set(doc) - set(schema.get("properties", ())),
+                            key=str)
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                yield path, ("Additional properties are not allowed ("
+                             + ", ".join(repr(e) for e in extras)
+                             + f" {verb} unexpected)")
+        elif key == "properties" and is_object:
+            for name, sub in arg.items():
+                if name in doc:
+                    yield from iter_errors(sub, doc[name], path + (name,))
+
+
+def _first_error(schema, doc):
+    """'at <JSON pointer>: <message>' of doc's first violation, or None."""
+    for path, message in iter_errors(schema, doc):
+        return f"at /{'/'.join(str(p) for p in path)}: {message}"
+    return None
+
+
+def _check_schema(schema):
+    """Raise ValueError if schema uses a keyword, a type name or an
+    additionalProperties value the checker does not implement."""
+    unknown = set(schema) - _KEYWORDS
+    unknown |= set(_names(schema.get("type", []))) - set(_TYPES)
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"schema checker cannot enforce {sorted(unknown)} "
+                         f"in {schema!r}")
+    for sub in schema.get("properties", {}).values():
+        _check_schema(sub)
+    if "items" in schema:
+        _check_schema(schema["items"])
+
+
+for _schema in (MANIFEST_SCHEMA, *PARAMS_SCHEMAS.values(),
+                *SUMMARY_SCHEMAS.values()):
+    _check_schema(_schema)
 
 
 def validate_manifest(doc):
-    """Validate a run manifest; raises ManifestError with a JSON pointer."""
-    try:
-        _check(_MANIFEST_VALIDATOR, doc)
-        _check(_PARAMS_VALIDATORS[doc["command"]], doc["params"])
-    except jsonschema.ValidationError as exc:
-        pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
-        raise ManifestError(f"manifest invalid at {pointer}: {exc.message}")
+    """Validate a run manifest; raises ManifestError with a JSON pointer
+    into the manifest, or into its params once the manifest is valid."""
+    error = _first_error(MANIFEST_SCHEMA, doc)
+    if error is None:
+        error = _first_error(PARAMS_SCHEMAS[doc["command"]], doc["params"])
+    if error is not None:
+        raise ManifestError(f"manifest invalid {error}")
     return doc
 
 
 def validate_summary(doc):
+    """Validate a command's summary; raises SummaryError if it fails."""
     command = doc.get("command")
     if command not in SUMMARY_SCHEMAS:
         raise ManifestError(f"no summary schema for command {command!r}")
-    _check(_SUMMARY_VALIDATORS[command], doc)
+    error = _first_error(SUMMARY_SCHEMAS[command], doc)
+    if error is not None:
+        raise SummaryError(f"summary invalid {error}")
     return doc

@@ -1,18 +1,23 @@
+import collections
+import copy
 import csv
 import json
+import math
 import subprocess
 import sys
 
+from hypothesis import given, settings, strategies as st
 import jsonschema
 import numpy as np
 import pytest
 
+from qglue import schemas
 from qglue.cli import HANDLERS, execute, main
-from qglue.errors import ManifestError
+from qglue.errors import ManifestError, QGlueError
 from qglue.gauges import derive_constants
 from qglue.schemas import (GLUING_CONFIG, MANIFEST_SCHEMA, PARAMS_SCHEMAS,
-                           SUMMARY_SCHEMAS, validate_manifest,
-                           validate_summary)
+                           SUMMARY_SCHEMAS, SummaryError, iter_errors,
+                           validate_manifest, validate_summary)
 
 
 # the README's reference config
@@ -69,6 +74,46 @@ class TestManifestValidation:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
         assert main(["run", str(path)]) == 1
+
+    @pytest.mark.parametrize("content", [None, "not json", '{"n": 5,',
+                                         b"\xff\xfe"])
+    @pytest.mark.parametrize("command", ["glue", "run"])
+    def test_unreadable_file_is_a_manifest_error(self, tmp_path, capsys,
+                                                 command, content):
+        # a missing file, or one that is not JSON, as --config or as the
+        # manifest of `run`: exit 1 naming the file, not a traceback
+        path = tmp_path / "in.json"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_bytes(content)
+        argv = (["run", str(path)] if command == "run" else
+                ["glue", "--config", str(path), "--m", "3",
+                 "--out", str(tmp_path / "x")])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("manifest error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_config_that_is_no_object_is_a_manifest_error(self, tmp_path,
+                                                          capsys):
+        path = tmp_path / "in.json"
+        path.write_text("[1]")
+        assert main(["correct", "--config", str(path), "--m", "3",
+                     "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == (
+            "manifest error: manifest invalid at /config: [1] is not of "
+            "type 'object'\n")
+
+    def test_invalid_summary_is_a_program_fault(self):
+        # a summary its schema rejects is a bug, not an exit code
+        with pytest.raises(SummaryError, match="at /: 'n' is a required") \
+                as exc:
+            validate_summary({"command": "constants", "c2": 1.0, "c0": 1.0,
+                              "cN": 1.0, "p": 1.0, "qTarget": 1.0,
+                              "epsBar": 0.5})
+        assert isinstance(exc.value, ValueError)
+        assert not isinstance(exc.value, QGlueError)
 
     def test_domain_error_not_schema_error(self, tmp_path):
         # schema-valid but mathematically out of range: domain error, exit 2
@@ -343,6 +388,27 @@ class TestCliProcess:
         assert summary["crossValidationError"] < 1e-4
 
 
+    @pytest.mark.parametrize("eps, deps", [("0.5", "nan"), ("0.5", "inf"),
+                                           ("0.5", "0.5"), ("0.1", "0.1"),
+                                           ("0.835", "0.5")])
+    def test_jacobi_deps_outside_the_family(self, tmp_path, capsys, eps,
+                                            deps):
+        # dEps not finite, or a difference stencil leaving (0, epsBar]: the
+        # error names dEps, not the necksize of a neighbouring orbit
+        assert main(["jacobi", "--n", "5", "--eps", eps, "--deps", deps,
+                     "--out", str(tmp_path / "j")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: dEps ") and deps in err
+
+    def test_jacobi_one_sided_difference_with_deps(self, tmp_path):
+        # eps + dEps passes epsBar, eps - 2 dEps does not leave the family
+        out = tmp_path / "j"
+        assert main(["jacobi", "--n", "5", "--eps", "0.835", "--deps",
+                     "1e-3", "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["crossValidationError"] < 1e-3
+
+
 def test_overlap_override_flag(tmp_path):
     import json as _json
     cfg = tmp_path / "g.json"
@@ -424,3 +490,139 @@ def test_published_schemas_are_valid():
                *SUMMARY_SCHEMAS.values()]
     for schema in schemas:
         jsonschema.Draft202012Validator.check_schema(schema)
+
+
+# ----------------------------------------------------------------------
+# the in-tree schema checker, with jsonschema as its oracle
+
+ALL_SCHEMAS = {"manifest": MANIFEST_SCHEMA,
+               **{f"params/{k}": v for k, v in PARAMS_SCHEMAS.items()},
+               **{f"summary/{k}": v for k, v in SUMMARY_SCHEMAS.items()}}
+
+
+def _valid_example(schema):
+    """A document with every property the schema names, which it accepts."""
+    if "enum" in schema:
+        return schema["enum"][0]
+    kind = schema["type"]
+    kind = kind[0] if isinstance(kind, list) else kind
+    if kind == "object":
+        return {k: _valid_example(sub)
+                for k, sub in schema.get("properties", {}).items()}
+    if kind == "array":
+        return [_valid_example(schema["items"])
+                for _ in range(schema.get("minItems", 1))]
+    if kind in ("number", "integer"):
+        return schema.get("minimum", schema.get("exclusiveMinimum", 0)) + 1
+    return {"string": "s", "boolean": True, "null": None}[kind]
+
+
+VALID = {name: _valid_example(schema) for name, schema in ALL_SCHEMAS.items()}
+
+# replacement values: every JSON type, bool next to 1, 5.0 for an integer,
+# non-finite numbers, empty containers, and NumPy scalars
+POOL = [None, True, False, 0, 1, -1, 5, 5.0, 5.5, "s", "", [], {}, [1],
+        {"a": 1}, math.nan, math.inf, -math.inf, np.int64(5),
+        np.float64(5.0)]
+
+
+def _bound_values(schema):
+    """Values at, and just past, the schema's minimum or exclusiveMinimum."""
+    out = []
+    for key in ("minimum", "exclusiveMinimum"):
+        if key in schema:
+            b = schema[key]
+            out += [b, float(b), b - 1, math.nextafter(b, -math.inf),
+                    math.nextafter(b, math.inf)]
+    return out
+
+
+def _locations(schema, doc, path=()):
+    """(path, subschema) of every node of doc the schema describes."""
+    yield path, schema
+    if isinstance(doc, dict):
+        for key, sub in schema.get("properties", {}).items():
+            if key in doc:
+                yield from _locations(sub, doc[key], path + (key,))
+    elif isinstance(doc, list) and "items" in schema:
+        for index, item in enumerate(doc):
+            yield from _locations(schema["items"], item, path + (index,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """(schema, document): a valid document after 0 to 3 mutations."""
+    name = draw(st.sampled_from(sorted(ALL_SCHEMAS)))
+    schema = ALL_SCHEMAS[name]
+    doc = copy.deepcopy(VALID[name])
+    for _ in range(draw(st.integers(0, 3))):
+        path, sub = draw(st.sampled_from(list(_locations(schema, doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]] if path else doc
+        kind = draw(st.sampled_from(["drop", "add", "clear", "replace"]))
+        if kind == "drop" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif kind == "clear" and isinstance(node, (dict, list)):
+            node.clear()
+        elif kind == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["bogus", "Eps", ""]))] = \
+                copy.deepcopy(draw(st.sampled_from(POOL)))
+        else:
+            # a copy, as a later mutation may change it in place
+            value = copy.deepcopy(draw(st.sampled_from(
+                POOL + _bound_values(sub) + sub.get("enum", []))))
+            if path:
+                parent[path[-1]] = value
+            else:
+                doc = value
+    return schema, doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=mutated_documents())
+def test_schema_checker_matches_jsonschema(case):
+    # the two accept and reject the same documents and report errors at
+    # the same paths, so the pointer a validate_* call reports, that of the
+    # first error, is one that jsonschema's iter_errors reports too
+    schema, doc = case
+    ours = [path for path, _ in iter_errors(schema, doc)]
+    theirs = [tuple(e.absolute_path) for e in
+              jsonschema.Draft202012Validator(schema).iter_errors(doc)]
+    assert collections.Counter(ours) == collections.Counter(theirs)
+
+
+@pytest.mark.parametrize("schema, value, accepted", [
+    ({"type": "integer"}, 5.0, True),
+    ({"type": "integer"}, 5.5, False),
+    ({"type": "integer"}, True, False),
+    # jsonschema's integer is a Python int or an integral float, so NumPy
+    # integers are numbers but not integers; json.dump cannot write them
+    ({"type": "integer"}, np.int64(5), False),
+    ({"type": "number"}, np.int64(5), True),
+    ({"type": "number"}, False, False),
+    ({"enum": [1]}, True, False),
+    ({"enum": [1]}, 1.0, True),
+    ({"type": "number", "minimum": 0}, math.nan, True),
+    ({"type": "number", "exclusiveMinimum": 0}, math.nan, True),
+    ({"type": "number", "exclusiveMinimum": 0}, 0.0, False),
+    ({"type": ["number", "null"]}, None, True),
+    ({"type": "array", "minItems": 1}, [], False),
+])
+def test_schema_checker_type_semantics(schema, value, accepted):
+    assert (not any(iter_errors(schema, value))) is accepted
+    assert jsonschema.Draft202012Validator(schema).is_valid(value) is accepted
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^a"},
+    {"type": "int"},
+    {"type": "object", "additionalProperties": {"type": "number"}},
+    {"type": "object", "properties": {"a": {"maximum": 1}}},
+    {"type": "array", "items": {"type": "number", "multipleOf": 2}},
+])
+def test_schema_checker_rejects_what_it_cannot_enforce(schema):
+    # the published schemas pass this check when the module is imported
+    with pytest.raises(ValueError):
+        schemas._check_schema(schema)

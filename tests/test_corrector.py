@@ -470,9 +470,10 @@ class TestSharedOperator:
 
     def test_nondegeneracy_factors_discretize_tiles(self, multimode, probe,
                                                     monkeypatch):
+        import scipy.linalg.lapack as lapack
         import qglue.corrector as corrector
         factored = []
-        real = corrector.dgbtrf
+        real = lapack.dgbtrf
 
         def capture(ab, kl, ku, **kwargs):
             factored.append((kl, ku))
@@ -485,7 +486,8 @@ class TestSharedOperator:
                 tiles.append(op)
                 super().__init__(op, row_scale)
 
-        monkeypatch.setattr(corrector, "dgbtrf", capture)
+        # BandLU imports dgbtrf from scipy.linalg.lapack when it factors
+        monkeypatch.setattr(lapack, "dgbtrf", capture)
         monkeypatch.setattr(corrector, "BandLU", Capture)
         correction = probe * 1e-3
         nondegeneracy_diag(multimode, correction, degrees=self.DEGREES)
