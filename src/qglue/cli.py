@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, ManifestError, NumericalError
 from .gauges import derive_constants, q_residual, CylField
-from .delaunay import solve_orbit, hamiltonian
+from .delaunay import solve_orbit, hamiltonian, _check_necksize
 from .jacobi import (ModeOperator, mode_apply, indicial_roots, generators,
                      symplectic_pairing)
 from .gluing import GluingConfig, build_approximate, defect, decay_study
@@ -96,11 +96,23 @@ def cmd_orbit(params):
     return doc, {"orbit.json": orbit.to_json()}
 
 
+def _sweep_orbits(consts, eps_list):
+    """The orbits at eps_list, in its order.  Every necksize is checked
+    before any is solved; then the distinct ones are solved from epsBar
+    downwards, each continued from the one before."""
+    for eps in eps_list:
+        _check_necksize(consts, eps)
+    orbits, start = {}, None
+    for eps in sorted(set(eps_list), reverse=True):
+        start = orbits[eps] = solve_orbit(consts, eps, start=start)
+    return [orbits[eps] for eps in eps_list]
+
+
 def cmd_sweep(params):
     rows = []
     H = []
-    for eps in params["epsList"]:
-        orbit = solve_orbit(params["n"], eps)
+    for orbit in _sweep_orbits(derive_constants(params["n"]),
+                               params["epsList"]):
         rows.append({
             "eps": orbit.eps, "period": orbit.period,
             "hamiltonian": orbit.hamiltonianValue,
@@ -138,20 +150,24 @@ def _family_difference(orbit, d, ts):
     """d/deps of (v on ts, the energy) along the family, from the orbits at
     eps +- d by centred differences, or, where eps + d passes epsBar, from
     those at eps - d and eps - 2 d by the second-order one-sided formula
-    (3 f(eps) - 4 f(eps - d) + f(eps - 2 d)) / (2 d).  A d that is not
-    finite or takes the stencil out of (0, epsBar] is a DomainError."""
+    (3 f(eps) - 4 f(eps - d) + f(eps - 2 d)) / (2 d).  The neighbours are
+    Newton solutions of their own, continued from the orbit.  A d that is
+    not finite, takes the stencil out of (0, epsBar] or leaves a point of it
+    at eps by rounding is a DomainError."""
     consts, eps = orbit.constants, orbit.eps
     centred = eps + d <= consts.epsBar
-    if not (np.isfinite(d) and eps - (1.0 if centred else 2.0) * d > 0.0):
+    # (weight, offset in units of d) of each neighbour
+    stencil = ([(1.0, 1.0), (-1.0, -1.0)] if centred
+               else [(-4.0, -1.0), (1.0, -2.0)])
+    if not all(0.0 < eps + k * d <= consts.epsBar and eps + k * d != eps
+               for _, k in stencil):
         raise DomainError(
             f"dEps must be finite and keep the difference stencil about "
-            f"eps = {eps!r} inside (0, {consts.epsBar:.6f}], got {d!r}")
-    if centred:
-        terms = [(1.0, solve_orbit(consts, eps + d)),
-                 (-1.0, solve_orbit(consts, eps - d))]
-    else:
-        terms = [(3.0, orbit), (-4.0, solve_orbit(consts, eps - d)),
-                 (1.0, solve_orbit(consts, eps - 2.0 * d))]
+            f"eps = {eps!r} inside (0, {consts.epsBar:.6f}] and apart from "
+            f"eps, got {d!r}")
+    terms = [] if centred else [(3.0, orbit)]
+    terms += [(w, solve_orbit(consts, eps + k * d, start=orbit))
+              for w, k in stencil]
     return (sum(w * o.eval(ts, 0) for w, o in terms) / (2.0 * d),
             sum(w * o.hamiltonianValue for w, o in terms) / (2.0 * d))
 
@@ -205,7 +221,7 @@ def cmd_glue(params):
                  "psi.json": d.psi.to_json()}
     if "mList" in params:
         st = decay_study(cfg, params["mList"], grid_per_period=gpp,
-                         delta=delta)
+                         delta=delta, at_m=d)
         doc["study"] = {"mList": st.mList, "supPsi": st.supPsi,
                         "weightedPsi": st.weightedPsi, "betaHat": st.betaHat,
                         "fitResidual": st.fitResidual, "exact": st.exact}

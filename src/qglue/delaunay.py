@@ -7,9 +7,10 @@ v(0) = eps and exactly periodic with T = 2 pi / omega, so evaluation has no
 seams and no window limit.  (a_1..a_N, omega) solve the ODE collocated at
 N + 1 points of a half period (Boyd, Chebyshev and Fourier Spectral
 Methods, 2nd ed., chs. 2-4), by Newton's method continued in log eps from
-the linearization at epsBar.  _mode_flow_rhs is the one flow of the orbit
-jointly with jets of its mode linearizations; jacobi.monodromy_data
-integrates it, started from orbit.jet.
+the linearization at epsBar or from an orbit already solved.
+_mode_flow_rhs is the one flow of the orbit jointly with jets of its mode
+linearizations; jacobi.monodromy_data integrates it, started from
+orbit.jet.
 """
 
 from dataclasses import dataclass
@@ -163,6 +164,8 @@ SERIES_START = 64    # cosines of the first series; doubled while unresolved
 SERIES_MAX = 1024
 SERIES_TAIL = 1e-16  # |a_N| / max |a_k| at which the doubling stops
 CONTINUE_MISS = 0.05  # largest relative predictor miss of a continuation step
+NEWTON_FLOOR = 1e-10  # _relative step of the rounding floor; a continuation
+                      # point short of the requested necksize stops there
 
 
 @lru_cache(maxsize=None)
@@ -207,11 +210,10 @@ def _relative(dx, x, eps):
             / max(eps, amp))
 
 
-def _newton(consts, eps, x):
+def _newton(consts, eps, x, tol=1e-15):
     """Newton's method on the collocation equations from x = (a, omega),
-    until the _relative step falls below 1e-15 or stops decreasing below
-    1e-10 (the rounding floor); None if a step is not finite or 40 do not
-    settle."""
+    until the _relative step falls below tol or stops decreasing below
+    NEWTON_FLOOR; None if a step is not finite or 40 do not settle."""
     prev = np.inf
     for _ in range(40):
         # a diverging iterate may reach v <= 0 (v^p is nan) or overflow
@@ -222,10 +224,18 @@ def _newton(consts, eps, x):
             return None
         x = x + dx
         step = _relative(dx, x, eps)
-        if step < 1e-15 or (prev < 1e-10 and step >= prev):
+        if step < tol or (prev < NEWTON_FLOOR and step >= prev):
             return x
         prev = step
     return None
+
+
+def _tangent(consts, eps, a, omega):
+    """d(a, omega)/deps along the family at the series (a, omega) that
+    solves the collocation equations G(a, omega, eps) = 0: J x = -dG/deps
+    with J their Jacobian (the implicit function theorem)."""
+    _, jac, res_eps = _collocation(consts, eps, a, omega)
+    return np.linalg.solve(jac, -res_eps)
 
 
 def _epsbar_symbol(consts, lam):
@@ -245,40 +255,56 @@ def _omega0(consts):
     return float(np.sqrt(-neg[0]))
 
 
-def _continue(consts, eps, N):
+def _continue(consts, eps, N, start=None):
     """(a, omega) of the N-cosine series with minimum eps, by Newton's
-    method continued in u = log eps from the constant orbit (a = 0, omega0)
-    along its tangent a_1 = eps - epsBar, then along secants.  A step counts
-    if Newton moves its predictor by at most CONTINUE_MISS (_relative); a
-    longer one may land on the orbit traversed twice (omega halved).  The
-    step in u starts at -0.01, quarters on failure and doubles after a miss
-    below CONTINUE_MISS / 5."""
-    u, u_end = np.log(consts.epsBar), np.log(eps)
-    x = np.zeros(N + 1)
-    x[-1] = _omega0(consts)
-    slope = np.zeros(N + 1)
-    slope[0] = consts.epsBar
-    h = -0.01
-    while u > u_end:
-        last = h <= u_end - u
+    method continued in u = log eps.  Without a start orbit (or from the
+    constant one) the path leaves the constant orbit (a = 0, omega0) along
+    its tangent a_1 = eps - epsBar; from an interior start orbit, truncated
+    to N cosines, it runs in either direction.  Each point is predicted to
+    second order in u, from the tangent d(a, omega)/du at the last point
+    (_tangent) and its change over the last step.  A step counts if Newton
+    moves its predictor by at most CONTINUE_MISS, in _relative and in
+    omega / omega_pred - 1; a longer one may land on the orbit traversed
+    twice (omega halved), which near epsBar, where the amplitude is small,
+    only omega shows.  Points short of eps stop Newton at NEWTON_FLOOR.
+    The step in u starts at 0.04 toward eps, quarters on failure and
+    doubles after a miss below CONTINUE_MISS / 5."""
+    if start is None or start.isConstant:
+        u = np.log(consts.epsBar)
+        x = np.zeros(N + 1)
+        x[-1] = _omega0(consts)
+        tangent = np.zeros(N + 1)
+        tangent[0] = consts.epsBar
+    else:
+        u = np.log(start.eps)
+        x = np.append(start.coeffs[:N], start.omega)
+        tangent = start.eps * _tangent(consts, start.eps, x[:-1], x[-1])
+    bend = np.zeros(N + 1)  # d tangent / du over the last step
+    u_end = np.log(eps)
+    h = np.copysign(0.04, u_end - u)
+    while True:
+        last = abs(h) >= abs(u_end - u)
         if last:
             h = u_end - u
-        pred = x + h * slope
+        pred = x + h * tangent + 0.5 * h * h * bend
         e = eps if last else np.exp(u + h)
-        new = _newton(consts, e, pred)
-        miss = np.inf if new is None else _relative(new - pred, new, e)
+        new = _newton(consts, e, pred, 1e-15 if last else NEWTON_FLOOR)
+        miss = np.inf if new is None else max(
+            _relative(new - pred, new, e), abs(new[-1] / pred[-1] - 1.0))
         if miss > CONTINUE_MISS:
             h /= 4.0
             if abs(h) < 1e-8:
                 raise NumericalError(
                     f"orbit continuation stalled at eps={np.exp(u):.6g}")
             continue
-        slope = (new - x) / h
-        x = new
-        u = u_end if last else u + h
+        if last:
+            return new
+        new_tangent = e * _tangent(consts, e, new[:-1], new[-1])
+        bend = (new_tangent - tangent) / h
+        x, tangent = new, new_tangent
+        u += h
         if miss < CONTINUE_MISS / 5.0:
             h *= 2.0
-    return x
 
 
 def _tail(eps, a):
@@ -299,22 +325,29 @@ def _diagnostics(consts, eps, a, omega):
             "minDefect": float(abs(np.min(v) - eps))}
 
 
-def solve_orbit(n_or_consts, eps):
-    """The periodic orbit with minimum eps, as a cosine series: _continue
-    solves it with SERIES_START cosines, and while its tail exceeds
-    SERIES_TAIL it is padded to twice as many and solved again.  eps =
-    epsBar returns the constant orbit, of the linearization period."""
-    consts = (n_or_consts if isinstance(n_or_consts, GaugeConstants)
-              else derive_constants(n_or_consts))
+def _check_necksize(consts, eps):
     if not (0 < eps <= consts.epsBar * (1 + 1e-12)):
         raise DomainError(
             f"necksize must lie in (0, {consts.epsBar:.6f}], got {eps}")
+
+
+def solve_orbit(n_or_consts, eps, start=None):
+    """The periodic orbit with minimum eps, as a cosine series: _continue
+    solves it with SERIES_START cosines, from epsBar or, given one, from
+    the start orbit of the same dimension, and while its tail exceeds
+    SERIES_TAIL it is padded to twice as many and solved again.  Either way
+    the orbit is a Newton solution at eps with the N it gets alone, so a
+    start only shortens the path.  eps = epsBar returns the constant orbit,
+    of the linearization period."""
+    consts = (n_or_consts if isinstance(n_or_consts, GaugeConstants)
+              else derive_constants(n_or_consts))
+    _check_necksize(consts, eps)
     if abs(eps - consts.epsBar) <= 1e-12 * consts.epsBar:
         omega0 = _omega0(consts)
         return DelaunayOrbit(consts, consts.epsBar, omega0, np.zeros(0),
                              {"omega0": omega0})
     N = SERIES_START
-    x = _continue(consts, eps, N)
+    x = _continue(consts, eps, N, start)
     while _tail(eps, x[:-1]) > SERIES_TAIL:
         x = (_newton(consts, eps, np.concatenate([x[:-1], np.zeros(N),
                                                   x[-1:]]))

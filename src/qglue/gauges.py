@@ -182,7 +182,9 @@ class CylField:
         if len(self.t) < 2:
             raise DomainError("t grid needs at least two points")
         dt = np.diff(self.t)
-        if not np.allclose(dt, dt[0], rtol=1e-12, atol=1e-12 * abs(dt[0])):
+        # allclose's bound at rtol = atol / |dt[0]| = 1e-12, in one pass; a
+        # NaN step fails the comparison
+        if not np.max(np.abs(dt - dt[0])) <= 2e-12 * abs(dt[0]):
             raise DomainError("t grid must be uniform")
         self.degrees = tuple(int(l) for l in self.degrees)
         if any(b <= a for a, b in zip(self.degrees, self.degrees[1:])):

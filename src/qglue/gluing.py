@@ -328,13 +328,15 @@ class DecayStudy:
                 zip(self.mList, self.supPsi, self.weightedPsi)]
 
 
-def decay_study(cfg, m_list, grid_per_period=64, delta=1.5):
+def decay_study(cfg, m_list, grid_per_period=64, delta=1.5, at_m=None):
     """Fit the exponential decay of the blend defect in the overlap length.
 
     Builds the approximate solution for each m in m_list (at least three,
     none repeated, so no length is weighted twice), measures the defect
     sup norm and fits log sup against m T; returns the fitted rate betaHat
     (the negated slope per unit m T) and the max log-residual of the fit.
+    at_m, the DefectResult of cfg itself at the same grid and delta, is
+    reused for m = cfg.m instead of building that blend again.
     Compatible exact ends (every sup at or below 1e-280) report exact=True
     instead of a fit.
     """
@@ -345,9 +347,9 @@ def decay_study(cfg, m_list, grid_per_period=64, delta=1.5):
                           "none repeated")
     sups, weighteds = [], []
     for m in m_list:
-        c = replace(cfg, m=m)
-        approx = build_approximate(c, grid_per_period=grid_per_period)
-        d = defect(approx, delta=delta)
+        d = at_m if at_m is not None and m == cfg.m else defect(
+            build_approximate(replace(cfg, m=m),
+                              grid_per_period=grid_per_period), delta=delta)
         sups.append(d.supPsi)
         weighteds.append(d.weightedPsi)
     if all(sv <= floor for sv in sups):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import DomainError
 from .gauges import paneitz_mode_apply
-from .delaunay import (DelaunayOrbit, _collocation, _epsbar_symbol,
-                       _mode_flow_rhs, _series_jet)
+from .delaunay import (DelaunayOrbit, _epsbar_symbol, _mode_flow_rhs,
+                       _series_jet, _tangent)
 from .ode import dop853
 
 __all__ = [
@@ -312,16 +312,12 @@ class JacobiBasis:
 
 def generators(orbit):
     """All generator solutions of the linearized equation about the orbit.
-    The orbit's series solves the collocation equations G(a, omega, eps) =
-    0, so J (a', omega') = -dG/deps with J their Jacobian (the implicit
-    function theorem): one back-solve, after which the necksize field and
-    ds/deps, dT/deps are closed-form."""
+    (a', omega') along the family is one back-solve (delaunay._tangent),
+    after which the necksize field and ds/deps, dT/deps are closed-form."""
     if orbit.isConstant:
         raise DomainError("generators need an interior orbit; the constant "
                           "orbit has a degenerate phase derivative")
-    _, jac, res_eps = _collocation(orbit.constants, orbit.eps, orbit.coeffs,
-                                   orbit.omega)
-    x = np.linalg.solve(jac, -res_eps)
+    x = _tangent(orbit.constants, orbit.eps, orbit.coeffs, orbit.omega)
     return JacobiBasis(orbit, x[:-1], float(x[-1]))
 
 

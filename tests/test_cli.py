@@ -13,7 +13,7 @@ import pytest
 
 from qglue import schemas
 from qglue.cli import HANDLERS, execute, main
-from qglue.errors import ManifestError, QGlueError
+from qglue.errors import DomainError, ManifestError, QGlueError
 from qglue.gauges import derive_constants
 from qglue.schemas import (GLUING_CONFIG, MANIFEST_SCHEMA, PARAMS_SCHEMAS,
                            SUMMARY_SCHEMAS, SummaryError, iter_errors,
@@ -171,6 +171,24 @@ class TestCommands:
         assert summary["hamiltonianMonotone"] is True
         assert "hamiltonianDirection" not in summary
 
+    def test_sweep_rows_in_input_order(self):
+        # solved from epsBar downwards, reported in input order; a repeated
+        # necksize gives the same row
+        eps_bar = derive_constants(5).epsBar
+        summary, _ = HANDLERS["sweep"](
+            {"n": 5, "epsList": [0.3, 0.7, eps_bar, 0.3]})
+        rows = summary["rows"]
+        assert [r["eps"] for r in rows] == [0.3, 0.7, eps_bar, 0.3]
+        assert rows[0] == rows[3]
+        assert summary["hamiltonianMonotone"] is False
+
+    def test_sweep_checks_every_necksize_first(self, monkeypatch):
+        # 0.0 would be solved last; it fails before any orbit is continued
+        from qglue import delaunay
+        monkeypatch.setattr(delaunay, "_continue", None)
+        with pytest.raises(DomainError, match="got 0.0"):
+            HANDLERS["sweep"]({"n": 5, "epsList": [0.5, 0.0]})
+
     def test_sweep_csv_cells_are_numbers(self, tmp_path):
         eps_bar = derive_constants(5).epsBar
         _, out = run_manifest(tmp_path, "sweep",
@@ -237,6 +255,28 @@ class TestCommands:
         lines = (out / "study.csv").read_text().strip().splitlines()
         assert lines[0] == "m,supPsi,weightedPsi,fitBeta"
         assert len(lines) == 5
+
+    def test_glue_builds_each_overlap_once(self, monkeypatch):
+        # the command's own blend at m = 2 serves the study's m = 2
+        from qglue import cli, gluing
+        built = []
+        original = gluing.build_approximate
+
+        def counting(cfg, **kwargs):
+            built.append(cfg.m)
+            return original(cfg, **kwargs)
+
+        params = {"config": README_CONFIG, "gridPerPeriod": 32,
+                  "mList": [1, 2, 3]}
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "build_approximate", counting)
+            mp.setattr(gluing, "build_approximate", counting)
+            summary, artifacts = HANDLERS["glue"](params)
+        assert sorted(built) == [1, 2, 3]
+        # the same study as one that builds every overlap itself
+        cfg = gluing.GluingConfig.from_json(README_CONFIG)
+        st = gluing.decay_study(cfg, [1, 2, 3], grid_per_period=32)
+        assert artifacts["study.csv"][1] == st.rows()
 
     @pytest.mark.parametrize("m_list", ["2,2,2", "2,2,3"])
     def test_glue_study_rejects_repeated_lengths(self, tmp_path, m_list):
@@ -399,6 +439,16 @@ class TestCliProcess:
                      "--out", str(tmp_path / "j")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("domain error: dEps ") and deps in err
+
+    def test_jacobi_deps_below_rounding(self, tmp_path, capsys):
+        # eps +- 1e-300 rounds to eps: no orbit is solved, no summary is
+        # written, and the error names dEps
+        out = tmp_path / "j"
+        assert main(["jacobi", "--n", "5", "--eps", "0.5", "--deps",
+                     "1e-300", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: dEps ") and "1e-300" in err
+        assert not (out / "summary.json").exists()
 
     def test_jacobi_one_sided_difference_with_deps(self, tmp_path):
         # eps + dEps passes epsBar, eps - 2 dEps does not leave the family

@@ -1,10 +1,13 @@
 import json
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 import sympy as sp
 from scipy.integrate import solve_ivp
 
+from qglue import delaunay
+from qglue.cli import HANDLERS, _sweep_orbits
 from qglue.delaunay import (_mode_flow_rhs, hamiltonian, solve_orbit,
                             FamilyParams, expansion_error)
 from qglue.errors import DomainError
@@ -241,6 +244,56 @@ class TestOrbitFamily:
         assert abs(orb.vDdot0 / orb.eps - 0.25) < 1e-6
         dT = solve_orbit(5, 0.05).period - solve_orbit(5, 0.1).period
         assert dT == pytest.approx(4.0 * np.log(2.0), abs=0.02)
+
+
+class TestStartOrbit:
+    # necksizes within 1e-2 of epsBar, other than epsBar itself, are left
+    # out: the period there is fixed only to rounding over the amplitude
+    # epsBar - eps (ROADMAP item 7), and two paths to one necksize agree to
+    # about 1e-14 at 0.999 epsBar and 1e-13 at 0.9999 epsBar
+    @settings(max_examples=12, deadline=None)
+    @given(n=st.sampled_from([5, 6, 9]),
+           fracs=st.lists(st.floats(0.05, 0.99) | st.just(1.0),
+                          min_size=1, max_size=3)
+           .flatmap(lambda xs: st.just(xs) | st.permutations(xs + xs[:1])))
+    def test_sweep_path_matches_independent_solves(self, n, fracs):
+        consts = derive_constants(n)
+        eps_list = [f * consts.epsBar for f in fracs]
+        for eps, orb in zip(eps_list, _sweep_orbits(consts, eps_list)):
+            alone = solve_orbit(consts, eps)
+            assert orb.coeffs.size == alone.coeffs.size
+            assert orb.period == pytest.approx(alone.period, rel=1e-14,
+                                               abs=0)
+            scale = np.max(np.abs(alone.coeffs), initial=0.0)
+            assert np.max(np.abs(orb.coeffs - alone.coeffs),
+                          initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("frac", [0.9999, 1 - 1e-6])
+    def test_upward_path_keeps_the_period(self, consts5, frac):
+        # a long step up toward epsBar can land on the orbit traversed twice
+        # or more, which the small amplitude there hides from _relative
+        eps = frac * consts5.epsBar
+        start = solve_orbit(consts5, 0.2 * consts5.epsBar)
+        assert solve_orbit(consts5, eps, start=start).period == pytest.approx(
+            solve_orbit(consts5, eps).period, rel=1e-9)
+
+    @pytest.mark.parametrize("command, params", [
+        ("sweep", {"n": 5, "epsList": [0.3, 0.7, 0.5]}),
+        ("jacobi", {"n": 5, "eps": 0.5}),
+        ("jacobi", {"n": 5, "eps": 0.8357})])  # one-sided stencil
+    def test_one_continuation_from_eps_bar(self, monkeypatch, command,
+                                           params):
+        starts = []
+        original = delaunay._continue
+
+        def counting(consts, eps, N, start=None):
+            starts.append(start)
+            return original(consts, eps, N, start)
+
+        monkeypatch.setattr(delaunay, "_continue", counting)
+        HANDLERS[command](params)
+        assert len(starts) == 3
+        assert sum(s is None for s in starts) == 1
 
 
 class TestFamily:

@@ -117,6 +117,20 @@ class TestCylField:
             CylField.from_modes(consts5, np.array([0.0, 1.0, 3.0]),
                                 {0: np.zeros(3)})
 
+    @pytest.mark.parametrize("off, ok", [(1e-12, True), (3e-12, False),
+                                         (np.nan, False)])
+    def test_uniform_grid_tolerance(self, consts5, off, ok):
+        # one step longer by off * h: the bound is 2e-12 h, and a NaN grid
+        # is never uniform
+        h = 0.1
+        t = h * np.arange(11)
+        t[6:] += off * h
+        if ok:
+            CylField.mode0(consts5, t, np.zeros(11))
+        else:
+            with pytest.raises(DomainError):
+                CylField.mode0(consts5, t, np.zeros(11))
+
     def test_layout_checked(self, consts5):
         t = np.linspace(0, 1, 5)
         for degrees in ((1, 0), (1, 1)):
