@@ -192,8 +192,9 @@ def cmd_jacobi(params):
         r = mode_apply(op, tg, w)
         residuals[tag + sign] = float(np.max(np.abs(r[trim]))
                                       / np.max(np.abs(w[trim])))
-        # the necksize field grows linearly: it has no exponential rate
-        if (tag, sign) != ("0", "-"):
+        # degree 0 has no exponential rate: the phase field v' is periodic
+        # and the necksize field grows linearly
+        if deg == 1:
             rates[tag + sign] = basis.measured_rate(deg, sign)
     ts = np.linspace(0.0, T, 33)
     om = symplectic_pairing(ModeOperator(orbit, 0.0), basis.jet(0, "-", ts),

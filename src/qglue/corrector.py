@@ -18,7 +18,7 @@ the weight rate 1.5.  This is expressed as jet
 conditions in a frame of the multiplier > e^{1.5 T} subspaces of the
 one-period flow and its inverse (one sorted Schur form each) and, in modes
 0 and 1, the generator pair, all realized as discrete jets (window solutions
-from the dense output of the monodromy run that starts at the window's
+from the spectral panels of the monodromy flow that starts at the window's
 first node, differentiated with the same one-sided stencils as the
 condition rows, so sampled solutions are annihilated exactly).  Slow
 and neutral directions are carried by amplitudes of cutoff generator fields
@@ -287,7 +287,7 @@ def _mode_border(approx, basis, l):
     overlap and the grid but not on the background field.
 
     Frames are built from discrete jets: each frame direction is sampled as
-    an actual solution over the end window, by the monodromy run that
+    an actual solution over the end window, by the monodromy flow that
     starts at the window's first node, and its jet extracted with the
     same one-sided stencils the condition rows use, so the rows annihilate
     sampled solutions exactly.  (With analytic jets the extraction truncation
@@ -323,7 +323,7 @@ def _mode_border(approx, basis, l):
     frames = {}
     for side, i0, jet in (("L", 0, jl), ("R", N - win, jr)):
         nodes = s[i0:i0 + win]
-        # each end's run starts at its window's first node
+        # each end's flow starts at its window's first node
         data = monodromy_data(op, t0=nodes[0] + phase,
                               offsets=nodes - nodes[0])
         # fast directions from both one-period flows; the slow and neutral

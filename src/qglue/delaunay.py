@@ -8,9 +8,6 @@ seams and no window limit.  (a_1..a_N, omega) solve the ODE collocated at
 N + 1 points of a half period (Boyd, Chebyshev and Fourier Spectral
 Methods, 2nd ed., chs. 2-4), by Newton's method continued in log eps from
 the linearization at epsBar or from an orbit already solved.
-_mode_flow_rhs is the one flow of the orbit jointly with jets of its mode
-linearizations; jacobi.monodromy_data integrates it, started from
-orbit.jet.
 """
 
 from dataclasses import dataclass
@@ -39,32 +36,6 @@ def hamiltonian(jet, consts):
     v, v1, v2, v3 = jet
     return (-v1 * v3 + 0.5 * v2 ** 2 + 0.5 * consts.c2 * v1 ** 2
             - 0.5 * consts.c0 * v ** 2 + consts.cH * abs(v) ** consts.qExp)
-
-
-def _mode_flow_rhs(consts, lam, k):
-    """Right-hand side of the orbit (components 0..3) jointly with k jets of
-    its mode-lam linearization (components 4.., flattened from (4, k)).
-
-    The potential lam^2 + B - K v^(p-1) is taken from the carried v, so the
-    flow makes no series evaluations; callers start the orbit from
-    orbit.jet at the initial time.  y may also be a (4 + 4k, batch) array of
-    independent states, one per column, with the result of the same shape."""
-    c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
-    A, B = consts.mode_coefficients(lam)
-    base = lam ** 2 + B
-    # one gather shifts every jet by one derivative order; the equations
-    # then overwrite the fourth-derivative rows 3 and w4
-    idx = np.r_[1, 2, 3, 3, 4 + k:4 + 4 * k, 4:4 + k]
-    w2, w4 = slice(4 + k, 4 + 2 * k), slice(4 + 3 * k, 4 + 4 * k)
-
-    def rhs(t, y):
-        v = y[0]
-        out = y[idx]
-        out[3] = c2 * y[2] - c0 * v + cN * v ** p
-        out[w4] = A * out[w2] + (K * v ** (p - 1) - base) * out[w4]
-        return out
-
-    return rhs
 
 
 # ----------------------------------------------------------------------

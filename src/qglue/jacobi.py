@@ -1,23 +1,22 @@
 """Linearization about a periodic orbit: per-mode operators, the generator
 solutions of degrees 0 and 1 from the deformation families, Floquet
-analysis of the flows of delaunay._mode_flow_rhs (one batched run of the
-in-tree DOP853 of qglue.ode per mode and start, whose dense output also
-gives the flow on a window after the start), the conserved boundary
-pairing, and the smooth step that every cutoff is built from.  JacobiBasis
-holds every generator; its necksize field is the eps-derivative of the
-orbit's cosine series, in closed form.
+analysis of the mode flows (Chebyshev spectral integration of the linear
+mode equation over panels of one period, with the orbit's series as its
+coefficient; the panels' interpolants also give the flow on a window after
+the start), the conserved boundary pairing, and the smooth step that every
+cutoff is built from.  JacobiBasis holds every generator; its necksize
+field is the eps-derivative of the orbit's cosine series, in closed form.
 """
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .gauges import paneitz_mode_apply
-from .delaunay import (DelaunayOrbit, _epsbar_symbol, _mode_flow_rhs,
-                       _series_jet, _tangent)
-from .ode import dop853
+from .delaunay import DelaunayOrbit, _epsbar_symbol, _series_jet, _tangent
 
 __all__ = [
     "ModeOperator", "mode_apply", "MonodromyData", "monodromy_data",
@@ -78,6 +77,47 @@ class MonodromyData:
 
 
 MONODROMY_SUBINTERVALS = 24
+PANEL_DEGREE = 16  # K: each panel has the K + 1 nodes (1 - cos(pi j / K)) / 2
+
+
+@lru_cache(maxsize=None)
+def _panel_integrals(K):
+    """Nodes x_j = (1 - cos(pi j / K)) / 2 of [0, 1], and the powers S^m,
+    m = 0..4, of the spectral integration matrix S: values at the nodes ->
+    Chebyshev coefficients of their interpolant -> its integral from 0, at
+    the nodes (Greengard, SIAM J. Numer. Anal. 28, 1991).  In xi = 2 x - 1,
+    T_k(xi_j) = cos(k (pi - pi j / K)), and T_k integrates to T_1 (k = 0),
+    T_2 / 4 (k = 1) and T_{k+1} / (2(k+1)) - T_{k-1} / (2(k-1))."""
+    k = np.arange(K + 1)
+    x = 0.5 * (1.0 - np.cos(np.pi * k / K))
+    cheb = np.cos(np.outer(np.pi - np.pi * k / K, np.arange(K + 2)))
+    integral = np.zeros((K + 2, K + 1))
+    integral[k + 1, k] = 0.5 / (k + 1)
+    integral[1, 0] = 1.0
+    integral[k[2:] - 1, k[2:]] = -0.5 / (k[2:] - 1)
+    lifted = cheb @ integral
+    lifted -= lifted[0]  # node 0 is xi = -1
+    S = 0.5 * np.linalg.solve(cheb[:, :K + 1].T, lifted.T).T
+    powers = [np.eye(K + 1)]
+    for _ in range(4):
+        powers.append(S @ powers[-1])
+    return x, np.array(powers)
+
+
+def _barycentric(x, at):
+    """(len(at), len(x)) weights of the interpolant through the Lobatto
+    nodes x at the points at (Berrut & Trefethen, SIAM Rev. 46, 2004); a
+    point on a node takes that node's value."""
+    w = (-1.0) ** np.arange(len(x))
+    w[[0, -1]] *= 0.5
+    diff = at[:, None] - x
+    hit = diff == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = w / diff
+        out /= out.sum(axis=1, keepdims=True)
+    on_node = hit.any(axis=1)
+    out[on_node] = hit[on_node]
+    return out
 
 
 def monodromy_data(op, t0=0.0, offsets=()):
@@ -86,40 +126,53 @@ def monodromy_data(op, t0=0.0, offsets=()):
     assembled matrix is destroyed by the dynamic range of the multipliers),
     and the flows Phi(t0 + offset; t0) for each of the offsets in [0, T).
 
-    The flow is autonomous, so the MONODROMY_SUBINTERVALS subintervals all
-    start at local time 0 and run together over their common length as one
-    batched ode.dop853 run: each column of the (20, MONODROMY_SUBINTERVALS)
-    state is the identity flow jointly with the orbit, restarted from
-    orbit.jet at its subinterval's left edge (a carried orbit would drift
-    along its unstable directions over a period).  An offset's flow is the
-    run's dense output at the offset's local time in its subinterval times
-    the product of the earlier subintervals' factors; sampling changes no
-    step, so matrix, backward and detFactored do not depend on the offsets.
-    The flow preserves symplectic_pairing, M^T Omega M = Omega, so the
-    backward flow is Omega^{-1} M^T Omega and needs no second sweep."""
+    The mode equation w'''' = A w'' + q w, q = K v^{p-1} - lam^2 - B, is
+    linear with coefficients from the orbit's series, so each of the
+    MONODROMY_SUBINTERVALS panels of length h is solved by Chebyshev
+    spectral integration of degree PANEL_DEGREE.  The unknown is u = w''''
+    at the panel's nodes; w^(d) = P_d + (h S)^{4-d} u, with P_d the Taylor
+    part of the four identity initial jets, turns the equation into one
+    square system with four right-hand sides per panel, and all panels are
+    solved in one batch.  A panel's factor is its jets at the panel's end.
+    An offset's flow is the barycentric interpolant of the jets on its
+    panel times the product of the earlier panels' factors, so matrix,
+    backward and detFactored do not depend on the offsets.  The flow
+    preserves symplectic_pairing, M^T Omega M = Omega, so the backward flow
+    is Omega^{-1} M^T Omega and needs no second sweep.  Raises
+    NumericalError when the flow is not finite."""
     T = op.orbit.period
     n_sub = MONODROMY_SUBINTERVALS
-    flow = _mode_flow_rhs(op.constants, op.lam, 4)
-    edges = t0 + np.linspace(0.0, T, n_sub + 1)
-    sub, local = np.divmod(np.asarray(offsets, dtype=float), T / n_sub)
-    sub = sub.astype(int)
-    times, at = np.unique(local, return_inverse=True)
-    y0 = np.empty((20, n_sub))
-    y0[:4] = op.orbit.jet(edges[:-1], max_deriv=3)
-    y0[4:] = np.eye(4).reshape(-1, 1)
-    end, dense = dop853(
-        lambda t, y: flow(t, y.reshape(20, n_sub)).reshape(-1),
-        y0.reshape(-1), T / n_sub, times)
-    factors = end[4 * n_sub:].reshape(4, 4, n_sub).transpose(2, 0, 1)
+    h = T / n_sub
+    x, S = _panel_integrals(PANEL_DEGREE)
+    c, A = op.constants, op.A
+    t = t0 + h * (np.arange(n_sub)[:, None] + x)
+    q = (c.K * op.orbit.eval(t.ravel(), 0).reshape(t.shape) ** (c.p - 1)
+         - op.lam ** 2 - c.mode_coefficients(op.lam)[1])
+    # taylor[d, :, j] = (h x)^(j - d) / (j - d)!: the part of w^(d) that
+    # the initial jet e_j fixes
+    taylor = np.zeros((4, len(x), 4))
+    for d in range(4):
+        for j in range(d, 4):
+            taylor[d, :, j] = (h * x) ** (j - d) / factorial(j - d)
+    hS = h ** np.arange(5)[:, None, None] * S
+    u = np.linalg.solve(hS[0] - A * hS[2] - q[:, :, None] * hS[4],
+                        A * taylor[2] + q[:, :, None] * taylor[0])
+    # jets[k, d]: w^(d) at panel k's nodes, one column per initial jet
+    jets = taylor + hS[4:0:-1] @ u[:, None]
+    factors = jets[:, :, -1]
     # partial[j]: the flow over the first j subintervals
     partial = [np.eye(4)]
     for F in factors:
         partial.append(F @ partial[-1])
     M = partial[-1]
-    inside = dense[4 * n_sub:].reshape(4, 4, n_sub, len(times))
-    window = inside[:, :, sub, at].transpose(2, 0, 1) @ np.array(partial)[sub]
+    sub, local = np.divmod(np.asarray(offsets, dtype=float), h)
+    sub = sub.astype(int)
+    window = (np.einsum("mi,mdij->mdj", _barycentric(x, local / h),
+                        jets[sub]) @ np.array(partial)[sub])
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(window))):
+        raise NumericalError("mode flow is not finite")
     det = np.prod(np.linalg.det(factors))
-    Om = _pairing_matrix(op.A)
+    Om = _pairing_matrix(A)
     backward = np.linalg.solve(Om, M.T @ Om)
     return MonodromyData(matrix=M, backward=backward, detFactored=det,
                          period=T, window=window)

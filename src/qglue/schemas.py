@@ -241,8 +241,9 @@ SUMMARY_SCHEMAS = {
                 "the field's sup over the same points"},
             "measuredRates": {"type": "object", "description":
                 "growth rate log|w(t0 + K T) / w(t0)| / (K T) of each "
-                "exponential field (0+, l+, l-); the necksize field 0- "
-                "grows linearly and has none"},
+                "exponential field (l+, l-); the degree-0 fields have "
+                "none: the phase field 0+ is periodic and the necksize "
+                "field 0- grows linearly"},
             "pairingRatio": _num, "pairingDrift": _num,
         },
     },

@@ -8,11 +8,10 @@ from scipy.integrate import solve_ivp
 
 from qglue import delaunay
 from qglue.cli import HANDLERS, _sweep_orbits
-from qglue.delaunay import (_mode_flow_rhs, hamiltonian, solve_orbit,
-                            FamilyParams, expansion_error)
+from qglue.delaunay import (hamiltonian, solve_orbit, FamilyParams,
+                            expansion_error)
 from qglue.errors import DomainError
 from qglue.gauges import CylField, derive_constants, q_residual
-from qglue.ode import dop853
 
 
 @pytest.mark.parametrize("n_val", [5, 6, 7, 9, 12])
@@ -42,9 +41,21 @@ def spherical_state(consts, t_val):
     return [float(sp.diff(prof, t, k).subs(t, t_val)) for k in range(5)]
 
 
+def orbit_rhs(consts):
+    """The necksize ODE v^(4) = c2 v'' - c0 v + cN v^p as a first-order
+    system in the state (v, v', v'', v''')."""
+    c2, c0, cN, p = consts.c2, consts.c0, consts.cN, consts.p
+
+    def rhs(_, y):
+        return np.array([y[1], y[2], y[3],
+                         c2 * y[2] - c0 * y[0] + cN * y[0] ** p])
+
+    return rhs
+
+
 def rhs_at(consts, y):
     """The necksize ODE's first-order right-hand side at the state y."""
-    return _mode_flow_rhs(consts, 0.0, 0)(0.0, np.asarray(y, dtype=float))
+    return orbit_rhs(consts)(0.0, np.asarray(y, dtype=float))
 
 
 class TestRhsAndEnergy:
@@ -75,44 +86,9 @@ class TestRhsAndEnergy:
         assert got == pytest.approx(-0.4366, abs=5e-4)
 
 
-def reshaped_flow(consts, lam, k):
-    """The orbit jointly with k jets of its mode-lam linearization, written
-    with the jets reshaped to (4, k): the reference form of the flow."""
-    c2, c0, cN, p, K = consts.c2, consts.c0, consts.cN, consts.p, consts.K
-    A, B = consts.mode_coefficients(lam)
-    base = lam ** 2 + B
-
-    def rhs(t, y):
-        v = y[0]
-        Y = y[4:].reshape(4, -1)
-        out = np.empty_like(y)
-        out[:3] = y[1:4]
-        out[3] = c2 * y[2] - c0 * v + cN * v ** p
-        W = out[4:].reshape(4, -1)
-        W[:3] = Y[1:]
-        W[3] = A * Y[2] - (base - K * v ** (p - 1)) * Y[0]
-        return out
-
-    return rhs
-
-
 class TestModeFlow:
-    """One right-hand side serves the orbit, its Jacobi fields and every
-    mode flow; it must match the reshaped form bit for bit."""
-
-    @pytest.mark.parametrize("n", [5, 9])
-    @pytest.mark.parametrize("l", [0, 1, 2])
-    @pytest.mark.parametrize("k", [0, 1, 2, 4])
-    def test_matches_reshaped_flow(self, n, l, k):
-        consts = derive_constants(n)
-        lam = consts.lam(l)
-        got = _mode_flow_rhs(consts, lam, k)
-        ref = reshaped_flow(consts, lam, k)
-        rng = np.random.default_rng(100 * n + 10 * l + k)
-        for _ in range(300):
-            y = rng.standard_normal(4 + 4 * k)
-            y[0] = rng.uniform(0.05, 1.5)
-            assert got(0.0, y).tobytes() == ref(0.0, y).tobytes()
+    """The series' jets of orders 4 and 5 against the ODE applied to its
+    jets of orders 0..3."""
 
     def test_jet_extends_by_the_ode(self, orbit05, consts5, orbit_cache):
         # orders 4 and 5 are the series' own derivatives; off the
@@ -132,9 +108,11 @@ class TestModeFlow:
 
 def integrate(consts, y0, ts):
     """States of the necksize ODE from y(0) = y0 at the ascending points
-    ts >= 0, by the dense output of the in-tree DOP853 that integrates the
-    mode flows."""
-    return dop853(_mode_flow_rhs(consts, 0.0, 0), y0, ts[-1], ts)[1]
+    ts >= 0, by the dense output of solve_ivp's DOP853 at 3e-14."""
+    sol = solve_ivp(orbit_rhs(consts), (0.0, ts[-1]), y0, method="DOP853",
+                    rtol=3e-14, atol=3e-14, t_eval=ts)
+    assert sol.success
+    return sol.y
 
 
 class TestIntegrate:
@@ -354,8 +332,8 @@ class TestSampleWindow:
 
 
 class TestSharedSampler:
-    """monodromy_data starts every subinterval's flow from orbit.jet; at
-    t = 0 that is the minimum's state (eps, 0, s, 0) bit for bit."""
+    """The orbit's jet at t = 0 is the minimum's state (eps, 0, s, 0) of
+    the family, bit for bit."""
 
     @pytest.mark.parametrize("n", [5, 6, 9])
     @pytest.mark.parametrize("frac", [0.3, 0.6, 0.9])

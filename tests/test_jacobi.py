@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from scipy.integrate import solve_ivp
 
 from qglue import derive_constants, solve_orbit
 from qglue.cli import HANDLERS
-from qglue.errors import DomainError
+from qglue.errors import DomainError, NumericalError
 import qglue.jacobi as jacobi
 from qglue.jacobi import (ModeOperator, mode_apply, monodromy_data,
                           indicial_roots, generators, symplectic_pairing,
@@ -163,20 +165,31 @@ class TestSensitivities:
         assert basis.dTdEps == pytest.approx(dT, rel=1e-8, abs=0)
 
 
+def across_family(*extra):
+    """Parameters (*extra, n, eps) beyond n = 5 at eps = 0.5: n = 6 and the
+    necksize 0.05 epsBar, with ids naming eps / epsBar."""
+    return [pytest.param(*extra, n, frac * derive_constants(n).epsBar,
+                         id="-".join(map(str, (*extra, n, frac))))
+            for n, frac in ((6, 0.3), (6, 0.9), (5, 0.05), (6, 0.05),
+                            (9, 0.05))]
+
+
 class TestMonodromy:
-    @pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("n, eps", [pytest.param(5, eps, id=str(eps))
+                                        for eps in (0.3, 0.5, 0.7)]
+                             + across_family())
     @pytest.mark.parametrize("l", [0, 1, 2])
-    def test_determinant_one(self, orbit_cache, eps, l):
-        orb = orbit_cache(eps)
+    def test_determinant_one(self, orbit_cache, n, eps, l):
+        orb = orbit_cache(eps, n=n)
         data = monodromy_data(ModeOperator(orb, orb.constants.lam(l)))
         assert data.detFactored == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("frac", [0.0, 0.7])
     @pytest.mark.parametrize("l", [0, 1, 2])
-    @pytest.mark.parametrize("n", [5, 9])
+    @pytest.mark.parametrize("n", [5, 6, 9])
     def test_matches_tight_reference(self, orbit_cache, n, l, frac):
-        # the batched subintervals against 96 separate runs near
-        # solve_ivp's tolerance floor; at 1e-12 the batch read 4e-13 to 3e-12
+        # the 24 spectral panels against 96 separate runs near solve_ivp's
+        # tolerance floor; a reference at 1e-12 differed by 4e-13 to 3e-12
         eps = 0.5 * derive_constants(n).epsBar
         orb = orbit_cache(eps, n=n)
         op = ModeOperator(orb, orb.constants.lam(l))
@@ -186,6 +199,21 @@ class TestMonodromy:
         assert (np.linalg.norm(data.matrix - M_ref, 2)
                 <= 2e-13 * np.linalg.norm(M_ref, 2))
         assert abs(data.detFactored - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("bad", ["nan-coefficient", "negative-v"])
+    def test_non_finite_flow_raises(self, orbit_cache, bad):
+        # a nan in the series, or v < 0 under the fractional power
+        # v^{p-1} = v^{8/3} of n = 7: the potential is nan, and the flow
+        # must fail loudly instead of handing nan to the Schur forms
+        orb = orbit_cache(0.5 * derive_constants(7).epsBar, n=7)
+        if bad == "nan-coefficient":
+            orb = dataclasses.replace(orb, coeffs=np.append(orb.coeffs[:-1],
+                                                            np.nan))
+        else:
+            orb = dataclasses.replace(orb, eps=-0.1)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericalError, match="not finite"):
+            monodromy_data(ModeOperator(orb, 0.0), offsets=[0.1])
 
     def test_phase_direction_is_fixed(self, orbit05):
         # multiplier-one eigenvector proportional to the vdot jet at t0;
@@ -249,10 +277,14 @@ class TestSymplecticInverse:
         scale = np.linalg.norm(data.matrix, 2)
         assert np.linalg.norm(data.backward - Mb, 2) <= 1e-12 * scale
 
-    @pytest.mark.parametrize("l", [0, 1, 2])
-    def test_flow_preserves_pairing(self, orbit05, l):
-        op = ModeOperator(orbit05, orbit05.constants.lam(l))
-        M = monodromy_data(op, t0=0.7 * orbit05.period).matrix
+    @pytest.mark.parametrize("l, n, eps", [pytest.param(l, 5, 0.5, id=str(l))
+                                           for l in (0, 1, 2)]
+                             + [p for l in (0, 1, 2)
+                                for p in across_family(l)])
+    def test_flow_preserves_pairing(self, orbit_cache, l, n, eps):
+        orb = orbit_cache(eps, n=n)
+        op = ModeOperator(orb, orb.constants.lam(l))
+        M = monodromy_data(op, t0=0.7 * orb.period).matrix
         Om = _pairing_matrix(op.A)
         assert (np.linalg.norm(M.T @ Om @ M - Om, 2)
                 <= 1e-15 * np.linalg.norm(M, 2) ** 2)
