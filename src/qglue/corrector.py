@@ -335,7 +335,7 @@ def _mode_border(approx, basis, l):
                     @ np.concatenate([dec, grow], axis=1)).T)
         samples = sol[:n_dec]
         if has_deficiency:
-            samples += [basis.jet(l, sign, nodes + phase)[0] for sign in "+-"]
+            samples += [basis.profile(l, sign, nodes + phase) for sign in "+-"]
         samples += sol[n_dec:]
         # discrete jets: extract with the same stencils the rows will use
         jet_win = jet[:, i0:i0 + win]
@@ -356,8 +356,8 @@ def _mode_border(approx, basis, l):
     # deficiency columns: cutoff global generator profiles at each end
     chiL = smooth_step((s - (s[0] + T / 2)) / (T / 2))
     chiR = smooth_step(((s[-1] - T / 2) - s) / (T / 2))
-    plus_prof = basis.jet(l, "+", s + phase)[0]
-    minus_prof = basis.jet(l, "-", s + phase)[0]
+    plus_prof = basis.profile(l, "+", s + phase)
+    minus_prof = basis.profile(l, "-", s + phase)
     raw = [chiL * plus_prof, chiL * minus_prof,
            chiR * plus_prof, chiR * minus_prof]
     scales = np.array([max(np.max(np.abs(c)), 1e-300) for c in raw])
@@ -792,6 +792,39 @@ def verify_correction(approx, correction):
 # injectivity diagnostic
 
 
+LANCZOS_STEPS = 100  # step cap of _lanczos_top; reaching it is an error
+
+
+def _lanczos_top(apply, n):
+    """Largest eigenvalue of the symmetric positive definite operator
+    `apply` on R^n, by Lanczos from a seeded start vector with full
+    reorthogonalization: two classical Gram-Schmidt passes against the
+    stored basis (Golub and Van Loan, Matrix Computations, 4th ed., secs.
+    10.1 and 10.3).  Each step takes the eigenvalues theta of the
+    tridiagonal T_k and stops once the top Ritz pair's residual
+    beta_k |y_k[-1]| is at most 1e-12 theta; NumericalError if
+    min(n, LANCZOS_STEPS) steps do not get there."""
+    steps = min(n, LANCZOS_STEPS)
+    Q = np.empty((steps, n))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = np.random.default_rng(42).standard_normal(n)
+    Q[0] = q / np.linalg.norm(q)
+    for k in range(steps):
+        w = apply(Q[k])
+        alpha[k] = Q[k] @ w
+        for _ in range(2):
+            w -= Q[:k + 1].T @ (Q[:k + 1] @ w)
+        beta[k] = np.linalg.norm(w)
+        T = (np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1)
+             + np.diag(beta[:k], -1))
+        theta, Y = np.linalg.eigh(T)
+        if beta[k] * abs(Y[-1, -1]) <= 1e-12 * theta[-1]:
+            return float(theta[-1])
+        if k + 1 < steps:
+            Q[k + 1] = w / beta[k]
+    raise NumericalError(f"Lanczos did not converge in {steps} steps")
+
+
 @dataclass
 class NondegeneracyResult:
     sigmaMin: float
@@ -821,9 +854,11 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
     injectivity modulus.
 
     The conjugated matrix is strongly graded (the weight spans e^{delta m T}),
-    so its smallest singular value is computed as 1/|W^{-1}| via backward-
-    stable banded LU solves and inverse power iteration; a direct SVD bottoms
-    out at eps times the largest singular value and reports grading noise.
+    so its smallest singular value is computed as 1/|W^{-1}|, with |W^{-1}|^2
+    the largest eigenvalue of W^{-T} W^{-1}, from backward-stable banded LU
+    solves and Lanczos (_lanczos_top) to a converged Ritz value; a direct SVD
+    bottoms out at eps times the largest singular value and reports grading
+    noise.  A Lanczos that does not converge raises NumericalError.
     """
     if delta <= 1:
         raise DomainError("the weight rate must exceed 1")
@@ -853,19 +888,8 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
         def apply_inv_t(z):
             return rho * lu.solve(inv_rho * z, trans=1)
 
-        rng = np.random.default_rng(42)
-        z = rng.standard_normal(N)
-        z /= np.linalg.norm(z)
-        lam_prev = 0.0
-        lam = 0.0
-        for _ in range(200):
-            w = apply_inv_t(apply_inv(z))
-            lam = np.linalg.norm(w)
-            z = w / lam
-            if abs(lam - lam_prev) <= 1e-10 * lam:
-                break
-            lam_prev = lam
-        per_mode[l] = float(1.0 / np.sqrt(lam))
+        per_mode[l] = float(1.0 / np.sqrt(
+            _lanczos_top(lambda z: apply_inv_t(apply_inv(z)), N)))
     return NondegeneracyResult(sigmaMin=min(per_mode.values()),
                                perMode=per_mode, delta=delta,
                                deltaPrime=delta_prime)

@@ -42,20 +42,44 @@ def hamiltonian(jet, consts):
 # the periodic orbit family
 
 
+SPLIT = 8  # block length B of _series_jet's split powers
+
+
 def _series_jet(at_zero, a, omega, t, max_deriv):
     """Derivatives 0..max_deriv at the points of the 1-d array t, one row
     each, of the series at_zero + sum_k a_k (cos(k omega t) - 1), k = 1..N.
-    At t = 0 the value row is at_zero and the odd rows are +0.0 exactly."""
-    k = np.arange(1, len(a) + 1)
-    theta = np.outer(np.mod(omega * t, 2.0 * np.pi), k)
-    trig = (np.cos(theta), np.sin(theta) if max_deriv else None)
-    rows = [at_zero + (trig[0] - 1.0) @ a]
+    At t = 0 the value row is at_zero and the odd rows are +0.0 exactly.
+
+    The powers z^k of z = e^{i omega t} are split as z^j w^m with
+    k = j + B m, j = 1..B, w = z^B (B = SPLIT; a is padded with zeros to a
+    multiple of B): E1 = (z^1..z^B) and E2 = (w^0..w^(M-1)) are cumulative
+    products, and row d is the real part of i^d sum_k a_k (k omega)^d z^k =
+    i^d sum_m w^m sum_j z^j A_d[j, m], one matrix product per row, with A_d
+    the (B, M) reshape of a_k (k omega)^d.  One complex exponential per
+    point replaces N cosines and N sines.  The value row sums
+    a_k ((z^j - 1) w^m + (w^m - 1)), which vanishes exactly at z = 1."""
+    rows = np.zeros((max_deriv + 1, len(t)))
+    rows[0] = at_zero
+    if not len(a):
+        return rows
+    M = -(-len(a) // SPLIT)
+    coeffs = np.zeros(M * SPLIT)
+    coeffs[:len(a)] = a
+    kw = np.arange(1, M * SPLIT + 1) * omega
+    z = np.exp(1j * np.mod(omega * t, 2.0 * np.pi))
+    E1 = np.cumprod(np.repeat(z[:, None], SPLIT, axis=1), axis=1)
+    E2 = np.ones((len(t), M), dtype=complex)
+    E2[:, 1:] = np.cumprod(np.repeat(E1[:, -1:], M - 1, axis=1), axis=1)
+    A0 = coeffs.reshape(M, SPLIT).T
+    rows[0] += (((E1 - 1.0) @ A0) * E2).sum(1).real + (
+        (E2 - 1.0) @ A0.sum(0)).real
     for d in range(1, max_deriv + 1):
-        # cos^(d) is -sin, -cos, sin, cos for d = 1, 2, 3, 0 mod 4; adding
+        S = ((E1 @ (coeffs * kw ** d).reshape(M, SPLIT).T) * E2).sum(1)
+        # Re(i^d S) is -Im, -Re, Im, Re for d = 1, 2, 3, 0 mod 4; adding
         # 0.0 turns the -0.0 of a vanishing row into +0.0
-        sign = 1.0 if d % 4 in (0, 3) else -1.0
-        rows.append(sign * (trig[d % 2] @ (a * (k * omega) ** d)) + 0.0)
-    return np.stack(rows)
+        part = S.imag if d % 2 else S.real
+        rows[d] = (1.0 if d % 4 in (0, 3) else -1.0) * part + 0.0
+    return rows
 
 
 @dataclass

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qglue.errors import DomainError, IllConditionedError
+from qglue.errors import DomainError, IllConditionedError, NumericalError
 from qglue.gauges import CylField
-from qglue.gluing import build_approximate
+from qglue.gluing import build_approximate, log_annulus_weight
 from qglue.jacobi import ModeOperator, mode_apply, smooth_step
 from qglue.corrector import (discretize, linear_apply, bordered_system,
                              solve_right_inverse, estimate_g_norm, remainder,
@@ -819,9 +819,78 @@ class TestDenseOracle:
         dense_sys = dataclasses.replace(sysm, _lu=None, _cond=None)
         dense_cond = dense_sys.factor()[1]
         assert kappa1 / 3 <= dense_cond <= kappa1 * (1 + 1e-10)
-        # the diagnostic's inverse power iteration over either factors
+        # the diagnostic's Lanczos over either factors
         dense_modes = nondegeneracy_diag(approx, degrees=degrees).perMode
         monkeypatch.undo()
         band_modes = nondegeneracy_diag(approx, degrees=degrees).perMode
         for l in degrees:
             assert band_modes[l] == pytest.approx(dense_modes[l], rel=1e-8)
+
+
+def weighted_tile(approx, l, delta, delta_prime):
+    """Test-local oracle input: mode l's clamped tile of `discretize`,
+    conjugated by the diagnostic's weight as W = D_rho^{-1} A D_rho, dense,
+    with rho rebuilt from its definition."""
+    cfg = approx.config
+    s = approx.s
+    scale = cfg.m * cfg.period
+    neck = (cfg.m + 0.5) * cfg.period
+    rho = np.exp(np.where(
+        np.abs(s) <= neck, log_annulus_weight(s, delta, scale),
+        log_annulus_weight(neck, delta, scale)
+        - delta_prime * (np.abs(s) - neck)))
+    A = discretize(approx, degrees=(l,)).toarray()
+    return A * rho[None, :] / rho[:, None]
+
+
+class TestLanczosDiagnostic:
+    """The diagnostic reports a converged figure or none.  On a long neck
+    (n = 5, eps = 0.5, m = 6, tails in modes 0 and 2 at rates near 1.1) the
+    top two eigenvalues of mode 2's W^{-T} W^{-1} lie within a few percent,
+    where a 200-step power iteration stopped 1e-3 short."""
+
+    @pytest.fixture(scope="class")
+    def long_neck(self, orbit05):
+        cfg = make_config(orbit05, m=6,
+                          pert1=((0, 1.3e-3, 1.135), (2, -1.7e-3, 1.143)),
+                          pert2=((0, 1.85e-3, 1.109), (2, 6.3e-4, 1.053)),
+                          T01=0.42, T02=0.32)
+        return build_approximate(cfg, grid_per_period=64)
+
+    def test_mode2_matches_dense_svd(self, long_neck):
+        diag = nondegeneracy_diag(long_neck, degrees=(0, 2))
+        W = weighted_tile(long_neck, 2, diag.delta, diag.deltaPrime)
+        sigma = np.linalg.svd(W, compute_uv=False)
+        # the dense SVD's own error, eps sigma_max / sigma_min, is 4e-10 here
+        assert np.finfo(float).eps * sigma[0] / sigma[-1] <= 1e-9
+        assert diag.perMode[2] == pytest.approx(sigma[-1], rel=1e-9)
+
+    def test_top_of_a_clustered_spectrum(self):
+        import qglue.corrector as corrector
+        # the top pair 0.2% apart, the rest decaying geometrically
+        n = 300
+        lam = np.concatenate([[1.0, 0.998], 0.5 * 0.7 ** np.arange(n - 2)])
+        Q = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))[0]
+        B = (Q * lam) @ Q.T
+        top = corrector._lanczos_top(lambda z: B @ z, n)
+        assert top == pytest.approx(np.linalg.eigvalsh(B)[-1], rel=1e-13)
+
+    def test_unconverged_lanczos_raises(self, long_neck, monkeypatch):
+        import qglue.corrector as corrector
+        monkeypatch.setattr(corrector, "LANCZOS_STEPS", 1)
+        with pytest.raises(NumericalError, match="Lanczos"):
+            nondegeneracy_diag(long_neck, degrees=(0, 2))
+
+    def test_unconverged_lanczos_exits_3(self, tmp_path, monkeypatch, capsys):
+        import json
+        import qglue.corrector as corrector
+        from qglue.cli import main
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(
+            {"n": 5, "eps": 0.5, "m": 2, "end1": {"T0": 0.0, "perturbation": [
+                {"l": 0, "A": 1e-3, "beta": 2.0}]}, "end2": {}}))
+        monkeypatch.setattr(corrector, "LANCZOS_STEPS", 1)
+        assert main(["diagnose", "--config", str(path),
+                     "--out", str(tmp_path / "d")]) == 3
+        assert "Lanczos did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "d" / "summary.json").exists()

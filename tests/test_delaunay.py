@@ -343,6 +343,44 @@ class TestSharedSampler:
         assert orb.jet(0.0).tobytes() == y0.tobytes()
 
 
+def trig_table_jet(at_zero, a, omega, t, max_deriv):
+    """Test-local oracle of delaunay._series_jet: the derivatives of
+    at_zero + sum_k a_k (cos(k omega t) - 1) from tables of np.cos and
+    np.sin of k omega t."""
+    k = np.arange(1, len(a) + 1)
+    theta = np.outer(np.mod(omega * t, 2.0 * np.pi), k)
+    rows = [at_zero + (np.cos(theta) - 1.0) @ a]
+    for d in range(1, max_deriv + 1):
+        trig = np.sin(theta) if d % 2 else np.cos(theta)
+        sign = 1.0 if d % 4 in (0, 3) else -1.0
+        rows.append(sign * (trig @ (a * (k * omega) ** d)))
+    return np.stack(rows)
+
+
+class TestSeriesJet:
+    """The split-power evaluation of the cosine series against a table of
+    cosines and sines, up to 20 periods either side of t = 0."""
+
+    @pytest.mark.parametrize("eps, N", [(0.5, 0), (0.5, 64), (0.5, 61),
+                                        (0.02, 128)])
+    def test_matches_trig_table(self, orbit_cache, eps, N):
+        orb = orbit_cache(eps)
+        assert len(orb.coeffs) >= N
+        a, T = orb.coeffs[:N], orb.period
+        t = np.concatenate([[0.0, -20.0 * T, 20.0 * T], np.random.default_rng(
+            N).uniform(-20.0 * T, 20.0 * T, 400)])
+        got = delaunay._series_jet(orb.eps, a, orb.omega, t, 4)
+        ref = trig_table_jet(orb.eps, a, orb.omega, t, 4)
+        assert got.shape == ref.shape
+        for d in range(5):
+            assert (np.max(np.abs(got[d] - ref[d]))
+                    <= 1e-14 * np.max(np.abs(ref[d]))), d
+        # at t = 0 the value is at_zero and the odd rows +0.0, exactly
+        assert got[0, 0] == orb.eps
+        assert np.all(got[1::2, 0] == 0.0)
+        assert not np.any(np.signbit(got[1::2, 0]))
+
+
 def reference_jets(consts, y0, half, t):
     """States at t in [0, half] of the orbit jointly with one solution of its
     linearization (components 4..7), from a tight DOP853 run: tolerance
