@@ -361,7 +361,8 @@ class TestSeriesJet:
     """The split-power evaluation of the cosine series against a table of
     cosines and sines, up to 20 periods either side of t = 0."""
 
-    @pytest.mark.parametrize("eps, N", [(0.5, 0), (0.5, 64), (0.5, 61),
+    # N = 13 ends in a partial block, a_9..a_13, of order 1e-6 of max |a_k|
+    @pytest.mark.parametrize("eps, N", [(0.5, 0), (0.5, 13), (0.5, 64),
                                         (0.02, 128)])
     def test_matches_trig_table(self, orbit_cache, eps, N):
         orb = orbit_cache(eps)
