@@ -28,13 +28,22 @@ annulus-weighted size of the decaying part over kernel shifts.  The gauge
 rows vanish on solutions with zero kernel content, so consistent compactly
 supported problems are reproduced exactly.
 
-SciPy is imported where it is used, by BandLU (LAPACK's dgbtrf/dgbtrs and
-the Schur complement's lu_factor/lu_solve) and by _invariant_subspace
-(schur): a command that factors nothing, such as orbit, sweep, indicial,
-jacobi or glue, starts and runs without loading it.
+LAPACK comes from SciPy's compiled wrapper module scipy.linalg._flapack,
+loaded alone by _lapack() at the first factorization or Schur form, without
+the scipy and scipy.linalg packages around it.  Its routines are the objects
+scipy.linalg.lapack exports, so results are those of scipy.linalg: BandLU
+calls dgbtrf/dgbtrs for the band and dgetrf/dgetrs for the Schur
+complement, and _invariant_subspace calls dgees.  A command that factors
+nothing, such as orbit, sweep, indicial, jacobi or glue, loads none of it.
 """
 
 from dataclasses import dataclass, replace
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
 
 from .errors import DomainError, IllConditionedError, NumericalError
@@ -138,17 +147,44 @@ class BandedOperator:
         return self.matvec(np.eye(self.shape[0]))
 
 
+@functools.cache
+def _lapack():
+    """SciPy's compiled LAPACK wrappers, the extension module
+    scipy.linalg._flapack, loaded by itself: find_spec locates SciPy without
+    importing it, and the module is registered under its own name, so a
+    later import of scipy.linalg reuses it and its routines are the ones
+    scipy.linalg.lapack exports, in either import order."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    path = os.path.join(
+        scipy.submodule_search_locations[0] if scipy else "scipy", "linalg")
+    spec = importlib.machinery.FileFinder(path, (
+        importlib.machinery.ExtensionFileLoader,
+        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {path}",
+                          name=name, path=path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 class BandLU:
     """LU factors of a BandedOperator whose rows are divided by row_scale:
     LAPACK's banded LU (dgbtrf) of the core A, and block elimination of
     the border rows R and columns C through the k x k Schur complement
-    S = -R A^{-1} C (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991).
-    `norm1` is the exact 1-norm of the scaled matrix; `singular` flags an
-    exactly singular core or complement.  solve() uses the operator's order."""
+    S = -R A^{-1} C (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991), by
+    dgetrf.  The routines come from _lapack(), which loads SciPy's LAPACK
+    module at the first factorization.  `norm1` is the exact 1-norm of the
+    scaled matrix; `singular` flags an exactly singular core or complement,
+    or a complement that is not finite.  solve() uses the operator's order
+    and raises NumericalError on a right-hand side that is not finite."""
 
     def __init__(self, op, row_scale):
-        from scipy.linalg import lu_factor
-        from scipy.linalg.lapack import dgbtrf
+        lapack = _lapack()
         kl, ku, nc = op.kl, op.ku, len(op.band)
         self.kl, self.ku, self.n = kl, ku, op.shape[0]
         scale = row_scale[:, None]
@@ -164,30 +200,37 @@ class BandLU:
             np.max(np.sum(np.abs(ab), axis=0)
                    + np.sum(np.abs(self.rows), axis=0)),
             np.max(np.sum(np.abs(self.cols), axis=0), initial=0.0)))
-        self.lu, self.piv, info = dgbtrf(ab, kl, ku, overwrite_ab=1)
+        self.lu, self.piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
         self.singular = info > 0
         if self.singular or not len(self.rows):
             return
         self.colsolve = self._core(self.cols, 0)        # A^{-1} C
         self.rowsolve = self._core(self.rows.T, 1)      # A^{-T} R^T
-        self.schur = lu_factor(-(self.rows @ self.colsolve))
-        self.singular = not np.all(np.diagonal(self.schur[0]) != 0.0)
+        complement = -(self.rows @ self.colsolve)
+        if not np.all(np.isfinite(complement)):
+            self.singular = True
+            return
+        lu, piv, info = lapack.dgetrf(complement)
+        self.schur, self.singular = (lu, piv), info > 0
 
     def _core(self, b, trans):
-        from scipy.linalg.lapack import dgbtrs
-        return dgbtrs(self.lu, self.kl, self.ku, b, self.piv, trans=trans)[0]
+        return _lapack().dgbtrs(self.lu, self.kl, self.ku, b, self.piv,
+                                trans=trans)[0]
 
     def solve(self, b, trans=0):
         """x with A x = b (trans=0) or A^T x = b (trans=1), for a vector
         or the columns of b."""
-        from scipy.linalg import lu_solve
+        if not np.all(np.isfinite(b)):
+            raise NumericalError("banded solve of a right-hand side that "
+                                 "is not finite")
         nc = self.lu.shape[1]
         y = self._core(b[:nc], trans)
         amp = b[nc:]
         if len(amp):
             inner, back = ((self.rows, self.colsolve) if trans == 0
                            else (self.cols.T, self.rowsolve))
-            amp = lu_solve(self.schur, amp - inner @ y, trans=trans)
+            amp = _lapack().dgetrs(*self.schur, amp - inner @ y,
+                                   trans=trans)[0]
             y = y - back @ amp
         return np.concatenate([y, amp])
 
@@ -230,12 +273,19 @@ def _inv_norm1(lu):
 def _invariant_subspace(M, k, thresh):
     """Orthonormal basis of the invariant subspace of the k multipliers with
     |mu| > thresh, via a sorted real Schur form."""
-    from scipy.linalg import schur
+    if not np.all(np.isfinite(M)):
+        raise NumericalError("one-period flow is not finite")
+    dgees = _lapack().dgees
 
     def big(re, im):
         return np.hypot(re, im) > thresh
 
-    _, Z, sdim = schur(M, output="real", sort=big)
+    # the workspace query and the sorted call of scipy.linalg.schur
+    lwork = dgees(lambda x: None, M, lwork=-1)[-2][0].real.astype(np.int_)
+    _, sdim, _, _, Z, _, info = dgees(big, M, lwork=lwork, sort_t=1)
+    if info > 0:
+        raise NumericalError(f"sorted real Schur form failed (dgees info "
+                             f"{info})")
     if sdim != k:
         raise NumericalError(
             f"expected {k} multipliers beyond {thresh:.3e}, found {sdim}")

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from qglue import derive_constants, solve_orbit
@@ -51,10 +52,15 @@ def sweep_orbits(orbit_cache, consts5):
 
 def mode_potential(op, t):
     """Zeroth-order coefficient lam^2 + B - K v^{p-1}(t) of the mode
-    operator op, for reference right-hand sides of its flow."""
+    operator op, for reference right-hand sides of its flow.  v is the
+    direct sum eps + sum_k a_k (cos(k omega t) - 1) of the orbit's
+    coefficients, independent of the jets under test and cheap at one
+    point."""
     c = op.constants
-    return (op.lam ** 2 + c.mode_coefficients(op.lam)[1]
-            - c.K * op.orbit.eval(t, 0) ** (c.p - 1))
+    orbit = op.orbit
+    kw = np.arange(1, len(orbit.coeffs) + 1) * orbit.omega
+    v = orbit.eps + (np.cos(np.multiply.outer(t, kw)) - 1.0) @ orbit.coeffs
+    return op.lam ** 2 + c.mode_coefficients(op.lam)[1] - c.K * v ** (c.p - 1)
 
 
 def make_config(orbit, m=2, pert1=(), pert2=(), T01=0.0, T02=0.0):

@@ -9,7 +9,8 @@ from qglue.gluing import build_approximate, log_annulus_weight
 from qglue.jacobi import ModeOperator, mode_apply, smooth_step
 from qglue.corrector import (discretize, linear_apply, bordered_system,
                              solve_right_inverse, estimate_g_norm, remainder,
-                             iterate, verify_correction, nondegeneracy_diag)
+                             iterate, verify_correction, nondegeneracy_diag,
+                             BandedOperator, BandLU, BorderedSystem)
 from conftest import make_config, mode_potential
 
 
@@ -470,8 +471,8 @@ class TestSharedOperator:
 
     def test_nondegeneracy_factors_discretize_tiles(self, multimode, probe,
                                                     monkeypatch):
-        import scipy.linalg.lapack as lapack
         import qglue.corrector as corrector
+        lapack = corrector._lapack()
         factored = []
         real = lapack.dgbtrf
 
@@ -486,7 +487,7 @@ class TestSharedOperator:
                 tiles.append(op)
                 super().__init__(op, row_scale)
 
-        # BandLU imports dgbtrf from scipy.linalg.lapack when it factors
+        # BandLU calls dgbtrf on the module _lapack() loads when it factors
         monkeypatch.setattr(lapack, "dgbtrf", capture)
         monkeypatch.setattr(corrector, "BandLU", Capture)
         correction = probe * 1e-3
@@ -552,7 +553,6 @@ class TestConditionEstimate:
             conds.append(again.factor()[1])
         assert len(set(conds)) == 1
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_system_reports_infinite_condition(
             self, fresh_sys, reference_approx):
         # zero an interior row of mode 0 (point-major row 12 is point 12)
@@ -582,6 +582,74 @@ class TestConditionEstimate:
         res = solve_right_inverse(fresh_sys, f)
         assert res.relResidual < 1e-8
         assert 1.0 <= res.cond <= 1e13
+
+
+class TestNonFiniteFactors:
+    """Non-finite numbers in a factorization end in a NumericalError (exit
+    3), not in an error of the LAPACK layer."""
+
+    # A = diag(1e-310, 1) is nonsingular, but A^{-1} C overflows, so the
+    # Schur complement -R A^{-1} C is -inf
+    OVERFLOW = BandedOperator(kl=0, ku=0, band=np.array([[1e-310], [1.0]]),
+                              cols=np.array([[1.0], [1.0]]),
+                              rows=np.array([[1.0, 1.0]]))
+
+    def test_non_finite_complement_reads_singular(self):
+        assert BandLU(self.OVERFLOW, np.ones(3)).singular
+        system = BorderedSystem(approx=None, degrees=(0,),
+                                matrix=self.OVERFLOW, row_scale=np.ones(3),
+                                borders=[])
+        assert system.factor()[1] == float("inf")
+
+    def test_non_finite_complement_exits_3(self, tmp_path, monkeypatch):
+        import json
+        import qglue.corrector as corrector
+        from qglue.cli import main
+
+        class Overflow(corrector.BandLU):
+            def __init__(self, op, row_scale):
+                super().__init__(dataclasses.replace(
+                    op, cols=np.full_like(op.cols, np.inf)), row_scale)
+
+        monkeypatch.setattr(corrector, "BandLU", Overflow)
+        path = tmp_path / "glue.json"
+        path.write_text(json.dumps(
+            {"n": 5, "eps": 0.5, "m": 2, "end1": {"perturbation": [
+                {"l": 0, "A": 1e-3, "beta": 2.0}]}, "end2": {}}))
+        assert main(["correct", "--config", str(path), "--out",
+                     str(tmp_path / "c")]) == 3
+
+    def test_non_finite_right_hand_side_raises(self):
+        op = dataclasses.replace(self.OVERFLOW,
+                                 band=np.array([[2.0], [1.0]]))
+        lu = BandLU(op, np.ones(3))
+        assert not lu.singular
+        assert np.all(np.isfinite(lu.solve(np.ones(3))))
+        for bad in ([1.0, np.nan, 1.0], [1.0, 1.0, np.inf]):
+            for trans in (0, 1):
+                with pytest.raises(NumericalError):
+                    lu.solve(np.array(bad), trans=trans)
+
+    def test_schur_form_failure_raises(self, monkeypatch):
+        import qglue.corrector as corrector
+        lapack = corrector._lapack()
+        real = lapack.dgees
+
+        def fail(select, a, **kwargs):
+            *out, info = real(select, a, **kwargs)
+            return (*out, len(a) + 1 if kwargs.get("sort_t") else info)
+
+        M = np.diag([4.0, 3.0, 0.5, 0.25])
+        assert corrector._invariant_subspace(M, 2, 2.0).shape == (4, 2)
+        monkeypatch.setattr(lapack, "dgees", fail)
+        with pytest.raises(NumericalError, match="dgees info 5"):
+            corrector._invariant_subspace(M, 2, 2.0)
+
+    def test_non_finite_flow_raises(self):
+        import qglue.corrector as corrector
+        M = np.diag([4.0, np.inf, 0.5, 0.25])
+        with pytest.raises(NumericalError, match="not finite"):
+            corrector._invariant_subspace(M, 2, 2.0)
 
 
 class TestDegreeCoverage:

@@ -1,7 +1,8 @@
 """Exported names resolve: every name in a qglue module's __all__ exists,
 and every name the package re-exports is exported by its home module.  No
 module imports a name it never uses, and the command line loads neither
-SciPy nor jsonschema until a command factors a band."""
+SciPy nor jsonschema until a command factors a band, and then only SciPy's
+compiled LAPACK module."""
 
 import ast
 import importlib
@@ -69,9 +70,9 @@ def _package(modules, name):
 
 
 def test_cli_import_leaves_out_heavy_scipy():
-    # SciPy loads at the first banded factorization, and the manifests and
-    # summaries are checked in the tree, so `import qglue.cli` alone loads
-    # neither SciPy nor jsonschema
+    # SciPy's LAPACK module loads at the first banded factorization, and the
+    # manifests and summaries are checked in the tree, so `import qglue.cli`
+    # alone loads neither SciPy nor jsonschema
     loaded = _loaded_after("import qglue.cli")
     assert "qglue.corrector" in loaded
     assert _package(loaded, "scipy") == []
@@ -93,3 +94,62 @@ def test_commands_without_a_factorization_leave_out_scipy(tmp_path):
                            f"[execute(m) for m in {manifests!r}]")
     assert _package(loaded, "scipy") == []
     assert all((tmp_path / c / "summary.json").exists() for c, _ in runs)
+
+
+# the bordered-system config: tails in modes 0 and 1 at end 1 and in mode 0
+# at end 2, both ends phase-shifted
+BORDERED_CONFIG = {"n": 5, "eps": 0.5, "m": 2,
+                   "end1": {"T0": 0.2, "perturbation": [
+                       {"l": 0, "A": 1e-3, "beta": 2.0},
+                       {"l": 1, "A": 1e-3, "beta": 2.0}]},
+                   "end2": {"T0": 0.1, "perturbation": [
+                       {"l": 0, "A": -1e-3, "beta": 1.8}]}}
+
+
+def test_correct_and_diagnose_load_only_the_lapack_module(tmp_path):
+    # the factorizations and Schur forms reach LAPACK through SciPy's
+    # compiled module alone, never through the scipy.linalg package
+    manifests = [{"command": c, "out": str(tmp_path / c),
+                  "params": {"config": BORDERED_CONFIG, "modes": [0, 1]}}
+                 for c in ("correct", "diagnose")]
+    loaded = _loaded_after(f"from qglue.cli import execute; "
+                           f"[execute(m) for m in {manifests!r}]")
+    assert _package(loaded, "scipy") == ["scipy.linalg._flapack"]
+    assert all((tmp_path / c / "summary.json").exists()
+               for c in ("correct", "diagnose"))
+
+
+@pytest.mark.parametrize("first", ["factor", "scipy.linalg"])
+def test_lapack_routines_are_scipy_linalg_lapack_routines(first):
+    # one module object whichever loads first, and scipy.linalg still
+    # works around it
+    factor = ("import numpy as np; from qglue.corrector import BandLU, "
+              "BandedOperator; lu = BandLU(BandedOperator(kl=0, ku=0, "
+              "band=np.array([[2.0], [1.0]]), cols=np.array([[1.0], [1.0]]), "
+              "rows=np.array([[1.0, 1.0]])), np.ones(3)); "
+              "assert not lu.singular")
+    load = "import scipy.linalg, scipy.linalg.lapack"
+    check = ("from qglue.corrector import _lapack; "
+             "assert all(getattr(scipy.linalg.lapack, r) is getattr("
+             "_lapack(), r) for r in ('dgbtrf', 'dgbtrs', 'dgetrf', "
+             "'dgetrs', 'dgees')); "
+             "lu, piv = scipy.linalg.lu_factor([[2.0, 1.0], [1.0, 3.0]]); "
+             "x = scipy.linalg.lu_solve((lu, piv), [3.0, 4.0]); "
+             "assert np.allclose(x, [1.0, 1.0]), x")
+    steps = [factor, load] if first == "factor" else [load, factor]
+    loaded = _loaded_after("; ".join(steps + [check]))
+    assert "scipy.linalg._decomp_lu" in loaded
+
+
+def test_missing_lapack_module_names_its_path(tmp_path, monkeypatch):
+    import importlib.machinery
+    import importlib.util
+    import re
+    from qglue.corrector import _lapack
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    # the uncached loader, so the process keeps its loaded module
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        _lapack.__wrapped__()
