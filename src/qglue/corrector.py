@@ -2,15 +2,17 @@
 inverse with deficiency amplitudes, the correction iteration, and the
 injectivity diagnostic of the corrected solution.
 
-One assembly serves both closures: the boundary rows {0, 1, N-2, N-1} per
-mode take clamp rows (discretize) or the mode's border rows (the bordered
-right inverse).  The operator is stored once, as a BandedOperator.  Its
-grid values, like those of every vector, are interleaved point-major, so
-the bands of gauges.paneitz_mode_band and the pointwise mode coupling form
-one band, applied by fd.band_apply and factored by LAPACK's banded LU; the
-bordered right inverse keeps two condition rows per end in the band and
-puts its other border rows and its deficiency columns in a dense border,
-eliminated through one small Schur complement.
+The linearization about a field is written once (_linearization), as a
+borderless BandedOperator: its grid values, like those of every vector, are
+interleaved point-major, so the bands of gauges.paneitz_mode_band and the
+pointwise mode coupling form one band, and linear_apply is its product.
+One assembly serves both closures: each mode's rows {0, 1, N-2, N-1} take
+clamp rows (discretize) or the mode's border rows (the bordered right
+inverse), and LAPACK's banded LU factors the band.  The bordered right
+inverse keeps two condition rows per end in the band; its other border rows
+and its deficiency columns (the linearization times the cutoff generator
+columns) form a dense border, eliminated through one small Schur
+complement.  A system keeps its linearization for the residuals it reports.
 
 Boundary closure of the right inverse (per mode, per end): the interior
 unknown may only carry asymptotics that decay into the domain faster than
@@ -48,8 +50,7 @@ import numpy as np
 
 from .errors import DomainError, IllConditionedError, NumericalError
 from .fd import band_apply, jet_rows, stencil_size
-from .gauges import (CylField, angular_basis, paneitz_mode_apply,
-                     paneitz_mode_band)
+from .gauges import CylField, angular_basis, paneitz_mode_band
 from .jacobi import ModeOperator, generators, monodromy_data, smooth_step
 from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
     log_annulus_weight, stable_power_remainder, weighted_norm
@@ -85,25 +86,39 @@ def _coupling_tensor(background, degrees):
     return C
 
 
-def _apply_coupled(consts, degrees, C, coeff, h):
-    """linear_apply's coefficients for the (degrees, points) array coeff
-    about a background of coupling tensor C; zero rows skip the stencil."""
-    out = np.empty_like(coeff)
+def _linearization(background, degrees):
+    """The linearization of the curvature operator about `background` in
+    `degrees` as a borderless point-major BandedOperator: on every row, each
+    mode's paneitz_mode_band at the reach of the shifted end stencils minus
+    K times the coupling tensor."""
+    consts, h = background.constants, background.h
+    N, L1 = len(background.t), len(degrees)
+    reach = stencil_size(4, STENCIL_ORDER) - 1
+    C = _coupling_tensor(background, degrees)
+    # point-major: point offset o of mode a is diagonal kl + o L1, the
+    # coupling of modes a and b at one point is diagonal kl + b - a
+    kl, n = reach * L1, N * L1
+    core = np.zeros((N, L1, 2 * kl + 1))
     for a, l in enumerate(degrees):
-        lin = 0.0 if not coeff[a].any() else paneitz_mode_apply(
-            consts, consts.lam(l), coeff[a], h, acc=STENCIL_ORDER)
-        pot = sum(C[a, b] * coeff[b] for b in range(len(degrees)))
-        out[a] = lin - consts.K * pot
-    return out
+        core[:, a, ::L1] = paneitz_mode_band(consts, consts.lam(l), N, h,
+                                             STENCIL_ORDER, reach)
+        for b in range(L1):
+            core[:, a, kl + b - a] -= consts.K * C[a, b]
+    return BandedOperator(kl=kl, ku=kl, band=core.reshape(n, -1),
+                          cols=np.zeros((n, 0)), rows=np.zeros((0, n)))
+
+
+def _apply(op, u):
+    """The borderless operator op times the field u, in u's degrees."""
+    y = op.matvec(u.coeffs.T.reshape(-1))
+    return replace(u, coeffs=y.reshape(len(u.t), -1).T.copy())
 
 
 def linear_apply(background, u):
     """Linearization of the curvature operator about `background` applied to
     u: per-mode derivative parts minus K times the pointwise-potential
     coupling (quadrature projected)."""
-    C = _coupling_tensor(background, u.degrees)
-    return replace(u, coeffs=_apply_coupled(background.constants, u.degrees,
-                                            C, u.coeffs, u.h))
+    return _apply(_linearization(background, u.degrees), u)
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +330,7 @@ class BorderedSystem:
     matrix: BandedOperator
     row_scale: np.ndarray
     borders: list             # per mode: _ModeBorder, orbit side only
+    operator: BandedOperator = None   # the linearization it was built from
     _lu: BandLU = None
     _cond: float = None
 
@@ -468,65 +484,46 @@ def _split_rows(border):
 
 def _background_system(approx, degrees, borders):
     """The bordered system about approx.field with the given borders: the
-    operator of linear_apply in the band, each mode's slot rows in place of
-    its boundary rows, and the dense border of the deficiency columns (the
-    operator applied to them) and the remaining border rows; with the row
-    scale."""
+    linearization in the band, each mode's slot rows in place of its
+    boundary rows, and the dense border of the deficiency columns (the
+    linearization applied to them) and the remaining border rows; with the
+    row scale and the linearization itself."""
     field = approx.field
-    consts = field.constants
-    N, h, L1 = len(field.t), field.h, len(degrees)
-    C = _coupling_tensor(field, degrees)
+    N, L1 = len(field.t), len(degrees)
+    lin = _linearization(field, degrees)
     slots = np.array([0, 1, N - 2, N - 1])
     split = [_split_rows(bb) for bb in borders]
-    # the band reaches as far as the shifted end stencils or a slot row
-    dist = np.abs(np.arange(N)[None, :] - slots[:, None])
-    reach = max([stencil_size(4, STENCIL_ORDER) - 1]
-                + [int(np.max(dist[srows != 0.0])) for srows, _ in split])
-    bands = np.empty((L1, N, 2 * reach + 1))
-    for a, (l, (srows, _)) in enumerate(zip(degrees, split)):
-        bands[a] = paneitz_mode_band(consts, consts.lam(l), N, h,
-                                     STENCIL_ORDER, reach)
-        bands[a, slots] = 0.0
+    reach = lin.kl // L1    # slot rows are end jets: they fit in the band
+    core = lin.band.reshape(N, L1, -1).copy()
+    core[slots] = 0.0
+    for a, (srows, _) in enumerate(split):
         for i, row in zip(slots, srows):
-            lo, hi = max(0, i - reach), min(N, i + reach + 1)
-            bands[a, i, lo - i + reach:hi - i + reach] = row[lo:hi]
-    # point-major: point offset o of mode a is diagonal o L1, the coupling
-    # of modes a and b at one point is diagonal b - a
-    used = np.flatnonzero(np.any(bands != 0.0, axis=(0, 1)))
-    kl = max((reach - used[0]) * L1, L1 - 1)
-    ku = max((used[-1] - reach) * L1, L1 - 1)
-    core = np.zeros((N, L1, kl + ku + 1))
-    diags = kl + (used - reach) * L1
-    for a in range(L1):
-        core[:, a, diags] = bands[a][:, used]
-        for b in range(L1):
-            core[2:N - 2, a, kl + b - a] -= consts.K * C[a, b, 2:N - 2]
+            nodes = np.arange(max(0, i - reach), min(N, i + reach + 1))
+            core[i, a, lin.kl + (nodes - i) * L1] = row[nodes]
+    # clamp rows reach less far than the end stencils: drop empty diagonals
+    band = core.reshape(N * L1, -1)
+    used = np.flatnonzero(np.any(band != 0.0, axis=0))
 
-    # the operator applied to each deficiency column by linear_apply's own
-    # kernel, on the interior rows: the interleaved core sums the same
-    # terms in another order, so its product would differ from linear_apply
-    # by rounding, and the solve's residual is measured with linear_apply
     defic = [(a, w) for a, bb in enumerate(borders) if bb.Bcols is not None
              for w in bb.Bcols.T]
-    cols = np.zeros((N, L1, len(defic)))
+    gen = np.zeros((N, L1, len(defic)))
     for j, (a, w) in enumerate(defic):
-        u = np.zeros((L1, N))
-        u[a] = w
-        Lu = _apply_coupled(consts, degrees, C, u, h)
-        cols[2:N - 2, :, j] = Lu[:, 2:N - 2].T
+        gen[:, a, j] = w
+    cols = lin.matvec(gen.reshape(N * L1, -1)).reshape(N, L1, -1)
+    cols[slots] = 0.0
     extra = [(a, r) for a, (_, rest) in enumerate(split) for r in rest]
     rows = np.zeros((len(extra), N, L1))
     for k, (a, r) in enumerate(extra):
         rows[k, :, a] = r
 
-    op = BandedOperator(kl=kl, ku=ku,
-                        band=core.reshape(N * L1, -1),
+    op = BandedOperator(kl=lin.kl - used[0], ku=used[-1] - lin.kl,
+                        band=band[:, used[0]:used[-1] + 1],
                         cols=cols.reshape(N * L1, -1),
                         rows=rows.reshape(len(extra), N * L1))
     scale = op.row_max()
     scale[scale == 0] = 1.0
-    return BorderedSystem(approx=approx, degrees=degrees,
-                          matrix=op, row_scale=scale, borders=borders)
+    return BorderedSystem(approx=approx, degrees=degrees, matrix=op,
+                          row_scale=scale, borders=borders, operator=lin)
 
 
 def discretize(approx, degrees):
@@ -580,9 +577,9 @@ def _refined_solve(solve, matvec, b):
 
 
 def solve_right_inverse(sys, f):
-    """Solve the bordered system for rhs field f; returns the correction with
-    its deficiency amplitudes, the interior relative residual, and the
-    condition estimate.
+    """Solve the bordered system for rhs field f; returns the correction
+    u = v + B alpha with its amplitudes, the interior relative residual of
+    u under sys.operator, and the condition estimate.
 
     The estimate is the 1-norm condition estimate (Hager-Higham, as in
     LAPACK gecon) of the row-equilibrated bordered matrix, taken from its
@@ -618,7 +615,7 @@ def solve_right_inverse(sys, f):
                          for (side, sign), v in zip(_DEFICIENCY_LABELS, al))
     ufield = CylField(f.constants, f.t, degrees, uparts)
     # interior residual of the reconstructed solution
-    Lu = linear_apply(sys.approx.field, ufield)
+    Lu = _apply(sys.operator, ufield)
     sup_f = float(np.max(np.abs(frows)))
     num = float(np.max(np.abs(Lu.coeffs[:, 2:N - 2] - frows[:, 2:N - 2])))
     rel = num / sup_f if sup_f > 0 else num
@@ -711,12 +708,10 @@ class IterateResult:
     solveResidual: float         # largest relResidual of the run's solves
 
 
-def _total_defect(approx, f0, u):
+def _total_defect(approx, f0, u, lin):
     """N(v_m + u) - blended end defects = f0 + L_m(u) + R_m(u), each piece at
-    perturbation scale."""
-    Lu = linear_apply(approx.field, u)
-    Ru = remainder(approx, u)
-    return f0 + Lu + Ru
+    perturbation scale; lin is L_m, the linearization in u's degrees."""
+    return f0 + _apply(lin, u) + remainder(approx, u)
 
 
 def _interior_sup(fld):
@@ -740,7 +735,8 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     blend's), padded into the defect as zero modes; leaving out a blend
     degree raises DomainError, as no step would touch its defect.  min_iter
     forces extra steps so contraction ratios are observable even when the
-    first step already reaches the floor.
+    first step already reaches the floor; one above max_iter raises
+    DomainError.  The blend system's linearization serves every defect.
     """
     degrees = _degrees(approx, degrees)
     missing = sorted(set(approx.field.degrees) - set(degrees))
@@ -749,6 +745,8 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
                           f"{missing} missing from {degrees}")
     if scheme not in ("picard", "newton"):
         raise DomainError(f"unknown scheme {scheme!r}")
+    if min_iter > max_iter:
+        raise DomainError(f"min_iter {min_iter} exceeds max_iter {max_iter}")
     f0 = defect(approx).residual.padded(degrees)
     u = CylField(f0.constants, f0.t, degrees,
                  np.zeros((len(degrees), len(f0.t))))
@@ -775,7 +773,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             alpha = res.alpha
         else:
             if k == 1:  # later steps reuse the defect of the previous one
-                total = _total_defect(approx, f0, u)
+                total = _total_defect(approx, f0, u, sys0.operator)
             # re-assemble the background rows about the current iterate;
             # the orbit-side border does not depend on the field.  The
             # first step starts from u = 0, the blend itself: sys0 serves.
@@ -789,7 +787,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
         solve_res = max(solve_res, res.relResidual)
         corr = _interior_sup(u_next - u)
         u = u_next
-        total = _total_defect(approx, f0, u)
+        total = _total_defect(approx, f0, u, sys0.operator)
         defect_now = _interior_sup(total)
         ratio = corr / prev_corr if prev_corr not in (None, 0.0) else float("nan")
         rows.append((k, defect_now, corr, ratio))
@@ -827,7 +825,8 @@ def verify_correction(approx, correction):
     over the union of the blend's and the correction's degrees.  Returns
     (residual sup, deviation-units sup)."""
     f0 = defect(approx).residual.padded(correction.degrees)
-    total = _total_defect(approx, f0, correction)
+    total = _total_defect(approx, f0, correction,
+                          _linearization(approx.field, correction.degrees))
     consts = approx.config.constants
     tv = total.point_values()
     vm = (approx.field + correction).point_values()

@@ -304,6 +304,21 @@ class TestCommands:
         doc = json.loads((tmp_path / "d" / "summary.json").read_text())
         assert doc["corrected"] is True and doc["condEstimates"] == {}
 
+    def test_min_iter_above_max_iter_is_a_domain_error(self, tmp_path):
+        # such an iteration could never stop as converged: exit 2, before
+        # any solve, rather than exit 0 with converged false
+        params = {"config": README_CONFIG, "maxIter": 1, "minIter": 3}
+        with pytest.raises(DomainError, match="min_iter 3 exceeds max_iter 1"):
+            run_manifest(tmp_path, "correct", params)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"command": "correct", "params": params,
+                                    "out": str(tmp_path / "run")}))
+        assert main(["run", str(path)]) == 2
+        assert not (tmp_path / "run").exists()
+        params["minIter"] = 1
+        summary, _ = run_manifest(tmp_path, "correct", params)
+        assert summary["converged"] and summary["iterations"] == 1
+
     def test_correct_emits_trace(self, tmp_path):
         params = {
             "config": {"n": 5, "eps": 0.5, "m": 2,

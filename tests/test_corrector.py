@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qglue.errors import DomainError, IllConditionedError, NumericalError
-from qglue.gauges import CylField
-from qglue.gluing import build_approximate, log_annulus_weight
+from qglue.gauges import CylField, paneitz_mode_apply
+from qglue.gluing import STENCIL_ORDER, build_approximate, log_annulus_weight
 from qglue.jacobi import ModeOperator, mode_apply, smooth_step
 from qglue.corrector import (discretize, linear_apply, bordered_system,
                              solve_right_inverse, estimate_g_norm, remainder,
@@ -62,28 +62,30 @@ class DenseLU:
 
 
 class TestDiscretize:
-    def test_interior_rows_match_mode_apply(self, exact_approx, orbit05):
-        D = discretize(exact_approx, degrees=(0,)).toarray()
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    def test_interior_rows_match_mode_apply(self, exact_approx, orbit05, l):
+        D = discretize(exact_approx, degrees=(l,)).toarray()
         s = exact_approx.s
+        consts = exact_approx.config.constants
         probe = bump_probe(s)
-        # the blend equals the orbit here, so the matrix action must agree
-        # with the mode operator about the orbit
+        # the blend equals the orbit here, so its coupling is diagonal and
+        # the matrix action must agree with mode l's operator about the orbit
         got = D[:len(s), :len(s)] @ probe
-        t_arg = s + (exact_approx.config.m + 0.5) * orbit05.period
-        expect = mode_apply(ModeOperator(orbit05, 0.0), s, probe)
-        # replace the potential argument: mode_apply evaluates the orbit at
-        # grid t, the blend's phase matches t_arg; compare via linear_apply
-        L = linear_apply(exact_approx.field, CylField.mode0(
-            exact_approx.config.constants, s, probe))
+        L = linear_apply(exact_approx.field,
+                         CylField.from_modes(consts, s, {l: probe}))
         interior = slice(4, len(s) - 4)
-        rel = (np.max(np.abs(got[interior] - L.mode(0)[interior]))
-               / np.max(np.abs(L.mode(0))))
+        rel = (np.max(np.abs(got[interior] - L.mode(l)[interior]))
+               / np.max(np.abs(L.mode(l))))
         assert rel < 1e-12
-        # and linear_apply itself agrees with the orbit mode operator
-        op_vals = mode_apply(ModeOperator(orbit05, 0.0), t_arg, probe)
-        rel2 = (np.max(np.abs(op_vals[interior] - L.mode(0)[interior]))
-                / np.max(np.abs(op_vals)))
-        assert rel2 < 1e-8
+        # mode_apply evaluates the orbit at its argument; the blend's phase
+        # puts grid point s at orbit time s + (m + 1/2) T
+        t_arg = s + (exact_approx.config.m + 0.5) * orbit05.period
+        op_vals = mode_apply(ModeOperator(orbit05, consts.lam(l)), t_arg,
+                             probe)
+        for vals in (got, L.mode(l)):
+            rel2 = (np.max(np.abs(op_vals[interior] - vals[interior]))
+                    / np.max(np.abs(op_vals)))
+            assert rel2 < 1e-8
 
     def test_clamp_rows_present(self, exact_approx):
         D = discretize(exact_approx, degrees=(0,)).toarray()
@@ -436,8 +438,8 @@ class TestSpecExamples:
 
 class TestSharedOperator:
     """linear_apply, discretize, bordered_system and nondegeneracy_diag reach
-    the mode operator through one apply form and one matrix form; they must
-    agree in every mode, not only in mode 0."""
+    the mode operator through one point-major band; they must agree with a
+    mode-by-mode reference in every mode, not only in mode 0."""
 
     DEGREES = (0, 1, 2)
 
@@ -456,15 +458,45 @@ class TestSharedOperator:
             {l: (l + 1) * bump_probe(s, center=0.8 * l - 0.8)
              for l in self.DEGREES})
 
+    @staticmethod
+    def reference_apply(background, u):
+        """The linearization about background applied to u, mode by mode:
+        gauges.paneitz_mode_apply minus K sum_b C[a, b] u_b, with C the
+        coupling tensor of the projected potential."""
+        from qglue.corrector import _coupling_tensor
+        consts = background.constants
+        C = _coupling_tensor(background, u.degrees)
+        return np.stack([
+            paneitz_mode_apply(consts, consts.lam(l), u.coeffs[a], u.h,
+                               acc=STENCIL_ORDER)
+            - consts.K * sum(C[a, b] * u.coeffs[b]
+                             for b in range(len(u.degrees)))
+            for a, l in enumerate(u.degrees)])
+
+    def test_linear_apply_matches_mode_by_mode_reference(self, multimode):
+        # every row, the one-sided end rows included, on a field that does
+        # not vanish there
+        s = multimode.s
+        u = CylField.from_modes(
+            multimode.config.constants, s,
+            {l: (l + 1) * np.cos(0.9 * s + l) / np.cosh(0.2 * s)
+             for l in self.DEGREES})
+        expect = self.reference_apply(multimode.field, u)
+        got = linear_apply(multimode.field, u)
+        assert got.degrees == u.degrees
+        for a in range(len(self.DEGREES)):
+            tol = 1e-12 * np.max(np.abs(expect[a]))
+            assert np.max(np.abs(got.coeffs[a] - expect[a])) <= tol
+
     def test_apply_and_matrix_forms_agree(self, multimode, probe):
         N, L = len(multimode.s), len(self.DEGREES)
         x = probe.coeffs.T.reshape(-1)        # point-major: i L + a
-        Lu = linear_apply(multimode.field, probe)
+        ref = self.reference_apply(multimode.field, probe)
         got_d = discretize(multimode, degrees=self.DEGREES).matvec(x)
         sysm = bordered_system(multimode, degrees=self.DEGREES)
         got_b = sysm.matrix.toarray()[:, :L * N] @ x
-        for a, l in enumerate(self.DEGREES):
-            expect = Lu.mode(l)[2:N - 2]
+        for a in range(L):
+            expect = ref[a][2:N - 2]
             tol = 1e-12 * np.max(np.abs(expect))
             assert np.max(np.abs(got_d[a::L][2:N - 2] - expect)) <= tol
             assert np.max(np.abs(got_b[a::L][2:N - 2] - expect)) <= tol
@@ -754,6 +786,26 @@ class TestBorderSplit:
         full = bordered_system(shifted, degrees=self.DEGREES)
         assert np.array_equal(got.matrix.toarray(), full.matrix.toarray())
         assert np.array_equal(got.row_scale, full.row_scale)
+
+    def test_solve_residual_is_that_of_the_reconstructed_field(
+            self, two_mode, shift):
+        # relResidual measures u = v + B alpha, not v alone, with the
+        # linearization about the system's own field: here a Newton
+        # iterate's, not the blend's
+        from qglue.corrector import _background_system
+        sys0 = bordered_system(two_mode, degrees=self.DEGREES)
+        shifted = dataclasses.replace(two_mode, field=two_mode.field + shift)
+        sysk = _background_system(shifted, self.DEGREES, sys0.borders)
+        s = two_mode.s
+        N = len(s)
+        f = CylField.from_modes(
+            two_mode.config.constants, s,
+            {l: bump_probe(s, center=0.5 * l) for l in self.DEGREES})
+        res = solve_right_inverse(sysk, f)
+        assert max(abs(a) for a in res.alpha.values()) > 0.0
+        Lu = linear_apply(shifted.field, res.u)
+        num = np.max(np.abs(Lu.coeffs[:, 2:N - 2] - f.coeffs[:, 2:N - 2]))
+        assert res.relResidual == num / np.max(np.abs(f.coeffs))
 
     def test_deficiency_columns_match_linear_apply(self, two_mode):
         # both come from one apply kernel, so the interior rows agree bit
