@@ -301,7 +301,6 @@ def execute(manifest):
     """Validate and run a manifest; returns (summary, artifacts)."""
     validate_manifest(manifest)
     out = manifest.get("out", "qglue_out")
-    np.random.seed(manifest.get("seed", 0) % (2 ** 32))
     summary, artifacts = HANDLERS[manifest["command"]](manifest["params"])
     validate_summary(summary)
     os.makedirs(out, exist_ok=True)
@@ -347,7 +346,8 @@ def _int_list(text):
 def build_parser():
     """The command line.  Each option's dest is its manifest key, and an
     option left out is left out of the manifest, so every default lives in
-    the command's handler; only --out and --seed have their own."""
+    the command's handler; only --out and --seed have their own, and no
+    output depends on --seed."""
     ap = argparse.ArgumentParser(
         prog="qglue",
         description="constant-curvature gluing on punctured spheres: "

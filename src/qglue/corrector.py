@@ -314,7 +314,8 @@ _DEFICIENCY_LABELS = (("L", "+"), ("L", "-"), ("R", "+"), ("R", "-"))
 @dataclass
 class _ModeBorder:
     l: int
-    rows: np.ndarray           # jet-condition rows, then gauge rows, on v
+    slots: np.ndarray          # (4, N) rows of the band slots {0, 1, N-2, N-1}
+    rows: np.ndarray           # dense border rows, gauge rows last, on v
     Bcols: np.ndarray | None   # deficiency columns (N, 4), normalized
 
 
@@ -348,8 +349,8 @@ class BorderedSystem:
 
 
 def _mode_border(approx, basis, l):
-    """Jet-condition rows, deficiency columns and gauge rows of mode l: the
-    orbit side of the bordered system, which depends on the orbit, the
+    """Band slot rows, dense border rows and deficiency columns of mode l:
+    the orbit side of the bordered system, which depends on the orbit, the
     overlap and the grid but not on the background field.
 
     Frames are built from discrete jets: each frame direction is sampled as
@@ -358,99 +359,71 @@ def _mode_border(approx, basis, l):
     same one-sided stencils the condition rows use, so the rows annihilate
     sampled solutions exactly.  (With analytic jets the extraction truncation
     of the steep directions, (gamma h)^8, lets the solve hide an amplified
-    spurious boundary layer of that relative size.)
+    spurious boundary layer of that relative size.)  Each end's conditions
+    kill the components of v that do not strictly decay; the band slots
+    take its first and last, and the middle one of modes 0 and 1 joins the
+    dense border.
 
     Gauge rows fix the bounded-null-space freedom by minimizing the
     annulus-weighted norm of the decaying part over kernel shifts (normal
     equations of that quadratic in the kernel coordinates); this keeps
     neutral content out of the neck middle, where the weight would amplify
     it, and selects the representative whose amplitudes sit at the end the
-    data actually excites.
+    data actually excites.  A kernel field is a generator g on the grid.
+    Each end's frame has g's own window jet as a column, so g's frame
+    coordinates there are that column's alone: its amplitude is 1 on the
+    cutoff field chi g at both ends, and its grid part is g (1 - chiL -
+    chiR).
     """
     cfg = approx.config
     orbit = cfg.orbit
-    consts = cfg.constants
     s = approx.s
     N = len(s)
     h = approx.field.h
     T = orbit.period
     phase = (cfg.m + 0.5) * T
-    op = ModeOperator(orbit, consts.lam(l))
-    # fast directions: multipliers beyond the weight rate e^{1.5 T}
+    op = ModeOperator(orbit, cfg.constants.lam(l))
+    # fast directions: multipliers beyond the weight rate e^{1.5 T}; the
+    # slow and neutral ones of modes 0 and 1 are the analytic generators
     thresh = np.exp(1.5 * T)
-
-    jl = jet_rows(N, h, 0, 3, STENCIL_ORDER)
-    jr = jet_rows(N, h, N - 1, 3, STENCIL_ORDER)
-
-    has_deficiency = l <= 1
-    n_dec = 1 if has_deficiency else 2
+    gens = [basis.profile(l, sign, s + phase) for sign in "+-" if l <= 1]
+    n_dec = 1 if gens else 2
 
     win = stencil_size(3, STENCIL_ORDER)
-    frames = {}
-    for side, i0, jet in (("L", 0, jl), ("R", N - win, jr)):
-        nodes = s[i0:i0 + win]
+    ends = []
+    for i0, at in ((0, 0), (N - win, N - 1)):
+        sl = slice(i0, i0 + win)
+        nodes = s[sl]
         # each end's flow starts at its window's first node
         data = monodromy_data(op, t0=nodes[0] + phase,
                               offsets=nodes - nodes[0])
-        # fast directions from both one-period flows; the slow and neutral
-        # ones of modes 0 and 1 from the analytic generators
         dec = _invariant_subspace(data.backward, n_dec, thresh)
         grow = _invariant_subspace(data.matrix, n_dec, thresh)
         # a window is a stencil wide: growing directions stay representable
         sol = list((data.window[:, 0, :]
                     @ np.concatenate([dec, grow], axis=1)).T)
-        samples = sol[:n_dec]
-        if has_deficiency:
-            samples += [basis.profile(l, sign, nodes + phase) for sign in "+-"]
-        samples += sol[n_dec:]
-        # discrete jets: extract with the same stencils the rows will use
-        jet_win = jet[:, i0:i0 + win]
-        S = np.stack([jet_win @ w for w in samples], axis=1)
-        col_scale = np.max(np.abs(S), axis=0)
-        S = S / col_scale
-        frames[side] = (np.linalg.inv(S), jet, col_scale)
-
-    # conditions: kill all non-(strictly decaying) jet components of v
-    rowsL = frames["L"][0][n_dec:, :] @ frames["L"][1]
-    rowsR = frames["R"][0][n_dec:, :] @ frames["R"][1]
-    cond = np.concatenate([rowsL, rowsR], axis=0)
-    cond = cond / np.max(np.abs(cond), axis=1, keepdims=True)
-
-    if not has_deficiency:
-        return _ModeBorder(l=l, rows=cond, Bcols=None)
+        samples = sol[:n_dec] + [g[sl] for g in gens] + sol[n_dec:]
+        # discrete jets: extract with the same stencils the rows use
+        jet = jet_rows(N, h, at, 3, STENCIL_ORDER)
+        S = np.stack([jet[:, sl] @ w for w in samples], axis=1)
+        cond = np.linalg.inv(S / np.max(np.abs(S), axis=0))[n_dec:] @ jet
+        ends.append(cond / np.max(np.abs(cond), axis=1, keepdims=True))
+    slots = np.concatenate([e[[0, -1]] for e in ends])
+    rows = [e[1:-1] for e in ends]
+    if not gens:
+        return _ModeBorder(l=l, slots=slots, rows=np.concatenate(rows),
+                           Bcols=None)
 
     # deficiency columns: cutoff global generator profiles at each end
     chiL = smooth_step((s - (s[0] + T / 2)) / (T / 2))
     chiR = smooth_step(((s[-1] - T / 2) - s) / (T / 2))
-    plus_prof = basis.profile(l, "+", s + phase)
-    minus_prof = basis.profile(l, "-", s + phase)
-    raw = [chiL * plus_prof, chiL * minus_prof,
-           chiR * plus_prof, chiR * minus_prof]
-    scales = np.array([max(np.max(np.abs(c)), 1e-300) for c in raw])
-    B = np.stack([c / sc for c, sc in zip(raw, scales)], axis=1)
-
-    def pattern(samples):
-        # discrete-jet coordinates of a kernel field's end asymptotics,
-        # expressed as amplitudes of the sup-normalized deficiency columns
-        out = np.zeros(4)
-        for k, (side, sl) in ((0, ("L", slice(0, win))),
-                              (2, ("R", slice(N - win, N)))):
-            Sinv, jet, col_scale = frames[side]
-            jet_win = jet[:, sl]
-            coords = Sinv @ (jet_win @ samples[sl])
-            out[k] = coords[1] / col_scale[1] * scales[k]
-            out[k + 1] = coords[2] / col_scale[2] * scales[k + 1]
-        return out
-
-    patP = pattern(plus_prof)
-    patM = pattern(minus_prof)
-    # kernel fields in their canonical (v, alpha) split; gauge rows are the
-    # weighted normal equations over kernel shifts, acting on v
+    raw = [chi * g for chi in (chiL, chiR) for g in gens]
+    B = np.stack([c / max(np.max(np.abs(c)), 1e-300) for c in raw], axis=1)
+    # gauge rows: the kernel fields' grid parts, weighted
     log_w = log_annulus_weight(s, 1.5, cfg.m * T)
     w2 = np.exp(2.0 * (log_w - np.max(log_w)))
-    Kv = np.stack([plus_prof - B @ patP, minus_prof - B @ patM], axis=0)
-    return _ModeBorder(l=l, rows=np.concatenate([cond, Kv * w2[None, :]]),
-                       Bcols=B)
+    rows.append(np.stack(gens) * (1.0 - chiL - chiR) * w2)
+    return _ModeBorder(l=l, slots=slots, rows=np.concatenate(rows), Bcols=B)
 
 
 def _degrees(approx, degrees):
@@ -471,17 +444,6 @@ def bordered_system(approx, degrees=None):
     return _background_system(approx, degrees, borders)
 
 
-def _split_rows(border):
-    """(slot rows, border rows) of a mode border.  The four slot rows fill
-    the mode's band slots {0, 1, N-2, N-1}, two condition rows per end; the
-    others join the dense border.  A mode with deficiency columns has three
-    condition rows per end: the band keeps each end's first and last, and
-    the middle ones join the two gauge rows."""
-    if border.Bcols is None:
-        return border.rows, border.rows[4:]
-    return border.rows[[0, 2, 3, 5]], border.rows[[1, 4, 6, 7]]
-
-
 def _background_system(approx, degrees, borders):
     """The bordered system about approx.field with the given borders: the
     linearization in the band, each mode's slot rows in place of its
@@ -492,12 +454,11 @@ def _background_system(approx, degrees, borders):
     N, L1 = len(field.t), len(degrees)
     lin = _linearization(field, degrees)
     slots = np.array([0, 1, N - 2, N - 1])
-    split = [_split_rows(bb) for bb in borders]
     reach = lin.kl // L1    # slot rows are end jets: they fit in the band
     core = lin.band.reshape(N, L1, -1).copy()
     core[slots] = 0.0
-    for a, (srows, _) in enumerate(split):
-        for i, row in zip(slots, srows):
+    for a, bb in enumerate(borders):
+        for i, row in zip(slots, bb.slots):
             nodes = np.arange(max(0, i - reach), min(N, i + reach + 1))
             core[i, a, lin.kl + (nodes - i) * L1] = row[nodes]
     # clamp rows reach less far than the end stencils: drop empty diagonals
@@ -511,7 +472,7 @@ def _background_system(approx, degrees, borders):
         gen[:, a, j] = w
     cols = lin.matvec(gen.reshape(N * L1, -1)).reshape(N, L1, -1)
     cols[slots] = 0.0
-    extra = [(a, r) for a, (_, rest) in enumerate(split) for r in rest]
+    extra = [(a, r) for a, bb in enumerate(borders) for r in bb.rows]
     rows = np.zeros((len(extra), N, L1))
     for k, (a, r) in enumerate(extra):
         rows[k, :, a] = r
@@ -543,7 +504,8 @@ def discretize(approx, degrees):
     jl = jet_rows(N, h, 0, 1, STENCIL_ORDER)
     jr = jet_rows(N, h, N - 1, 1, STENCIL_ORDER)
     clamps = np.stack([jl[0], jl[1], jr[1], jr[0]])
-    borders = [_ModeBorder(l, clamps, None) for l in degrees]
+    borders = [_ModeBorder(l, clamps, np.zeros((0, N)), None)
+               for l in degrees]
     return _background_system(approx, degrees, borders).matrix
 
 
@@ -763,7 +725,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     solve_res = 0.0
     prev_corr = None
     bad = 0
-    defect_now = d0
+    defect_now, total = d0, f0     # the total defect at u = 0 is f0
     converged = False
     for k in range(1, max_iter + 1):
         if scheme == "picard":
@@ -772,8 +734,6 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             u_next = res.u
             alpha = res.alpha
         else:
-            if k == 1:  # later steps reuse the defect of the previous one
-                total = _total_defect(approx, f0, u, sys0.operator)
             # re-assemble the background rows about the current iterate;
             # the orbit-side border does not depend on the field.  The
             # first step starts from u = 0, the blend itself: sys0 serves.
@@ -800,7 +760,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
                      or (k >= 2 and defect_now >= rows[-2][1]
                          and corr < rows[1][2]))
         if k >= min_iter and (defect_now < tol or defect_now < 1e-30
-                              or corr == 0.0 or stagnated):
+                              or stagnated):
             converged = True
             break
         if np.isfinite(ratio) and ratio >= 1.0:

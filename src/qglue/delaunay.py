@@ -138,6 +138,7 @@ class DelaunayOrbit:
 
     def to_json(self):
         ts = np.linspace(0.0, self.period, 257)
+        v, vDot, vDdot, vDddot = self.jet(ts)
         return {
             "n": self.constants.n,
             "eps": self.eps,
@@ -147,10 +148,10 @@ class DelaunayOrbit:
             "isConstant": self.isConstant,
             "nSamples": self.coeffs.size + 1,  # a_0..a_N
             "t": [float(x) for x in ts],
-            "v": [float(x) for x in self.eval(ts, 0)],
-            "vDot": [float(x) for x in self.eval(ts, 1)],
-            "vDdot": [float(x) for x in self.eval(ts, 2)],
-            "vDddot": [float(x) for x in self.eval(ts, 3)],
+            "v": [float(x) for x in v],
+            "vDot": [float(x) for x in vDot],
+            "vDdot": [float(x) for x in vDdot],
+            "vDddot": [float(x) for x in vDddot],
             "diagnostics": self.diagnostics,
         }
 

@@ -140,7 +140,8 @@ MANIFEST_SCHEMA = {
         "command": {"enum": sorted(PARAMS_SCHEMAS)},
         "params": {"type": "object"},
         "out": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "description":
+                 "accepted for compatibility; no output depends on it"},
     },
 }
 

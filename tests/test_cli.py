@@ -232,6 +232,16 @@ class TestCommands:
         for name in ("summary.json", "trace.csv", "corrected.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["correct", "diagnose"])
+    def test_seed_changes_no_output(self, tmp_path, command):
+        params = {"config": README_CONFIG, "gridPerPeriod": 32}
+        _, out1 = run_manifest(tmp_path / "a", command, params, seed=0)
+        _, out2 = run_manifest(tmp_path / "b", command, params, seed=12345)
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == sorted(p.name for p in out2.iterdir())
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_indicial_contains_translation_rates(self, tmp_path):
         summary, out = run_manifest(tmp_path, "indicial",
                                     {"n": 5, "eps": 0.7, "modes": [0, 1, 2]})

@@ -360,7 +360,7 @@ class TestNondegeneracy:
         # one-sided truncation ((gamma h)^8) far below the separation being
         # demonstrated (8e9 here, against 9e8 at order 12)
         border = _mode_border(ap, basis, 1)
-        left_rows = border.rows[:3]
+        left_rows = np.vstack([border.slots[:2], border.rows[:1]])
 
         # translation field, normalized at the left end where it peaks
         probe = basis.profile(1, "+", s + phase)
@@ -832,6 +832,76 @@ class TestBorderSplit:
                 checked += 1
         assert checked == 4 * len(self.DEGREES)
         assert col == sysm.matrix.shape[1] == dense.shape[1]
+
+
+def frame_gauge_rows(approx, basis, l):
+    """Test-local oracle of mode l's two gauge rows by the frame route: the
+    discrete-jet coordinates of each generator's end asymptotics, expressed
+    as amplitudes of the sup-normalized deficiency columns and subtracted
+    from the generator, times the squared annulus weight."""
+    from qglue.corrector import _invariant_subspace
+    from qglue.fd import jet_rows, stencil_size
+    from qglue.jacobi import monodromy_data
+    cfg = approx.config
+    s = approx.s
+    N, h, T = len(s), approx.field.h, cfg.orbit.period
+    phase = (cfg.m + 0.5) * T
+    op = ModeOperator(cfg.orbit, cfg.constants.lam(l))
+    gens = [basis.profile(l, sign, s + phase) for sign in "+-"]
+    chiL = smooth_step((s - (s[0] + T / 2)) / (T / 2))
+    chiR = smooth_step(((s[-1] - T / 2) - s) / (T / 2))
+    raw = [chi * g for chi in (chiL, chiR) for g in gens]
+    scales = [np.max(np.abs(c)) for c in raw]
+    B = np.stack([c / sc for c, sc in zip(raw, scales)], axis=1)
+    win = stencil_size(3, STENCIL_ORDER)
+    pattern = np.zeros((2, 4))
+    for k, i0, at in ((0, 0, 0), (2, N - win, N - 1)):
+        nodes = s[i0:i0 + win]
+        data = monodromy_data(op, t0=nodes[0] + phase,
+                              offsets=nodes - nodes[0])
+        frame = [data.window[:, 0, :] @ _invariant_subspace(
+            M, 1, np.exp(1.5 * T))[:, 0] for M in (data.backward, data.matrix)]
+        samples = [frame[0]] + [basis.profile(l, sign, nodes + phase)
+                                for sign in "+-"] + [frame[1]]
+        jet = jet_rows(N, h, at, 3, STENCIL_ORDER)[:, i0:i0 + win]
+        S = np.stack([jet @ w for w in samples], axis=1)
+        col_scale = np.max(np.abs(S), axis=0)
+        Sinv = np.linalg.inv(S / col_scale)
+        for j, g in enumerate(gens):
+            coords = Sinv @ (jet @ g[i0:i0 + win])
+            pattern[j, k] = coords[1] / col_scale[1] * scales[k]
+            pattern[j, k + 1] = coords[2] / col_scale[2] * scales[k + 1]
+    log_w = log_annulus_weight(s, 1.5, cfg.m * T)
+    w2 = np.exp(2.0 * (log_w - np.max(log_w)))
+    return np.stack([g - B @ p for g, p in zip(gens, pattern)]) * w2
+
+
+class TestGaugeRows:
+    # at 16 points per period the 11-point end window reaches past the
+    # plateau of the cutoffs
+    @pytest.mark.parametrize("gpp", [16, 64])
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_gauge_rows_match_frame_oracle(self, orbit_cache, n, gpp):
+        # each generator's frame coordinates are a unit on its own column,
+        # so the closed form g (1 - chiL - chiR) w2 is the frame route's
+        from qglue.corrector import _mode_border
+        from qglue.gauges import derive_constants
+        from qglue.jacobi import generators
+        epsBar = derive_constants(n).epsBar
+        for frac in (0.3, 0.6, 0.9):
+            orbit = orbit_cache(frac * epsBar, n=n)
+            basis = generators(orbit)
+            for m in (1, 3):
+                for T01, T02 in ((0.0, 0.0), (0.2, 0.1), (1.7, 3.1)):
+                    ap = build_approximate(
+                        make_config(orbit, m=m, T01=T01, T02=T02),
+                        grid_per_period=gpp)
+                    for l in (0, 1):
+                        got = _mode_border(ap, basis, l).rows[-2:]
+                        want = frame_gauge_rows(ap, basis, l)
+                        err = (np.max(np.abs(got - want), axis=1)
+                               / np.max(np.abs(want), axis=1))
+                        assert np.all(err <= 1e-13), (frac, m, T01, l, err)
 
 
 def tight_flow(op, t0, nodes):

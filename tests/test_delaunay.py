@@ -194,6 +194,16 @@ class TestSolveOrbit:
         assert {"n", "eps", "period", "vDdot0", "hamiltonian", "nSamples",
                 "t", "v", "vDot", "vDdot", "vDddot"} <= set(doc)
 
+    @pytest.mark.parametrize("n, eps", [(5, 0.5), (9, 0.3), (6, 0.05)])
+    def test_json_jets_are_the_eval_rows(self, orbit_cache, n, eps):
+        # to_json takes the four rows from one jet; a row does not depend
+        # on the highest order evaluated with it
+        orb = orbit_cache(eps, n=n)
+        doc = orb.to_json()
+        ts = np.array(doc["t"])
+        for k, key in enumerate(("v", "vDot", "vDdot", "vDddot")):
+            assert np.array_equal(doc[key], orb.eval(ts, k)), key
+
 
 def assert_closed(orb):
     """The series solves the ODE between its nodes, has its minimum at

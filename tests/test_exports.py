@@ -80,7 +80,8 @@ def test_cli_import_leaves_out_heavy_scipy():
 
 
 def test_commands_without_a_factorization_leave_out_scipy(tmp_path):
-    # orbit, sweep, indicial, jacobi and glue factor nothing
+    # orbit, sweep, indicial, jacobi and glue factor nothing, and no command
+    # draws from NumPy's global generator
     config = {"n": 5, "eps": 0.5, "m": 1, "end1": {"perturbation": [
         {"l": 0, "A": 1e-3, "beta": 2.0}]}, "end2": {}}
     runs = [("orbit", {"n": 5, "eps": 0.5}),
@@ -93,6 +94,7 @@ def test_commands_without_a_factorization_leave_out_scipy(tmp_path):
     loaded = _loaded_after(f"from qglue.cli import execute; "
                            f"[execute(m) for m in {manifests!r}]")
     assert _package(loaded, "scipy") == []
+    assert "numpy.random" not in loaded
     assert all((tmp_path / c / "summary.json").exists() for c, _ in runs)
 
 
@@ -117,6 +119,17 @@ def test_correct_and_diagnose_load_only_the_lapack_module(tmp_path):
     assert _package(loaded, "scipy") == ["scipy.linalg._flapack"]
     assert all((tmp_path / c / "summary.json").exists()
                for c in ("correct", "diagnose"))
+
+
+def test_correct_leaves_out_numpy_random(tmp_path):
+    # only diagnose's Lanczos start vector, from a seeded generator of its
+    # own, loads numpy.random
+    manifest = {"command": "correct", "out": str(tmp_path / "correct"),
+                "params": {"config": BORDERED_CONFIG, "modes": [0, 1]}}
+    loaded = _loaded_after(f"from qglue.cli import execute; "
+                           f"execute({manifest!r})")
+    assert "numpy.random" not in loaded
+    assert (tmp_path / "correct" / "summary.json").exists()
 
 
 @pytest.mark.parametrize("first", ["factor", "scipy.linalg"])
