@@ -44,6 +44,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import os
+import random
 import sys
 
 import numpy as np
@@ -806,17 +807,20 @@ LANCZOS_STEPS = 100  # step cap of _lanczos_top; reaching it is an error
 
 def _lanczos_top(apply, n):
     """Largest eigenvalue of the symmetric positive definite operator
-    `apply` on R^n, by Lanczos from a seeded start vector with full
-    reorthogonalization: two classical Gram-Schmidt passes against the
-    stored basis (Golub and Van Loan, Matrix Computations, 4th ed., secs.
-    10.1 and 10.3).  Each step takes the eigenvalues theta of the
-    tridiagonal T_k and stops once the top Ritz pair's residual
-    beta_k |y_k[-1]| is at most 1e-12 theta; NumericalError if
+    `apply` on R^n, by Lanczos with full reorthogonalization: two
+    classical Gram-Schmidt passes against the stored basis (Golub and Van
+    Loan, Matrix Computations, 4th ed., secs. 10.1 and 10.3).  The start
+    vector is uniform on [-1, 1): n little-endian 32-bit words, drawn as
+    one block of bytes from the standard library's random.Random(42), so
+    the diagnostic loads no numpy.random.  Each step takes the eigenvalues
+    theta of the tridiagonal T_k and stops once the top Ritz pair's
+    residual beta_k |y_k[-1]| is at most 1e-12 theta; NumericalError if
     min(n, LANCZOS_STEPS) steps do not get there."""
     steps = min(n, LANCZOS_STEPS)
     Q = np.empty((steps, n))
     alpha, beta = np.empty(steps), np.empty(steps)
-    q = np.random.default_rng(42).standard_normal(n)
+    words = np.frombuffer(random.Random(42).randbytes(4 * n), dtype="<u4")
+    q = words * 2.0 ** -31 - 1.0
     Q[0] = q / np.linalg.norm(q)
     for k in range(steps):
         w = apply(Q[k])

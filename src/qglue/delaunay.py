@@ -7,7 +7,10 @@ v(0) = eps and exactly periodic with T = 2 pi / omega, so evaluation has no
 seams and no window limit.  (a_1..a_N, omega) solve the ODE collocated at
 N + 1 points of a half period (Boyd, Chebyshev and Fourier Spectral
 Methods, 2nd ed., chs. 2-4), by Newton's method continued in log eps from
-the linearization at epsBar or from an orbit already solved.
+the linearization at epsBar or from an orbit already solved.  The path runs
+on a short series, whose points only feed the predictor (Allgower and
+Georg, Introduction to Numerical Continuation Methods, ch. 2); at eps the
+series is padded and solved again until it is resolved.
 """
 
 from dataclasses import dataclass
@@ -156,7 +159,9 @@ class DelaunayOrbit:
         }
 
 
-SERIES_START = 64    # cosines of the first series; doubled while unresolved
+PATH_N = 8           # cosines of the continuation path
+SERIES_START = 64    # cosines of the first full series; doubled while
+                     # unresolved
 SERIES_MAX = 1024
 SERIES_TAIL = 1e-16  # |a_N| / max |a_k| at which the doubling stops
 CONTINUE_MISS = 0.05  # largest relative predictor miss of a continuation step
@@ -329,12 +334,13 @@ def _check_necksize(consts, eps):
 
 def solve_orbit(n_or_consts, eps, start=None):
     """The periodic orbit with minimum eps, as a cosine series: _continue
-    solves it with SERIES_START cosines, from epsBar or, given one, from
-    the start orbit of the same dimension, and while its tail exceeds
-    SERIES_TAIL it is padded to twice as many and solved again.  Either way
-    the orbit is a Newton solution at eps with the N it gets alone, so a
-    start only shortens the path.  eps = epsBar returns the constant orbit,
-    of the linearization period."""
+    reaches eps with PATH_N cosines, from epsBar or, given one, from the
+    start orbit of the same dimension truncated to them.  At eps alone the
+    series is padded to twice as many cosines and solved again by Newton,
+    through SERIES_START and on while its tail exceeds SERIES_TAIL.  Either
+    way the orbit is a Newton solution at eps with the N it gets alone, so
+    a start only shortens the path.  eps = epsBar returns the constant
+    orbit, of the linearization period."""
     consts = (n_or_consts if isinstance(n_or_consts, GaugeConstants)
               else derive_constants(n_or_consts))
     _check_necksize(consts, eps)
@@ -342,9 +348,9 @@ def solve_orbit(n_or_consts, eps, start=None):
         omega0 = _omega0(consts)
         return DelaunayOrbit(consts, consts.epsBar, omega0, np.zeros(0),
                              {"omega0": omega0})
-    N = SERIES_START
+    N = PATH_N
     x = _continue(consts, eps, N, start)
-    while _tail(eps, x[:-1]) > SERIES_TAIL:
+    while N < SERIES_START or _tail(eps, x[:-1]) > SERIES_TAIL:
         x = (_newton(consts, eps, np.concatenate([x[:-1], np.zeros(N),
                                                   x[-1:]]))
              if 2 * N <= SERIES_MAX else None)

@@ -118,13 +118,16 @@ def derivative_band(npoints, deriv, acc, reach):
 def band_apply(band, x, kl):
     """A x for the (n, kl + ku + 1) band of a square A, A[p, p - kl + q] =
     band[p, q], and x a vector or (n, k) columns; band entries that fall
-    outside A multiply zeros."""
+    outside A multiply zeros.  All-zero diagonals are skipped: y starts at
+    +0.0 and never reaches -0.0, so adding their zero products would not
+    change a bit of it (for finite x)."""
     n, width = band.shape
     pad = np.zeros((n + width - 1,) + x.shape[1:])
     pad[kl:kl + n] = x
+    live = np.flatnonzero(band.any(axis=0))
     band = band.reshape(band.shape + (1,) * (x.ndim - 1))
     y = np.zeros(x.shape)
-    for q in range(width):
+    for q in live:
         y += band[:, q] * pad[q:q + n]
     return y
 

@@ -388,9 +388,10 @@ def iter_errors(schema, doc, path=()):
                     yield from iter_errors(sub, doc[name], path + (name,))
 
 
-def _first_error(schema, doc):
-    """'at <JSON pointer>: <message>' of doc's first violation, or None."""
-    for path, message in iter_errors(schema, doc):
+def _first_error(schema, doc, root=()):
+    """'at <JSON pointer>: <message>' of doc's first violation, or None;
+    the pointer is into the document that holds doc at the path root."""
+    for path, message in iter_errors(schema, doc, root):
         return f"at /{'/'.join(str(p) for p in path)}: {message}"
     return None
 
@@ -415,11 +416,13 @@ for _schema in (MANIFEST_SCHEMA, *PARAMS_SCHEMAS.values(),
 
 
 def validate_manifest(doc):
-    """Validate a run manifest; raises ManifestError with a JSON pointer
-    into the manifest, or into its params once the manifest is valid."""
+    """Validate a run manifest, then its params against its command's
+    schema; raises ManifestError with a JSON pointer into the manifest,
+    such as /params/config/m for a params violation."""
     error = _first_error(MANIFEST_SCHEMA, doc)
     if error is None:
-        error = _first_error(PARAMS_SCHEMAS[doc["command"]], doc["params"])
+        error = _first_error(PARAMS_SCHEMAS[doc["command"]], doc["params"],
+                             ("params",))
     if error is not None:
         raise ManifestError(f"manifest invalid {error}")
     return doc

@@ -54,7 +54,9 @@ class TestManifestValidation:
                 "params": {"config": {"n": 5, "eps": 0.5, "m": 2,
                                       "end1": {"perturbation": [
                                           {"l": 0, "A": 1e-3, "beta": 0.5}]}}}})
-        assert "beta" in str(exc.value)
+        # the pointer is into the manifest, not into its params
+        assert "at /params/config/end1/perturbation/0/beta: " in str(
+            exc.value)
 
     @pytest.mark.parametrize("command, params", [
         ("sweep", {"n": 5, "epsList": [0.5], "gridPerPeriod": 64}),
@@ -102,8 +104,8 @@ class TestManifestValidation:
         assert main(["correct", "--config", str(path), "--m", "3",
                      "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err == (
-            "manifest error: manifest invalid at /config: [1] is not of "
-            "type 'object'\n")
+            "manifest error: manifest invalid at /params/config: [1] is not "
+            "of type 'object'\n")
 
     def test_invalid_summary_is_a_program_fault(self):
         # a summary its schema rejects is a bug, not an exit code

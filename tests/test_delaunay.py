@@ -234,6 +234,35 @@ class TestOrbitFamily:
         assert dT == pytest.approx(4.0 * np.log(2.0), abs=0.02)
 
 
+def full_series_orbit(consts, eps):
+    """(a, omega) of the orbit continued from epsBar on SERIES_START cosines
+    all the way, then padded to twice as many and solved again while its
+    tail exceeds SERIES_TAIL: the oracle of the short continuation path."""
+    N = delaunay.SERIES_START
+    x = delaunay._continue(consts, eps, N)
+    while delaunay._tail(eps, x[:-1]) > delaunay.SERIES_TAIL:
+        x = delaunay._newton(consts, eps, np.concatenate([x[:-1], np.zeros(N),
+                                                          x[-1:]]))
+        N *= 2
+    return x[:-1], x[-1]
+
+
+class TestShortPath:
+    # the continuation path runs on PATH_N cosines, and only the landing
+    # point is solved on the full series
+    @pytest.mark.parametrize("n", [5, 6, 9, 12])
+    @pytest.mark.parametrize("frac", [0.003, 0.1, 0.5, 0.9, 0.99])
+    def test_matches_the_full_series_path(self, n, frac):
+        consts = derive_constants(n)
+        eps = frac * consts.epsBar
+        orb = solve_orbit(consts, eps)
+        a, omega = full_series_orbit(consts, eps)
+        assert orb.coeffs.size == a.size
+        assert (np.max(np.abs(orb.coeffs - a))
+                <= 1e-13 * np.max(np.abs(a)))
+        assert abs(orb.period / (2.0 * np.pi / omega) - 1.0) <= 1e-13
+
+
 class TestStartOrbit:
     # necksizes within 1e-2 of epsBar, other than epsBar itself, are left
     # out: the period there is fixed only to rounding over the amplitude

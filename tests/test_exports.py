@@ -2,7 +2,7 @@
 and every name the package re-exports is exported by its home module.  No
 module imports a name it never uses, and the command line loads neither
 SciPy nor jsonschema until a command factors a band, and then only SciPy's
-compiled LAPACK module."""
+compiled LAPACK module.  No command loads numpy.random."""
 
 import ast
 import importlib
@@ -117,13 +117,14 @@ def test_correct_and_diagnose_load_only_the_lapack_module(tmp_path):
     loaded = _loaded_after(f"from qglue.cli import execute; "
                            f"[execute(m) for m in {manifests!r}]")
     assert _package(loaded, "scipy") == ["scipy.linalg._flapack"]
+    # diagnose's Lanczos start vector comes from the standard library
+    assert "numpy.random" not in loaded
     assert all((tmp_path / c / "summary.json").exists()
                for c in ("correct", "diagnose"))
 
 
 def test_correct_leaves_out_numpy_random(tmp_path):
-    # only diagnose's Lanczos start vector, from a seeded generator of its
-    # own, loads numpy.random
+    # correct alone, in a fresh interpreter, never reaches numpy.random
     manifest = {"command": "correct", "out": str(tmp_path / "correct"),
                 "params": {"config": BORDERED_CONFIG, "modes": [0, 1]}}
     loaded = _loaded_after(f"from qglue.cli import execute; "
