@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .errors import (DomainError, NumericalError, IllConditionedError,
                      ManifestError)
 from .gauges import GaugeConstants, derive_constants, CylField, q_residual
-from .delaunay import (hamiltonian, DelaunayOrbit, solve_orbit, FamilyParams,
-                       expansion_error)
+from .delaunay import hamiltonian, DelaunayOrbit, solve_orbit
 from .jacobi import (ModeOperator, mode_apply, indicial_roots, generators,
-                     symplectic_pairing)
+                     expansion_error, symplectic_pairing)

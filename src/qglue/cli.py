@@ -2,8 +2,9 @@
 emission, and manifest-driven runs.
 
 Exit codes: 0 success, 1 manifest/schema violation or a config/manifest
-file that cannot be read as JSON, 2 domain error, 3 numerical failure
-(escape, divergence, ill-conditioning).
+file that cannot be read as JSON, 2 domain error (a parameter that is not
+finite among them), 3 numerical failure (escape, divergence,
+ill-conditioning, a summary figure that is not finite).
 """
 
 import argparse
@@ -240,7 +241,7 @@ def cmd_correct(params):
                      max_iter=params.get("maxIter", 25),
                      min_iter=params.get("minIter", 1),
                      degrees=tuple(params.get("modes", [0])))
-    res_sup, psi_sup = verify_correction(approx, result.correction)
+    res_sup, psi_sup = verify_correction(result)
     ratios = [r[3] for r in result.trace.rows if np.isfinite(r[3])]
     doc = {"command": "correct", "n": cfg.constants.n, "eps": cfg.orbit.eps,
            "m": cfg.m, "scheme": result.scheme,
@@ -297,12 +298,34 @@ HANDLERS = {
 }
 
 
+def _non_finite(doc, path=""):
+    """(path, value) of the first NaN or infinite float in the JSON document
+    doc, or None; the path joins keys with '.' and indexes with [i]."""
+    if isinstance(doc, dict):
+        parts = ((f"{path}.{k}" if path else str(k), v) for k, v in doc.items())
+    elif isinstance(doc, list):
+        parts = ((f"{path}[{i}]", v) for i, v in enumerate(doc))
+    else:
+        return (path, doc) if isinstance(doc, float) and not np.isfinite(
+            doc) else None
+    return next(filter(None, (_non_finite(v, p) for p, v in parts)), None)
+
+
 def execute(manifest):
-    """Validate and run a manifest; returns (summary, artifacts)."""
+    """Validate and run a manifest; returns (summary, artifacts).  A
+    parameter that is not finite is a DomainError naming it, and a summary
+    figure that is not finite a NumericalError: nothing is written."""
     validate_manifest(manifest)
+    bad = _non_finite(manifest["params"])
+    if bad:
+        raise DomainError(f"{bad[0]} must be finite, got {bad[1]!r}")
     out = manifest.get("out", "qglue_out")
     summary, artifacts = HANDLERS[manifest["command"]](manifest["params"])
     validate_summary(summary)
+    bad = _non_finite(summary)
+    if bad:
+        raise NumericalError(f"summary figure {bad[0]} is not finite: "
+                             f"{bad[1]!r}")
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "summary.json"), summary)
     for name, payload in artifacts.items():

@@ -661,6 +661,7 @@ class IterationTrace:
 class IterateResult:
     solution: CylField
     correction: CylField
+    defectField: CylField        # f0 + L u + R(u) at the correction u
     trace: IterationTrace
     initialDefect: float
     finalDefect: float
@@ -669,12 +670,6 @@ class IterateResult:
     alpha: dict                  # amplitudes of the whole correction
     cond: float
     solveResidual: float         # largest relResidual of the run's solves
-
-
-def _total_defect(approx, f0, u, lin):
-    """N(v_m + u) - blended end defects = f0 + L_m(u) + R_m(u), each piece at
-    perturbation scale; lin is L_m, the linearization in u's degrees."""
-    return f0 + _apply(lin, u) + remainder(approx, u)
 
 
 def _interior_sup(fld):
@@ -699,7 +694,12 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     degree raises DomainError, as no step would touch its defect.  min_iter
     forces extra steps so contraction ratios are observable even when the
     first step already reaches the floor; one above max_iter raises
-    DomainError.  The blend system's linearization serves every defect.
+    DomainError; three consecutive contraction ratios >= 1 raise
+    NumericalError.  The blend's defect f0 is evaluated once, and each
+    iterate's remainder R(u) once, which Picard's next step reuses; the
+    blend system's linearization serves every total defect f0 + L u + R(u),
+    and the last one (f0 when no step runs) is returned as defectField,
+    whose interior sup is finalDefect.
     """
     degrees = _degrees(approx, degrees)
     missing = sorted(set(approx.field.degrees) - set(degrees))
@@ -717,21 +717,22 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     rows = [(0, d0, 0.0, float("nan"))]
     if d0 <= 1e-30:
         return IterateResult(solution=approx.field.copy(), correction=u,
-                             trace=IterationTrace(rows), initialDefect=d0,
-                             finalDefect=d0, converged=True, scheme=scheme,
-                             alpha={}, cond=float("nan"),
-                             solveResidual=float("nan"))
+                             defectField=f0, trace=IterationTrace(rows),
+                             initialDefect=d0, finalDefect=d0,
+                             converged=True, scheme=scheme, alpha={},
+                             cond=float("nan"), solveResidual=float("nan"))
     sys0 = bordered_system(approx, degrees=degrees)
     alpha = {}
     solve_res = 0.0
     prev_corr = None
     bad = 0
     defect_now, total = d0, f0     # the total defect at u = 0 is f0
+    # R(u) of the current iterate: Picard's right-hand side is f0 + R(u)
+    rem = remainder(approx, u) if scheme == "picard" else None
     converged = False
     for k in range(1, max_iter + 1):
         if scheme == "picard":
-            rhs = f0 + remainder(approx, u)
-            res = solve_right_inverse(sys0, rhs * -1.0)
+            res = solve_right_inverse(sys0, (f0 + rem) * -1.0)
             u_next = res.u
             alpha = res.alpha
         else:
@@ -748,7 +749,9 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
         solve_res = max(solve_res, res.relResidual)
         corr = _interior_sup(u_next - u)
         u = u_next
-        total = _total_defect(approx, f0, u, sys0.operator)
+        # N(v_m + u) - blended end defects = f0 + L_m(u) + R_m(u)
+        rem = remainder(approx, u)
+        total = f0 + _apply(sys0.operator, u) + rem
         defect_now = _interior_sup(total)
         ratio = corr / prev_corr if prev_corr not in (None, 0.0) else float("nan")
         rows.append((k, defect_now, corr, ratio))
@@ -774,27 +777,24 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             bad = 0
         prev_corr = corr
     return IterateResult(solution=approx.field + u, correction=u,
-                         trace=IterationTrace(rows), initialDefect=d0,
-                         finalDefect=defect_now, converged=converged,
-                         scheme=scheme, alpha=alpha,
+                         defectField=total, trace=IterationTrace(rows),
+                         initialDefect=d0, finalDefect=defect_now,
+                         converged=converged, scheme=scheme, alpha=alpha,
                          cond=sys0.factor()[1], solveResidual=solve_res)
 
 
-def verify_correction(approx, correction):
-    """Independent curvature residual of the corrected field, relative to the
-    modeled-exact end fields (recomputed from scratch in perturbation form),
-    over the union of the blend's and the correction's degrees.  Returns
-    (residual sup, deviation-units sup)."""
-    f0 = defect(approx).residual.padded(correction.degrees)
-    total = _total_defect(approx, f0, correction,
-                          _linearization(approx.field, correction.degrees))
-    consts = approx.config.constants
+def verify_correction(result):
+    """Curvature residual of iterate's corrected field v relative to the
+    modeled-exact end fields, read from the iteration's own final total
+    defect r = result.defectField, without evaluating it again.  Returns the
+    interior sups of r (result.finalDefect) and of the curvature deviation
+    psi = (2/(n-4)) v^{-p} r, v over r's degrees."""
+    total = result.defectField
+    consts = total.constants
     tv = total.point_values()
-    vm = (approx.field + correction).point_values()
-    if tv.shape != vm.shape:
-        raise NumericalError("quadrature node sets differ between fields")
+    vm = result.solution.padded(total.degrees).point_values()
     psi = (2.0 / (consts.n - 4)) * vm ** (-consts.p) * tv
-    sl = slice(2, len(approx.field.t) - 2)
+    sl = slice(2, len(total.t) - 2)
     return float(np.max(np.abs(tv[sl]))), float(np.max(np.abs(psi[sl])))
 
 

@@ -1,5 +1,4 @@
-"""The fourth-order necksize ODE: periodic orbits, conserved energy, and the
-translated/deformed solution family.
+"""The fourth-order necksize ODE: periodic orbits and conserved energy.
 
 An orbit is stored as the cosine series
 v(t) = eps + sum_{k=1..N} a_k (cos(k omega t) - 1), even about its minimum
@@ -21,10 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .gauges import GaugeConstants, derive_constants
 
-__all__ = [
-    "hamiltonian", "DelaunayOrbit", "solve_orbit", "FamilyParams",
-    "expansion_error", "ExpansionStudy",
-]
+__all__ = ["hamiltonian", "DelaunayOrbit", "solve_orbit"]
 
 
 def hamiltonian(jet, consts):
@@ -360,56 +356,3 @@ def solve_orbit(n_or_consts, eps, start=None):
     a, omega = x[:-1], float(x[-1])
     return DelaunayOrbit(consts, eps, omega, a,
                          _diagnostics(consts, eps, a, omega))
-
-
-# ----------------------------------------------------------------------
-# deformed family
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Necksize and the translation a of the point at infinity."""
-
-    eps: float
-    a: tuple = ()
-
-    def a_vec(self, n):
-        a = np.zeros(n)
-        if len(self.a):
-            a[:len(self.a)] = self.a
-        return a
-
-
-@dataclass
-class ExpansionStudy:
-    maxDeviation: float
-    t: np.ndarray
-    perT: np.ndarray
-
-
-def expansion_error(params, orbit, t_range, n_t=40):
-    """Deviation of the translated family from its first-order expansion:
-    max over t and directions of
-    |v_{eps,a}(t,theta) - v_eps(t)
-       - e^{-t} <theta, a> ((n-4)/2 v_eps(t) - v'_eps(t))|.
-
-    Fields depend on theta only through c = <theta, a/|a|>, so directions are
-    sampled as 9 cosine values from -1 to 1.
-    """
-    n = orbit.constants.n
-    a = params.a_vec(n)
-    amag = float(np.linalg.norm(a))
-    ts = np.linspace(t_range[0], t_range[1], n_t)
-    v0 = orbit.eval(ts, 0)
-    v1 = orbit.eval(ts, 1)
-    per_t = np.zeros(n_t)
-    if amag == 0.0:
-        return ExpansionStudy(0.0, ts, per_t)
-    for c in np.linspace(-1.0, 1.0, 9):
-        rho = np.sqrt(1.0 - 2.0 * np.exp(-ts) * c * amag
-                      + np.exp(-2.0 * ts) * amag ** 2)
-        full = rho ** ((4 - n) / 2.0) * orbit.eval(
-            ts + np.log(rho), 0)
-        first = v0 + np.exp(-ts) * c * amag * ((n - 4) / 2.0 * v0 - v1)
-        per_t = np.maximum(per_t, np.abs(full - first))
-    return ExpansionStudy(float(per_t.max()), ts, per_t)

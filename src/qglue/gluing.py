@@ -307,10 +307,14 @@ def log_annulus_weight(s, delta, scale):
 
 def weighted_norm(fld, delta, scale):
     """Discrete analogue of the annulus norm: sup over the grid of
-    (cosh(scale)/cosh(s))^delta |field| (function values only)."""
-    vals = fld.point_values()
-    w = np.exp(log_annulus_weight(fld.t, delta, scale))
-    return float(np.max(np.abs(vals) * w[:, None]))
+    (cosh(scale)/cosh(s))^delta |field| (function values only).  A zero
+    value counts 0 also where the weight overflows; a nonzero one there
+    makes the norm inf."""
+    vals = np.abs(fld.point_values())
+    with np.errstate(over="ignore"):
+        w = np.exp(log_annulus_weight(fld.t, delta, scale))
+    return float(np.max(np.multiply(vals, w[:, None], where=vals != 0.0,
+                                    out=np.zeros_like(vals))))
 
 
 @dataclass

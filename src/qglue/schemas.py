@@ -275,7 +275,12 @@ SUMMARY_SCHEMAS = {
             "command": _str, "n": {"type": "integer"}, "eps": _num,
             "m": {"type": "integer"}, "scheme": _str,
             "initialDefect": _num, "finalDefect": _num,
-            "residualSup": _num, "psiSup": _num,
+            "residualSup": {"type": "number", "description":
+                            "interior sup of the final total defect "
+                            "f0 + L u + R(u) of the corrected field, "
+                            "relative to the modeled-exact ends: equal to "
+                            "finalDefect"},
+            "psiSup": _num,
             "converged": {"type": "boolean", "description":
                           "the defect fell below tol or 1e-30, or the "
                           "steps stagnated at the rounding floor.  An "

@@ -487,6 +487,56 @@ class TestCliProcess:
         assert summary["crossValidationError"] < 1e-3
 
 
+def _reject_constant(token):
+    raise ValueError(f"summary holds {token}")
+
+
+class TestNonFiniteFigures:
+    """A parameter that is not finite is a domain error naming it (exit 2),
+    a figure that overflows a numerical failure (exit 3), and no summary
+    holds NaN or Infinity.  The config is the README's reference config."""
+
+    def _run(self, tmp_path, capsys, argv, code, named):
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and named in err
+        for path in tmp_path.rglob("summary.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+
+    @pytest.mark.parametrize("command, flag, value, code, named", [
+        ("glue", "--delta", "nan", 2, "domain error: delta must be finite"),
+        ("glue", "--delta", "inf", 2, "domain error: delta must be finite"),
+        # the weight overflows where psi is nonzero: inf, never NaN
+        ("glue", "--delta", "1000", 3, "weightedPsi is not finite: inf"),
+        ("glue", "--delta", "60", 3, "weightedPsi is not finite: inf"),
+        ("diagnose", "--delta-prime", "nan", 2,
+         "domain error: deltaPrime must be finite"),
+    ], ids=["delta-nan", "delta-inf", "delta-1000", "delta-60",
+            "delta-prime-nan"])
+    def test_flag(self, tmp_path, capsys, command, flag, value, code, named):
+        config = tmp_path / "glue.json"
+        config.write_text(json.dumps(README_CONFIG))
+        self._run(tmp_path, capsys, [command, "--config", str(config), flag,
+                                     value, "--out", str(tmp_path / "out")],
+                  code, named)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("A", math.nan, "config.end1.perturbation[0].A must be finite"),
+        ("A", math.inf, "config.end1.perturbation[0].A must be finite"),
+        ("T0", math.nan, "config.end1.T0 must be finite"),
+    ], ids=["A-nan", "A-inf", "T0-nan"])
+    def test_manifest_config(self, tmp_path, capsys, key, value, named):
+        config = copy.deepcopy(README_CONFIG)
+        end = config["end1"]
+        (end["perturbation"][0] if key == "A" else end)[key] = value
+        manifest = tmp_path / "glue-manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "glue", "params": {"config": config},
+            "out": str(tmp_path / "out")}))
+        self._run(tmp_path, capsys, ["run", str(manifest)], 2,
+                  f"domain error: {named}")
+
+
 def test_overlap_override_flag(tmp_path):
     import json as _json
     cfg = tmp_path / "g.json"

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 from qglue.errors import DomainError, IllConditionedError, NumericalError
 from qglue.gauges import CylField, paneitz_mode_apply
-from qglue.gluing import STENCIL_ORDER, build_approximate, log_annulus_weight
+from qglue.gluing import (STENCIL_ORDER, GluingConfig, build_approximate,
+                          defect, log_annulus_weight)
 from qglue.jacobi import ModeOperator, mode_apply, smooth_step
 from qglue.corrector import (discretize, linear_apply, bordered_system,
                              solve_right_inverse, estimate_g_norm, remainder,
@@ -269,8 +271,7 @@ class TestIterate:
         assert out.finalDefect <= 1e-3 * out.initialDefect
         ratios = [r[3] for r in out.trace.rows if np.isfinite(r[3])]
         assert ratios and max(ratios) < 0.5
-        res_sup, psi_sup = verify_correction(reference_approx,
-                                             out.correction)
+        res_sup, psi_sup = verify_correction(out)
         assert psi_sup < 1e-8
 
     def test_newton_contracts_fast(self, orbit05):
@@ -320,6 +321,114 @@ class TestIterate:
     def test_invalid_scheme(self, reference_approx):
         with pytest.raises(DomainError):
             iterate(reference_approx, scheme="broyden")
+
+
+class TestOneEvaluation:
+    """correct evaluates the corrected field once: iterate's last total
+    defect f0 + L u + R(u) is what verify_correction reads.  README config,
+    modes 0 and 1."""
+
+    CONFIG = {"n": 5, "eps": 0.5, "m": 2,
+              "end1": {"T0": 0.2, "perturbation": [
+                  {"l": 0, "A": 1e-3, "beta": 2.0},
+                  {"l": 1, "A": 1e-3, "beta": 2.0}]},
+              "end2": {"T0": 0.1, "perturbation": [
+                  {"l": 0, "A": -1e-3, "beta": 1.8}]}}
+
+    @pytest.mark.parametrize("scheme", ["picard", "newton"])
+    def test_correct_evaluates_each_piece_once(self, scheme, monkeypatch):
+        import qglue.cli as cli
+        import qglue.corrector as corrector
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("defect", "_linearization", "remainder"):
+            count(corrector, name)
+        count(cli, "defect")
+        verify = cli.verify_correction
+
+        def verify_counted(result):
+            before = dict(calls)
+            out = verify(result)
+            assert calls == before
+            calls["verify_correction"] += 1
+            return out
+        monkeypatch.setattr(cli, "verify_correction", verify_counted)
+        doc, _ = cli.cmd_correct({"config": self.CONFIG, "scheme": scheme,
+                                  "modes": [0, 1], "minIter": 2})
+        steps = doc["iterations"]
+        assert steps >= 2 and calls["verify_correction"] == 1
+        assert calls["defect"] == 1
+        # the blend's linearization once; Newton one more per re-assembly
+        assert calls["_linearization"] == (1 if scheme == "picard" else steps)
+        # at most once per iterate u_0 .. u_steps
+        assert calls["remainder"] <= steps + 1
+        assert doc["residualSup"] == doc["finalDefect"]
+
+    @pytest.mark.parametrize("scheme", ["picard", "newton"])
+    def test_final_defect_matches_an_oracle(self, scheme):
+        ap = build_approximate(GluingConfig.from_json(self.CONFIG),
+                               grid_per_period=64)
+        out = iterate(ap, scheme=scheme, degrees=(0, 1), min_iter=2)
+        u = out.correction
+        oracle = (defect(ap).residual.padded(u.degrees)
+                  + linear_apply(ap.field, u) + remainder(ap, u))
+        assert out.defectField.degrees == oracle.degrees == (0, 1)
+        assert np.array_equal(out.defectField.coeffs, oracle.coeffs)
+        res_sup, psi_sup = verify_correction(out)
+        assert res_sup == out.finalDefect
+        consts = ap.config.constants
+        psi = ((2.0 / (consts.n - 4))
+               * (ap.field + u).point_values() ** -consts.p
+               * oracle.point_values())
+        assert psi_sup == np.max(np.abs(psi[2:len(u.t) - 2]))
+
+
+class TestDivergence:
+    """Three consecutive contraction ratios >= 1 end the iteration with
+    NumericalError, exit code 3 through the command line.  The reference
+    defect starts at 4e-16, so tol 1e-30 keeps the first steps going."""
+
+    @pytest.fixture
+    def growing_steps(self, monkeypatch):
+        import qglue.corrector as corrector
+        real = corrector.solve_right_inverse
+        solves = []
+
+        def growing(sys, f):
+            # each correction three times the size of the one before
+            solves.append(real(sys, f))
+            res = solves[-1]
+            return dataclasses.replace(res, u=res.u * 3.0 ** len(solves))
+        monkeypatch.setattr(corrector, "solve_right_inverse", growing)
+        return solves
+
+    def test_iterate_raises(self, reference_approx, growing_steps):
+        with pytest.raises(NumericalError, match="iteration diverged"):
+            iterate(reference_approx, degrees=(0,), tol=1e-30)
+        # ratios >= 1 at steps 2, 3 and 4
+        assert len(growing_steps) == 4
+
+    def test_cli_exit_code(self, tmp_path, capsys, growing_steps):
+        import json
+        from qglue.cli import main
+        config = tmp_path / "glue.json"
+        config.write_text(json.dumps({
+            "n": 5, "eps": 0.5, "m": 2, "end1": {"T0": 0.0, "perturbation": [
+                {"l": 0, "A": 1e-3, "beta": 2.0}]}, "end2": {}}))
+        out = tmp_path / "out"
+        assert main(["correct", "--config", str(config), "--tol", "1e-30",
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: iteration diverged")
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestNondegeneracy:
@@ -432,7 +541,7 @@ class TestSpecExamples:
         assert out.converged
         assert out.finalDefect < 1e-9
         assert out.finalDefect <= 1e-3 * out.initialDefect
-        _, psi_sup = verify_correction(ap, out.correction)
+        _, psi_sup = verify_correction(out)
         assert psi_sup < 1e-8
 
 

@@ -8,10 +8,10 @@ from scipy.integrate import solve_ivp
 
 from qglue import delaunay
 from qglue.cli import HANDLERS, _sweep_orbits
-from qglue.delaunay import (hamiltonian, solve_orbit, FamilyParams,
-                            expansion_error)
+from qglue.delaunay import hamiltonian, solve_orbit
 from qglue.errors import DomainError
 from qglue.gauges import CylField, derive_constants, q_residual
+from qglue.jacobi import expansion_error, generators
 
 
 @pytest.mark.parametrize("n_val", [5, 6, 7, 9, 12])
@@ -314,24 +314,22 @@ class TestStartOrbit:
 
 
 class TestFamily:
+    TS = np.linspace(2, 8, 40)
+
     def test_expansion_zero_translation(self, orbit05):
-        st = expansion_error(FamilyParams(eps=0.5, a=()), orbit05, (2, 8))
-        assert st.maxDeviation == 0.0
+        assert expansion_error(generators(orbit05), 0.0, self.TS).max() == 0.0
 
     def test_expansion_quadratic_in_a(self, orbit05):
-        amag = 0.02
-        e1 = expansion_error(FamilyParams(eps=0.5, a=(amag, 0, 0, 0, 0)),
-                             orbit05, (2, 8)).maxDeviation
-        e2 = expansion_error(FamilyParams(eps=0.5, a=(amag / 2, 0, 0, 0, 0)),
-                             orbit05, (2, 8)).maxDeviation
+        basis, amag = generators(orbit05), 0.02
+        e1 = expansion_error(basis, amag, self.TS).max()
+        e2 = expansion_error(basis, amag / 2, self.TS).max()
         assert e1 / e2 == pytest.approx(4.0, abs=0.4)
 
     def test_expansion_decay_rate(self, orbit05):
-        st = expansion_error(FamilyParams(eps=0.5, a=(0.02, 0, 0, 0, 0)),
-                             orbit05, (2, 8), n_t=61)
+        ts = np.linspace(2, 8, 61)
+        per = expansion_error(generators(orbit05), 0.02, ts)
         # the deviation envelope oscillates with the orbit; fit the peaks
-        per = st.perT
-        slope = np.polyfit(st.t, np.log(per), 1)[0]
+        slope = np.polyfit(ts, np.log(per), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.1)
 
 
