@@ -65,8 +65,8 @@ def _series_figures(orbit):
 
 
 def _orbit_summary(orbit):
-    ts = np.linspace(0.0, orbit.period, 129)
-    H = np.array([hamiltonian(orbit.jet(t), orbit.constants) for t in ts])
+    jets = orbit.jet(np.linspace(0.0, orbit.period, 129)).T.tolist()
+    H = np.array([hamiltonian(j, orbit.constants) for j in jets])
     return {
         "command": "orbit",
         "n": orbit.constants.n,
@@ -137,13 +137,13 @@ def cmd_sweep(params):
 
 def cmd_indicial(params):
     orbit = solve_orbit(params["n"], params["eps"])
-    spec = indicial_roots(orbit, params.get("modes", [0, 1, 2]))
-    doc = {"command": "indicial", "n": spec.n, "eps": spec.eps,
-           "modes": spec.to_json()["modes"]}
+    spec = indicial_roots(orbit, params.get("modes", [0, 1, 2])).to_json()
+    doc = {"command": "indicial", "n": spec["n"], "eps": spec["eps"],
+           "modes": spec["modes"]}
     csv_rows = [(e["l"], e["lambda"],
                  ";".join(repr(x) for x in e["exponents"]))
                 for e in doc["modes"]]
-    return doc, {"spectrum.json": spec.to_json(),
+    return doc, {"spectrum.json": spec,
                  "spectrum.csv": ("l,lambda,exponents", csv_rows)}
 
 

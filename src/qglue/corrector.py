@@ -683,23 +683,26 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
             min_iter=1):
     """Drive the blend to a numerically constant-curvature field.
 
-    picard: u_{k+1} = -G(f0 + R(u_k)) with the right inverse frozen at the
-    blend; newton: only the background rows of the bordered system are
-    re-assembled at each iterate, the orbit-side border is built once.  The
-    defect is the curvature residual relative to the modeled-exact end
-    fields, evaluated in perturbation form throughout (see gluing.defect) and
-    measured on the interior collocation points; below 1e-30 it counts as
-    zero.  The correction carries the requested degrees (default the
-    blend's), padded into the defect as zero modes; leaving out a blend
-    degree raises DomainError, as no step would touch its defect.  min_iter
-    forces extra steps so contraction ratios are observable even when the
-    first step already reaches the floor; one above max_iter raises
-    DomainError; three consecutive contraction ratios >= 1 raise
-    NumericalError.  The blend's defect f0 is evaluated once, and each
-    iterate's remainder R(u) once, which Picard's next step reuses; the
-    blend system's linearization serves every total defect f0 + L u + R(u),
-    and the last one (f0 when no step runs) is returned as defectField,
-    whose interior sup is finalDefect.
+    Both schemes step u += G(-(f0 + L u + R(u))), the bordered right inverse
+    of the total defect, and sum the steps' amplitudes into alpha.  picard
+    keeps the blend's system: the chord method, which is Picard's map
+    u_{k+1} = -G(f0 + R(u_k)), since G reads only interior rows, where
+    L G = I, so G L u = u on G's range, which holds every iterate.  newton
+    re-assembles the background rows about each iterate; the orbit-side
+    border is built once.  The defect is the curvature residual relative to
+    the modeled-exact end fields, evaluated in perturbation form throughout
+    (see gluing.defect) and measured on the interior collocation points;
+    below 1e-30 it counts as zero, and a blend there takes no step and
+    builds no system (cond and solveResidual NaN).  The correction carries
+    the requested degrees (default the blend's), padded into the defect as
+    zero modes; leaving out a blend degree raises DomainError, as no step
+    would touch its defect.  min_iter forces extra steps so contraction
+    ratios are observable even when the first step already reaches the
+    floor; one above max_iter raises DomainError; three consecutive
+    contraction ratios >= 1 raise NumericalError.  f0 is evaluated once and
+    each iterate's remainder once; the blend system's linearization serves
+    every total defect, and the last one (f0 when no step runs) is returned
+    as defectField, whose interior sup is finalDefect.
     """
     degrees = _degrees(approx, degrees)
     missing = sorted(set(approx.field.degrees) - set(degrees))
@@ -715,43 +718,28 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
                  np.zeros((len(degrees), len(f0.t))))
     d0 = _interior_sup(f0)
     rows = [(0, d0, 0.0, float("nan"))]
-    if d0 <= 1e-30:
-        return IterateResult(solution=approx.field.copy(), correction=u,
-                             defectField=f0, trace=IterationTrace(rows),
-                             initialDefect=d0, finalDefect=d0,
-                             converged=True, scheme=scheme, alpha={},
-                             cond=float("nan"), solveResidual=float("nan"))
-    sys0 = bordered_system(approx, degrees=degrees)
-    alpha = {}
-    solve_res = 0.0
-    prev_corr = None
-    bad = 0
+    # below the floor the blend is exact: no system is built, no step taken
+    steps = range(1, max_iter + 1) if d0 > 1e-30 else range(0)
+    converged = not steps
+    sys0 = sys_k = bordered_system(approx, degrees=degrees) if steps else None
+    alpha, resids, prev_corr, bad = {}, [], None, 0
     defect_now, total = d0, f0     # the total defect at u = 0 is f0
-    # R(u) of the current iterate: Picard's right-hand side is f0 + R(u)
-    rem = remainder(approx, u) if scheme == "picard" else None
-    converged = False
-    for k in range(1, max_iter + 1):
-        if scheme == "picard":
-            res = solve_right_inverse(sys0, (f0 + rem) * -1.0)
-            u_next = res.u
-            alpha = res.alpha
-        else:
-            # re-assemble the background rows about the current iterate;
-            # the orbit-side border does not depend on the field.  The
-            # first step starts from u = 0, the blend itself: sys0 serves.
-            sys_k = sys0 if k == 1 else _background_system(
+    for k in steps:
+        # Newton re-assembles the background rows about the current iterate
+        # (the orbit-side border does not depend on the field); its first
+        # step starts from u = 0, the blend itself, where sys0 serves.
+        if scheme == "newton" and k > 1:
+            sys_k = _background_system(
                 replace(approx, field=approx.field + u), degrees, sys0.borders)
-            res = solve_right_inverse(sys_k, total * -1.0)
-            u_next = u + res.u
-            # the correction sums the increments, and alpha their amplitudes
-            alpha = {key: alpha.get(key, 0.0) + a
-                     for key, a in res.alpha.items()}
-        solve_res = max(solve_res, res.relResidual)
+        res = solve_right_inverse(sys_k, total * -1.0)
+        resids.append(res.relResidual)
+        u_next = u + res.u
+        # the correction sums the increments, and alpha their amplitudes
+        alpha = {key: alpha.get(key, 0.0) + a for key, a in res.alpha.items()}
         corr = _interior_sup(u_next - u)
         u = u_next
         # N(v_m + u) - blended end defects = f0 + L_m(u) + R_m(u)
-        rem = remainder(approx, u)
-        total = f0 + _apply(sys0.operator, u) + rem
+        total = f0 + _apply(sys0.operator, u) + remainder(approx, u)
         defect_now = _interior_sup(total)
         ratio = corr / prev_corr if prev_corr not in (None, 0.0) else float("nan")
         rows.append((k, defect_now, corr, ratio))
@@ -780,7 +768,8 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
                          defectField=total, trace=IterationTrace(rows),
                          initialDefect=d0, finalDefect=defect_now,
                          converged=converged, scheme=scheme, alpha=alpha,
-                         cond=sys0.factor()[1], solveResidual=solve_res)
+                         cond=sys0.factor()[1] if steps else float("nan"),
+                         solveResidual=max(resids, default=float("nan")))
 
 
 def verify_correction(result):
@@ -792,7 +781,7 @@ def verify_correction(result):
     total = result.defectField
     consts = total.constants
     tv = total.point_values()
-    vm = result.solution.padded(total.degrees).point_values()
+    vm = result.solution.point_values()
     psi = (2.0 / (consts.n - 4)) * vm ** (-consts.p) * tv
     sl = slice(2, len(total.t) - 2)
     return float(np.max(np.abs(tv[sl]))), float(np.max(np.abs(psi[sl])))

@@ -302,8 +302,8 @@ SUMMARY_SCHEMAS = {
                               "cond, when no solve runs"},
             "alpha": {"type": "object", "description":
                       "deficiency amplitudes of the whole correction, keyed "
-                      "'l:' plus end (L, R) and generator sign (+, -); "
-                      "newton sums those of its increments"},
+                      "'l:' plus end (L, R) and generator sign (+, -): "
+                      "the sum of those of the steps, in either scheme"},
         },
     },
     "diagnose": {

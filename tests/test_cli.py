@@ -368,6 +368,24 @@ class TestCommands:
         assert "cond" not in doc
         assert "solveResidual" not in doc
 
+    @pytest.mark.parametrize("scheme", ["picard", "newton"])
+    def test_correct_exact_ends_keep_the_requested_degrees(self, tmp_path,
+                                                           scheme):
+        # the blend is exact, so no step runs; the corrected field still
+        # spans the requested modes, mode 1 zero and mode 0 the blend
+        config = {"n": 5, "eps": 0.5, "m": 2}
+        summary, out = run_manifest(tmp_path, "correct", {
+            "config": config, "scheme": scheme, "modes": [0, 1]})
+        _, glue = run_manifest(tmp_path, "glue", {"config": config})
+        assert summary["iterations"] == 0
+        assert "cond" not in summary
+        corrected = json.loads((out / "corrected.json").read_text())
+        blend = json.loads((glue / "field.json").read_text())
+        assert [m["l"] for m in corrected["modes"]] == [0, 1]
+        assert [m["l"] for m in blend["modes"]] == [0]
+        assert corrected["modes"][0]["samples"] == blend["modes"][0]["samples"]
+        assert not any(corrected["modes"][1]["samples"])
+
     def test_diagnose(self, tmp_path):
         params = {
             "config": {"n": 5, "eps": 0.5, "m": 2,

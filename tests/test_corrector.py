@@ -368,8 +368,8 @@ class TestOneEvaluation:
         assert calls["defect"] == 1
         # the blend's linearization once; Newton one more per re-assembly
         assert calls["_linearization"] == (1 if scheme == "picard" else steps)
-        # at most once per iterate u_0 .. u_steps
-        assert calls["remainder"] <= steps + 1
+        # once per iterate u_1 .. u_steps: R(u_0) = R(0) is never needed
+        assert calls["remainder"] == steps
         assert doc["residualSup"] == doc["finalDefect"]
 
     @pytest.mark.parametrize("scheme", ["picard", "newton"])
@@ -389,6 +389,84 @@ class TestOneEvaluation:
                * (ap.field + u).point_values() ** -consts.p
                * oracle.point_values())
         assert psi_sup == np.max(np.abs(psi[2:len(u.t) - 2]))
+
+
+class TestChordStep:
+    """Picard's step is Newton's with the blend's system frozen, the chord
+    method: G reads only interior rows, where L G = I, so on G's range
+    u - G(f0 + L u + R(u)) = -G(f0 + R(u)), Picard's map.  A test-local
+    oracle runs that map on the same bordered system, through this module's
+    own, unpatched solve_right_inverse."""
+
+    @staticmethod
+    def picard_map(ap, degrees, steps):
+        sys = bordered_system(ap, degrees=degrees)
+        f0 = defect(ap).residual.padded(degrees)
+        u = CylField(f0.constants, f0.t, degrees,
+                     np.zeros((len(degrees), len(f0.t))))
+        out = []
+        for _ in range(steps):
+            res = solve_right_inverse(sys, (f0 + remainder(ap, u)) * -1.0)
+            u = res.u
+            out.append((u, res.alpha))
+        return out
+
+    @staticmethod
+    def chord_steps(ap, degrees, monkeypatch, **kwargs):
+        """iterate's picard run, with its iterates and amplitudes per step
+        summed from the solves it made."""
+        import qglue.corrector as corrector
+        real = corrector.solve_right_inverse
+        solves = []
+
+        def capture(sys, f):
+            solves.append(real(sys, f))
+            return solves[-1]
+        monkeypatch.setattr(corrector, "solve_right_inverse", capture)
+        out = iterate(ap, scheme="picard", degrees=degrees, **kwargs)
+        steps, u, alpha = [], None, {}
+        for res in solves:
+            u = res.u if u is None else u + res.u
+            alpha = {key: alpha.get(key, 0.0) + a
+                     for key, a in res.alpha.items()}
+            steps.append((u, alpha))
+        return out, steps
+
+    @pytest.mark.parametrize("amp, rate", [(0.1, 1.2), (0.4, 1.01)])
+    def test_matches_picard_map(self, orbit05, amp, rate, monkeypatch):
+        cfg = make_config(orbit05, m=1, pert1=((0, amp, rate),),
+                          pert2=((0, -amp, rate),))
+        ap = build_approximate(cfg, grid_per_period=64)
+        out, chord = self.chord_steps(ap, (0,), monkeypatch, tol=1e-15,
+                                      min_iter=2)
+        # the result is the sum of the steps, in u and in alpha
+        assert np.array_equal(out.correction.coeffs, chord[-1][0].coeffs)
+        assert out.alpha == chord[-1][1]
+        oracle = self.picard_map(ap, (0,), len(chord))
+        checked = 0
+        # steps taken from a defect above 1e-13; below, both maps step in
+        # rounding noise
+        for (u, alpha), (v, beta), row in zip(chord, oracle, out.trace.rows):
+            if row[1] <= 1e-13:
+                continue
+            checked += 1
+            assert np.max(np.abs(u.coeffs - v.coeffs)) \
+                <= 1e-9 * np.max(np.abs(v.coeffs))
+            assert alpha.keys() == beta.keys()
+            biggest = max(abs(b) for b in beta.values())
+            assert max(abs(alpha[key] - beta[key]) for key in beta) \
+                <= 1e-9 * biggest
+        assert checked >= 2
+
+    def test_first_step_is_bit_for_bit(self, monkeypatch):
+        # R(0) = 0 exactly, so both maps solve for -f0
+        ap = build_approximate(
+            GluingConfig.from_json(TestOneEvaluation.CONFIG),
+            grid_per_period=64)
+        _, chord = self.chord_steps(ap, (0, 1), monkeypatch, min_iter=2)
+        (u, alpha), = self.picard_map(ap, (0, 1), 1)
+        assert np.array_equal(chord[0][0].coeffs, u.coeffs)
+        assert chord[0][1] == alpha
 
 
 class TestDivergence:
