@@ -7,4 +7,4 @@ from .errors import (DomainError, NumericalError, IllConditionedError,
 from .gauges import GaugeConstants, derive_constants, CylField, q_residual
 from .delaunay import hamiltonian, DelaunayOrbit, solve_orbit
 from .jacobi import (ModeOperator, mode_apply, indicial_roots, generators,
-                     expansion_error, symplectic_pairing)
+                     symplectic_pairing)

@@ -54,15 +54,14 @@ from .fd import band_apply, jet_rows, stencil_size
 from .gauges import CylField, angular_basis, paneitz_mode_band
 from .jacobi import ModeOperator, generators, monodromy_data, smooth_step
 from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
-    log_annulus_weight, stable_power_remainder, weighted_norm
+    log_annulus_weight, stable_power_remainder
 
 __all__ = [
     "discretize", "BandedOperator", "BandLU", "BorderedSystem",
     "bordered_system",
     "solve_right_inverse", "RightInverseResult", "remainder", "iterate",
-    "IterationTrace", "IterateResult", "estimate_g_norm",
-    "nondegeneracy_diag", "NondegeneracyResult", "linear_apply",
-    "verify_correction",
+    "IterationTrace", "IterateResult", "nondegeneracy_diag",
+    "NondegeneracyResult", "linear_apply", "verify_correction",
 ]
 
 
@@ -584,45 +583,6 @@ def solve_right_inverse(sys, f):
     rel = num / sup_f if sup_f > 0 else num
     return RightInverseResult(u=ufield, alpha=alpha,
                               relResidual=rel, cond=cond)
-
-
-def estimate_g_norm(approx, degrees=(0,)):
-    """Operator-norm estimate of the right inverse from seeded smooth probe
-    data, both norms weighted with the annulus weight at rate 1.5.
-
-    Probe bumps sit at fixed distances from the domain ends (plus one at the
-    neck middle) so the probe family is geometrically comparable across
-    overlap lengths; three seeded draws of phase and frequency each.  The
-    estimate is a lower bound on the true norm, which is what the
-    stability-in-m comparison needs.
-    """
-    sys = bordered_system(approx, degrees=degrees)
-    s = approx.s
-    cfg = approx.config
-    T = cfg.period
-    scale = cfg.m * cfg.period
-    rng = np.random.default_rng(1234)
-    anchors = [s[0] + 0.7 * T, s[0] + 1.5 * T, 0.0,
-               s[-1] - 1.5 * T, s[-1] - 0.7 * T]
-    best = 0.0
-    # one localized bump per solve, with the oscillation phased relative to
-    # the anchor: each bump then sees the same local problem at every m
-    # (the backbone phase at a fixed end offset, and at s = 0, is
-    # m-independent), so ratios are comparable across overlap lengths
-    for _ in range(3):
-        phase = rng.uniform(0.0, 2 * np.pi)
-        freq = rng.uniform(0.5, 1.2)
-        for a in anchors:
-            prof = (np.exp(-((s - a) / (0.5 * T)) ** 2)
-                    * np.cos(freq * (s - a) + phase))
-            f = CylField.from_modes(cfg.constants, s,
-                                    {l: prof for l in sys.degrees})
-            res = solve_right_inverse(sys, f)
-            nf = weighted_norm(f, 1.5, scale)
-            nu = weighted_norm(res.u, 1.5, scale) + sum(
-                abs(v) for v in res.alpha.values())
-            best = max(best, nu / nf)
-    return best
 
 
 # ----------------------------------------------------------------------

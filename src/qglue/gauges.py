@@ -245,13 +245,6 @@ class CylField:
         """(nt, nquad) samples of the field on the angular quadrature set."""
         return self.basis().reconstruct(self.coeffs)
 
-    def copy(self):
-        return replace(self, coeffs=self.coeffs.copy())
-
-    def sup_norm(self):
-        """Pointwise sup over the t grid and the angular quadrature set."""
-        return float(np.max(np.abs(self.point_values())))
-
     # -- arithmetic ------------------------------------------------------
 
     def _check_compatible(self, other):

@@ -7,7 +7,7 @@ the start), the conserved boundary pairing, and the smooth step that every
 cutoff is built from.  JacobiBasis holds every generator; its necksize
 field is the eps-derivative of the orbit's cosine series, in closed form,
 and its decaying translation field is the first-order term of the
-translated family (expansion_error).
+translated family.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from .delaunay import DelaunayOrbit, _epsbar_symbol, _series_jet, _tangent
 __all__ = [
     "ModeOperator", "mode_apply", "MonodromyData", "monodromy_data",
     "IndicialSpectrum", "indicial_roots", "JacobiBasis",
-    "generators", "expansion_error", "symplectic_pairing",
+    "generators", "symplectic_pairing",
 ]
 
 
@@ -186,12 +186,6 @@ class IndicialSpectrum:
     n: int
     perMode: list  # entries: dict(l, lambda, exponents, jordanFlags,
                    #                frequencies, detDefect)
-
-    def exponents(self, l):
-        for entry in self.perMode:
-            if entry["l"] == l:
-                return entry["exponents"]
-        raise KeyError(f"no mode of degree {l}")
 
     def to_json(self):
         return {
@@ -374,26 +368,6 @@ def generators(orbit):
                           "orbit has a degenerate phase derivative")
     x = _tangent(orbit.constants, orbit.eps, orbit.coeffs, orbit.omega)
     return JacobiBasis(orbit, x[:-1], float(x[-1]))
-
-
-def expansion_error(basis, amag, ts):
-    """Deviation of the translated family from its first-order expansion at
-    the points ts: per t, the max over directions of
-    |v_{eps,a}(t, theta) - v_eps(t) - <theta, a> w(t)|, with |a| = amag and
-    w = e^{-t}((n-4)/2 v_eps - v'_eps) the decaying degree-1 generator.
-    Fields depend on theta only through c = <theta, a/|a|>, so directions
-    are sampled as 9 cosine values from -1 to 1."""
-    orbit = basis.orbit
-    n = orbit.constants.n
-    v0 = orbit.eval(ts, 0)
-    w = basis.profile(1, "+", ts)
-    per_t = np.zeros(len(ts))
-    for c in np.linspace(-1.0, 1.0, 9):
-        rho = np.sqrt(1.0 - 2.0 * np.exp(-ts) * c * amag
-                      + np.exp(-2.0 * ts) * amag ** 2)
-        full = rho ** ((4 - n) / 2.0) * orbit.eval(ts + np.log(rho), 0)
-        per_t = np.maximum(per_t, np.abs(full - (v0 + c * amag * w)))
-    return per_t
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 and every name the package re-exports is exported by its home module.  No
 module imports a name it never uses, and the command line loads neither
 SciPy nor jsonschema until a command factors a band, and then only SciPy's
-compiled LAPACK module.  No command loads numpy.random."""
+compiled LAPACK module.  No command loads numpy.random, and no module of the
+package names it.  Every function the benchmark's tracer wraps by name
+exists."""
 
 import ast
 import importlib
@@ -51,6 +53,56 @@ def test_module_uses_every_import(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - set(getattr(mod, "__all__", ()))
     assert not unused, sorted(unused)
+
+
+PACKAGE_FILES = sorted(pathlib.Path(qglue.__file__).parent.glob("*.py"))
+
+
+def _dotted(node):
+    """The dotted name of an attribute chain rooted in a Name, such as
+    np.random.default_rng; '' for any other root."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    return ".".join([node.id] + parts[::-1])
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
+def test_module_names_no_numpy_random(path):
+    # the program's one seeded draw is diagnose's Lanczos start vector, from
+    # the standard library's random.Random
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Attribute, ast.Name)):
+            names.add(_dotted(node))
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {f"{node.module}.{a.name}" for a in node.names}
+    hits = [n for n in names
+            if any(n == r or n.startswith(r + ".")
+                   for r in ("np.random", "numpy.random"))
+            or "default_rng" in n.split(".")]
+    assert not hits, sorted(hits)
+
+
+def test_traced_names_resolve():
+    # qbench/tracing.py wraps its LAYERS functions by name, a dotted one as
+    # a method of its class; it is compiled from its source, so nothing is
+    # written under qbench
+    path = pathlib.Path(__file__).parents[1] / "qbench" / "tracing.py"
+    tracing = {}
+    exec(compile(path.read_text(), str(path), "exec"), tracing)
+    targets = [t for ts in tracing["LAYERS"].values() for t in ts]
+    assert targets
+    for module, attr in targets:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), (module, attr)
 
 
 def _loaded_after(code):
