@@ -1,10 +1,12 @@
 """Batch front end: subcommands wiring the numerical modules, JSON/CSV
-emission, and manifest-driven runs.
+emission, and manifest-driven runs, one manifest or a batch of them in one
+process.
 
 Exit codes: 0 success, 1 manifest/schema violation or a config/manifest
 file that cannot be read as JSON, 2 domain error (a parameter that is not
 finite among them), 3 numerical failure (escape, divergence,
-ill-conditioning, a summary figure that is not finite).
+ill-conditioning, a summary figure that is not finite).  A batch exits
+with the largest code of its manifests.
 """
 
 import argparse
@@ -441,7 +443,8 @@ def build_parser():
             p.add_argument("--modes", type=_parse_modes)
         common(p)
 
-    p = command("run", help="execute a run manifest")
+    p = command("run", help="execute a run manifest, or a JSON array of "
+                            "them in one process")
     p.add_argument("manifest")
     return ap
 
@@ -476,20 +479,64 @@ def _manifest_from_args(args):
     return {"command": cmd, "params": params, "out": out, "seed": seed}
 
 
+# exit code and standard-error label of each error a run reports; any other
+# exception is a program fault and propagates
+_FAILURES = {ManifestError: (1, "manifest error"),
+             DomainError: (2, "domain error"),
+             NumericalError: (3, "numerical failure")}
+
+
+def _failure(exc):
+    """(exit code, message) of one of the _FAILURES."""
+    code, label = next(v for cls, v in _FAILURES.items()
+                       if isinstance(exc, cls))
+    return code, f"{label}: {exc}"
+
+
+def _run_batch(manifests, path):
+    """Execute the manifests in order, each as alone; a failure is reported
+    and the next one runs.  Writes and prints the status document
+    (schemas.BATCH_STATUS_SCHEMA) and returns the batch's exit code."""
+    entries = []
+    for i, manifest in enumerate(manifests):
+        entry = {"exitCode": 0}
+        try:
+            execute(manifest)
+        except tuple(_FAILURES) as exc:
+            entry["exitCode"], entry["error"] = _failure(exc)
+            print(f"manifest {i}: {entry['error']}", file=sys.stderr)
+        entries.append(entry)
+    status = {"exitCode": max((e["exitCode"] for e in entries), default=0),
+              "manifests": entries}
+    _write_json(os.path.splitext(path)[0] + ".status.json", status)
+    print(json.dumps(status, sort_keys=True, indent=1))
+    return status["exitCode"]
+
+
 def main(argv=None):
+    """Run the command line; returns the exit code: 0 success, 1 manifest
+    error, 2 domain error, 3 numerical failure, with the error on standard
+    error and, on success, the summary on standard output.
+
+    `run` takes one manifest or a JSON array of manifests, a batch.  A
+    batch runs in this one process, in order, and each manifest writes its
+    own `out`, byte-identical to a run of it alone; a failing manifest does
+    not stop the rest.  Orbits and their mode flows are memoized for the
+    process (delaunay.solve_orbit), so manifests on one orbit share them.
+    The batch exits with the largest exit code of its manifests (0 for an
+    empty array), and writes that code and each manifest's, in the batch's
+    order, to <file>.status.json beside the batch file <file>.json, and
+    to standard output."""
     args = build_parser().parse_args(argv)
     try:
         manifest = _manifest_from_args(args)
+        if isinstance(manifest, list):
+            return _run_batch(manifest, args.manifest)
         summary, _ = execute(manifest)
-    except ManifestError as exc:
-        print(f"manifest error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    except tuple(_FAILURES) as exc:
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
     print(json.dumps(summary, sort_keys=True, indent=1))
     return 0
 

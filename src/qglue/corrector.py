@@ -104,8 +104,10 @@ def _linearization(background, degrees):
                                              STENCIL_ORDER, reach)
         for b in range(L1):
             core[:, a, kl + b - a] -= consts.K * C[a, b]
-    return BandedOperator(kl=kl, ku=kl, band=core.reshape(n, -1),
-                          cols=np.zeros((n, 0)), rows=np.zeros((0, n)))
+    band = core.reshape(n, -1)
+    return BandedOperator(kl=kl, ku=kl, band=band, cols=np.zeros((n, 0)),
+                          rows=np.zeros((0, n)),
+                          live=np.flatnonzero(band.any(axis=0)))
 
 
 def _apply(op, u):
@@ -139,6 +141,7 @@ class BandedOperator:
     band: np.ndarray         # (L N, kl + ku + 1): A[p, p - kl + q]
     cols: np.ndarray         # (L N, k) border columns
     rows: np.ndarray         # (k, L N) border rows
+    live: np.ndarray = None  # the band's nonzero diagonals q; None: all
 
     @property
     def shape(self):
@@ -148,7 +151,8 @@ class BandedOperator:
     def matvec(self, x):
         """The matrix times x (a vector or columns)."""
         nc = len(self.band)
-        top = band_apply(self.band, x[:nc], self.kl) + self.cols @ x[nc:]
+        top = (band_apply(self.band, x[:nc], self.kl, self.live)
+               + self.cols @ x[nc:])
         return np.concatenate([top, self.rows @ x[:nc]])
 
     def row_max(self):
@@ -285,6 +289,20 @@ def _inv_norm1(lu):
 # bordered system
 
 
+def _end_frames(data, k, thresh):
+    """Orthonormal bases of the invariant subspaces of the k multipliers
+    beyond thresh of data's backward and forward one-period flows, kept
+    with data (so with its orbit) and read-only."""
+    key = (k, thresh)
+    if key not in data.frames:
+        frames = tuple(_invariant_subspace(M, k, thresh)
+                       for M in (data.backward, data.matrix))
+        for Z in frames:
+            Z.flags.writeable = False
+        data.frames[key] = frames
+    return data.frames[key]
+
+
 def _invariant_subspace(M, k, thresh):
     """Orthonormal basis of the invariant subspace of the k multipliers with
     |mu| > thresh, via a sorted real Schur form."""
@@ -351,7 +369,10 @@ class BorderedSystem:
 def _mode_border(approx, basis, l):
     """Band slot rows, dense border rows and deficiency columns of mode l:
     the orbit side of the bordered system, which depends on the orbit, the
-    overlap and the grid but not on the background field.
+    overlap and the grid but not on the background field.  The end flows
+    and their frames are kept with the orbit (monodromy_data, _end_frames),
+    so a later system on that orbit and grid, in this command or another
+    of the process, computes neither again.
 
     Frames are built from discrete jets: each frame direction is sampled as
     an actual solution over the end window, by the monodromy flow that
@@ -397,8 +418,7 @@ def _mode_border(approx, basis, l):
         # each end's flow starts at its window's first node
         data = monodromy_data(op, t0=nodes[0] + phase,
                               offsets=nodes - nodes[0])
-        dec = _invariant_subspace(data.backward, n_dec, thresh)
-        grow = _invariant_subspace(data.matrix, n_dec, thresh)
+        dec, grow = _end_frames(data, n_dec, thresh)
         # a window is a stencil wide: growing directions stay representable
         sol = list((data.window[:, 0, :]
                     @ np.concatenate([dec, grow], axis=1)).T)
@@ -480,7 +500,8 @@ def _background_system(approx, degrees, borders):
     op = BandedOperator(kl=lin.kl - used[0], ku=used[-1] - lin.kl,
                         band=band[:, used[0]:used[-1] + 1],
                         cols=cols.reshape(N * L1, -1),
-                        rows=rows.reshape(len(extra), N * L1))
+                        rows=rows.reshape(len(extra), N * L1),
+                        live=used - used[0])
     scale = op.row_max()
     scale[scale == 0] = 1.0
     return BorderedSystem(approx=approx, degrees=degrees, matrix=op,

@@ -12,7 +12,7 @@ Georg, Introduction to Numerical Continuation Methods, ch. 2); at eps the
 series is padded and solved again until it is resolved.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -81,18 +81,28 @@ def _series_jet(at_zero, a, omega, t, max_deriv):
     return rows
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelaunayOrbit:
     """One periodic orbit as the cosine series
     v(t) = eps + sum_{k=1..N} a_k (cos(k omega t) - 1) of period
     T = 2 pi / omega.  eval(t, k) returns the k-th t-derivative (k <= 3),
-    jet any number of them.  The constant orbit at epsBar has N = 0."""
+    jet any number of them.  The constant orbit at epsBar has N = 0.
+
+    solve_orbit hands one orbit to every caller with the same inputs, so
+    its fields are frozen and coeffs is read-only.  memo keeps what jacobi
+    computes from the orbit alone, its mode flows (monodromy_data) and its
+    generators; dataclasses.replace starts a new orbit with an empty one."""
 
     constants: GaugeConstants
     eps: float
     omega: float
     coeffs: np.ndarray  # a_1..a_N
     diagnostics: dict
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
+
+    def __post_init__(self):
+        self.coeffs.flags.writeable = False
 
     @property
     def period(self):
@@ -328,6 +338,11 @@ def _check_necksize(consts, eps):
             f"necksize must lie in (0, {consts.epsBar:.6f}], got {eps}")
 
 
+# solve_orbit's memo for the life of the process: its exact inputs -> the
+# orbit.  Orbits are a few kB each, and nothing grid-sized is kept.
+_ORBITS = {}
+
+
 def solve_orbit(n_or_consts, eps, start=None):
     """The periodic orbit with minimum eps, as a cosine series: _continue
     reaches eps with PATH_N cosines, from epsBar or, given one, from the
@@ -336,10 +351,27 @@ def solve_orbit(n_or_consts, eps, start=None):
     through SERIES_START and on while its tail exceeds SERIES_TAIL.  Either
     way the orbit is a Newton solution at eps with the N it gets alone, so
     a start only shortens the path.  eps = epsBar returns the constant
-    orbit, of the linearization period."""
+    orbit, of the linearization period.
+
+    Memoized for the life of the process on its exact inputs: the
+    constants, eps and, given one, the start orbit's eps, omega and
+    coefficient bytes (a start moves the result by rounding, so a started
+    and a start-free solve are separate entries).  A repeat returns the
+    same DelaunayOrbit, with the mode flows and generators already
+    computed on it; a failed solve is not kept."""
     consts = (n_or_consts if isinstance(n_or_consts, GaugeConstants)
               else derive_constants(n_or_consts))
     _check_necksize(consts, eps)
+    key = (consts, float(eps), None if start is None else
+           (start.eps, start.omega, start.coeffs.tobytes()))
+    orbit = _ORBITS.get(key)
+    if orbit is None:
+        orbit = _ORBITS[key] = _solve(consts, eps, start)
+    return orbit
+
+
+def _solve(consts, eps, start):
+    """solve_orbit without its memo."""
     if abs(eps - consts.epsBar) <= 1e-12 * consts.epsBar:
         omega0 = _omega0(consts)
         return DelaunayOrbit(consts, consts.epsBar, omega0, np.zeros(0),

@@ -115,19 +115,21 @@ def derivative_band(npoints, deriv, acc, reach):
     return band
 
 
-def band_apply(band, x, kl):
+def band_apply(band, x, kl, live=None):
     """A x for the (n, kl + ku + 1) band of a square A, A[p, p - kl + q] =
     band[p, q], and x a vector or (n, k) columns; band entries that fall
-    outside A multiply zeros.  All-zero diagonals are skipped: y starts at
-    +0.0 and never reaches -0.0, so adding their zero products would not
-    change a bit of it (for finite x)."""
+    outside A multiply zeros.  Only the diagonals q in live are applied,
+    every one without it: the builder of a band that is applied more than
+    once finds its nonzero diagonals once and passes them.  Skipping
+    all-zero diagonals changes no bit: y starts at +0.0 and never reaches
+    -0.0, so adding their zero products would not change it (for finite
+    x)."""
     n, width = band.shape
     pad = np.zeros((n + width - 1,) + x.shape[1:])
     pad[kl:kl + n] = x
-    live = np.flatnonzero(band.any(axis=0))
     band = band.reshape(band.shape + (1,) * (x.ndim - 1))
     y = np.zeros(x.shape)
-    for q in live:
+    for q in range(width) if live is None else live:
         y += band[:, q] * pad[q:q + n]
     return y
 

@@ -10,7 +10,7 @@ and its decaying translation field is the first-order term of the
 translated family.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
 
@@ -76,6 +76,8 @@ class MonodromyData:
     detFactored: float          # det from subinterval factors
     period: float
     window: np.ndarray          # (k, 4, 4) flows from t0 to t0 + offsets
+    # invariant-subspace frames of this flow, kept with it by the corrector
+    frames: dict = field(default_factory=dict, init=False, repr=False)
 
 
 MONODROMY_SUBINTERVALS = 24
@@ -141,7 +143,21 @@ def monodromy_data(op, t0=0.0, offsets=()):
     backward and detFactored do not depend on the offsets.  The flow
     preserves symplectic_pairing, M^T Omega M = Omega, so the backward flow
     is Omega^{-1} M^T Omega and needs no second sweep.  Raises
-    NumericalError when the flow is not finite."""
+    NumericalError when the flow is not finite.
+
+    The flow is kept with its orbit (op.orbit.memo) at its exact
+    (lam, t0, offsets), so a repeat on that orbit returns the same
+    MonodromyData, whose arrays are read-only."""
+    offsets = np.asarray(offsets, dtype=float)
+    key = (float(op.lam), float(t0), offsets.tobytes())
+    data = op.orbit.memo.get(key)
+    if data is None:
+        data = op.orbit.memo[key] = _monodromy(op, t0, offsets)
+    return data
+
+
+def _monodromy(op, t0, offsets):
+    """monodromy_data without its memo."""
     T = op.orbit.period
     n_sub = MONODROMY_SUBINTERVALS
     h = T / n_sub
@@ -167,7 +183,7 @@ def monodromy_data(op, t0=0.0, offsets=()):
     for F in factors:
         partial.append(F @ partial[-1])
     M = partial[-1]
-    sub, local = np.divmod(np.asarray(offsets, dtype=float), h)
+    sub, local = np.divmod(offsets, h)
     sub = sub.astype(int)
     window = (np.einsum("mi,mdij->mdj", _barycentric(x, local / h),
                         jets[sub]) @ np.array(partial)[sub])
@@ -176,6 +192,8 @@ def monodromy_data(op, t0=0.0, offsets=()):
     det = np.prod(np.linalg.det(factors))
     Om = _pairing_matrix(A)
     backward = np.linalg.solve(Om, M.T @ Om)
+    for a in (M, backward, window):
+        a.flags.writeable = False
     return MonodromyData(matrix=M, backward=backward, detFactored=det,
                          period=T, window=window)
 
@@ -297,7 +315,7 @@ RATE_T0 = 0.5      # start and length in periods of measured_rate's ratio
 RATE_PERIODS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class JacobiBasis:
     """Generator solutions of the linearized equation, a +/- pair per degree
     l = 0, 1 (the n translations of degree 1 share one profile pair).
@@ -362,12 +380,17 @@ class JacobiBasis:
 def generators(orbit):
     """All generator solutions of the linearized equation about the orbit.
     (a', omega') along the family is one back-solve (delaunay._tangent),
-    after which the necksize field and ds/deps, dT/deps are closed-form."""
+    after which the necksize field and ds/deps, dT/deps are closed-form.
+    The basis is kept with the orbit (orbit.memo), so a repeat returns the
+    same JacobiBasis, with read-only dCoeffs."""
     if orbit.isConstant:
         raise DomainError("generators need an interior orbit; the constant "
                           "orbit has a degenerate phase derivative")
-    x = _tangent(orbit.constants, orbit.eps, orbit.coeffs, orbit.omega)
-    return JacobiBasis(orbit, x[:-1], float(x[-1]))
+    if "generators" not in orbit.memo:
+        x = _tangent(orbit.constants, orbit.eps, orbit.coeffs, orbit.omega)
+        x.flags.writeable = False
+        orbit.memo["generators"] = JacobiBasis(orbit, x[:-1], float(x[-1]))
+    return orbit.memo["generators"]
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Published JSON schemas: run manifests (validated strictly before
-execution, unknown keys rejected) and the summary documents each subcommand
-emits, with the checker that enforces them.
+execution, unknown keys rejected), the summary documents each subcommand
+emits and the status file of a batch of manifests, with the checker that
+enforces them.
 
 The schemas are JSON Schema (Draft 2020-12) written with nine keywords:
 type, properties, required, additionalProperties (false only), items,
 minItems, minimum, exclusiveMinimum and enum; description is an
 annotation.  The checker here implements exactly those, with jsonschema's
-type semantics and error messages, and rejects any other keyword when the
-module is imported.  The tests hold it to jsonschema as an oracle.
+type semantics and error messages; _check_schema rejects any other
+keyword, and the tests run it on every published schema and hold the
+checker to jsonschema as an oracle.
 """
 
 from numbers import Number
@@ -325,6 +327,34 @@ SUMMARY_SCHEMAS = {
 }
 
 
+_EXIT = {"enum": [0, 1, 2, 3]}
+
+BATCH_STATUS_SCHEMA = {
+    "type": "object", "additionalProperties": False,
+    "required": ["exitCode", "manifests"],
+    "description": "the status file of a `qglue run` batch",
+    "properties": {
+        "exitCode": dict(_EXIT, description=(
+            "the batch's exit code: the largest of its manifests', 0 for "
+            "an empty batch")),
+        "manifests": {
+            "type": "array",
+            "description": "one entry per manifest, in the batch's order",
+            "items": {
+                "type": "object", "additionalProperties": False,
+                "required": ["exitCode"],
+                "properties": {
+                    "exitCode": _EXIT,
+                    "error": {"type": "string", "description":
+                              "the failure as printed to standard error; "
+                              "only when exitCode is not 0"},
+                },
+            },
+        },
+    },
+}
+
+
 class SummaryError(ValueError):
     """A command emitted a summary its schema rejects: a program fault, so
     deliberately not a QGlueError with an exit code of its own."""
@@ -413,11 +443,6 @@ def _check_schema(schema):
         _check_schema(sub)
     if "items" in schema:
         _check_schema(schema["items"])
-
-
-for _schema in (MANIFEST_SCHEMA, *PARAMS_SCHEMAS.values(),
-                *SUMMARY_SCHEMAS.values()):
-    _check_schema(_schema)
 
 
 def validate_manifest(doc):

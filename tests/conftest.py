@@ -1,9 +1,10 @@
+import contextlib
 import os
 
 import numpy as np
 import pytest
 
-from qglue import derive_constants, solve_orbit
+from qglue import delaunay, derive_constants, solve_orbit
 from qglue.corrector import bordered_system, solve_right_inverse
 from qglue.gauges import CylField
 from qglue.gluing import (EndData, GluingConfig, Perturbation,
@@ -22,6 +23,23 @@ def src_on_subprocess_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(
             p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        yield
+
+
+@contextlib.contextmanager
+def cold_orbits():
+    """solve_orbit from an empty memo, as in a new process: every orbit is
+    solved again, with no mode flows on it.  The process's memo is back
+    afterwards."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delaunay, "_ORBITS", {})
+        yield
+
+
+@pytest.fixture
+def cold_memo():
+    """The test runs under cold_orbits."""
+    with cold_orbits():
         yield
 
 

@@ -15,9 +15,11 @@ from qglue import schemas
 from qglue.cli import HANDLERS, execute, main
 from qglue.errors import DomainError, ManifestError, QGlueError
 from qglue.gauges import derive_constants
-from qglue.schemas import (GLUING_CONFIG, MANIFEST_SCHEMA, PARAMS_SCHEMAS,
-                           SUMMARY_SCHEMAS, SummaryError, iter_errors,
-                           validate_manifest, validate_summary)
+from qglue.schemas import (BATCH_STATUS_SCHEMA, GLUING_CONFIG,
+                           MANIFEST_SCHEMA, PARAMS_SCHEMAS, SUMMARY_SCHEMAS,
+                           SummaryError, iter_errors, validate_manifest,
+                           validate_summary)
+from conftest import cold_orbits
 
 
 # the README's reference config
@@ -215,7 +217,9 @@ class TestCommands:
 
     def test_orbit_rerun_byte_identical(self, tmp_path):
         _, out1 = run_manifest(tmp_path / "a", "orbit", {"n": 5, "eps": 0.6})
-        _, out2 = run_manifest(tmp_path / "b", "orbit", {"n": 5, "eps": 0.6})
+        with cold_orbits():
+            _, out2 = run_manifest(tmp_path / "b", "orbit",
+                                   {"n": 5, "eps": 0.6})
         assert (out1 / "summary.json").read_bytes() == \
             (out2 / "summary.json").read_bytes()
         assert (out1 / "orbit.json").read_bytes() == \
@@ -230,7 +234,8 @@ class TestCommands:
             "gridPerPeriod": 32,
         }
         _, out1 = run_manifest(tmp_path / "a", "correct", params)
-        _, out2 = run_manifest(tmp_path / "b", "correct", params)
+        with cold_orbits():
+            _, out2 = run_manifest(tmp_path / "b", "correct", params)
         for name in ("summary.json", "trace.csv", "corrected.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -399,6 +404,108 @@ class TestCommands:
         validate_summary(summary)
         assert summary["sigmaMin"] > 0
         assert (out / "diagnostics.json").exists()
+
+
+# a batch: two commands on one config, one manifest that exits 2 (a dEps
+# whose stencil rounds to eps), and one other command
+BATCH = [
+    ("correct", {"config": README_CONFIG, "gridPerPeriod": 32,
+                 "scheme": "newton"}),
+    ("diagnose", {"config": README_CONFIG, "gridPerPeriod": 32}),
+    ("jacobi", {"n": 5, "eps": 0.5, "dEps": 1e-300}),
+    ("orbit", {"n": 5, "eps": 0.6}),
+]
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestBatch:
+    def test_batch_matches_lone_runs(self, tmp_path, capsys):
+        lone = []
+        for i, (command, params) in enumerate(BATCH):
+            manifest = tmp_path / f"{i}.json"
+            manifest.write_text(json.dumps({
+                "command": command, "params": params,
+                "out": str(tmp_path / "lone" / str(i))}))
+            with cold_orbits():  # as in a process of its own
+                lone.append(main(["run", str(manifest)]))
+        assert lone == [0, 0, 2, 0]
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([
+            {"command": c, "params": p,
+             "out": str(tmp_path / "batch" / str(i))}
+            for i, (c, p) in enumerate(BATCH)]))
+        capsys.readouterr()
+        with cold_orbits():
+            assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        status = json.loads((tmp_path / "batch.status.json").read_text())
+        assert json.loads(out) == status
+        assert not list(iter_errors(BATCH_STATUS_SCHEMA, status))
+        jsonschema.validate(status, BATCH_STATUS_SCHEMA)
+        assert status["exitCode"] == 2
+        assert [e["exitCode"] for e in status["manifests"]] == lone
+        assert status["manifests"][2]["error"].startswith("domain error: ")
+        assert err == f"manifest 2: {status['manifests'][2]['error']}\n"
+        for i, code in enumerate(lone):
+            batch = tmp_path / "batch" / str(i)
+            alone = tmp_path / "lone" / str(i)
+            assert alone.exists() == batch.exists() == (code == 0)
+            if code == 0:
+                assert _files(batch) == _files(alone)
+
+    def test_exit_code_is_the_largest(self, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps([
+            {"command": "orbit", "params": {"n": 5, "eps": 0.99}},
+            {"command": "orbit", "params": {"n": 5}},
+            {"command": "constants", "params": {"n": 5},
+             "out": str(tmp_path / "c")}]))
+        assert main(["run", str(path)]) == 2
+        status = json.loads((tmp_path / "b.status.json").read_text())
+        assert [e["exitCode"] for e in status["manifests"]] == [2, 1, 0]
+        path.write_text("[]")
+        assert main(["run", str(path)]) == 0
+        assert json.loads((tmp_path / "b.status.json").read_text()) == {
+            "exitCode": 0, "manifests": []}
+
+    def test_picard_and_newton_share_the_orbit_side(self, tmp_path,
+                                                    cold_memo, monkeypatch):
+        # the orbit, its generators, its end flows and their frames are
+        # computed by the first command on a config; the second computes none
+        from qglue import corrector, delaunay, jacobi
+        calls = collections.Counter()
+        for module, name in ((delaunay, "_solve"), (jacobi, "_tangent"),
+                             (jacobi, "_monodromy"),
+                             (corrector, "_invariant_subspace")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+        params = {"config": README_CONFIG, "gridPerPeriod": 32,
+                  "modes": [0, 1]}
+        run_manifest(tmp_path / "p", "correct", dict(params, scheme="picard"))
+        first = dict(calls)
+        assert first == {"_solve": 1, "_tangent": 1, "_monodromy": 4,
+                         "_invariant_subspace": 8}
+        run_manifest(tmp_path / "n", "correct", dict(params, scheme="newton"))
+        assert calls == first
+
+    def test_a_run_is_the_same_after_unrelated_ones(self, tmp_path,
+                                                   cold_memo):
+        params = {"config": README_CONFIG, "gridPerPeriod": 32,
+                  "modes": [0, 1]}
+        _, before = run_manifest(tmp_path / "a", "correct", params)
+        other = dict(README_CONFIG, eps=0.4)
+        run_manifest(tmp_path / "x", "correct",
+                     {"config": other, "gridPerPeriod": 32})
+        run_manifest(tmp_path / "x", "sweep", {"n": 5, "epsList": [0.3, 0.5]})
+        run_manifest(tmp_path / "x", "jacobi", {"n": 5, "eps": 0.5})
+        run_manifest(tmp_path / "x", "indicial", {"n": 5, "eps": 0.5})
+        _, after = run_manifest(tmp_path / "b", "correct", params)
+        assert _files(after) == _files(before)
 
 
 class TestCliProcess:
@@ -633,7 +740,7 @@ def test_published_schemas_are_valid():
     # the validators are built once, without checking their schemas, so
     # every published schema is checked against its metaschema here
     schemas = [MANIFEST_SCHEMA, *PARAMS_SCHEMAS.values(),
-               *SUMMARY_SCHEMAS.values()]
+               *SUMMARY_SCHEMAS.values(), BATCH_STATUS_SCHEMA]
     for schema in schemas:
         jsonschema.Draft202012Validator.check_schema(schema)
 
@@ -643,7 +750,15 @@ def test_published_schemas_are_valid():
 
 ALL_SCHEMAS = {"manifest": MANIFEST_SCHEMA,
                **{f"params/{k}": v for k, v in PARAMS_SCHEMAS.items()},
-               **{f"summary/{k}": v for k, v in SUMMARY_SCHEMAS.items()}}
+               **{f"summary/{k}": v for k, v in SUMMARY_SCHEMAS.items()},
+               "batch-status": BATCH_STATUS_SCHEMA}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SCHEMAS))
+def test_schema_checker_enforces_every_published_schema(name):
+    # every keyword, type name and additionalProperties value the schema
+    # uses is one the checker implements
+    schemas._check_schema(ALL_SCHEMAS[name])
 
 
 def _valid_example(schema):
@@ -769,6 +884,7 @@ def test_schema_checker_type_semantics(schema, value, accepted):
     {"type": "array", "items": {"type": "number", "multipleOf": 2}},
 ])
 def test_schema_checker_rejects_what_it_cannot_enforce(schema):
-    # the published schemas pass this check when the module is imported
+    # every published schema passes this check
+    # (test_schema_checker_enforces_every_published_schema)
     with pytest.raises(ValueError):
         schemas._check_schema(schema)

@@ -974,6 +974,15 @@ class TestBorderSplit:
         assert np.array_equal(got.matrix.toarray(), full.matrix.toarray())
         assert np.array_equal(got.row_scale, full.row_scale)
 
+    def test_live_diagonals_are_the_nonzero_ones(self, two_mode, shift):
+        # the builders find them once; matvec applies only those
+        shifted = dataclasses.replace(two_mode, field=two_mode.field + shift)
+        sys = bordered_system(shifted, degrees=self.DEGREES)
+        for op in (sys.matrix, sys.operator):
+            assert np.array_equal(op.live,
+                                  np.flatnonzero(op.band.any(axis=0)))
+        assert len(sys.operator.live) < sys.operator.band.shape[1]
+
     def test_solve_residual_is_that_of_the_reconstructed_field(
             self, two_mode, shift):
         # relResidual measures u = v + B alpha, not v alone, with the

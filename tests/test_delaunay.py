@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from qglue.delaunay import hamiltonian, solve_orbit
 from qglue.errors import DomainError
 from qglue.gauges import CylField, derive_constants, q_residual
 from qglue.jacobi import generators
-from conftest import expansion_error, exponents
+from conftest import cold_orbits, expansion_error, exponents
 
 
 @pytest.mark.parametrize("n_val", [5, 6, 7, 9, 12])
@@ -278,7 +279,8 @@ class TestStartOrbit:
         consts = derive_constants(n)
         eps_list = [f * consts.epsBar for f in fracs]
         for eps, orb in zip(eps_list, _sweep_orbits(consts, eps_list)):
-            alone = solve_orbit(consts, eps)
+            with cold_orbits():
+                alone = solve_orbit(consts, eps)
             assert orb.coeffs.size == alone.coeffs.size
             assert orb.period == pytest.approx(alone.period, rel=1e-14,
                                                abs=0)
@@ -299,8 +301,8 @@ class TestStartOrbit:
         ("sweep", {"n": 5, "epsList": [0.3, 0.7, 0.5]}),
         ("jacobi", {"n": 5, "eps": 0.5}),
         ("jacobi", {"n": 5, "eps": 0.8357})])  # one-sided stencil
-    def test_one_continuation_from_eps_bar(self, monkeypatch, command,
-                                           params):
+    def test_one_continuation_from_eps_bar(self, monkeypatch, cold_memo,
+                                           command, params):
         starts = []
         original = delaunay._continue
 
@@ -466,3 +468,82 @@ class TestHalfPeriodNodes:
                              [orbit05.eps, 0.0, orbit05.vDdot0, 0.0,
                               1.0, 0.0, basis.dsdEps, 0.0], half, t)
         assert_jet_close(basis.jet(0, "-", t), ref[4:])
+
+
+class TestMemo:
+    """solve_orbit's memo for the life of the process, and the mode flows,
+    end frames and generators kept with each orbit."""
+
+    @staticmethod
+    def end_flow(orbit):
+        """Mode 1's flow over an eleven-node window at 64 points per period
+        and its frames, as _mode_border takes them."""
+        from qglue.corrector import _end_frames
+        from qglue.jacobi import ModeOperator, monodromy_data
+        T = orbit.period
+        data = monodromy_data(ModeOperator(orbit, orbit.constants.lam(1)),
+                              t0=0.3, offsets=np.arange(11) * T / 64)
+        return data, _end_frames(data, 1, np.exp(1.5 * T))
+
+    def test_a_hit_is_the_same_object(self, cold_memo, consts5):
+        orb = solve_orbit(5, 0.5)
+        assert solve_orbit(5, 0.5) is orb
+        assert solve_orbit(consts5, 0.5) is orb
+        data, frames = self.end_flow(orb)
+        again, frames_again = self.end_flow(orb)
+        assert again is data
+        assert all(a is b for a, b in zip(frames_again, frames))
+        assert generators(orb) is generators(orb)
+
+    def test_memoized_equals_a_fresh_solve(self, consts5):
+        eps = 0.37 * consts5.epsBar
+        orb = solve_orbit(5, eps)
+        data, frames = self.end_flow(orb)
+        with cold_orbits():
+            fresh = solve_orbit(5, eps)
+            fresh_data, fresh_frames = self.end_flow(fresh)
+        assert fresh is not orb and fresh_data is not data
+        assert fresh.coeffs.tobytes() == orb.coeffs.tobytes()
+        assert np.float64(fresh.omega).tobytes() == \
+            np.float64(orb.omega).tobytes()
+        assert json.dumps(fresh.diagnostics) == json.dumps(orb.diagnostics)
+        for name in ("matrix", "backward", "window", "detFactored"):
+            assert (np.asarray(getattr(fresh_data, name)).tobytes()
+                    == np.asarray(getattr(data, name)).tobytes()), name
+        for got, want in zip(frames, fresh_frames):
+            assert got.tobytes() == want.tobytes()
+        basis, fresh_basis = generators(orb), generators(fresh)
+        assert fresh_basis is not basis
+        assert basis.dCoeffs.tobytes() == fresh_basis.dCoeffs.tobytes()
+        assert basis.dOmega == fresh_basis.dOmega
+
+    def test_memoized_arrays_are_read_only(self):
+        orb = solve_orbit(5, 0.5)
+        data, frames = self.end_flow(orb)
+        for array in (orb.coeffs, data.matrix, data.backward, data.window,
+                      *frames, generators(orb).dCoeffs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            orb.eps = 0.4
+
+    def test_started_and_start_free_solves_are_distinct(self, cold_memo,
+                                                         consts5):
+        eps = 0.5 * consts5.epsBar
+        alone = solve_orbit(consts5, eps)
+        start = solve_orbit(consts5, 0.6 * consts5.epsBar)
+        started = solve_orbit(consts5, eps, start=start)
+        assert started is not alone
+        assert solve_orbit(consts5, eps, start=start) is started
+        assert solve_orbit(consts5, eps) is alone
+        assert len(delaunay._ORBITS) == 3
+        # the same start by value is the same entry
+        copy = dataclasses.replace(start)
+        assert solve_orbit(consts5, eps, start=copy) is started
+
+    def test_a_replaced_orbit_keeps_no_flows(self):
+        # dataclasses.replace makes a new orbit with its own empty store
+        orb = solve_orbit(5, 0.5)
+        self.end_flow(orb)
+        assert orb.memo
+        assert not dataclasses.replace(orb).memo
