@@ -11,6 +11,7 @@ with the largest code of its manifests.
 
 import argparse
 import json
+from json.encoder import encode_basestring_ascii
 import os
 import sys
 
@@ -27,10 +28,49 @@ from .corrector import iterate, verify_correction, nondegeneracy_diag
 from .schemas import validate_manifest, validate_summary
 
 
+# float.__repr__ of the floats JSON spells otherwise
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(doc, pad=""):
+    """json.dumps(doc, sort_keys=True, indent=1) of a document with string
+    keys, without json's pure-Python encoder (its C encoder serves no
+    indent): a list of finite floats is one join of float.__repr__, whose
+    finite results hold no 'n'."""
+    if isinstance(doc, str):
+        return encode_basestring_ascii(doc)
+    if doc is None or isinstance(doc, bool):
+        return "null" if doc is None else "true" if doc else "false"
+    if isinstance(doc, int):
+        return int.__repr__(doc)
+    if isinstance(doc, float):
+        text = float.__repr__(doc)
+        return _NON_FINITE.get(text, text)
+    inner = pad + " "
+    sep = ",\n" + inner
+    if isinstance(doc, dict):
+        brackets = "{}"
+        body = sep.join(encode_basestring_ascii(k) + ": "
+                        + _json_text(v, inner) for k, v in sorted(doc.items()))
+    elif isinstance(doc, (list, tuple)):
+        brackets = "[]"
+        try:
+            body = sep.join(map(float.__repr__, doc))
+        except TypeError:       # an item that is not a float
+            body = None
+        if body is None or "n" in body:
+            body = sep.join(_json_text(x, inner) for x in doc)
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON "
+                        f"serializable")
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{inner}{body}\n{pad}{brackets[1]}"
+
+
 def _write_json(path, doc):
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(_json_text(doc) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -522,7 +562,10 @@ def main(argv=None):
     batch runs in this one process, in order, and each manifest writes its
     own `out`, byte-identical to a run of it alone; a failing manifest does
     not stop the rest.  Orbits and their mode flows are memoized for the
-    process (delaunay.solve_orbit), so manifests on one orbit share them.
+    process (delaunay.solve_orbit), so manifests on one orbit share them,
+    and the last blend is kept with its defect and factored system
+    (gluing.build_approximate), so consecutive manifests on one config
+    share those.
     The batch exits with the largest exit code of its manifests (0 for an
     empty array), and writes that code and each manifest's, in the batch's
     order, to <file>.status.json beside the batch file <file>.json, and

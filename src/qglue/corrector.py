@@ -39,7 +39,7 @@ complement, and _invariant_subspace calls dgees.  A command that factors
 nothing, such as orbit, sweep, indicial, jacobi or glue, loads none of it.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import functools
 import importlib.machinery
 import importlib.util
@@ -53,8 +53,8 @@ from .errors import DomainError, IllConditionedError, NumericalError
 from .fd import band_apply, jet_rows, stencil_size
 from .gauges import CylField, angular_basis, paneitz_mode_band
 from .jacobi import ModeOperator, generators, monodromy_data, smooth_step
-from .gluing import STENCIL_ORDER, ApproxSolution, defect, \
-    log_annulus_weight, stable_power_remainder
+from .gluing import STENCIL_ORDER, ApproxSolution, defect, kept, \
+    log_annulus_weight, read_only, stable_power_remainder
 
 __all__ = [
     "discretize", "BandedOperator", "BandLU", "BorderedSystem",
@@ -350,15 +350,17 @@ class BorderedSystem:
     row_scale: np.ndarray
     borders: list             # per mode: _ModeBorder, orbit side only
     operator: BandedOperator = None   # the linearization it was built from
-    _lu: BandLU = None
-    _cond: float = None
+    _lu: BandLU = field(default=None, init=False, repr=False)
+    _cond: float = field(default=None, init=False, repr=False)
 
     def factor(self):
         """Factors of the row-equilibrated matrix and its 1-norm condition
-        estimate from the same factors, computed once; a singular core or
-        Schur complement reads cond = inf."""
+        estimate from the same factors, computed once, with read-only
+        arrays; a singular core or Schur complement reads cond = inf.
+        dataclasses.replace starts a system that is not factored."""
         if self._lu is None:
             self._lu = BandLU(self.matrix, self.row_scale)
+            read_only(*vars(self._lu).values())
             cond = float("inf")
             if not self._lu.singular:
                 cond = self._lu.norm1 * _inv_norm1(self._lu)
@@ -455,8 +457,16 @@ def _degrees(approx, degrees):
 
 def bordered_system(approx, degrees=None):
     """Assemble the bordered right-inverse system about the blend: the
-    orbit-side border of every mode, then the background rows."""
+    orbit-side border of every mode, then the background rows.  The last
+    blend built keeps its system in each sorted degree tuple
+    (gluing.build_approximate), factors included once factored, so a
+    later call there returns the same system."""
     degrees = _degrees(approx, degrees)
+    return kept(approx, ("system", degrees),
+                lambda: _assemble(approx, degrees))
+
+
+def _assemble(approx, degrees):
     if approx.config.orbit.isConstant:
         raise DomainError("the bordered closure needs an interior orbit")
     basis = generators(approx.config.orbit)
@@ -469,10 +479,9 @@ def _background_system(approx, degrees, borders):
     linearization in the band, each mode's slot rows in place of its
     boundary rows, and the dense border of the deficiency columns (the
     linearization applied to them) and the remaining border rows; with the
-    row scale and the linearization itself."""
-    field = approx.field
-    N, L1 = len(field.t), len(degrees)
-    lin = _linearization(field, degrees)
+    row scale and the linearization itself, all read-only."""
+    N, L1 = len(approx.s), len(degrees)
+    lin = _linearization(approx.field, degrees)
     slots = np.array([0, 1, N - 2, N - 1])
     reach = lin.kl // L1    # slot rows are end jets: they fit in the band
     core = lin.band.reshape(N, L1, -1).copy()
@@ -504,6 +513,8 @@ def _background_system(approx, degrees, borders):
                         live=used - used[0])
     scale = op.row_max()
     scale[scale == 0] = 1.0
+    read_only(scale, *(x for part in (op, lin, *borders)
+                       for x in vars(part).values()))
     return BorderedSystem(approx=approx, degrees=degrees, matrix=op,
                           row_scale=scale, borders=borders, operator=lin)
 
@@ -683,7 +694,10 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     contraction ratios >= 1 raise NumericalError.  f0 is evaluated once and
     each iterate's remainder once; the blend system's linearization serves
     every total defect, and the last one (f0 when no step runs) is returned
-    as defectField, whose interior sup is finalDefect.
+    as defectField, whose interior sup is finalDefect.  f0 and the blend's
+    system, factors included, are those the last blend built keeps
+    (gluing.build_approximate): a second run on the blend, Newton after
+    Picard or diagnose after correct, evaluates and factors neither again.
     """
     degrees = _degrees(approx, degrees)
     missing = sorted(set(approx.field.degrees) - set(degrees))

@@ -176,12 +176,47 @@ class ApproxSolution:
         return self.field.t
 
 
+# The last blend built in the process, as [key, blend, kept]; kept maps
+# what defect and corrector.bordered_system computed on it to the result.
+_LAST = []
+
+
+def read_only(*items):
+    """Make the arrays among items, and those in their tuples, read-only."""
+    for x in items:
+        if isinstance(x, tuple):
+            read_only(*x)
+        elif isinstance(x, np.ndarray):
+            x.flags.writeable = False
+
+
+def kept(approx, what, compute):
+    """compute(), once per `what` while approx is the last blend built (its
+    result kept with the blend), and at every call for any other."""
+    if not _LAST or _LAST[1] is not approx:
+        return compute()
+    results = _LAST[2]
+    if what not in results:
+        results[what] = compute()
+    return results[what]
+
+
 def build_approximate(cfg, grid_per_period=64):
     """Assemble the blended approximate solution on the extended annulus.
 
     The blend is computed literally as chi * v1 + (1-chi) * v2 per mode, so on
     the plateaus the field equals the corresponding end field bit-for-bit.
+
+    The process keeps the last blend built, with read-only arrays, and
+    what defect and corrector.bordered_system compute on it.  The key is
+    the ends, m and grid_per_period, exactly (by repr, so -0.0 is not 0.0),
+    and the orbit object; a repeat returns the same blend.  Any other
+    blend first releases that one and all that is kept with it.
     """
+    key = repr((cfg.end1, cfg.end2, cfg.m, grid_per_period))
+    if _LAST and _LAST[0] == key and _LAST[1].config.orbit is cfg.orbit:
+        return _LAST[1]
+    _LAST.clear()
     T = cfg.period
     s_min, s_max = cfg.sMin, cfg.sMax
     span = s_max - s_min
@@ -207,8 +242,11 @@ def build_approximate(cfg, grid_per_period=64):
     fld = blend + CylField.mode0(cfg.constants, s, backbone)
     if np.any(fld.point_values() <= 0):
         raise DomainError("blended conformal factor is not positive")
-    return ApproxSolution(field=fld, config=cfg, cutoffRecord=chi,
-                          backbone=backbone, w1=w1, w2=w2, blend=blend)
+    read_only(s, chi, backbone, *(f.coeffs for f in (w1, w2, blend, fld)))
+    approx = ApproxSolution(field=fld, config=cfg, cutoffRecord=chi,
+                            backbone=backbone, w1=w1, w2=w2, blend=blend)
+    _LAST[:] = [key, approx, {}]
+    return approx
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +276,16 @@ def defect(approx, delta=1.5):
     which vanish identically on the plateaus and carry full relative accuracy
     at any magnitude.  psi = (2/(n-4)) v_m^{-p} r is the pointwise deviation
     of the curvature from its target, up to the ends' own modeled deviations.
+
+    The last blend built keeps its defect at each delta (build_approximate),
+    so a later call there returns the same result; psi and residual are
+    read-only.
     """
+    return kept(approx, ("defect", repr(delta)),
+                lambda: _defect(approx, delta))
+
+
+def _defect(approx, delta):
     cfg = approx.config
     consts = cfg.constants
     s = approx.s
@@ -283,6 +330,7 @@ def defect(approx, delta=1.5):
     band = (t_depth >= lo - margin) & (t_depth <= hi + margin)
     outside = float(np.max(np.abs(psi_point[~band]))) if (~band).any() else 0.0
     wnorm = weighted_norm(psi, delta, scale=cfg.m * cfg.period)
+    read_only(psi.coeffs, residual.coeffs)
     return DefectResult(
         psi=psi, residual=residual,
         supPsi=float(np.max(np.abs(psi_point))),

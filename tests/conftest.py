@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from qglue import delaunay, derive_constants, solve_orbit
+from qglue import delaunay, derive_constants, gluing, solve_orbit
 from qglue.corrector import bordered_system, solve_right_inverse
 from qglue.gauges import CylField
 from qglue.gluing import (EndData, GluingConfig, Perturbation,
@@ -28,11 +28,13 @@ def src_on_subprocess_path():
 
 @contextlib.contextmanager
 def cold_orbits():
-    """solve_orbit from an empty memo, as in a new process: every orbit is
-    solved again, with no mode flows on it.  The process's memo is back
-    afterwards."""
+    """solve_orbit and build_approximate from empty memos, as in a new
+    process: every orbit is solved again, with no mode flows on it, and
+    every blend built again, with no defect or system kept on it.  The
+    process's memos are back afterwards."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(delaunay, "_ORBITS", {})
+        mp.setattr(gluing, "_LAST", [])
         yield
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qglue import schemas
-from qglue.cli import HANDLERS, execute, main
+from qglue.cli import HANDLERS, _json_text, execute, main
 from qglue.errors import DomainError, ManifestError, QGlueError
 from qglue.gauges import derive_constants
 from qglue.schemas import (BATCH_STATUS_SCHEMA, GLUING_CONFIG,
@@ -507,6 +507,34 @@ class TestBatch:
         _, after = run_manifest(tmp_path / "b", "correct", params)
         assert _files(after) == _files(before)
 
+    @pytest.mark.parametrize("t0", [(0.0, 0.0), (0.0, -0.0), (-0.0, 0.0)])
+    def test_diagnose_after_correct_matches_lone_runs(self, tmp_path,
+                                                      monkeypatch, t0):
+        # on one config diagnose takes correct's blend, its defect and its
+        # factored system; end 1 at T0 = -0.0 is another blend
+        from qglue import corrector
+        runs = [(command, dict(params, config=dict(
+                    README_CONFIG, end1=dict(README_CONFIG["end1"], T0=t)),
+                    gridPerPeriod=32, modes=[0, 1]))
+                for (command, params), t in zip(
+                    [("correct", {"scheme": "newton"}), ("diagnose", {})], t0)]
+        lone = []
+        for i, (command, params) in enumerate(runs):
+            with cold_orbits():  # as in a process of its own
+                lone.append(_files(run_manifest(
+                    tmp_path / "lone" / str(i), command, params)[1]))
+        assembled = []
+        real = corrector._assemble
+        monkeypatch.setattr(corrector, "_assemble", lambda *args: (
+            assembled.append(args[1]), real(*args))[1])
+        with cold_orbits():
+            together = [_files(run_manifest(
+                tmp_path / "one" / str(i), command, params)[1])
+                for i, (command, params) in enumerate(runs)]
+        assert together == lone
+        shared = repr(t0[0]) == repr(t0[1])
+        assert assembled == [(0, 1)] * (1 if shared else 2)
+
 
 class TestCliProcess:
     def test_constants_subprocess(self, tmp_path):
@@ -734,6 +762,33 @@ def test_every_manifest_key_is_read(command):
     assert params.read == keys
     if "config" in keys:
         assert params["config"].read == set(GLUING_CONFIG["properties"])
+
+
+JSON_CASES = [
+    {}, [], "", 0, -7, 2 ** 70, 0.0, -0.0, 1e-300, 5e-324, 1.5e300, True,
+    False, None, math.inf, -math.inf, math.nan,
+    "h\u00e9 \u03c8 \U0001f600 \"q\"\n\t\\",
+    [1.0, -2.5e-17, 3.0], [1.0, math.nan, 2.0], [1.0, math.inf, -math.inf],
+    [1, 2.0, True, None, "x"], (0.5, 1), [[], {}, [[]], [{}]],
+    [np.float64(0.1), 1.0 / 3.0], {"b": {"a": [0.1, {"z": None}]}, "a": []},
+    {"\u00fc": 1, "u": 2, "U": {"": ""}}, {"n": [math.nan]},
+    {"samples": [float(x) for x in np.linspace(-1.0, 1.0, 257)],
+     "modes": [{"l": 0, "lambda": 0.0, "samples": [1e-320, -5e-324]}]},
+]
+
+
+@pytest.mark.parametrize("doc", JSON_CASES)
+def test_json_text_is_that_of_json(doc):
+    assert _json_text(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("doc", [np.int64(1), [object()], {(1, 2): 0},
+                                 {"a": np.bool_(True)}])
+def test_json_text_rejects_what_json_rejects(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, sort_keys=True, indent=1)
+    with pytest.raises(TypeError):
+        _json_text(doc)
 
 
 def test_published_schemas_are_valid():

@@ -336,7 +336,8 @@ class TestOneEvaluation:
                   {"l": 0, "A": -1e-3, "beta": 1.8}]}}
 
     @pytest.mark.parametrize("scheme", ["picard", "newton"])
-    def test_correct_evaluates_each_piece_once(self, scheme, monkeypatch):
+    def test_correct_evaluates_each_piece_once(self, scheme, monkeypatch,
+                                               cold_memo):
         import qglue.cli as cli
         import qglue.corrector as corrector
         calls = collections.Counter()
@@ -728,7 +729,7 @@ class TestConditionEstimate:
     a 1-norm condition estimate from the same factors."""
 
     @pytest.fixture
-    def fresh_sys(self, reference_approx):
+    def fresh_sys(self, cold_memo, reference_approx):
         return bordered_system(reference_approx, degrees=(0,))
 
     def test_factor_leaves_matrix_unchanged(self, fresh_sys):
@@ -768,9 +769,18 @@ class TestConditionEstimate:
         held = []
         for k in range(20):
             held.append(np.ones(97 * k + 5))
-            again = dataclasses.replace(fresh_sys, _lu=None, _cond=None)
+            again = dataclasses.replace(fresh_sys)
             conds.append(again.factor()[1])
         assert len(set(conds)) == 1
+
+    def test_a_replaced_system_factors_its_own_matrix(self, fresh_sys):
+        # replace starts without factors: a factored system's LU and cond
+        # belong to its matrix, not to the one put in its place
+        assert np.isfinite(fresh_sys.factor()[1])
+        zero = dataclasses.replace(
+            fresh_sys.matrix, band=np.zeros_like(fresh_sys.matrix.band))
+        singular = dataclasses.replace(fresh_sys, matrix=zero)
+        assert singular.factor()[1] == float("inf")
 
     def test_singular_system_reports_infinite_condition(
             self, fresh_sys, reference_approx):
@@ -1202,7 +1212,7 @@ class TestDenseOracle:
         assert kappa1 / 3 <= cond
         assert abs(cond / kappa1 - 1.0) <= np.finfo(float).eps * kappa1
         monkeypatch.setattr(corrector, "BandLU", DenseLU)
-        dense_sys = dataclasses.replace(sysm, _lu=None, _cond=None)
+        dense_sys = dataclasses.replace(sysm)
         dense_cond = dense_sys.factor()[1]
         assert kappa1 / 3 <= dense_cond <= kappa1 * (1 + 1e-10)
         # the diagnostic's Lanczos over either factors

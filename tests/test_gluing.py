@@ -1,8 +1,12 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from qglue import gluing
+from qglue.corrector import bordered_system
 from qglue.errors import DomainError
 from qglue.gauges import CylField
 from qglue.gluing import (EndData, GluingConfig, Perturbation, cutoff_chi,
@@ -194,3 +198,89 @@ class TestDecayStudy:
         for m_list in ([1, 2], [2, 2, 2], [2, 2, 3], [1, 2, 3, 3]):
             with pytest.raises(DomainError):
                 decay_study(reference_config, m_list, grid_per_period=32)
+
+
+class TestBlendMemo:
+    """build_approximate keeps the last blend of the process, with the
+    defects and bordered systems computed on it."""
+
+    @pytest.fixture
+    def cfg(self, orbit05):
+        return make_config(orbit05, m=1,
+                           pert1=((0, 1e-3, 2.0), (1, 1e-3, 2.0)),
+                           pert2=((0, -1e-3, 1.8),), T01=0.2, T02=0.1)
+
+    def test_a_hit_is_the_same_object(self, cold_memo, cfg):
+        ap = build_approximate(cfg, grid_per_period=32)
+        d, sys = defect(ap), bordered_system(ap, degrees=(1, 0))
+        # equal inputs, not the same objects
+        same = dataclasses.replace(cfg, end1=dataclasses.replace(cfg.end1))
+        assert build_approximate(same, grid_per_period=32) is ap
+        assert defect(ap) is d and defect(ap, delta=1.5) is d
+        assert bordered_system(ap, degrees=[0, 1, 1]) is sys
+        assert sys.factor()[0] is bordered_system(ap, (0, 1)).factor()[0]
+        assert defect(ap, delta=2.0) is not d
+        assert bordered_system(ap, degrees=(0,)) is not sys
+
+    @pytest.mark.parametrize("change", [
+        "T0", "signed zero", "amplitude", "rate", "degree", "m",
+        "gridPerPeriod", "orbit"])
+    def test_a_changed_input_is_a_miss(self, cold_memo, cfg, change):
+        r = dataclasses.replace
+        if change == "signed zero":
+            cfg = r(cfg, end2=EndData(T0=0.0))
+        pert = cfg.end1.perturbation
+
+        def tail(**changes):
+            return r(cfg, end1=r(cfg.end1, perturbation=(
+                r(pert[0], **changes),) + pert[1:]))
+
+        other, gpp = {
+            "T0": (r(cfg, end1=r(cfg.end1, T0=0.3)), 32),
+            # equal to cfg, as -0.0 == 0.0
+            "signed zero": (r(cfg, end2=EndData(T0=-0.0)), 32),
+            "amplitude": (tail(A=2e-3), 32),
+            "rate": (tail(beta=2.1), 32),
+            "degree": (tail(l=2), 32),
+            "m": (r(cfg, m=2), 32),
+            "gridPerPeriod": (cfg, 48),
+            "orbit": (r(cfg, orbit=r(cfg.orbit)), 32),
+        }[change]
+        ap = build_approximate(cfg, grid_per_period=32)
+        new = build_approximate(other, grid_per_period=gpp)
+        assert new is not ap and gluing._LAST[1] is new
+
+    def test_an_evicted_blend_is_freed_at_once(self, cold_memo, cfg):
+        # no reference cycle holds the old blend, its defect, its system or
+        # its factors: with the cycle collector off they go at eviction
+        gc.disable()
+        try:
+            ap = build_approximate(cfg, grid_per_period=32)
+            sys = bordered_system(ap, degrees=(0, 1))
+            lu, _ = sys.factor()
+            refs = [weakref.ref(x) for x in (ap, defect(ap), sys, lu)]
+            del ap, sys, lu
+            assert all(r() is not None for r in refs)
+            build_approximate(dataclasses.replace(cfg, m=2),
+                              grid_per_period=32)
+            assert [r() for r in refs] == [None] * 4
+        finally:
+            gc.enable()
+
+    def test_kept_arrays_are_read_only(self, cold_memo, cfg):
+        ap = build_approximate(cfg, grid_per_period=32)
+        d = defect(ap)
+        sys = bordered_system(ap, degrees=(0, 1))
+        lu, _ = sys.factor()
+        arrays = [ap.cutoffRecord, ap.backbone, ap.s]
+        arrays += [f.coeffs for f in (ap.field, ap.w1, ap.w2, ap.blend,
+                                      d.psi, d.residual)]
+        arrays += [getattr(sys.matrix, name)
+                   for name in ("band", "cols", "rows", "live")]
+        arrays += [sys.row_scale, sys.operator.band]
+        arrays += [lu.lu, lu.piv, lu.cols, lu.rows, lu.colsolve, lu.rowsolve,
+                   *lu.schur]
+        for array in arrays:
+            assert array.size
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 1.0
