@@ -14,7 +14,10 @@ solutions.  The defect is therefore evaluated relative to the end fields
 (each treated as an exact solution), organized so the backbone contribution
 cancels analytically; this keeps the defect meaningful down to machine-
 relative size, far below the absolute floor of differencing two full
-curvature evaluations.
+curvature evaluations.  Off the cutoff ramp the blend equals an end field
+bit for bit, so every term of the defect cancels exactly there: it is
+evaluated on the ramp widened by two stencil half-widths, and every other
+row holds the exact zero it would read.
 """
 
 from dataclasses import dataclass, replace
@@ -201,6 +204,12 @@ def kept(approx, what, compute):
     return results[what]
 
 
+def _npoints(cfg, grid_per_period):
+    """Points of the blend's grid, spaced about T / grid_per_period."""
+    span = cfg.sMax - cfg.sMin
+    return int(round(span / (cfg.period / grid_per_period))) + 1
+
+
 def build_approximate(cfg, grid_per_period=64):
     """Assemble the blended approximate solution on the extended annulus.
 
@@ -219,9 +228,7 @@ def build_approximate(cfg, grid_per_period=64):
     _LAST.clear()
     T = cfg.period
     s_min, s_max = cfg.sMin, cfg.sMax
-    span = s_max - s_min
-    npts = int(round(span / (T / grid_per_period))) + 1
-    s = np.linspace(s_min, s_max, npts)
+    s = np.linspace(s_min, s_max, _npoints(cfg, grid_per_period))
     t_depth = s - s_min          # end-1 coordinate
     tau_depth = s_max - s        # end-2 coordinate
     chi = cutoff_chi(t_depth, cfg)
@@ -277,6 +284,13 @@ def defect(approx, delta=1.5):
     at any magnitude.  psi = (2/(n-4)) v_m^{-p} r is the pointwise deviation
     of the curvature from its target, up to the ends' own modeled deviations.
 
+    Where chi and its neighbours are all 1 (or all 0) the blend is the end
+    field and the three terms cancel exactly, so r is evaluated on the
+    ramp widened by two stencil half-widths (_window) and psi and residual
+    are exact zeros elsewhere.  supOutsideBand reads the evaluated rows
+    outside the band widened by one half-width: a strip of four or five
+    rows on each side, which shows leakage if the plateaus stop cancelling.
+
     The last blend built keeps its defect at each delta (build_approximate),
     so a later call there returns the same result; psi and residual are
     read-only.
@@ -285,30 +299,47 @@ def defect(approx, delta=1.5):
                 lambda: _defect(approx, delta))
 
 
+def _window(chi):
+    """(kept, read) row slices of the defect.  kept is the rows where
+    0 < chi < 1 widened by two stencil half-widths, found from where chi
+    changes between neighbours, so a grid with no row inside the ramp
+    widens about the jump; read pads kept by the operator's reach, so every
+    kept row gets the stencil it gets on the whole grid.  Both are clipped
+    to the grid, whose ends have the same shifted stencils."""
+    nt = len(chi)
+    widen = 2 * (stencil_size(4, STENCIL_ORDER) // 2)
+    reach = stencil_size(4, STENCIL_ORDER) - 1
+    steps = np.flatnonzero(np.diff(chi))
+    lo = max(int(steps[0]) + 1 - widen, 0)
+    hi = min(int(steps[-1]) + 1 + widen, nt)
+    return slice(lo, hi), slice(max(lo - reach, 0), min(hi + reach, nt))
+
+
 def _defect(approx, delta):
     cfg = approx.config
     consts = cfg.constants
-    s = approx.s
     h = approx.field.h
-    chi = approx.cutoffRecord
-    vB = approx.backbone
+    kept, read = _window(approx.cutoffRecord)
+    chi = approx.cutoffRecord[kept]
+    vB = approx.backbone[kept]
     pieces = (approx.blend, approx.w1, approx.w2)
+    inner = slice(kept.start - read.start, kept.stop - read.start)
 
     # linear cutoff commutators, mode by mode
-    commutator = np.empty_like(approx.blend.coeffs)
+    commutator = np.empty((len(approx.field.degrees), len(chi)))
     for k, l in enumerate(approx.field.degrees):
         Lw, La, Lb = paneitz_mode_apply(
-            consts, consts.lam(l), np.stack([w.coeffs[k] for w in pieces], 1),
-            h, acc=STENCIL_ORDER).T
+            consts, consts.lam(l),
+            np.stack([w.coeffs[k, read] for w in pieces], 1),
+            h, acc=STENCIL_ORDER)[inner].T
         commutator[k] = Lw - chi * La - (1.0 - chi) * Lb
 
     # pointwise nonlinear part: -cN vB^p [r(W/vB) - chi r(w1/vB) - (1-chi) r(w2/vB)]
     basis = approx.field.basis()
-    Wp, w1p, w2p = (basis.reconstruct(w.coeffs) for w in pieces)
     vBcol = vB[:, None]
-    rW = stable_power_remainder(Wp / vBcol, consts.p)
-    r1 = stable_power_remainder(w1p / vBcol, consts.p)
-    r2 = stable_power_remainder(w2p / vBcol, consts.p)
+    rW, r1, r2 = stable_power_remainder(np.stack(
+        [basis.reconstruct(w.coeffs[:, kept]) for w in pieces]) / vBcol,
+        consts.p)
     chic = chi[:, None]
     nonlinear = -consts.cN * vBcol ** consts.p * (rW - chic * r1
                                                   - (1.0 - chic) * r2)
@@ -317,19 +348,26 @@ def _defect(approx, delta):
     vm_point = approx.field.point_values()
     if np.any(vm_point <= 0):
         raise DomainError("blended conformal factor is not positive")
-    psi_point = (2.0 / (consts.n - 4)) * vm_point ** (-consts.p) * res_point
+    psi_point = ((2.0 / (consts.n - 4)) * vm_point[kept] ** (-consts.p)
+                 * res_point)
 
-    residual = replace(approx.field, coeffs=basis.project(res_point))
-    psi = replace(approx.field, coeffs=basis.project(psi_point))
+    def scattered(point_vals):
+        coeffs = np.zeros_like(approx.field.coeffs)
+        coeffs[:, kept] = basis.project(point_vals)
+        return replace(approx.field, coeffs=coeffs)
 
-    t_depth = s - cfg.sMin
+    residual, psi = scattered(res_point), scattered(psi_point)
+
+    t_depth = approx.s[kept] - cfg.sMin
     lo, hi = _blend_band(cfg)
     # the discrete operator widens support by one stencil half-width; pad the
     # band by that margin so the outside sup measures genuine leakage
     margin = (stencil_size(4, STENCIL_ORDER) // 2) * h
     band = (t_depth >= lo - margin) & (t_depth <= hi + margin)
     outside = float(np.max(np.abs(psi_point[~band]))) if (~band).any() else 0.0
-    wnorm = weighted_norm(psi, delta, scale=cfg.m * cfg.period)
+    wnorm = weighted_norm(replace(psi, t=approx.s[kept],
+                                  coeffs=psi.coeffs[:, kept]),
+                          delta, scale=cfg.m * cfg.period)
     read_only(psi.coeffs, residual.coeffs)
     return DefectResult(
         psi=psi, residual=residual,
@@ -388,7 +426,8 @@ def decay_study(cfg, m_list, grid_per_period=64, delta=1.5, at_m=None):
     sup norm and fits log sup against m T; returns the fitted rate betaHat
     (the negated slope per unit m T) and the max log-residual of the fit.
     at_m, the DefectResult of cfg itself at the same grid and delta, is
-    reused for m = cfg.m instead of building that blend again.
+    reused for m = cfg.m instead of building that blend again; one at
+    another delta or grid size is a DomainError.
     Compatible exact ends (every sup at or below 1e-280) report exact=True
     instead of a fit.
     """
@@ -397,6 +436,10 @@ def decay_study(cfg, m_list, grid_per_period=64, delta=1.5, at_m=None):
     if len(m_list) < 3 or len(set(m_list)) < len(m_list):
         raise DomainError("need at least three overlap lengths for a fit, "
                           "none repeated")
+    if at_m is not None and (at_m.delta != delta or len(at_m.psi.t)
+                             != _npoints(cfg, grid_per_period)):
+        raise DomainError("at_m must be the defect of cfg at the study's "
+                          "grid and delta")
     sups, weighteds = [], []
     for m in m_list:
         d = at_m if at_m is not None and m == cfg.m else defect(

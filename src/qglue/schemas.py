@@ -257,7 +257,13 @@ SUMMARY_SCHEMAS = {
         "properties": {
             "command": _str, "n": {"type": "integer"}, "eps": _num,
             "m": {"type": "integer"}, "supPsi": _num, "weightedPsi": _num,
-            "supResidual": _num, "supOutsideBand": _num, "delta": _num,
+            "supResidual": _num, "delta": _num,
+            "supOutsideBand": {"type": "number", "description":
+                "sup of |psi| over the rows the defect is evaluated on (the "
+                "cutoff ramp widened by two stencil half-widths) outside "
+                "the blend band widened by one: a strip of four or five "
+                "rows on each side, nonzero only if the plateaus stop "
+                "cancelling"},
             "study": {"type": "object", "additionalProperties": False,
                       "properties": {"mList": {"type": "array",
                                                "items": {"type": "integer"}},

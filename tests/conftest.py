@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import os
 
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 
 from qglue import delaunay, derive_constants, gluing, solve_orbit
 from qglue.corrector import bordered_system, solve_right_inverse
-from qglue.gauges import CylField
-from qglue.gluing import (EndData, GluingConfig, Perturbation,
-                          build_approximate, weighted_norm)
+from qglue.errors import DomainError
+from qglue.fd import stencil_size
+from qglue.gauges import CylField, paneitz_mode_apply
+from qglue.gluing import (STENCIL_ORDER, DefectResult, EndData, GluingConfig,
+                          Perturbation, build_approximate,
+                          stable_power_remainder, weighted_norm)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -135,6 +139,59 @@ def estimate_g_norm(approx, degrees=(0,)):
                 abs(v) for v in res.alpha.values())
             best = max(best, nu / nf)
     return best
+
+
+def whole_grid_defect(approx, delta=1.5):
+    """gluing.defect evaluated on every row of the grid, as it was before
+    the defect was restricted to the cutoff ramp: the reference the window
+    must equal bit for bit, and the source of the fact it rests on, that
+    every row away from the ramp is an exact +0.0."""
+    cfg = approx.config
+    consts = cfg.constants
+    s = approx.s
+    h = approx.field.h
+    chi = approx.cutoffRecord
+    vB = approx.backbone
+    pieces = (approx.blend, approx.w1, approx.w2)
+
+    commutator = np.empty_like(approx.blend.coeffs)
+    for k, l in enumerate(approx.field.degrees):
+        Lw, La, Lb = paneitz_mode_apply(
+            consts, consts.lam(l), np.stack([w.coeffs[k] for w in pieces], 1),
+            h, acc=STENCIL_ORDER).T
+        commutator[k] = Lw - chi * La - (1.0 - chi) * Lb
+
+    basis = approx.field.basis()
+    Wp, w1p, w2p = (basis.reconstruct(w.coeffs) for w in pieces)
+    vBcol = vB[:, None]
+    rW = stable_power_remainder(Wp / vBcol, consts.p)
+    r1 = stable_power_remainder(w1p / vBcol, consts.p)
+    r2 = stable_power_remainder(w2p / vBcol, consts.p)
+    chic = chi[:, None]
+    nonlinear = -consts.cN * vBcol ** consts.p * (rW - chic * r1
+                                                  - (1.0 - chic) * r2)
+
+    res_point = basis.reconstruct(commutator) + nonlinear
+    vm_point = approx.field.point_values()
+    if np.any(vm_point <= 0):
+        raise DomainError("blended conformal factor is not positive")
+    psi_point = (2.0 / (consts.n - 4)) * vm_point ** (-consts.p) * res_point
+
+    residual = dataclasses.replace(approx.field,
+                                   coeffs=basis.project(res_point))
+    psi = dataclasses.replace(approx.field, coeffs=basis.project(psi_point))
+
+    t_depth = s - cfg.sMin
+    lo, hi = [cfg.end1.T0 + (cfg.m + f) * cfg.period for f in (0.25, 0.75)]
+    margin = (stencil_size(4, STENCIL_ORDER) // 2) * h
+    band = (t_depth >= lo - margin) & (t_depth <= hi + margin)
+    outside = float(np.max(np.abs(psi_point[~band]))) if (~band).any() else 0.0
+    return DefectResult(
+        psi=psi, residual=residual,
+        supPsi=float(np.max(np.abs(psi_point))),
+        weightedPsi=weighted_norm(psi, delta, scale=cfg.m * cfg.period),
+        supResidual=float(np.max(np.abs(res_point))),
+        supOutsideBand=outside, delta=delta)
 
 
 def expansion_error(basis, amag, ts):

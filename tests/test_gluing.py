@@ -8,11 +8,17 @@ import pytest
 from qglue import gluing
 from qglue.corrector import bordered_system
 from qglue.errors import DomainError
+from qglue.fd import stencil_size
 from qglue.gauges import CylField
-from qglue.gluing import (EndData, GluingConfig, Perturbation, cutoff_chi,
-                          build_approximate, defect, weighted_norm,
-                          decay_study, stable_power_remainder)
-from conftest import make_config
+from qglue.gluing import (STENCIL_ORDER, EndData, GluingConfig, Perturbation,
+                          cutoff_chi, build_approximate, defect,
+                          weighted_norm, decay_study, stable_power_remainder)
+from conftest import make_config, whole_grid_defect
+
+HALF = stencil_size(4, STENCIL_ORDER) // 2
+# tails in degrees 0, 1 and 2 at both ends
+TAILS1 = ((0, 1e-3, 2.0), (1, -7e-4, 1.6), (2, 5e-4, 1.3))
+TAILS2 = ((0, -8e-4, 1.8), (1, 6e-4, 2.2), (2, -4e-4, 1.1))
 
 
 class TestCutoff:
@@ -132,6 +138,124 @@ class TestDefect:
             rtol=5e-7, atol=1e-30)
 
 
+def assert_is_the_whole_grid(ap, delta=1.5):
+    """The defect equals the whole-grid reference bit for bit, signed zeros
+    included, and the reference reads +0.0 on every row the window skips."""
+    got, ref = defect(ap, delta), whole_grid_defect(ap, delta)
+    for name in ("psi", "residual"):
+        a, b = getattr(got, name).coeffs, getattr(ref, name).coeffs
+        assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), name
+    for name in ("supPsi", "weightedPsi", "supResidual", "supOutsideBand",
+                 "delta"):
+        assert getattr(got, name) == getattr(ref, name), name
+    kept, _ = gluing._window(ap.cutoffRecord)
+    skipped = np.ones(len(ap.s), dtype=bool)
+    skipped[kept] = False
+    for f in (ref.psi, ref.residual):
+        off = f.coeffs[:, skipped]
+        assert not np.any(off) and not np.any(np.signbit(off))
+
+
+class TestDefectWindow:
+    """defect evaluates the cutoff ramp widened by two stencil half-widths
+    and leaves the exact zeros elsewhere."""
+
+    # (end-1 tails, end-2 tails, T0s as fractions of T): blends over the
+    # degrees {0}, {0, 1}, {0, 2} and {0, 1, 2}, T0 spread over [0, T)
+    CASES = [((), (), (0.0, 0.0)),
+             ((), (), (0.45, 0.8)),
+             (TAILS1[:1], TAILS2[:1], (0.0, 0.5)),
+             (TAILS1[1:2], TAILS2[:1], (0.25, 0.75)),
+             (TAILS1[2:], TAILS2[2:], (0.6, 0.1)),
+             (TAILS1, TAILS2, (0.95, 0.35))]
+
+    @pytest.mark.parametrize("n, eps", [(5, 0.5), (6, 0.4), (9, 0.3)])
+    def test_equals_the_whole_grid(self, orbit_cache, n, eps):
+        # the CASES, then three with mode-0 tails of drawn amplitude and
+        # rate at both ends and T0s drawn in [0, T).  A window one
+        # half-width narrower fails on the drawn ones: its last rows are
+        # nonzero, and the matrix products of reconstruct and project round
+        # the tail rows of a block in other last digits
+        orbit = orbit_cache(eps, n=n)
+        T = orbit.period
+        rng = np.random.default_rng(n)
+        for gpp in (16, 48, 64):
+            for m in (1, 2, 6):
+                drawn = []
+                for _ in range(3):
+                    pert1, pert2 = (((0, rng.uniform(-2e-3, 2e-3),
+                                      rng.uniform(1.05, 2.5)),)
+                                    for _ in range(2))
+                    drawn.append((pert1, pert2, rng.uniform(0.0, 1.0, 2)))
+                for pert1, pert2, (f1, f2) in self.CASES + drawn:
+                    assert_is_the_whole_grid(build_approximate(make_config(
+                        orbit, m=m, pert1=pert1, pert2=pert2, T01=f1 * T,
+                        T02=f2 * T), grid_per_period=gpp))
+
+    @pytest.mark.parametrize("gpp, f1, f2", [
+        (16, 0.01, 0.0), (16, 0.07, 0.0), (16, 0.52, 0.01),
+        (8, 0.0, 0.0), (8, 0.5, 0.2)])
+    def test_read_rows_clipped_at_a_domain_end(self, orbit05, gpp, f1, f2):
+        # at 16 points per period and m = 1, with end 2's T0 near 0, the
+        # read rows reach the last one; at 8 (below what the manifests
+        # accept) the operator's reach is clipped at both ends
+        T = orbit05.period
+        ap = build_approximate(make_config(
+            orbit05, m=1, pert1=TAILS1, pert2=TAILS2, T01=f1 * T,
+            T02=f2 * T), grid_per_period=gpp)
+        kept, read = gluing._window(ap.cutoffRecord)
+        assert read.stop == len(ap.s)
+        if gpp == 8:
+            assert read.start == 0 and kept.start < 2 * HALF
+            assert kept.stop + 2 * HALF > len(ap.s)
+        assert_is_the_whole_grid(ap)
+
+    @pytest.mark.parametrize("gpp, m, f", [(1, 12, 0.0), (1, 20, 0.0),
+                                           (2, 8, 0.25)])
+    def test_no_row_inside_the_ramp(self, orbit05, gpp, m, f):
+        # chi jumps from 1 to 0 between two rows: the window is centred on
+        # the jump
+        T = orbit05.period
+        ap = build_approximate(make_config(
+            orbit05, m=m, pert1=TAILS1, pert2=TAILS2, T01=f * T, T02=f * T),
+            grid_per_period=gpp)
+        chi = ap.cutoffRecord
+        assert not np.any((chi > 0) & (chi < 1))
+        kept, _ = gluing._window(chi)
+        jump = int(np.flatnonzero(np.diff(chi))[0])
+        assert kept.start == max(jump + 1 - 2 * HALF, 0)
+        assert kept.stop == min(jump + 1 + 2 * HALF, len(chi))
+        assert_is_the_whole_grid(ap)
+
+    def test_smallest_grid_of_the_manifests(self, orbit05):
+        # 16 points per period, m = 1, no phase
+        ap = build_approximate(make_config(orbit05, m=1, pert1=TAILS1,
+                                           pert2=TAILS2),
+                               grid_per_period=16)
+        assert len(ap.s) == 49
+        assert_is_the_whole_grid(ap)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_the_strip_outside_the_band_shows_leakage(self, reference_approx,
+                                                      side):
+        ap = reference_approx
+        cfg = ap.config
+        kept, _ = gluing._window(ap.cutoffRecord)
+        depth = ap.s[kept] - cfg.sMin
+        lo, hi = gluing._blend_band(cfg)
+        margin = HALF * ap.field.h
+        strip = kept.start + np.flatnonzero(
+            depth < lo - margin if side == "below" else depth > hi + margin)
+        assert 3 <= len(strip) <= HALF + 1
+        assert defect(ap).supOutsideBand == 0.0
+        for row in strip:
+            coeffs = ap.blend.coeffs.copy()
+            coeffs[0, row] += 1e-9
+            bumped = dataclasses.replace(
+                ap, blend=dataclasses.replace(ap.blend, coeffs=coeffs))
+            assert defect(bumped).supOutsideBand > 0
+
+
 class TestStablePower:
     def test_matches_direct_for_moderate_x(self):
         x = np.array([0.3, -0.2, 0.05, 0.9])
@@ -192,6 +316,26 @@ class TestDecayStudy:
         cfg = make_config(orbit05, m=1)
         st = decay_study(cfg, [1, 2, 3], grid_per_period=32)
         assert st.exact and st.betaHat is None
+
+    def test_at_m_is_used_for_cfg_m(self, reference_config):
+        d = defect(build_approximate(reference_config, grid_per_period=32))
+        with_d = decay_study(reference_config, [1, 2, 3],
+                             grid_per_period=32, at_m=d)
+        assert with_d == decay_study(reference_config, [1, 2, 3],
+                                     grid_per_period=32)
+
+    def test_at_m_at_another_delta_rejected(self, reference_config):
+        d = defect(build_approximate(reference_config, grid_per_period=32),
+                   delta=2.0)
+        with pytest.raises(DomainError, match="at_m"):
+            decay_study(reference_config, [1, 2, 3], grid_per_period=32,
+                        at_m=d)
+
+    def test_at_m_on_another_grid_rejected(self, reference_config):
+        d = defect(build_approximate(reference_config, grid_per_period=48))
+        with pytest.raises(DomainError, match="at_m"):
+            decay_study(reference_config, [1, 2, 3], grid_per_period=32,
+                        at_m=d)
 
     def test_too_few_points_rejected(self, reference_config):
         # repeated lengths count once, and none may be weighted twice
