@@ -23,7 +23,8 @@ from .gauges import derive_constants, q_residual, CylField
 from .delaunay import solve_orbit, hamiltonian, _check_necksize
 from .jacobi import (ModeOperator, mode_apply, indicial_roots, generators,
                      symplectic_pairing)
-from .gluing import GluingConfig, build_approximate, defect, decay_study
+from .gluing import (WEIGHT_RATE, GluingConfig, build_approximate, defect,
+                     decay_study)
 from .corrector import iterate, verify_correction, nondegeneracy_diag
 from .schemas import validate_manifest, validate_summary
 
@@ -254,7 +255,7 @@ def cmd_jacobi(params):
 def cmd_glue(params):
     cfg = GluingConfig.from_json(params["config"])
     gpp = params.get("gridPerPeriod", 64)
-    delta = params.get("delta", 1.5)
+    delta = params.get("delta", WEIGHT_RATE)
     approx = build_approximate(cfg, grid_per_period=gpp)
     d = defect(approx, delta=delta)
     doc = {"command": "glue", "n": cfg.constants.n, "eps": cfg.orbit.eps,
@@ -265,7 +266,7 @@ def cmd_glue(params):
                  "psi.json": d.psi.to_json()}
     if "mList" in params:
         st = decay_study(cfg, params["mList"], grid_per_period=gpp,
-                         delta=delta, at_m=d)
+                         delta=delta)
         doc["study"] = {"mList": st.mList, "supPsi": st.supPsi,
                         "weightedPsi": st.weightedPsi, "betaHat": st.betaHat,
                         "fitResidual": st.fitResidual, "exact": st.exact}
@@ -317,7 +318,7 @@ def cmd_diagnose(params):
         if np.isfinite(result.cond):
             conds["borderedSystem"] = result.cond
     diag = nondegeneracy_diag(approx, correction,
-                              delta=params.get("delta", 1.5),
+                              delta=params.get("delta", WEIGHT_RATE),
                               delta_prime=params.get("deltaPrime"),
                               degrees=degrees)
     doc = {"command": "diagnose", "n": cfg.constants.n, "eps": cfg.orbit.eps,

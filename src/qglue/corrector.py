@@ -16,19 +16,19 @@ complement.  A system keeps its linearization for the residuals it reports.
 
 Boundary closure of the right inverse (per mode, per end): the interior
 unknown may only carry asymptotics that decay into the domain faster than
-the weight rate 1.5.  This is expressed as jet
-conditions in a frame of the multiplier > e^{1.5 T} subspaces of the
-one-period flow and its inverse (one sorted Schur form each) and, in modes
-0 and 1, the generator pair, all realized as discrete jets (window solutions
-from the spectral panels of the monodromy flow that starts at the window's
-first node, differentiated with the same one-sided stencils as the
-condition rows, so sampled solutions are annihilated exactly).  Slow
-and neutral directions are carried by amplitudes of cutoff generator fields
-anchored at each end; two gauge rows per deficiency-carrying mode make the
-system square and kill the bounded null space by minimizing the
-annulus-weighted size of the decaying part over kernel shifts.  The gauge
-rows vanish on solutions with zero kernel content, so consistent compactly
-supported problems are reproduced exactly.
+the weight rate gluing.WEIGHT_RATE.  This is expressed as jet conditions in
+a frame of the multiplier > e^{WEIGHT_RATE T} subspaces of the one-period
+flow and its inverse (one sorted Schur form each) and, in modes 0 and 1, the
+generator pair, all realized as discrete jets (window solutions from the
+spectral panels of the monodromy flow that starts at the window's first
+node, differentiated with the same one-sided stencils as the condition rows,
+so sampled solutions are annihilated exactly).  Slow and neutral directions
+are carried by amplitudes of cutoff generator fields anchored at each end;
+two gauge rows per deficiency-carrying mode make the system square and kill
+the bounded null space by minimizing the annulus-weighted size of the
+decaying part over kernel shifts.  The gauge rows vanish on solutions with
+zero kernel content, so consistent compactly supported problems are
+reproduced exactly.
 
 LAPACK comes from SciPy's compiled wrapper module scipy.linalg._flapack,
 loaded alone by _lapack() at the first factorization or Schur form, without
@@ -52,9 +52,9 @@ import numpy as np
 from .errors import DomainError, IllConditionedError, NumericalError
 from .fd import band_apply, jet_rows, stencil_size
 from .gauges import CylField, angular_basis, paneitz_mode_band
-from .jacobi import ModeOperator, generators, monodromy_data, smooth_step
-from .gluing import STENCIL_ORDER, ApproxSolution, defect, kept, \
-    log_annulus_weight, read_only, stable_power_remainder
+from .jacobi import ModeOperator, generators, monodromy_data
+from .gluing import STENCIL_ORDER, WEIGHT_RATE, ApproxSolution, defect, \
+    kept, log_annulus_weight, read_only, smooth_step, stable_power_remainder
 
 __all__ = [
     "discretize", "BandedOperator", "BandLU", "BorderedSystem",
@@ -63,6 +63,12 @@ __all__ = [
     "IterationTrace", "IterateResult", "nondegeneracy_diag",
     "NondegeneracyResult", "linear_apply", "verify_correction",
 ]
+
+
+# The first and last EDGE rows of each mode hold boundary rows and carry no
+# equation; the INTERIOR rows are the rest.
+EDGE = 2
+INTERIOR = slice(EDGE, -EDGE)
 
 
 # ----------------------------------------------------------------------
@@ -404,12 +410,11 @@ def _mode_border(approx, basis, l):
     N = len(s)
     h = approx.field.h
     T = orbit.period
-    phase = (cfg.m + 0.5) * T
     op = ModeOperator(orbit, cfg.constants.lam(l))
-    # fast directions: multipliers beyond the weight rate e^{1.5 T}; the
-    # slow and neutral ones of modes 0 and 1 are the analytic generators
-    thresh = np.exp(1.5 * T)
-    gens = [basis.profile(l, sign, s + phase) for sign in "+-" if l <= 1]
+    # fast directions: multipliers beyond e^{WEIGHT_RATE T}; the slow and
+    # neutral ones of modes 0 and 1 are the analytic generators
+    thresh = np.exp(WEIGHT_RATE * T)
+    gens = [basis.profile(l, sign, s + cfg.neck) for sign in "+-" if l <= 1]
     n_dec = 1 if gens else 2
 
     win = stencil_size(3, STENCIL_ORDER)
@@ -418,7 +423,7 @@ def _mode_border(approx, basis, l):
         sl = slice(i0, i0 + win)
         nodes = s[sl]
         # each end's flow starts at its window's first node
-        data = monodromy_data(op, t0=nodes[0] + phase,
+        data = monodromy_data(op, t0=nodes[0] + cfg.neck,
                               offsets=nodes - nodes[0])
         dec, grow = _end_frames(data, n_dec, thresh)
         # a window is a stencil wide: growing directions stay representable
@@ -442,7 +447,7 @@ def _mode_border(approx, basis, l):
     raw = [chi * g for chi in (chiL, chiR) for g in gens]
     B = np.stack([c / max(np.max(np.abs(c)), 1e-300) for c in raw], axis=1)
     # gauge rows: the kernel fields' grid parts, weighted
-    log_w = log_annulus_weight(s, 1.5, cfg.m * T)
+    log_w = log_annulus_weight(s, WEIGHT_RATE, cfg.weightScale)
     w2 = np.exp(2.0 * (log_w - np.max(log_w)))
     rows.append(np.stack(gens) * (1.0 - chiL - chiR) * w2)
     return _ModeBorder(l=l, slots=slots, rows=np.concatenate(rows), Bcols=B)
@@ -482,7 +487,7 @@ def _background_system(approx, degrees, borders):
     row scale and the linearization itself, all read-only."""
     N, L1 = len(approx.s), len(degrees)
     lin = _linearization(approx.field, degrees)
-    slots = np.array([0, 1, N - 2, N - 1])
+    slots = np.delete(np.arange(N), INTERIOR)
     reach = lin.kl // L1    # slot rows are end jets: they fit in the band
     core = lin.band.reshape(N, L1, -1).copy()
     core[slots] = 0.0
@@ -533,9 +538,9 @@ def discretize(approx, degrees):
     h = approx.field.h
     if N < stencil_size(4, STENCIL_ORDER):
         raise DomainError("grid too coarse for the requested stencil order")
-    jl = jet_rows(N, h, 0, 1, STENCIL_ORDER)
-    jr = jet_rows(N, h, N - 1, 1, STENCIL_ORDER)
-    clamps = np.stack([jl[0], jl[1], jr[1], jr[0]])
+    # w and its first EDGE - 1 derivatives at each end, in the slots' order
+    jl, jr = (jet_rows(N, h, at, EDGE - 1, STENCIL_ORDER) for at in (0, N - 1))
+    clamps = np.concatenate([jl, jr[::-1]])
     borders = [_ModeBorder(l, clamps, np.zeros((0, N)), None)
                for l in degrees]
     return _background_system(approx, degrees, borders).matrix
@@ -590,7 +595,7 @@ def solve_right_inverse(sys, f):
     L, N = len(degrees), len(sys.approx.s)
     frows = f.rows(degrees)
     rhs = np.zeros(sys.matrix.shape[0])
-    rhs[:L * N].reshape(N, L)[2:N - 2] = frows[:, 2:N - 2].T
+    rhs[:L * N].reshape(N, L)[INTERIOR] = frows[:, INTERIOR].T
     lu, cond = sys.factor()
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise IllConditionedError("bordered system is numerically singular",
@@ -611,7 +616,7 @@ def solve_right_inverse(sys, f):
     # interior residual of the reconstructed solution
     Lu = _apply(sys.operator, ufield)
     sup_f = float(np.max(np.abs(frows)))
-    num = float(np.max(np.abs(Lu.coeffs[:, 2:N - 2] - frows[:, 2:N - 2])))
+    num = float(np.max(np.abs(Lu.coeffs[:, INTERIOR] - frows[:, INTERIOR])))
     rel = num / sup_f if sup_f > 0 else num
     return RightInverseResult(u=ufield, alpha=alpha,
                               relResidual=rel, cond=cond)
@@ -665,10 +670,8 @@ class IterateResult:
 
 
 def _interior_sup(fld):
-    """Sup norm over the interior collocation points (the discrete equation
-    is not imposed on the two boundary slots at each end)."""
-    vals = fld.point_values()
-    return float(np.max(np.abs(vals[2:len(fld.t) - 2])))
+    """Sup norm over the INTERIOR rows, where the discrete equation holds."""
+    return float(np.max(np.abs(fld.point_values()[INTERIOR])))
 
 
 def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
@@ -778,8 +781,8 @@ def verify_correction(result):
     tv = total.point_values()
     vm = result.solution.point_values()
     psi = (2.0 / (consts.n - 4)) * vm ** (-consts.p) * tv
-    sl = slice(2, len(total.t) - 2)
-    return float(np.max(np.abs(tv[sl]))), float(np.max(np.abs(psi[sl])))
+    return (float(np.max(np.abs(tv[INTERIOR]))),
+            float(np.max(np.abs(psi[INTERIOR]))))
 
 
 # ----------------------------------------------------------------------
@@ -830,8 +833,8 @@ class NondegeneracyResult:
     deltaPrime: float
 
 
-def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
-                       degrees=None):
+def nondegeneracy_diag(approx, correction=None, delta=WEIGHT_RATE,
+                       delta_prime=None, degrees=None):
     """Smallest singular value of the weighted linearized operator of the
     corrected solution restricted to decaying boundary conditions.
 
@@ -867,8 +870,7 @@ def nondegeneracy_diag(approx, correction=None, delta=1.5, delta_prime=None,
         approx, field=approx.field + correction)
     s = approx.s
     N = len(s)
-    scale = cfg.m * cfg.period
-    neck = (cfg.m + 0.5) * cfg.period
+    neck, scale = cfg.neck, cfg.weightScale
     rho = np.exp(np.where(
         np.abs(s) <= neck, log_annulus_weight(s, delta, scale),
         log_annulus_weight(neck, delta, scale)

@@ -18,6 +18,9 @@ curvature evaluations.  Off the cutoff ramp the blend equals an end field
 bit for bit, so every term of the defect cancels exactly there: it is
 evaluated on the ramp widened by two stencil half-widths, and every other
 row holds the exact zero it would read.
+
+The annulus geometry is written once, here: WEIGHT_RATE, GluingConfig.neck
+and .weightScale, and smooth_step, which every cutoff is built from.
 """
 
 from dataclasses import dataclass, replace
@@ -27,10 +30,9 @@ from .errors import DomainError, NumericalError
 from .fd import stencil_size
 from .gauges import CylField, paneitz_mode_apply
 from .delaunay import DelaunayOrbit, solve_orbit
-from .jacobi import smooth_step
 
 __all__ = [
-    "EndData", "GluingConfig", "cutoff_chi",
+    "EndData", "GluingConfig", "smooth_step", "cutoff_chi",
     "build_approximate", "ApproxSolution", "defect", "DefectResult",
     "log_annulus_weight", "weighted_norm", "decay_study", "DecayStudy",
     "stable_power_remainder",
@@ -39,6 +41,9 @@ __all__ = [
 # accuracy order of every finite-difference stencil of the blend and the
 # correction (defect, linearization, bordered system, diagnostic)
 STENCIL_ORDER = 8
+# delta of the annulus weight (cosh(mT)/cosh s)^delta by default, and the
+# rate the right inverse's decaying directions must beat
+WEIGHT_RATE = 1.5
 
 
 @dataclass(frozen=True)
@@ -93,12 +98,22 @@ class GluingConfig:
         return self.orbit.constants
 
     @property
+    def neck(self):
+        """(m+1/2) T: the neck's half-length, and the backbone's phase."""
+        return (self.m + 0.5) * self.period
+
+    @property
+    def weightScale(self):
+        """m T: the scale of the annulus weight (log_annulus_weight)."""
+        return self.m * self.period
+
+    @property
     def sMin(self):
-        return -self.end1.T0 - (self.m + 0.5) * self.period
+        return -self.end1.T0 - self.neck
 
     @property
     def sMax(self):
-        return self.end2.T0 + (self.m + 0.5) * self.period
+        return self.end2.T0 + self.neck
 
     @classmethod
     def from_json(cls, doc):
@@ -113,6 +128,22 @@ class GluingConfig:
 def _blend_band(cfg):
     """End-1 depths T01 + (m+1/4) T, T01 + (m+3/4) T of the blend band."""
     return [cfg.end1.T0 + (cfg.m + f) * cfg.period for f in (0.25, 0.75)]
+
+
+def smooth_step(x):
+    """C-infinity ramp: 1 for x <= 0, 0 for x >= 1, antisymmetric about 1/2,
+    built from the e^{-1/x} mollifier pair; every cutoff is built from it."""
+    x = np.asarray(x, dtype=float)
+
+    def f(u):
+        out = np.zeros_like(u)
+        pos = u > 0
+        out[pos] = np.exp(-1.0 / u[pos])
+        return out
+
+    fx = f(1.0 - x)
+    gx = f(x)
+    return fx / (fx + gx)
 
 
 def cutoff_chi(t, cfg):
@@ -204,12 +235,6 @@ def kept(approx, what, compute):
     return results[what]
 
 
-def _npoints(cfg, grid_per_period):
-    """Points of the blend's grid, spaced about T / grid_per_period."""
-    span = cfg.sMax - cfg.sMin
-    return int(round(span / (cfg.period / grid_per_period))) + 1
-
-
 def build_approximate(cfg, grid_per_period=64):
     """Assemble the blended approximate solution on the extended annulus.
 
@@ -226,13 +251,13 @@ def build_approximate(cfg, grid_per_period=64):
     if _LAST and _LAST[0] == key and _LAST[1].config.orbit is cfg.orbit:
         return _LAST[1]
     _LAST.clear()
-    T = cfg.period
     s_min, s_max = cfg.sMin, cfg.sMax
-    s = np.linspace(s_min, s_max, _npoints(cfg, grid_per_period))
+    npoints = int(round((s_max - s_min) / (cfg.period / grid_per_period))) + 1
+    s = np.linspace(s_min, s_max, npoints)
     t_depth = s - s_min          # end-1 coordinate
     tau_depth = s_max - s        # end-2 coordinate
     chi = cutoff_chi(t_depth, cfg)
-    backbone = cfg.orbit.eval(s + (cfg.m + 0.5) * T, 0)
+    backbone = cfg.orbit.eval(s + cfg.neck, 0)
 
     def tails(end, depth):
         out = {}
@@ -271,7 +296,7 @@ class DefectResult:
     delta: float
 
 
-def defect(approx, delta=1.5):
+def defect(approx, delta=WEIGHT_RATE):
     """Curvature defect of the blend relative to its end fields.
 
     The end fields model exact solutions (their tails stand in for the decay
@@ -345,11 +370,8 @@ def _defect(approx, delta):
                                                   - (1.0 - chic) * r2)
 
     res_point = basis.reconstruct(commutator) + nonlinear
-    vm_point = approx.field.point_values()
-    if np.any(vm_point <= 0):
-        raise DomainError("blended conformal factor is not positive")
-    psi_point = ((2.0 / (consts.n - 4)) * vm_point[kept] ** (-consts.p)
-                 * res_point)
+    vm_point = basis.reconstruct(approx.field.coeffs[:, kept])
+    psi_point = (2.0 / (consts.n - 4)) * vm_point ** (-consts.p) * res_point
 
     def scattered(point_vals):
         coeffs = np.zeros_like(approx.field.coeffs)
@@ -367,7 +389,7 @@ def _defect(approx, delta):
     outside = float(np.max(np.abs(psi_point[~band]))) if (~band).any() else 0.0
     wnorm = weighted_norm(replace(psi, t=approx.s[kept],
                                   coeffs=psi.coeffs[:, kept]),
-                          delta, scale=cfg.m * cfg.period)
+                          delta, scale=cfg.weightScale)
     read_only(psi.coeffs, residual.coeffs)
     return DefectResult(
         psi=psi, residual=residual,
@@ -418,16 +440,16 @@ class DecayStudy:
                 zip(self.mList, self.supPsi, self.weightedPsi)]
 
 
-def decay_study(cfg, m_list, grid_per_period=64, delta=1.5, at_m=None):
+def decay_study(cfg, m_list, grid_per_period=64, delta=WEIGHT_RATE):
     """Fit the exponential decay of the blend defect in the overlap length.
 
     Builds the approximate solution for each m in m_list (at least three,
     none repeated, so no length is weighted twice), measures the defect
     sup norm and fits log sup against m T; returns the fitted rate betaHat
     (the negated slope per unit m T) and the max log-residual of the fit.
-    at_m, the DefectResult of cfg itself at the same grid and delta, is
-    reused for m = cfg.m instead of building that blend again; one at
-    another delta or grid size is a DomainError.
+    cfg.m, if listed, is evaluated first: when cfg's blend at this grid is
+    the last one built, that is the blend and defect it keeps
+    (build_approximate), so neither is computed again.
     Compatible exact ends (every sup at or below 1e-280) report exact=True
     instead of a fit.
     """
@@ -436,17 +458,13 @@ def decay_study(cfg, m_list, grid_per_period=64, delta=1.5, at_m=None):
     if len(m_list) < 3 or len(set(m_list)) < len(m_list):
         raise DomainError("need at least three overlap lengths for a fit, "
                           "none repeated")
-    if at_m is not None and (at_m.delta != delta or len(at_m.psi.t)
-                             != _npoints(cfg, grid_per_period)):
-        raise DomainError("at_m must be the defect of cfg at the study's "
-                          "grid and delta")
-    sups, weighteds = [], []
-    for m in m_list:
-        d = at_m if at_m is not None and m == cfg.m else defect(
-            build_approximate(replace(cfg, m=m),
-                              grid_per_period=grid_per_period), delta=delta)
-        sups.append(d.supPsi)
-        weighteds.append(d.weightedPsi)
+    # cfg.m first: right after cfg's own defect, a hit on the kept one
+    found = {m: defect(build_approximate(replace(cfg, m=m),
+                                         grid_per_period=grid_per_period),
+                       delta=delta)
+             for m in sorted(m_list, key=lambda m: m != cfg.m)}
+    sups = [found[m].supPsi for m in m_list]
+    weighteds = [found[m].weightedPsi for m in m_list]
     if all(sv <= floor for sv in sups):
         return DecayStudy(m_list, sups, weighteds, None, None, True)
     if any(sv <= floor for sv in sups):

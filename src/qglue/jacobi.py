@@ -3,11 +3,10 @@ solutions of degrees 0 and 1 from the deformation families, Floquet
 analysis of the mode flows (Chebyshev spectral integration of the linear
 mode equation over panels of one period, with the orbit's series as its
 coefficient; the panels' interpolants also give the flow on a window after
-the start), the conserved boundary pairing, and the smooth step that every
-cutoff is built from.  JacobiBasis holds every generator; its necksize
-field is the eps-derivative of the orbit's cosine series, in closed form,
-and its decaying translation field is the first-order term of the
-translated family.
+the start), and the conserved boundary pairing.  JacobiBasis holds every
+generator; its necksize field is the eps-derivative of the orbit's cosine
+series, in closed form, and its decaying translation field is the
+first-order term of the translated family.
 """
 
 from dataclasses import dataclass, field
@@ -408,23 +407,3 @@ def symplectic_pairing(op, a, b):
     Om = _pairing_matrix(op.A)
     return sum(Om[i, j] * (a[i] * b[j] - a[j] * b[i])
                for i in range(4) for j in range(i + 1, 4))
-
-
-# ----------------------------------------------------------------------
-# the smooth step of the cutoffs
-
-
-def smooth_step(x):
-    """C-infinity ramp: 1 for x <= 0, 0 for x >= 1, antisymmetric about 1/2,
-    built from the e^{-1/x} mollifier pair."""
-    x = np.asarray(x, dtype=float)
-
-    def f(u):
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = np.exp(-1.0 / u[pos])
-        return out
-
-    fx = f(1.0 - x)
-    gx = f(x)
-    return fx / (fx + gx)

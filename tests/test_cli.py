@@ -274,27 +274,41 @@ class TestCommands:
         assert lines[0] == "m,supPsi,weightedPsi,fitBeta"
         assert len(lines) == 5
 
-    def test_glue_builds_each_overlap_once(self, monkeypatch):
-        # the command's own blend at m = 2 serves the study's m = 2
-        from qglue import cli, gluing
-        built = []
-        original = gluing.build_approximate
+    def test_glue_builds_each_overlap_once(self, cold_memo, monkeypatch):
+        # the command's own blend and defect at m = 2 serve the study's
+        # m = 2: a hit on the kept ones evaluates no defect
+        from qglue import gluing
+        evaluated = []
+        original = gluing._defect
 
-        def counting(cfg, **kwargs):
-            built.append(cfg.m)
-            return original(cfg, **kwargs)
+        def counting(approx, delta):
+            evaluated.append(approx.config.m)
+            return original(approx, delta)
 
         params = {"config": README_CONFIG, "gridPerPeriod": 32,
                   "mList": [1, 2, 3]}
         with monkeypatch.context() as mp:
-            mp.setattr(cli, "build_approximate", counting)
-            mp.setattr(gluing, "build_approximate", counting)
+            mp.setattr(gluing, "_defect", counting)
             summary, artifacts = HANDLERS["glue"](params)
-        assert sorted(built) == [1, 2, 3]
+        assert sorted(evaluated) == [1, 2, 3]
         # the same study as one that builds every overlap itself
         cfg = gluing.GluingConfig.from_json(README_CONFIG)
         st = gluing.decay_study(cfg, [1, 2, 3], grid_per_period=32)
         assert artifacts["study.csv"][1] == st.rows()
+
+    def test_every_default_weight_rate_is_weight_rate(self):
+        # the very object, not an equal float: a literal 1.5 written in
+        # another module is another object
+        import inspect
+        from qglue import corrector, gluing
+        for fn in (gluing.defect, gluing.decay_study,
+                   corrector.nondegeneracy_diag):
+            default = inspect.signature(fn).parameters["delta"].default
+            assert default is gluing.WEIGHT_RATE
+        for command in ("glue", "diagnose"):
+            summary, _ = HANDLERS[command]({"config": SMALL_CONFIG,
+                                            "gridPerPeriod": 32})
+            assert summary["delta"] is gluing.WEIGHT_RATE
 
     @pytest.mark.parametrize("m_list", ["2,2,2", "2,2,3"])
     def test_glue_study_rejects_repeated_lengths(self, tmp_path, m_list):

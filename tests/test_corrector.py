@@ -7,8 +7,8 @@ import pytest
 from qglue.errors import DomainError, IllConditionedError, NumericalError
 from qglue.gauges import CylField, paneitz_mode_apply
 from qglue.gluing import (STENCIL_ORDER, GluingConfig, build_approximate,
-                          defect, log_annulus_weight)
-from qglue.jacobi import ModeOperator, mode_apply, smooth_step
+                          defect, log_annulus_weight, smooth_step)
+from qglue.jacobi import ModeOperator, mode_apply
 from qglue.corrector import (discretize, linear_apply, bordered_system,
                              solve_right_inverse, remainder, iterate,
                              verify_correction, nondegeneracy_diag,

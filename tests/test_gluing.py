@@ -10,8 +10,9 @@ from qglue.corrector import bordered_system
 from qglue.errors import DomainError
 from qglue.fd import stencil_size
 from qglue.gauges import CylField
+from qglue.cli import HANDLERS
 from qglue.gluing import (STENCIL_ORDER, EndData, GluingConfig, Perturbation,
-                          cutoff_chi, build_approximate, defect,
+                          smooth_step, cutoff_chi, build_approximate, defect,
                           weighted_norm, decay_study, stable_power_remainder)
 from conftest import make_config, whole_grid_defect
 
@@ -34,6 +35,15 @@ class TestCutoff:
                                                                  abs=1e-14)
         ts = np.linspace(lo - 1, hi + 1, 301)
         assert np.all(np.diff(cutoff_chi(ts, cfg)) <= 1e-15)
+
+    def test_smooth_step(self):
+        x = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+        vals = smooth_step(x)
+        assert vals[0] == 1.0 and vals[1] == 1.0
+        assert vals[2] == pytest.approx(0.5, abs=1e-15)
+        assert vals[3] == 0.0 and vals[4] == 0.0
+        xs = np.linspace(-0.5, 1.5, 101)
+        assert np.all(np.diff(smooth_step(xs)) <= 1e-15)
 
 
 class TestEndData:
@@ -317,25 +327,25 @@ class TestDecayStudy:
         st = decay_study(cfg, [1, 2, 3], grid_per_period=32)
         assert st.exact and st.betaHat is None
 
-    def test_at_m_is_used_for_cfg_m(self, reference_config):
-        d = defect(build_approximate(reference_config, grid_per_period=32))
-        with_d = decay_study(reference_config, [1, 2, 3],
-                             grid_per_period=32, at_m=d)
-        assert with_d == decay_study(reference_config, [1, 2, 3],
-                                     grid_per_period=32)
+    @pytest.mark.parametrize("m, evaluations", [(2, 3), (5, 4)])
+    def test_glue_evaluates_each_overlap_once(self, cold_memo, monkeypatch,
+                                              m, evaluations):
+        # the study takes cfg.m first, a hit on the command's own defect
+        seen = []
+        original = gluing._defect
 
-    def test_at_m_at_another_delta_rejected(self, reference_config):
-        d = defect(build_approximate(reference_config, grid_per_period=32),
-                   delta=2.0)
-        with pytest.raises(DomainError, match="at_m"):
-            decay_study(reference_config, [1, 2, 3], grid_per_period=32,
-                        at_m=d)
+        def counting(approx, delta):
+            seen.append(approx.config.m)
+            return original(approx, delta)
 
-    def test_at_m_on_another_grid_rejected(self, reference_config):
-        d = defect(build_approximate(reference_config, grid_per_period=48))
-        with pytest.raises(DomainError, match="at_m"):
-            decay_study(reference_config, [1, 2, 3], grid_per_period=32,
-                        at_m=d)
+        monkeypatch.setattr(gluing, "_defect", counting)
+        config = {"n": 5, "eps": 0.5, "m": m,
+                  "end1": {"perturbation": [{"l": 0, "A": 1e-3,
+                                             "beta": 2.0}]}}
+        HANDLERS["glue"]({"config": config, "gridPerPeriod": 32,
+                          "mList": [1, 2, 3]})
+        assert len(seen) == evaluations
+        assert sorted(set(seen)) == sorted({1, 2, 3, m})
 
     def test_too_few_points_rejected(self, reference_config):
         # repeated lengths count once, and none may be weighted twice

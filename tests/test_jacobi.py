@@ -11,7 +11,7 @@ from qglue.errors import DomainError, NumericalError
 import qglue.jacobi as jacobi
 from qglue.jacobi import (ModeOperator, mode_apply, monodromy_data,
                           indicial_roots, generators, symplectic_pairing,
-                          smooth_step, _pairing_matrix)
+                          _pairing_matrix)
 from conftest import exponents, mode_potential
 
 
@@ -455,14 +455,3 @@ class TestPairing:
                                 basis05.jet(0, "+", 1.3)[:, 0])
         ratio = om / dH
         assert ratio == pytest.approx(1.0, abs=0.02)
-
-
-class TestDeficiency:
-    def test_smooth_step(self):
-        x = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
-        vals = smooth_step(x)
-        assert vals[0] == 1.0 and vals[1] == 1.0
-        assert vals[2] == pytest.approx(0.5, abs=1e-15)
-        assert vals[3] == 0.0 and vals[4] == 0.0
-        xs = np.linspace(-0.5, 1.5, 101)
-        assert np.all(np.diff(smooth_step(xs)) <= 1e-15)
