@@ -23,8 +23,8 @@ from .gauges import derive_constants, q_residual, CylField
 from .delaunay import solve_orbit, hamiltonian, _check_necksize
 from .jacobi import (ModeOperator, mode_apply, indicial_roots, generators,
                      symplectic_pairing)
-from .gluing import (WEIGHT_RATE, GluingConfig, build_approximate, defect,
-                     decay_study)
+from .gluing import (GRID_PER_PERIOD, WEIGHT_RATE, GluingConfig,
+                     build_approximate, defect, decay_study)
 from .corrector import iterate, verify_correction, nondegeneracy_diag
 from .schemas import validate_manifest, validate_summary
 
@@ -225,7 +225,7 @@ def cmd_jacobi(params):
     ts = np.linspace(0.0, T, 60)
     fd, dH = _family_difference(orbit, params.get("dEps", 1e-4), ts)
     cross = float(np.max(np.abs(basis.profile(0, "-", ts) - fd)))
-    gpp = params.get("gridPerPeriod", 64)
+    gpp = params.get("gridPerPeriod", GRID_PER_PERIOD)
     tg = np.linspace(-T, 2 * T, 3 * gpp + 1)
     residuals = {}
     rates = {}
@@ -254,7 +254,7 @@ def cmd_jacobi(params):
 
 def cmd_glue(params):
     cfg = GluingConfig.from_json(params["config"])
-    gpp = params.get("gridPerPeriod", 64)
+    gpp = params.get("gridPerPeriod", GRID_PER_PERIOD)
     delta = params.get("delta", WEIGHT_RATE)
     approx = build_approximate(cfg, grid_per_period=gpp)
     d = defect(approx, delta=delta)
@@ -276,14 +276,13 @@ def cmd_glue(params):
 
 def cmd_correct(params):
     cfg = GluingConfig.from_json(params["config"])
-    gpp = params.get("gridPerPeriod", 64)
+    gpp = params.get("gridPerPeriod", GRID_PER_PERIOD)
     approx = build_approximate(cfg, grid_per_period=gpp)
-    result = iterate(approx,
-                     scheme=params.get("scheme", "picard"),
-                     tol=params.get("tol", 1e-9),
-                     max_iter=params.get("maxIter", 25),
-                     min_iter=params.get("minIter", 1),
-                     degrees=tuple(params.get("modes", [0])))
+    options = {arg: params[key] for key, arg in (
+        ("scheme", "scheme"), ("tol", "tol"), ("maxIter", "max_iter"),
+        ("minIter", "min_iter")) if key in params}
+    result = iterate(approx, degrees=tuple(params.get("modes", [0])),
+                     **options)
     res_sup, psi_sup = verify_correction(result)
     ratios = [r[3] for r in result.trace.rows if np.isfinite(r[3])]
     doc = {"command": "correct", "n": cfg.constants.n, "eps": cfg.orbit.eps,
@@ -306,7 +305,7 @@ def cmd_correct(params):
 
 def cmd_diagnose(params):
     cfg = GluingConfig.from_json(params["config"])
-    gpp = params.get("gridPerPeriod", 64)
+    gpp = params.get("gridPerPeriod", GRID_PER_PERIOD)
     approx = build_approximate(cfg, grid_per_period=gpp)
     degrees = tuple(params.get("modes", [0]))
     correction = None
@@ -411,9 +410,9 @@ def _int_list(text):
 
 def build_parser():
     """The command line.  Each option's dest is its manifest key, and an
-    option left out is left out of the manifest, so every default lives in
-    the command's handler; only --out and --seed have their own, and no
-    output depends on --seed."""
+    option left out is left out of the manifest, so no default lives here
+    (README, CLI); only --out and --seed have their own, and no output
+    depends on --seed."""
     ap = argparse.ArgumentParser(
         prog="qglue",
         description="constant-curvature gluing on punctured spheres: "
@@ -550,7 +549,7 @@ def _run_batch(manifests, path):
     status = {"exitCode": max((e["exitCode"] for e in entries), default=0),
               "manifests": entries}
     _write_json(os.path.splitext(path)[0] + ".status.json", status)
-    print(json.dumps(status, sort_keys=True, indent=1))
+    print(_json_text(status))
     return status["exitCode"]
 
 
@@ -562,11 +561,9 @@ def main(argv=None):
     `run` takes one manifest or a JSON array of manifests, a batch.  A
     batch runs in this one process, in order, and each manifest writes its
     own `out`, byte-identical to a run of it alone; a failing manifest does
-    not stop the rest.  Orbits and their mode flows are memoized for the
-    process (delaunay.solve_orbit), so manifests on one orbit share them,
-    and the last blend is kept with its defect and factored system
-    (gluing.build_approximate), so consecutive manifests on one config
-    share those.
+    not stop the rest.  Its manifests share what the process keeps: each
+    orbit with its mode flows, and the last blend with its defect and
+    factored system (README, "What the process keeps").
     The batch exits with the largest exit code of its manifests (0 for an
     empty array), and writes that code and each manifest's, in the batch's
     order, to <file>.status.json beside the batch file <file>.json, and
@@ -581,7 +578,7 @@ def main(argv=None):
         code, message = _failure(exc)
         print(message, file=sys.stderr)
         return code
-    print(json.dumps(summary, sort_keys=True, indent=1))
+    print(_json_text(summary))
     return 0
 
 

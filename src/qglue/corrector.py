@@ -54,7 +54,8 @@ from .fd import band_apply, jet_rows, stencil_size
 from .gauges import CylField, angular_basis, paneitz_mode_band
 from .jacobi import ModeOperator, generators, monodromy_data
 from .gluing import STENCIL_ORDER, WEIGHT_RATE, ApproxSolution, defect, \
-    kept, log_annulus_weight, read_only, smooth_step, stable_power_remainder
+    kept, log_annulus_weight, smooth_step, stable_power_remainder
+from .keep import get_or_compute, read_only
 
 __all__ = [
     "discretize", "BandedOperator", "BandLU", "BorderedSystem",
@@ -298,15 +299,10 @@ def _inv_norm1(lu):
 def _end_frames(data, k, thresh):
     """Orthonormal bases of the invariant subspaces of the k multipliers
     beyond thresh of data's backward and forward one-period flows, kept
-    with data (so with its orbit) and read-only."""
-    key = (k, thresh)
-    if key not in data.frames:
-        frames = tuple(_invariant_subspace(M, k, thresh)
-                       for M in (data.backward, data.matrix))
-        for Z in frames:
-            Z.flags.writeable = False
-        data.frames[key] = frames
-    return data.frames[key]
+    with data (so with its orbit)."""
+    flows = (data.backward, data.matrix)
+    return get_or_compute(data.frames, (k, thresh), lambda: tuple(
+        _invariant_subspace(M, k, thresh) for M in flows))
 
 
 def _invariant_subspace(M, k, thresh):
@@ -361,12 +357,11 @@ class BorderedSystem:
 
     def factor(self):
         """Factors of the row-equilibrated matrix and its 1-norm condition
-        estimate from the same factors, computed once, with read-only
-        arrays; a singular core or Schur complement reads cond = inf.
+        estimate from the same factors, computed once and read-only; a
+        singular core or Schur complement reads cond = inf.
         dataclasses.replace starts a system that is not factored."""
         if self._lu is None:
-            self._lu = BandLU(self.matrix, self.row_scale)
-            read_only(*vars(self._lu).values())
+            self._lu = read_only(BandLU(self.matrix, self.row_scale))
             cond = float("inf")
             if not self._lu.singular:
                 cond = self._lu.norm1 * _inv_norm1(self._lu)
@@ -378,9 +373,7 @@ def _mode_border(approx, basis, l):
     """Band slot rows, dense border rows and deficiency columns of mode l:
     the orbit side of the bordered system, which depends on the orbit, the
     overlap and the grid but not on the background field.  The end flows
-    and their frames are kept with the orbit (monodromy_data, _end_frames),
-    so a later system on that orbit and grid, in this command or another
-    of the process, computes neither again.
+    and their frames are kept with the orbit (monodromy_data, _end_frames).
 
     Frames are built from discrete jets: each frame direction is sampled as
     an actual solution over the end window, by the monodromy flow that
@@ -464,8 +457,7 @@ def bordered_system(approx, degrees=None):
     """Assemble the bordered right-inverse system about the blend: the
     orbit-side border of every mode, then the background rows.  The last
     blend built keeps its system in each sorted degree tuple
-    (gluing.build_approximate), factors included once factored, so a
-    later call there returns the same system."""
+    (gluing.build_approximate), factors included once factored."""
     degrees = _degrees(approx, degrees)
     return kept(approx, ("system", degrees),
                 lambda: _assemble(approx, degrees))
@@ -484,7 +476,7 @@ def _background_system(approx, degrees, borders):
     linearization in the band, each mode's slot rows in place of its
     boundary rows, and the dense border of the deficiency columns (the
     linearization applied to them) and the remaining border rows; with the
-    row scale and the linearization itself, all read-only."""
+    row scale and the linearization itself."""
     N, L1 = len(approx.s), len(degrees)
     lin = _linearization(approx.field, degrees)
     slots = np.delete(np.arange(N), INTERIOR)
@@ -518,8 +510,6 @@ def _background_system(approx, degrees, borders):
                         live=used - used[0])
     scale = op.row_max()
     scale[scale == 0] = 1.0
-    read_only(scale, *(x for part in (op, lin, *borders)
-                       for x in vars(part).values()))
     return BorderedSystem(approx=approx, degrees=degrees, matrix=op,
                           row_scale=scale, borders=borders, operator=lin)
 
@@ -699,8 +689,7 @@ def iterate(approx, scheme="picard", tol=1e-9, max_iter=25, degrees=None,
     every total defect, and the last one (f0 when no step runs) is returned
     as defectField, whose interior sup is finalDefect.  f0 and the blend's
     system, factors included, are those the last blend built keeps
-    (gluing.build_approximate): a second run on the blend, Newton after
-    Picard or diagnose after correct, evaluates and factors neither again.
+    (gluing.build_approximate).
     """
     degrees = _degrees(approx, degrees)
     missing = sorted(set(approx.field.degrees) - set(degrees))

@@ -13,12 +13,12 @@ series is padded and solved again until it is resolved.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
 from .gauges import GaugeConstants, derive_constants
+from .keep import frozen_cache, get_or_compute
 
 __all__ = ["hamiltonian", "DelaunayOrbit", "solve_orbit"]
 
@@ -89,9 +89,9 @@ class DelaunayOrbit:
     jet any number of them.  The constant orbit at epsBar has N = 0.
 
     solve_orbit hands one orbit to every caller with the same inputs, so
-    its fields are frozen and coeffs is read-only.  memo keeps what jacobi
-    computes from the orbit alone, its mode flows (monodromy_data) and its
-    generators; dataclasses.replace starts a new orbit with an empty one."""
+    it is frozen.  memo keeps what jacobi computes from the orbit alone,
+    its mode flows (monodromy_data) and its generators;
+    dataclasses.replace starts a new orbit with an empty one."""
 
     constants: GaugeConstants
     eps: float
@@ -100,9 +100,6 @@ class DelaunayOrbit:
     diagnostics: dict
     memo: dict = field(default_factory=dict, init=False, repr=False,
                        compare=False)
-
-    def __post_init__(self):
-        self.coeffs.flags.writeable = False
 
     @property
     def period(self):
@@ -175,14 +172,12 @@ NEWTON_FLOOR = 1e-10  # _relative step of the rounding floor; a continuation
                       # point short of the requested necksize stops there
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _cosines(N):
     """cos(pi j k / N) for j = 0..N (rows) and k = 1..N (columns), with
     j k reduced mod 2 N so that every argument is exact."""
-    out = np.cos(np.pi * (np.outer(np.arange(N + 1), np.arange(1, N + 1))
-                          % (2 * N)) / N)
-    out.flags.writeable = False
-    return out
+    return np.cos(np.pi * (np.outer(np.arange(N + 1), np.arange(1, N + 1))
+                           % (2 * N)) / N)
 
 
 def _collocation(consts, eps, a, omega):
@@ -353,21 +348,17 @@ def solve_orbit(n_or_consts, eps, start=None):
     a start only shortens the path.  eps = epsBar returns the constant
     orbit, of the linearization period.
 
-    Memoized for the life of the process on its exact inputs: the
-    constants, eps and, given one, the start orbit's eps, omega and
-    coefficient bytes (a start moves the result by rounding, so a started
-    and a start-free solve are separate entries).  A repeat returns the
-    same DelaunayOrbit, with the mode flows and generators already
-    computed on it; a failed solve is not kept."""
+    Kept for the life of the process on its exact inputs: the constants,
+    eps and, given one, the start orbit's eps, omega and coefficient bytes
+    (a start moves the result by rounding, so a started and a start-free
+    solve are separate entries).  A repeat returns the same DelaunayOrbit,
+    with what jacobi keeps on it."""
     consts = (n_or_consts if isinstance(n_or_consts, GaugeConstants)
               else derive_constants(n_or_consts))
     _check_necksize(consts, eps)
     key = (consts, float(eps), None if start is None else
            (start.eps, start.omega, start.coeffs.tobytes()))
-    orbit = _ORBITS.get(key)
-    if orbit is None:
-        orbit = _ORBITS[key] = _solve(consts, eps, start)
-    return orbit
+    return get_or_compute(_ORBITS, key, lambda: _solve(consts, eps, start))
 
 
 def _solve(consts, eps, start):

@@ -9,9 +9,9 @@ exists in one form, as band rows in LAPACK's layout (derivative_band), and
 band_apply is the one product with a band.
 """
 
-from functools import lru_cache
-
 import numpy as np
+
+from .keep import frozen_cache
 
 
 def fd_weights(z, x, m):
@@ -55,7 +55,7 @@ def stencil_size(deriv, acc):
     return npts
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _unit_weights(offsets, deriv):
     """Weights on integer offsets for derivative `deriv`, h = 1.
 
@@ -85,7 +85,7 @@ def stencil_at(i, npoints, deriv, acc):
     return nodes, _unit_weights(tuple(nodes - i), deriv)
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _end_rows(deriv, acc, reach):
     """Band rows of the stencil_size // 2 points at each end, the first
     ones then the last ones.  Their shifted stencils do not depend on the
@@ -96,7 +96,6 @@ def _end_rows(deriv, acc, reach):
     for k, i in enumerate([*range(half), *range(npts - half, npts)]):
         nodes, w = stencil_at(i, npts, deriv, acc)
         rows[k, nodes - i + reach] = w
-    rows.flags.writeable = False
     return rows
 
 

@@ -12,13 +12,13 @@ Conventions fixed here and used everywhere else:
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import gamma, pi, sqrt
 
 import numpy as np
 
 from .errors import DomainError
 from .fd import band_apply, derivative_band, stencil_size
+from .keep import frozen_cache
 
 __all__ = [
     "GaugeConstants", "derive_constants", "CylField", "AngularBasis",
@@ -156,7 +156,7 @@ class AngularBasis:
         return (out / self.norm2).T
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def angular_basis(n, degrees, nquad):
     """The shared AngularBasis of (n, degrees, nquad)."""
     return AngularBasis(n, degrees, nquad)

@@ -30,6 +30,7 @@ from .errors import DomainError, NumericalError
 from .fd import stencil_size
 from .gauges import CylField, paneitz_mode_apply
 from .delaunay import DelaunayOrbit, solve_orbit
+from .keep import get_or_compute, read_only
 
 __all__ = [
     "EndData", "GluingConfig", "smooth_step", "cutoff_chi",
@@ -41,6 +42,8 @@ __all__ = [
 # accuracy order of every finite-difference stencil of the blend and the
 # correction (defect, linearization, bordered system, diagnostic)
 STENCIL_ORDER = 8
+# grid points per orbit period of a blend by default
+GRID_PER_PERIOD = 64
 # delta of the annulus weight (cosh(mT)/cosh s)^delta by default, and the
 # rate the right inverse's decaying directions must beat
 WEIGHT_RATE = 1.5
@@ -215,37 +218,25 @@ class ApproxSolution:
 _LAST = []
 
 
-def read_only(*items):
-    """Make the arrays among items, and those in their tuples, read-only."""
-    for x in items:
-        if isinstance(x, tuple):
-            read_only(*x)
-        elif isinstance(x, np.ndarray):
-            x.flags.writeable = False
-
-
 def kept(approx, what, compute):
-    """compute(), once per `what` while approx is the last blend built (its
-    result kept with the blend), and at every call for any other."""
+    """compute(), kept under `what` while approx is the last blend built,
+    and computed at every call for any other blend."""
     if not _LAST or _LAST[1] is not approx:
         return compute()
-    results = _LAST[2]
-    if what not in results:
-        results[what] = compute()
-    return results[what]
+    return get_or_compute(_LAST[2], what, compute)
 
 
-def build_approximate(cfg, grid_per_period=64):
+def build_approximate(cfg, grid_per_period=GRID_PER_PERIOD):
     """Assemble the blended approximate solution on the extended annulus.
 
     The blend is computed literally as chi * v1 + (1-chi) * v2 per mode, so on
     the plateaus the field equals the corresponding end field bit-for-bit.
 
-    The process keeps the last blend built, with read-only arrays, and
-    what defect and corrector.bordered_system compute on it.  The key is
-    the ends, m and grid_per_period, exactly (by repr, so -0.0 is not 0.0),
-    and the orbit object; a repeat returns the same blend.  Any other
-    blend first releases that one and all that is kept with it.
+    The process keeps the last blend built and what defect and
+    corrector.bordered_system compute on it.  The key is the ends, m and
+    grid_per_period, exactly (by repr, so -0.0 is not 0.0), and the orbit
+    object; a repeat returns the same blend.  Any other blend first
+    releases that one and all that is kept with it.
     """
     key = repr((cfg.end1, cfg.end2, cfg.m, grid_per_period))
     if _LAST and _LAST[0] == key and _LAST[1].config.orbit is cfg.orbit:
@@ -274,9 +265,9 @@ def build_approximate(cfg, grid_per_period=64):
     fld = blend + CylField.mode0(cfg.constants, s, backbone)
     if np.any(fld.point_values() <= 0):
         raise DomainError("blended conformal factor is not positive")
-    read_only(s, chi, backbone, *(f.coeffs for f in (w1, w2, blend, fld)))
-    approx = ApproxSolution(field=fld, config=cfg, cutoffRecord=chi,
-                            backbone=backbone, w1=w1, w2=w2, blend=blend)
+    approx = read_only(ApproxSolution(
+        field=fld, config=cfg, cutoffRecord=chi, backbone=backbone, w1=w1,
+        w2=w2, blend=blend))
     _LAST[:] = [key, approx, {}]
     return approx
 
@@ -316,9 +307,7 @@ def defect(approx, delta=WEIGHT_RATE):
     outside the band widened by one half-width: a strip of four or five
     rows on each side, which shows leakage if the plateaus stop cancelling.
 
-    The last blend built keeps its defect at each delta (build_approximate),
-    so a later call there returns the same result; psi and residual are
-    read-only.
+    The last blend built keeps its defect at each delta (build_approximate).
     """
     return kept(approx, ("defect", repr(delta)),
                 lambda: _defect(approx, delta))
@@ -390,7 +379,6 @@ def _defect(approx, delta):
     wnorm = weighted_norm(replace(psi, t=approx.s[kept],
                                   coeffs=psi.coeffs[:, kept]),
                           delta, scale=cfg.weightScale)
-    read_only(psi.coeffs, residual.coeffs)
     return DefectResult(
         psi=psi, residual=residual,
         supPsi=float(np.max(np.abs(psi_point))),
@@ -440,7 +428,8 @@ class DecayStudy:
                 zip(self.mList, self.supPsi, self.weightedPsi)]
 
 
-def decay_study(cfg, m_list, grid_per_period=64, delta=WEIGHT_RATE):
+def decay_study(cfg, m_list, grid_per_period=GRID_PER_PERIOD,
+                delta=WEIGHT_RATE):
     """Fit the exponential decay of the blend defect in the overlap length.
 
     Builds the approximate solution for each m in m_list (at least three,
@@ -458,7 +447,6 @@ def decay_study(cfg, m_list, grid_per_period=64, delta=WEIGHT_RATE):
     if len(m_list) < 3 or len(set(m_list)) < len(m_list):
         raise DomainError("need at least three overlap lengths for a fit, "
                           "none repeated")
-    # cfg.m first: right after cfg's own defect, a hit on the kept one
     found = {m: defect(build_approximate(replace(cfg, m=m),
                                          grid_per_period=grid_per_period),
                        delta=delta)

@@ -10,7 +10,6 @@ first-order term of the translated family.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .gauges import paneitz_mode_apply
 from .delaunay import DelaunayOrbit, _epsbar_symbol, _series_jet, _tangent
+from .keep import frozen_cache, get_or_compute
 
 __all__ = [
     "ModeOperator", "mode_apply", "MonodromyData", "monodromy_data",
@@ -83,7 +83,7 @@ MONODROMY_SUBINTERVALS = 24
 PANEL_DEGREE = 16  # K: each panel has the K + 1 nodes (1 - cos(pi j / K)) / 2
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def _panel_integrals(K):
     """Nodes x_j = (1 - cos(pi j / K)) / 2 of [0, 1], and the powers S^m,
     m = 0..4, of the spectral integration matrix S: values at the nodes ->
@@ -145,14 +145,11 @@ def monodromy_data(op, t0=0.0, offsets=()):
     NumericalError when the flow is not finite.
 
     The flow is kept with its orbit (op.orbit.memo) at its exact
-    (lam, t0, offsets), so a repeat on that orbit returns the same
-    MonodromyData, whose arrays are read-only."""
+    (lam, t0, offsets)."""
     offsets = np.asarray(offsets, dtype=float)
-    key = (float(op.lam), float(t0), offsets.tobytes())
-    data = op.orbit.memo.get(key)
-    if data is None:
-        data = op.orbit.memo[key] = _monodromy(op, t0, offsets)
-    return data
+    return get_or_compute(op.orbit.memo, (float(op.lam), float(t0),
+                                          offsets.tobytes()),
+                          lambda: _monodromy(op, t0, offsets))
 
 
 def _monodromy(op, t0, offsets):
@@ -191,8 +188,6 @@ def _monodromy(op, t0, offsets):
     det = np.prod(np.linalg.det(factors))
     Om = _pairing_matrix(A)
     backward = np.linalg.solve(Om, M.T @ Om)
-    for a in (M, backward, window):
-        a.flags.writeable = False
     return MonodromyData(matrix=M, backward=backward, detFactored=det,
                          period=T, window=window)
 
@@ -380,16 +375,14 @@ def generators(orbit):
     """All generator solutions of the linearized equation about the orbit.
     (a', omega') along the family is one back-solve (delaunay._tangent),
     after which the necksize field and ds/deps, dT/deps are closed-form.
-    The basis is kept with the orbit (orbit.memo), so a repeat returns the
-    same JacobiBasis, with read-only dCoeffs."""
+    The basis is kept with the orbit (orbit.memo)."""
     if orbit.isConstant:
         raise DomainError("generators need an interior orbit; the constant "
                           "orbit has a degenerate phase derivative")
-    if "generators" not in orbit.memo:
+    def basis():
         x = _tangent(orbit.constants, orbit.eps, orbit.coeffs, orbit.omega)
-        x.flags.writeable = False
-        orbit.memo["generators"] = JacobiBasis(orbit, x[:-1], float(x[-1]))
-    return orbit.memo["generators"]
+        return JacobiBasis(orbit, x[:-1], float(x[-1]))
+    return get_or_compute(orbit.memo, "generators", basis)
 
 
 # ----------------------------------------------------------------------

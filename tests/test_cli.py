@@ -126,6 +126,10 @@ class TestManifestValidation:
         assert rc == 2
 
 
+class SpyStop(Exception):
+    """Raised by a test's stand-in for a function a handler calls."""
+
+
 class TestCommands:
     def test_constants(self, tmp_path):
         summary, out = run_manifest(tmp_path, "constants", {"n": 5})
@@ -309,6 +313,56 @@ class TestCommands:
             summary, _ = HANDLERS[command]({"config": SMALL_CONFIG,
                                             "gridPerPeriod": 32})
             assert summary["delta"] is gluing.WEIGHT_RATE
+
+    def test_every_default_grid_is_grid_per_period(self, monkeypatch):
+        import ast
+        import inspect
+        from qglue import cli, gluing
+        for fn in (gluing.build_approximate, gluing.decay_study):
+            args = ast.parse(inspect.getsource(fn)).body[0].args
+            names = [a.arg for a in args.args][-len(args.defaults):]
+            default = args.defaults[names.index("grid_per_period")]
+            assert ast.unparse(default) == "GRID_PER_PERIOD"
+        # 17, not a small int that CPython shares, so a literal default in
+        # a handler cannot pass for the constant
+        monkeypatch.setattr(cli, "GRID_PER_PERIOD", 17)
+        grids = []
+
+        def build(cfg, grid_per_period):
+            grids.append(grid_per_period)
+            raise SpyStop
+
+        def apply(op, t, w):
+            grids.append((len(t) - 1) // 3)
+            raise SpyStop
+        monkeypatch.setattr(cli, "build_approximate", build)
+        monkeypatch.setattr(cli, "mode_apply", apply)
+        for command, params in (("jacobi", {"n": 5, "eps": 0.5}),
+                                ("glue", {"config": SMALL_CONFIG}),
+                                ("correct", {"config": SMALL_CONFIG}),
+                                ("diagnose", {"config": SMALL_CONFIG})):
+            with pytest.raises(SpyStop):
+                HANDLERS[command](params)
+        assert grids == [17] * 4
+
+    def test_correct_passes_iterate_only_the_manifest_keys(self,
+                                                           monkeypatch):
+        # iterate's own defaults serve the keys a manifest leaves out
+        from qglue import cli
+        calls = []
+
+        def iterate(approx, **kwargs):
+            calls.append(kwargs)
+            raise SpyStop
+        monkeypatch.setattr(cli, "iterate", iterate)
+        for params in ({}, {"scheme": "newton", "tol": 1e-12, "maxIter": 9,
+                            "minIter": 2}):
+            with pytest.raises(SpyStop):
+                HANDLERS["correct"]({"config": SMALL_CONFIG,
+                                     "gridPerPeriod": 32, **params})
+        assert calls == [{"degrees": (0,)},
+                         {"degrees": (0,), "scheme": "newton", "tol": 1e-12,
+                          "max_iter": 9, "min_iter": 2}]
 
     @pytest.mark.parametrize("m_list", ["2,2,2", "2,2,3"])
     def test_glue_study_rejects_repeated_lengths(self, tmp_path, m_list):
@@ -823,11 +877,31 @@ ALL_SCHEMAS = {"manifest": MANIFEST_SCHEMA,
                "batch-status": BATCH_STATUS_SCHEMA}
 
 
+_KEYWORDS = {"type", "properties", "required", "additionalProperties",
+             "items", "minItems", "minimum", "exclusiveMinimum", "enum",
+             "description"}
+
+
+def _check_schema(schema):
+    """Raise ValueError if schema uses a keyword, a type name or an
+    additionalProperties value the checker does not implement."""
+    unknown = set(schema) - _KEYWORDS
+    unknown |= set(schemas._names(schema.get("type", []))) - set(
+        schemas._TYPES)
+    if unknown or schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"schema checker cannot enforce {sorted(unknown)} "
+                         f"in {schema!r}")
+    for sub in schema.get("properties", {}).values():
+        _check_schema(sub)
+    if "items" in schema:
+        _check_schema(schema["items"])
+
+
 @pytest.mark.parametrize("name", sorted(ALL_SCHEMAS))
 def test_schema_checker_enforces_every_published_schema(name):
     # every keyword, type name and additionalProperties value the schema
     # uses is one the checker implements
-    schemas._check_schema(ALL_SCHEMAS[name])
+    _check_schema(ALL_SCHEMAS[name])
 
 
 def _valid_example(schema):
@@ -956,4 +1030,4 @@ def test_schema_checker_rejects_what_it_cannot_enforce(schema):
     # every published schema passes this check
     # (test_schema_checker_enforces_every_published_schema)
     with pytest.raises(ValueError):
-        schemas._check_schema(schema)
+        _check_schema(schema)
