@@ -2,6 +2,10 @@
 emission, and manifest-driven runs, one manifest or a batch of them in one
 process.
 
+Only correct and diagnose solve, so the corrector is a lazy module here:
+it executes at the first of them, once per process, a batch included, and
+a process that runs only the other commands never executes it.
+
 Exit codes: 0 success, 1 manifest/schema violation or a config/manifest
 file that cannot be read as JSON, 2 domain error (a parameter that is not
 finite among them), 3 numerical failure (escape, divergence,
@@ -10,6 +14,7 @@ with the largest code of its manifests.
 """
 
 import argparse
+import importlib.util
 import json
 from json.encoder import encode_basestring_ascii
 import os
@@ -25,8 +30,27 @@ from .jacobi import (ModeOperator, mode_apply, indicial_roots, generators,
                      symplectic_pairing)
 from .gluing import (GRID_PER_PERIOD, WEIGHT_RATE, GluingConfig,
                      build_approximate, defect, decay_study)
-from .corrector import iterate, verify_correction, nondegeneracy_diag
+from .keep import read_only
 from .schemas import validate_manifest, validate_summary
+
+
+def _lazy_module(name):
+    """The module name, executed at its first attribute access (importlib's
+    LazyLoader): registered in sys.modules and on its package at once, or
+    the module already there if it was imported before."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+corrector = _lazy_module(f"{__package__}.corrector")
 
 
 # float.__repr__ of the floats JSON spells otherwise
@@ -94,7 +118,8 @@ def _orbit_residual(orbit):
     npts = max(128, int(np.ceil(T / RESIDUAL_SPACING)))
     h = T / npts
     pad = 8
-    tg = (np.arange(-pad, npts + pad + 1)) * h
+    # read-only, so its fields check it once (CylField)
+    tg = read_only(np.arange(-pad, npts + pad + 1) * h)
     vals = orbit.sample_exact(tg)
     fld = CylField.mode0(consts, tg, vals)
     res = q_residual(fld, acc=10, trim=pad)
@@ -281,9 +306,10 @@ def cmd_correct(params):
     options = {arg: params[key] for key, arg in (
         ("scheme", "scheme"), ("tol", "tol"), ("maxIter", "max_iter"),
         ("minIter", "min_iter")) if key in params}
-    result = iterate(approx, degrees=tuple(params.get("modes", [0])),
-                     **options)
-    res_sup, psi_sup = verify_correction(result)
+    result = corrector.iterate(approx,
+                               degrees=tuple(params.get("modes", [0])),
+                               **options)
+    res_sup, psi_sup = corrector.verify_correction(result)
     ratios = [r[3] for r in result.trace.rows if np.isfinite(r[3])]
     doc = {"command": "correct", "n": cfg.constants.n, "eps": cfg.orbit.eps,
            "m": cfg.m, "scheme": result.scheme,
@@ -312,14 +338,13 @@ def cmd_diagnose(params):
     conds = {}
     corrected = bool(params.get("applyCorrection", True))
     if corrected:
-        result = iterate(approx, degrees=degrees)
+        result = corrector.iterate(approx, degrees=degrees)
         correction = result.correction
         if np.isfinite(result.cond):
             conds["borderedSystem"] = result.cond
-    diag = nondegeneracy_diag(approx, correction,
-                              delta=params.get("delta", WEIGHT_RATE),
-                              delta_prime=params.get("deltaPrime"),
-                              degrees=degrees)
+    diag = corrector.nondegeneracy_diag(
+        approx, correction, delta=params.get("delta", WEIGHT_RATE),
+        delta_prime=params.get("deltaPrime"), degrees=degrees)
     doc = {"command": "diagnose", "n": cfg.constants.n, "eps": cfg.orbit.eps,
            "m": cfg.m, "sigmaMin": diag.sigmaMin, "delta": diag.delta,
            "deltaPrime": diag.deltaPrime,

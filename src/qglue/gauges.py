@@ -13,6 +13,7 @@ Conventions fixed here and used everywhere else:
 
 from dataclasses import dataclass, replace
 from math import gamma, pi, sqrt
+import weakref
 
 import numpy as np
 
@@ -166,6 +167,25 @@ def angular_basis(n, degrees, nquad):
 # cylinder fields
 
 
+# the grids found uniform while read-only, by identity and held weakly: a
+# field built again on one (replace, arithmetic) is not checked again
+_UNIFORM = weakref.WeakValueDictionary()
+
+
+def _check_grid(t):
+    """DomainError unless the t grid has two points or more, evenly spaced;
+    the verdict is kept for a read-only grid."""
+    if len(t) < 2:
+        raise DomainError("t grid needs at least two points")
+    dt = np.diff(t)
+    # allclose's bound at rtol = atol / |dt[0]| = 1e-12, in one pass; a
+    # NaN step fails the comparison
+    if not np.max(np.abs(dt - dt[0])) <= 2e-12 * abs(dt[0]):
+        raise DomainError("t grid must be uniform")
+    if not t.flags.writeable:
+        _UNIFORM[id(t)] = t
+
+
 @dataclass
 class CylField:
     """Function on a truncated cylinder stored as zonal-mode coefficients on a
@@ -179,13 +199,9 @@ class CylField:
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
-        if len(self.t) < 2:
-            raise DomainError("t grid needs at least two points")
-        dt = np.diff(self.t)
-        # allclose's bound at rtol = atol / |dt[0]| = 1e-12, in one pass; a
-        # NaN step fails the comparison
-        if not np.max(np.abs(dt - dt[0])) <= 2e-12 * abs(dt[0]):
-            raise DomainError("t grid must be uniform")
+        # a grid kept uniform and still read-only is not checked again
+        if self.t.flags.writeable or _UNIFORM.get(id(self.t)) is not self.t:
+            _check_grid(self.t)
         self.degrees = tuple(int(l) for l in self.degrees)
         if any(b <= a for a, b in zip(self.degrees, self.degrees[1:])):
             raise DomainError("mode degrees must be strictly increasing")

@@ -244,7 +244,8 @@ def build_approximate(cfg, grid_per_period=GRID_PER_PERIOD):
     _LAST.clear()
     s_min, s_max = cfg.sMin, cfg.sMax
     npoints = int(round((s_max - s_min) / (cfg.period / grid_per_period))) + 1
-    s = np.linspace(s_min, s_max, npoints)
+    # read-only from the start, so its fields check it once (CylField)
+    s = read_only(np.linspace(s_min, s_max, npoints))
     t_depth = s - s_min          # end-1 coordinate
     tau_depth = s_max - s        # end-2 coordinate
     chi = cutoff_chi(t_depth, cfg)

@@ -354,7 +354,8 @@ class TestCommands:
         def iterate(approx, **kwargs):
             calls.append(kwargs)
             raise SpyStop
-        monkeypatch.setattr(cli, "iterate", iterate)
+        # cli calls the corrector through its module
+        monkeypatch.setattr(cli.corrector, "iterate", iterate)
         for params in ({}, {"scheme": "newton", "tol": 1e-12, "maxIter": 9,
                             "minIter": 2}):
             with pytest.raises(SpyStop):

@@ -353,7 +353,7 @@ class TestOneEvaluation:
         for name in ("defect", "_linearization", "remainder"):
             count(corrector, name)
         count(cli, "defect")
-        verify = cli.verify_correction
+        verify = corrector.verify_correction
 
         def verify_counted(result):
             before = dict(calls)
@@ -361,7 +361,8 @@ class TestOneEvaluation:
             assert calls == before
             calls["verify_correction"] += 1
             return out
-        monkeypatch.setattr(cli, "verify_correction", verify_counted)
+        # cli calls it through the corrector module, the one imported here
+        monkeypatch.setattr(corrector, "verify_correction", verify_counted)
         doc, _ = cli.cmd_correct({"config": self.CONFIG, "scheme": scheme,
                                   "modes": [0, 1], "minIter": 2})
         steps = doc["iterations"]

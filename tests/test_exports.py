@@ -2,16 +2,20 @@
 and every name the package re-exports is exported by its home module.  No
 module imports a name it never uses, and the command line loads neither
 SciPy nor jsonschema until a command factors a band, and then only SciPy's
-compiled LAPACK module.  No command loads numpy.random, and no module of the
-package names it.  Every function the benchmark's tracer wraps by name
-exists."""
+compiled LAPACK module.  The corrector executes at the first correct or
+diagnose, once per process, and never in one that only runs the other
+commands.  No command loads numpy.random, and no module of the package
+names it.  Every function the benchmark's tracer wraps by name exists, and
+is wrapped when the corrector has not executed yet."""
 
 import ast
 import importlib
+import json
 import pathlib
 import pkgutil
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -105,15 +109,20 @@ def test_traced_names_resolve():
         assert callable(obj), (module, attr)
 
 
-def _loaded_after(code):
-    """Names in sys.modules of a fresh interpreter after running code, with
-    this checkout's qglue on the path."""
+def _fresh(code, result):
+    """The value of the literal expression result in a fresh interpreter
+    after running code, with this checkout's qglue on the path."""
     src = pathlib.Path(qglue.__file__).parents[1]
-    code = (f"import sys; sys.path.insert(0, {str(src)!r}); {code}; "
-            f"print(sorted(sys.modules))")
+    code = (f"import sys\nsys.path.insert(0, {str(src)!r})\n{code}\n"
+            f"print(repr(({result})))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    return set(ast.literal_eval(out.stdout.splitlines()[-1]))
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def _loaded_after(code):
+    """Names in sys.modules of a fresh interpreter after running code."""
+    return set(_fresh(code, "sorted(sys.modules)"))
 
 
 def _package(modules, name):
@@ -124,30 +133,125 @@ def _package(modules, name):
 def test_cli_import_leaves_out_heavy_scipy():
     # SciPy's LAPACK module loads at the first banded factorization, and the
     # manifests and summaries are checked in the tree, so `import qglue.cli`
-    # alone loads neither SciPy nor jsonschema
+    # alone loads neither SciPy nor jsonschema; the corrector's name is
+    # registered, though its module has not executed
     loaded = _loaded_after("import qglue.cli")
     assert "qglue.corrector" in loaded
     assert _package(loaded, "scipy") == []
     assert _package(loaded, "jsonschema") == []
 
 
+SMALL_CONFIG = {"n": 5, "eps": 0.5, "m": 1, "end1": {"perturbation": [
+    {"l": 0, "A": 1e-3, "beta": 2.0}]}, "end2": {}}
+
+# small runs of the commands that solve nothing
+NON_SOLVING = [("constants", {"n": 5}),
+               ("orbit", {"n": 5, "eps": 0.5}),
+               ("sweep", {"n": 5, "epsList": [0.5]}),
+               ("indicial", {"n": 5, "eps": 0.5, "modes": [0]}),
+               ("jacobi", {"n": 5, "eps": 0.5, "gridPerPeriod": 32}),
+               ("glue", {"config": SMALL_CONFIG, "gridPerPeriod": 32})]
+SOLVING = [(c, {"config": SMALL_CONFIG, "gridPerPeriod": 32})
+           for c in ("correct", "diagnose")]
+
+
+def _manifests(runs, out):
+    return [{"command": c, "params": p, "out": str(out / c)} for c, p in runs]
+
+
 def test_commands_without_a_factorization_leave_out_scipy(tmp_path):
     # orbit, sweep, indicial, jacobi and glue factor nothing, and no command
     # draws from NumPy's global generator
-    config = {"n": 5, "eps": 0.5, "m": 1, "end1": {"perturbation": [
-        {"l": 0, "A": 1e-3, "beta": 2.0}]}, "end2": {}}
-    runs = [("orbit", {"n": 5, "eps": 0.5}),
-            ("sweep", {"n": 5, "epsList": [0.5]}),
-            ("indicial", {"n": 5, "eps": 0.5, "modes": [0]}),
-            ("jacobi", {"n": 5, "eps": 0.5, "gridPerPeriod": 32}),
-            ("glue", {"config": config, "gridPerPeriod": 32})]
-    manifests = [{"command": c, "params": p, "out": str(tmp_path / c)}
-                 for c, p in runs]
     loaded = _loaded_after(f"from qglue.cli import execute; "
-                           f"[execute(m) for m in {manifests!r}]")
+                           f"[execute(m) for m in "
+                           f"{_manifests(NON_SOLVING, tmp_path)!r}]")
     assert _package(loaded, "scipy") == []
     assert "numpy.random" not in loaded
-    assert all((tmp_path / c / "summary.json").exists() for c, _ in runs)
+    assert all((tmp_path / c / "summary.json").exists()
+               for c, _ in NON_SOLVING)
+
+
+# counts the executions of corrector.py's module code in `runs`
+COUNT_CORRECTOR_RUNS = (
+    "import types; runs = []; sys.addaudithook(lambda event, args: "
+    "runs.append(event) if event == 'exec' and getattr(args[0], "
+    "'co_filename', '').endswith('corrector.py') else None)")
+
+
+@pytest.mark.parametrize("way", ["execute", "batch"])
+def test_only_solving_commands_execute_the_corrector(tmp_path, way):
+    # through execute, one manifest at a time, or as `qglue run` batches:
+    # the commands that solve nothing leave the corrector unexecuted, and
+    # correct then diagnose execute it once
+    quiet, solving = (_manifests(r, tmp_path) for r in (NON_SOLVING, SOLVING))
+    if way == "execute":
+        steps = [f"[execute(m) for m in {ms!r}]" for ms in (quiet, solving)]
+    else:
+        for name, ms in (("quiet", quiet), ("solving", solving)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(ms))
+        steps = [f"assert main(['run', {str(tmp_path / name)!r}]) == 0"
+                 for name in ("quiet.json", "solving.json")]
+    state = ("(len(runs), type(sys.modules['qglue.corrector']) "
+             "is types.ModuleType)")
+    before, after = _fresh(
+        f"{COUNT_CORRECTOR_RUNS}; from qglue.cli import execute, main; "
+        f"{steps[0]}; before = {state}; {steps[1]}", f"before, {state}")
+    assert before == (0, False)
+    assert after == (1, True)
+    assert all((tmp_path / c / "summary.json").exists()
+               for c, _ in NON_SOLVING + SOLVING)
+
+
+@pytest.mark.parametrize("first", ["corrector", "cli"])
+def test_cli_calls_the_one_corrector_module(first):
+    # whichever is imported first, cli, the package and sys.modules hold
+    # one corrector module, executed once
+    imports = ["import qglue.corrector", "import qglue.cli"]
+    if first == "cli":
+        imports.reverse()
+    assert _fresh(
+        f"{COUNT_CORRECTOR_RUNS}; {'; '.join(imports)}; "
+        f"from qglue.corrector import iterate; import qglue",
+        "(qglue.cli.corrector is sys.modules['qglue.corrector'] "
+        "is qglue.corrector, qglue.cli.corrector.iterate is iterate, "
+        "type(qglue.corrector) is types.ModuleType, len(runs))") == (
+        True, True, True, 1)
+
+
+def test_tracer_wraps_every_layer_before_the_corrector_executes(tmp_path):
+    # the benchmark's tracer installs after a round of commands that solve
+    # nothing: its own lookups execute the corrector, and every LAYERS
+    # target, and every binding of one in a qglue module, is its wrapper,
+    # so a correct after it is traced
+    path = pathlib.Path(__file__).parents[1] / "qbench" / "tracing.py"
+    code = textwrap.dedent(f"""\
+        import functools, types
+        from qglue.cli import execute
+        for m in {_manifests(NON_SOLVING, tmp_path)!r}:
+            execute(m)
+        lazy = type(sys.modules["qglue.corrector"]) is not types.ModuleType
+        path = {str(path)!r}
+        tracing = {{}}
+        exec(compile(open(path).read(), path, "exec"), tracing)
+        tracer = tracing["Tracer"]()
+        tracer.install()
+        targets = [t for ts in tracing["LAYERS"].values() for t in ts]
+        names = {{attr for _, attr in targets}}
+        found = [(f"{{m}}.{{a}}", functools.reduce(
+            getattr, a.split("."), sys.modules[m])) for m, a in targets]
+        found += [(f"{{m}}.{{k}}", v) for m, mod in list(sys.modules.items())
+                  if m.startswith("qglue.") for k, v in vars(mod).items()
+                  if k in names and callable(v)]
+        unwrapped = sorted(name for name, fn in found
+                           if fn.__code__.co_filename != path)
+        sys.modules["qglue.cli"].execute(
+            {_manifests(SOLVING[:1], tmp_path)[0]!r})
+        calls = {{k: c for k, (c, _) in tracer.self_times().items()}}""")
+    lazy, unwrapped, calls = _fresh(code, "lazy, unwrapped, calls")
+    assert lazy
+    assert unwrapped == []
+    assert calls["corrector.iterate"] == calls["corrector.verify"] == 1
+    assert calls["cli.self"] == 1
 
 
 # the bordered-system config: tails in modes 0 and 1 at end 1 and in mode 0

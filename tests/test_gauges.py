@@ -1,5 +1,7 @@
+from dataclasses import replace
 import json
 from math import factorial, gamma, pi
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import sympy as sp
 from hypothesis import given, strategies as st
 from scipy.special import eval_gegenbauer, roots_gegenbauer
 
-from qglue import derive_constants
+from qglue import derive_constants, gauges
 from qglue.errors import DomainError
 from qglue.gauges import (AngularBasis, CylField, paneitz_mode_apply,
                           q_residual)
@@ -130,6 +132,58 @@ class TestCylField:
         else:
             with pytest.raises(DomainError):
                 CylField.mode0(consts5, t, np.zeros(11))
+
+    @pytest.mark.parametrize("read_only", [False, True])
+    @pytest.mark.parametrize("grid", [[0.0, 0.25, 0.5, 0.8, 1.0],
+                                      [0.0, 0.25, np.nan, 0.75, 1.0],
+                                      [0.0]])
+    def test_every_constructor_rejects_a_bad_grid(self, consts5, grid,
+                                                  read_only):
+        # uneven, NaN and one-point grids, writable or read-only, through
+        # each constructor and each time
+        t = np.array(grid)
+        t.flags.writeable = not read_only
+        n = len(t)
+        fld = CylField.mode0(consts5, np.linspace(0.0, 1.0, 5), np.ones(5))
+        builds = (lambda: CylField(consts5, t, (0,), np.zeros((1, n))),
+                  lambda: CylField.from_modes(consts5, t, {0: np.zeros(n)}),
+                  lambda: CylField.mode0(consts5, t, np.zeros(n)),
+                  lambda: replace(fld, t=t, coeffs=np.zeros((1, n))))
+        for build in builds * 2:
+            with pytest.raises(DomainError, match="t grid"):
+                build()
+
+    def test_a_read_only_grid_is_checked_once(self, consts5, monkeypatch):
+        t = np.linspace(0.0, 1.0, 5)
+        t.flags.writeable = False
+        fld = CylField.mode0(consts5, t, np.ones(5))
+        checked = []
+        check = gauges._check_grid
+        monkeypatch.setattr(gauges, "_check_grid",
+                            lambda grid: checked.append(grid) or check(grid))
+        kept = [replace(fld, coeffs=2.0 * fld.coeffs), fld * 2.0, fld + fld,
+                fld - fld, fld.padded((1,)), CylField.mode0(consts5, t,
+                                                            np.zeros(5))]
+        assert checked == []
+        assert all(k.t is t for k in kept)
+        # a writable grid is checked at every field on it, and its verdict
+        # is not kept for when it is read-only
+        w = np.linspace(0.0, 1.0, 5)
+        replace(CylField.mode0(consts5, w, np.ones(5)), coeffs=fld.coeffs)
+        assert len(checked) == 2 and all(g is w for g in checked)
+        w[2] = 0.7
+        w.flags.writeable = False
+        with pytest.raises(DomainError, match="uniform"):
+            CylField.mode0(consts5, w, np.ones(5))
+        # and a kept grid made writable again is checked again
+        t.flags.writeable = True
+        t[2] = 0.7
+        with pytest.raises(DomainError, match="uniform"):
+            replace(fld, coeffs=fld.coeffs)
+        # the verdict does not keep the grid alive
+        grid = weakref.ref(t)
+        del t, fld, kept, checked[:]
+        assert grid() is None
 
     def test_layout_checked(self, consts5):
         t = np.linspace(0, 1, 5)
