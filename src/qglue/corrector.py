@@ -12,7 +12,9 @@ inverse), and LAPACK's banded LU factors the band.  The bordered right
 inverse keeps two condition rows per end in the band; its other border rows
 and its deficiency columns (the linearization times the cutoff generator
 columns) form a dense border, eliminated through one small Schur
-complement.  A system keeps its linearization for the residuals it reports.
+complement.  A system keeps its linearization for the residuals it reports,
+in its own band: the linearization's rows are the band's except the slot
+rows, which it keeps apart (PatchedBand).
 
 Boundary closure of the right inverse (per mode, per end): the interior
 unknown may only carry asymptotics that decay into the domain faster than
@@ -163,14 +165,40 @@ class BandedOperator:
         return np.concatenate([top, self.rows @ x[:nc]])
 
     def row_max(self):
-        """Largest |entry| of each row."""
-        return np.concatenate([
-            np.max(np.abs(np.hstack([self.band, self.cols])), axis=1),
-            np.max(np.abs(self.rows), axis=1)])
+        """Largest |entry| of each row: a running maximum over the band's
+        diagonals and the border columns, so no copy of the band is made."""
+        top = np.zeros(len(self.band))
+        for col in (*self.band.T, *self.cols.T):
+            np.maximum(top, np.abs(col), out=top)
+        return np.concatenate([top, np.max(np.abs(self.rows), axis=1)])
 
     def toarray(self):
         """The dense matrix."""
         return self.matvec(np.eye(self.shape[0]))
+
+
+@dataclass
+class PatchedBand:
+    """A borderless operator held in another operator's band: its rows are
+    the rows of matrix.band (matrix's border is not applied), except the
+    rows `at`, which it keeps itself, as their entries on the diagonals they
+    were applied on, so matvec adds them in band_apply's order."""
+
+    matrix: BandedOperator
+    at: np.ndarray     # (r,) the rows kept here
+    index: np.ndarray  # (d, r) the unknown each entry multiplies
+    edge: np.ndarray   # (d, r) the entries, 0 where they fall outside
+
+    def matvec(self, x):
+        """The operator times the vector x.  Each kept row sums its terms
+        from +0.0 in its diagonals' order, as band_apply does, and terms of
+        entries outside the matrix are zeros it skips: the product is
+        band_apply's on the operator the rows came from, bit for bit."""
+        m = self.matrix
+        y = band_apply(m.band, x, m.kl, m.live)
+        y[self.at] = np.add.reduce(self.edge * x[self.index], axis=0,
+                                   initial=0.0)
+        return y
 
 
 @functools.cache
@@ -207,24 +235,35 @@ class BandLU:
     module at the first factorization.  `norm1` is the exact 1-norm of the
     scaled matrix; `singular` flags an exactly singular core or complement,
     or a complement that is not finite.  solve() uses the operator's order
-    and raises NumericalError on a right-hand side that is not finite."""
+    and raises NumericalError on a right-hand side that is not finite.
+
+    The scaled core exists only in LAPACK's storage `ab`, which dgbtrf
+    factors in place into `lu`: each diagonal is divided as it is copied
+    there, and norm1's column sums are taken a block of columns at a time."""
+
+    BLOCK = 512  # columns per block of norm1's column sums
 
     def __init__(self, op, row_scale):
         lapack = _lapack()
         kl, ku, nc = op.kl, op.ku, len(op.band)
         self.kl, self.ku, self.n = kl, ku, op.shape[0]
         scale = row_scale[:, None]
-        band, self.cols = op.band / scale[:nc], op.cols / scale[:nc]
-        self.rows = op.rows / scale[nc:]
+        self.cols, self.rows = op.cols / scale[:nc], op.rows / scale[nc:]
         # LAPACK band storage, ab[kl + ku + p - c, c] = A[p, c], with kl
         # spare rows for the fill-in of pivoting
         ab = np.zeros((2 * kl + ku + 1, nc), order="F")
         for q in range(kl + ku + 1):
             lo, hi = max(0, kl - q), min(nc, nc + kl - q)
-            ab[2 * kl + ku - q, lo - kl + q:hi - kl + q] = band[lo:hi, q]
+            np.divide(op.band[lo:hi, q], row_scale[lo:hi],
+                      out=ab[2 * kl + ku - q, lo - kl + q:hi - kl + q])
+        # each column sums alone, so a block's sums are the whole array's
+        colsum = np.empty(nc)
+        for c in range(0, nc, self.BLOCK):
+            cs = slice(c, c + self.BLOCK)
+            colsum[cs] = (np.sum(np.abs(ab[:, cs]), axis=0)
+                          + np.sum(np.abs(self.rows[:, cs]), axis=0))
         self.norm1 = float(max(
-            np.max(np.sum(np.abs(ab), axis=0)
-                   + np.sum(np.abs(self.rows), axis=0)),
+            np.max(colsum),
             np.max(np.sum(np.abs(self.cols), axis=0), initial=0.0)))
         self.lu, self.piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
         self.singular = info > 0
@@ -344,14 +383,17 @@ class BorderedSystem:
     """Square linear system in the unknowns (grid values point-major, then
     deficiency amplitudes per mode), stored as a BandedOperator: each mode's
     band slots {0, 1, N-2, N-1} hold two condition rows per end, and its
-    other border rows (with the deficiency columns) form the dense border."""
+    other border rows (with the deficiency columns) form the dense border.
+    `operator`, the linearization it was built from, is a PatchedBand on
+    that band, with the linearization's own slot rows: a system holds one
+    band, those rows, and once factored LAPACK's factors."""
 
     approx: ApproxSolution
     degrees: tuple
     matrix: BandedOperator
     row_scale: np.ndarray
     borders: list             # per mode: _ModeBorder, orbit side only
-    operator: BandedOperator = None   # the linearization it was built from
+    operator: PatchedBand = None      # the linearization it was built from
     _lu: BandLU = field(default=None, init=False, repr=False)
     _cond: float = field(default=None, init=False, repr=False)
 
@@ -476,21 +518,12 @@ def _background_system(approx, degrees, borders):
     linearization in the band, each mode's slot rows in place of its
     boundary rows, and the dense border of the deficiency columns (the
     linearization applied to them) and the remaining border rows; with the
-    row scale and the linearization itself."""
+    row scale and the linearization itself.  The linearization's band
+    becomes the system's: the deficiency columns are applied and its slot
+    rows kept aside first, then the slot rows are written over in place."""
     N, L1 = len(approx.s), len(degrees)
     lin = _linearization(approx.field, degrees)
     slots = np.delete(np.arange(N), INTERIOR)
-    reach = lin.kl // L1    # slot rows are end jets: they fit in the band
-    core = lin.band.reshape(N, L1, -1).copy()
-    core[slots] = 0.0
-    for a, bb in enumerate(borders):
-        for i, row in zip(slots, bb.slots):
-            nodes = np.arange(max(0, i - reach), min(N, i + reach + 1))
-            core[i, a, lin.kl + (nodes - i) * L1] = row[nodes]
-    # clamp rows reach less far than the end stencils: drop empty diagonals
-    band = core.reshape(N * L1, -1)
-    used = np.flatnonzero(np.any(band != 0.0, axis=0))
-
     defic = [(a, w) for a, bb in enumerate(borders) if bb.Bcols is not None
              for w in bb.Bcols.T]
     gen = np.zeros((N, L1, len(defic)))
@@ -498,6 +531,25 @@ def _background_system(approx, degrees, borders):
         gen[:, a, j] = w
     cols = lin.matvec(gen.reshape(N * L1, -1)).reshape(N, L1, -1)
     cols[slots] = 0.0
+
+    # the linearization's slot rows on its live diagonals, kept before the
+    # borders' slot rows replace them in its band
+    at = (slots[:, None] * L1 + np.arange(L1)).ravel()
+    index = at - lin.kl + lin.live[:, None]
+    inside = (index >= 0) & (index < N * L1)
+    edge = np.where(inside, lin.band[at][:, lin.live].T, 0.0)
+    index = np.where(inside, index, 0)
+    reach = lin.kl // L1    # slot rows are end jets: they fit in the band
+    core = lin.band.reshape(N, L1, -1)
+    core[slots] = 0.0
+    for a, bb in enumerate(borders):
+        for i, row in zip(slots, bb.slots):
+            nodes = np.arange(max(0, i - reach), min(N, i + reach + 1))
+            core[i, a, lin.kl + (nodes - i) * L1] = row[nodes]
+    # clamp rows reach less far than the end stencils: drop empty diagonals
+    band = lin.band
+    used = np.flatnonzero(band.any(axis=0))
+
     extra = [(a, r) for a, bb in enumerate(borders) for r in bb.rows]
     rows = np.zeros((len(extra), N, L1))
     for k, (a, r) in enumerate(extra):
@@ -511,7 +563,8 @@ def _background_system(approx, degrees, borders):
     scale = op.row_max()
     scale[scale == 0] = 1.0
     return BorderedSystem(approx=approx, degrees=degrees, matrix=op,
-                          row_scale=scale, borders=borders, operator=lin)
+                          row_scale=scale, borders=borders,
+                          operator=PatchedBand(op, at, index, edge))
 
 
 def discretize(approx, degrees):
@@ -623,7 +676,9 @@ def remainder(approx, correction):
     projected back to modes.  Derivative terms cancel exactly, so only the
     power remainder survives.  It acts on the union of the blend's and the
     correction's degrees, so the nonlinearity's products of correction modes
-    the blend lacks are kept."""
+    the blend lacks are kept.  The point values of b and v are worked in
+    place, in the order of -cN * b ** p * r(v / b); beside them, r's arrays
+    and the positivity check's b + v are the only ones made."""
     consts = approx.config.constants
     bg = approx.field.padded(correction.degrees)
     basis = bg.basis()
@@ -631,12 +686,14 @@ def remainder(approx, correction):
     if np.any(bvals <= 0):
         raise DomainError("background must be positive")
     cvals = basis.reconstruct(correction.rows(bg.degrees))
-    tot = bvals + cvals
-    if np.any(tot <= 0):
+    if np.any(bvals + cvals <= 0):
         raise DomainError("corrected conformal factor is not positive")
-    rvals = -consts.cN * bvals ** consts.p * stable_power_remainder(
-        cvals / bvals, consts.p)
-    return replace(bg, coeffs=basis.project(rvals))
+    cvals /= bvals      # now v / b
+    r = stable_power_remainder(cvals, consts.p)
+    bvals **= consts.p
+    bvals *= -consts.cN
+    bvals *= r
+    return replace(bg, coeffs=basis.project(bvals))
 
 
 @dataclass
@@ -791,9 +848,11 @@ def _lanczos_top(apply, n):
     the diagnostic loads no numpy.random.  Each step takes the eigenvalues
     theta of the tridiagonal T_k and stops once the top Ritz pair's
     residual beta_k |y_k[-1]| is at most 1e-12 theta; NumericalError if
-    min(n, LANCZOS_STEPS) steps do not get there."""
+    min(n, LANCZOS_STEPS) steps do not get there.  The basis starts with
+    room for 16 vectors and doubles when full: a diagnose converges in a
+    few steps, so it holds a few vectors, not LANCZOS_STEPS."""
     steps = min(n, LANCZOS_STEPS)
-    Q = np.empty((steps, n))
+    Q = np.empty((min(steps, 16), n))
     alpha, beta = np.empty(steps), np.empty(steps)
     words = np.frombuffer(random.Random(42).randbytes(4 * n), dtype="<u4")
     q = words * 2.0 ** -31 - 1.0
@@ -810,6 +869,9 @@ def _lanczos_top(apply, n):
         if beta[k] * abs(Y[-1, -1]) <= 1e-12 * theta[-1]:
             return float(theta[-1])
         if k + 1 < steps:
+            if k + 1 == len(Q):
+                Q = np.concatenate([Q, np.empty((min(k + 1, steps - k - 1),
+                                                 n))])
             Q[k + 1] = w / beta[k]
     raise NumericalError(f"Lanczos did not converge in {steps} steps")
 
@@ -878,6 +940,7 @@ def nondegeneracy_diag(approx, correction=None, delta=WEIGHT_RATE,
 
         per_mode[l] = float(1.0 / np.sqrt(
             _lanczos_top(lambda z: apply_inv_t(apply_inv(z)), N)))
+        del lu      # the next mode's tile is built without these factors
     return NondegeneracyResult(sigmaMin=min(per_mode.values()),
                                perMode=per_mode, delta=delta,
                                deltaPrime=delta_prime)

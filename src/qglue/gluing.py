@@ -165,11 +165,13 @@ def stable_power_remainder(x, p):
 
     For |x| < 1e-3 the binomial series from the quadratic term through
     x^12 is used; otherwise the direct expm1 form (which loses at most a few
-    digits near the cut)."""
+    digits near the cut).  Each part is worked in place, in the order of
+    those formulas: besides x and the result, the only arrays made are each
+    part's values and its running value, two arrays of x's size in all."""
     terms = 12
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
-    small = np.abs(x) < 1e-3
+    small = np.abs(x, out=out) < 1e-3
     xs = x[small]
     acc = np.zeros_like(xs)
     # sum_{k>=2} C(p, k) x^k via Horner from the highest retained term
@@ -179,11 +181,18 @@ def stable_power_remainder(x, p):
         c *= (p - (k - 1)) / k
         coeffs.append(c)  # C(p, k)
     for k in range(terms, 1, -1):
-        acc = (acc + coeffs[k - 1]) * xs
+        acc += coeffs[k - 1]     # acc = (acc + C(p, k)) x
+        acc *= xs
     acc *= xs
     out[small] = acc
-    xb = x[~small]
-    out[~small] = np.expm1(p * np.log1p(xb)) - p * xb
+    big = ~small
+    xb = x[big]
+    direct = np.log1p(xb)        # expm1(p log1p(x)) - p x
+    direct *= p
+    np.expm1(direct, out=direct)
+    xb *= p
+    direct -= xb
+    out[big] = direct
     return out
 
 

@@ -230,3 +230,161 @@ def reference_config(orbit05):
 @pytest.fixture(scope="session")
 def reference_approx(reference_config):
     return build_approximate(reference_config, grid_per_period=64)
+
+
+# ----------------------------------------------------------------------
+# the bordered system's store as it was before it held one band: the
+# references the one-band store must equal bit for bit
+
+
+def two_band_system(approx, degrees, borders):
+    """corrector._background_system as it was when a system kept its band
+    and, beside it, the linearization it was built from: returns the
+    matrix and the row scale."""
+    from qglue.corrector import INTERIOR, BandedOperator, _linearization
+    N, L1 = len(approx.s), len(degrees)
+    lin = _linearization(approx.field, degrees)
+    slots = np.delete(np.arange(N), INTERIOR)
+    reach = lin.kl // L1
+    core = lin.band.reshape(N, L1, -1).copy()
+    core[slots] = 0.0
+    for a, bb in enumerate(borders):
+        for i, row in zip(slots, bb.slots):
+            nodes = np.arange(max(0, i - reach), min(N, i + reach + 1))
+            core[i, a, lin.kl + (nodes - i) * L1] = row[nodes]
+    band = core.reshape(N * L1, -1)
+    used = np.flatnonzero(np.any(band != 0.0, axis=0))
+
+    defic = [(a, w) for a, bb in enumerate(borders) if bb.Bcols is not None
+             for w in bb.Bcols.T]
+    gen = np.zeros((N, L1, len(defic)))
+    for j, (a, w) in enumerate(defic):
+        gen[:, a, j] = w
+    cols = lin.matvec(gen.reshape(N * L1, -1)).reshape(N, L1, -1)
+    cols[slots] = 0.0
+    extra = [(a, r) for a, bb in enumerate(borders) for r in bb.rows]
+    rows = np.zeros((len(extra), N, L1))
+    for k, (a, r) in enumerate(extra):
+        rows[k, :, a] = r
+
+    op = BandedOperator(kl=lin.kl - used[0], ku=used[-1] - lin.kl,
+                        band=band[:, used[0]:used[-1] + 1],
+                        cols=cols.reshape(N * L1, -1),
+                        rows=rows.reshape(len(extra), N * L1),
+                        live=used - used[0])
+    scale = stacked_row_max(op)
+    scale[scale == 0] = 1.0
+    return op, scale
+
+
+def stacked_row_max(op):
+    """BandedOperator.row_max through one stacked copy of the band and the
+    border columns."""
+    return np.concatenate([
+        np.max(np.abs(np.hstack([op.band, op.cols])), axis=1),
+        np.max(np.abs(op.rows), axis=1)])
+
+
+def scaled_copy_band_lu(op, row_scale):
+    """corrector.BandLU with its fill as it was: a scaled copy of the whole
+    band first, then LAPACK's storage filled from it, and norm1's column
+    sums over all of that storage at once."""
+    from qglue.corrector import BandLU, _lapack
+
+    class ScaledCopy(BandLU):
+        def __init__(self, op, row_scale):
+            lapack = _lapack()
+            kl, ku, nc = op.kl, op.ku, len(op.band)
+            self.kl, self.ku, self.n = kl, ku, op.shape[0]
+            scale = row_scale[:, None]
+            band, self.cols = op.band / scale[:nc], op.cols / scale[:nc]
+            self.rows = op.rows / scale[nc:]
+            ab = np.zeros((2 * kl + ku + 1, nc), order="F")
+            for q in range(kl + ku + 1):
+                lo, hi = max(0, kl - q), min(nc, nc + kl - q)
+                ab[2 * kl + ku - q, lo - kl + q:hi - kl + q] = band[lo:hi, q]
+            self.norm1 = float(max(
+                np.max(np.sum(np.abs(ab), axis=0)
+                       + np.sum(np.abs(self.rows), axis=0)),
+                np.max(np.sum(np.abs(self.cols), axis=0), initial=0.0)))
+            self.lu, self.piv, info = lapack.dgbtrf(ab, kl, ku,
+                                                    overwrite_ab=1)
+            self.singular = info > 0
+            if self.singular or not len(self.rows):
+                return
+            self.colsolve = self._core(self.cols, 0)
+            self.rowsolve = self._core(self.rows.T, 1)
+            complement = -(self.rows @ self.colsolve)
+            if not np.all(np.isfinite(complement)):
+                self.singular = True
+                return
+            lu, piv, info = lapack.dgetrf(complement)
+            self.schur, self.singular = (lu, piv), info > 0
+
+    return ScaledCopy(op, row_scale)
+
+
+def out_of_place_power_remainder(x, p):
+    """gluing.stable_power_remainder with a new array for every operation."""
+    terms = 12
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < 1e-3
+    xs = x[small]
+    acc = np.zeros_like(xs)
+    coeffs = []
+    c = 1.0
+    for k in range(1, terms + 1):
+        c *= (p - (k - 1)) / k
+        coeffs.append(c)
+    for k in range(terms, 1, -1):
+        acc = (acc + coeffs[k - 1]) * xs
+    acc *= xs
+    out[small] = acc
+    xb = x[~small]
+    out[~small] = np.expm1(p * np.log1p(xb)) - p * xb
+    return out
+
+
+def out_of_place_remainder(approx, correction):
+    """corrector.remainder with a new array for every operation."""
+    consts = approx.config.constants
+    bg = approx.field.padded(correction.degrees)
+    basis = bg.basis()
+    bvals = basis.reconstruct(bg.coeffs)
+    if np.any(bvals <= 0):
+        raise DomainError("background must be positive")
+    cvals = basis.reconstruct(correction.rows(bg.degrees))
+    tot = bvals + cvals
+    if np.any(tot <= 0):
+        raise DomainError("corrected conformal factor is not positive")
+    rvals = -consts.cN * bvals ** consts.p * out_of_place_power_remainder(
+        cvals / bvals, consts.p)
+    return dataclasses.replace(bg, coeffs=basis.project(rvals))
+
+
+def preallocated_lanczos_top(apply, n, cap=100):
+    """corrector._lanczos_top as it was when its basis had room for all
+    min(n, cap) vectors from the start."""
+    import random
+    from qglue.errors import NumericalError
+    steps = min(n, cap)
+    Q = np.empty((steps, n))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    words = np.frombuffer(random.Random(42).randbytes(4 * n), dtype="<u4")
+    q = words * 2.0 ** -31 - 1.0
+    Q[0] = q / np.linalg.norm(q)
+    for k in range(steps):
+        w = apply(Q[k])
+        alpha[k] = Q[k] @ w
+        for _ in range(2):
+            w -= Q[:k + 1].T @ (Q[:k + 1] @ w)
+        beta[k] = np.linalg.norm(w)
+        T = (np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1)
+             + np.diag(beta[:k], -1))
+        theta, Y = np.linalg.eigh(T)
+        if beta[k] * abs(Y[-1, -1]) <= 1e-12 * theta[-1]:
+            return float(theta[-1])
+        if k + 1 < steps:
+            Q[k + 1] = w / beta[k]
+    raise NumericalError(f"Lanczos did not converge in {steps} steps")

@@ -986,13 +986,24 @@ class TestBorderSplit:
         assert np.array_equal(got.row_scale, full.row_scale)
 
     def test_live_diagonals_are_the_nonzero_ones(self, two_mode, shift):
-        # the builders find them once; matvec applies only those
+        # the builders find them once; matvec applies only those, and the
+        # linearization's slot rows are kept on its own live diagonals
+        from qglue.corrector import _linearization
         shifted = dataclasses.replace(two_mode, field=two_mode.field + shift)
         sys = bordered_system(shifted, degrees=self.DEGREES)
-        for op in (sys.matrix, sys.operator):
+        lin = _linearization(shifted.field, self.DEGREES)
+        for op in (sys.matrix, lin):
             assert np.array_equal(op.live,
                                   np.flatnonzero(op.band.any(axis=0)))
-        assert len(sys.operator.live) < sys.operator.band.shape[1]
+        assert len(lin.live) < lin.band.shape[1]
+        patch = sys.operator
+        assert patch.matrix is sys.matrix
+        index = patch.at - lin.kl + lin.live[:, None]
+        inside = (index >= 0) & (index < len(lin.band))
+        assert np.array_equal(patch.edge,
+                              np.where(inside, lin.band[patch.at].T[lin.live],
+                                       0.0))
+        assert np.array_equal(patch.index, np.where(inside, index, 0))
 
     def test_solve_residual_is_that_of_the_reconstructed_field(
             self, two_mode, shift):
@@ -1039,6 +1050,178 @@ class TestBorderSplit:
                 checked += 1
         assert checked == 4 * len(self.DEGREES)
         assert col == sysm.matrix.shape[1] == dense.shape[1]
+
+
+def same_bits(a, b):
+    """a and b hold the same float64 bit patterns (signed zeros and NaN
+    payloads told apart)."""
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestOneBand:
+    """A bordered system holds one band.  Its linearization shares the
+    system's band and keeps each mode's slot rows apart; the LU fills
+    LAPACK's storage without a scaled copy; the remainder works its point
+    values in place.  Every figure equals that of the store before
+    (conftest's two_band_system, scaled_copy_band_lu and
+    out_of_place_remainder) bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def blend(self, orbit05):
+        cfg = make_config(orbit05, m=1,
+                          pert1=((0, 1e-3, 2.0), (1, 5e-4, 1.6)),
+                          pert2=((2, 4e-4, 1.8),))
+        return build_approximate(cfg, grid_per_period=32)
+
+    @staticmethod
+    def probe(approx, degrees, scale=1.0):
+        # nonzero on every row, the one-sided end rows included
+        s = approx.s
+        return CylField.from_modes(
+            approx.config.constants, s,
+            {l: scale * (l + 1) * np.cos(0.9 * s + l) / np.cosh(0.2 * s)
+             for l in degrees})
+
+    @pytest.fixture(scope="class", params=[(0,), (0, 1), (0, 2)],
+                    ids=["modes0", "modes01", "modes02"])
+    def systems(self, request, blend):
+        """The blend's system in the given modes, and the system Newton
+        re-assembles about a shifted field with the same borders."""
+        from qglue.corrector import _background_system
+        sys0 = bordered_system(blend, degrees=request.param)
+        shifted = dataclasses.replace(
+            blend, field=blend.field + self.probe(blend, request.param, 1e-3))
+        return sys0, _background_system(shifted, request.param, sys0.borders)
+
+    @pytest.fixture(scope="class")
+    def clamped(self, blend):
+        """The systems discretize builds for its clamped tiles, one mode
+        each, as nondegeneracy_diag factors them."""
+        import qglue.corrector as corrector
+        built, real = [], corrector._background_system
+
+        def capture(approx, degrees, borders):
+            built.append(real(approx, degrees, borders))
+            return built[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corrector, "_background_system", capture)
+            tiles = [discretize(blend, degrees=(l,)) for l in (0, 1, 2)]
+        assert all(b.matrix is tile for b, tile in zip(built, tiles))
+        return built
+
+    @staticmethod
+    def each(systems, clamped):
+        return list(systems) + clamped
+
+    def test_linearization_is_linear_apply_on_every_row(self, systems,
+                                                        clamped):
+        from qglue.corrector import _apply
+        for sys in self.each(systems, clamped):
+            u = self.probe(sys.approx, sys.degrees)
+            got = _apply(sys.operator, u)
+            want = linear_apply(sys.approx.field, u)
+            assert got.degrees == want.degrees
+            assert same_bits(got.coeffs, want.coeffs)
+
+    def test_matrix_and_row_scale_are_the_two_band_stores(self, systems,
+                                                          clamped):
+        from conftest import two_band_system
+        for sys in self.each(systems, clamped):
+            op, scale = two_band_system(sys.approx, sys.degrees,
+                                        sys.borders)
+            assert (sys.matrix.kl, sys.matrix.ku) == (op.kl, op.ku)
+            for name in ("band", "cols", "rows", "live"):
+                assert same_bits(getattr(sys.matrix, name),
+                                 getattr(op, name))
+            assert same_bits(sys.row_scale, scale)
+
+    def test_factors_and_cond_are_the_scaled_copys(self, systems, clamped):
+        from conftest import scaled_copy_band_lu
+        from qglue.corrector import BandLU, _inv_norm1
+        # the bordered systems through factor(), the clamped tiles
+        # unscaled, as nondegeneracy_diag factors them
+        cases = [(sys, sys.row_scale) for sys in systems]
+        cases += [(sys, np.ones(len(sys.row_scale))) for sys in clamped]
+        for sys, scale in cases:
+            lu = BandLU(sys.matrix, scale)
+            cond = lu.norm1 * _inv_norm1(lu)
+            if scale is sys.row_scale:
+                assert sys.factor()[1] == cond
+            ref = scaled_copy_band_lu(sys.matrix, scale)
+            assert not lu.singular and not ref.singular
+            assert lu.norm1 == ref.norm1
+            for name in ("lu", "piv", "cols", "rows"):
+                assert same_bits(getattr(lu, name), getattr(ref, name))
+            if len(lu.rows):
+                for got, want in zip(lu.schur, ref.schur):
+                    assert same_bits(got, want)
+            assert cond == ref.norm1 * _inv_norm1(ref)
+
+    def test_norm1_blocks_cover_every_column(self, systems, monkeypatch):
+        # blocks of a few columns, the last one short, give the same sums
+        from conftest import scaled_copy_band_lu
+        import qglue.corrector as corrector
+        sys = systems[0]
+        monkeypatch.setattr(corrector.BandLU, "BLOCK", 7)
+        assert len(sys.row_scale) % 7
+        lu = corrector.BandLU(sys.matrix, sys.row_scale)
+        assert lu.norm1 == scaled_copy_band_lu(sys.matrix,
+                                               sys.row_scale).norm1
+
+    def test_row_max_is_the_stacked_one(self):
+        from conftest import stacked_row_max
+        rng = np.random.default_rng(3)
+        band = rng.standard_normal((9, 5)) * 10.0 ** rng.integers(-5, 5, 5)
+        band[2] = -0.0
+        cols, rows = rng.standard_normal((9, 2)), rng.standard_normal((2, 9))
+        for op in (BandedOperator(kl=2, ku=2, band=band, cols=cols,
+                                  rows=rows),
+                   BandedOperator(kl=2, ku=2, band=band,
+                                  cols=np.zeros((9, 0)),
+                                  rows=np.zeros((0, 9)))):
+            assert same_bits(op.row_max(), stacked_row_max(op))
+        band[4, 3] = np.nan
+        op = BandedOperator(kl=2, ku=2, band=band, cols=cols, rows=rows)
+        assert np.isnan(op.row_max()[4])
+        assert same_bits(op.row_max(), stacked_row_max(op))
+
+    def test_remainder_is_the_out_of_place_one(self, blend):
+        from conftest import out_of_place_remainder
+        s = blend.s
+        # |u / b| from 1e-7 to 0.3 along the neck, both signs, in every
+        # mode of the blend and in one it lacks
+        ramp = 10.0 ** np.interp(s, (s[0], s[-1]), (-7.0, -0.5))
+        u = CylField.from_modes(
+            blend.config.constants, s,
+            {l: ramp * np.cos(1.1 * s + l) / (l + 1) for l in (0, 1, 2, 3)})
+        bg = blend.field.padded(u.degrees)
+        ratio = np.abs(u.point_values() / bg.point_values())
+        assert (ratio < 1e-3).any() and (ratio >= 1e-3).any()
+        got, want = remainder(blend, u), out_of_place_remainder(blend, u)
+        assert got.degrees == want.degrees
+        assert same_bits(got.coeffs, want.coeffs)
+
+    def test_remainder_still_guards_positivity(self, blend):
+        u = blend.field * -2.0
+        with pytest.raises(DomainError, match="corrected conformal factor "
+                                              "is not positive"):
+            remainder(blend, u)
+
+    @pytest.mark.parametrize("p", [9.0, 5.0, 11 / 3, 3.0, 13 / 5, 2.0])
+    def test_power_remainder_is_the_out_of_place_one(self, p):
+        from conftest import out_of_place_power_remainder
+        from qglue.gluing import stable_power_remainder
+        rng = np.random.default_rng(int(p * 100))
+        x = rng.uniform(-1.0, 1.0, (40, 16)) * 10.0 ** rng.uniform(
+            -9.0, 0.5, (40, 16))
+        x = np.clip(x, -0.95, 1.9)
+        x[0, :3] = (-0.0, 0.0, 1e-3)
+        for arg in (x, x[:, 0], np.stack([x, -0.5 * x]), 2e-4):
+            assert same_bits(stable_power_remainder(arg, p),
+                             out_of_place_power_remainder(arg, p))
 
 
 def frame_gauge_rows(approx, basis, l):
@@ -1271,6 +1454,41 @@ class TestLanczosDiagnostic:
         B = (Q * lam) @ Q.T
         top = corrector._lanczos_top(lambda z: B @ z, n)
         assert top == pytest.approx(np.linalg.eigvalsh(B)[-1], rel=1e-13)
+
+    @pytest.mark.parametrize("spectrum", ["geometric", "linear", "cluster"])
+    def test_growing_basis_is_the_preallocated_one(self, spectrum):
+        # 33 to 64 steps (the basis grows twice), the 100-step cap (three
+        # times), and no convergence within it: the same figure, bit for
+        # bit, after the same applies, or the same error
+        import qglue.corrector as corrector
+        from conftest import preallocated_lanczos_top
+        n = 200
+        lam = {"geometric": 0.97 ** np.arange(n),
+               "linear": np.linspace(1.0, 0.01, n),
+               "cluster": np.concatenate([[1.0, 0.9999],
+                                          np.linspace(0.99, 0.01, n - 2)])}
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))[0]
+        B = (Q * lam[spectrum]) @ Q.T
+        calls = collections.Counter()
+
+        def counted(key):
+            def apply(z):
+                calls[key] += 1
+                return B @ z
+            return apply
+        try:
+            want = preallocated_lanczos_top(counted("preallocated"), n)
+        except NumericalError as err:
+            with pytest.raises(NumericalError, match=str(err)):
+                corrector._lanczos_top(counted("growing"), n)
+        else:
+            got = corrector._lanczos_top(counted("growing"), n)
+            assert same_bits(got, want)
+        assert calls["growing"] == calls["preallocated"]
+        if spectrum == "geometric":
+            assert 32 < calls["growing"] <= 64
+        else:
+            assert calls["growing"] == corrector.LANCZOS_STEPS
 
     def test_unconverged_lanczos_raises(self, long_neck, monkeypatch):
         import qglue.corrector as corrector

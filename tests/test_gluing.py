@@ -431,7 +431,9 @@ class TestBlendMemo:
                                       d.psi, d.residual)]
         arrays += [getattr(sys.matrix, name)
                    for name in ("band", "cols", "rows", "live")]
-        arrays += [sys.row_scale, sys.operator.band]
+        arrays += [sys.row_scale]
+        arrays += [getattr(sys.operator, name)
+                   for name in ("at", "index", "edge")]
         arrays += [lu.lu, lu.piv, lu.cols, lu.rows, lu.colsolve, lu.rowsolve,
                    *lu.schur]
         for array in arrays:

@@ -87,6 +87,25 @@ def test_a_process_keeps_no_writable_array(cold_memo, tmp_path):
     assert not writable_arrays(delaunay._ORBITS)
 
 
+def test_a_kept_system_holds_one_band(cold_memo, tmp_path):
+    # the system's linearization shares the system's band, and LAPACK's
+    # storage holds the only other copy of it
+    execute({"command": "correct", "out": str(tmp_path / "correct"),
+             "params": {"config": CONFIG, "scheme": "picard",
+                        "modes": [0, 1]}})
+    system = gluing._LAST[2][("system", (0, 1))]
+    band, lu = system.matrix.band, system._lu.lu
+    kept = arrays_in(gluing._LAST)
+    (shaped,) = [a for a in kept if a.shape == band.shape]
+    assert shaped is band
+
+    def memory(a):
+        return a if a.base is None else a.base
+    assert memory(band).nbytes == band.nbytes
+    big = {id(memory(a)) for a in kept if memory(a).nbytes >= band.nbytes}
+    assert big == {id(memory(band)), id(memory(lu))}
+
+
 def test_a_failed_compute_is_not_kept():
     store = {}
 
