@@ -32,22 +32,20 @@ decaying part over kernel shifts.  The gauge rows vanish on solutions with
 zero kernel content, so consistent compactly supported problems are
 reproduced exactly.
 
-LAPACK comes from SciPy's compiled wrapper module scipy.linalg._flapack,
-loaded alone by _lapack() at the first factorization or Schur form, without
-the scipy and scipy.linalg packages around it.  Its routines are the objects
-scipy.linalg.lapack exports, so results are those of scipy.linalg: BandLU
-calls dgbtrf/dgbtrs for the band and dgetrf/dgetrs for the Schur
-complement, and _invariant_subspace calls dgees.  A command that factors
-nothing, such as orbit, sweep, indicial, jacobi or glue, loads none of it.
+LAPACK is NumPy's own: the ILP64 OpenBLAS that NumPy's linalg extension
+links, which every process has loaded with NumPy.  _lapack() binds its
+routines through ctypes at the first factorization or Schur form, so no
+second BLAS is loaded.  BandLU calls dgbtrf/dgbtrs for the band and
+dgetrf/dgetrs for the Schur complement, and _invariant_subspace calls
+dgees.  The banded routines and dgees give scipy.linalg.lapack's results
+bit for bit; the dense LU is OpenBLAS's own, whose rounding can differ
+between OpenBLAS builds.
 """
 
+import ctypes
 from dataclasses import dataclass, field, replace
 import functools
-import importlib.machinery
-import importlib.util
-import os
 import random
-import sys
 
 import numpy as np
 
@@ -201,29 +199,159 @@ class PatchedBand:
         return y
 
 
+# The LAPACK routines this module calls; the spellings under which an ILP64
+# OpenBLAS exports them, NumPy 2's wheels first, then NumPy 1's; and each
+# routine's pointer arguments and character arguments, for each of which
+# gfortran passes a hidden length after the last pointer.
+_ROUTINES = ("dgbtrf", "dgbtrs", "dgetrf", "dgetrs", "dgees")
+_SPELLINGS = ("scipy_{}_64_", "{}_64_")
+_ARGS = {"dgbtrf": (8, 0), "dgbtrs": (11, 1), "dgetrf": (6, 0),
+         "dgetrs": (9, 1), "dgees": (15, 2)}
+# dgees' SELECT(WR, WI), a LOGICAL function: 8 bytes in an ILP64 build
+_SELECT = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.POINTER(ctypes.c_double),
+                           ctypes.POINTER(ctypes.c_double))
+
+
+def _ref(a):
+    """a as a LAPACK argument: an array by the address of its data, an
+    integer as a reference to an 8-byte INTEGER, and anything else (a
+    character, a reference, a callback) as it is."""
+    if isinstance(a, np.ndarray):
+        return a.ctypes.data
+    if isinstance(a, (int, np.integer)):
+        return ctypes.byref(ctypes.c_int64(a))
+    return a
+
+
+def _fortran(a, overwrite=False):
+    """a as a float64 array in Fortran order that LAPACK may overwrite: a
+    itself if overwrite allows it and it is one, else a copy."""
+    if (overwrite and a.dtype == np.float64 and a.flags.f_contiguous
+            and a.flags.writeable):
+        return a
+    return np.array(a, dtype=np.float64, order="F")
+
+
+class _Lapack:
+    """The routines of _ROUTINES from a library `lib` that exports them
+    under one of _SPELLINGS, called through ctypes with 8-byte integers.
+    Each has the call shape and outputs of scipy.linalg.lapack's routine of
+    that name, except that pivots stay 1-based: they only go back into
+    LAPACK.  solver() binds dgbtrs or dgetrs to one set of factors."""
+
+    def __init__(self, lib, path):
+        for spelling in _SPELLINGS:
+            try:
+                fns = {r: lib[spelling.format(r)] for r in _ROUTINES}
+                break
+            except AttributeError:
+                continue
+        else:
+            tried = [s.format(r) for s in _SPELLINGS for r in _ROUTINES]
+            raise ImportError(f"no ILP64 LAPACK in {path}: looked for "
+                              f"{', '.join(tried)}", path=path)
+        for routine, fn in fns.items():
+            pointers, strings = _ARGS[routine]
+            fn.argtypes = ([ctypes.c_void_p] * pointers
+                           + [ctypes.c_size_t] * strings)
+            fn.restype = None
+        self._fns = fns
+
+    def _call(self, routine, *args):
+        """routine on args (_ref), then INFO and the character lengths;
+        returns INFO."""
+        info = ctypes.c_int64()
+        self._fns[routine](*map(_ref, args), ctypes.byref(info),
+                           *[1] * _ARGS[routine][1])
+        return info.value
+
+    def dgbtrf(self, ab, kl, ku, overwrite_ab=0):
+        """LU of the band matrix in LAPACK's storage ab, which has kl spare
+        rows on top for the fill-in: (lu, piv, info)."""
+        lu = _fortran(ab, overwrite_ab)
+        if lu.ndim != 2 or len(lu) < 2 * kl + ku + 1:
+            raise ValueError(f"dgbtrf: storage of shape {lu.shape} holds "
+                             f"no {kl} + {ku} band with its fill-in")
+        n = lu.shape[1]
+        piv = np.zeros(n, np.int64)
+        return lu, piv, self._call("dgbtrf", n, n, kl, ku, lu, len(lu), piv)
+
+    def dgetrf(self, a):
+        """LU of the square matrix a, with partial pivoting:
+        (lu, piv, info)."""
+        lu = _fortran(a)
+        n = len(lu)
+        if lu.shape != (n, n):
+            raise ValueError(f"dgetrf: {lu.shape} is not square")
+        piv = np.zeros(n, np.int64)
+        return lu, piv, self._call("dgetrf", n, n, lu, max(n, 1), piv)
+
+    def solver(self, routine, lu, piv, *band):
+        """solve(b, trans=0): x with A x = b (trans 0) or A^T x = b (trans
+        1), for a vector or the columns of b, by `routine` on the factors
+        lu, piv of A: dgbtrs, with band = (kl, ku), or dgetrs.  The factors'
+        addresses and sizes are taken here once, so a solve converts only
+        its right-hand side, which it copies and LAPACK overwrites."""
+        n = lu.shape[1]
+        if (lu.dtype != np.float64 or lu.ndim != 2 or not lu.flags.f_contiguous
+                or piv.dtype != np.int64 or piv.shape != (n,)):
+            raise ValueError(f"{routine}: factors must be float64 in Fortran "
+                             f"order, pivots {n} int64")
+        fn, nrhs = self._fns[routine], ctypes.c_int64()
+        # TRANS, N, [KL, KU,] NRHS, A, LDA, IPIV | B | LDB, INFO, len(TRANS);
+        # the data_as pointers keep the factors alive
+        head = [*map(_ref, (n, *band)), ctypes.byref(nrhs),
+                lu.ctypes.data_as(ctypes.c_void_p), _ref(len(lu)),
+                piv.ctypes.data_as(ctypes.c_void_p)]
+        tail = (_ref(max(n, 1)), _ref(0), 1)
+
+        def solve(b, trans=0):
+            x = np.array(b, dtype=np.float64, order="F")
+            if x.ndim not in (1, 2) or len(x) != n:
+                raise ValueError(f"{routine}: right-hand side of shape "
+                                 f"{x.shape} for {n} unknowns")
+            if x.size:
+                nrhs.value = x.shape[1] if x.ndim == 2 else 1
+                # x.T is x's memory in C order, which a buffer must have
+                fn((b"N", b"T")[trans], *head,
+                   ctypes.byref(ctypes.c_double.from_buffer(x.T)), *tail)
+            return x
+        return solve
+
+    def dgbtrs(self, ab, kl, ku, b, ipiv, trans=0):
+        """dgbtrf's factors ab, ipiv applied inverse to b: (x, info)."""
+        return self.solver("dgbtrs", ab, ipiv, kl, ku)(b, trans), 0
+
+    def dgetrs(self, lu, piv, b, trans=0):
+        """dgetrf's factors lu, piv applied inverse to b: (x, info)."""
+        return self.solver("dgetrs", lu, piv)(b, trans), 0
+
+    def dgees(self, select, a, lwork=None, sort_t=0):
+        """Real Schur form t = vs^T a vs, with the eigenvalues wr + i wi for
+        which select(wr, wi) holds first if sort_t: (t, sdim, wr, wi, vs,
+        work, info), sdim of them selected.  lwork -1 returns the optimal
+        workspace in work[0]."""
+        t = _fortran(a)
+        n = len(t)
+        lwork = max(1, 3 * n) if lwork is None else int(lwork)
+        wr, wi, vs = np.zeros(n), np.zeros(n), np.zeros((n, n), order="F")
+        work, bwork = np.zeros(max(lwork, 1)), np.zeros(n, np.int64)
+        sdim = ctypes.c_int64()
+        pick = _SELECT(lambda re, im: bool(select(re[0], im[0]))) \
+            if sort_t else None
+        info = self._call("dgees", b"V", b"S" if sort_t else b"N", pick, n,
+                          t, max(n, 1), ctypes.byref(sdim), wr, wi, vs,
+                          max(n, 1), work, lwork, bwork)
+        return t, sdim.value, wr, wi, vs, work, info
+
+
 @functools.cache
 def _lapack():
-    """SciPy's compiled LAPACK wrappers, the extension module
-    scipy.linalg._flapack, loaded by itself: find_spec locates SciPy without
-    importing it, and the module is registered under its own name, so a
-    later import of scipy.linalg reuses it and its routines are the ones
-    scipy.linalg.lapack exports, in either import order."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    scipy = importlib.util.find_spec("scipy")
-    path = os.path.join(
-        scipy.submodule_search_locations[0] if scipy else "scipy", "linalg")
-    spec = importlib.machinery.FileFinder(path, (
-        importlib.machinery.ExtensionFileLoader,
-        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        raise ImportError(f"no LAPACK extension _flapack in {path}",
-                          name=name, path=path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
+    """The _Lapack routines of NumPy's own LAPACK, in the OpenBLAS that
+    NumPy's linalg extension links: dlsym on that extension's handle finds
+    them, so nothing new is loaded."""
+    path = np.linalg._umath_linalg.__file__
+    return _Lapack(ctypes.CDLL(path), path)
 
 
 class BandLU:
@@ -231,15 +359,17 @@ class BandLU:
     LAPACK's banded LU (dgbtrf) of the core A, and block elimination of
     the border rows R and columns C through the k x k Schur complement
     S = -R A^{-1} C (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991), by
-    dgetrf.  The routines come from _lapack(), which loads SciPy's LAPACK
-    module at the first factorization.  `norm1` is the exact 1-norm of the
-    scaled matrix; `singular` flags an exactly singular core or complement,
-    or a complement that is not finite.  solve() uses the operator's order
-    and raises NumericalError on a right-hand side that is not finite.
+    dgetrf.  The routines are NumPy's own LAPACK, from _lapack().  `norm1`
+    is the exact 1-norm of the scaled matrix; `singular` flags an exactly
+    singular core or complement, or a complement that is not finite.
+    solve() uses the operator's order and raises NumericalError on a
+    right-hand side that is not finite.
 
     The scaled core exists only in LAPACK's storage `ab`, which dgbtrf
     factors in place into `lu`: each diagonal is divided as it is copied
-    there, and norm1's column sums are taken a block of columns at a time."""
+    there, and norm1's column sums are taken a block of columns at a time.
+    The solves of the core and of the complement are bound to their factors
+    at their first use (_core, _schur_solve)."""
 
     BLOCK = 512  # columns per block of norm1's column sums
 
@@ -278,9 +408,13 @@ class BandLU:
         lu, piv, info = lapack.dgetrf(complement)
         self.schur, self.singular = (lu, piv), info > 0
 
-    def _core(self, b, trans):
-        return _lapack().dgbtrs(self.lu, self.kl, self.ku, b, self.piv,
-                                trans=trans)[0]
+    @functools.cached_property
+    def _core(self):
+        return _lapack().solver("dgbtrs", self.lu, self.piv, self.kl, self.ku)
+
+    @functools.cached_property
+    def _schur_solve(self):
+        return _lapack().solver("dgetrs", *self.schur)
 
     def solve(self, b, trans=0):
         """x with A x = b (trans=0) or A^T x = b (trans=1), for a vector
@@ -294,8 +428,7 @@ class BandLU:
         if len(amp):
             inner, back = ((self.rows, self.colsolve) if trans == 0
                            else (self.cols.T, self.rowsolve))
-            amp = _lapack().dgetrs(*self.schur, amp - inner @ y,
-                                   trans=trans)[0]
+            amp = self._schur_solve(amp - inner @ y, trans)
             y = y - back @ amp
         return np.concatenate([y, amp])
 
@@ -355,7 +488,7 @@ def _invariant_subspace(M, k, thresh):
         return np.hypot(re, im) > thresh
 
     # the workspace query and the sorted call of scipy.linalg.schur
-    lwork = dgees(lambda x: None, M, lwork=-1)[-2][0].real.astype(np.int_)
+    lwork = int(dgees(None, M, lwork=-1)[-2][0])
     _, sdim, _, _, Z, _, info = dgees(big, M, lwork=lwork, sort_t=1)
     if info > 0:
         raise NumericalError(f"sorted real Schur form failed (dgees info "

@@ -315,10 +315,15 @@ def paneitz_mode_apply(consts, lam, w, h, acc):
 
 def paneitz_mode_band(consts, lam, npoints, h, acc, reach):
     """The mode operator as an (npoints, 2 reach + 1) band: row i holds the
-    weights on points i - reach .. i + reach (fd.derivative_band)."""
+    weights on points i - reach .. i + reach (fd.derivative_band).  Both
+    derivative bands are scaled in place, which rounds as a scaled copy
+    does, so the mode holds two band-sized arrays while it is built."""
     A, B = consts.mode_coefficients(lam)
-    band = derivative_band(npoints, 4, acc, reach) * h ** -4.0
-    band -= (A * h ** -2.0) * derivative_band(npoints, 2, acc, reach)
+    band = derivative_band(npoints, 4, acc, reach)
+    band *= h ** -4.0
+    second = derivative_band(npoints, 2, acc, reach)
+    second *= A * h ** -2.0
+    band -= second
     band[:, reach] += lam ** 2 + B
     return band
 

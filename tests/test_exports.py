@@ -265,14 +265,20 @@ BORDERED_CONFIG = {"n": 5, "eps": 0.5, "m": 2,
 
 
 def test_correct_and_diagnose_load_only_the_lapack_module(tmp_path):
-    # the factorizations and Schur forms reach LAPACK through SciPy's
-    # compiled module alone, never through the scipy.linalg package
+    # the factorizations and Schur forms call the LAPACK of NumPy's own
+    # OpenBLAS, which the process loaded with NumPy: no SciPy module, and
+    # no mapping of SciPy's OpenBLAS
     manifests = [{"command": c, "out": str(tmp_path / c),
                   "params": {"config": BORDERED_CONFIG, "modes": [0, 1]}}
                  for c in ("correct", "diagnose")]
-    loaded = _loaded_after(f"from qglue.cli import execute; "
-                           f"[execute(m) for m in {manifests!r}]")
-    assert _package(loaded, "scipy") == ["scipy.linalg._flapack"]
+    loaded, maps = _fresh(
+        f"import pathlib; from qglue.cli import execute; "
+        f"[execute(m) for m in {manifests!r}]; "
+        f"maps = pathlib.Path('/proc/self/maps'); "
+        f"maps = maps.read_text() if maps.exists() else ''",
+        "sorted(sys.modules), maps")
+    assert _package(loaded, "scipy") == []
+    assert "libscipy_openblas-" not in maps
     # diagnose's Lanczos start vector comes from the standard library
     assert "numpy.random" not in loaded
     assert all((tmp_path / c / "summary.json").exists()
@@ -289,37 +295,134 @@ def test_correct_leaves_out_numpy_random(tmp_path):
     assert (tmp_path / "correct" / "summary.json").exists()
 
 
+# qglue's LAPACK bindings against scipy.linalg.lapack: a banded LU and its
+# solves, a dense LU and its solves, and sorted real Schur forms with one
+# real multiplier and with a complex pair beyond 2.  `exact` names the
+# results that must agree bit for bit; the dense LU runs in each
+# OpenBLAS's own getrf, which orders its operations differently, so
+# `rounding` holds the largest difference of its factors and solves over
+# 4 n eps times the largest factor and solution.
+LAPACK_ORACLE = textwrap.dedent("""
+    import numpy as np
+    from qglue.corrector import _lapack
+    import scipy.linalg.lapack as theirs
+    ours = _lapack()
+    rng = np.random.default_rng(5)
+
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    kl, ku, n = 3, 2, 40
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl:] = rng.standard_normal((kl + ku + 1, n))
+    lu, piv, info = ours.dgbtrf(ab, kl, ku)
+    lu2, piv2, info2 = theirs.dgbtrf(ab, kl, ku)
+    exact = {"dgbtrf": same(lu, lu2) and np.array_equal(piv, piv2 + 1)
+             and info == info2 == 0}
+    b = rng.standard_normal((n, 3))
+    for trans in (0, 1):
+        for rhs in (b[:, 0], b):
+            exact[f"dgbtrs trans {trans}, {rhs.ndim}-d"] = same(
+                ours.dgbtrs(lu, kl, ku, rhs, piv, trans=trans)[0],
+                theirs.dgbtrs(lu2, kl, ku, rhs, piv2, trans=trans)[0])
+
+    basis = rng.standard_normal((4, 4))
+    for k, block in ((1, np.diag([5.0, 1.5, 0.5, -0.3])),
+                     (2, np.array([[3.0, 2.0, 0, 0], [-2.0, 3.0, 0, 0],
+                                   [0, 0, 1.2, 0], [0, 0, 0, 0.4]]))):
+        M = basis @ block @ np.linalg.inv(basis)
+        big = lambda re, im: np.hypot(re, im) > 2.0
+        lwork = int(ours.dgees(None, M, lwork=-1)[-2][0])
+        lwork2 = theirs.dgees(lambda x: None, M, lwork=-1)[-2][0]
+        t, sdim, wr, wi, vs, _, info = ours.dgees(big, M, lwork=lwork,
+                                                  sort_t=1)
+        t2, sdim2, wr2, wi2, vs2, _, info2 = theirs.dgees(
+            big, M, lwork=lwork, sort_t=1)
+        exact[f"dgees k = {k}"] = (
+            lwork == lwork2 and sdim == sdim2 == k and info == info2 == 0
+            and all(map(same, (t, wr, wi, vs), (t2, wr2, wi2, vs2))))
+
+    a = rng.standard_normal((8, 8))
+    lu, piv, info = ours.dgetrf(a)
+    lu2, piv2, info2 = theirs.dgetrf(a)
+    exact["dgetrf pivots"] = np.array_equal(piv, piv2 + 1) and info == 0
+    unit = 4 * len(a) * np.finfo(float).eps
+    rounding = {"dgetrf": np.max(np.abs(lu - lu2)) / np.max(np.abs(lu2))
+                / unit}
+    for trans in (0, 1):
+        x = ours.dgetrs(lu, piv, b[:8], trans=trans)[0]
+        x2 = theirs.dgetrs(lu2, piv2, b[:8], trans=trans)[0]
+        rounding[f"dgetrs trans {trans}"] = float(
+            np.max(np.abs(x - x2)) / np.max(np.abs(x2)) / unit
+            / np.linalg.cond(a, 1))
+""")
+
+
 @pytest.mark.parametrize("first", ["factor", "scipy.linalg"])
 def test_lapack_routines_are_scipy_linalg_lapack_routines(first):
-    # one module object whichever loads first, and scipy.linalg still
-    # works around it
-    factor = ("import numpy as np; from qglue.corrector import BandLU, "
-              "BandedOperator; lu = BandLU(BandedOperator(kl=0, ku=0, "
-              "band=np.array([[2.0], [1.0]]), cols=np.array([[1.0], [1.0]]), "
-              "rows=np.array([[1.0, 1.0]])), np.ones(3)); "
-              "assert not lu.singular")
-    load = "import scipy.linalg, scipy.linalg.lapack"
-    check = ("from qglue.corrector import _lapack; "
-             "assert all(getattr(scipy.linalg.lapack, r) is getattr("
-             "_lapack(), r) for r in ('dgbtrf', 'dgbtrs', 'dgetrf', "
-             "'dgetrs', 'dgees')); "
-             "lu, piv = scipy.linalg.lu_factor([[2.0, 1.0], [1.0, 3.0]]); "
-             "x = scipy.linalg.lu_solve((lu, piv), [3.0, 4.0]); "
-             "assert np.allclose(x, [1.0, 1.0]), x")
+    # whichever OpenBLAS a process loads first, NumPy's with a
+    # factorization or SciPy's with scipy.linalg, the routines bound from
+    # NumPy's give scipy.linalg.lapack's results
+    factor = ("import numpy as np; from qglue.corrector import _lapack; "
+              "assert _lapack().dgetrf(np.eye(2))[2] == 0")
+    load = "import scipy.linalg.lapack"
     steps = [factor, load] if first == "factor" else [load, factor]
-    loaded = _loaded_after("; ".join(steps + [check]))
-    assert "scipy.linalg._decomp_lu" in loaded
+    exact, rounding = _fresh("\n".join(steps + [LAPACK_ORACLE]),
+                             "exact, {k: float(v) for k, v in "
+                             "rounding.items()}")
+    assert len(exact) == 8 and all(exact.values()), exact
+    assert all(0.0 <= v <= 1.0 for v in rounding.values()), rounding
 
 
-def test_missing_lapack_module_names_its_path(tmp_path, monkeypatch):
-    import importlib.machinery
-    import importlib.util
-    import re
+class _Library:
+    """A shared library stand-in that exports NumPy's LAPACK symbols under
+    other names: a symbol `name` resolves to NumPy's `rename(name)`, or is
+    missing when that is None."""
+
+    def __init__(self, rename):
+        import ctypes
+        import numpy as np
+        self.numpy = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        self.rename = rename
+
+    def __getitem__(self, name):
+        found = self.rename(name)
+        if found is None:
+            raise AttributeError(name)
+        return self.numpy[found]
+
+
+def test_missing_lapack_module_names_its_path(monkeypatch):
+    # a NumPy whose library exports neither ILP64 spelling: the error names
+    # the library and every symbol looked for
+    import ctypes
+    import numpy as np
     from qglue.corrector import _lapack
-    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    spec.submodule_search_locations = [str(tmp_path)]
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-    # the uncached loader, so the process keeps its loaded module
-    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+    library = _Library(lambda name: None)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: library)
+    # the uncached loader, so the process keeps its bound routines
+    with pytest.raises(ImportError) as err:
         _lapack.__wrapped__()
+    message = str(err.value)
+    assert np.linalg._umath_linalg.__file__ in message
+    for routine in ("dgbtrf", "dgbtrs", "dgetrf", "dgetrs", "dgees"):
+        assert f"scipy_{routine}_64_" in message
+        assert f" {routine}_64_" in message
+
+
+def test_lapack_binds_the_unprefixed_ilp64_spelling(monkeypatch):
+    # NumPy 1's wheels export dgbtrf_64_ where NumPy 2's export
+    # scipy_dgbtrf_64_; the routines bound under either name agree
+    import ctypes
+    import numpy as np
+    from qglue.corrector import _lapack
+    library = _Library(lambda name: None if name.startswith("scipy_")
+                       else "scipy_" + name)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: library)
+    lapack = _lapack.__wrapped__()
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    lu, piv, info = lapack.dgetrf(a)
+    assert info == 0 and list(piv) == [1, 2]
+    x, _ = lapack.dgetrs(lu, piv, np.array([3.0, 4.0]))
+    assert np.array_equal(x, _lapack().dgetrs(*_lapack().dgetrf(a)[:2],
+                                              np.array([3.0, 4.0]))[0])
