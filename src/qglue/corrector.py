@@ -32,14 +32,15 @@ decaying part over kernel shifts.  The gauge rows vanish on solutions with
 zero kernel content, so consistent compactly supported problems are
 reproduced exactly.
 
-LAPACK is NumPy's own: the ILP64 OpenBLAS that NumPy's linalg extension
-links, which every process has loaded with NumPy.  _lapack() binds its
-routines through ctypes at the first factorization or Schur form, so no
-second BLAS is loaded.  BandLU calls dgbtrf/dgbtrs for the band and
-dgetrf/dgetrs for the Schur complement, and _invariant_subspace calls
-dgees.  The banded routines and dgees give scipy.linalg.lapack's results
-bit for bit; the dense LU is OpenBLAS's own, whose rounding can differ
-between OpenBLAS builds.
+LAPACK is NumPy's own where NumPy's wheels link an ILP64 OpenBLAS (Linux,
+macOS x86_64): every process has loaded it with NumPy, and _lapack() binds
+its routines through ctypes at the first factorization or Schur form, so
+no second BLAS is loaded.  Elsewhere (NumPy's wheels for Windows and for
+macOS 14 on arm64, NumPy built on another LAPACK) _lapack() uses SciPy's.
+BandLU calls dgbtrf/dgbtrs for the band and dgetrf/dgetrs for the Schur
+complement, and _invariant_subspace calls dgees.  The banded routines and
+dgees give scipy.linalg.lapack's results bit for bit; the dense LU is
+each OpenBLAS's own, whose rounding can differ between builds.
 """
 
 import ctypes
@@ -199,12 +200,12 @@ class PatchedBand:
         return y
 
 
-# The LAPACK routines this module calls; the spellings under which an ILP64
-# OpenBLAS exports them, NumPy 2's wheels first, then NumPy 1's; and each
-# routine's pointer arguments and character arguments, for each of which
-# gfortran passes a hidden length after the last pointer.
+# The LAPACK routines this module calls; the name under which the ILP64
+# OpenBLAS of NumPy's wheels exports each; and each routine's pointer
+# arguments and character arguments, for each of which gfortran passes a
+# hidden length after the last pointer.
 _ROUTINES = ("dgbtrf", "dgbtrs", "dgetrf", "dgetrs", "dgees")
-_SPELLINGS = ("scipy_{}_64_", "{}_64_")
+_SYMBOL = "scipy_{}_64_"
 _ARGS = {"dgbtrf": (8, 0), "dgbtrs": (11, 1), "dgetrf": (6, 0),
          "dgetrs": (9, 1), "dgees": (15, 2)}
 # dgees' SELECT(WR, WI), a LOGICAL function: 8 bytes in an ILP64 build
@@ -233,23 +234,20 @@ def _fortran(a, overwrite=False):
 
 
 class _Lapack:
-    """The routines of _ROUTINES from a library `lib` that exports them
-    under one of _SPELLINGS, called through ctypes with 8-byte integers.
-    Each has the call shape and outputs of scipy.linalg.lapack's routine of
-    that name, except that pivots stay 1-based: they only go back into
-    LAPACK.  solver() binds dgbtrs or dgetrs to one set of factors."""
+    """The routines of _ROUTINES from a library `lib` that exports them as
+    _SYMBOL, called through ctypes with 8-byte integers.  dgbtrf, dgetrf
+    and dgees have the call shape and outputs of scipy.linalg.lapack's
+    routines of those names, except that pivots stay 1-based: they only go
+    back into LAPACK.  solver() binds dgbtrs or dgetrs to one set of
+    factors."""
 
     def __init__(self, lib, path):
-        for spelling in _SPELLINGS:
-            try:
-                fns = {r: lib[spelling.format(r)] for r in _ROUTINES}
-                break
-            except AttributeError:
-                continue
-        else:
-            tried = [s.format(r) for s in _SPELLINGS for r in _ROUTINES]
+        try:
+            fns = {r: lib[_SYMBOL.format(r)] for r in _ROUTINES}
+        except AttributeError:
+            tried = ", ".join(_SYMBOL.format(r) for r in _ROUTINES)
             raise ImportError(f"no ILP64 LAPACK in {path}: looked for "
-                              f"{', '.join(tried)}", path=path)
+                              f"{tried}", path=path) from None
         for routine, fn in fns.items():
             pointers, strings = _ARGS[routine]
             fn.argtypes = ([ctypes.c_void_p] * pointers
@@ -318,14 +316,6 @@ class _Lapack:
             return x
         return solve
 
-    def dgbtrs(self, ab, kl, ku, b, ipiv, trans=0):
-        """dgbtrf's factors ab, ipiv applied inverse to b: (x, info)."""
-        return self.solver("dgbtrs", ab, ipiv, kl, ku)(b, trans), 0
-
-    def dgetrs(self, lu, piv, b, trans=0):
-        """dgetrf's factors lu, piv applied inverse to b: (x, info)."""
-        return self.solver("dgetrs", lu, piv)(b, trans), 0
-
     def dgees(self, select, a, lwork=None, sort_t=0):
         """Real Schur form t = vs^T a vs, with the eigenvalues wr + i wi for
         which select(wr, wi) holds first if sort_t: (t, sdim, wr, wi, vs,
@@ -345,13 +335,46 @@ class _Lapack:
         return t, sdim.value, wr, wi, vs, work, info
 
 
+class _SciPyLapack:
+    """scipy.linalg.lapack's dgbtrf, dgetrf and dgees, and a solver() as
+    _Lapack's: the LAPACK of a NumPy that exports no _SYMBOL.  Its pivots
+    are 0-based; they only go back into its own solves."""
+
+    def __init__(self, lapack):
+        self._lapack = lapack
+        self.dgbtrf, self.dgetrf, self.dgees = (
+            lapack.dgbtrf, lapack.dgetrf, lapack.dgees)
+
+    def solver(self, routine, lu, piv, *band):
+        """_Lapack.solver through SciPy's dgbtrs or dgetrs."""
+        fn = getattr(self._lapack, routine)
+
+        def solve(b, trans=0):
+            if band:
+                return fn(lu, *band, b, piv, trans=trans)[0]
+            return fn(lu, piv, b, trans=trans)[0]
+        return solve
+
+
 @functools.cache
 def _lapack():
     """The _Lapack routines of NumPy's own LAPACK, in the OpenBLAS that
     NumPy's linalg extension links: dlsym on that extension's handle finds
-    them, so nothing new is loaded."""
+    them, so nothing new is loaded.  A NumPy whose extension exports none
+    gets SciPy's: its wheels for Windows, where a DLL's exports do not
+    reach through its imports, and for macOS 14 and later on arm64, which
+    link Accelerate, and builds on an LP64 LAPACK or on MKL.  Without SciPy
+    too, the ImportError names the library, the symbols and SciPy."""
     path = np.linalg._umath_linalg.__file__
-    return _Lapack(ctypes.CDLL(path), path)
+    try:
+        return _Lapack(ctypes.CDLL(path), path)
+    except (OSError, ImportError) as missing:
+        try:
+            from scipy.linalg import lapack
+        except ImportError as no_scipy:
+            raise ImportError(f"{missing}; and no SciPy to use in its "
+                              f"place: {no_scipy}", path=path) from no_scipy
+        return _SciPyLapack(lapack)
 
 
 class BandLU:
@@ -359,11 +382,11 @@ class BandLU:
     LAPACK's banded LU (dgbtrf) of the core A, and block elimination of
     the border rows R and columns C through the k x k Schur complement
     S = -R A^{-1} C (Govaerts, SIAM J. Matrix Anal. Appl. 12, 1991), by
-    dgetrf.  The routines are NumPy's own LAPACK, from _lapack().  `norm1`
-    is the exact 1-norm of the scaled matrix; `singular` flags an exactly
-    singular core or complement, or a complement that is not finite.
-    solve() uses the operator's order and raises NumericalError on a
-    right-hand side that is not finite.
+    dgetrf.  The routines come from _lapack(): NumPy's own LAPACK, or
+    SciPy's.  `norm1` is the exact 1-norm of the scaled matrix; `singular`
+    flags an exactly singular core or complement, or a complement that is
+    not finite.  solve() uses the operator's order and raises
+    NumericalError on a right-hand side that is not finite.
 
     The scaled core exists only in LAPACK's storage `ab`, which dgbtrf
     factors in place into `lu`: each diagonal is divided as it is copied
@@ -488,7 +511,7 @@ def _invariant_subspace(M, k, thresh):
         return np.hypot(re, im) > thresh
 
     # the workspace query and the sorted call of scipy.linalg.schur
-    lwork = int(dgees(None, M, lwork=-1)[-2][0])
+    lwork = int(dgees(big, M, lwork=-1)[-2][0])
     _, sdim, _, _, Z, _, info = dgees(big, M, lwork=lwork, sort_t=1)
     if info > 0:
         raise NumericalError(f"sorted real Schur form failed (dgees info "

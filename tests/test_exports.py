@@ -264,10 +264,22 @@ BORDERED_CONFIG = {"n": 5, "eps": 0.5, "m": 2,
                        {"l": 0, "A": -1e-3, "beta": 1.8}]}}
 
 
+def _numpy_exports_lapack():
+    """Whether NumPy's linalg extension exports the ILP64 LAPACK of
+    NumPy's Linux and macOS x86_64 wheels."""
+    import ctypes
+    import numpy as np
+    try:
+        ctypes.CDLL(np.linalg._umath_linalg.__file__)["scipy_dgbtrf_64_"]
+    except (OSError, AttributeError):
+        return False
+    return True
+
+
 def test_correct_and_diagnose_load_only_the_lapack_module(tmp_path):
     # the factorizations and Schur forms call the LAPACK of NumPy's own
     # OpenBLAS, which the process loaded with NumPy: no SciPy module, and
-    # no mapping of SciPy's OpenBLAS
+    # no mapping of SciPy's OpenBLAS; a NumPy without it loads SciPy's
     manifests = [{"command": c, "out": str(tmp_path / c),
                   "params": {"config": BORDERED_CONFIG, "modes": [0, 1]}}
                  for c in ("correct", "diagnose")]
@@ -277,8 +289,11 @@ def test_correct_and_diagnose_load_only_the_lapack_module(tmp_path):
         f"maps = pathlib.Path('/proc/self/maps'); "
         f"maps = maps.read_text() if maps.exists() else ''",
         "sorted(sys.modules), maps")
-    assert _package(loaded, "scipy") == []
-    assert "libscipy_openblas-" not in maps
+    if _numpy_exports_lapack():
+        assert _package(loaded, "scipy") == []
+        assert "libscipy_openblas-" not in maps
+    else:
+        assert "scipy.linalg._flapack" in loaded
     # diagnose's Lanczos start vector comes from the standard library
     assert "numpy.random" not in loaded
     assert all((tmp_path / c / "summary.json").exists()
@@ -308,6 +323,9 @@ LAPACK_ORACLE = textwrap.dedent("""
     import scipy.linalg.lapack as theirs
     ours = _lapack()
     rng = np.random.default_rng(5)
+    exact = {"bound from NumPy": type(ours).__name__ == "_Lapack"}
+    # NumPy's bound routines keep LAPACK's 1-based pivots, SciPy's shift them
+    base = int(exact["bound from NumPy"])
 
     def same(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -317,13 +335,13 @@ LAPACK_ORACLE = textwrap.dedent("""
     ab[kl:] = rng.standard_normal((kl + ku + 1, n))
     lu, piv, info = ours.dgbtrf(ab, kl, ku)
     lu2, piv2, info2 = theirs.dgbtrf(ab, kl, ku)
-    exact = {"dgbtrf": same(lu, lu2) and np.array_equal(piv, piv2 + 1)
-             and info == info2 == 0}
+    exact["dgbtrf"] = (same(lu, lu2) and np.array_equal(piv, piv2 + base)
+                       and info == info2 == 0)
     b = rng.standard_normal((n, 3))
     for trans in (0, 1):
         for rhs in (b[:, 0], b):
             exact[f"dgbtrs trans {trans}, {rhs.ndim}-d"] = same(
-                ours.dgbtrs(lu, kl, ku, rhs, piv, trans=trans)[0],
+                ours.solver("dgbtrs", lu, piv, kl, ku)(rhs, trans),
                 theirs.dgbtrs(lu2, kl, ku, rhs, piv2, trans=trans)[0])
 
     basis = rng.standard_normal((4, 4))
@@ -332,7 +350,7 @@ LAPACK_ORACLE = textwrap.dedent("""
                                    [0, 0, 1.2, 0], [0, 0, 0, 0.4]]))):
         M = basis @ block @ np.linalg.inv(basis)
         big = lambda re, im: np.hypot(re, im) > 2.0
-        lwork = int(ours.dgees(None, M, lwork=-1)[-2][0])
+        lwork = int(ours.dgees(big, M, lwork=-1)[-2][0])
         lwork2 = theirs.dgees(lambda x: None, M, lwork=-1)[-2][0]
         t, sdim, wr, wi, vs, _, info = ours.dgees(big, M, lwork=lwork,
                                                   sort_t=1)
@@ -345,12 +363,12 @@ LAPACK_ORACLE = textwrap.dedent("""
     a = rng.standard_normal((8, 8))
     lu, piv, info = ours.dgetrf(a)
     lu2, piv2, info2 = theirs.dgetrf(a)
-    exact["dgetrf pivots"] = np.array_equal(piv, piv2 + 1) and info == 0
+    exact["dgetrf pivots"] = np.array_equal(piv, piv2 + base) and info == 0
     unit = 4 * len(a) * np.finfo(float).eps
     rounding = {"dgetrf": np.max(np.abs(lu - lu2)) / np.max(np.abs(lu2))
                 / unit}
     for trans in (0, 1):
-        x = ours.dgetrs(lu, piv, b[:8], trans=trans)[0]
+        x = ours.solver("dgetrs", lu, piv)(b[:8], trans)
         x2 = theirs.dgetrs(lu2, piv2, b[:8], trans=trans)[0]
         rounding[f"dgetrs trans {trans}"] = float(
             np.max(np.abs(x - x2)) / np.max(np.abs(x2)) / unit
@@ -370,59 +388,90 @@ def test_lapack_routines_are_scipy_linalg_lapack_routines(first):
     exact, rounding = _fresh("\n".join(steps + [LAPACK_ORACLE]),
                              "exact, {k: float(v) for k, v in "
                              "rounding.items()}")
+    # the routines are NumPy's wherever NumPy exports them
+    assert exact.pop("bound from NumPy") or not _numpy_exports_lapack()
     assert len(exact) == 8 and all(exact.values()), exact
     assert all(0.0 <= v <= 1.0 for v in rounding.values()), rounding
 
 
-class _Library:
-    """A shared library stand-in that exports NumPy's LAPACK symbols under
-    other names: a symbol `name` resolves to NumPy's `rename(name)`, or is
-    missing when that is None."""
+def _without_numpy_lapack(monkeypatch):
+    """_lapack()'s routines, uncached, for a NumPy whose library exports
+    none of them under the name looked for."""
+    from qglue import corrector
+    monkeypatch.setattr(corrector, "_SYMBOL", "absent_{}_")
+    return corrector._lapack.__wrapped__()
 
-    def __init__(self, rename):
-        import ctypes
-        import numpy as np
-        self.numpy = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        self.rename = rename
 
-    def __getitem__(self, name):
-        found = self.rename(name)
-        if found is None:
-            raise AttributeError(name)
-        return self.numpy[found]
+def test_lapack_without_numpy_symbols_is_scipys(monkeypatch):
+    # a NumPy whose library exports no ILP64 LAPACK symbol gets SciPy's
+    # routines, whose factors solve as NumPy's do
+    import numpy as np
+    from qglue import corrector
+    ours = corrector._lapack()
+    theirs = _without_numpy_lapack(monkeypatch)
+    assert type(theirs).__name__ == "_SciPyLapack"
+    rng = np.random.default_rng(3)
+    kl, ku, n = 2, 1, 12
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    ab[kl:] = rng.standard_normal((kl + ku + 1, n))
+    a, b = rng.standard_normal((5, 5)), rng.standard_normal((n, 2))
+    solves = []
+    for lapack in (ours, theirs):
+        lu, piv, info = lapack.dgbtrf(ab, kl, ku)
+        assert info == 0
+        band = lapack.solver("dgbtrs", lu, piv, kl, ku)
+        lu, piv, info = lapack.dgetrf(a)
+        assert info == 0
+        dense = lapack.solver("dgetrs", lu, piv)
+        solves.append([f(rhs, trans) for trans in (0, 1)
+                       for f, rhs in ((band, b), (band, b[:, 0]),
+                                      (dense, b[:5]))])
+    for x, y in zip(*solves):
+        assert x.shape == y.shape
+        assert np.allclose(x, y, rtol=1e-10, atol=0)
 
 
 def test_missing_lapack_module_names_its_path(monkeypatch):
-    # a NumPy whose library exports neither ILP64 spelling: the error names
-    # the library and every symbol looked for
-    import ctypes
+    # without the symbols and without SciPy, the error names the library,
+    # every symbol looked for, and SciPy
     import numpy as np
-    from qglue.corrector import _lapack
-    library = _Library(lambda name: None)
-    monkeypatch.setattr(ctypes, "CDLL", lambda path: library)
-    # the uncached loader, so the process keeps its bound routines
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
     with pytest.raises(ImportError) as err:
-        _lapack.__wrapped__()
+        _without_numpy_lapack(monkeypatch)
     message = str(err.value)
     assert np.linalg._umath_linalg.__file__ in message
+    assert "SciPy" in message
     for routine in ("dgbtrf", "dgbtrs", "dgetrf", "dgetrs", "dgees"):
-        assert f"scipy_{routine}_64_" in message
-        assert f" {routine}_64_" in message
+        assert f"absent_{routine}_" in message
 
 
-def test_lapack_binds_the_unprefixed_ilp64_spelling(monkeypatch):
-    # NumPy 1's wheels export dgbtrf_64_ where NumPy 2's export
-    # scipy_dgbtrf_64_; the routines bound under either name agree
-    import ctypes
-    import numpy as np
-    from qglue.corrector import _lapack
-    library = _Library(lambda name: None if name.startswith("scipy_")
-                       else "scipy_" + name)
-    monkeypatch.setattr(ctypes, "CDLL", lambda path: library)
-    lapack = _lapack.__wrapped__()
-    a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    lu, piv, info = lapack.dgetrf(a)
-    assert info == 0 and list(piv) == [1, 2]
-    x, _ = lapack.dgetrs(lu, piv, np.array([3.0, 4.0]))
-    assert np.array_equal(x, _lapack().dgetrs(*_lapack().dgetrf(a)[:2],
-                                              np.array([3.0, 4.0]))[0])
+def test_correct_and_diagnose_on_scipys_lapack(tmp_path):
+    # the commands that factor run on SciPy's LAPACK where NumPy exports
+    # none, loading SciPy's module, and give NumPy's LAPACK's results to
+    # the rounding of the dense LU
+    outputs = {}
+    for name, before in (("numpy", ""),
+                         ("scipy", "corrector._SYMBOL = 'absent_{}_'; ")):
+        manifests = [{"command": c, "out": str(tmp_path / name / c),
+                      "params": {"config": BORDERED_CONFIG, "modes": [0, 1]}}
+                     for c in ("correct", "diagnose")]
+        loaded, kind = _fresh(
+            f"from qglue import corrector; {before}"
+            f"from qglue.cli import execute; "
+            f"[execute(m) for m in {manifests!r}]",
+            "sorted(sys.modules), type(corrector._lapack()).__name__")
+        outputs[name] = {f: json.loads((tmp_path / name / f).read_text())
+                         for f in ("correct/summary.json",
+                                   "correct/corrected.json",
+                                   "diagnose/summary.json")}
+    assert kind == "_SciPyLapack" and "scipy.linalg._flapack" in loaded
+    ours, theirs = outputs["numpy"], outputs["scipy"]
+    assert theirs["correct/summary.json"]["converged"] is True
+    for a, b in zip(ours["correct/corrected.json"]["modes"],
+                    theirs["correct/corrected.json"]["modes"]):
+        assert a["l"] == b["l"]
+        assert max(abs(x - y) for x, y in zip(a["samples"], b["samples"])) \
+            <= 1e-12 * max(map(abs, a["samples"]))
+    pm, pm2 = (o["diagnose/summary.json"]["perMode"] for o in (ours, theirs))
+    assert pm.keys() == pm2.keys()
+    assert all(abs(pm[k] - pm2[k]) <= 1e-9 * pm[k] for k in pm)

@@ -254,21 +254,6 @@ class TestPaneitz:
         with pytest.raises(ValueError):
             paneitz_mode_apply(consts5, 0.0, np.ones(6), 0.2, acc=8)
 
-    @pytest.mark.parametrize("l", [0, 1, 2, 5])
-    @pytest.mark.parametrize("h", [6.759 / 64, 0.1, 1.0 / 3.0])
-    def test_band_scaled_in_place_is_the_scaled_copy(self, consts5, l, h):
-        # the derivative bands scaled by copies, as the band was built
-        # before it was scaled in place
-        from qglue.fd import derivative_band, stencil_size
-        lam, acc = consts5.lam(l), 8
-        reach = stencil_size(4, acc) - 1
-        A, B = consts5.mode_coefficients(lam)
-        want = derivative_band(40, 4, acc, reach) * h ** -4.0
-        want -= (A * h ** -2.0) * derivative_band(40, 2, acc, reach)
-        want[:, reach] += lam ** 2 + B
-        got = gauges.paneitz_mode_band(consts5, lam, 40, h, acc, reach)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
 
 class TestQResidual:
     def test_constant_solution(self, consts5):
